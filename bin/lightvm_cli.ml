@@ -363,13 +363,20 @@ let resume_cmd =
          & info [] ~docv:"FILE" ~doc:"Snapshot written by $(b,snapshot).")
   in
   let doc =
-    "Resume a snapshot and run the suffix its stored key implies: \
-     scale images are extended by -n more creations, fleet images run \
-     their second fan-out wave, reliability images run an -n-attempt \
-     fault-injection cell, drain images drain host 0. A resumed run \
-     renders bit-identically to the unbroken simulation; header \
-     mismatches (foreign file, other format version, other binary) are \
-     refused with the structured reason."
+    "Resume a snapshot and run the suffix of the family its stored key \
+     names (the text before ':'), with every other parameter read off \
+     the image itself: $(b,scale) images are extended by -n more \
+     creations, $(b,scale-fleet) images run their second fan-out wave, \
+     $(b,reliability) images run an -n-attempt fault-injection cell, \
+     $(b,cluster) and $(b,cluster-scale) drain images drain host 0, \
+     $(b,serverless) warm-pool images serve an -n-request Poisson cell \
+     and $(b,serverless-day) fleet images run the -n-request day. \
+     --faults reaches the reliability, drain and serverless suffixes, \
+     --fault-seed seeds those and the serverless-day streams; -n below \
+     1 is refused. A resumed run renders \
+     bit-identically to the unbroken simulation; header mismatches \
+     (foreign file, other format version, other binary) are refused \
+     with the structured reason."
   in
   Cmd.v (Cmd.info "resume" ~doc)
     Term.(const run_resume $ path $ n_arg $ faults_arg $ seed_arg)

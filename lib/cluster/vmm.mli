@@ -11,10 +11,9 @@
 
     This module is the {e only} public entry point for VM lifecycle
     operations: experiments, the CLI, the bench harness and the cluster
-    control plane all go through it ([Lightvm.Host] survives as a thin
-    deprecated shim on top). The API layer itself charges no simulated
-    time — costs are exactly the underlying toolstack's, so lifecycle
-    timings are bit-identical to direct toolstack calls. *)
+    control plane all go through it. The API layer itself charges no
+    simulated time — costs are exactly the underlying toolstack's, so
+    lifecycle timings are bit-identical to direct toolstack calls. *)
 
 type t
 (** A host's management endpoint. *)

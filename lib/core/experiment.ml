@@ -38,25 +38,12 @@ type labelled = {
   series : Series.t;
 }
 
-(* Run a self-contained simulation and return its result; guests with
-   periodic background load would keep the event loop alive forever,
-   so the simulation is stopped once the experiment body returns. *)
-let run_sim f =
-  let result = ref None in
-  ignore
-    (Engine.run (fun () ->
-         result := Some (f ());
-         Engine.stop ()));
-  match !result with
-  | Some r -> r
-  | None -> failwith "simulation did not complete"
-
 let ms x = x *. 1e3
 
 let mk label unit_label = Series.create ~unit_label ~name:label ()
 
 (* ------------------------------------------------------------------ *)
-(* Partitioned simulations.
+(* Running simulations, partitioned or not.
 
    The multi-host families (cluster, the partitioned scale row) model
    one partition per host: host [i] owns partition [i + 1], partition 0
@@ -85,28 +72,74 @@ let partition_of_string = function
 
 let lookahead = Switch.default_latency
 
-(* [run_sim] for partitioned families: [f] starts in partition 0. *)
-let run_sim_partitioned ~jobs ~partitions f =
+(* Where a simulation runs: [`Host] gives each of [hosts] simulated
+   hosts its own partition, windows run on up to [sim_jobs] cores;
+   [`None] (and [single_heap], the layout of every one-host body) is
+   the plain single-heap engine. *)
+type layout = {
+  partition : partition;
+  sim_jobs : int;
+  hosts : int;
+}
+
+let single_heap = { partition = `None; sim_jobs = 1; hosts = 0 }
+
+(* The one way this module runs a simulation. [f] is the main process
+   of a fresh simulation laid out by [layout] — or, with [from], of a
+   thawed image resumed on its own partitioning — and the simulation
+   stops once [f] returns: guests with periodic background load would
+   otherwise keep the event loop alive forever. With [capture] the
+   stopped state is harvested too, ready to freeze. *)
+let run_main ?from ~capture layout f =
   let result = ref None in
-  ignore
-    (Engine.run_partitioned ~jobs ~lookahead ~partitions (fun () ->
-         result := Some (f ());
-         Engine.stop ()));
+  let main () =
+    result := Some (f ());
+    Engine.stop ()
+  in
+  let jobs = layout.sim_jobs and partitions = layout.hosts in
+  let saved =
+    match (from, layout.partition) with
+    | Some saved, _ when capture ->
+        Some (snd (Engine.resume_capture ~jobs saved main))
+    | Some saved, _ ->
+        ignore (Engine.resume ~jobs saved main);
+        None
+    | None, `None when capture -> Some (snd (Engine.run_capture main))
+    | None, `None ->
+        ignore (Engine.run main);
+        None
+    | None, `Host when capture ->
+        Some
+          (snd
+             (Engine.run_partitioned_capture ~jobs ~lookahead ~partitions main))
+    | None, `Host ->
+        ignore (Engine.run_partitioned ~jobs ~lookahead ~partitions main);
+        None
+  in
   match !result with
-  | Some r -> r
+  | Some r -> (r, saved)
   | None -> failwith "simulation did not complete"
 
-(* Fan out one process per host — host [h] in partition [part_of h] —
-   and block (in partition 0) until all complete. Dispatch and the
-   completion notification each model one switch hop, identical in both
-   partition modes. *)
-let fan_out_hosts ~hosts ~part_of work =
+let sim ?(layout = single_heap) ?from f =
+  fst (run_main ?from ~capture:false layout f)
+
+let capture ?from layout f =
+  let r, saved = run_main ?from ~capture:true layout f in
+  (Option.get saved, r)
+
+(* Fan out one process per host — host [h] in its own partition under
+   [`Host], all on partition 0 under [`None] — and block (in partition
+   0) until all complete. Dispatch and the completion notification each
+   model one switch hop, identical in both partition modes. *)
+let fan_out_hosts layout work =
+  let hosts = layout.hosts in
   let all_done = Engine.Ivar.create () in
   let remaining = ref hosts in
   for h = 0 to hosts - 1 do
     Engine.spawn_in
       ~name:(Printf.sprintf "host-%d" h)
-      ~partition:(part_of h) ~delay:lookahead
+      ~partition:(match layout.partition with `Host -> h + 1 | `None -> 0)
+      ~delay:lookahead
       (fun () ->
         work h;
         Engine.post ~partition:0 ~delay:lookahead (fun () ->
@@ -214,13 +247,17 @@ let series_of_jobs jobs =
    one image never see each other's state, even on different Pool
    worker domains.
 
-   Correctness bar (pinned in test/test_checkpoint.ml): a suffix run
-   from a thawed image renders bit-identically to the unbroken
-   simulation that runs prefix and suffix in one piece — the
-   [~snapshot:false] paths below keep the unbroken bodies alive
-   precisely so the equality stays testable.
+   Every prefixed family is declared once, as a {!family} record, and
+   the three generic runners below are the only code that captures,
+   freezes, thaws or resumes: [unbroken] runs prefix and suffix in one
+   simulation, [forked] runs the suffix from the cached image, and
+   [resume_from_file] (further down) runs it from a snapshot file.
+   Correctness bar (pinned in test/test_checkpoint.ml): the forked
+   suffix renders bit-identically to the unbroken simulation — the
+   [~snapshot:false] paths keep the unbroken runner reachable precisely
+   so the equality stays testable.
 
-   The cache is keyed by the prefix's config string ("scale:chaos-xs@
+   The cache is keyed by the family's config string ("scale:chaos-xs@
    2000", "reliability:xl", ...) and shared across Pool worker domains:
    the first toucher builds, concurrent touchers wait on the condition
    variable, later touchers get the frozen bytes for free. *)
@@ -281,7 +318,7 @@ let prefix_cache_reset () =
   Mutex.unlock prefix_lock
 
 (* CLI-safe slugs for mode names ("chaos [XS]" -> "chaos-xs"), used in
-   prefix keys and the snapshot/resume grammar. *)
+   prefix keys and the test hooks. *)
 let mode_slug mode =
   match Mode.name mode with
   | "xl" -> "xl"
@@ -293,6 +330,79 @@ let mode_slug mode =
 
 let mode_of_slug slug =
   List.find_opt (fun m -> String.equal (mode_slug m) slug) Mode.all_modes
+
+(* A prefixed family. [fam_prefix] runs inside a simulation laid out by
+   [fam_layout] and returns the model root ['root]; [fam_suffix] runs
+   inside the same simulation (unbroken) or a resumed copy of the
+   frozen image (forked). A family with [fam_extends = Some (parent,
+   grow)] builds its image by resuming [parent]'s and running [grow]
+   instead of simulating [fam_prefix] from scratch — the scale chain,
+   where each count pays only its increment. The text of [fam_key]
+   before ':' names the family for [resume_from_file]. *)
+type ('root, 'out) family = {
+  fam_key : string;
+  fam_describe : string;
+  fam_layout : layout;
+  fam_prefix : unit -> 'root;
+  fam_extends : (('root, 'out) family * ('root -> 'root)) option;
+  fam_suffix : 'root -> 'out;
+}
+
+(* The one thaw: [bytes] decode at the root type of the family [make]
+   rebuilds from the thawed root (given the image's partitioning), so
+   the compiler checks an image is thawed at the type [image] froze it
+   at. *)
+let thaw make bytes =
+  match Snap.thaw bytes with
+  | Error e -> Error (Snap.error_to_string e)
+  | Ok ((saved : Engine.saved), root) ->
+      let partition =
+        match Engine.saved_partitions saved with
+        | None -> `None
+        | Some _ -> `Host
+      in
+      Ok (saved, make partition root, root)
+
+(* The one freeze: [fam]'s image bytes, simulated at most once per
+   invocation through the cache. *)
+let rec image fam =
+  prefix_image ~key:fam.fam_key (fun () ->
+      let saved, root =
+        match fam.fam_extends with
+        | None -> capture fam.fam_layout fam.fam_prefix
+        | Some (parent, grow) -> (
+            match thaw (fun _ _ -> parent) (image parent) with
+            | Error m -> failwith (parent.fam_key ^ ": " ^ m)
+            | Ok (saved, _, root) ->
+                capture ~from:saved fam.fam_layout (fun () -> grow root))
+      in
+      snap_err fam.fam_key (Snap.freeze (saved, root)))
+
+(* Thaw [bytes] and run the suffix of the family [make] rebuilds, in
+   the resumed simulation: [(prefix_seconds since t0, root, out)]. *)
+let resume ?(t0 = wall ()) make bytes =
+  Result.map
+    (fun (saved, fam, root) ->
+      let prefix_seconds = wall () -. t0 in
+      ( prefix_seconds,
+        root,
+        sim ~layout:fam.fam_layout ~from:saved (fun () -> fam.fam_suffix root)
+      ))
+    (thaw make bytes)
+
+let unbroken fam =
+  sim ~layout:fam.fam_layout (fun () -> fam.fam_suffix (fam.fam_prefix ()))
+
+let forked fam =
+  let t0 = wall () in
+  match resume ~t0 (fun _ _ -> fam) (image fam) with
+  | Ok (prefix_seconds, _, out) -> (prefix_seconds, out)
+  | Error m -> failwith (fam.fam_key ^ ": " ^ m)
+
+(* [(prefix_seconds, out)]: forked from the image by default, unbroken
+   with [~snapshot:false]. *)
+let run_family ~snapshot fam =
+  if snapshot then forked fam else (0., unbroken fam)
 
 (* ------------------------------------------------------------------ *)
 (* Fig 1 *)
@@ -316,7 +426,7 @@ let fig1_syscall_growth () =
 let fig2_boot_vs_image_size
     ?(sizes_mb = [ 0.; 50.; 100.; 200.; 400.; 600.; 800.; 1000. ]) () =
   let series = mk "fig2-boot-vs-image-size" "ms" in
-  run_sim (fun () ->
+  sim (fun () ->
       let host = Vmm.create ~mode:Mode.lightvm () in
       List.iter
         (fun extra ->
@@ -336,7 +446,7 @@ let fig2_boot_vs_image_size
 let vm_instantiation_series ~mode ~image ~nics ~disks ~n ~label_prefix =
   let create_series = mk (label_prefix ^ " create") "ms" in
   let boot_series = mk (label_prefix ^ " boot") "ms" in
-  run_sim (fun () ->
+  sim (fun () ->
       let host = Vmm.create ~mode () in
       if mode.Mode.split then Vmm.prefill_pool host image ~nics ~disks;
       for i = 1 to n do
@@ -353,7 +463,7 @@ let vm_instantiation_series ~mode ~image ~nics ~disks ~n ~label_prefix =
 
 let docker_series ~platform ~image ~n ~label =
   let series = mk (label ^ " run") "ms" in
-  run_sim (fun () ->
+  sim (fun () ->
       let machine = Machine.create ~platform () in
       let engine = Docker.create machine in
       (try
@@ -372,7 +482,7 @@ let docker_series ~platform ~image ~n ~label =
 
 let process_series ~n =
   let series = mk "process create" "ms" in
-  run_sim (fun () ->
+  sim (fun () ->
       let machine = Machine.create () in
       let procs = Process.create machine ~rng:(Rng.create 7L) in
       for i = 1 to n do
@@ -429,7 +539,7 @@ let fig5_breakdown ?(n = 200) ?(sample = 10) () =
       (fun cat -> (cat, mk ("fig5 " ^ Create.category_name cat) "ms"))
       Create.categories
   in
-  run_sim (fun () ->
+  sim (fun () ->
       let host = Vmm.create ~mode:Mode.xl () in
       for i = 1 to n do
         let vm, _, _ =
@@ -452,7 +562,7 @@ let fig5_breakdown ?(n = 200) ?(sample = 10) () =
 let fig9_mode ~n mode =
   let label = Mode.name mode in
   let series = mk ("fig9 " ^ label) "ms" in
-  run_sim (fun () ->
+  sim (fun () ->
       let host = Vmm.create ~mode () in
       if mode.Mode.split then
         Vmm.prefill_pool host Image.daytime ~nics:1 ~disks:0;
@@ -520,14 +630,21 @@ let scale_counts n =
    paths render bit-identically. *)
 
 (* Create guests [from+1 .. upto] on [host], recording create+boot
-   latency per guest. The shared creation loop of both paths: the
-   resumed suffix continues exactly where the captured prefix left
-   off. *)
+   latency per guest: the creation loop of every scale body. *)
 let scale_create_range host lat ~from ~upto =
   for i = from + 1 to upto do
     let _vm, t_create, t_boot = launch_timed host ~nics:1 Image.daytime in
     lat.(i - 1) <- t_create +. t_boot
   done
+
+(* Grow a scale root — a host and one latency per guest it holds — to
+   [upto] guests. *)
+let scale_grow ~upto (host, lat) =
+  let from = Array.length lat in
+  let grown = Array.make upto nan in
+  Array.blit lat 0 grown 0 from;
+  scale_create_range host grown ~from ~upto;
+  (host, grown)
 
 let scale_curve_rows ~mode ~counts lat =
   List.map
@@ -542,67 +659,42 @@ let scale_curve_rows ~mode ~counts lat =
       { label; series })
     counts
 
-let scale_mode_lat_unbroken ~mode top =
-  let lat = Array.make top nan in
-  run_sim (fun () ->
-      let host = Vmm.create ~mode () in
-      if mode.Mode.split then
-        Vmm.prefill_pool host Image.daytime ~nics:1 ~disks:0;
-      scale_create_range host lat ~from:0 ~upto:top);
-  lat
-
-let scale_prefix_key ~mode count =
-  Printf.sprintf "scale:%s@%d" (mode_slug mode) count
-
-(* The frozen image of a host booted to [count] guests, chained through
-   the smaller boundaries in [bounds]. The image payload is
-   [(Engine.saved, (host, lat))]: engine heap state plus the model root
-   and the latencies recorded so far — one marshalled value, so the
-   heap thunks and the host they close over stay shared on thaw. *)
-let rec scale_image ~mode ~bounds count =
-  prefix_image ~key:(scale_prefix_key ~mode count) (fun () ->
-      let prev =
-        List.fold_left (fun a c -> if c < count then max a c else a) 0 bounds
-      in
-      if prev = 0 then (
-        let lat = Array.make count nan in
-        let host = ref None in
-        let _clock, saved =
-          Engine.run_capture (fun () ->
-              let h = Vmm.create ~mode () in
-              if mode.Mode.split then
-                Vmm.prefill_pool h Image.daytime ~nics:1 ~disks:0;
-              host := Some h;
-              scale_create_range h lat ~from:0 ~upto:count;
-              Engine.stop ())
-        in
-        snap_err "scale image" (Snap.freeze (saved, (Option.get !host, lat))))
-      else
-        let bytes = scale_image ~mode ~bounds prev in
-        let ((saved : Engine.saved), ((host : Vmm.t), lat_prev)) =
-          snap_err "scale image" (Snap.thaw bytes)
-        in
-        let lat = Array.make count nan in
-        Array.blit lat_prev 0 lat 0 prev;
-        let _clock, saved =
-          Engine.resume_capture saved (fun () ->
-              scale_create_range host lat ~from:prev ~upto:count;
-              Engine.stop ())
-        in
-        snap_err "scale image" (Snap.freeze (saved, (host, lat))))
+(* The scale family: one [mode] host booted to [count] guests, its
+   image chained through the largest smaller boundary in [bounds]. The
+   root is [(host, lat)] — the model and the latencies recorded so far,
+   one marshalled value, so the heap thunks and the host they close
+   over stay shared on thaw. The suffix creates [extra] more guests and
+   returns every latency. *)
+let rec scale_family ~mode ~bounds ~extra count =
+  let prev =
+    List.fold_left (fun a c -> if c < count then max a c else a) 0 bounds
+  in
+  {
+    fam_key = Printf.sprintf "scale:%s@%d" (mode_slug mode) count;
+    fam_describe =
+      Printf.sprintf "one %s host booted to %d daytime guests" (Mode.name mode)
+        count;
+    fam_layout = single_heap;
+    fam_prefix =
+      (fun () ->
+        let host = Vmm.create ~mode () in
+        if mode.Mode.split then
+          Vmm.prefill_pool host Image.daytime ~nics:1 ~disks:0;
+        scale_grow ~upto:count (host, [||]));
+    fam_extends =
+      (if prev = 0 then None
+       else
+         Some (scale_family ~mode ~bounds ~extra prev, scale_grow ~upto:count));
+    fam_suffix = (fun root -> snd (scale_grow ~upto:(count + extra) root));
+  }
 
 (* [(prefix_seconds, rows)] for one mode's merged curve. *)
 let scale_mode_merged ~snapshot ~counts mode =
   let top = List.fold_left max 1 counts in
-  if not snapshot then
-    (0., scale_curve_rows ~mode ~counts (scale_mode_lat_unbroken ~mode top))
-  else
-    let t0 = wall () in
-    let bytes = scale_image ~mode ~bounds:counts top in
-    let ((_ : Engine.saved), ((_ : Vmm.t), lat)) =
-      snap_err "scale image" (Snap.thaw bytes)
-    in
-    (wall () -. t0, scale_curve_rows ~mode ~counts lat)
+  let prefix_seconds, lat =
+    run_family ~snapshot (scale_family ~mode ~bounds:counts ~extra:0 top)
+  in
+  (prefix_seconds, scale_curve_rows ~mode ~counts lat)
 
 (* The partitioned row: the same total population brought up as a fleet
    of [scale_partition_hosts] identical chaos [XS] hosts, each creating
@@ -613,54 +705,51 @@ let scale_mode_merged ~snapshot ~counts mode =
    and at any [sim_jobs] (the per-host streams never interact).
 
    The bring-up runs as two fan-out waves with a barrier between them;
-   the wave boundary is the row's snapshot point, so the partitioned
-   capture/resume path has a well-defined unbroken twin: the
-   [~snapshot:false] body runs both waves in one simulation, the
-   [~snapshot:true] body captures every partition's state after wave 1
-   ({!Engine.run_partitioned_capture}), freezes it, and resumes a
-   thawed copy for wave 2 — same barrier, same events, bit-identical
-   series across the whole jobs x partition matrix
-   (test/test_checkpoint.ml). *)
+   the wave boundary is the family's snapshot point, so the partitioned
+   capture/resume path has a well-defined unbroken twin: same barrier,
+   same events, bit-identical series across the whole jobs x partition
+   matrix (test/test_checkpoint.ml). *)
 let scale_partition_hosts = 8
-
-let fleet_prefix_key ~partition ~sim_jobs total =
-  Printf.sprintf "scale-fleet:%s/j%d@%d" (partition_name partition) sim_jobs
-    total
 
 (* One wave: every host creates guests [from+1 .. upto] of its share,
    concurrently, in its own partition when [`Host]. *)
-let fleet_wave ~partition nodes lat ~from ~upto =
-  let hosts = Array.length nodes in
-  fan_out_hosts ~hosts
-    ~part_of:(fun h -> match partition with `Host -> h + 1 | `None -> 0)
-    (fun h -> scale_create_range nodes.(h) lat.(h) ~from ~upto)
+let fleet_wave layout nodes lat ~from ~upto =
+  fan_out_hosts layout (fun h ->
+      scale_create_range nodes.(h) lat.(h) ~from ~upto)
 
-(* [sim_jobs] is part of the key only to keep determinism tests honest:
-   the bytes are the same for every worker count, but a cache hit would
-   short-circuit the re-simulation the jobs-matrix tests exist to
-   exercise. *)
-let fleet_image ~partition ~sim_jobs ~hosts ~per ~per1 =
-  prefix_image
-    ~key:(fleet_prefix_key ~partition ~sim_jobs (hosts * per))
-    (fun () ->
-      let lat = Array.make_matrix hosts per nan in
-      let nodes = ref [||] in
-      let body () =
-        nodes :=
+(* The fleet family: [layout.hosts] hosts of [per] guests each, captured
+   at the wave-1 barrier. The root is [(nodes, lat)], one latency row
+   per host; the suffix runs wave 2 and returns the rows. [sim_jobs] is
+   part of the key only to keep determinism tests honest: the bytes are
+   the same for every worker count, but a cache hit would short-circuit
+   the re-simulation the jobs-matrix tests exist to exercise. *)
+let fleet_family layout ~per =
+  let hosts = layout.hosts and per1 = max 1 (per / 2) in
+  let part = partition_name layout.partition in
+  {
+    fam_key =
+      Printf.sprintf "scale-fleet:%s/j%d@%d" part layout.sim_jobs (hosts * per);
+    fam_describe =
+      Printf.sprintf
+        "%d chaos [XS] hosts at wave 1 (%d of %d guests each, partition %s, \
+         %d sim jobs)"
+        hosts per1 per part layout.sim_jobs;
+    fam_layout = layout;
+    fam_prefix =
+      (fun () ->
+        let nodes =
           Array.init hosts (fun i ->
-              Vmm.create ~host_id:i ~mode:Mode.chaos_xs ());
-        fleet_wave ~partition !nodes lat ~from:0 ~upto:per1;
-        Engine.stop ()
-      in
-      let saved =
-        match partition with
-        | `Host ->
-            snd
-              (Engine.run_partitioned_capture ~jobs:sim_jobs ~lookahead
-                 ~partitions:hosts body)
-        | `None -> snd (Engine.run_capture body)
-      in
-      snap_err "fleet image" (Snap.freeze (saved, (!nodes, lat))))
+              Vmm.create ~host_id:i ~mode:Mode.chaos_xs ())
+        in
+        let lat = Array.make_matrix hosts per nan in
+        fleet_wave layout nodes lat ~from:0 ~upto:per1;
+        (nodes, lat));
+    fam_extends = None;
+    fam_suffix =
+      (fun (nodes, lat) ->
+        fleet_wave layout nodes lat ~from:per1 ~upto:per;
+        lat);
+  }
 
 let fleet_row_render ~hosts ~per lat =
   let total = hosts * per in
@@ -682,39 +771,24 @@ let fleet_row_render ~hosts ~per lat =
   done;
   { label; series }
 
+let fleet_layout ~partition ~sim_jobs =
+  { partition; sim_jobs; hosts = scale_partition_hosts }
+
+let fleet_per count = max 1 (count / scale_partition_hosts)
+
 (* [(prefix_seconds, row)]. *)
 let scale_partitioned ~snapshot ~count ~partition ~sim_jobs =
-  let hosts = scale_partition_hosts in
-  let per = max 1 (count / hosts) in
-  let per1 = max 1 (per / 2) in
-  if not snapshot then begin
-    let lat = Array.make_matrix hosts per nan in
-    let body () =
-      let nodes =
-        Array.init hosts (fun i ->
-            Vmm.create ~host_id:i ~mode:Mode.chaos_xs ())
-      in
-      fleet_wave ~partition nodes lat ~from:0 ~upto:per1;
-      fleet_wave ~partition nodes lat ~from:per1 ~upto:per
-    in
-    (match partition with
-    | `Host -> run_sim_partitioned ~jobs:sim_jobs ~partitions:hosts body
-    | `None -> run_sim body);
-    (0., fleet_row_render ~hosts ~per lat)
-  end
-  else begin
-    let t0 = wall () in
-    let bytes = fleet_image ~partition ~sim_jobs ~hosts ~per ~per1 in
-    let ((saved : Engine.saved), ((nodes : Vmm.t array), lat)) =
-      snap_err "fleet image" (Snap.thaw bytes)
-    in
-    let prefix_seconds = wall () -. t0 in
-    ignore
-      (Engine.resume ~jobs:sim_jobs saved (fun () ->
-           fleet_wave ~partition nodes lat ~from:per1 ~upto:per;
-           Engine.stop ()));
-    (prefix_seconds, fleet_row_render ~hosts ~per lat)
-  end
+  let per = fleet_per count in
+  let prefix_seconds, lat =
+    run_family ~snapshot
+      (fleet_family (fleet_layout ~partition ~sim_jobs) ~per)
+  in
+  (prefix_seconds, fleet_row_render ~hosts:scale_partition_hosts ~per lat)
+
+let scale_mode_counts mode counts =
+  if String.equal (Mode.name mode) "xl" then
+    List.filter (fun c -> c <= scale_xl_cap) counts
+  else counts
 
 let scale_jobs ?(n = 10_000) ?(partition = `Host) ?(sim_jobs = 1) () :
     job list =
@@ -722,11 +796,7 @@ let scale_jobs ?(n = 10_000) ?(partition = `Host) ?(sim_jobs = 1) () :
   let top = List.fold_left max 1 counts in
   List.map
     (fun mode ->
-      let counts =
-        if String.equal (Mode.name mode) "xl" then
-          List.filter (fun c -> c <= scale_xl_cap) counts
-        else counts
-      in
+      let counts = scale_mode_counts mode counts in
       ( Printf.sprintf "scale/%s/%s" (Mode.name mode)
           (String.concat "+" (List.map string_of_int counts)),
         fun () ->
@@ -769,6 +839,15 @@ let reliability_default_spec =
   "xs.eagain:0.05,xs.equota:0.005,create.phase2:0.004,create.phase4:0.004,\
    create.phase7:0.004,hotplug.hang:0.03,evtchn.alloc:0.004,gnttab.alloc:0.004"
 
+(* The built-in fault specs, parsed once. *)
+let parse_default name s =
+  match Fault.parse_spec s with
+  | Ok spec -> spec
+  | Error m -> invalid_arg (name ^ ": " ^ m)
+
+let reliability_spec =
+  parse_default "reliability_default_spec" reliability_default_spec
+
 let reliability_levels = [ 0.; 1.; 2.; 4. ]
 let reliability_modes = [ Mode.xl; Mode.chaos_xs; Mode.chaos_noxs ]
 
@@ -778,31 +857,36 @@ let reliability_modes = [ Mode.xl; Mode.chaos_xs; Mode.chaos_noxs ]
 let reliability_cell_seed ~fault_seed mi li =
   Int64.add fault_seed (Int64.of_int (((mi + 1) * 257) + li))
 
-let reliability_prefix_key mode = "reliability:" ^ mode_slug mode
+(* The reliability family: the shared boot prefix of every cell of
+   [mode], a fresh host with one warmup creation launched and retired.
+   The warmup runs outside the injector: the first creation on a fresh
+   host materialises shared store directories (/vm, the backend kind
+   levels) that persist for the host's lifetime, so resource snapshots
+   are only stable from the second creation on — which also makes it
+   exactly the state all four fault levels of a mode can fork from. *)
+let reliability_family mode suffix =
+  {
+    fam_key = "reliability:" ^ mode_slug mode;
+    fam_describe =
+      Printf.sprintf "one warmed-up %s host (reliability cell prefix)"
+        (Mode.name mode);
+    fam_layout = single_heap;
+    fam_prefix =
+      (fun () ->
+        let host = Vmm.create ~mode () in
+        retire host (launch host ~name:"rel-warmup" Image.daytime);
+        host);
+    fam_extends = None;
+    fam_suffix = suffix;
+  }
 
-(* The shared boot prefix of every cell of [mode]: a fresh host with
-   one warmup creation launched and retired. The warmup runs outside
-   the injector in both paths: the first creation on a fresh host
-   materialises shared store directories (/vm, the backend kind levels)
-   that persist for the host's lifetime, so resource snapshots are only
-   stable from the second creation on — which also makes it exactly the
-   state all four fault levels of a mode can fork from. *)
-let reliability_image mode =
-  prefix_image ~key:(reliability_prefix_key mode) (fun () ->
-      let host = ref None in
-      let _clock, saved =
-        Engine.run_capture (fun () ->
-            let h = Vmm.create ~mode () in
-            let warm = launch h ~name:"rel-warmup" Image.daytime in
-            retire h warm;
-            host := Some h;
-            Engine.stop ())
-      in
-      snap_err "reliability image" (Snap.freeze (saved, Option.get !host)))
-
-(* The cell's suffix: [n] creation attempts under the injector,
-   accumulating successes, latencies and leak reports into the refs. *)
-let reliability_attempts ~n ~label ~injector host ok times leaks =
+(* A cell's suffix: [n] creation attempts on the warmed host under the
+   spec scaled to [level], rendered as the cell's piece. *)
+let reliability_suffix ~n ~spec ~seed ~level host =
+  let mode = Vmm.mode host in
+  let label = Printf.sprintf "%s x%g" (Mode.name mode) level in
+  let injector = Fault.create ~seed (Fault.scale spec level) in
+  let ok = ref 0 and times = ref [] and leaks = ref [] in
   Fault.with_injector injector (fun () ->
       for i = 1 to n do
         let before = Vmm.resources host in
@@ -822,10 +906,7 @@ let reliability_attempts ~n ~label ~injector host ok times leaks =
                 leaks :=
                   Printf.sprintf "LEAK %s attempt %d: %s" label i leaked
                   :: !leaks)
-      done)
-
-let reliability_render ~mode ~label ~level ~n ~injector ~prefix_seconds ok
-    times leaks =
+      done);
   let cdf = mk ("reliability cdf " ^ label) "ms" in
   let success =
     mk (Printf.sprintf "reliability success %s" (Mode.name mode)) "%"
@@ -856,47 +937,17 @@ let reliability_render ~mode ~label ~level ~n ~injector ~prefix_seconds ok
     ~series:[ { label = "cdf " ^ label; series = cdf };
               { label = "success " ^ Mode.name mode; series = success } ]
     ~notes:(note :: List.rev !leaks)
-    ~prefix_seconds ()
+    ()
 
 let reliability_cell ~snapshot ~n ~mode ~spec ~seed ~level =
-  let label = Printf.sprintf "%s x%g" (Mode.name mode) level in
-  let injector = Fault.create ~seed (Fault.scale spec level) in
-  let ok = ref 0 and times = ref [] and leaks = ref [] in
-  let prefix_seconds =
-    if not snapshot then begin
-      run_sim (fun () ->
-          let host = Vmm.create ~mode () in
-          let warm = launch host ~name:"rel-warmup" Image.daytime in
-          retire host warm;
-          reliability_attempts ~n ~label ~injector host ok times leaks);
-      0.
-    end
-    else begin
-      let t0 = wall () in
-      let bytes = reliability_image mode in
-      let ((saved : Engine.saved), (host : Vmm.t)) =
-        snap_err "reliability image" (Snap.thaw bytes)
-      in
-      let prefix_seconds = wall () -. t0 in
-      ignore
-        (Engine.resume saved (fun () ->
-             reliability_attempts ~n ~label ~injector host ok times leaks;
-             Engine.stop ()));
-      prefix_seconds
-    end
+  let prefix_seconds, p =
+    run_family ~snapshot
+      (reliability_family mode (reliability_suffix ~n ~spec ~seed ~level))
   in
-  reliability_render ~mode ~label ~level ~n ~injector ~prefix_seconds ok times
-    leaks
+  { p with p_prefix_seconds = prefix_seconds }
 
-let reliability_jobs ?(n = 200) ?spec ?(fault_seed = 42L) () : job list =
-  let spec =
-    match spec with
-    | Some s -> s
-    | None -> (
-        match Fault.parse_spec reliability_default_spec with
-        | Ok s -> s
-        | Error m -> invalid_arg ("reliability_default_spec: " ^ m))
-  in
+let reliability_jobs ?(n = 200) ?(spec = reliability_spec) ?(fault_seed = 42L)
+    () : job list =
   List.concat
     (List.mapi
        (fun mi mode ->
@@ -939,7 +990,7 @@ let reliability_finish pieces =
 
 let fig10_lightvm ~vms =
   let lightvm_series = mk "fig10 LightVM" "ms" in
-  run_sim (fun () ->
+  sim (fun () ->
       let host =
         Vmm.create ~platform:Params.amd_opteron_6376 ~mode:Mode.lightvm ()
       in
@@ -1032,7 +1083,7 @@ let fig12_mode ~n ~batch mode =
   let label = Mode.name mode in
   let save_series = mk ("fig12a " ^ label) "ms" in
   let restore_series = mk ("fig12b " ^ label) "ms" in
-  run_sim (fun () ->
+  sim (fun () ->
       let host = Vmm.create ~mode () in
       if mode.Mode.split then
         Vmm.prefill_pool host Image.daytime ~nics:1 ~disks:0;
@@ -1097,7 +1148,7 @@ let fig12_checkpoint ?n ?batch () =
 let fig13_mode ~n ~batch mode =
   let label = Mode.name mode in
   let series = mk ("fig13 " ^ label) "ms" in
-  run_sim (fun () ->
+  sim (fun () ->
       let src = Vmm.create ~mode () in
       let dst = Vmm.create ~mode () in
       if mode.Mode.split then
@@ -1140,7 +1191,7 @@ let fig13_migration ?n ?batch () = series_of_jobs (fig13_jobs ?n ?batch ())
 
 let fig14_vm_memory ~n ~sample ~image ~label =
   let series = mk ("fig14 " ^ label) "MB" in
-  run_sim (fun () ->
+  sim (fun () ->
       let host = Vmm.create ~mode:Mode.lightvm () in
       for i = 1 to n do
         ignore (launch host ~nics:1 image);
@@ -1152,7 +1203,7 @@ let fig14_vm_memory ~n ~sample ~image ~label =
 
 let fig14_docker_memory ~n ~sample =
   let series = mk "fig14 Docker" "MB" in
-  run_sim (fun () ->
+  sim (fun () ->
       let machine = Machine.create () in
       let engine = Docker.create machine in
       for i = 1 to n do
@@ -1170,7 +1221,7 @@ let fig14_docker_memory ~n ~sample =
 
 let fig14_process_memory ~n ~sample =
   let series = mk "fig14 process" "MB" in
-  run_sim (fun () ->
+  sim (fun () ->
       let machine = Machine.create () in
       let procs = Process.create machine ~rng:(Rng.create 5L) in
       for i = 1 to n do
@@ -1204,7 +1255,7 @@ let fig14_memory ?n ?sample () = series_of_jobs (fig14_jobs ?n ?sample ())
 
 let fig15_vm_usage ~n ~sample ~window ~image ~label =
   let series = mk ("fig15 " ^ label) "%" in
-  run_sim (fun () ->
+  sim (fun () ->
       let host = Vmm.create ~mode:Mode.lightvm () in
       let cpu = Xen.cpu (Vmm.xen host) in
       for i = 1 to n do
@@ -1221,7 +1272,7 @@ let fig15_vm_usage ~n ~sample ~window ~image ~label =
 
 let fig15_docker_usage ~n ~sample ~window =
   let series = mk "fig15 Docker" "%" in
-  run_sim (fun () ->
+  sim (fun () ->
       let machine = Machine.create () in
       let engine = Docker.create machine in
       let cpu = Machine.cpu machine in
@@ -1383,7 +1434,7 @@ let fig17_18_lambda ?(requests = 400) () =
      times"). *)
 let ablation_variant ~n label profile =
   let series = mk ("ablation " ^ label) "ms" in
-  run_sim (fun () ->
+  sim (fun () ->
       let host = Vmm.create ~mode:Mode.chaos_xs ~xs_profile:profile () in
       for i = 1 to n do
         let _vm, t_create, t_boot =
@@ -1432,7 +1483,7 @@ let pause_unpause () =
       ~columns:[ "system"; "pause ms"; "unpause ms" ]
   in
   let vm_times =
-    run_sim (fun () ->
+    sim (fun () ->
         let host = Vmm.create ~mode:Mode.lightvm () in
         let vm = launch host Image.daytime in
         let domid = vm.Create.domid in
@@ -1448,7 +1499,7 @@ let pause_unpause () =
         (t_pause, Engine.now () -. t1))
   in
   let container_times =
-    run_sim (fun () ->
+    sim (fun () ->
         let machine = Machine.create () in
         let engine = Docker.create machine in
         match Docker.run engine ~image:Layers.alpine_noop ~name:"c" () with
@@ -1480,7 +1531,7 @@ let wan_migration () =
   List.iter
     (fun image ->
       let total =
-        run_sim (fun () ->
+        sim (fun () ->
             let mk_host host_id =
               Vmm.create ~host_id ~mode:Mode.lightvm
                 ~costs:Lightvm_toolstack.Costs.wan ()
@@ -1512,7 +1563,7 @@ let headline_numbers () =
   in
   (* Boot of the no-device noop unikernel with every optimization. *)
   let noop_boot =
-    run_sim (fun () ->
+    sim (fun () ->
         let host = Vmm.create ~mode:Mode.lightvm () in
         Vmm.prefill_pool host Image.noop_unikernel ~nics:0 ~disks:0;
         let _vm, t_create, t_boot =
@@ -1521,7 +1572,7 @@ let headline_numbers () =
         t_create +. t_boot)
   in
   let daytime_boot =
-    run_sim (fun () ->
+    sim (fun () ->
         let host = Vmm.create ~mode:Mode.lightvm () in
         Vmm.prefill_pool host Image.daytime ~nics:1 ~disks:0;
         let _vm, t_create, t_boot =
@@ -1530,7 +1581,7 @@ let headline_numbers () =
         t_create +. t_boot)
   in
   let save_t, restore_t =
-    run_sim (fun () ->
+    sim (fun () ->
         let host = Vmm.create ~mode:Mode.lightvm () in
         let vm = launch host Image.daytime in
         let t0 = Engine.now () in
@@ -1547,7 +1598,7 @@ let headline_numbers () =
         (t_save, Engine.now () -. t1))
   in
   let migrate_t =
-    run_sim (fun () ->
+    sim (fun () ->
         let src = Vmm.create ~host_id:0 ~mode:Mode.lightvm () in
         let dst = Vmm.create ~host_id:1 ~mode:Mode.lightvm () in
         let vm = launch src Image.daytime in
@@ -1633,6 +1684,7 @@ let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
   let hosts =
     match hosts with Some h -> h | None -> cluster_hosts ~guests
   in
+  let layout = { partition; sim_jobs; hosts } in
   let pname = Scheduler.policy_name policy in
   let latency = mk (Printf.sprintf "cluster boot latency %s" pname) "ms" in
   let sample = max 1 (guests / 50) in
@@ -1677,9 +1729,7 @@ let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
           Cluster.announce c ~src:id ~dst:id "vm.create";
           per_host.(id) <- gi :: per_host.(id)
     done;
-    fan_out_hosts ~hosts
-      ~part_of:(Cluster.partition_of c)
-      (fun h ->
+    fan_out_hosts layout (fun h ->
         let host = Cluster.host c h in
         List.iter
           (fun gi ->
@@ -1697,9 +1747,7 @@ let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
           (List.rev per_host.(h)));
     final_views := Cluster.views c
   in
-  (match partition with
-  | `Host -> run_sim_partitioned ~jobs:sim_jobs ~partitions:hosts body
-  | `None -> run_sim body);
+  sim ~layout body;
   for i = 1 to guests do
     if i mod sample = 0 || i = 1 then
       Series.add latency ~x:(float_of_int i) ~y:(ms lat.(i - 1))
@@ -1731,40 +1779,41 @@ let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
     ~series:[ { label = "cluster " ^ pname; series = latency } ]
     ~notes:[ note ] ()
 
-let cluster_drain_prefix_key guests = Printf.sprintf "cluster:drain@%d" guests
+let cluster_spec = parse_default "cluster_fault_spec" cluster_fault_spec
 
-(* The drain job's boot prefix: the whole cluster up with [guests]
-   spread-placed guests running — everything before the first injected
-   fault. (The policy bring-up jobs are not prefixed: pool-everywhere
-   runs split toolstacks whose warm-pool refill daemons park effect
-   continuations, which is exactly what a checkpoint cannot hold.) *)
-let cluster_drain_image_for ~key ~hosts ~guests =
-  prefix_image ~key (fun () ->
-      let cl = ref None in
-      let _clock, saved =
-        Engine.run_capture (fun () ->
-            let c =
-              Cluster.create ~hosts ~racks:cluster_racks ~mode:Mode.chaos_xs
-                ~policy:Scheduler.Spread ()
-            in
-            for _ = 1 to guests do
-              match Cluster.launch c (Vmm.vm_request ~nics:1 Image.daytime) with
-              | Error e -> failwith (Cluster.error_to_string e)
-              | Ok p -> cluster_boot c p
-            done;
-            cl := Some c;
-            Engine.stop ())
-      in
-      snap_err "cluster drain image" (Snap.freeze (saved, Option.get !cl)))
-
-let cluster_drain_image ~guests =
-  cluster_drain_image_for
-    ~key:(cluster_drain_prefix_key guests)
-    ~hosts:(cluster_hosts ~guests) ~guests
+(* The drain family: the whole cluster of [hosts] hosts up with
+   [guests] spread-placed guests running — everything before the first
+   injected fault. [name] is "cluster" or "cluster-scale": the two
+   families share the body but cache under their own keys. (The policy
+   bring-up jobs are not prefixed: pool-everywhere runs split
+   toolstacks whose warm-pool refill daemons park effect continuations,
+   which is exactly what a checkpoint cannot hold.) *)
+let drain_family ~name ~hosts ~guests suffix =
+  {
+    fam_key = Printf.sprintf "%s:drain@%d" name guests;
+    fam_describe =
+      Printf.sprintf
+        "spread cluster of %d hosts with %d guests running (%s drain prefix)"
+        hosts guests name;
+    fam_layout = single_heap;
+    fam_prefix =
+      (fun () ->
+        let c =
+          Cluster.create ~hosts ~racks:cluster_racks ~mode:Mode.chaos_xs
+            ~policy:Scheduler.Spread ()
+        in
+        for _ = 1 to guests do
+          match Cluster.launch c (Vmm.vm_request ~nics:1 Image.daytime) with
+          | Error e -> failwith (Cluster.error_to_string e)
+          | Ok p -> cluster_boot c p
+        done;
+        c);
+    fam_extends = None;
+    fam_suffix = suffix;
+  }
 
 (* The drain suffix: snapshot accounting, drain host 0 under the
-   injector, rebalance, leak check. Runs inside the simulation, after
-   the boot prefix — inline or resumed from a thawed image. *)
+   injector, rebalance, leak check. *)
 let cluster_drain_suffix ~spec ~fault_seed c =
   let injector = Fault.create ~seed:fault_seed spec in
   let before = Cluster.resources c in
@@ -1792,64 +1841,29 @@ let cluster_drain_suffix ~spec ~fault_seed c =
       ]
     ()
 
-let cluster_drain_job_for ~image ~hosts ~snapshot ~guests ~spec ~fault_seed
-    () =
-  if not snapshot then
-    run_sim (fun () ->
-        let c =
-          Cluster.create ~hosts ~racks:cluster_racks ~mode:Mode.chaos_xs
-            ~policy:Scheduler.Spread ()
-        in
-        for _ = 1 to guests do
-          match Cluster.launch c (Vmm.vm_request ~nics:1 Image.daytime) with
-          | Error e -> failwith (Cluster.error_to_string e)
-          | Ok p -> cluster_boot c p
-        done;
-        cluster_drain_suffix ~spec ~fault_seed c)
-  else begin
-    let t0 = wall () in
-    let bytes = image () in
-    let ((saved : Engine.saved), (c : Cluster.t)) =
-      snap_err "cluster drain image" (Snap.thaw bytes)
-    in
-    let prefix_seconds = wall () -. t0 in
-    let out = ref None in
-    ignore
-      (Engine.resume saved (fun () ->
-           out := Some (cluster_drain_suffix ~spec ~fault_seed c);
-           Engine.stop ()));
-    match !out with
-    | Some p -> { p with p_prefix_seconds = prefix_seconds }
-    | None -> failwith "cluster drain: simulation did not complete"
-  end
-
-let cluster_drain_job ~snapshot ~guests ~spec ~fault_seed () =
-  cluster_drain_job_for
-    ~image:(fun () -> cluster_drain_image ~guests)
-    ~hosts:(cluster_hosts ~guests) ~snapshot ~guests ~spec ~fault_seed ()
-
-let cluster_jobs ?(n = 500) ?spec ?(fault_seed = 42L) ?(partition = `Host)
-    ?(sim_jobs = 1) () : job list =
-  let guests = n in
-  let spec =
-    match spec with
-    | Some s -> s
-    | None -> (
-        match Fault.parse_spec cluster_fault_spec with
-        | Ok s -> s
-        | Error m -> invalid_arg ("cluster_fault_spec: " ^ m))
+(* The drain job migrates guests between hosts — inherently
+   cross-partition state motion — so it stays on the single-heap
+   engine. *)
+let cluster_drain_job ~name ~hosts ~snapshot ~guests ~spec ~fault_seed () =
+  let prefix_seconds, p =
+    run_family ~snapshot
+      (drain_family ~name ~hosts ~guests
+         (cluster_drain_suffix ~spec ~fault_seed))
   in
+  { p with p_prefix_seconds = prefix_seconds }
+
+let cluster_jobs ?(n = 500) ?(spec = cluster_spec) ?(fault_seed = 42L)
+    ?(partition = `Host) ?(sim_jobs = 1) () : job list =
+  let guests = n in
   List.map
     (fun policy ->
       ( "cluster/" ^ Scheduler.policy_name policy,
         cluster_policy_job ~guests ~partition ~sim_jobs policy ))
     Scheduler.policies
-  (* The drain job migrates guests between hosts — inherently
-     cross-partition state motion — so it stays on the single-heap
-     engine. *)
   @ [
       ( "cluster/drain",
-        cluster_drain_job ~snapshot:true ~guests ~spec ~fault_seed );
+        cluster_drain_job ~name:"cluster" ~hosts:(cluster_hosts ~guests)
+          ~snapshot:true ~guests ~spec ~fault_seed );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1866,35 +1880,17 @@ let cluster_jobs ?(n = 500) ?spec ?(fault_seed = 42L) ?(partition = `Host)
 
 let cluster_scale_hosts ~guests = max 4 (min 100 (guests / 100))
 
-let cluster_scale_prefix_key guests =
-  Printf.sprintf "cluster-scale:drain@%d" guests
-
-let cluster_scale_drain_image ~guests =
-  cluster_drain_image_for
-    ~key:(cluster_scale_prefix_key guests)
-    ~hosts:(cluster_scale_hosts ~guests)
-    ~guests
-
-let cluster_scale_jobs ?(n = 2000) ?spec ?(fault_seed = 42L)
+let cluster_scale_jobs ?(n = 2000) ?(spec = cluster_spec) ?(fault_seed = 42L)
     ?(partition = `Host) ?(sim_jobs = 1) () : job list =
   let guests = n in
   let hosts = cluster_scale_hosts ~guests in
-  let spec =
-    match spec with
-    | Some s -> s
-    | None -> (
-        match Fault.parse_spec cluster_fault_spec with
-        | Ok s -> s
-        | Error m -> invalid_arg ("cluster_fault_spec: " ^ m))
-  in
   [
     ( "cluster-scale/spread",
       cluster_policy_job ~hosts ~summarize:true ~guests ~partition ~sim_jobs
         Scheduler.Spread );
     ( "cluster-scale/drain",
-      cluster_drain_job_for
-        ~image:(fun () -> cluster_scale_drain_image ~guests)
-        ~hosts ~snapshot:true ~guests ~spec ~fault_seed );
+      cluster_drain_job ~name:"cluster-scale" ~hosts ~snapshot:true ~guests
+        ~spec ~fault_seed );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1923,19 +1919,25 @@ let serverless_rate = 80.
 let serverless_pool_target = 4
 let serverless_cold_mode = Mode.chaos_xs
 
-let serverless_prefix_key target = Printf.sprintf "serverless:warm@%d" target
+(* A LightVM host with its function-instance pool prefilled. *)
+let serverless_warm_host ?host_id () =
+  let host = Vmm.create ?host_id () in
+  Serverless.warm_pool host ~target:serverless_pool_target;
+  host
 
-let serverless_image target =
-  prefix_image ~key:(serverless_prefix_key target) (fun () ->
-      let host = ref None in
-      let _clock, saved =
-        Engine.run_capture (fun () ->
-            let h = Vmm.create () in
-            Serverless.warm_pool h ~target;
-            host := Some h;
-            Engine.stop ())
-      in
-      snap_err "serverless image" (Snap.freeze (saved, Option.get !host)))
+let serverless_family suffix =
+  {
+    fam_key = Printf.sprintf "serverless:warm@%d" serverless_pool_target;
+    fam_describe =
+      Printf.sprintf
+        "one LightVM host, function-instance pool prefilled to %d \
+         (serverless warm prefix)"
+        serverless_pool_target;
+    fam_layout = single_heap;
+    fam_prefix = (fun () -> serverless_warm_host ());
+    fam_extends = None;
+    fam_suffix = suffix;
+  }
 
 (* Distinct per-cell seed so cells stay independent whatever the job
    order: a pure function of the base seed and the cell's position in
@@ -1974,55 +1976,26 @@ let serverless_render ~label ~prefix_seconds (s : Serverless.stats) =
     ~notes:[ Serverless.percentile_note ~label s ]
     ~prefix_seconds ()
 
-(* A cell body: host of the right shape, then the open-loop run,
-   optionally under a fault injector (injected creation failures count
-   as failed requests; the arrival stream never blocks on them). *)
-let serverless_attempts ~cfg ~injector host =
-  match injector with
+(* A cell's suffix: the open-loop run on [host], optionally under a
+   fault injector (injected creation failures count as failed requests;
+   the arrival stream never blocks on them). *)
+let serverless_suffix ~requests ~policy ~arrival ?spec ~seed host =
+  let cfg = serverless_config ~arrival ~requests ~policy ~seed in
+  match spec with
   | None -> Serverless.run_node cfg host
-  | Some injector ->
-      Fault.with_injector injector (fun () -> Serverless.run_node cfg host)
+  | Some spec ->
+      Fault.with_injector (Fault.create ~seed spec) (fun () ->
+          Serverless.run_node cfg host)
 
 (* [(prefix_seconds, stats)] for one cell. Warm-pool cells fork the
    shared prefix image by default; [~snapshot:false] keeps the unbroken
    twin alive so the fork-equals-unbroken contract stays testable. *)
 let serverless_cell_stats ~snapshot ~requests ~policy ~arrival ?spec ~seed () =
-  let cfg = serverless_config ~arrival ~requests ~policy ~seed in
-  let injector = Option.map (fun spec -> Fault.create ~seed spec) spec in
+  let suffix = serverless_suffix ~requests ~policy ~arrival ?spec ~seed in
   match policy with
-  | Serverless.Warm_pool when snapshot ->
-      let t0 = wall () in
-      let bytes = serverless_image serverless_pool_target in
-      let ((saved : Engine.saved), (host : Vmm.t)) =
-        snap_err "serverless image" (Snap.thaw bytes)
-      in
-      let prefix_seconds = wall () -. t0 in
-      let out = ref None in
-      ignore
-        (Engine.resume saved (fun () ->
-             out := Some (serverless_attempts ~cfg ~injector host);
-             Engine.stop ()));
-      let stats =
-        match !out with
-        | Some s -> s
-        | None -> failwith "serverless: simulation did not complete"
-      in
-      (prefix_seconds, stats)
-  | _ ->
-      let stats =
-        run_sim (fun () ->
-            let host =
-              match policy with
-              | Serverless.Warm_pool ->
-                  let h = Vmm.create () in
-                  Serverless.warm_pool h ~target:serverless_pool_target;
-                  h
-              | Serverless.Cold_boot | Serverless.Container ->
-                  Vmm.create ~mode:serverless_cold_mode ()
-            in
-            serverless_attempts ~cfg ~injector host)
-      in
-      (0., stats)
+  | Serverless.Warm_pool -> run_family ~snapshot (serverless_family suffix)
+  | Serverless.Cold_boot | Serverless.Container ->
+      (0., sim (fun () -> suffix (Vmm.create ~mode:serverless_cold_mode ())))
 
 let serverless_label ~policy ~arrival ~spec =
   Printf.sprintf "%s/%s"
@@ -2050,11 +2023,10 @@ let serverless_fleet_hosts = 4
    [node h] supplies host [h]'s (already warm, or freshly warmed) VMM,
    each host runs its own Poisson stream split from the cell seed by
    host index, and results land in disjoint slots. *)
-let serverless_fleet_cells ~partition ~per ~seed ~node slots =
-  let hosts = Array.length slots in
-  fan_out_hosts ~hosts
-    ~part_of:(fun h -> match partition with `Host -> h + 1 | `None -> 0)
-    (fun h ->
+let serverless_fleet_cells layout ~requests ~seed ~node =
+  let per = max 1 (requests / layout.hosts) in
+  let slots = Array.make layout.hosts None in
+  fan_out_hosts layout (fun h ->
       let host = node h in
       let cfg =
         serverless_config
@@ -2062,7 +2034,8 @@ let serverless_fleet_cells ~partition ~per ~seed ~node slots =
           ~requests:per ~policy:Serverless.Warm_pool
           ~seed:(Int64.add seed (Int64.of_int ((h + 1) * 104729)))
       in
-      slots.(h) <- Some (Serverless.run_node cfg host))
+      slots.(h) <- Some (Serverless.run_node cfg host));
+  slots
 
 (* Merge the per-host results in host index order (latency quantiles
    merged into one accumulator, counters summed) and render: identical
@@ -2103,26 +2076,21 @@ let serverless_fleet_finish ~label ~prefix_seconds slots =
   in
   { p with p_notes = p.p_notes @ host_notes }
 
+let serverless_fleet_layout ~partition ~sim_jobs =
+  { partition; sim_jobs; hosts = serverless_fleet_hosts }
+
 let serverless_fleet ~requests ~partition ~sim_jobs ~seed () =
-  let hosts = serverless_fleet_hosts in
-  let per = max 1 (requests / hosts) in
-  let slots : Serverless.stats option array = Array.make hosts None in
-  let body () =
-    serverless_fleet_cells ~partition ~per ~seed
-      ~node:(fun h ->
-        let host = Vmm.create ~host_id:h () in
-        Serverless.warm_pool host ~target:serverless_pool_target;
-        host)
-      slots
+  let layout = serverless_fleet_layout ~partition ~sim_jobs in
+  let slots =
+    sim ~layout (fun () ->
+        serverless_fleet_cells layout ~requests ~seed ~node:(fun h ->
+            serverless_warm_host ~host_id:h ()))
   in
-  (match partition with
-  | `Host -> run_sim_partitioned ~jobs:sim_jobs ~partitions:hosts body
-  | `None -> run_sim body);
   serverless_fleet_finish
-    ~label:(Printf.sprintf "fleet x%d warmpool/poisson" hosts)
+    ~label:(Printf.sprintf "fleet x%d warmpool/poisson" layout.hosts)
     ~prefix_seconds:0. slots
 
-let serverless_jobs ?(n = 2000) ?spec ?(fault_seed = 42L)
+let serverless_jobs ?(n = 2000) ?(spec = reliability_spec) ?(fault_seed = 42L)
     ?(partition = `Host) ?(sim_jobs = 1) () : job list =
   let requests = n in
   let rate = serverless_rate in
@@ -2137,14 +2105,6 @@ let serverless_jobs ?(n = 2000) ?spec ?(fault_seed = 42L)
         mean_calm = duration /. 12.;
         mean_burst = duration /. 60.;
       }
-  in
-  let spec =
-    match spec with
-    | Some s -> s
-    | None -> (
-        match Fault.parse_spec reliability_default_spec with
-        | Ok s -> s
-        | Error m -> invalid_arg ("reliability_default_spec: " ^ m))
   in
   let cell i ?spec ~policy ~arrival () =
     serverless_cell ~snapshot:true ~requests ~policy ~arrival ?spec
@@ -2212,55 +2172,46 @@ let serverless_bench_summary ?(requests = 2000) () =
    scale-fleet key (cache hits must not short-circuit the jobs-matrix
    determinism tests). *)
 
-let serverless_day_prefix_key ~partition ~sim_jobs hosts =
-  Printf.sprintf "serverless-day:%s/j%d@%d" (partition_name partition)
-    sim_jobs hosts
+(* The serverless-day family: the fleet's hosts created and their
+   instance pools prefilled, one per partition under [`Host]. *)
+let serverless_day_family layout suffix =
+  let part = partition_name layout.partition in
+  {
+    fam_key =
+      Printf.sprintf "serverless-day:%s/j%d@%d" part layout.sim_jobs
+        layout.hosts;
+    fam_describe =
+      Printf.sprintf
+        "%d LightVM hosts, function-instance pools prefilled to %d each \
+         (serverless-day fleet prefix, partition %s, %d sim jobs)"
+        layout.hosts serverless_pool_target part layout.sim_jobs;
+    fam_layout = layout;
+    fam_prefix =
+      (fun () ->
+        let nodes = Array.make layout.hosts None in
+        fan_out_hosts layout (fun h ->
+            nodes.(h) <- Some (serverless_warm_host ~host_id:h ()));
+        Array.map Option.get nodes);
+    fam_extends = None;
+    fam_suffix = suffix;
+  }
 
-let serverless_day_image ~partition ~sim_jobs () =
-  let hosts = serverless_fleet_hosts in
-  prefix_image
-    ~key:(serverless_day_prefix_key ~partition ~sim_jobs hosts)
-    (fun () ->
-      let nodes : Vmm.t option array = Array.make hosts None in
-      let body () =
-        fan_out_hosts ~hosts
-          ~part_of:(fun h ->
-            match partition with `Host -> h + 1 | `None -> 0)
-          (fun h ->
-            let host = Vmm.create ~host_id:h () in
-            Serverless.warm_pool host ~target:serverless_pool_target;
-            nodes.(h) <- Some host);
-        Engine.stop ()
-      in
-      let saved =
-        match partition with
-        | `Host ->
-            snd
-              (Engine.run_partitioned_capture ~jobs:sim_jobs ~lookahead
-                 ~partitions:hosts body)
-        | `None -> snd (Engine.run_capture body)
-      in
-      snap_err "serverless day image"
-        (Snap.freeze (saved, Array.map Option.get nodes)))
+(* The day itself: every host's stream, on its prefilled node. *)
+let serverless_day_suffix layout ~requests ~seed nodes =
+  serverless_fleet_cells layout ~requests ~seed ~node:(Array.get nodes)
+
+let serverless_day_label hosts =
+  Printf.sprintf "day fleet x%d warmpool/poisson" hosts
 
 let serverless_day ~requests ~partition ~sim_jobs ~seed () =
-  let hosts = serverless_fleet_hosts in
-  let per = max 1 (requests / hosts) in
-  let slots : Serverless.stats option array = Array.make hosts None in
-  let t0 = wall () in
-  let bytes = serverless_day_image ~partition ~sim_jobs () in
-  let ((saved : Engine.saved), (nodes : Vmm.t array)) =
-    snap_err "serverless day image" (Snap.thaw bytes)
+  let layout = serverless_fleet_layout ~partition ~sim_jobs in
+  let prefix_seconds, slots =
+    forked
+      (serverless_day_family layout
+         (serverless_day_suffix layout ~requests ~seed))
   in
-  let prefix_seconds = wall () -. t0 in
-  ignore
-    (Engine.resume ~jobs:sim_jobs saved (fun () ->
-         serverless_fleet_cells ~partition ~per ~seed
-           ~node:(fun h -> nodes.(h))
-           slots;
-         Engine.stop ()));
   serverless_fleet_finish
-    ~label:(Printf.sprintf "day fleet x%d warmpool/poisson" hosts)
+    ~label:(serverless_day_label layout.hosts)
     ~prefix_seconds slots
 
 let serverless_day_jobs ?(n = 8000) ?(partition = `Host) ?(sim_jobs = 1) () :
@@ -2289,6 +2240,16 @@ type result = {
          time, not simulated — excluded from rendered output so digests
          stay reproducible *)
 }
+
+let result_of_piece ~name ~figure p =
+  {
+    name;
+    figure;
+    series = p.p_series;
+    tables = p.p_tables;
+    notes = p.p_notes;
+    prefix_seconds = p.p_prefix_seconds;
+  }
 
 let relabel suffix l = { l with label = l.label ^ " " ^ suffix }
 
@@ -2410,15 +2371,8 @@ let run_plan ?(jobs = 1) p =
     if jobs <= 1 then List.map (fun f -> f ()) thunks
     else Pool.run ~jobs thunks
   in
-  let merged = p.plan_finish pieces in
-  {
-    name = p.plan_name;
-    figure = p.plan_figure;
-    series = merged.p_series;
-    tables = merged.p_tables;
-    notes = merged.p_notes;
-    prefix_seconds = merged.p_prefix_seconds;
-  }
+  result_of_piece ~name:p.plan_name ~figure:p.plan_figure
+    (p.plan_finish pieces)
 
 (* ------------------------------------------------------------------ *)
 
@@ -2437,13 +2391,13 @@ let find ?n ?partition ?sim_jobs name =
 (* ------------------------------------------------------------------ *)
 (* Named prefixes and file-level snapshot/resume.
 
-   Every shared boot prefix the plans use is also addressable by name,
-   so the CLI can build one, write it to disk ([snapshot]) and later
-   fork suffix runs from the file ([resume]) — across process
-   invocations, as long as it is the same binary
-   ({!Lightvm_sim.Checkpoint} refuses anything else). The prefix key
-   doubles as the snapshot's stored config string: [resume] dispatches
-   on it, so a snapshot file knows which suffix grammar applies. *)
+   Every family image the plans use is also addressable by its key, so
+   the CLI can build one, write it to disk ([snapshot]) and later fork
+   suffix runs from the file ([resume]) — across process invocations,
+   as long as it is the same binary ({!Lightvm_sim.Checkpoint} refuses
+   anything else). The key doubles as the snapshot's stored config
+   string: [resume] picks the family by the key's name before ':' and
+   reads every suffix parameter off the thawed image itself. *)
 
 type prefix = {
   prefix_key : string;
@@ -2451,106 +2405,44 @@ type prefix = {
   prefix_build : unit -> string;
 }
 
+let listed fam =
+  {
+    prefix_key = fam.fam_key;
+    prefix_describe = fam.fam_describe;
+    prefix_build = (fun () -> image fam);
+  }
+
 let prefixes ?n ?(partition = `Host) ?(sim_jobs = 1) () : prefix list =
-  let scale_n = match n with Some v -> v | None -> 10_000 in
-  let counts = scale_counts scale_n in
+  let counts = scale_counts (Option.value n ~default:10_000) in
   let top = List.fold_left max 1 counts in
-  let scale_prefixes =
-    List.concat_map
-      (fun mode ->
-        let counts =
-          if String.equal (Mode.name mode) "xl" then
-            List.filter (fun c -> c <= scale_xl_cap) counts
-          else counts
-        in
-        List.map
-          (fun count ->
-            {
-              prefix_key = scale_prefix_key ~mode count;
-              prefix_describe =
-                Printf.sprintf "one %s host booted to %d daytime guests"
-                  (Mode.name mode) count;
-              prefix_build = (fun () -> scale_image ~mode ~bounds:counts count);
-            })
-          counts)
-      scale_modes
+  let drain name ~default hosts_for =
+    let guests = Option.value n ~default in
+    listed (drain_family ~name ~hosts:(hosts_for ~guests) ~guests ignore)
   in
-  let fleet =
-    let hosts = scale_partition_hosts in
-    let per = max 1 (top / hosts) in
-    let per1 = max 1 (per / 2) in
-    let total = hosts * per in
-    {
-      prefix_key = fleet_prefix_key ~partition ~sim_jobs total;
-      prefix_describe =
-        Printf.sprintf
-          "%d chaos [XS] hosts at wave 1 (%d of %d guests each, partition \
-           %s, %d sim jobs)"
-          hosts per1 per (partition_name partition) sim_jobs;
-      prefix_build =
-        (fun () -> fleet_image ~partition ~sim_jobs ~hosts ~per ~per1);
-    }
-  in
-  let rel =
-    List.map
-      (fun mode ->
-        {
-          prefix_key = reliability_prefix_key mode;
-          prefix_describe =
-            Printf.sprintf "one warmed-up %s host (reliability cell prefix)"
-              (Mode.name mode);
-          prefix_build = (fun () -> reliability_image mode);
-        })
+  List.concat_map
+    (fun mode ->
+      let counts = scale_mode_counts mode counts in
+      List.map
+        (fun count ->
+          listed (scale_family ~mode ~bounds:counts ~extra:0 count))
+        counts)
+    scale_modes
+  @ [
+      listed
+        (fleet_family (fleet_layout ~partition ~sim_jobs) ~per:(fleet_per top));
+    ]
+  @ List.map
+      (fun mode -> listed (reliability_family mode ignore))
       reliability_modes
-  in
-  let drain =
-    let guests = match n with Some v -> v | None -> 500 in
-    {
-      prefix_key = cluster_drain_prefix_key guests;
-      prefix_describe =
-        Printf.sprintf
-          "spread cluster of %d hosts with %d guests running (drain prefix)"
-          (cluster_hosts ~guests) guests;
-      prefix_build = (fun () -> cluster_drain_image ~guests);
-    }
-  in
-  let serverless_warm =
-    {
-      prefix_key = serverless_prefix_key serverless_pool_target;
-      prefix_describe =
-        Printf.sprintf
-          "one LightVM host, function-instance pool prefilled to %d \
-           (serverless warm prefix)"
-          serverless_pool_target;
-      prefix_build = (fun () -> serverless_image serverless_pool_target);
-    }
-  in
-  let scale_drain =
-    let guests = match n with Some v -> v | None -> 2000 in
-    {
-      prefix_key = cluster_scale_prefix_key guests;
-      prefix_describe =
-        Printf.sprintf
-          "spread cluster of %d hosts with %d guests running \
-           (cluster-scale drain prefix)"
-          (cluster_scale_hosts ~guests) guests;
-      prefix_build = (fun () -> cluster_scale_drain_image ~guests);
-    }
-  in
-  let day_fleet =
-    let hosts = serverless_fleet_hosts in
-    {
-      prefix_key = serverless_day_prefix_key ~partition ~sim_jobs hosts;
-      prefix_describe =
-        Printf.sprintf
-          "%d LightVM hosts, function-instance pools prefilled to %d each \
-           (serverless-day fleet prefix, partition %s, %d sim jobs)"
-          hosts serverless_pool_target (partition_name partition) sim_jobs;
-      prefix_build = (fun () -> serverless_day_image ~partition ~sim_jobs ());
-    }
-  in
-  scale_prefixes @ [ fleet ] @ rel
-  @ [ drain; scale_drain; serverless_warm; day_fleet ]
+  @ [
+      drain "cluster" ~default:500 cluster_hosts;
+      drain "cluster-scale" ~default:2000 cluster_scale_hosts;
+      listed (serverless_family ignore);
+      listed
+        (serverless_day_family
+           (serverless_fleet_layout ~partition ~sim_jobs)
+           ignore);
+    ]
 
 let snapshot_to_file ?n ?partition ?sim_jobs ~key ~path () =
   let avail = prefixes ?n ?partition ?sim_jobs () in
@@ -2567,255 +2459,120 @@ let snapshot_to_file ?n ?partition ?sim_jobs ~key ~path () =
           | Ok () -> Ok p.prefix_describe
           | Error e -> Error (Snap.error_to_string e)))
 
-(* --- resume: parse the stored key and run the matching suffix. --- *)
+(* --- resume: the family by name, its parameters from the thawed root. --- *)
 
-let mk_result ~name ~notes series =
-  {
-    name;
-    figure = "snapshot";
-    series;
-    tables = [];
-    notes;
-    prefix_seconds = 0.;
-  }
+(* Resume [bytes] as the family [make] rebuilds and render the suffix's
+   output (with the root it ran on) as a piece. *)
+let resume_piece make render bytes =
+  Result.map (fun (_, root, out) -> render root out) (resume make bytes)
 
-(* "scale:<mode>@<count>": extend the host by [extra] more guests and
-   render the full curve to count+extra. *)
-let resume_scale ~mode ~count ~extra bytes =
-  match (Snap.thaw bytes : (Engine.saved * (Vmm.t * float array), _) Stdlib.result)
-  with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok (saved, (host, lat_prev)) ->
-      let total = count + extra in
-      let lat = Array.make total nan in
-      Array.blit lat_prev 0 lat 0 count;
-      ignore
-        (Engine.resume saved (fun () ->
-             scale_create_range host lat ~from:count ~upto:total;
-             Engine.stop ()));
-      Ok
-        (mk_result ~name:"resume"
-           ~notes:
-             [
-               Printf.sprintf
-                 "resumed %s host at %d guests, extended to %d" (Mode.name mode)
-                 count total;
-             ]
-           (scale_curve_rows ~mode ~counts:[ total ] lat))
-
-(* "scale-fleet:<part>/j<J>@<total>": run wave 2 from the wave-1 image
-   and render the fleet row. *)
-let resume_fleet ~partition ~sim_jobs ~total bytes =
-  match
-    (Snap.thaw bytes
-      : ( Engine.saved * (Vmm.t array * float array array),
-          _ )
-        Stdlib.result)
-  with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok (saved, (nodes, lat)) ->
-      let hosts = Array.length nodes in
-      let per = total / hosts in
-      let per1 = max 1 (per / 2) in
-      ignore
-        (Engine.resume ~jobs:sim_jobs saved (fun () ->
-             fleet_wave ~partition nodes lat ~from:per1 ~upto:per;
-             Engine.stop ()));
-      Ok
-        (mk_result ~name:"resume"
-           ~notes:
-             [
-               Printf.sprintf
-                 "resumed fleet wave 2: %d hosts, guests %d..%d of %d each"
-                 hosts (per1 + 1) per per;
-             ]
-           [ fleet_row_render ~hosts ~per lat ])
-
-(* "reliability:<mode>": one full fault-injection cell on the warmed
-   host. *)
-let resume_reliability ~mode ~n ~spec ~fault_seed bytes =
-  match (Snap.thaw bytes : (Engine.saved * Vmm.t, _) Stdlib.result) with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok (saved, host) ->
-      let label = Printf.sprintf "%s x1" (Mode.name mode) in
-      let injector = Fault.create ~seed:fault_seed spec in
-      let ok = ref 0 and times = ref [] and leaks = ref [] in
-      ignore
-        (Engine.resume saved (fun () ->
-             reliability_attempts ~n ~label ~injector host ok times leaks;
-             Engine.stop ()));
-      let p =
-        reliability_render ~mode ~label ~level:1. ~n ~injector
-          ~prefix_seconds:0. ok times leaks
-      in
-      Ok
-        (mk_result ~name:"resume" ~notes:p.p_notes p.p_series)
-
-(* "cluster:drain@<guests>": drain/rebalance/leak-check under the
-   injected fault spec. *)
-let resume_drain ~spec ~fault_seed bytes =
-  match (Snap.thaw bytes : (Engine.saved * Cluster.t, _) Stdlib.result) with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok (saved, c) ->
-      let out = ref None in
-      ignore
-        (Engine.resume saved (fun () ->
-             out := Some (cluster_drain_suffix ~spec ~fault_seed c);
-             Engine.stop ()));
-      let p =
-        match !out with
-        | Some p -> p
-        | None -> failwith "cluster drain: simulation did not complete"
-      in
-      Ok (mk_result ~name:"resume" ~notes:p.p_notes p.p_series)
-
-(* "serverless:warm@<target>": the flagship warm-pool Poisson cell run
-   as a suffix of the prefilled-host image. *)
-let resume_serverless ~requests bytes =
-  match (Snap.thaw bytes : (Engine.saved * Vmm.t, _) Stdlib.result) with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok (saved, host) ->
-      let policy = Serverless.Warm_pool in
-      let arrival = Arrival.Poisson { rate = serverless_rate } in
-      let cfg =
-        serverless_config ~arrival ~requests ~policy
-          ~seed:(serverless_cell_seed ~seed:42L 1)
-      in
-      let out = ref None in
-      ignore
-        (Engine.resume saved (fun () ->
-             out := Some (Serverless.run_node cfg host);
-             Engine.stop ()));
-      (match !out with
-      | None -> Error "serverless: simulation did not complete"
-      | Some stats ->
-          let p =
-            serverless_render
-              ~label:(serverless_label ~policy ~arrival ~spec:None)
-              ~prefix_seconds:0. stats
+(* Family name -> resume from image bytes. [n] and [spec] override each
+   suffix's defaults; the image's partitioning, host count, mode and
+   guest counts come from the thawed state, and the run is
+   single-worker ([sim_jobs] never changes output). *)
+let resumers ~n ~spec ~fault_seed =
+  let n_or default = Option.value n ~default in
+  let spec_or default = Option.value spec ~default in
+  let drain name =
+    ( name,
+      resume_piece
+        (fun _ c ->
+          drain_family ~name ~hosts:(Cluster.host_count c)
+            ~guests:(Cluster.vm_count c)
+            (cluster_drain_suffix ~spec:(spec_or cluster_spec) ~fault_seed))
+        (fun _ p -> p) )
+  in
+  let poisson = Arrival.Poisson { rate = serverless_rate } in
+  [
+    ( "scale",
+      resume_piece
+        (fun _ (host, lat) ->
+          let count = Array.length lat in
+          scale_family ~mode:(Vmm.mode host) ~bounds:[]
+            ~extra:(n_or (max 1 (count / 10)))
+            count)
+        (fun (host, prev) lat ->
+          let mode = Vmm.mode host and total = Array.length lat in
+          piece
+            ~series:(scale_curve_rows ~mode ~counts:[ total ] lat)
+            ~notes:
+              [
+                Printf.sprintf "resumed %s host at %d guests, extended to %d"
+                  (Mode.name mode) (Array.length prev) total;
+              ]
+            ()) );
+    ( "scale-fleet",
+      resume_piece
+        (fun partition (nodes, lat) ->
+          fleet_family
+            { partition; sim_jobs = 1; hosts = Array.length nodes }
+            ~per:(Array.length lat.(0)))
+        (fun (nodes, _) lat ->
+          let hosts = Array.length nodes and per = Array.length lat.(0) in
+          piece
+            ~series:[ fleet_row_render ~hosts ~per lat ]
+            ~notes:
+              [
+                Printf.sprintf
+                  "resumed fleet wave 2: %d hosts, guests %d..%d of %d each"
+                  hosts
+                  (max 1 (per / 2) + 1)
+                  per per;
+              ]
+            ()) );
+    ( "reliability",
+      resume_piece
+        (fun _ host ->
+          reliability_family (Vmm.mode host)
+            (reliability_suffix ~n:(n_or 200)
+               ~spec:(spec_or reliability_spec) ~seed:fault_seed ~level:1.))
+        (fun _ p -> p) );
+    drain "cluster";
+    drain "cluster-scale";
+    ( "serverless",
+      resume_piece
+        (fun _ _ ->
+          serverless_family
+            (serverless_suffix ~requests:(n_or 2000)
+               ~policy:Serverless.Warm_pool ~arrival:poisson ?spec
+               ~seed:(serverless_cell_seed ~seed:fault_seed 1)))
+        (fun _ stats ->
+          serverless_render
+            ~label:
+              (serverless_label ~policy:Serverless.Warm_pool ~arrival:poisson
+                 ~spec)
+            ~prefix_seconds:0. stats) );
+    ( "serverless-day",
+      resume_piece
+        (fun partition nodes ->
+          let layout =
+            { partition; sim_jobs = 1; hosts = Array.length nodes }
           in
-          Ok (mk_result ~name:"resume" ~notes:p.p_notes p.p_series))
-
-(* "serverless-day:<part>/j<J>@<hosts>": the full-day open-loop fleet
-   cell run as a suffix of the prefilled-fleet image. *)
-let resume_serverless_day ~partition ~sim_jobs ~requests bytes =
-  match
-    (Snap.thaw bytes : (Engine.saved * Vmm.t array, _) Stdlib.result)
-  with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok (saved, nodes) ->
-      let hosts = Array.length nodes in
-      let per = max 1 (requests / hosts) in
-      let slots : Serverless.stats option array = Array.make hosts None in
-      ignore
-        (Engine.resume ~jobs:sim_jobs saved (fun () ->
-             serverless_fleet_cells ~partition ~per
-               ~seed:(serverless_cell_seed ~seed:42L 7)
-               ~node:(fun h -> nodes.(h))
-               slots;
-             Engine.stop ()));
-      let p =
-        serverless_fleet_finish
-          ~label:(Printf.sprintf "day fleet x%d warmpool/poisson" hosts)
-          ~prefix_seconds:0. slots
-      in
-      Ok (mk_result ~name:"resume" ~notes:p.p_notes p.p_series)
-
-let split_once ~on s =
-  match String.index_opt s on with
-  | None -> None
-  | Some i ->
-      Some
-        ( String.sub s 0 i,
-          String.sub s (i + 1) (String.length s - i - 1) )
-
-let parse_fault_spec = function
-  | Some s -> Ok s
-  | None -> (
-      match Fault.parse_spec cluster_fault_spec with
-      | Ok s -> Ok s
-      | Error m -> Error ("cluster_fault_spec: " ^ m))
-
-let reliability_spec_default = function
-  | Some s -> Ok s
-  | None -> (
-      match Fault.parse_spec reliability_default_spec with
-      | Ok s -> Ok s
-      | Error m -> Error ("reliability_default_spec: " ^ m))
+          serverless_day_family layout
+            (serverless_day_suffix layout ~requests:(n_or 8000)
+               ~seed:(serverless_cell_seed ~seed:fault_seed 7)))
+        (fun nodes slots ->
+          serverless_fleet_finish
+            ~label:(serverless_day_label (Array.length nodes))
+            ~prefix_seconds:0. slots) );
+  ]
 
 let resume_from_file ?n ?spec ?(fault_seed = 42L) ~path () =
-  match Snap.load_bytes ~path () with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok (key, bytes) -> (
-      let bad () = Error (Printf.sprintf "unrecognised snapshot key %S" key) in
-      match split_once ~on:':' key with
-      | Some ("scale", rest) -> (
-          match split_once ~on:'@' rest with
-          | Some (slug, count) -> (
-              match (mode_of_slug slug, int_of_string_opt count) with
-              | Some mode, Some count ->
-                  let extra =
-                    match n with Some v -> v | None -> max 1 (count / 10)
-                  in
-                  resume_scale ~mode ~count ~extra bytes
-              | _ -> bad ())
-          | None -> bad ())
-      | Some ("scale-fleet", rest) -> (
-          match (split_once ~on:'/' rest : (string * string) option) with
-          | Some (part, rest) -> (
-              match (partition_of_string part, split_once ~on:'@' rest) with
-              | Ok partition, Some (jobs, total)
-                when String.length jobs > 1 && jobs.[0] = 'j' -> (
-                  match
-                    ( int_of_string_opt
-                        (String.sub jobs 1 (String.length jobs - 1)),
-                      int_of_string_opt total )
-                  with
-                  | Some sim_jobs, Some total ->
-                      resume_fleet ~partition ~sim_jobs ~total bytes
-                  | _ -> bad ())
-              | _ -> bad ())
-          | None -> bad ())
-      | Some ("reliability", slug) -> (
-          match (mode_of_slug slug, reliability_spec_default spec) with
-          | Some mode, Ok spec ->
-              let n = match n with Some v -> v | None -> 200 in
-              resume_reliability ~mode ~n ~spec ~fault_seed bytes
-          | None, _ -> bad ()
-          | _, Error m -> Error m)
-      | Some (("cluster" | "cluster-scale"), rest) -> (
-          match (split_once ~on:'@' rest, parse_fault_spec spec) with
-          | Some ("drain", _), Ok spec -> resume_drain ~spec ~fault_seed bytes
-          | _, Error m -> Error m
-          | _ -> bad ())
-      | Some ("serverless", rest) -> (
-          match split_once ~on:'@' rest with
-          | Some ("warm", target) when int_of_string_opt target <> None ->
-              let requests = match n with Some v -> v | None -> 2000 in
-              resume_serverless ~requests bytes
-          | _ -> bad ())
-      | Some ("serverless-day", rest) -> (
-          match (split_once ~on:'/' rest : (string * string) option) with
-          | Some (part, rest) -> (
-              match (partition_of_string part, split_once ~on:'@' rest) with
-              | Ok partition, Some (jobs, hosts)
-                when String.length jobs > 1
-                     && jobs.[0] = 'j'
-                     && int_of_string_opt hosts <> None -> (
-                  match
-                    int_of_string_opt
-                      (String.sub jobs 1 (String.length jobs - 1))
-                  with
-                  | Some sim_jobs ->
-                      let requests =
-                        match n with Some v -> v | None -> 8000
-                      in
-                      resume_serverless_day ~partition ~sim_jobs ~requests
-                        bytes
-                  | None -> bad ())
-              | _ -> bad ())
-          | None -> bad ())
-      | _ -> bad ())
+  match (n, Snap.load_bytes ~path ()) with
+  | Some v, _ when v < 1 -> Error (Printf.sprintf "-n must be >= 1 (got %d)" v)
+  | _, Error e -> Error (Snap.error_to_string e)
+  | _, Ok (key, bytes) -> (
+      let name =
+        match String.index_opt key ':' with
+        | Some i -> String.sub key 0 i
+        | None -> key
+      in
+      match List.assoc_opt name (resumers ~n ~spec ~fault_seed) with
+      | None -> Error (Printf.sprintf "unrecognised snapshot key %S" key)
+      | Some run ->
+          Result.map
+            (result_of_piece ~name:"resume" ~figure:"snapshot")
+            (run bytes))
 
 (* ------------------------------------------------------------------ *)
 (* Test and bench hooks: the [~snapshot] toggle of each prefixed family
@@ -2837,42 +2594,34 @@ let reliability_cell_piece ?(snapshot = true) ~n ~mode:slug ~spec ~seed ~level
   | Some mode -> reliability_cell ~snapshot ~n ~mode ~spec ~seed ~level
 
 let cluster_drain_piece ?(snapshot = true) ~guests ~spec ~fault_seed () =
-  cluster_drain_job ~snapshot ~guests ~spec ~fault_seed ()
+  cluster_drain_job ~name:"cluster" ~hosts:(cluster_hosts ~guests) ~snapshot
+    ~guests ~spec ~fault_seed ()
 
 (* The bench pair: a cold unbroken run to [n + extra] guests vs a fork
    of the cached [n]-guest image extended by [extra]. Same final curve
    (the resume contract), a fraction of the work: the fork pays thaw
    plus [extra] creations, the cold run pays all [n + extra]. *)
 
-let scale_cold_full ~n ~extra =
-  let total = n + extra in
+let scale_bench_family ~n ~extra =
+  scale_family ~mode:Mode.chaos_xs ~bounds:[ n ] ~extra n
+
+let scale_bench_row lat =
   match
-    scale_curve_rows ~mode:Mode.chaos_xs ~counts:[ total ]
-      (scale_mode_lat_unbroken ~mode:Mode.chaos_xs total)
+    scale_curve_rows ~mode:Mode.chaos_xs ~counts:[ Array.length lat ] lat
   with
   | [ row ] -> row
   | _ -> assert false
 
+let scale_cold_full ~n ~extra =
+  scale_bench_row (unbroken (scale_bench_family ~n ~extra))
+
 let scale_prefix_warm ~n =
   let t0 = wall () in
-  ignore (scale_image ~mode:Mode.chaos_xs ~bounds:[ n ] n);
+  ignore (image (scale_bench_family ~n ~extra:0));
   wall () -. t0
 
 let scale_fork_suffix ~n ~extra =
-  let bytes = scale_image ~mode:Mode.chaos_xs ~bounds:[ n ] n in
-  let ((saved : Engine.saved), ((host : Vmm.t), lat_prev)) =
-    snap_err "scale image" (Snap.thaw bytes)
-  in
-  let total = n + extra in
-  let lat = Array.make total nan in
-  Array.blit lat_prev 0 lat 0 n;
-  ignore
-    (Engine.resume saved (fun () ->
-         scale_create_range host lat ~from:n ~upto:total;
-         Engine.stop ()));
-  match scale_curve_rows ~mode:Mode.chaos_xs ~counts:[ total ] lat with
-  | [ row ] -> row
-  | _ -> assert false
+  scale_bench_row (snd (forked (scale_bench_family ~n ~extra)))
 
 (* ------------------------------------------------------------------ *)
 (* The CLI's `serverless` subcommand: one configurable cell from flag
@@ -2892,19 +2641,8 @@ let serverless_run ?(snapshot = true) ?n ?duration ?spec
     in
     match Arrival.of_flag ~rate ~period arrival with
     | Error m -> Error m
-    | Ok arrival -> (
-        match
-          serverless_cell_piece ~snapshot ~requests ~policy ~arrival ?spec
-            ~seed:fault_seed ()
-        with
-        | Error m -> Error m
-        | Ok p ->
-            Ok
-              {
-                name = "serverless";
-                figure = "Open-loop serverless";
-                series = p.p_series;
-                tables = p.p_tables;
-                notes = p.p_notes;
-                prefix_seconds = p.p_prefix_seconds;
-              })
+    | Ok arrival ->
+        Result.map
+          (result_of_piece ~name:"serverless" ~figure:"Open-loop serverless")
+          (serverless_cell_piece ~snapshot ~requests ~policy ~arrival ?spec
+             ~seed:fault_seed ())

@@ -268,16 +268,22 @@ val run_plan : ?jobs:int -> plan -> result
 
 (** {1 Prefix caching and snapshot/resume}
 
-    The scale, reliability and cluster-drain families declare shared
-    {e boot prefixes}: the part of each job's simulation that is
-    identical across curves (a host booted to N guests, a warmed-up
-    reliability host, the cluster with all its guests running). Each
-    distinct prefix is simulated once per process invocation, captured
-    ({!Lightvm_sim.Engine.run_capture}) and frozen to bytes
-    ({!Lightvm_sim.Checkpoint.freeze}); every consumer — including jobs
-    on different {!Lightvm_sim.Pool} worker domains — thaws its own
-    deep copy and runs only its suffix. A suffix run from a thawed
-    image renders bit-identically to the unbroken simulation
+    Seven families declare shared {e boot prefixes}: the part of each
+    job's simulation that is identical across its variants — [scale]
+    (a host booted to N guests), [scale-fleet] (the partitioned row at
+    its wave-1 barrier), [reliability] (a warmed-up host), [cluster]
+    and [cluster-scale] (the cluster with all its guests running, the
+    drain job's prefix), [serverless] (a host with its warm pool
+    prefilled) and [serverless-day] (the prefilled fleet). Each family
+    is one record — key, partition layout, a prefix body returning the
+    model root, a suffix over that root — executed by one set of
+    generic runners: unbroken, forked from the cached image, or resumed
+    from a file. Each distinct prefix is simulated once per process
+    invocation, captured ({!Lightvm_sim.Engine.run_capture}) and
+    frozen to bytes ({!Lightvm_sim.Checkpoint.freeze}); every consumer
+    — including jobs on different {!Lightvm_sim.Pool} worker domains —
+    thaws its own deep copy and runs only its suffix. A suffix run from
+    a thawed image renders bit-identically to the unbroken simulation
     (test/test_checkpoint.ml pins this across the jobs x partition
     matrix); the wall time spent on prefixes is reported out of band as
     {!result.prefix_seconds}. *)
@@ -286,7 +292,8 @@ type prefix = {
   prefix_key : string;
       (** cache key and on-disk config string, e.g. ["scale:chaos-xs@
           2000"], ["scale-fleet:host/j1@10000"], ["reliability:xl"],
-          ["cluster:drain@500"] *)
+          ["cluster:drain@500"], ["serverless:warm@4"]; the text before
+          [':'] names the family *)
   prefix_describe : string;  (** one-line human description *)
   prefix_build : unit -> string;
       (** simulate (or fetch from the cache) and return frozen image
@@ -323,14 +330,28 @@ val resume_from_file :
   unit ->
   (result, string) Stdlib.result
 (** Load a snapshot written by {!snapshot_to_file} and run the suffix
-    its stored key implies: scale images are extended by [n] more
-    creations (default a tenth) and re-rendered; fleet images run their
-    second wave; reliability images run an [n]-attempt (default 200)
-    fault-injection cell under [spec] (default
-    {!reliability_default_spec}) and [fault_seed]; drain images drain
-    host 0 under [spec] (default {!cluster_fault_spec}). Header
-    mismatches (wrong magic, format version, producing binary) surface
-    as [Error] with the structured reason — never as garbage state. *)
+    of the family its stored key names (the text before [':']). Every
+    other suffix parameter is read off the thawed image — the mode,
+    the guest and host counts, and whether it was captured partitioned
+    — and the resumed run uses one worker.
+
+    - [scale] images are extended by [n] more creations (default a
+      tenth of the image's count) and re-rendered;
+    - [scale-fleet] images run their second wave;
+    - [reliability] images run an [n]-attempt (default 200)
+      fault-injection cell under [spec] (default
+      {!reliability_default_spec}) and [fault_seed];
+    - [cluster] and [cluster-scale] drain images drain host 0 under
+      [spec] (default {!cluster_fault_spec}) and [fault_seed];
+    - [serverless] warm-pool images serve the family's [n]-request
+      (default 2000) Poisson warm-pool cell, under [spec] when given,
+      with its stream seed derived from [fault_seed];
+    - [serverless-day] fleet images run the [n]-request (default 8000)
+      day, stream seed derived from [fault_seed].
+
+    [Error] for [n < 1], an unknown family name, or a header mismatch
+    (wrong magic, format version, producing binary) with the structured
+    reason — never garbage state. *)
 
 (** {1 Testing and bench hooks}
 

@@ -43,6 +43,6 @@ val await_connected : page -> unit
 
 val count : t -> int
 (** Registered control pages. For leak accounting — see
-    [Lightvm.Host.resources]. *)
+    [Lightvm_cluster.Vmm.resources]. *)
 
 val state_to_string : state -> string

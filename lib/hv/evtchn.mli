@@ -45,4 +45,4 @@ val ports_of : t -> domid:int -> port list
 
 val count : t -> int
 (** Open endpoints across all domains (unbound ports count one; a bound
-    pair counts two). For leak accounting — see [Lightvm.Host.resources]. *)
+    pair counts two). For leak accounting — see [Lightvm_cluster.Vmm.resources]. *)

@@ -36,4 +36,4 @@ val mapped_count : t -> owner:int -> gref -> int
 
 val count : t -> int
 (** Outstanding grant entries across all owners. For leak accounting —
-    see [Lightvm.Host.resources]. *)
+    see [Lightvm_cluster.Vmm.resources]. *)

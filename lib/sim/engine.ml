@@ -375,30 +375,42 @@ let saved_partitions s =
   | None -> None
   | Some _ -> Some (Array.length s.sv_engs - 1)
 
-let restore_eng sv =
-  let eng = fresh_eng () in
+let restore_eng ?horizon sv =
+  let eng = fresh_eng ?horizon () in
   eng.clock <- sv.sv_clock;
   eng.next_pid <- sv.sv_next_pid;
   eng.out_seq <- sv.sv_out_seq;
   eng
 
+(* A fresh engine is the restore of an empty image. *)
+let blank =
+  { sv_clock = 0.; sv_next_pid = 1; sv_out_seq = 0; sv_events = [||] }
+
+(* Restore [sv] into [eng]'s heap. Callers schedule the main process
+   *before* re-pushing: at the restored clock it then wins every
+   same-time tie — matching the unbroken run, where the prefix process
+   continues inline into the suffix while those entries wait in the
+   heap. *)
 let repush eng sv =
   Array.iter
     (fun (time, thunk) -> ignore (Heap.push eng.heap ~time thunk))
     sv.sv_events
 
-let run_eng ?until main =
+(* The one plain event loop, for fresh runs ([blank]) and resumes
+   alike. *)
+let run_eng ?until sv main =
   let st = dls () in
   (match st.current with
   | Some _ -> invalid_arg "Sim.Engine.run: a simulation is already running"
   | None -> ());
   let horizon = match until with Some t -> t | None -> infinity in
-  let eng = fresh_eng ~horizon () in
+  let eng = restore_eng ~horizon sv in
+  ignore (schedule_at eng eng.clock (fun () -> exec "main" main));
+  repush eng sv;
   st.current <- Some eng;
   Fun.protect
     ~finally:(fun () -> (dls ()).current <- None)
     (fun () ->
-      ignore (schedule_at eng 0. (fun () -> exec "main" main));
       (* Peek ([next_time]) before popping: an event beyond the horizon
          must stay in the heap, not be popped and dropped — a capture
          taken from a [~until]-bounded run resumes unbounded and still
@@ -421,42 +433,11 @@ let run_eng ?until main =
       loop ();
       eng)
 
-let run ?until main = (run_eng ?until main).clock
+let run ?until main = (run_eng ?until blank main).clock
 
 let run_capture ?until main =
-  let eng = run_eng ?until main in
+  let eng = run_eng ?until blank main in
   (eng.clock, { sv_lookahead = None; sv_engs = [| harvest eng |] })
-
-(* Resume a plain run: the suffix main is scheduled *before* the image
-   events are re-pushed, so at the restored clock it wins every
-   same-time tie — matching the unbroken run, where the prefix process
-   continues inline into the suffix while those entries wait in the
-   heap. *)
-let resume_plain sv main =
-  let st = dls () in
-  (match st.current with
-  | Some _ ->
-      invalid_arg "Sim.Engine.resume: a simulation is already running"
-  | None -> ());
-  let eng = restore_eng sv.sv_engs.(0) in
-  ignore (schedule_at eng eng.clock (fun () -> exec "main" main));
-  repush eng sv.sv_engs.(0);
-  st.current <- Some eng;
-  Fun.protect
-    ~finally:(fun () -> (dls ()).current <- None)
-    (fun () ->
-      let rec loop () =
-        if eng.stopped || Heap.is_empty eng.heap then ()
-        else begin
-          let time = Heap.next_time eng.heap in
-          let thunk = Heap.pop_payload eng.heap in
-          eng.clock <- time;
-          thunk ();
-          loop ()
-        end
-      in
-      loop ();
-      eng)
 
 (* ------------------------------------------------------------------ *)
 (* Partitioned runs: conservative-synchronization parallel DES.
@@ -683,11 +664,9 @@ let drive_rounds ?jobs ~adaptive ctx =
       in
       round ())
 
-let check_partitioned_args ~lookahead ~partitions =
+let check_partitioned_args ~lookahead =
   if not (lookahead > 0.) then
     invalid_arg "Sim.Engine.run_partitioned: lookahead must be positive";
-  if partitions < 0 then
-    invalid_arg "Sim.Engine.run_partitioned: negative partition count";
   match (dls ()).current with
   | Some _ -> invalid_arg "Sim.Engine.run: a simulation is already running"
   | None -> ()
@@ -695,54 +674,48 @@ let check_partitioned_args ~lookahead ~partitions =
 let max_clock ctx =
   Array.fold_left (fun acc e -> Float.max acc e.clock) 0. ctx.engs
 
-let run_partitioned_ctx ?jobs ~adaptive ~lookahead ~partitions main =
-  check_partitioned_args ~lookahead ~partitions;
-  let ctx =
-    { engs = Array.init (partitions + 1) (fun _ -> fresh_eng ()); lookahead }
-  in
-  ignore (Heap.push ctx.engs.(0).heap ~time:0. (fun () -> exec "main" main));
+(* The one partitioned driver, for fresh runs (every partition
+   [blank]) and resumes alike: as in [run_eng], the main process is
+   pushed into partition 0 before that partition's image events. *)
+let run_ctx ?jobs ~adaptive ~lookahead svs main =
+  check_partitioned_args ~lookahead;
+  let ctx = { engs = Array.map (fun sv -> restore_eng sv) svs; lookahead } in
+  let e0 = ctx.engs.(0) in
+  ignore (Heap.push e0.heap ~time:e0.clock (fun () -> exec "main" main));
+  Array.iteri (fun i sv -> repush ctx.engs.(i) sv) svs;
   drive_rounds ?jobs ~adaptive ctx;
   ctx
+
+let run_partitioned_ctx ?jobs ~adaptive ~lookahead ~partitions main =
+  if partitions < 0 then
+    invalid_arg "Sim.Engine.run_partitioned: negative partition count";
+  run_ctx ?jobs ~adaptive ~lookahead (Array.make (partitions + 1) blank) main
+
+let capture_ctx ctx =
+  ( max_clock ctx,
+    { sv_lookahead = Some ctx.lookahead; sv_engs = Array.map harvest ctx.engs }
+  )
 
 let run_partitioned ?jobs ?(adaptive = true) ~lookahead ~partitions main =
   max_clock (run_partitioned_ctx ?jobs ~adaptive ~lookahead ~partitions main)
 
 let run_partitioned_capture ?jobs ?(adaptive = true) ~lookahead ~partitions
     main =
-  let ctx = run_partitioned_ctx ?jobs ~adaptive ~lookahead ~partitions main in
-  ( max_clock ctx,
-    { sv_lookahead = Some lookahead; sv_engs = Array.map harvest ctx.engs } )
-
-(* Resume a partitioned run. As in [resume_plain], the suffix main is
-   pushed into partition 0 before that partition's image events, so it
-   wins same-time ties exactly as the unbroken run's inline
-   continuation would. *)
-let resume_pctx ?jobs ~adaptive ~lookahead sv main =
-  check_partitioned_args ~lookahead
-    ~partitions:(Array.length sv.sv_engs - 1);
-  let ctx = { engs = Array.map restore_eng sv.sv_engs; lookahead } in
-  let e0 = ctx.engs.(0) in
-  ignore
-    (Heap.push e0.heap ~time:e0.clock (fun () -> exec "main" main));
-  Array.iteri (fun i sve -> repush ctx.engs.(i) sve) sv.sv_engs;
-  drive_rounds ?jobs ~adaptive ctx;
-  ctx
+  capture_ctx (run_partitioned_ctx ?jobs ~adaptive ~lookahead ~partitions main)
 
 let resume ?jobs ?(adaptive = true) sv main =
   match sv.sv_lookahead with
-  | None -> (resume_plain sv main).clock
-  | Some lookahead -> max_clock (resume_pctx ?jobs ~adaptive ~lookahead sv main)
+  | None -> (run_eng sv.sv_engs.(0) main).clock
+  | Some lookahead ->
+      max_clock (run_ctx ?jobs ~adaptive ~lookahead sv.sv_engs main)
 
 let resume_capture ?jobs ?(adaptive = true) sv main =
   match sv.sv_lookahead with
   | None ->
-      let eng = resume_plain sv main in
+      let eng = run_eng sv.sv_engs.(0) main in
       (eng.clock, { sv_lookahead = None; sv_engs = [| harvest eng |] })
   | Some lookahead ->
-      let ctx = resume_pctx ?jobs ~adaptive ~lookahead sv main in
-      ( max_clock ctx,
-        { sv_lookahead = Some lookahead; sv_engs = Array.map harvest ctx.engs }
-      )
+      capture_ctx (run_ctx ?jobs ~adaptive ~lookahead sv.sv_engs main)
 
 module Ivar = struct
   type 'a state =

@@ -77,7 +77,7 @@ exception Create_failed of string
     grants/ctrl pages/event channels), the [/local/domain/<domid>]
     subtree, xl's [/vm/<domid>] registration and shutdown watch are
     removed, and the domain is destroyed — a failed creation leaks
-    nothing ([Lightvm.Host.check_leak] asserts this; see DESIGN.md
+    nothing ([Lightvm_cluster.Vmm.check_leak] asserts this; see DESIGN.md
     "Failure model"). *)
 
 val effective_mem_mb : env -> Vmconfig.t -> float

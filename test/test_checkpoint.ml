@@ -277,6 +277,63 @@ let test_snapshot_file_roundtrip () =
     (digest_rows [ E.scale_fork_suffix ~n:150 ~extra:15 ])
     first
 
+(* Every listed prefix key round-trips through a file: a family that
+   can be snapshotted but not resumed fails here. *)
+let test_every_key_resumes () =
+  E.prefix_cache_reset ();
+  let path = tmp "lvm_test_every_key.lvmsnap" in
+  List.iter
+    (fun (p : E.prefix) ->
+      let key = p.E.prefix_key in
+      (match E.snapshot_to_file ~n:24 ~sim_jobs:1 ~key ~path () with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "snapshot %s: %s" key msg);
+      let resumed () =
+        match E.resume_from_file ~n:24 ~path () with
+        | Ok r -> digest_rows r.E.series ^ String.concat "\n" r.E.notes
+        | Error msg -> Alcotest.failf "resume %s: %s" key msg
+      in
+      let first = resumed () in
+      Alcotest.(check string) (key ^ " resumes identically") first (resumed ()))
+    (E.prefixes ~n:24 ~sim_jobs:1 ());
+  Sys.remove path
+
+(* A bad -n is a structured error, not a crash or a silent no-op. *)
+let test_resume_bad_n () =
+  E.prefix_cache_reset ();
+  let path = tmp "lvm_test_bad_n.lvmsnap" in
+  List.iter
+    (fun key ->
+      (match E.snapshot_to_file ~n:24 ~key ~path () with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg);
+      List.iter
+        (fun n ->
+          match E.resume_from_file ~n ~path () with
+          | Ok _ -> Alcotest.failf "%s: -n %d accepted" key n
+          | Error _ -> ())
+        [ 0; -1; -5 ])
+    [ "scale:chaos-xs@24"; "reliability:xl" ];
+  Sys.remove path
+
+(* The resumed serverless suffix is the in-process cell's: --faults
+   reaches it. *)
+let test_serverless_resume_faults () =
+  E.prefix_cache_reset ();
+  let path = tmp "lvm_test_serverless.lvmsnap" in
+  (match E.snapshot_to_file ~key:"serverless:warm@4" ~path () with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  let notes ?spec () =
+    match E.resume_from_file ~n:100 ?spec ~path () with
+    | Ok r -> String.concat "\n" r.E.notes
+    | Error msg -> Alcotest.fail msg
+  in
+  let plain = notes () in
+  Alcotest.(check bool) "faults change the resumed cell" false
+    (String.equal plain (notes ~spec:(parse_spec "create.phase2:0.5") ()));
+  Sys.remove path
+
 let test_snapshot_unknown_key () =
   match
     E.snapshot_to_file ~n:100 ~key:"scale:chaos-xs@99999"
@@ -311,5 +368,11 @@ let suites =
           test_snapshot_file_roundtrip;
         Alcotest.test_case "unknown prefix key refused" `Quick
           test_snapshot_unknown_key;
+        Alcotest.test_case "every listed key resumes" `Slow
+          test_every_key_resumes;
+        Alcotest.test_case "bad -n refused on resume" `Quick
+          test_resume_bad_n;
+        Alcotest.test_case "serverless resume honours faults" `Quick
+          test_serverless_resume_faults;
       ] );
   ]

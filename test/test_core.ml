@@ -1,5 +1,6 @@
-(* Tests for the public facade: Host assembly and the experiment
-   harness (shape checks on small instances of each figure). *)
+(* Tests for the public facade: host assembly through the Vmm API and
+   the experiment harness (shape checks on small instances of each
+   figure). *)
 
 module Engine = Lightvm_sim.Engine
 module Series = Lightvm_metrics.Series
@@ -8,7 +9,7 @@ module Params = Lightvm_hv.Params
 module Xen = Lightvm_hv.Xen
 module Image = Lightvm_guest.Image
 module Mode = Lightvm_toolstack.Mode
-module Host = Lightvm.Host
+module Vmm = Lightvm_cluster.Vmm
 module E = Lightvm.Experiment
 
 let in_sim f () = ignore (Engine.run f)
@@ -35,21 +36,23 @@ let first_y series =
 
 let test_host_boot_vm =
   in_sim (fun () ->
-      let host = Host.create () in
+      let host = Vmm.create () in
       Alcotest.(check string) "default platform" "xeon-e5-1630v3"
-        (Host.platform host).Params.name;
-      let vm = Host.boot_vm host Image.daytime in
-      Alcotest.(check int) "one vm" 1 (Host.vm_count host);
+        (Vmm.platform host).Params.name;
+      let domid = Vmm_boot.boot host Image.daytime in
+      Alcotest.(check int) "one vm" 1 (Vmm.vm_count host);
       Alcotest.(check bool) "memory accounted" true
-        (Host.guest_mem_kb host > 3_600);
-      Host.destroy_vm host vm;
-      Alcotest.(check int) "destroyed" 0 (Host.vm_count host))
+        (Vmm.guest_mem_kb host > 3_600);
+      Vmm_boot.delete host ~domid;
+      Alcotest.(check int) "destroyed" 0 (Vmm.vm_count host))
 
 let test_host_inflated_image =
   in_sim (fun () ->
-      let host = Host.create () in
+      let host = Vmm.create () in
       let fat = Image.with_inflated_image Image.daytime ~extra_mb:100. in
-      let _vm, t_create, _ = Host.create_and_boot_time host fat in
+      let t0 = Engine.now () in
+      ignore (Vmm_boot.ok "vm_create" (Vmm.vm_create host (Vmm.vm_request fat)));
+      let t_create = Engine.now () -. t0 in
       (* 100 MB at ~1 ms/MB dominates creation. *)
       Alcotest.(check bool)
         (Printf.sprintf "load dominates (%.0f ms)" (t_create *. 1e3))
@@ -58,10 +61,10 @@ let test_host_inflated_image =
 
 let test_host_modes_independent =
   in_sim (fun () ->
-      let a = Host.create ~mode:Mode.xl () in
-      let b = Host.create ~mode:Mode.lightvm () in
-      ignore (Host.boot_vm a Image.daytime);
-      Alcotest.(check int) "hosts isolated" 0 (Host.vm_count b))
+      let a = Vmm.create ~mode:Mode.xl () in
+      let b = Vmm.create ~mode:Mode.lightvm () in
+      ignore (Vmm_boot.boot a Image.daytime);
+      Alcotest.(check int) "hosts isolated" 0 (Vmm.vm_count b))
 
 (* ------------------------------------------------------------------ *)
 (* Experiments (small instances) *)

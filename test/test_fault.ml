@@ -9,7 +9,7 @@ module Toolstack = Lightvm_toolstack.Toolstack
 module Vmconfig = Lightvm_toolstack.Vmconfig
 module Xs_server = Lightvm_xenstore.Xs_server
 module Image = Lightvm_guest.Image
-module Host = Lightvm.Host
+module Vmm = Lightvm_cluster.Vmm
 
 let run_sim f =
   let result = ref None in
@@ -121,9 +121,8 @@ let attempt_config i =
    comparable from the second creation on (see DESIGN.md "Failure
    model"). *)
 let warm_host mode =
-  let host = Host.create ~mode () in
-  let warm = Host.boot_vm host Image.daytime in
-  Host.destroy_vm host warm;
+  let host = Vmm.create ~mode () in
+  Vmm_boot.delete host ~domid:(Vmm_boot.boot host Image.daytime);
   host
 
 let run_digest ~mode ~seed spec =
@@ -134,7 +133,7 @@ let run_digest ~mode ~seed spec =
       Fault.with_injector inj (fun () ->
           for i = 1 to 3 do
             let t0 = Engine.now () in
-            (match Toolstack.create_vm (Host.toolstack host) (attempt_config i)
+            (match Toolstack.create_vm (Vmm.toolstack host) (attempt_config i)
              with
             | Ok _ -> Buffer.add_string buf "ok "
             | Error e -> Buffer.add_string buf ("err " ^ e ^ " "));
@@ -188,14 +187,14 @@ let test_eagain_retry_absorbed () =
       let inj = Fault.create ~seed:3L (spec_of_string "xs.eagain:@2") in
       Fault.with_injector inj (fun () ->
           for i = 1 to 3 do
-            match Toolstack.create_vm (Host.toolstack host) (attempt_config i)
+            match Toolstack.create_vm (Vmm.toolstack host) (attempt_config i)
             with
             | Ok _ -> ()
             | Error e ->
                 Alcotest.failf "create %d failed despite retries: %s" i e
           done);
       let counters =
-        Xs_server.counters (Toolstack.xs_server (Host.toolstack host))
+        Xs_server.counters (Toolstack.xs_server (Vmm.toolstack host))
       in
       Alcotest.(check bool) "conflicts recorded" true
         (counters.Xs_server.tx_conflicts > 0);
@@ -229,15 +228,15 @@ let test_no_leak_after_injected_failure () =
           let inj = Fault.create ~seed:11L (spec_of_string point) in
           run_sim (fun () ->
               let host = warm_host mode in
-              let before = Host.resources host in
+              let before = Vmm.resources host in
               let outcome =
                 Fault.with_injector inj (fun () ->
-                    Toolstack.create_vm (Host.toolstack host)
+                    Toolstack.create_vm (Vmm.toolstack host)
                       (attempt_config 1))
               in
               match outcome with
               | Error _ -> (
-                  match Host.check_leak host ~before with
+                  match Vmm.check_leak host ~before with
                   | Ok () -> ()
                   | Error leaked ->
                       Alcotest.failf "%s under %s leaked: %s" (Mode.name mode)

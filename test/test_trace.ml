@@ -13,7 +13,7 @@ module Mode = Lightvm_toolstack.Mode
 module Create = Lightvm_toolstack.Create
 module Toolstack = Lightvm_toolstack.Toolstack
 module Xs_server = Lightvm_xenstore.Xs_server
-module Host = Lightvm.Host
+module Vmm = Lightvm_cluster.Vmm
 module E = Lightvm.Experiment
 
 (* Guests keep periodic timers alive, so experiments stop the engine
@@ -87,9 +87,9 @@ let test_ring_eviction_keeps_newest () =
 let test_create_counters () =
   with_trace (fun () ->
       run_sim (fun () ->
-          let host = Host.create ~mode:Mode.chaos_xs () in
-          ignore (Host.boot_vm host Image.daytime);
-          let ts = Host.toolstack host in
+          let host = Vmm.create ~mode:Mode.chaos_xs () in
+          ignore (Vmm_boot.boot host Image.daytime);
+          let ts = Vmm.toolstack host in
           let env = Toolstack.env ts in
           let c = Xs_server.counters (Toolstack.xs_server ts) in
           (* The tracer's tallies must agree with the components' own
@@ -251,8 +251,8 @@ let count_substring hay needle =
 let test_chrome_json () =
   with_trace (fun () ->
       run_sim (fun () ->
-          let host = Host.create ~mode:Mode.xl () in
-          ignore (Host.boot_vm host Image.daytime));
+          let host = Vmm.create ~mode:Mode.xl () in
+          ignore (Vmm_boot.boot host Image.daytime));
       let json = Trace_export.to_chrome_json () in
       check_json json;
       Alcotest.(check bool) "has traceEvents" true
