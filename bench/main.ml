@@ -195,8 +195,7 @@ let experiments =
     ( "cluster-scale",
       Some (pick ~quick:1000 ~medium:10_000 ~full:10_000),
       "beyond the paper: the event-core headline — 100 hosts x 10k \
-       guests scheduled, then drained and rebalanced from the cached \
-       prefix image, leak-free" );
+       guests scheduled, then drained and rebalanced, leak-free" );
     ( "serverless",
       Some (pick ~quick:600 ~medium:2000 ~full:4000),
       "beyond the paper: open-loop invocations on one dom0-bottlenecked \
@@ -207,7 +206,7 @@ let experiments =
       Some (pick ~quick:40_000 ~medium:7_000_000 ~full:7_000_000),
       "beyond the paper: a full simulated day of open-loop traffic \
        (~7M requests at the calibrated 80 req/s per host) through the \
-       prefix-cached warm fleet" );
+       warm fleet" );
     ("wan-migration", None, "ClickOS guest in ~150 ms");
     ("pause", None, "must match container freeze/thaw");
     ("headline", None, "");
@@ -313,11 +312,10 @@ let finish_result (p : E.plan) pieces =
     series = merged.E.p_series;
     tables = merged.E.p_tables;
     notes = merged.E.p_notes;
-    prefix_seconds = merged.E.p_prefix_seconds;
   }
 
-(* (name, job count, summed job seconds, wall seconds, prefix seconds)
-   per experiment, in order. *)
+(* (name, job count, summed job seconds, wall seconds, GC deltas) per
+   experiment, in order. *)
 let experiment_rows =
   Printf.printf
     "LightVM reproduction bench (scale: %s, jobs: %d, partition: %s)\n"
@@ -347,67 +345,72 @@ let experiment_rows =
           (fun a (_, _, _, g) -> gc_add a g)
           gc_zero timed_pieces
       in
-      let prefix_secs =
-        List.fold_left (fun a p -> a +. p.E.p_prefix_seconds) 0. pieces
-      in
       (match n with
       | Some n -> section (Printf.sprintf "%s (n = %d)" id n) note
       | None -> section id note);
       print_result (finish_result p pieces);
-      Printf.printf "[%s: %.2f s over %d job(s), %.2f s wall%s; %s]\n" id
+      Printf.printf "[%s: %.2f s over %d job(s), %.2f s wall; %s]\n" id
         job_secs
         (List.length timed_pieces)
-        wall_secs
-        (if prefix_secs > 0. then
-           Printf.sprintf ", %.2f s on shared prefixes" prefix_secs
-         else "")
-        (gc_note gc);
-      (id, List.length timed_pieces, job_secs, wall_secs, prefix_secs, gc))
+        wall_secs (gc_note gc);
+      (id, List.length timed_pieces, job_secs, wall_secs, gc))
     (run_all ())
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint fork-vs-cold pair: the same chaos [XS] curve to
-   [n + extra] guests, once as an unbroken simulation (cold) and once
-   forked from the [n]-guest checkpoint image and extended by [extra]
-   creations (fork). The image build itself runs outside the fork row's
-   timed region and is reported as its [prefix_seconds]: the pair
-   isolates what boot-once/fork-many saves when suffixes share a
-   prefix. Both rows render the identical curve (the resume
-   contract). *)
+   [n + extra] guests, once unbroken (cold: boot [n] guests, then
+   [extra] more, in one simulation) and once from the frozen [n]-guest
+   image (fork: thaw, then the [extra] creations). The image is built
+   outside the fork row's timed region: the pair isolates what resuming
+   a snapshot saves over re-simulating its prefix. Both rows render the
+   identical curve (the resume contract). *)
 let snapshot_pair_rows =
   let n = pick ~quick:1000 ~medium:2000 ~full:5000 in
   let extra = max 1 (n / 10) in
   section
     (Printf.sprintf "snapshot fork-vs-cold (n = %d + %d)" n extra)
     "fork pays thaw + the suffix; cold re-simulates the whole prefix";
-  (* Earlier experiments may have cached overlapping images; reset so
-     the pair measures a true build. *)
-  E.prefix_cache_reset ();
+  let key = Printf.sprintf "scale:chaos-xs@%d" n in
+  let prefix =
+    match
+      List.find_opt
+        (fun p -> String.equal p.E.prefix_key key)
+        (E.prefixes ~n ())
+    with
+    | Some p -> p
+    | None -> failwith ("snapshot bench: no prefix " ^ key)
+  in
+  let run origin =
+    match prefix.E.prefix_run ~n:extra origin with
+    | Ok r -> r.E.series
+    | Error m -> failwith ("snapshot bench: " ^ m)
+  in
   let g0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
-  let cold = E.scale_cold_full ~n ~extra in
+  let cold = run `Unbroken in
   let t1 = Unix.gettimeofday () in
   let g1 = Gc.quick_stat () in
-  let prefix_secs = E.scale_prefix_warm ~n in
+  let image = prefix.E.prefix_build () in
   let g2 = Gc.quick_stat () in
   let t2 = Unix.gettimeofday () in
-  let fork = E.scale_fork_suffix ~n ~extra in
+  let fork = run (`Image image) in
   let t3 = Unix.gettimeofday () in
   let g3 = Gc.quick_stat () in
-  let identical =
-    Series.points cold.E.series = Series.points fork.E.series
+  let points rows =
+    List.map (fun (l : E.labelled) -> Series.points l.E.series) rows
   in
-  print_series [ cold; fork ];
+  let identical = points cold = points fork in
+  print_series (cold @ fork);
   Printf.printf
-    "[snapshot-cold: %.2f s | snapshot-fork: %.2f s + %.2f s prefix build \
+    "[snapshot-cold: %.2f s | snapshot-fork: %.2f s + %.2f s image build \
      | curves identical: %b | speedup on suffix: %.1fx]\n"
-    (t1 -. t0) (t3 -. t2) prefix_secs identical
+    (t1 -. t0) (t3 -. t2) (t2 -. t1) identical
     ((t1 -. t0) /. Float.max 1e-9 (t3 -. t2));
   if not identical then
     failwith "snapshot bench: fork and cold curves diverge";
   [
-    ("snapshot-cold", 1, t1 -. t0, t1 -. t0, 0., gc_delta g0 g1);
-    ("snapshot-fork", 1, t3 -. t2, t3 -. t2, prefix_secs, gc_delta g2 g3);
+    ("snapshot-cold", 1, t1 -. t0, t1 -. t0, gc_delta g0 g1);
+    ("snapshot-fork", 1, t3 -. t2, t3 -. t2, gc_delta g2 g3);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -432,7 +435,7 @@ let serverless_slo_rows, serverless_slo =
     cold_p99_us warm_p99_us pool_hit_rate dt;
   if warm_p99_us >= cold_p99_us then
     failwith "serverless bench: warm-pool p99 did not beat cold boot";
-  ( [ ("serverless-slo", 2, dt, dt, 0., gc) ],
+  ( [ ("serverless-slo", 2, dt, dt, gc) ],
     (cold_p99_us, warm_p99_us, pool_hit_rate) )
 
 let all_experiment_rows =
@@ -1105,21 +1108,18 @@ let write_json path ~total =
      pool, experiments overlap, so per-row walls can sum to more than
      the total. *)
   out "  \"total_wall_seconds\": %.3f,\n" total;
-  (* [prefix_seconds] (wall time spent building/loading shared boot
-     prefixes — included in [job_seconds], broken out so the trajectory
-     shows what prefix caching amortizes). The GC columns are the
-     executing domains' counter deltas over the row's jobs: allocation
-     regressions show up in [minor_words] long before they move the
-     noisy wall clocks, so the CI gate compares those. *)
+  (* The GC columns are the executing domains' counter deltas over the
+     row's jobs: allocation regressions show up in [minor_words] long
+     before they move the noisy wall clocks, so the CI gate compares
+     those. *)
   out "  \"experiments\": [\n";
   List.iteri
-    (fun i (id, njobs, job_secs, wall_secs, prefix_secs, gc) ->
+    (fun i (id, njobs, job_secs, wall_secs, gc) ->
       out
         "    { \"name\": %S, \"jobs\": %d, \"job_seconds\": %.3f, \
-         \"wall_seconds\": %.3f, \"prefix_seconds\": %.3f, \
-         \"minor_words\": %.0f, \"promoted_words\": %.0f, \
-         \"major_collections\": %d }%s\n"
-        id njobs job_secs wall_secs prefix_secs gc.gd_minor_words
+         \"wall_seconds\": %.3f, \"minor_words\": %.0f, \
+         \"promoted_words\": %.0f, \"major_collections\": %d }%s\n"
+        id njobs job_secs wall_secs gc.gd_minor_words
         gc.gd_promoted_words gc.gd_major_collections
         (if i = List.length all_experiment_rows - 1 then "" else ","))
     all_experiment_rows;

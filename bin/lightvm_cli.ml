@@ -474,14 +474,6 @@ let minipy_cmd =
 (* ------------------------------------------------------------------ *)
 (* boot *)
 
-let mode_of_string = function
-  | "xl" -> Some Mode.xl
-  | "chaos-xs" -> Some Mode.chaos_xs
-  | "chaos-xs-split" -> Some Mode.chaos_xs_split
-  | "chaos-noxs" -> Some Mode.chaos_noxs
-  | "lightvm" -> Some Mode.lightvm
-  | _ -> None
-
 let run_boot image_name mode_name count =
   let image =
     match Image.find image_name with
@@ -493,13 +485,11 @@ let run_boot image_name mode_name count =
         exit 1
   in
   let mode =
-    match mode_of_string mode_name with
+    match Mode.of_slug mode_name with
     | Some m -> m
     | None ->
-        Printf.eprintf
-          "unknown mode %S (xl, chaos-xs, chaos-xs-split, chaos-noxs, \
-           lightvm)\n"
-          mode_name;
+        Printf.eprintf "unknown mode %S (%s)\n" mode_name
+          (String.concat ", " (List.map Mode.slug Mode.all_modes));
         exit 1
   in
   ignore

@@ -88,7 +88,8 @@ let single_heap = { partition = `None; sim_jobs = 1; hosts = 0 }
    of a fresh simulation laid out by [layout] — or, with [from], of a
    thawed image resumed on its own partitioning — and the simulation
    stops once [f] returns: guests with periodic background load would
-   otherwise keep the event loop alive forever. With [capture] the
+   otherwise keep the event loop alive forever. With [capture] (fresh
+   runs only: an image is always built from the root of a family) the
    stopped state is harvested too, ready to freeze. *)
 let run_main ?from ~capture layout f =
   let result = ref None in
@@ -99,8 +100,6 @@ let run_main ?from ~capture layout f =
   let jobs = layout.sim_jobs and partitions = layout.hosts in
   let saved =
     match (from, layout.partition) with
-    | Some saved, _ when capture ->
-        Some (snd (Engine.resume_capture ~jobs saved main))
     | Some saved, _ ->
         ignore (Engine.resume ~jobs saved main);
         None
@@ -123,8 +122,8 @@ let run_main ?from ~capture layout f =
 let sim ?(layout = single_heap) ?from f =
   fst (run_main ?from ~capture:false layout f)
 
-let capture ?from layout f =
-  let r, saved = run_main ?from ~capture:true layout f in
+let capture layout f =
+  let r, saved = run_main ~capture:true layout f in
   (Option.get saved, r)
 
 (* Fan out one process per host — host [h] in its own partition under
@@ -203,25 +202,16 @@ type piece = {
   p_series : labelled list;
   p_tables : Table.t list;
   p_notes : string list;
-  p_prefix_seconds : float;
 }
 
-let piece ?(series = []) ?(tables = []) ?(notes = []) ?(prefix_seconds = 0.) ()
-    =
-  {
-    p_series = series;
-    p_tables = tables;
-    p_notes = notes;
-    p_prefix_seconds = prefix_seconds;
-  }
+let piece ?(series = []) ?(tables = []) ?(notes = []) () =
+  { p_series = series; p_tables = tables; p_notes = notes }
 
 let piece_concat pieces =
   {
     p_series = List.concat_map (fun p -> p.p_series) pieces;
     p_tables = List.concat_map (fun p -> p.p_tables) pieces;
     p_notes = List.concat_map (fun p -> p.p_notes) pieces;
-    p_prefix_seconds =
-      List.fold_left (fun acc p -> acc +. p.p_prefix_seconds) 0. pieces;
   }
 
 type job = string * (unit -> piece)
@@ -232,177 +222,24 @@ let series_of_jobs jobs =
   List.concat_map (fun p -> p.p_series) (run_jobs jobs)
 
 (* ------------------------------------------------------------------ *)
-(* Experiment-level prefix caching.
+(* Snapshot images.
 
-   Several families boot the same population before diverging — every
-   reliability cell of a mode warms the same host, the cluster drain
-   job boots the same guests the fault sweep then migrates, a scale
-   curve to 5000 guests is an exact event prefix of the curve to
-   10,000. With checkpoint/restore ({!Lightvm_sim.Engine.run_capture} /
-   [resume] plus {!Lightvm_sim.Checkpoint}) each distinct prefix is
-   simulated once per process invocation, frozen to bytes, and every
-   consumer thaws its own deep copy and runs only its suffix. Thawing
-   from the shared bytes is what isolates forks: each [Snap.thaw] is a
-   fresh copy of the whole model graph, so two variants resumed from
-   one image never see each other's state, even on different Pool
-   worker domains.
+   Every plan job runs its family unbroken, in one simulation. Seven
+   families also name the state their suffix starts from as an image:
+   the CLI's [snapshot] freezes it to a file and [resume] runs the
+   family's suffix from that file in a later process ([prefixes] and
+   [resume_from_file] at the end of this file). An image is declared
+   next to its family's body: [img_prefix] runs inside a simulation
+   laid out by [img_layout] and returns the model root ['root] the
+   suffix continues from. The text of [img_key] before ':' names the
+   family. *)
 
-   Every prefixed family is declared once, as a {!family} record, and
-   the three generic runners below are the only code that captures,
-   freezes, thaws or resumes: [unbroken] runs prefix and suffix in one
-   simulation, [forked] runs the suffix from the cached image, and
-   [resume_from_file] (further down) runs it from a snapshot file.
-   Correctness bar (pinned in test/test_checkpoint.ml): the forked
-   suffix renders bit-identically to the unbroken simulation — the
-   [~snapshot:false] paths keep the unbroken runner reachable precisely
-   so the equality stays testable.
-
-   The cache is keyed by the family's config string ("scale:chaos-xs@
-   2000", "reliability:xl", ...) and shared across Pool worker domains:
-   the first toucher builds, concurrent touchers wait on the condition
-   variable, later touchers get the frozen bytes for free. *)
-
-let wall = Unix.gettimeofday
-
-(* Cache-internal failures (a prefix that cannot quiesce is a bug, not
-   an expected outcome) surface as exceptions; the file-level
-   snapshot/resume API below returns [result] instead. *)
-let snap_err label = function
-  | Ok v -> v
-  | Error e -> failwith (label ^ ": " ^ Snap.error_to_string e)
-
-type prefix_state = Building | Ready of string
-
-let prefix_lock = Mutex.create ()
-let prefix_cond = Condition.create ()
-let prefix_tbl : (string, prefix_state) Hashtbl.t = Hashtbl.create 16
-
-(* Frozen image bytes for [key], built by [build] at most once per
-   invocation (and per [prefix_cache_reset]). [build] runs outside the
-   lock: a chained build (the 10k scale image extending the 5k one)
-   re-enters for its parent key without deadlocking. *)
-let prefix_image ~key build =
-  let rec get () =
-    match Hashtbl.find_opt prefix_tbl key with
-    | Some (Ready bytes) ->
-        Mutex.unlock prefix_lock;
-        bytes
-    | Some Building ->
-        Condition.wait prefix_cond prefix_lock;
-        get ()
-    | None -> (
-        Hashtbl.replace prefix_tbl key Building;
-        Mutex.unlock prefix_lock;
-        match build () with
-        | bytes ->
-            Mutex.lock prefix_lock;
-            Hashtbl.replace prefix_tbl key (Ready bytes);
-            Condition.broadcast prefix_cond;
-            Mutex.unlock prefix_lock;
-            bytes
-        | exception e ->
-            Mutex.lock prefix_lock;
-            Hashtbl.remove prefix_tbl key;
-            Condition.broadcast prefix_cond;
-            Mutex.unlock prefix_lock;
-            raise e)
-  in
-  Mutex.lock prefix_lock;
-  get ()
-
-(* Drop every cached image (tests and cold-path benchmarks). Callers
-   must not race this with in-flight builds. *)
-let prefix_cache_reset () =
-  Mutex.lock prefix_lock;
-  Hashtbl.reset prefix_tbl;
-  Mutex.unlock prefix_lock
-
-(* CLI-safe slugs for mode names ("chaos [XS]" -> "chaos-xs"), used in
-   prefix keys and the test hooks. *)
-let mode_slug mode =
-  match Mode.name mode with
-  | "xl" -> "xl"
-  | "chaos [XS]" -> "chaos-xs"
-  | "chaos [XS+split]" -> "chaos-xs-split"
-  | "chaos [NoXS]" -> "chaos-noxs"
-  | "LightVM" -> "lightvm"
-  | other -> other
-
-let mode_of_slug slug =
-  List.find_opt (fun m -> String.equal (mode_slug m) slug) Mode.all_modes
-
-(* A prefixed family. [fam_prefix] runs inside a simulation laid out by
-   [fam_layout] and returns the model root ['root]; [fam_suffix] runs
-   inside the same simulation (unbroken) or a resumed copy of the
-   frozen image (forked). A family with [fam_extends = Some (parent,
-   grow)] builds its image by resuming [parent]'s and running [grow]
-   instead of simulating [fam_prefix] from scratch — the scale chain,
-   where each count pays only its increment. The text of [fam_key]
-   before ':' names the family for [resume_from_file]. *)
-type ('root, 'out) family = {
-  fam_key : string;
-  fam_describe : string;
-  fam_layout : layout;
-  fam_prefix : unit -> 'root;
-  fam_extends : (('root, 'out) family * ('root -> 'root)) option;
-  fam_suffix : 'root -> 'out;
+type 'root image = {
+  img_key : string;
+  img_describe : string;
+  img_layout : layout;
+  img_prefix : unit -> 'root;
 }
-
-(* The one thaw: [bytes] decode at the root type of the family [make]
-   rebuilds from the thawed root (given the image's partitioning), so
-   the compiler checks an image is thawed at the type [image] froze it
-   at. *)
-let thaw make bytes =
-  match Snap.thaw bytes with
-  | Error e -> Error (Snap.error_to_string e)
-  | Ok ((saved : Engine.saved), root) ->
-      let partition =
-        match Engine.saved_partitions saved with
-        | None -> `None
-        | Some _ -> `Host
-      in
-      Ok (saved, make partition root, root)
-
-(* The one freeze: [fam]'s image bytes, simulated at most once per
-   invocation through the cache. *)
-let rec image fam =
-  prefix_image ~key:fam.fam_key (fun () ->
-      let saved, root =
-        match fam.fam_extends with
-        | None -> capture fam.fam_layout fam.fam_prefix
-        | Some (parent, grow) -> (
-            match thaw (fun _ _ -> parent) (image parent) with
-            | Error m -> failwith (parent.fam_key ^ ": " ^ m)
-            | Ok (saved, _, root) ->
-                capture ~from:saved fam.fam_layout (fun () -> grow root))
-      in
-      snap_err fam.fam_key (Snap.freeze (saved, root)))
-
-(* Thaw [bytes] and run the suffix of the family [make] rebuilds, in
-   the resumed simulation: [(prefix_seconds since t0, root, out)]. *)
-let resume ?(t0 = wall ()) make bytes =
-  Result.map
-    (fun (saved, fam, root) ->
-      let prefix_seconds = wall () -. t0 in
-      ( prefix_seconds,
-        root,
-        sim ~layout:fam.fam_layout ~from:saved (fun () -> fam.fam_suffix root)
-      ))
-    (thaw make bytes)
-
-let unbroken fam =
-  sim ~layout:fam.fam_layout (fun () -> fam.fam_suffix (fam.fam_prefix ()))
-
-let forked fam =
-  let t0 = wall () in
-  match resume ~t0 (fun _ _ -> fam) (image fam) with
-  | Ok (prefix_seconds, _, out) -> (prefix_seconds, out)
-  | Error m -> failwith (fam.fam_key ^ ": " ^ m)
-
-(* [(prefix_seconds, out)]: forked from the image by default, unbroken
-   with [~snapshot:false]. *)
-let run_family ~snapshot fam =
-  if snapshot then forked fam else (0., unbroken fam)
 
 (* ------------------------------------------------------------------ *)
 (* Fig 1 *)
@@ -618,16 +455,7 @@ let scale_counts n =
    simulation of exactly that count would produce — for one set of
    creations instead of one per count (10k instead of 17k at the
    default counts). Sampling is per count: ~20 points plus first and
-   last, as before.
-
-   With [~snapshot:true] (the plan default) the pass is materialised as
-   a chain of checkpoint images — the host booted to 2000 guests, that
-   image extended to 5000, that one to 10,000 — each boundary simulated
-   once per invocation ({!prefix_image}) and reusable by anything that
-   wants a host at that population: the curve render, the fork-vs-cold
-   bench pair, a [snapshot] written to disk. [~snapshot:false] keeps
-   the unbroken single-run body; test/test_checkpoint.ml pins that both
-   paths render bit-identically. *)
+   last, as before. *)
 
 (* Create guests [from+1 .. upto] on [host], recording create+boot
    latency per guest: the creation loop of every scale body. *)
@@ -659,42 +487,28 @@ let scale_curve_rows ~mode ~counts lat =
       { label; series })
     counts
 
-(* The scale family: one [mode] host booted to [count] guests, its
-   image chained through the largest smaller boundary in [bounds]. The
-   root is [(host, lat)] — the model and the latencies recorded so far,
-   one marshalled value, so the heap thunks and the host they close
-   over stay shared on thaw. The suffix creates [extra] more guests and
-   returns every latency. *)
-let rec scale_family ~mode ~bounds ~extra count =
-  let prev =
-    List.fold_left (fun a c -> if c < count then max a c else a) 0 bounds
-  in
+(* One [mode] host booted to [count] guests. The root is [(host, lat)]
+   — the model and one latency per guest, one marshalled value, so the
+   heap thunks and the host they close over stay shared on thaw. *)
+let scale_boot ~mode count () =
+  let host = Vmm.create ~mode () in
+  if mode.Mode.split then Vmm.prefill_pool host Image.daytime ~nics:1 ~disks:0;
+  scale_grow ~upto:count (host, [||])
+
+let scale_image ~mode count =
   {
-    fam_key = Printf.sprintf "scale:%s@%d" (mode_slug mode) count;
-    fam_describe =
+    img_key = Printf.sprintf "scale:%s@%d" (Mode.slug mode) count;
+    img_describe =
       Printf.sprintf "one %s host booted to %d daytime guests" (Mode.name mode)
         count;
-    fam_layout = single_heap;
-    fam_prefix =
-      (fun () ->
-        let host = Vmm.create ~mode () in
-        if mode.Mode.split then
-          Vmm.prefill_pool host Image.daytime ~nics:1 ~disks:0;
-        scale_grow ~upto:count (host, [||]));
-    fam_extends =
-      (if prev = 0 then None
-       else
-         Some (scale_family ~mode ~bounds ~extra prev, scale_grow ~upto:count));
-    fam_suffix = (fun root -> snd (scale_grow ~upto:(count + extra) root));
+    img_layout = single_heap;
+    img_prefix = scale_boot ~mode count;
   }
 
-(* [(prefix_seconds, rows)] for one mode's merged curve. *)
-let scale_mode_merged ~snapshot ~counts mode =
-  let top = List.fold_left max 1 counts in
-  let prefix_seconds, lat =
-    run_family ~snapshot (scale_family ~mode ~bounds:counts ~extra:0 top)
-  in
-  (prefix_seconds, scale_curve_rows ~mode ~counts lat)
+(* One mode's merged curves: one run to the largest count. *)
+let scale_mode_merged ~counts mode =
+  let _, lat = sim (scale_boot ~mode (List.fold_left max 1 counts)) in
+  scale_curve_rows ~mode ~counts lat
 
 (* The partitioned row: the same total population brought up as a fleet
    of [scale_partition_hosts] identical chaos [XS] hosts, each creating
@@ -705,9 +519,9 @@ let scale_mode_merged ~snapshot ~counts mode =
    and at any [sim_jobs] (the per-host streams never interact).
 
    The bring-up runs as two fan-out waves with a barrier between them;
-   the wave boundary is the family's snapshot point, so the partitioned
-   capture/resume path has a well-defined unbroken twin: same barrier,
-   same events, bit-identical series across the whole jobs x partition
+   the wave boundary is the fleet's snapshot point, so a suffix resumed
+   from the image has a well-defined unbroken twin: same barrier, same
+   events, bit-identical series across the whole jobs x partition
    matrix (test/test_checkpoint.ml). *)
 let scale_partition_hosts = 8
 
@@ -717,38 +531,35 @@ let fleet_wave layout nodes lat ~from ~upto =
   fan_out_hosts layout (fun h ->
       scale_create_range nodes.(h) lat.(h) ~from ~upto)
 
-(* The fleet family: [layout.hosts] hosts of [per] guests each, captured
-   at the wave-1 barrier. The root is [(nodes, lat)], one latency row
-   per host; the suffix runs wave 2 and returns the rows. [sim_jobs] is
-   part of the key only to keep determinism tests honest: the bytes are
-   the same for every worker count, but a cache hit would short-circuit
-   the re-simulation the jobs-matrix tests exist to exercise. *)
-let fleet_family layout ~per =
-  let hosts = layout.hosts and per1 = max 1 (per / 2) in
+(* Wave 1: [layout.hosts] hosts with the first half of their [per]
+   guests. The root is [(nodes, lat)], one latency row per host. *)
+let fleet_boot layout ~per () =
+  let nodes =
+    Array.init layout.hosts (fun i ->
+        Vmm.create ~host_id:i ~mode:Mode.chaos_xs ())
+  in
+  let lat = Array.make_matrix layout.hosts per nan in
+  fleet_wave layout nodes lat ~from:0 ~upto:(max 1 (per / 2));
+  (nodes, lat)
+
+(* Wave 2 on a wave-1 root: the latency rows, complete. *)
+let fleet_finish layout (nodes, lat) =
+  let per = Array.length lat.(0) in
+  fleet_wave layout nodes lat ~from:(max 1 (per / 2)) ~upto:per;
+  lat
+
+let fleet_image layout ~per =
   let part = partition_name layout.partition in
   {
-    fam_key =
-      Printf.sprintf "scale-fleet:%s/j%d@%d" part layout.sim_jobs (hosts * per);
-    fam_describe =
+    img_key = Printf.sprintf "scale-fleet:%s@%d" part (layout.hosts * per);
+    img_describe =
       Printf.sprintf
-        "%d chaos [XS] hosts at wave 1 (%d of %d guests each, partition %s, \
-         %d sim jobs)"
-        hosts per1 per part layout.sim_jobs;
-    fam_layout = layout;
-    fam_prefix =
-      (fun () ->
-        let nodes =
-          Array.init hosts (fun i ->
-              Vmm.create ~host_id:i ~mode:Mode.chaos_xs ())
-        in
-        let lat = Array.make_matrix hosts per nan in
-        fleet_wave layout nodes lat ~from:0 ~upto:per1;
-        (nodes, lat));
-    fam_extends = None;
-    fam_suffix =
-      (fun (nodes, lat) ->
-        fleet_wave layout nodes lat ~from:per1 ~upto:per;
-        lat);
+        "%d chaos [XS] hosts at wave 1 (%d of %d guests each, partition %s)"
+        layout.hosts
+        (max 1 (per / 2))
+        per part;
+    img_layout = layout;
+    img_prefix = fleet_boot layout ~per;
   }
 
 let fleet_row_render ~hosts ~per lat =
@@ -776,14 +587,12 @@ let fleet_layout ~partition ~sim_jobs =
 
 let fleet_per count = max 1 (count / scale_partition_hosts)
 
-(* [(prefix_seconds, row)]. *)
-let scale_partitioned ~snapshot ~count ~partition ~sim_jobs =
-  let per = fleet_per count in
-  let prefix_seconds, lat =
-    run_family ~snapshot
-      (fleet_family (fleet_layout ~partition ~sim_jobs) ~per)
+let scale_partitioned ~count ~partition ~sim_jobs =
+  let layout = fleet_layout ~partition ~sim_jobs and per = fleet_per count in
+  let lat =
+    sim ~layout (fun () -> fleet_finish layout (fleet_boot layout ~per ()))
   in
-  (prefix_seconds, fleet_row_render ~hosts:scale_partition_hosts ~per lat)
+  fleet_row_render ~hosts:layout.hosts ~per lat
 
 let scale_mode_counts mode counts =
   if String.equal (Mode.name mode) "xl" then
@@ -799,19 +608,14 @@ let scale_jobs ?(n = 10_000) ?(partition = `Host) ?(sim_jobs = 1) () :
       let counts = scale_mode_counts mode counts in
       ( Printf.sprintf "scale/%s/%s" (Mode.name mode)
           (String.concat "+" (List.map string_of_int counts)),
-        fun () ->
-          let prefix_seconds, series =
-            scale_mode_merged ~snapshot:true ~counts mode
-          in
-          piece ~series ~prefix_seconds () ))
+        fun () -> piece ~series:(scale_mode_merged ~counts mode) () ))
     scale_modes
   @ [
       ( Printf.sprintf "scale/partitioned/%d" top,
         fun () ->
-          let prefix_seconds, row =
-            scale_partitioned ~snapshot:true ~count:top ~partition ~sim_jobs
-          in
-          piece ~series:[ row ] ~prefix_seconds () );
+          piece
+            ~series:[ scale_partitioned ~count:top ~partition ~sim_jobs ]
+            () );
     ]
 
 let scale_creation ?n () = series_of_jobs (scale_jobs ?n ())
@@ -857,27 +661,25 @@ let reliability_modes = [ Mode.xl; Mode.chaos_xs; Mode.chaos_noxs ]
 let reliability_cell_seed ~fault_seed mi li =
   Int64.add fault_seed (Int64.of_int (((mi + 1) * 257) + li))
 
-(* The reliability family: the shared boot prefix of every cell of
-   [mode], a fresh host with one warmup creation launched and retired.
-   The warmup runs outside the injector: the first creation on a fresh
-   host materialises shared store directories (/vm, the backend kind
-   levels) that persist for the host's lifetime, so resource snapshots
-   are only stable from the second creation on — which also makes it
-   exactly the state all four fault levels of a mode can fork from. *)
-let reliability_family mode suffix =
+(* Every cell of [mode] starts from a fresh host with one warmup
+   creation launched and retired. The warmup runs outside the injector:
+   the first creation on a fresh host materialises shared store
+   directories (/vm, the backend kind levels) that persist for the
+   host's lifetime, so resource snapshots are only stable from the
+   second creation on. *)
+let reliability_warm mode () =
+  let host = Vmm.create ~mode () in
+  retire host (launch host ~name:"rel-warmup" Image.daytime);
+  host
+
+let reliability_image mode =
   {
-    fam_key = "reliability:" ^ mode_slug mode;
-    fam_describe =
+    img_key = "reliability:" ^ Mode.slug mode;
+    img_describe =
       Printf.sprintf "one warmed-up %s host (reliability cell prefix)"
         (Mode.name mode);
-    fam_layout = single_heap;
-    fam_prefix =
-      (fun () ->
-        let host = Vmm.create ~mode () in
-        retire host (launch host ~name:"rel-warmup" Image.daytime);
-        host);
-    fam_extends = None;
-    fam_suffix = suffix;
+    img_layout = single_heap;
+    img_prefix = reliability_warm mode;
   }
 
 (* A cell's suffix: [n] creation attempts on the warmed host under the
@@ -939,12 +741,9 @@ let reliability_suffix ~n ~spec ~seed ~level host =
     ~notes:(note :: List.rev !leaks)
     ()
 
-let reliability_cell ~snapshot ~n ~mode ~spec ~seed ~level =
-  let prefix_seconds, p =
-    run_family ~snapshot
-      (reliability_family mode (reliability_suffix ~n ~spec ~seed ~level))
-  in
-  { p with p_prefix_seconds = prefix_seconds }
+let reliability_cell ~n ~mode ~spec ~seed ~level =
+  sim (fun () ->
+      reliability_suffix ~n ~spec ~seed ~level (reliability_warm mode ()))
 
 let reliability_jobs ?(n = 200) ?(spec = reliability_spec) ?(fault_seed = 42L)
     () : job list =
@@ -955,7 +754,7 @@ let reliability_jobs ?(n = 200) ?(spec = reliability_spec) ?(fault_seed = 42L)
            (fun li level ->
              ( Printf.sprintf "reliability/%s/x%g" (Mode.name mode) level,
                fun () ->
-                 reliability_cell ~snapshot:true ~n ~mode ~spec
+                 reliability_cell ~n ~mode ~spec
                    ~seed:(reliability_cell_seed ~fault_seed mi li)
                    ~level ))
            reliability_levels)
@@ -1781,35 +1580,35 @@ let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
 
 let cluster_spec = parse_default "cluster_fault_spec" cluster_fault_spec
 
-(* The drain family: the whole cluster of [hosts] hosts up with
+(* The drain prefix: the whole cluster of [hosts] hosts up with
    [guests] spread-placed guests running — everything before the first
-   injected fault. [name] is "cluster" or "cluster-scale": the two
-   families share the body but cache under their own keys. (The policy
-   bring-up jobs are not prefixed: pool-everywhere runs split
-   toolstacks whose warm-pool refill daemons park effect continuations,
-   which is exactly what a checkpoint cannot hold.) *)
-let drain_family ~name ~hosts ~guests suffix =
+   injected fault. *)
+let drain_boot ~hosts ~guests () =
+  let c =
+    Cluster.create ~hosts ~racks:cluster_racks ~mode:Mode.chaos_xs
+      ~policy:Scheduler.Spread ()
+  in
+  for _ = 1 to guests do
+    match Cluster.launch c (Vmm.vm_request ~nics:1 Image.daytime) with
+    | Error e -> failwith (Cluster.error_to_string e)
+    | Ok p -> cluster_boot c p
+  done;
+  c
+
+(* [name] is "cluster" or "cluster-scale": the two families share the
+   drain body and list their images under their own keys. (The policy
+   bring-up jobs have no image: pool-everywhere runs split toolstacks
+   whose warm-pool refill daemons park effect continuations, which is
+   exactly what a checkpoint cannot hold.) *)
+let drain_image ~name ~hosts ~guests =
   {
-    fam_key = Printf.sprintf "%s:drain@%d" name guests;
-    fam_describe =
+    img_key = Printf.sprintf "%s:drain@%d" name guests;
+    img_describe =
       Printf.sprintf
         "spread cluster of %d hosts with %d guests running (%s drain prefix)"
         hosts guests name;
-    fam_layout = single_heap;
-    fam_prefix =
-      (fun () ->
-        let c =
-          Cluster.create ~hosts ~racks:cluster_racks ~mode:Mode.chaos_xs
-            ~policy:Scheduler.Spread ()
-        in
-        for _ = 1 to guests do
-          match Cluster.launch c (Vmm.vm_request ~nics:1 Image.daytime) with
-          | Error e -> failwith (Cluster.error_to_string e)
-          | Ok p -> cluster_boot c p
-        done;
-        c);
-    fam_extends = None;
-    fam_suffix = suffix;
+    img_layout = single_heap;
+    img_prefix = drain_boot ~hosts ~guests;
   }
 
 (* The drain suffix: snapshot accounting, drain host 0 under the
@@ -1844,13 +1643,9 @@ let cluster_drain_suffix ~spec ~fault_seed c =
 (* The drain job migrates guests between hosts — inherently
    cross-partition state motion — so it stays on the single-heap
    engine. *)
-let cluster_drain_job ~name ~hosts ~snapshot ~guests ~spec ~fault_seed () =
-  let prefix_seconds, p =
-    run_family ~snapshot
-      (drain_family ~name ~hosts ~guests
-         (cluster_drain_suffix ~spec ~fault_seed))
-  in
-  { p with p_prefix_seconds = prefix_seconds }
+let cluster_drain_job ~hosts ~guests ~spec ~fault_seed () =
+  sim (fun () ->
+      cluster_drain_suffix ~spec ~fault_seed (drain_boot ~hosts ~guests ()))
 
 let cluster_jobs ?(n = 500) ?(spec = cluster_spec) ?(fault_seed = 42L)
     ?(partition = `Host) ?(sim_jobs = 1) () : job list =
@@ -1862,8 +1657,8 @@ let cluster_jobs ?(n = 500) ?(spec = cluster_spec) ?(fault_seed = 42L)
     Scheduler.policies
   @ [
       ( "cluster/drain",
-        cluster_drain_job ~name:"cluster" ~hosts:(cluster_hosts ~guests)
-          ~snapshot:true ~guests ~spec ~fault_seed );
+        cluster_drain_job ~hosts:(cluster_hosts ~guests) ~guests ~spec
+          ~fault_seed );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1874,9 +1669,8 @@ let cluster_jobs ?(n = 500) ?(spec = cluster_spec) ?(fault_seed = 42L)
    placement note is summarized (a 100-element list is noise), and the
    family runs one policy bring-up instead of three — at this scale the
    row exists to exercise the control plane and the event core, not to
-   compare policies again. The drain job forks its own prefix image
-   (the full fleet booted), keyed separately from [cluster]'s so the
-   two families cache independently. *)
+   compare policies again. Its drain image (the full fleet booted) is
+   keyed separately from [cluster]'s. *)
 
 let cluster_scale_hosts ~guests = max 4 (min 100 (guests / 100))
 
@@ -1889,8 +1683,7 @@ let cluster_scale_jobs ?(n = 2000) ?(spec = cluster_spec) ?(fault_seed = 42L)
       cluster_policy_job ~hosts ~summarize:true ~guests ~partition ~sim_jobs
         Scheduler.Spread );
     ( "cluster-scale/drain",
-      cluster_drain_job ~name:"cluster-scale" ~hosts ~snapshot:true ~guests
-        ~spec ~fault_seed );
+      cluster_drain_job ~hosts ~guests ~spec ~fault_seed );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1909,11 +1702,12 @@ let cluster_scale_jobs ?(n = 2000) ?(spec = cluster_spec) ?(fault_seed = 42L)
    times. The mmpp cell's bursts (4x base) do exceed capacity, which is
    what exercises the autoscaler's scale-up path.
 
-   Every warm-pool cell forks the same checkpoint prefix: a LightVM
-   host with the function-instance pool target set and synchronously
-   prefilled ("serverless:warm@<target>"). Prefilling parks no
-   continuation, so the image quiesces — unlike a host that has already
-   served a take (whose background refill daemon may be mid-build). *)
+   Every warm-pool cell starts from a LightVM host with the
+   function-instance pool target set and synchronously prefilled, which
+   is also the family's snapshot image ("serverless:warm@<target>").
+   Prefilling parks no continuation, so the image quiesces — unlike a
+   host that has already served a take (whose background refill daemon
+   may be mid-build). *)
 
 let serverless_rate = 80.
 let serverless_pool_target = 4
@@ -1925,18 +1719,16 @@ let serverless_warm_host ?host_id () =
   Serverless.warm_pool host ~target:serverless_pool_target;
   host
 
-let serverless_family suffix =
+let serverless_image =
   {
-    fam_key = Printf.sprintf "serverless:warm@%d" serverless_pool_target;
-    fam_describe =
+    img_key = Printf.sprintf "serverless:warm@%d" serverless_pool_target;
+    img_describe =
       Printf.sprintf
         "one LightVM host, function-instance pool prefilled to %d \
          (serverless warm prefix)"
         serverless_pool_target;
-    fam_layout = single_heap;
-    fam_prefix = (fun () -> serverless_warm_host ());
-    fam_extends = None;
-    fam_suffix = suffix;
+    img_layout = single_heap;
+    img_prefix = (fun () -> serverless_warm_host ());
   }
 
 (* Distinct per-cell seed so cells stay independent whatever the job
@@ -1960,7 +1752,7 @@ let serverless_config ~arrival ~requests ~policy ~seed =
    queue-depth trace and the percentile note. Everything rendered is
    simulated data, so the piece digests identically however the cell
    was scheduled. *)
-let serverless_render ~label ~prefix_seconds (s : Serverless.stats) =
+let serverless_render ~label (s : Serverless.stats) =
   let cdf = mk ("serverless cdf " ^ label) "us" in
   let n = Quantiles.count s.Serverless.latency in
   if n > 0 then
@@ -1974,7 +1766,7 @@ let serverless_render ~label ~prefix_seconds (s : Serverless.stats) =
         { label = "queue " ^ label; series = s.Serverless.queue_depth };
       ]
     ~notes:[ Serverless.percentile_note ~label s ]
-    ~prefix_seconds ()
+    ()
 
 (* A cell's suffix: the open-loop run on [host], optionally under a
    fault injector (injected creation failures count as failed requests;
@@ -1987,15 +1779,17 @@ let serverless_suffix ~requests ~policy ~arrival ?spec ~seed host =
       Fault.with_injector (Fault.create ~seed spec) (fun () ->
           Serverless.run_node cfg host)
 
-(* [(prefix_seconds, stats)] for one cell. Warm-pool cells fork the
-   shared prefix image by default; [~snapshot:false] keeps the unbroken
-   twin alive so the fork-equals-unbroken contract stays testable. *)
-let serverless_cell_stats ~snapshot ~requests ~policy ~arrival ?spec ~seed () =
-  let suffix = serverless_suffix ~requests ~policy ~arrival ?spec ~seed in
-  match policy with
-  | Serverless.Warm_pool -> run_family ~snapshot (serverless_family suffix)
-  | Serverless.Cold_boot | Serverless.Container ->
-      (0., sim (fun () -> suffix (Vmm.create ~mode:serverless_cold_mode ())))
+(* One cell's stats: warm-pool cells on the prefilled LightVM host, the
+   others on a fresh chaos [XS] host. *)
+let serverless_cell_stats ~requests ~policy ~arrival ?spec ~seed () =
+  sim (fun () ->
+      let host =
+        match policy with
+        | Serverless.Warm_pool -> serverless_warm_host ()
+        | Serverless.Cold_boot | Serverless.Container ->
+            Vmm.create ~mode:serverless_cold_mode ()
+      in
+      serverless_suffix ~requests ~policy ~arrival ?spec ~seed host)
 
 let serverless_label ~policy ~arrival ~spec =
   Printf.sprintf "%s/%s"
@@ -2003,13 +1797,10 @@ let serverless_label ~policy ~arrival ~spec =
     (Arrival.name arrival)
   ^ match spec with Some _ -> "/faults" | None -> ""
 
-let serverless_cell ~snapshot ~requests ~policy ~arrival ?spec ~seed () =
-  let prefix_seconds, stats =
-    serverless_cell_stats ~snapshot ~requests ~policy ~arrival ?spec ~seed ()
-  in
+let serverless_cell ~requests ~policy ~arrival ?spec ~seed () =
   serverless_render
     ~label:(serverless_label ~policy ~arrival ~spec)
-    ~prefix_seconds stats
+    (serverless_cell_stats ~requests ~policy ~arrival ?spec ~seed ())
 
 (* The fleet cell: [serverless_fleet_hosts] LightVM hosts each running
    an independent warm-pool node in its own partition, per-host streams
@@ -2040,7 +1831,7 @@ let serverless_fleet_cells layout ~requests ~seed ~node =
 (* Merge the per-host results in host index order (latency quantiles
    merged into one accumulator, counters summed) and render: identical
    whatever the partitioning or worker count. *)
-let serverless_fleet_finish ~label ~prefix_seconds slots =
+let serverless_fleet_finish ~label slots =
   let per_host = Array.to_list (Array.map Option.get slots) in
   let merged = Quantiles.create () in
   List.iter
@@ -2067,7 +1858,7 @@ let serverless_fleet_finish ~label ~prefix_seconds slots =
           0. per_host;
     }
   in
-  let p = serverless_render ~label ~prefix_seconds agg in
+  let p = serverless_render ~label agg in
   let host_notes =
     List.mapi
       (fun h s ->
@@ -2088,7 +1879,7 @@ let serverless_fleet ~requests ~partition ~sim_jobs ~seed () =
   in
   serverless_fleet_finish
     ~label:(Printf.sprintf "fleet x%d warmpool/poisson" layout.hosts)
-    ~prefix_seconds:0. slots
+    slots
 
 let serverless_jobs ?(n = 2000) ?(spec = reliability_spec) ?(fault_seed = 42L)
     ?(partition = `Host) ?(sim_jobs = 1) () : job list =
@@ -2107,7 +1898,7 @@ let serverless_jobs ?(n = 2000) ?(spec = reliability_spec) ?(fault_seed = 42L)
       }
   in
   let cell i ?spec ~policy ~arrival () =
-    serverless_cell ~snapshot:true ~requests ~policy ~arrival ?spec
+    serverless_cell ~requests ~policy ~arrival ?spec
       ~seed:(serverless_cell_seed ~seed:fault_seed i) ()
   in
   [
@@ -2131,24 +1922,14 @@ let serverless_jobs ?(n = 2000) ?(spec = reliability_spec) ?(fault_seed = 42L)
           () );
   ]
 
-(* CLI hook: one configurable cell from flag values, returning the
-   uniform [result] shape (defined below) via [serverless_run]. *)
-let serverless_cell_piece ?(snapshot = true) ~requests ~policy ~arrival ?spec
-    ~seed () =
-  match Serverless.policy_of_string policy with
-  | Error m -> Error m
-  | Ok policy ->
-      Ok (serverless_cell ~snapshot ~requests ~policy ~arrival ?spec ~seed ())
-
 (* Bench hook: [(cold_p99_us, warm_p99_us, warm_hit_rate)] for the
    flagship Poisson pair, same seeds as the family jobs. The bench
    emits these as JSON fields and CI asserts warm < cold. *)
 let serverless_bench_summary ?(requests = 2000) () =
   let poisson = Arrival.Poisson { rate = serverless_rate } in
   let stats i policy =
-    snd
-      (serverless_cell_stats ~snapshot:true ~requests ~policy ~arrival:poisson
-         ~seed:(serverless_cell_seed ~seed:42L i) ())
+    serverless_cell_stats ~requests ~policy ~arrival:poisson
+      ~seed:(serverless_cell_seed ~seed:42L i) ()
   in
   let cold = stats 0 Serverless.Cold_boot in
   let warm = stats 1 Serverless.Warm_pool in
@@ -2164,36 +1945,30 @@ let serverless_bench_summary ?(requests = 2000) () =
    the calibrated 80 req/s per host across the 4-host fleet, i.e.
    ~87,500 host-seconds of arrivals) pushed through the fleet cell in
    one simulation. The fleet prefix — the hosts created and their
-   instance pools synchronously prefilled — is captured once per
-   (partition, sim_jobs) config and the day itself runs as a resumed
-   suffix. Prefilling parks no effect continuation, so the image
+   instance pools synchronously prefilled — is the family's snapshot
+   image. Prefilling parks no effect continuation, so the image
    quiesces — the same argument as the single-host "serverless:warm@"
-   image; [sim_jobs] is in the key for the same reason it is in the
-   scale-fleet key (cache hits must not short-circuit the jobs-matrix
-   determinism tests). *)
+   image. *)
 
-(* The serverless-day family: the fleet's hosts created and their
-   instance pools prefilled, one per partition under [`Host]. *)
-let serverless_day_family layout suffix =
+(* The day's prefix: the fleet's hosts created and their instance pools
+   prefilled, one per partition under [`Host]. *)
+let serverless_day_boot layout () =
+  let nodes = Array.make layout.hosts None in
+  fan_out_hosts layout (fun h ->
+      nodes.(h) <- Some (serverless_warm_host ~host_id:h ()));
+  Array.map Option.get nodes
+
+let serverless_day_image layout =
   let part = partition_name layout.partition in
   {
-    fam_key =
-      Printf.sprintf "serverless-day:%s/j%d@%d" part layout.sim_jobs
-        layout.hosts;
-    fam_describe =
+    img_key = Printf.sprintf "serverless-day:%s@%d" part layout.hosts;
+    img_describe =
       Printf.sprintf
         "%d LightVM hosts, function-instance pools prefilled to %d each \
-         (serverless-day fleet prefix, partition %s, %d sim jobs)"
-        layout.hosts serverless_pool_target part layout.sim_jobs;
-    fam_layout = layout;
-    fam_prefix =
-      (fun () ->
-        let nodes = Array.make layout.hosts None in
-        fan_out_hosts layout (fun h ->
-            nodes.(h) <- Some (serverless_warm_host ~host_id:h ()));
-        Array.map Option.get nodes);
-    fam_extends = None;
-    fam_suffix = suffix;
+         (serverless-day fleet prefix, partition %s)"
+        layout.hosts serverless_pool_target part;
+    img_layout = layout;
+    img_prefix = serverless_day_boot layout;
   }
 
 (* The day itself: every host's stream, on its prefilled node. *)
@@ -2205,14 +1980,11 @@ let serverless_day_label hosts =
 
 let serverless_day ~requests ~partition ~sim_jobs ~seed () =
   let layout = serverless_fleet_layout ~partition ~sim_jobs in
-  let prefix_seconds, slots =
-    forked
-      (serverless_day_family layout
-         (serverless_day_suffix layout ~requests ~seed))
-  in
   serverless_fleet_finish
     ~label:(serverless_day_label layout.hosts)
-    ~prefix_seconds slots
+    (sim ~layout (fun () ->
+         serverless_day_suffix layout ~requests ~seed
+           (serverless_day_boot layout ())))
 
 let serverless_day_jobs ?(n = 8000) ?(partition = `Host) ?(sim_jobs = 1) () :
     job list =
@@ -2235,21 +2007,10 @@ type result = {
   series : labelled list;
   tables : Table.t list;
   notes : string list;
-  prefix_seconds : float;
-      (* wall time spent building/loading shared boot prefixes; real
-         time, not simulated — excluded from rendered output so digests
-         stay reproducible *)
 }
 
 let result_of_piece ~name ~figure p =
-  {
-    name;
-    figure;
-    series = p.p_series;
-    tables = p.p_tables;
-    notes = p.p_notes;
-    prefix_seconds = p.p_prefix_seconds;
-  }
+  { name; figure; series = p.p_series; tables = p.p_tables; notes = p.p_notes }
 
 let relabel suffix l = { l with label = l.label ^ " " ^ suffix }
 
@@ -2389,60 +2150,216 @@ let find ?n ?partition ?sim_jobs name =
   List.assoc_opt name (registry ?n ?partition ?sim_jobs ())
 
 (* ------------------------------------------------------------------ *)
-(* Named prefixes and file-level snapshot/resume.
+(* Snapshot/resume.
 
-   Every family image the plans use is also addressable by its key, so
-   the CLI can build one, write it to disk ([snapshot]) and later fork
-   suffix runs from the file ([resume]) — across process invocations,
-   as long as it is the same binary ({!Lightvm_sim.Checkpoint} refuses
-   anything else). The key doubles as the snapshot's stored config
-   string: [resume] picks the family by the key's name before ':' and
-   reads every suffix parameter off the thawed image itself. *)
+   Every family image is addressable by its key, so the CLI can build
+   one, write it to disk ([snapshot]) and later run the family's suffix
+   from the file ([resume]) — across process invocations, as long as it
+   is the same binary ({!Lightvm_sim.Checkpoint} refuses anything
+   else). The key doubles as the snapshot's stored config string.
+
+   A family is its listed images plus [make], which rebuilds the suffix
+   from the root alone — mode, guest and host counts and partitioning
+   are read off the root and the image; only [n], [spec] and
+   [fault_seed] come from the caller — and renders it. The one [make]
+   drives both ways to run a suffix: unbroken (the image's prefix, then
+   [make] on its root, in one simulation) and from bytes (thaw, then
+   [make] in the resumed simulation). The thaw decodes at the root type
+   of the family whose [make] consumes it. *)
+
+type family =
+  | Family : {
+      images : 'root image list;
+      make :
+        n:int option ->
+        spec:Fault.spec option ->
+        fault_seed:int64 ->
+        partition ->
+        'root ->
+        piece;
+    }
+      -> family
+
+(* The families by name — the text of their keys before ':' — with the
+   images sized by [n] and laid out by [partition] and [sim_jobs]. *)
+let families ?n ~partition ~sim_jobs () =
+  let counts = scale_counts (Option.value n ~default:10_000) in
+  let top = List.fold_left max 1 counts in
+  let poisson = Arrival.Poisson { rate = serverless_rate } in
+  let drain name ~default hosts_for =
+    let guests = Option.value n ~default in
+    ( name,
+      Family
+        {
+          images = [ drain_image ~name ~hosts:(hosts_for ~guests) ~guests ];
+          make =
+            (fun ~n:_ ~spec ~fault_seed _ c ->
+              cluster_drain_suffix
+                ~spec:(Option.value spec ~default:cluster_spec)
+                ~fault_seed c);
+        } )
+  in
+  [
+    ( "scale",
+      Family
+        {
+          images =
+            List.concat_map
+              (fun mode ->
+                List.map (scale_image ~mode) (scale_mode_counts mode counts))
+              scale_modes;
+          make =
+            (fun ~n ~spec:_ ~fault_seed:_ _ ((host, prev) as root) ->
+              let mode = Vmm.mode host and count = Array.length prev in
+              let extra = Option.value n ~default:(max 1 (count / 10)) in
+              let total = count + extra in
+              let _, lat = scale_grow ~upto:total root in
+              piece
+                ~series:(scale_curve_rows ~mode ~counts:[ total ] lat)
+                ~notes:
+                  [
+                    Printf.sprintf
+                      "resumed %s host at %d guests, extended to %d"
+                      (Mode.name mode) count total;
+                  ]
+                ());
+        } );
+    ( "scale-fleet",
+      Family
+        {
+          images =
+            [
+              fleet_image
+                (fleet_layout ~partition ~sim_jobs)
+                ~per:(fleet_per top);
+            ];
+          make =
+            (fun ~n:_ ~spec:_ ~fault_seed:_ partition ((nodes, _) as root) ->
+              let hosts = Array.length nodes in
+              let lat = fleet_finish { partition; sim_jobs = 1; hosts } root in
+              let per = Array.length lat.(0) in
+              piece
+                ~series:[ fleet_row_render ~hosts ~per lat ]
+                ~notes:
+                  [
+                    Printf.sprintf
+                      "resumed fleet wave 2: %d hosts, guests %d..%d of %d each"
+                      hosts
+                      (max 1 (per / 2) + 1)
+                      per per;
+                  ]
+                ());
+        } );
+    ( "reliability",
+      Family
+        {
+          images = List.map reliability_image reliability_modes;
+          make =
+            (fun ~n ~spec ~fault_seed _ host ->
+              reliability_suffix
+                ~n:(Option.value n ~default:200)
+                ~spec:(Option.value spec ~default:reliability_spec)
+                ~seed:fault_seed ~level:1. host);
+        } );
+    drain "cluster" ~default:500 cluster_hosts;
+    drain "cluster-scale" ~default:2000 cluster_scale_hosts;
+    ( "serverless",
+      Family
+        {
+          images = [ serverless_image ];
+          make =
+            (fun ~n ~spec ~fault_seed _ host ->
+              let policy = Serverless.Warm_pool in
+              serverless_render
+                ~label:(serverless_label ~policy ~arrival:poisson ~spec)
+                (serverless_suffix
+                   ~requests:(Option.value n ~default:2000)
+                   ~policy ~arrival:poisson ?spec
+                   ~seed:(serverless_cell_seed ~seed:fault_seed 1)
+                   host));
+        } );
+    ( "serverless-day",
+      Family
+        {
+          images =
+            [
+              serverless_day_image
+                (serverless_fleet_layout ~partition ~sim_jobs);
+            ];
+          make =
+            (fun ~n ~spec:_ ~fault_seed partition nodes ->
+              let hosts = Array.length nodes in
+              serverless_fleet_finish
+                ~label:(serverless_day_label hosts)
+                (serverless_day_suffix
+                   { partition; sim_jobs = 1; hosts }
+                   ~requests:(Option.value n ~default:8000)
+                   ~seed:(serverless_cell_seed ~seed:fault_seed 7)
+                   nodes));
+        } );
+  ]
+
+(* Frozen image bytes, or the reason the prefix cannot be frozen (a bug
+   in the image's choice of quiesce point, not a user error). *)
+let freeze img =
+  let saved, root = capture img.img_layout img.img_prefix in
+  match Snap.freeze (saved, root) with
+  | Ok bytes -> bytes
+  | Error e -> failwith (img.img_key ^ ": " ^ Snap.error_to_string e)
+
+(* Thaw [bytes] and run [make]'s suffix in the resumed simulation, on
+   the image's own partitioning with one worker. *)
+let resume make bytes =
+  match Snap.thaw bytes with
+  | Error e -> Error (Snap.error_to_string e)
+  | Ok ((saved : Engine.saved), root) ->
+      let partition =
+        match Engine.saved_partitions saved with
+        | None -> `None
+        | Some _ -> `Host
+      in
+      Ok (sim ~from:saved (fun () -> make partition root))
+
+let check_n = function
+  | Some v when v < 1 -> Error (Printf.sprintf "-n must be >= 1 (got %d)" v)
+  | _ -> Ok ()
+
+let resumed = Result.map (result_of_piece ~name:"resume" ~figure:"snapshot")
 
 type prefix = {
   prefix_key : string;
   prefix_describe : string;
   prefix_build : unit -> string;
+  prefix_run :
+    ?n:int ->
+    ?spec:Fault.spec ->
+    ?fault_seed:int64 ->
+    [ `Unbroken | `Image of string ] ->
+    (result, string) Stdlib.result;
 }
 
-let listed fam =
+let listed make img =
   {
-    prefix_key = fam.fam_key;
-    prefix_describe = fam.fam_describe;
-    prefix_build = (fun () -> image fam);
+    prefix_key = img.img_key;
+    prefix_describe = img.img_describe;
+    prefix_build = (fun () -> freeze img);
+    prefix_run =
+      (fun ?n ?spec ?(fault_seed = 42L) origin ->
+        let make = make ~n ~spec ~fault_seed in
+        resumed
+          (Result.bind (check_n n) (fun () ->
+               match origin with
+               | `Unbroken ->
+                   Ok
+                     (sim ~layout:img.img_layout (fun () ->
+                          make img.img_layout.partition (img.img_prefix ())))
+               | `Image bytes -> resume make bytes)));
   }
 
 let prefixes ?n ?(partition = `Host) ?(sim_jobs = 1) () : prefix list =
-  let counts = scale_counts (Option.value n ~default:10_000) in
-  let top = List.fold_left max 1 counts in
-  let drain name ~default hosts_for =
-    let guests = Option.value n ~default in
-    listed (drain_family ~name ~hosts:(hosts_for ~guests) ~guests ignore)
-  in
   List.concat_map
-    (fun mode ->
-      let counts = scale_mode_counts mode counts in
-      List.map
-        (fun count ->
-          listed (scale_family ~mode ~bounds:counts ~extra:0 count))
-        counts)
-    scale_modes
-  @ [
-      listed
-        (fleet_family (fleet_layout ~partition ~sim_jobs) ~per:(fleet_per top));
-    ]
-  @ List.map
-      (fun mode -> listed (reliability_family mode ignore))
-      reliability_modes
-  @ [
-      drain "cluster" ~default:500 cluster_hosts;
-      drain "cluster-scale" ~default:2000 cluster_scale_hosts;
-      listed (serverless_family ignore);
-      listed
-        (serverless_day_family
-           (serverless_fleet_layout ~partition ~sim_jobs)
-           ignore);
-    ]
+    (fun (_, Family f) -> List.map (listed f.make) f.images)
+    (families ?n ~partition ~sim_jobs ())
 
 let snapshot_to_file ?n ?partition ?sim_jobs ~key ~path () =
   let avail = prefixes ?n ?partition ?sim_jobs () in
@@ -2459,169 +2376,21 @@ let snapshot_to_file ?n ?partition ?sim_jobs ~key ~path () =
           | Ok () -> Ok p.prefix_describe
           | Error e -> Error (Snap.error_to_string e)))
 
-(* --- resume: the family by name, its parameters from the thawed root. --- *)
-
-(* Resume [bytes] as the family [make] rebuilds and render the suffix's
-   output (with the root it ran on) as a piece. *)
-let resume_piece make render bytes =
-  Result.map (fun (_, root, out) -> render root out) (resume make bytes)
-
-(* Family name -> resume from image bytes. [n] and [spec] override each
-   suffix's defaults; the image's partitioning, host count, mode and
-   guest counts come from the thawed state, and the run is
-   single-worker ([sim_jobs] never changes output). *)
-let resumers ~n ~spec ~fault_seed =
-  let n_or default = Option.value n ~default in
-  let spec_or default = Option.value spec ~default in
-  let drain name =
-    ( name,
-      resume_piece
-        (fun _ c ->
-          drain_family ~name ~hosts:(Cluster.host_count c)
-            ~guests:(Cluster.vm_count c)
-            (cluster_drain_suffix ~spec:(spec_or cluster_spec) ~fault_seed))
-        (fun _ p -> p) )
-  in
-  let poisson = Arrival.Poisson { rate = serverless_rate } in
-  [
-    ( "scale",
-      resume_piece
-        (fun _ (host, lat) ->
-          let count = Array.length lat in
-          scale_family ~mode:(Vmm.mode host) ~bounds:[]
-            ~extra:(n_or (max 1 (count / 10)))
-            count)
-        (fun (host, prev) lat ->
-          let mode = Vmm.mode host and total = Array.length lat in
-          piece
-            ~series:(scale_curve_rows ~mode ~counts:[ total ] lat)
-            ~notes:
-              [
-                Printf.sprintf "resumed %s host at %d guests, extended to %d"
-                  (Mode.name mode) (Array.length prev) total;
-              ]
-            ()) );
-    ( "scale-fleet",
-      resume_piece
-        (fun partition (nodes, lat) ->
-          fleet_family
-            { partition; sim_jobs = 1; hosts = Array.length nodes }
-            ~per:(Array.length lat.(0)))
-        (fun (nodes, _) lat ->
-          let hosts = Array.length nodes and per = Array.length lat.(0) in
-          piece
-            ~series:[ fleet_row_render ~hosts ~per lat ]
-            ~notes:
-              [
-                Printf.sprintf
-                  "resumed fleet wave 2: %d hosts, guests %d..%d of %d each"
-                  hosts
-                  (max 1 (per / 2) + 1)
-                  per per;
-              ]
-            ()) );
-    ( "reliability",
-      resume_piece
-        (fun _ host ->
-          reliability_family (Vmm.mode host)
-            (reliability_suffix ~n:(n_or 200)
-               ~spec:(spec_or reliability_spec) ~seed:fault_seed ~level:1.))
-        (fun _ p -> p) );
-    drain "cluster";
-    drain "cluster-scale";
-    ( "serverless",
-      resume_piece
-        (fun _ _ ->
-          serverless_family
-            (serverless_suffix ~requests:(n_or 2000)
-               ~policy:Serverless.Warm_pool ~arrival:poisson ?spec
-               ~seed:(serverless_cell_seed ~seed:fault_seed 1)))
-        (fun _ stats ->
-          serverless_render
-            ~label:
-              (serverless_label ~policy:Serverless.Warm_pool ~arrival:poisson
-                 ~spec)
-            ~prefix_seconds:0. stats) );
-    ( "serverless-day",
-      resume_piece
-        (fun partition nodes ->
-          let layout =
-            { partition; sim_jobs = 1; hosts = Array.length nodes }
-          in
-          serverless_day_family layout
-            (serverless_day_suffix layout ~requests:(n_or 8000)
-               ~seed:(serverless_cell_seed ~seed:fault_seed 7)))
-        (fun nodes slots ->
-          serverless_fleet_finish
-            ~label:(serverless_day_label (Array.length nodes))
-            ~prefix_seconds:0. slots) );
-  ]
-
 let resume_from_file ?n ?spec ?(fault_seed = 42L) ~path () =
-  match (n, Snap.load_bytes ~path ()) with
-  | Some v, _ when v < 1 -> Error (Printf.sprintf "-n must be >= 1 (got %d)" v)
+  match (check_n n, Snap.load_bytes ~path ()) with
+  | Error m, _ -> Error m
   | _, Error e -> Error (Snap.error_to_string e)
-  | _, Ok (key, bytes) -> (
+  | Ok (), Ok (key, bytes) -> (
       let name =
         match String.index_opt key ':' with
         | Some i -> String.sub key 0 i
         | None -> key
       in
-      match List.assoc_opt name (resumers ~n ~spec ~fault_seed) with
+      match
+        List.assoc_opt name (families ~partition:`Host ~sim_jobs:1 ())
+      with
       | None -> Error (Printf.sprintf "unrecognised snapshot key %S" key)
-      | Some run ->
-          Result.map
-            (result_of_piece ~name:"resume" ~figure:"snapshot")
-            (run bytes))
-
-(* ------------------------------------------------------------------ *)
-(* Test and bench hooks: the [~snapshot] toggle of each prefixed family
-   (test/test_checkpoint.ml pins snapshot == unbroken), and the
-   fork-vs-cold pair bench/main.ml times. *)
-
-let scale_mode_curves ?(snapshot = true) ~counts slug =
-  match mode_of_slug slug with
-  | None -> invalid_arg ("scale_mode_curves: unknown mode " ^ slug)
-  | Some mode -> scale_mode_merged ~snapshot ~counts mode
-
-let scale_fleet_row ?(snapshot = true) ~count ~partition ~sim_jobs () =
-  scale_partitioned ~snapshot ~count ~partition ~sim_jobs
-
-let reliability_cell_piece ?(snapshot = true) ~n ~mode:slug ~spec ~seed ~level
-    () =
-  match mode_of_slug slug with
-  | None -> invalid_arg ("reliability_cell_piece: unknown mode " ^ slug)
-  | Some mode -> reliability_cell ~snapshot ~n ~mode ~spec ~seed ~level
-
-let cluster_drain_piece ?(snapshot = true) ~guests ~spec ~fault_seed () =
-  cluster_drain_job ~name:"cluster" ~hosts:(cluster_hosts ~guests) ~snapshot
-    ~guests ~spec ~fault_seed ()
-
-(* The bench pair: a cold unbroken run to [n + extra] guests vs a fork
-   of the cached [n]-guest image extended by [extra]. Same final curve
-   (the resume contract), a fraction of the work: the fork pays thaw
-   plus [extra] creations, the cold run pays all [n + extra]. *)
-
-let scale_bench_family ~n ~extra =
-  scale_family ~mode:Mode.chaos_xs ~bounds:[ n ] ~extra n
-
-let scale_bench_row lat =
-  match
-    scale_curve_rows ~mode:Mode.chaos_xs ~counts:[ Array.length lat ] lat
-  with
-  | [ row ] -> row
-  | _ -> assert false
-
-let scale_cold_full ~n ~extra =
-  scale_bench_row (unbroken (scale_bench_family ~n ~extra))
-
-let scale_prefix_warm ~n =
-  let t0 = wall () in
-  ignore (image (scale_bench_family ~n ~extra:0));
-  wall () -. t0
-
-let scale_fork_suffix ~n ~extra =
-  scale_bench_row (snd (forked (scale_bench_family ~n ~extra)))
+      | Some (Family f) -> resumed (resume (f.make ~n ~spec ~fault_seed) bytes))
 
 (* ------------------------------------------------------------------ *)
 (* The CLI's `serverless` subcommand: one configurable cell from flag
@@ -2629,8 +2398,8 @@ let scale_fork_suffix ~n ~extra =
    follow from rate * duration); otherwise [n] is the request budget
    and the duration follows from the mean rate. *)
 
-let serverless_run ?(snapshot = true) ?n ?duration ?spec
-    ?(fault_seed = 42L) ~arrival ~rate ~policy () =
+let serverless_run ?n ?duration ?spec ?(fault_seed = 42L) ~arrival ~rate
+    ~policy () =
   if rate <= 0. then Error "rate must be positive"
   else
     let requests, period =
@@ -2639,10 +2408,13 @@ let serverless_run ?(snapshot = true) ?n ?duration ?spec
       | None, Some v -> (v, float_of_int v /. rate)
       | None, None -> (2000, 2000. /. rate)
     in
-    match Arrival.of_flag ~rate ~period arrival with
-    | Error m -> Error m
-    | Ok arrival ->
-        Result.map
-          (result_of_piece ~name:"serverless" ~figure:"Open-loop serverless")
-          (serverless_cell_piece ~snapshot ~requests ~policy ~arrival ?spec
-             ~seed:fault_seed ())
+    match
+      ( Arrival.of_flag ~rate ~period arrival,
+        Serverless.policy_of_string policy )
+    with
+    | Error m, _ | _, Error m -> Error m
+    | Ok arrival, Ok policy ->
+        Ok
+          (result_of_piece ~name:"serverless" ~figure:"Open-loop serverless"
+             (serverless_cell ~requests ~policy ~arrival ?spec ~seed:fault_seed
+                ()))

@@ -143,11 +143,6 @@ type result = {
   series : labelled list;
   tables : Table.t list;
   notes : string list;
-  prefix_seconds : float;
-      (** Wall-clock seconds spent building or loading shared boot
-          prefixes (see {!prefixes}); [0.] for experiments that use
-          none. Real time, not simulated time: excluded from rendered
-          output so digests stay a pure function of the inputs. *)
 }
 
 val all : (string * (unit -> result)) list
@@ -189,9 +184,6 @@ type piece = {
   p_series : labelled list;
   p_tables : Table.t list;
   p_notes : string list;
-  p_prefix_seconds : float;
-      (** wall time this job spent building/loading shared prefixes;
-          summed across pieces into {!result.prefix_seconds} *)
 }
 (** One job's contribution to an experiment's output. *)
 
@@ -266,48 +258,49 @@ val run_plan : ?jobs:int -> plan -> result
     domain) and merge. [registry]'s runners are [run_plan] with the
     default. *)
 
-(** {1 Prefix caching and snapshot/resume}
+(** {1 Snapshot and resume}
 
-    Seven families declare shared {e boot prefixes}: the part of each
-    job's simulation that is identical across its variants — [scale]
-    (a host booted to N guests), [scale-fleet] (the partitioned row at
-    its wave-1 barrier), [reliability] (a warmed-up host), [cluster]
-    and [cluster-scale] (the cluster with all its guests running, the
-    drain job's prefix), [serverless] (a host with its warm pool
-    prefilled) and [serverless-day] (the prefilled fleet). Each family
-    is one record — key, partition layout, a prefix body returning the
-    model root, a suffix over that root — executed by one set of
-    generic runners: unbroken, forked from the cached image, or resumed
-    from a file. Each distinct prefix is simulated once per process
-    invocation, captured ({!Lightvm_sim.Engine.run_capture}) and
-    frozen to bytes ({!Lightvm_sim.Checkpoint.freeze}); every consumer
-    — including jobs on different {!Lightvm_sim.Pool} worker domains —
-    thaws its own deep copy and runs only its suffix. A suffix run from
-    a thawed image renders bit-identically to the unbroken simulation
-    (test/test_checkpoint.ml pins this across the jobs x partition
-    matrix); the wall time spent on prefixes is reported out of band as
-    {!result.prefix_seconds}. *)
+    Every experiment above runs each of its jobs as one unbroken
+    simulation. Seven families also name the state their suffix starts
+    from as a {e prefix} image: [scale] (a host booted to N guests),
+    [scale-fleet] (the partitioned row at its wave-1 barrier),
+    [reliability] (a warmed-up host), [cluster] and [cluster-scale]
+    (the cluster with all its guests running, before the drain),
+    [serverless] (a host with its warm pool prefilled) and
+    [serverless-day] (the prefilled fleet). An image is captured
+    ({!Lightvm_sim.Engine.run_capture}), frozen to bytes
+    ({!Lightvm_sim.Checkpoint.freeze}) and written to disk by
+    {!snapshot_to_file}; {!resume_from_file} runs the family's suffix
+    from the file in a later process. A suffix run from an image
+    renders bit-identically to the same suffix run unbroken
+    (test/test_checkpoint.ml pins this for every listed key across the
+    jobs x partition matrix). *)
 
 type prefix = {
   prefix_key : string;
-      (** cache key and on-disk config string, e.g. ["scale:chaos-xs@
-          2000"], ["scale-fleet:host/j1@10000"], ["reliability:xl"],
+      (** on-disk config string, e.g. ["scale:chaos-xs@2000"],
+          ["scale-fleet:host@10000"], ["reliability:xl"],
           ["cluster:drain@500"], ["serverless:warm@4"]; the text before
           [':'] names the family *)
   prefix_describe : string;  (** one-line human description *)
   prefix_build : unit -> string;
-      (** simulate (or fetch from the cache) and return frozen image
-          bytes *)
+      (** simulate the prefix and return the frozen image bytes *)
+  prefix_run :
+    ?n:int ->
+    ?spec:Lightvm_sim.Fault.spec ->
+    ?fault_seed:int64 ->
+    [ `Unbroken | `Image of string ] ->
+    (result, string) Stdlib.result;
+      (** the family's suffix, with {!resume_from_file}'s arguments and
+          defaults: [`Unbroken] simulates prefix and suffix in one run;
+          [`Image bytes] thaws bytes from [prefix_build] and runs the
+          suffix from them. Both render identically. *)
 }
 
 val prefixes :
   ?n:int -> ?partition:partition -> ?sim_jobs:int -> unit -> prefix list
-(** Every prefix the plans at this scale would use, addressable by
+(** Every prefix image of the families at this scale, addressable by
     name. *)
-
-val prefix_cache_reset : unit -> unit
-(** Drop all cached images (tests and cold-path benchmarks). Must not
-    race in-flight {!prefix.prefix_build} calls. *)
 
 val snapshot_to_file :
   ?n:int ->
@@ -349,66 +342,10 @@ val resume_from_file :
     - [serverless-day] fleet images run the [n]-request (default 8000)
       day, stream seed derived from [fault_seed].
 
-    [Error] for [n < 1], an unknown family name, or a header mismatch
-    (wrong magic, format version, producing binary) with the structured
-    reason — never garbage state. *)
-
-(** {1 Testing and bench hooks}
-
-    Each prefixed family exposes its [~snapshot] toggle: [true] (the
-    plans' default) runs the capture/freeze/thaw/resume path, [false]
-    the original unbroken single-simulation body. The checkpoint test
-    suite asserts both render bit-identically; the bench fork-vs-cold
-    pair times them against each other. *)
-
-val scale_mode_curves :
-  ?snapshot:bool -> counts:int list -> string -> float * labelled list
-(** One scale mode's merged curves, mode by slug (["xl"],
-    ["chaos-xs"], ["chaos-noxs"]). Returns [(prefix_seconds, rows)]. *)
-
-val scale_fleet_row :
-  ?snapshot:bool ->
-  count:int ->
-  partition:partition ->
-  sim_jobs:int ->
-  unit ->
-  float * labelled
-(** The partitioned fleet row: two fan-out waves, snapshot point at the
-    wave-1 barrier. *)
-
-val reliability_cell_piece :
-  ?snapshot:bool ->
-  n:int ->
-  mode:string ->
-  spec:Lightvm_sim.Fault.spec ->
-  seed:int64 ->
-  level:float ->
-  unit ->
-  piece
-(** One reliability cell (mode by slug), forked from the warmed-host
-    image when [snapshot]. *)
-
-val cluster_drain_piece :
-  ?snapshot:bool ->
-  guests:int ->
-  spec:Lightvm_sim.Fault.spec ->
-  fault_seed:int64 ->
-  unit ->
-  piece
-(** The cluster drain job, forked from the booted-cluster image when
-    [snapshot]. *)
-
-val scale_cold_full : n:int -> extra:int -> labelled
-(** Bench baseline: unbroken chaos [XS] run to [n + extra] guests. *)
-
-val scale_prefix_warm : n:int -> float
-(** Build (or fetch) the [n]-guest chaos [XS] image; returns the wall
-    seconds it took — the fork row's [prefix_seconds]. *)
-
-val scale_fork_suffix : n:int -> extra:int -> labelled
-(** Bench fork path: thaw the [n]-guest image and extend by [extra]
-    creations. Renders the same curve as {!scale_cold_full} (the
-    resume contract) for a fraction of the work. *)
+    [Error] for [n < 1], an unknown family name, a header mismatch
+    (wrong magic, format version, producing binary) or a payload that
+    fails its digest, with the structured reason — never garbage
+    state. *)
 
 (** {1 Serverless hooks}
 
@@ -422,7 +359,6 @@ val serverless_rate : float
     reflect queueing, not unbounded overload. *)
 
 val serverless_run :
-  ?snapshot:bool ->
   ?n:int ->
   ?duration:float ->
   ?spec:Lightvm_sim.Fault.spec ->
@@ -438,20 +374,6 @@ val serverless_run :
     arrivals) wins over [n] (a request budget) when both are given.
     [spec] injects creation faults, which surface as failed requests.
     [Error] on an unknown arrival or policy name. *)
-
-val serverless_cell_piece :
-  ?snapshot:bool ->
-  requests:int ->
-  policy:string ->
-  arrival:Lightvm_serverless.Arrival.process ->
-  ?spec:Lightvm_sim.Fault.spec ->
-  seed:int64 ->
-  unit ->
-  (piece, string) Stdlib.result
-(** One family cell with an explicit arrival process and seed;
-    [~snapshot:false] runs warm-pool cells unbroken instead of forking
-    the prefix image (the checkpoint-equality tests pin both paths to
-    the same render). *)
 
 val serverless_fleet :
   requests:int ->

@@ -104,7 +104,7 @@ val warm_pool : Lightvm_cluster.Vmm.t -> target:int -> unit
     host and synchronously prefill it (the flavor is the same one
     {!run_node} creates from, so takes hit). Prefilling never parks a
     background process, so a host warmed this way can be captured into
-    a checkpoint prefix image and forked across cells. *)
+    a checkpoint snapshot image. *)
 
 val run_node : config -> Lightvm_cluster.Vmm.t -> stats
 (** Drive one node's full open-loop run against [host] from inside a

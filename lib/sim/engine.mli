@@ -102,9 +102,9 @@ val resume : ?jobs:int -> ?adaptive:bool -> saved -> (unit -> unit) -> float
     Plain captures resume on a plain engine; partitioned captures
     resume under the same lookahead with [jobs] workers. Returns the
     final (largest) clock. A [saved] value may be resumed any number of
-    times, but the closures it holds share model state: to fork
-    independent variants, deep-copy the image first
-    ({!Checkpoint.fork}). *)
+    times, but the closures it holds share model state: to run
+    independent variants, thaw a fresh copy of the frozen image for
+    each ({!Checkpoint.thaw}). *)
 
 val resume_capture :
   ?jobs:int -> ?adaptive:bool -> saved -> (unit -> unit) -> float * saved

@@ -58,3 +58,15 @@ let name t =
   | Chaos, Xenstore, true -> "chaos [XS+split]"
   | Chaos, Noxs, false -> "chaos [NoXS]"
   | Chaos, Noxs, true -> "LightVM"
+
+(* CLI-safe spelling of [name] ("chaos [XS]" -> "chaos-xs"): the
+   [boot --mode] values and the mode part of snapshot keys. *)
+let slug t =
+  match (t.impl, t.registry, t.split) with
+  | Xl, _, _ -> "xl"
+  | Chaos, Xenstore, false -> "chaos-xs"
+  | Chaos, Xenstore, true -> "chaos-xs-split"
+  | Chaos, Noxs, false -> "chaos-noxs"
+  | Chaos, Noxs, true -> "lightvm"
+
+let of_slug s = List.find_opt (fun m -> String.equal (slug m) s) all_modes

@@ -1,9 +1,9 @@
-(* Checkpoint/restore and experiment prefix caching: a suffix run from
-   a thawed image must render bit-identically to the unbroken
-   simulation, across the jobs x partition matrix and under injected
-   faults; one image must support any number of independent forks; and
-   the on-disk format must refuse foreign or stale files with a
-   structured error instead of deserializing garbage. *)
+(* Checkpoint/restore: a family suffix run from a frozen image must
+   render bit-identically to the same suffix run unbroken, for every
+   listed image across the jobs x partition matrix and under injected
+   faults; one image must support any number of independent runs; and
+   the on-disk format must refuse foreign, stale or corrupted files with
+   a structured error instead of deserializing garbage. *)
 
 module E = Lightvm.Experiment
 module Engine = Lightvm_sim.Engine
@@ -13,78 +13,82 @@ module Series = Lightvm_metrics.Series
 module Table = Lightvm_metrics.Table
 
 (* Exact (hex) floats, as in test_partition.ml: any numeric divergence
-   must show in the digest. [p_prefix_seconds] is wall-clock time and
-   deliberately NOT rendered — the digest is a pure function of the
-   simulated output. *)
-let add_labelled buf (l : E.labelled) =
-  Buffer.add_string buf ("# " ^ l.E.label ^ "\n");
+   must show in the digest. *)
+let render (r : E.result) =
+  let buf = Buffer.create 4096 in
   List.iter
-    (fun (x, y) -> Buffer.add_string buf (Printf.sprintf "%h\t%h\n" x y))
-    (Series.points l.E.series)
-
-let digest_rows rows =
-  let buf = Buffer.create 4096 in
-  List.iter (add_labelled buf) rows;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let digest_piece (p : E.piece) =
-  let buf = Buffer.create 4096 in
-  List.iter (add_labelled buf) p.E.p_series;
+    (fun (l : E.labelled) ->
+      Buffer.add_string buf ("# " ^ l.E.label ^ "\n");
+      List.iter
+        (fun (x, y) -> Buffer.add_string buf (Printf.sprintf "%h\t%h\n" x y))
+        (Series.points l.E.series))
+    r.E.series;
   List.iter
     (fun t -> Buffer.add_string buf (Format.asprintf "%a@." Table.pp t))
-    p.E.p_tables;
-  List.iter (fun n -> Buffer.add_string buf (n ^ "\n")) p.E.p_notes;
+    r.E.tables;
+  List.iter (fun n -> Buffer.add_string buf (n ^ "\n")) r.E.notes;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let parse_spec s =
   match Fault.parse_spec s with Ok s -> s | Error e -> failwith e
 
-(* ------------------------------------------------------------------ *)
-(* Scale: chained images (boot to 300, snapshot, extend to 700,
-   snapshot) must render every count's curve exactly as one unbroken
-   simulation does. *)
+let prefix ?n key =
+  match
+    List.find_opt
+      (fun (p : E.prefix) -> String.equal p.E.prefix_key key)
+      (E.prefixes ?n ())
+  with
+  | Some p -> p
+  | None -> Alcotest.failf "no prefix %s" key
 
-let test_scale_snapshot_equal () =
-  E.prefix_cache_reset ();
+let ok key = function
+  | Ok r -> render r
+  | Error msg -> Alcotest.failf "%s: %s" key msg
+
+let write_raw path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let read_raw path = In_channel.with_open_bin path In_channel.input_all
+
+let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
+
+(* ------------------------------------------------------------------ *)
+(* Suffixes from an image = unbroken suffixes. *)
+
+(* Every listed key, captured under each (partition, sim_jobs) config:
+   snapshot to a file, resume it twice with the CLI's default flags,
+   and compare against the same suffix run unbroken. A family that can
+   be snapshotted but not resumed, or whose image diverges from its
+   unbroken twin, fails here. *)
+let test_every_key_resumes () =
+  let path = tmp "lvm_test_every_key.lvmsnap" in
   List.iter
-    (fun (slug, counts) ->
-      let _, unbroken = E.scale_mode_curves ~snapshot:false ~counts slug in
-      let _, forked = E.scale_mode_curves ~snapshot:true ~counts slug in
-      Alcotest.(check string)
-        (slug ^ " snapshot = unbroken")
-        (digest_rows unbroken) (digest_rows forked))
-    [ ("chaos-xs", [ 300; 700 ]); ("xl", [ 200 ]); ("chaos-noxs", [ 400 ]) ]
+    (fun (partition, sim_jobs, cfg) ->
+      List.iter
+        (fun (p : E.prefix) ->
+          let key = p.E.prefix_key in
+          let name = Printf.sprintf "%s (%s)" key cfg in
+          (match
+             E.snapshot_to_file ~n:24 ~partition ~sim_jobs ~key ~path ()
+           with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.failf "snapshot %s: %s" name msg);
+          let resumed () = ok name (E.resume_from_file ~path ()) in
+          let first = resumed () in
+          Alcotest.(check string) (name ^ " resumes identically") first
+            (resumed ());
+          Alcotest.(check string)
+            (name ^ " resume = unbroken")
+            (ok name (p.E.prefix_run `Unbroken))
+            first)
+        (E.prefixes ~n:24 ~partition ~sim_jobs ()))
+    [ (`Host, 1, "host/j1"); (`Host, 4, "host/j4"); (`None, 1, "none/j1") ];
+  Sys.remove path
 
-(* ------------------------------------------------------------------ *)
-(* Fleet: the partitioned row's snapshot point is the wave-1 barrier.
-   Captured under any (partition, sim_jobs) config, the resumed second
-   wave must match the unbroken two-wave run — and every cell of the
-   matrix must agree with every other. *)
-
-let test_fleet_snapshot_matrix () =
-  E.prefix_cache_reset ();
-  let count = 240 in
-  let digest ~snapshot partition sim_jobs =
-    let _, row = E.scale_fleet_row ~snapshot ~count ~partition ~sim_jobs () in
-    digest_rows [ row ]
-  in
-  let reference = digest ~snapshot:false `Host 1 in
-  List.iter
-    (fun (partition, sim_jobs, name) ->
-      Alcotest.(check string)
-        ("unbroken " ^ name) reference
-        (digest ~snapshot:false partition sim_jobs);
-      Alcotest.(check string)
-        ("snapshot " ^ name) reference
-        (digest ~snapshot:true partition sim_jobs))
-    [
-      (`Host, 1, "host/j1"); (`Host, 8, "host/j8");
-      (`None, 1, "none/j1"); (`None, 8, "none/j8");
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Cluster drain under scaled migration faults: random (guests, seed,
-   fault multiplier) triples, forked from the booted-cluster image vs
+   fault multiplier) triples, from the booted-cluster image vs
    simulated unbroken. *)
 
 let drain_arb =
@@ -100,72 +104,77 @@ let prop_drain_snapshot =
   QCheck.Test.make
     ~name:"drain from image = unbroken drain (scaled migrate.corrupt)"
     ~count:5 drain_arb (fun (guests, fault_seed, mult) ->
-      E.prefix_cache_reset ();
       let spec = Fault.scale (parse_spec E.cluster_fault_spec) mult in
-      let unbroken =
-        E.cluster_drain_piece ~snapshot:false ~guests ~spec ~fault_seed ()
-      in
-      let forked =
-        E.cluster_drain_piece ~snapshot:true ~guests ~spec ~fault_seed ()
-      in
-      String.equal (digest_piece unbroken) (digest_piece forked))
+      let key = Printf.sprintf "cluster:drain@%d" guests in
+      let p = prefix ~n:guests key in
+      let run origin = ok key (p.E.prefix_run ~spec ~fault_seed origin) in
+      String.equal (run `Unbroken) (run (`Image (p.E.prefix_build ()))))
 
-(* ------------------------------------------------------------------ *)
-(* Reliability: cells forked from one warmed-host image vs unbroken,
-   and — the fork-many contract — two different suffixes thawed from
-   the SAME cached image must each match their unbroken twin: forks
-   share no mutable state. *)
-
+(* The fork-many contract: different suffixes thawed from the SAME
+   image bytes must each match their unbroken twin — each thaw is a
+   fresh copy, so runs share no mutable state. *)
 let test_reliability_snapshot_equal () =
-  E.prefix_cache_reset ();
   let spec = parse_spec E.reliability_default_spec in
   List.iter
-    (fun (slug, seed, level) ->
-      (* No cache reset between iterations: chaos-xs at two seeds runs
-         both suffixes from the image built on the first hit. *)
-      let cell snapshot =
-        E.reliability_cell_piece ~snapshot ~n:60 ~mode:slug ~spec ~seed
-          ~level ()
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "%s seed=%Ld x%g" slug seed level)
-        (digest_piece (cell false))
-        (digest_piece (cell true)))
+    (fun (slug, cells) ->
+      let key = "reliability:" ^ slug in
+      let p = prefix key in
+      let image = p.E.prefix_build () in
+      List.iter
+        (fun (seed, level) ->
+          let spec = Fault.scale spec level in
+          let run origin =
+            ok key (p.E.prefix_run ~n:60 ~spec ~fault_seed:seed origin)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s seed=%Ld x%g" slug seed level)
+            (run `Unbroken)
+            (run (`Image image)))
+        cells)
     [
-      ("xl", 42L, 1.); ("chaos-xs", 42L, 2.); ("chaos-xs", 7L, 2.);
-      ("chaos-noxs", 42L, 1.);
+      ("xl", [ (42L, 1.) ]);
+      ("chaos-xs", [ (42L, 2.); (7L, 2.) ]);
+      ("chaos-noxs", [ (42L, 1.) ]);
     ]
 
 (* Restore-twice: the same suffix replayed from one image is
    reproducible (thaw makes a fresh copy each time, so the first replay
    cannot have consumed or mutated anything the second needs). *)
 let test_restore_twice () =
-  E.prefix_cache_reset ();
-  let once () = digest_rows [ E.scale_fork_suffix ~n:150 ~extra:15 ] in
+  let p = prefix ~n:150 "scale:chaos-xs@150" in
+  let image = p.E.prefix_build () in
+  let once () = ok "scale" (p.E.prefix_run ~n:15 (`Image image)) in
   let first = once () in
-  Alcotest.(check string) "second fork identical" first (once ());
-  Alcotest.(check string) "fork = unbroken"
-    (digest_rows [ E.scale_cold_full ~n:150 ~extra:15 ])
+  Alcotest.(check string) "second run identical" first (once ());
+  Alcotest.(check string) "image = unbroken"
+    (ok "scale" (p.E.prefix_run ~n:15 `Unbroken))
     first
 
 (* ------------------------------------------------------------------ *)
 (* Format hygiene. The header is checked magic-first, then version,
-   then integrity, then producing binary, then (on request) config —
-   each failure surfaces as its own structured error. *)
-
-let write_raw path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
-let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
+   then header integrity, then producing binary, then (on request)
+   config; the payload digest before any unmarshalling. Each failure
+   surfaces as its own structured error. *)
 
 let magic = "LVMSNAP\x01"
 
-(* Structurally identical to the module's private header record: a
-   4-field tag-0 block, so [input_value] reads it back as one. *)
+let u32 n =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.to_string b
+
+(* The module's fixed-layout header (lib/sim/checkpoint.ml), forged by
+   hand: version, binary digest, payload digest, config length, config,
+   then the digest of those fields. *)
 let raw_header ~version ~binary ~config =
-  Marshal.to_string (version, binary, config, Digest.string config) []
+  let fields =
+    String.concat ""
+      [
+        u32 version; binary; Digest.string ""; u32 (String.length config);
+        config;
+      ]
+  in
+  magic ^ fields ^ Digest.string fields
 
 let check_error name expected_sub = function
   | Ok _ -> Alcotest.fail (name ^ ": expected an error")
@@ -201,17 +210,15 @@ let test_header_mismatches () =
   check_error "empty" "bad magic" (Checkpoint.inspect ~path);
   (* Right magic, wrong format version. *)
   write_raw path
-    (magic
-    ^ raw_header
-        ~version:(Checkpoint.format_version + 1)
-        ~binary:(Digest.string "whatever") ~config:"scale:chaos-xs@100");
+    (raw_header
+       ~version:(Checkpoint.format_version + 1)
+       ~binary:(Digest.string "whatever") ~config:"scale:chaos-xs@100");
   check_error "future version" "format version" (Checkpoint.inspect ~path);
   (* Right version, foreign producing binary. *)
   write_raw path
-    (magic
-    ^ raw_header ~version:Checkpoint.format_version
-        ~binary:(Digest.string "some other executable")
-        ~config:"scale:chaos-xs@100");
+    (raw_header ~version:Checkpoint.format_version
+       ~binary:(Digest.string "some other executable")
+       ~config:"scale:chaos-xs@100");
   check_error "foreign binary" "different binary" (Checkpoint.inspect ~path);
   (* Valid file, caller expects a different config. *)
   (match Checkpoint.save ~path ~config:"unit:a" (1, 2) with
@@ -220,9 +227,9 @@ let test_header_mismatches () =
   check_error "config mismatch" "config mismatch"
     (Checkpoint.load ~expect_config:"unit:b" ~path () :
       (string * (int * int), Checkpoint.error) result);
-  (* Flipping a byte of the stored config breaks the header's config
-     digest. The config is in the clear, so find it in the bytes. *)
-  let valid = In_channel.with_open_bin path In_channel.input_all in
+  (* Flipping a byte of the stored config breaks the header digest. The
+     config is in the clear, so find it in the bytes. *)
+  let valid = read_raw path in
   let corrupt = Bytes.of_string valid in
   let i =
     let rec find i =
@@ -235,9 +242,62 @@ let test_header_mismatches () =
   in
   Bytes.set corrupt (i + 5) 'z';
   write_raw path (Bytes.to_string corrupt);
-  (match Checkpoint.inspect ~path with
-  | Ok _ -> Alcotest.fail "tampered header accepted"
-  | Error _ -> ());
+  check_error "tampered config" "header digest" (Checkpoint.inspect ~path);
+  (* A config length beyond the file is a truncated header, not an
+     allocation of whatever the bytes say. *)
+  write_raw path (String.sub valid 0 (String.length magic + 40));
+  check_error "truncated header" "corrupt header" (Checkpoint.inspect ~path);
+  Sys.remove path
+
+(* Every single-byte flip in the payload region must be caught by the
+   payload digest before [Marshal] sees the bytes — a closure image
+   unmarshalled from corrupted bytes can crash the process. The sweep
+   covers every byte of a small closure payload through the module, and
+   40 spread positions of a real experiment image through the CLI's
+   resume path. *)
+let test_payload_flips_refused () =
+  let path = tmp "lvm_test_flip.lvmsnap" in
+  let flip_all ~start valid refused =
+    for i = start to String.length valid - 1 do
+      let b = Bytes.of_string valid in
+      Bytes.set b i (Char.chr (Char.code valid.[i] lxor (1 lsl (i mod 8))));
+      write_raw path (Bytes.to_string b);
+      if not (refused ()) then Alcotest.failf "payload flip at %d accepted" i
+    done
+  in
+  let payload = (List.init 20 string_of_int, fun x -> x + 1) in
+  (match Checkpoint.save ~path ~config:"unit:flip" payload with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Checkpoint.error_to_string e));
+  let valid = read_raw path in
+  let frozen =
+    match Checkpoint.freeze payload with
+    | Ok b -> b
+    | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
+  in
+  flip_all
+    ~start:(String.length valid - String.length frozen)
+    valid
+    (fun () -> Result.is_error (Checkpoint.load_bytes ~path ()));
+  (match E.snapshot_to_file ~n:24 ~key:"scale:chaos-xs@24" ~path () with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  let image = read_raw path in
+  let frozen = (prefix ~n:24 "scale:chaos-xs@24").E.prefix_build () in
+  let start = String.length image - String.length frozen in
+  let step = max 1 (String.length frozen / 40) in
+  for k = 0 to 39 do
+    let i = start + min (String.length frozen - 1) (k * step) in
+    let b = Bytes.of_string image in
+    Bytes.set b i (Char.chr (Char.code image.[i] lxor 0x55));
+    write_raw path (Bytes.to_string b);
+    match E.resume_from_file ~path () with
+    | Ok _ ->
+        Alcotest.failf "image flip at payload byte %d accepted" (i - start)
+    | Error msg ->
+        if not (Astring_check.contains msg "payload") then
+          Alcotest.failf "flip at %d: unexpected error %S" (i - start) msg
+  done;
   Sys.remove path
 
 let test_not_quiesced () =
@@ -254,53 +314,26 @@ let test_not_quiesced () =
   | Ok _ -> Alcotest.fail "parked continuation marshalled"
 
 (* ------------------------------------------------------------------ *)
-(* The CLI surface: snapshot_to_file / resume_from_file. A resume from
-   disk must equal the in-process fork (and hence the unbroken run);
-   unknown keys are refused. *)
+(* The CLI surface: snapshot_to_file / resume_from_file. *)
 
+(* A resume from disk with an explicit -n equals the same suffix run
+   unbroken: -n reaches the suffix on both paths. *)
 let test_snapshot_file_roundtrip () =
-  E.prefix_cache_reset ();
   let path = tmp "lvm_test_scale.lvmsnap" in
-  (match
-     E.snapshot_to_file ~n:150 ~key:"scale:chaos-xs@150" ~path ()
-   with
+  (match E.snapshot_to_file ~n:150 ~key:"scale:chaos-xs@150" ~path () with
   | Ok _description -> ()
   | Error msg -> Alcotest.fail msg);
-  let resumed () =
-    match E.resume_from_file ~n:15 ~path () with
-    | Ok r -> digest_rows r.E.series
-    | Error msg -> Alcotest.fail msg
-  in
+  let resumed () = ok "resume" (E.resume_from_file ~n:15 ~path ()) in
   let first = resumed () in
   Alcotest.(check string) "resume twice identical" first (resumed ());
-  Alcotest.(check string) "resume = in-process fork"
-    (digest_rows [ E.scale_fork_suffix ~n:150 ~extra:15 ])
-    first
-
-(* Every listed prefix key round-trips through a file: a family that
-   can be snapshotted but not resumed fails here. *)
-let test_every_key_resumes () =
-  E.prefix_cache_reset ();
-  let path = tmp "lvm_test_every_key.lvmsnap" in
-  List.iter
-    (fun (p : E.prefix) ->
-      let key = p.E.prefix_key in
-      (match E.snapshot_to_file ~n:24 ~sim_jobs:1 ~key ~path () with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.failf "snapshot %s: %s" key msg);
-      let resumed () =
-        match E.resume_from_file ~n:24 ~path () with
-        | Ok r -> digest_rows r.E.series ^ String.concat "\n" r.E.notes
-        | Error msg -> Alcotest.failf "resume %s: %s" key msg
-      in
-      let first = resumed () in
-      Alcotest.(check string) (key ^ " resumes identically") first (resumed ()))
-    (E.prefixes ~n:24 ~sim_jobs:1 ());
+  let p = prefix ~n:150 "scale:chaos-xs@150" in
+  Alcotest.(check string) "resume = unbroken"
+    (ok "unbroken" (p.E.prefix_run ~n:15 `Unbroken))
+    first;
   Sys.remove path
 
 (* A bad -n is a structured error, not a crash or a silent no-op. *)
 let test_resume_bad_n () =
-  E.prefix_cache_reset ();
   let path = tmp "lvm_test_bad_n.lvmsnap" in
   List.iter
     (fun key ->
@@ -309,8 +342,11 @@ let test_resume_bad_n () =
       | Error msg -> Alcotest.fail msg);
       List.iter
         (fun n ->
-          match E.resume_from_file ~n ~path () with
+          (match E.resume_from_file ~n ~path () with
           | Ok _ -> Alcotest.failf "%s: -n %d accepted" key n
+          | Error _ -> ());
+          match (prefix ~n:24 key).E.prefix_run ~n `Unbroken with
+          | Ok _ -> Alcotest.failf "%s: unbroken -n %d accepted" key n
           | Error _ -> ())
         [ 0; -1; -5 ])
     [ "scale:chaos-xs@24"; "reliability:xl" ];
@@ -319,7 +355,6 @@ let test_resume_bad_n () =
 (* The resumed serverless suffix is the in-process cell's: --faults
    reaches it. *)
 let test_serverless_resume_faults () =
-  E.prefix_cache_reset ();
   let path = tmp "lvm_test_serverless.lvmsnap" in
   (match E.snapshot_to_file ~key:"serverless:warm@4" ~path () with
   | Ok _ -> ()
@@ -346,10 +381,6 @@ let suites =
   [
     ( "checkpoint.prefix",
       [
-        Alcotest.test_case "scale: snapshot = unbroken" `Slow
-          test_scale_snapshot_equal;
-        Alcotest.test_case "fleet: matrix snapshot = unbroken" `Slow
-          test_fleet_snapshot_matrix;
         QCheck_alcotest.to_alcotest prop_drain_snapshot;
         Alcotest.test_case "reliability: forks = unbroken twins" `Slow
           test_reliability_snapshot_equal;
@@ -362,6 +393,8 @@ let suites =
           test_save_load_roundtrip;
         Alcotest.test_case "header mismatches refused" `Quick
           test_header_mismatches;
+        Alcotest.test_case "payload byte flips refused" `Quick
+          test_payload_flips_refused;
         Alcotest.test_case "unquiesced state refused" `Quick
           test_not_quiesced;
         Alcotest.test_case "snapshot/resume via file" `Slow

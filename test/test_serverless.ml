@@ -1,7 +1,6 @@
 (* The open-loop serverless family (DESIGN.md section 12): the
    determinism invariant (equal seed => equal digest across the
-   jobs x partition matrix and across snapshot-forked vs unbroken
-   warm-pool cells), the queueing core against M/M/k theory, the
+   jobs x partition matrix), the queueing core against M/M/k theory, the
    autoscaler's exact resource accounting after a drain, and the
    streaming quantile accumulator it all reports through. *)
 
@@ -80,21 +79,6 @@ let test_family_jobs_matrix () =
   let reference = digest 1 `Host in
   Alcotest.(check string) "jobs=8" reference (digest 8 `Host);
   Alcotest.(check string) "partition=none" reference (digest 1 `None)
-
-(* Warm-pool cells forked from the prefix image must render exactly as
-   the unbroken twin that builds the host inline. *)
-let test_snapshot_matches_unbroken () =
-  let cell snapshot =
-    E.prefix_cache_reset ();
-    match
-      E.serverless_cell_piece ~snapshot ~requests:200 ~policy:"warmpool"
-        ~arrival:(A.Poisson { rate = E.serverless_rate })
-        ~seed:7L ()
-    with
-    | Ok p -> piece_digest p
-    | Error m -> Alcotest.fail m
-  in
-  Alcotest.(check string) "fork == unbroken" (cell false) (cell true)
 
 (* ------------------------------------------------------------------ *)
 (* Queueing core vs M/M/k theory: with pure-delay service (no VM
@@ -203,8 +187,6 @@ let suites =
       [
         Alcotest.test_case "family digest: jobs x partition" `Quick
           test_family_jobs_matrix;
-        Alcotest.test_case "warm cell: fork == unbroken" `Quick
-          test_snapshot_matches_unbroken;
         QCheck_alcotest.to_alcotest prop_fleet_matrix;
         Alcotest.test_case "M/M/k mean sojourn vs Erlang C" `Quick
           test_mmk_mean_sojourn;

@@ -17,7 +17,7 @@ module Vmm = Lightvm_cluster.Vmm
 module E = Lightvm.Experiment
 
 (* Guests keep periodic timers alive, so experiments stop the engine
-   once the body returns (same shape as Experiment.run_sim). *)
+   once the body returns (same shape as Experiment.sim). *)
 let run_sim f =
   let result = ref None in
   ignore
