@@ -3,11 +3,11 @@ module Image = Lightvm_guest.Image
 module Switch = Lightvm_net.Switch
 module Packet = Lightvm_net.Packet
 module Migrate = Lightvm_toolstack.Migrate
+module Xen = Lightvm_hv.Xen
 
 type t = {
   nodes : Vmm.t array;
   partitioned : bool;
-  racks : int;
   hosts_per_rack : int;
   sched : Scheduler.t;
   net : Switch.t;
@@ -41,16 +41,14 @@ let vm_count t =
   Array.fold_left (fun acc h -> acc + Vmm.vm_count h) 0 t.nodes
 
 let views t =
-  Array.to_list
-    (Array.mapi
-       (fun i h ->
-         {
-           Scheduler.hv_id = i;
-           hv_rack = i / t.hosts_per_rack;
-           hv_vms = Vmm.vm_count h;
-           hv_free_kb = (Vmm.host_info h).Vmm.hi_free_mem_kb;
-         })
-       t.nodes)
+  List.init (Array.length t.nodes) (fun i ->
+      let h = t.nodes.(i) in
+      {
+        Scheduler.hv_id = i;
+        hv_rack = rack_of t i;
+        hv_vms = Vmm.vm_count h;
+        hv_free_kb = Xen.free_mem_kb (Vmm.xen h);
+      })
 
 (* Warm one host: a full create+boot+destroy cycle through its own API.
    The first creation materialises shared store directories (/vm, the
@@ -102,7 +100,6 @@ let create ~hosts:n ?(racks = 1) ?(partitioned = false) ?platform ?mode
   {
     nodes;
     partitioned;
-    racks;
     hosts_per_rack = (n + racks - 1) / racks;
     sched = Scheduler.make policy;
     net;

@@ -91,7 +91,9 @@ val vm_count : t -> int
 (** Live VMs across all hosts. *)
 
 val views : t -> Scheduler.host_view list
-(** The scheduler's current picture of the cluster, by host id. *)
+(** The scheduler's current picture of the cluster, by host id. Each
+    view costs O(1): the host's VM count and free memory are counters,
+    the same numbers {!Vmm.host_info} reports. *)
 
 (** {1 Placement} *)
 

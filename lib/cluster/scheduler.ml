@@ -28,56 +28,76 @@ let make pol = { pol; cursor = 0 }
 
 let policy t = t.pol
 
-(* Pick the view minimising [key] (hosts can arrive in any order, so
-   the id is always the last tie-breaker). *)
-let min_by key feasible =
-  List.fold_left
-    (fun best h ->
-      match best with
-      | None -> Some h
-      | Some b -> if compare (key h) (key b) < 0 then Some h else best)
-    None feasible
+(* The feasible view that [better] ranks first, in one pass. Every
+   ranking ends on the id, so the choice never depends on list order
+   (hosts can arrive in any order). *)
+let pick better ~mem_kb hosts =
+  let rec scan best = function
+    | [] -> best
+    | h :: rest ->
+        scan
+          (if h.hv_free_kb >= mem_kb && better h best then h else best)
+          rest
+  in
+  let rec first = function
+    | [] -> None
+    | h :: rest ->
+        if h.hv_free_kb >= mem_kb then Some (scan h rest) else first rest
+  in
+  first hosts
+
+(* VMs per rack over every view given, infeasible hosts included. *)
+let rack_loads hosts =
+  let racks =
+    List.fold_left
+      (fun n h -> if h.hv_rack >= n then h.hv_rack + 1 else n)
+      0 hosts
+  in
+  let loads = Array.make racks 0 in
+  List.iter (fun h -> loads.(h.hv_rack) <- loads.(h.hv_rack) + h.hv_vms) hosts;
+  loads
 
 let place t ~hosts ~mem_kb =
-  let feasible = List.filter (fun h -> h.hv_free_kb >= mem_kb) hosts in
-  match feasible with
-  | [] ->
+  let chosen =
+    match t.pol with
+    | Binpack ->
+        (* Tightest fit: least free memory, then lowest id. *)
+        pick
+          (fun a b ->
+            if a.hv_free_kb <> b.hv_free_kb then a.hv_free_kb < b.hv_free_kb
+            else a.hv_id < b.hv_id)
+          ~mem_kb hosts
+    | Spread ->
+        (* Least-loaded rack first (failure-domain spreading), then
+           least-loaded host, then most free memory, then id. *)
+        let loads = rack_loads hosts in
+        pick
+          (fun a b ->
+            let la = loads.(a.hv_rack) and lb = loads.(b.hv_rack) in
+            if la <> lb then la < lb
+            else if a.hv_vms <> b.hv_vms then a.hv_vms < b.hv_vms
+            else if a.hv_free_kb <> b.hv_free_kb then
+              a.hv_free_kb > b.hv_free_kb
+            else a.hv_id < b.hv_id)
+          ~mem_kb hosts
+    | Pool_everywhere ->
+        (* Round-robin over host ids, skipping infeasible hosts: the
+           lowest id at or past the cursor, else (wrapping) the lowest
+           id, so consecutive VMs land on consecutive warm pools. *)
+        let cursor = t.cursor in
+        let chosen =
+          pick
+            (fun a b ->
+              if a.hv_id < cursor then b.hv_id < cursor && a.hv_id < b.hv_id
+              else b.hv_id < cursor || a.hv_id < b.hv_id)
+            ~mem_kb hosts
+        in
+        (match chosen with Some h -> t.cursor <- h.hv_id + 1 | None -> ());
+        chosen
+  in
+  match chosen with
+  | None ->
       Error
         (Printf.sprintf "no host with %d kB free (cluster of %d)" mem_kb
            (List.length hosts))
-  | _ -> (
-      match t.pol with
-      | Binpack ->
-          (* Tightest fit: least free memory, then lowest id. *)
-          let chosen =
-            min_by (fun h -> (h.hv_free_kb, h.hv_id)) feasible
-          in
-          Ok (Option.get chosen).hv_id
-      | Spread ->
-          (* Least-loaded rack first (failure-domain spreading), then
-             least-loaded host, then most free memory, then id. *)
-          let rack_vms rack =
-            List.fold_left
-              (fun acc h -> if h.hv_rack = rack then acc + h.hv_vms else acc)
-              0 hosts
-          in
-          let chosen =
-            min_by
-              (fun h -> (rack_vms h.hv_rack, h.hv_vms, -h.hv_free_kb, h.hv_id))
-              feasible
-          in
-          Ok (Option.get chosen).hv_id
-      | Pool_everywhere ->
-          (* Round-robin over host ids, skipping infeasible hosts: the
-             cursor walks the id space so consecutive VMs land on
-             consecutive warm pools. *)
-          let sorted =
-            List.sort (fun a b -> compare a.hv_id b.hv_id) feasible
-          in
-          let chosen =
-            match List.find_opt (fun h -> h.hv_id >= t.cursor) sorted with
-            | Some h -> h
-            | None -> List.hd sorted
-          in
-          t.cursor <- chosen.hv_id + 1;
-          Ok chosen.hv_id)
+  | Some h -> Ok h.hv_id

@@ -34,7 +34,9 @@ val parse_policy : string -> (policy, string) result
 (** What the scheduler sees of one host. *)
 type host_view = {
   hv_id : int;  (** host index in the cluster *)
-  hv_rack : int;  (** failure domain *)
+  hv_rack : int;
+      (** failure domain: a non-negative rack index (indices need not
+          be contiguous) *)
   hv_vms : int;  (** VMs currently placed there *)
   hv_free_kb : int;  (** free host memory *)
 }
@@ -51,4 +53,11 @@ val place : t -> hosts:host_view list -> mem_kb:int -> (int, string) result
 (** Pick the host for a VM needing [mem_kb] of free memory. [Ok id] is
     the chosen host's [hv_id]; [Error _] means no host has that much
     memory free. Hosts may be passed in any order — ties are broken on
-    [hv_id], never on list position. *)
+    [hv_id], never on list position.
+
+    Cost: O(hosts) for every policy. The host is picked in a single
+    pass over [hosts] with integer comparisons — no sorting and no
+    per-host allocation. {!Spread} first sums each rack's VMs over
+    every view given, infeasible hosts included.
+    @raise Invalid_argument under {!Spread} when a view has a negative
+    [hv_rack]. *)

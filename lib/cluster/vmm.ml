@@ -191,13 +191,7 @@ let ping t =
   { pg_version = api_version; pg_host_id = t.host_id;
     pg_vm_count = Toolstack.vm_count t.ts }
 
-let guest_mem_kb t =
-  List.fold_left
-    (fun acc dom ->
-      let domid = Lightvm_hv.Domain.domid dom in
-      if domid = 0 then acc else acc + Xen.domain_mem_kb t.xen ~domid)
-    0
-    (Xen.domains t.xen)
+let guest_mem_kb t = Xen.guest_mem_kb t.xen
 
 let host_info t =
   {

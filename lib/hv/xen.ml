@@ -216,3 +216,10 @@ let free_mem_kb t = Frames.free_kb t.frames
 let used_mem_kb t = Frames.used_kb t.frames
 let total_mem_kb t = Frames.total_kb t.frames
 let domain_mem_kb t ~domid = Frames.owned_kb t.frames ~owner:domid
+
+(* Every frame is held by Xen, Dom0 or a live guest: [destroy] frees a
+   domain's frames as it retires the domid. *)
+let guest_mem_kb t =
+  used_mem_kb t
+  - Frames.owned_kb t.frames ~owner:xen_owner
+  - Frames.owned_kb t.frames ~owner:0

@@ -102,3 +102,7 @@ val total_mem_kb : t -> int
 
 val domain_mem_kb : t -> domid:int -> int
 (** Frames held on behalf of the domain (RAM + hypervisor overhead). *)
+
+val guest_mem_kb : t -> int
+(** Frames held by all guest domains (the sum of {!domain_mem_kb} over
+    every live domain but Dom0), read off the frame accounting in O(1). *)

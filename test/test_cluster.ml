@@ -1,9 +1,11 @@
 (* The cluster control plane: scheduler policy shapes (binpack fills
    host 0 first; spread never co-locates in a failure domain while an
-   empty one has capacity), drain/rebalance under injected migration
-   corruption with exact loss accounting, and a qcheck property pinning
-   that the whole cluster experiment family is a pure function of its
-   seed — identical placement and digests for any --jobs. *)
+   empty one has capacity), a qcheck property holding the one-pass
+   placement to a list-based reference, its allocation flat in the
+   host count, drain/rebalance under injected migration corruption with
+   exact loss accounting, and a qcheck property pinning that the whole
+   cluster experiment family is a pure function of its seed — identical
+   placement and digests for any --jobs. *)
 
 module Engine = Lightvm_sim.Engine
 module Fault = Lightvm_sim.Fault
@@ -106,6 +108,12 @@ let test_scheduler_no_capacity () =
   List.iter
     (fun policy ->
       let s = Scheduler.make policy in
+      (match Scheduler.place s ~hosts:[] ~mem_kb:0 with
+      | Ok id ->
+          Alcotest.failf "%s placed on %d in an empty cluster"
+            (Scheduler.policy_name policy)
+            id
+      | Error _ -> ());
       (match Scheduler.place s ~hosts:views ~mem_kb:100_000 with
       | Ok id ->
           Alcotest.failf "%s placed on %d with no capacity"
@@ -122,6 +130,184 @@ let test_scheduler_no_capacity () =
           Alcotest.failf "%s: feasible placement refused: %s"
             (Scheduler.policy_name policy)
             e)
+    Scheduler.policies
+
+(* The list-based placement — filter the feasible hosts, then minimise
+   a tuple key with polymorphic compare (spread recomputing a rack's
+   load inside every key) — kept as the reference the one-pass
+   [Scheduler.place] must agree with. *)
+module Reference = struct
+  open Scheduler
+
+  type t = { pol : policy; mutable cursor : int }
+
+  let make pol = { pol; cursor = 0 }
+
+  (* Pick the view minimising [key] (hosts can arrive in any order, so
+     the id is always the last tie-breaker). *)
+  let min_by key feasible =
+    List.fold_left
+      (fun best h ->
+        match best with
+        | None -> Some h
+        | Some b -> if compare (key h) (key b) < 0 then Some h else best)
+      None feasible
+
+  let place t ~hosts ~mem_kb =
+    let feasible = List.filter (fun h -> h.hv_free_kb >= mem_kb) hosts in
+    match feasible with
+    | [] ->
+        Error
+          (Printf.sprintf "no host with %d kB free (cluster of %d)" mem_kb
+             (List.length hosts))
+    | _ -> (
+        match t.pol with
+        | Binpack ->
+            (* Tightest fit: least free memory, then lowest id. *)
+            let chosen =
+              min_by (fun h -> (h.hv_free_kb, h.hv_id)) feasible
+            in
+            Ok (Option.get chosen).hv_id
+        | Spread ->
+            (* Least-loaded rack first (failure-domain spreading), then
+               least-loaded host, then most free memory, then id. *)
+            let rack_vms rack =
+              List.fold_left
+                (fun acc h -> if h.hv_rack = rack then acc + h.hv_vms else acc)
+                0 hosts
+            in
+            let chosen =
+              min_by
+                (fun h -> (rack_vms h.hv_rack, h.hv_vms, -h.hv_free_kb, h.hv_id))
+                feasible
+            in
+            Ok (Option.get chosen).hv_id
+        | Pool_everywhere ->
+            (* Round-robin over host ids, skipping infeasible hosts: the
+               cursor walks the id space so consecutive VMs land on
+               consecutive warm pools. *)
+            let sorted =
+              List.sort (fun a b -> compare a.hv_id b.hv_id) feasible
+            in
+            let chosen =
+              match List.find_opt (fun h -> h.hv_id >= t.cursor) sorted with
+              | Some h -> h
+              | None -> List.hd sorted
+            in
+            t.cursor <- chosen.hv_id + 1;
+            Ok chosen.hv_id)
+end
+
+(* Random clusters: 0-12 hosts in shuffled order with unique, gapped
+   ids, racks 0..7 (gaps too), and loads and free memory drawn from a
+   few values so ties are common. Each case is a sequence of calls
+   sharing one scheduler per policy (the round-robin cursor carries
+   over); a call may drop one host from the list, as drain does with
+   its source, and requests up to 320 kB against at most 256 kB free,
+   so infeasible hosts and refusals occur. A placement is applied to
+   the views, as the cluster planner does. *)
+let gen_placement_case =
+  let open QCheck.Gen in
+  let* n = int_range 0 12 in
+  let* ids = shuffle_l (List.init (3 * n) Fun.id) in
+  let* views =
+    flatten_l
+      (List.map
+         (fun hv_id ->
+           map3
+             (fun hv_rack hv_vms free ->
+               { Scheduler.hv_id; hv_rack; hv_vms; hv_free_kb = 64 * free })
+             (int_range 0 7) (int_range 0 3) (int_range 0 4))
+         (List.filteri (fun i _ -> i < n) ids))
+  in
+  let* calls =
+    list_size (int_range 1 10)
+      (pair (map (( * ) 64) (int_range 0 5)) (opt small_nat))
+  in
+  return (views, calls)
+
+let print_placement_case (views, calls) =
+  let view (v : Scheduler.host_view) =
+    Printf.sprintf "{id %d; rack %d; vms %d; free %d}" v.Scheduler.hv_id
+      v.Scheduler.hv_rack v.Scheduler.hv_vms v.Scheduler.hv_free_kb
+  in
+  let call (mem_kb, drop) =
+    match drop with
+    | None -> Printf.sprintf "%d kB" mem_kb
+    | Some i -> Printf.sprintf "%d kB without #%d" mem_kb i
+  in
+  Printf.sprintf "views [%s]; calls [%s]"
+    (String.concat "; " (List.map view views))
+    (String.concat "; " (List.map call calls))
+
+let prop_place_matches_reference =
+  QCheck.Test.make ~name:"place = list-based reference, every policy"
+    ~count:2000
+    (QCheck.make ~print:print_placement_case gen_placement_case)
+    (fun (views, calls) ->
+      List.for_all
+        (fun policy ->
+          let s = Scheduler.make policy and r = Reference.make policy in
+          let views = ref views in
+          List.for_all
+            (fun (mem_kb, drop) ->
+              let hosts =
+                match drop with
+                | Some i when !views <> [] ->
+                    let i = i mod List.length !views in
+                    List.filteri (fun j _ -> j <> i) !views
+                | _ -> !views
+              in
+              let got = Scheduler.place s ~hosts ~mem_kb in
+              let want = Reference.place r ~hosts ~mem_kb in
+              (match got with
+              | Ok id ->
+                  views :=
+                    List.map
+                      (fun (v : Scheduler.host_view) ->
+                        if v.Scheduler.hv_id = id then
+                          {
+                            v with
+                            Scheduler.hv_vms = v.Scheduler.hv_vms + 1;
+                            hv_free_kb = v.Scheduler.hv_free_kb - mem_kb;
+                          }
+                        else v)
+                      !views
+              | Error _ -> ());
+              got = want)
+            calls)
+        Scheduler.policies)
+
+(* A placement allocates the same few words (its closures, the rack
+   loads, the result) whatever the cluster size: nothing per host. *)
+let test_place_allocation_flat () =
+  let views n =
+    List.init n (fun i ->
+        {
+          Scheduler.hv_id = i;
+          hv_rack = i mod 4;
+          hv_vms = i mod 7;
+          hv_free_kb = 1024 * (i mod 5);
+        })
+  in
+  let words_per_call policy hosts =
+    let s = Scheduler.make policy in
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (Scheduler.place s ~hosts ~mem_kb:1024)
+    done;
+    (Gc.minor_words () -. before) /. 100.
+  in
+  let small = views 10 and large = views 1000 in
+  List.iter
+    (fun policy ->
+      let w10 = words_per_call policy small in
+      let w1000 = words_per_call policy large in
+      if w1000 > w10 +. 1. then
+        Alcotest.failf
+          "%s: %.1f words per placement over 1000 hosts, %.1f over 10"
+          (Scheduler.policy_name policy)
+          w1000 w10)
     Scheduler.policies
 
 (* ------------------------------------------------------------------ *)
@@ -226,6 +412,9 @@ let suites =
           test_spread_respects_failure_domains;
         Alcotest.test_case "no-capacity refusal" `Quick
           test_scheduler_no_capacity;
+        QCheck_alcotest.to_alcotest prop_place_matches_reference;
+        Alcotest.test_case "placement allocation independent of hosts"
+          `Quick test_place_allocation_flat;
       ] );
     ( "cluster.drain",
       [

@@ -272,6 +272,45 @@ let test_xen_round_robin_cores =
       (* 3 guest cores (1,2,3) assigned round-robin. *)
       Alcotest.(check (list int)) "round robin" [ 1; 2; 3; 1; 2 ] cores)
 
+(* Xen.guest_mem_kb reads the frame accounting; it must equal the sum
+   over live guest domains through creation, populate (or not) and
+   destroy. *)
+let test_xen_guest_mem_kb =
+  in_sim (fun () ->
+      let xen = Xen.boot () in
+      let check what =
+        let by_domain =
+          List.fold_left
+            (fun acc d ->
+              let domid = Domain.domid d in
+              if domid = 0 then acc else acc + Xen.domain_mem_kb xen ~domid)
+            0 (Xen.domains xen)
+        in
+        Alcotest.(check int) what by_domain (Xen.guest_mem_kb xen)
+      in
+      check "no guests";
+      let domids =
+        List.init 4 (fun i ->
+            match
+              Xen.create_domain xen
+                ~name:(Printf.sprintf "m%d" i)
+                ~vcpus:1
+                ~mem_mb:(float_of_int (8 * (i + 1)))
+            with
+            | Ok d -> Domain.domid d
+            | Error _ -> Alcotest.fail "create failed")
+      in
+      check "created, unpopulated";
+      List.iteri
+        (fun i domid ->
+          if i <> 2 then ignore (Xen.populate_memory xen ~domid))
+        domids;
+      check "three populated";
+      ignore (Xen.destroy xen ~domid:(List.nth domids 1));
+      check "one destroyed";
+      Alcotest.(check bool) "guests hold memory" true
+        (Xen.guest_mem_kb xen > 8 * 1024))
+
 let test_xen_out_of_memory =
   in_sim (fun () ->
       (* Tiny host: 1 GB total, Dom0 512 MB, Xen 128 MB. *)
@@ -367,6 +406,8 @@ let suites =
           test_xen_domain_lifecycle;
         Alcotest.test_case "round-robin cores" `Quick
           test_xen_round_robin_cores;
+        Alcotest.test_case "guest memory = per-domain sum" `Quick
+          test_xen_guest_mem_kb;
         Alcotest.test_case "out of memory" `Quick test_xen_out_of_memory;
         Alcotest.test_case "image load linear" `Quick
           test_xen_load_image_linear;

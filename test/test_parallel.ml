@@ -94,22 +94,34 @@ let determinism_cases =
     (E.plans ~n:40 ())
 
 (* ------------------------------------------------------------------ *)
-(* Regression pin: the exact fig9 render at the paper's n = 1000, as
-   produced by the seed's linear-scan watch registry and copying
-   snapshots. The indexed registry, persistent snapshots, interned
-   paths and the engine's sleep fast path are host-cost optimisations
-   only — if this digest ever changes, simulated behaviour changed and
-   the optimisation broke the modeled-cost invariant (see DESIGN.md
-   "Scaling"). *)
+(* Regression pins: exact render digests at fixed scales.
 
-let fig9_1000_digest = "2b80ee104c48c228384b816e1380814c"
+   fig9 at the paper's n = 1000, as produced by the seed's linear-scan
+   watch registry and copying snapshots. The indexed registry,
+   persistent snapshots, interned paths and the engine's sleep fast
+   path are host-cost optimisations only — if this digest ever changes,
+   simulated behaviour changed and the optimisation broke the
+   modeled-cost invariant (see DESIGN.md "Scaling").
 
-let test_fig9_digest_pinned () =
-  match E.plan ~n:1000 "fig9" with
-  | None -> Alcotest.fail "fig9 plan missing"
+   cluster at n = 500 and cluster-scale at n = 2000 pin the scheduler's
+   placements and the drain/rebalance they feed. The jobs sweep above
+   only compares a run with itself, so a deterministic change of
+   placement would pass it. *)
+
+let digest_pins =
+  [
+    ("fig9", 1000, "2b80ee104c48c228384b816e1380814c");
+    ("cluster", 500, "d1c81b003b01626bf46e61c819965ee2");
+    ("cluster-scale", 2000, "b78b310cd4240eff7d821130cd12a3db");
+  ]
+
+let test_digest_pinned (id, n, digest) () =
+  match E.plan ~n id with
+  | None -> Alcotest.failf "%s plan missing" id
   | Some p ->
       Alcotest.(check string)
-        "fig9@1000 render digest" fig9_1000_digest
+        (Printf.sprintf "%s@%d render digest" id n)
+        digest
         (Digest.to_hex (Digest.string (render (E.run_plan ~jobs:1 p))))
 
 (* ------------------------------------------------------------------ *)
@@ -266,10 +278,12 @@ let suites =
       ] );
     ("parallel.experiments", determinism_cases);
     ( "experiment.regression",
-      [
-        Alcotest.test_case "fig9@1000 digest pinned" `Slow
-          test_fig9_digest_pinned;
-      ] );
+      List.map
+        (fun ((id, n, _) as pin) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s@%d digest pinned" id n)
+            `Slow (test_digest_pinned pin))
+        digest_pins );
     ( "sim.heap.compaction",
       [
         QCheck_alcotest.to_alcotest prop_heap_model;
