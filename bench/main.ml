@@ -245,9 +245,15 @@ let gc_add a b =
     gd_major_collections = a.gd_major_collections + b.gd_major_collections;
   }
 
-let gc_delta g0 g1 =
+(* On OCaml 5.1 the [minor_words] field of [Gc.quick_stat] advances
+   only at minor collections, so a small row would read a whole number
+   of minor heaps; [Gc.minor_words ()] is exact. Promotion and major
+   collections happen at collections, so [quick_stat] serves for them. *)
+let gc_now () = (Gc.minor_words (), Gc.quick_stat ())
+
+let gc_delta (m0, g0) (m1, g1) =
   {
-    gd_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+    gd_minor_words = m1 -. m0;
     gd_promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
     gd_major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
   }
@@ -261,11 +267,11 @@ let gc_note g =
 (* Wrap a job so its start/end timestamps and GC deltas ride along
    with its piece. *)
 let timed job () =
-  let g0 = Gc.quick_stat () in
+  let g0 = gc_now () in
   let t0 = Unix.gettimeofday () in
   let v = job () in
   let t1 = Unix.gettimeofday () in
-  let g1 = Gc.quick_stat () in
+  let g1 = gc_now () in
   (v, t0, t1, gc_delta g0 g1)
 
 (* Run every curve-job of every experiment. With a pool, all jobs are
@@ -385,17 +391,17 @@ let snapshot_pair_rows =
     | Ok r -> r.E.series
     | Error m -> failwith ("snapshot bench: " ^ m)
   in
-  let g0 = Gc.quick_stat () in
+  let g0 = gc_now () in
   let t0 = Unix.gettimeofday () in
   let cold = run `Unbroken in
   let t1 = Unix.gettimeofday () in
-  let g1 = Gc.quick_stat () in
+  let g1 = gc_now () in
   let image = prefix.E.prefix_build () in
-  let g2 = Gc.quick_stat () in
+  let g2 = gc_now () in
   let t2 = Unix.gettimeofday () in
   let fork = run (`Image image) in
   let t3 = Unix.gettimeofday () in
-  let g3 = Gc.quick_stat () in
+  let g3 = gc_now () in
   let points rows =
     List.map (fun (l : E.labelled) -> Series.points l.E.series) rows
   in
@@ -422,13 +428,13 @@ let snapshot_pair_rows =
 let serverless_slo_rows, serverless_slo =
   section "serverless SLO summary (requests = 2000)"
     "warm pool beats cold boot at p99; refill contention cedes median";
-  let g0 = Gc.quick_stat () in
+  let g0 = gc_now () in
   let t0 = Unix.gettimeofday () in
   let cold_p99_us, warm_p99_us, pool_hit_rate =
     E.serverless_bench_summary ~requests:2000 ()
   in
   let dt = Unix.gettimeofday () -. t0 in
-  let gc = gc_delta g0 (Gc.quick_stat ()) in
+  let gc = gc_delta g0 (gc_now ()) in
   Printf.printf
     "  cold-boot p99: %10.1f us\n  warm-pool p99: %10.1f us\n\
     \  pool hit rate: %10.3f\n[serverless-slo: %.2f s]\n"

@@ -60,6 +60,10 @@ type trace_hooks = {
 type pctx = {
   engs : eng array;
   lookahead : float;
+  some_engs : eng option array;
+  some_self : pctx option;
+      (* [Some engs.(i)] and [Some ctx], built once: a window switch
+         stores these in [dls] instead of allocating new options *)
 }
 
 (* Values a process can carry across suspensions (see
@@ -74,7 +78,8 @@ type process_local = ..
    partition's engine from domain to domain between windows, so nothing
    below may close over the [dls] record itself — closures that outlive
    the current event (continuations, resume functions, spawned thunks)
-   always re-read [dls ()] at execution time. *)
+   and the shared process handler always re-read [dls ()] at execution
+   time. *)
 type dls = {
   mutable current : eng option;
   mutable pctx : pctx option;
@@ -144,27 +149,27 @@ type _ Effect.t +=
 
 let suspend register = Effect.perform (Suspend register)
 
-(* Run [f] with the process identity (and its process-local values) set
-   to [pid]/[name]/[plocals]; restores the caller's identity on return
-   (also on exception), so identity always reflects whichever process
-   the scheduler is actually executing. Reads [dls ()] fresh on both
-   sides: between a park and a resume the process may have moved to a
-   different worker domain. *)
-let as_process pid name plocals f =
+(* Run [f a b] with the process identity (and its process-local values)
+   set to [pid]/[name]/[plocals]; restores the caller's identity on
+   return (also on exception), so identity always reflects whichever
+   process the scheduler is actually executing. [f a b] runs to its next
+   park on this domain, so one [dls ()] serves both sides. *)
+let set_identity st pid name plocals =
+  st.current_pid <- pid;
+  st.current_pname <- name;
+  st.plocals <- plocals
+
+let as_process pid name plocals f a b =
   let st = dls () in
   let saved_pid = st.current_pid
   and saved_name = st.current_pname
   and saved_plocals = st.plocals in
-  st.current_pid <- pid;
-  st.current_pname <- name;
-  st.plocals <- plocals;
-  Fun.protect
-    ~finally:(fun () ->
-      let st = dls () in
-      st.current_pid <- saved_pid;
-      st.current_pname <- saved_name;
-      st.plocals <- saved_plocals)
-    f
+  set_identity st pid name plocals;
+  match f a b with
+  | () -> set_identity st saved_pid saved_name saved_plocals
+  | exception e ->
+      set_identity st saved_pid saved_name saved_plocals;
+      raise e
 
 let with_process_local local f =
   let st = dls () in
@@ -179,69 +184,88 @@ let find_process_local sel =
   in
   go (dls ()).plocals
 
-(* Each process (the initial [main] and every [spawn]) runs under its own
-   deep handler. A blocked process is represented solely by its captured
-   continuation, stashed wherever [register] put the resume function. *)
-let exec ?(plocals = []) name f =
-  let open Effect.Deep in
+(* A blocked process is one record: its continuation plus the identity
+   and home partition it resumes with. The resume function handed to
+   [register] is [wake] partially applied to it. *)
+type 'a park = {
+  pk_k : ('a, unit) Effect.Deep.continuation;
+  pk_pid : int;
+  pk_name : string;
+  pk_plocals : process_local list;
+  pk_home : eng;
+  mutable pk_fired : bool;
+}
+
+let wake r v =
+  if r.pk_fired then invalid_arg "Sim.Engine: one-shot resume called twice";
+  r.pk_fired <- true;
+  let home = r.pk_home in
+  let st = dls () in
+  (match st.current with
+  | Some cur when cur == home -> ()
+  | _ ->
+      invalid_arg
+        "Sim.Engine: cross-partition resume — wake a process from its \
+         own partition (via [post]) instead");
+  (match st.hooks with Some h -> h.on_wake ~pid:r.pk_pid | None -> ());
+  ignore
+    (schedule_at home home.clock (fun () ->
+         as_process r.pk_pid r.pk_name r.pk_plocals Effect.Deep.continue
+           r.pk_k v))
+
+(* The park itself runs in the handler, still as the parking process:
+   its identity, locals and partition are read off [dls]. *)
+let park k register =
+  let st = dls () in
+  let pid = st.current_pid in
+  (match st.hooks with Some h -> h.on_park ~pid | None -> ());
+  register
+    (wake
+       {
+         pk_k = k;
+         pk_pid = pid;
+         pk_name = st.current_pname;
+         pk_plocals = st.plocals;
+         pk_home = get_eng ();
+         pk_fired = false;
+       })
+
+(* Every process (the initial [main] and every [spawn]) runs under this
+   one static deep handler; it knows which process it serves only
+   through the identity [as_process] put in [dls]. *)
+let handler =
+  {
+    Effect.Deep.retc = (fun () -> ());
+    exnc =
+      (fun e ->
+        (match e with
+        | Stack_overflow | Out_of_memory -> ()
+        | _ ->
+            Printf.eprintf "Sim process %S raised: %s\n%!"
+              (dls ()).current_pname (Printexc.to_string e));
+        raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Suspend register ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) -> park k register)
+        | _ -> None);
+  }
+
+let run_body f handler = Effect.Deep.match_with f () handler
+
+let exec plocals name f =
   let eng = get_eng () in
   let pid = eng.next_pid in
   eng.next_pid <- pid + 1;
   (match (dls ()).hooks with Some h -> h.on_spawn ~pid ~name | None -> ());
-  as_process pid name plocals (fun () ->
-      match_with f ()
-        {
-          retc = (fun () -> ());
-          exnc =
-            (fun e ->
-              (match e with
-              | Stack_overflow | Out_of_memory -> ()
-              | _ ->
-                  Printf.eprintf "Sim process %S raised: %s\n%!" name
-                    (Printexc.to_string e));
-              raise e);
-          effc =
-            (fun (type a) (eff : a Effect.t) ->
-              match eff with
-              | Suspend register ->
-                  Some
-                    (fun (k : (a, unit) continuation) ->
-                      let st = dls () in
-                      (match st.hooks with
-                      | Some h -> h.on_park ~pid
-                      | None -> ());
-                      (* The process's home partition and its local
-                         values at park time travel with the
-                         continuation. *)
-                      let home = get_eng () in
-                      let pl = st.plocals in
-                      let fired = ref false in
-                      register (fun v ->
-                          if !fired then
-                            invalid_arg
-                              "Sim.Engine: one-shot resume called twice";
-                          fired := true;
-                          let cur = get_eng () in
-                          if cur != home then
-                            invalid_arg
-                              "Sim.Engine: cross-partition resume — wake \
-                               a process from its own partition (via \
-                               [post]) instead";
-                          (match (dls ()).hooks with
-                          | Some h -> h.on_wake ~pid
-                          | None -> ());
-                          ignore
-                            (schedule_at home home.clock (fun () ->
-                                 as_process pid name pl (fun () ->
-                                     continue k v)))))
-              | _ -> None);
-        })
+  as_process pid name plocals run_body f handler
 
 let spawn ?(name = "anonymous") f =
   let eng = get_eng () in
   let pl = (dls ()).plocals in
-  ignore
-    (schedule_at eng eng.clock (fun () -> exec ~plocals:pl name f))
+  ignore (schedule_at eng eng.clock (fun () -> exec pl name f))
 
 (* Cross-partition scheduling. Within a partition (or outside any
    partitioned run) this is just [after]. Across partitions the thunk
@@ -288,7 +312,7 @@ let post ~partition ~delay thunk =
       end
 
 let spawn_in ?(name = "anonymous") ~partition ~delay f =
-  post ~partition ~delay (fun () -> exec name f)
+  post ~partition ~delay (fun () -> exec [] name f)
 
 (* Sleeping is the single hottest engine operation (every simulated
    cost charge is a sleep), so the common case — nothing else is
@@ -307,7 +331,8 @@ let spawn_in ?(name = "anonymous") ~partition ~delay f =
    grown [wend]: an adaptively grown window relies on the heap's peek
    times to reconstruct where every fixed-window round boundary would
    have fallen, so a sleep crossing a virtual boundary must surface as
-   a heap entry exactly as it would under fixed windows. *)
+   a heap entry exactly as it would under fixed windows. On the slow
+   path the timer thunk is the resume function itself. *)
 let sleep delay =
   if delay < 0. then invalid_arg "Sim.Engine.sleep: negative delay"
   else if delay = 0. then ()
@@ -322,16 +347,23 @@ let sleep delay =
     let idle =
       Heap.is_empty eng.heap || Heap.next_time eng.heap > wake
     in
+    let untraced = match st.hooks with None -> true | Some _ -> false in
     if
-      idle && st.hooks = None
+      idle && untraced
       && (not eng.stopped)
       && wake <= eng.horizon
       && wake < eng.vwend
     then eng.clock <- wake
-    else suspend (fun resume -> ignore (after delay (fun () -> resume ())))
+    else
+      suspend (fun resume ->
+          ignore (schedule_at eng (eng.clock +. delay) resume))
   end
 
-let yield () = suspend (fun resume -> ignore (after 0. (fun () -> resume ())))
+let yield_register resume =
+  let eng = get_eng () in
+  ignore (schedule_at eng eng.clock resume)
+
+let yield () = suspend yield_register
 
 let stop () = (get_eng ()).stopped <- true
 
@@ -405,7 +437,7 @@ let run_eng ?until sv main =
   | None -> ());
   let horizon = match until with Some t -> t | None -> infinity in
   let eng = restore_eng ~horizon sv in
-  ignore (schedule_at eng eng.clock (fun () -> exec "main" main));
+  ignore (schedule_at eng eng.clock (fun () -> exec [] "main" main));
   repush eng sv;
   st.current <- Some eng;
   Fun.protect
@@ -455,82 +487,83 @@ let run_capture ?until main =
    then preserves: the merged schedule, and hence the whole run, is
    bit-identical whatever the worker count. *)
 
-(* Run partition [idx] for one window. A classic window executes every
-   event in [eng.clock, wend); [grow = Some limit] marks an adaptively
-   grown window (see [drive_rounds]): [wend] is then the end of the
-   *first* virtual fixed-lookahead round and the window keeps absorbing
-   later virtual rounds — advancing [eng.vwend] to [t + lookahead] for
-   each first event [t] past the current virtual boundary — for as long
-   as the outbox is empty (a send pins the merge batch to its virtual
-   round) and the next virtual round would still be single-active
-   ([t + lookahead <= limit], the earliest foreign event). Every event
-   executed this way runs in exactly the virtual round the fixed-window
-   protocol would have run it in, so the grown window is bit-identical
-   to the sequence of fixed windows it replaces. *)
-let run_window ?grow ctx idx wend =
+(* Run partition [idx] for one window: every event before [eng.wend]
+   that the current virtual round admits. A classic window has
+   [eng.wend = eng.vwend =] its end and [limit = neg_infinity]. An
+   adaptively grown window (see [drive_rounds]) starts with
+   [eng.wend = infinity], [eng.vwend] the end of the *first* virtual
+   fixed-lookahead round, and [limit] the earliest foreign event: it
+   keeps absorbing later virtual rounds — advancing [eng.vwend] to
+   [t + lookahead] for each first event [t] past the current virtual
+   boundary — for as long as the outbox is empty (a send pins the merge
+   batch to its virtual round) and the next virtual round would still
+   be single-active ([t + lookahead <= limit]). Every event executed
+   this way runs in exactly the virtual round the fixed-window protocol
+   would have run it in, so the grown window is bit-identical to the
+   sequence of fixed windows it replaces. Nothing here allocates: the
+   loop is a top-level function and the [Some] values put in [dls] are
+   the ones [ctx] was built with. *)
+let next_round ctx eng limit t =
+  match eng.outbox with
+  | _ :: _ -> false (* batch closed by a send *)
+  | [] ->
+      t +. ctx.lookahead <= limit
+      && begin
+           eng.vwend <- t +. ctx.lookahead;
+           true
+         end
+
+let rec window_loop ctx eng limit =
+  if eng.stopped || Heap.is_empty eng.heap then ()
+  else begin
+    let t = Heap.next_time eng.heap in
+    if t < eng.wend && (t < eng.vwend || next_round ctx eng limit t) then begin
+      let thunk = Heap.pop_payload eng.heap in
+      eng.clock <- t;
+      thunk ();
+      window_loop ctx eng limit
+    end
+  end
+
+let close_window st eng =
+  st.current <- None;
+  st.pctx <- None;
+  st.cur_idx <- 0;
+  eng.wend <- infinity;
+  eng.vwend <- infinity
+
+let run_window ctx idx ~wend ~vwend ~limit =
   let st = dls () in
   (match st.current with
   | Some _ ->
       invalid_arg "Sim.Engine: a simulation is already running on this domain"
   | None -> ());
   let eng = ctx.engs.(idx) in
-  st.current <- Some eng;
-  st.pctx <- Some ctx;
+  st.current <- ctx.some_engs.(idx);
+  st.pctx <- ctx.some_self;
   st.cur_idx <- idx;
-  Fun.protect
-    ~finally:(fun () ->
-      let st = dls () in
-      st.current <- None;
-      st.pctx <- None;
-      st.cur_idx <- 0;
-      eng.wend <- infinity;
-      eng.vwend <- infinity)
-    (fun () ->
-      eng.wend <- (match grow with None -> wend | Some _ -> infinity);
-      eng.vwend <- wend;
-      (* Admit the next event at [t], advancing the virtual round
-         boundary when growing; [false] closes the window. *)
-      let admit t =
-        t < eng.vwend
-        ||
-        match grow with
-        | None -> false
-        | Some limit -> (
-            match eng.outbox with
-            | _ :: _ -> false (* batch closed by a send *)
-            | [] ->
-                t +. ctx.lookahead <= limit
-                && begin
-                     eng.vwend <- t +. ctx.lookahead;
-                     true
-                   end)
-      in
-      let rec loop () =
-        if eng.stopped || Heap.is_empty eng.heap then ()
-        else begin
-          let t = Heap.next_time eng.heap in
-          if t < eng.wend && admit t then begin
-            let thunk = Heap.pop_payload eng.heap in
-            eng.clock <- t;
-            thunk ();
-            loop ()
-          end
-        end
-      in
-      loop ())
+  eng.wend <- wend;
+  eng.vwend <- vwend;
+  match window_loop ctx eng limit with
+  | () -> close_window st eng
+  | exception e ->
+      close_window st eng;
+      raise e
 
 (* The round loop shared by [run_partitioned] and [resume]: open a
    window at the earliest pending event, run every partition with work
    in it (possibly on worker domains), then deterministically merge the
    outboxes. With [adaptive] (the default), a round whose base window
    [T, T + lookahead) contains events of only one partition — the
-   observed cross-partition traffic is sparse there — is handed to
-   [run_window ~grow]: the single active partition absorbs consecutive
+   observed cross-partition traffic is sparse there — runs as one grown
+   window: the single active partition absorbs consecutive
    single-active virtual rounds in one window instead of paying a
    barrier per lookahead. The growth rules above make the executed
    schedule — and hence every digest — bit-identical to fixed windows;
    rounds where two or more partitions have work (dense traffic) shrink
-   back to the classic window. *)
+   back to the classic window. On the single-worker path a round
+   allocates nothing: the scans are loops over local refs and the
+   active set is a bool array reused across rounds. *)
 let drive_rounds ?jobs ~adaptive ctx =
   let jobs = match jobs with Some j -> max 1 j | None -> 1 in
   let n = Array.length ctx.engs in
@@ -607,49 +640,56 @@ let drive_rounds ?jobs ~adaptive ctx =
           done
         end
       in
+      let active = Array.make n false in
       let rec round () =
         if Array.exists (fun e -> e.stopped) ctx.engs then ()
         else begin
           let next = ref infinity and imin = ref 0 in
-          Array.iteri
-            (fun i e ->
-              if not (Heap.is_empty e.heap) then begin
-                let t = Heap.next_time e.heap in
-                if t < !next then begin
-                  next := t;
-                  imin := i
-                end
-              end)
-            ctx.engs;
+          for i = 0 to n - 1 do
+            let h = ctx.engs.(i).heap in
+            if not (Heap.is_empty h) then begin
+              let t = Heap.next_time h in
+              if t < !next then begin
+                next := t;
+                imin := i
+              end
+            end
+          done;
           if !next = infinity then ()
           else begin
             let wend = !next +. ctx.lookahead in
             (* Earliest event outside the leading partition: the base
                window is single-active iff it stays clear of it. *)
             let min2 = ref infinity in
-            Array.iteri
-              (fun i e ->
-                if i <> !imin && not (Heap.is_empty e.heap) then begin
-                  let t = Heap.next_time e.heap in
-                  if t < !min2 then min2 := t
-                end)
-              ctx.engs;
+            for i = 0 to n - 1 do
+              let h = ctx.engs.(i).heap in
+              if i <> !imin && not (Heap.is_empty h) then begin
+                let t = Heap.next_time h in
+                if t < !min2 then min2 := t
+              end
+            done;
             if adaptive && !min2 >= wend then
               (* One partition, one window: no worker handoff. *)
-              run_window ~grow:!min2 ctx !imin wend
+              run_window ctx !imin ~wend:infinity ~vwend:wend ~limit:!min2
             else begin
-              let active = ref [] in
-              for idx = n - 1 downto 0 do
+              for idx = 0 to n - 1 do
                 let h = ctx.engs.(idx).heap in
-                if (not (Heap.is_empty h)) && Heap.next_time h < wend then
-                  active := idx :: !active
+                active.(idx) <-
+                  (not (Heap.is_empty h)) && Heap.next_time h < wend
               done;
               match pool with
-              | None -> List.iter (fun idx -> run_window ctx idx wend) !active
+              | None ->
+                  for idx = 0 to n - 1 do
+                    if active.(idx) then
+                      run_window ctx idx ~wend ~vwend:wend ~limit:neg_infinity
+                  done
               | Some p ->
-                  !active
+                  List.init n Fun.id
+                  |> List.filter (fun idx -> active.(idx))
                   |> List.map (fun idx ->
-                         Pool.submit p (fun () -> run_window ctx idx wend))
+                         Pool.submit p (fun () ->
+                             run_window ctx idx ~wend ~vwend:wend
+                               ~limit:neg_infinity))
                   |> List.iter (fun pr ->
                          match Pool.await pr with
                          | Ok () -> ()
@@ -679,9 +719,11 @@ let max_clock ctx =
    pushed into partition 0 before that partition's image events. *)
 let run_ctx ?jobs ~adaptive ~lookahead svs main =
   check_partitioned_args ~lookahead;
-  let ctx = { engs = Array.map (fun sv -> restore_eng sv) svs; lookahead } in
+  let engs = Array.map (fun sv -> restore_eng sv) svs in
+  let some_engs = Array.map Option.some engs in
+  let rec ctx = { engs; lookahead; some_engs; some_self = Some ctx } in
   let e0 = ctx.engs.(0) in
-  ignore (Heap.push e0.heap ~time:e0.clock (fun () -> exec "main" main));
+  ignore (Heap.push e0.heap ~time:e0.clock (fun () -> exec [] "main" main));
   Array.iteri (fun i sv -> repush ctx.engs.(i) sv) svs;
   drive_rounds ?jobs ~adaptive ctx;
   ctx

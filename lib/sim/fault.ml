@@ -29,13 +29,23 @@ let points =
   ]
 
 let point_index =
-  lazy
-    (let h = Hashtbl.create 31 in
-     List.iteri (fun i (name, _) -> Hashtbl.replace h name i) points;
-     h)
+  let h = Hashtbl.create 31 in
+  List.iteri (fun i (name, _) -> Hashtbl.replace h name i) points;
+  h
 
-let index_of name = Hashtbl.find_opt (Lazy.force point_index) name
+let index_of name = Hashtbl.find_opt point_index name
 let is_point name = index_of name <> None
+
+(* A resolved point is its registry index: sites resolve their names
+   once, at module initialisation, and [fire] indexes the injector's
+   stream array with it. *)
+type point = int
+
+let point name =
+  match index_of name with
+  | Some i -> i
+  | None ->
+      invalid_arg (Printf.sprintf "Fault.point: unregistered point %S" name)
 
 (* Spec: configured points in registry order (canonical form). *)
 type spec = (string * schedule) list
@@ -150,7 +160,7 @@ type stream = {
 type t = {
   seed : int64;
   spec : spec;
-  streams : (string, stream) Hashtbl.t;
+  streams : stream option array; (* by point index; [None] unconfigured *)
 }
 
 (* FNV-1a 64-bit over the point name: a stable, order-independent way
@@ -165,16 +175,17 @@ let fnv1a name =
   !h
 
 let create ?(seed = 0L) spec =
-  let streams = Hashtbl.create 31 in
+  let streams = Array.make (List.length points) None in
   List.iter
     (fun (name, sched) ->
-      Hashtbl.replace streams name
-        {
-          sched;
-          rng = Rng.create (Int64.logxor seed (fnv1a name));
-          checks = 0;
-          injected = 0;
-        })
+      streams.(point name) <-
+        Some
+          {
+            sched;
+            rng = Rng.create (Int64.logxor seed (fnv1a name));
+            checks = 0;
+            injected = 0;
+          })
     spec;
   { seed; spec; streams }
 
@@ -214,13 +225,11 @@ let active () =
   | Some t -> not (spec_is_empty t.spec)
   | None -> false
 
-let fire name =
-  if not (is_point name) then
-    invalid_arg (Printf.sprintf "Fault.fire: unregistered point %S" name);
+let fire p =
   match installed () with
   | None -> false
   | Some t -> (
-      match Hashtbl.find_opt t.streams name with
+      match t.streams.(p) with
       | None -> false
       | Some s ->
           s.checks <- s.checks + 1;
@@ -235,10 +244,12 @@ let fire name =
 let counts t =
   List.filter_map
     (fun (name, _) ->
-      match Hashtbl.find_opt t.streams name with
-      | Some s -> Some (name, (s.checks, s.injected))
-      | None -> None)
+      Option.map
+        (fun s -> (name, (s.checks, s.injected)))
+        t.streams.(point name))
     points
 
 let injected_total t =
-  Hashtbl.fold (fun _ s acc -> acc + s.injected) t.streams 0
+  Array.fold_left
+    (fun acc -> function Some s -> acc + s.injected | None -> acc)
+    0 t.streams

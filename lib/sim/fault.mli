@@ -5,7 +5,8 @@
     quota errors, per-phase failures in the 9-phase creation pipeline,
     hotplug script hangs, event-channel / grant-table allocation
     failures, migration stream corruption. The full registry is
-    {!points}; code declares a site by calling {!fire} with its name.
+    {!points}; code resolves a site's name once with {!val-point} and
+    declares each check by calling {!fire} with the result.
 
     A {e spec} assigns a schedule to a subset of points — either a
     per-check Bernoulli probability ([name:0.05]) or a deterministic
@@ -106,14 +107,20 @@ val active : unit -> bool
 (** Whether the calling process currently has an injector installed
     with a non-empty spec. *)
 
-val fire : string -> bool
-(** [fire name] declares one check of fault point [name] at the calling
-    site and returns whether a fault fires. Returns [false] — without
+type point
+(** A registered fault point, resolved once by name. *)
+
+val point : string -> point
+(** [point name] resolves a registered point. An unregistered name
+    raises [Invalid_argument], so a typo fails loudly when the site's
+    module initialises rather than silently never firing. *)
+
+val fire : point -> bool
+(** [fire p] declares one check of fault point [p] at the calling site
+    and returns whether a fault fires. Returns [false] — without
     consuming RNG state, counting, or any other side effect — when no
     injector is installed for the calling process or the point is not
-    configured in its spec. [name] must be a registered point: passing
-    an unregistered name raises [Invalid_argument] (even uninstalled),
-    so typos fail loudly in tests rather than silently never firing. *)
+    configured in its spec. *)
 
 val counts : t -> (string * (int * int)) list
 (** Per-point [(checks, injected)] counters for every {e configured}

@@ -111,6 +111,10 @@ let watch_device t ~domid (dev : Device.config) =
 (* ------------------------------------------------------------------ *)
 (* noxs path *)
 
+let gnttab_point = Fault.point "gnttab.alloc"
+
+let evtchn_point = Fault.point "evtchn.alloc"
+
 let precreate_device t ~domid (dev : Device.config) =
   (* The ioctl into the noxs kernel module plus backend-side setup. *)
   Xen.consume_dom0 t.xen t.costs.Costs.backend_ioctl;
@@ -120,7 +124,7 @@ let precreate_device t ~domid (dev : Device.config) =
   Xen.hypercall ~op:"gnttab_op" t.xen ~cost:costs.Params.gnttab_op;
   (* Fault point: the hypercall did its work but the backend's grant
      table is full. Nothing allocated yet, so nothing to undo. *)
-  if Fault.fire "gnttab.alloc" then
+  if Fault.fire gnttab_point then
     raise (Alloc_failed "grant table full pre-creating device");
   let gref =
     Gnttab.grant_access (Xen.gnttab t.xen)
@@ -137,7 +141,7 @@ let precreate_device t ~domid (dev : Device.config) =
      were already allocated — release them before reporting, so a
      failed pre-creation never leaks Dom0-owned resources (Xen.destroy
      of the guest would not reclaim them). *)
-  if Fault.fire "evtchn.alloc" then begin
+  if Fault.fire evtchn_point then begin
     Ctrl.unregister t.ctrl ~backend_domid:dev.Device.backend_domid
       ~grant_ref:gref;
     ignore (Gnttab.end_access (Xen.gnttab t.xen) ~owner:dev.Device.backend_domid gref);

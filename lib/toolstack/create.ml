@@ -112,8 +112,11 @@ exception Create_failed of string
 (* Injected phase failure (fault point "create.phaseN"): the phase's
    dominant operation reports an error after the toolstack has already
    committed to the phase, so the caller must roll back. *)
+let phase_points =
+  Array.init 9 (fun i -> Fault.point (Printf.sprintf "create.phase%d" (i + 1)))
+
 let inject_phase n =
-  if Fault.fire (Printf.sprintf "create.phase%d" n) then
+  if Fault.fire phase_points.(n - 1) then
     raise (Create_failed (Printf.sprintf "injected fault: phase %d failed" n))
 
 (* Lower layers report their own failures; the pipeline presents every

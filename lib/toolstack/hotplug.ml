@@ -13,12 +13,14 @@ let estimate kind ~costs (dev : Device.config) =
       | Device.Vbd -> costs.Costs.hotplug_script_vbd +. costs.Costs.udev_settle
       | Device.Sysctl -> 0. (* no user-space setup: pure shared memory *)
 
+let hang_point = Fault.point "hotplug.hang"
+
 (* One setup attempt. A hang (fault point "hotplug.hang") models a
    wedged script or a lost udev event: the device never comes up and
    the toolstack's watchdog fires after [hotplug_timeout] — the caller
    waits out the timeout but the script burns no Dom0 CPU. *)
 let attempt kind ~xen ~costs dev =
-  if Fault.fire "hotplug.hang" then begin
+  if Fault.fire hang_point then begin
     Costs.charge ~category:"devices.hotplug_timeout"
       costs.Costs.hotplug_timeout;
     false

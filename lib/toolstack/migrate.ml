@@ -14,6 +14,8 @@ type stats = {
   resume : float;
 }
 
+let corrupt_point = Fault.point "migrate.corrupt"
+
 let migrate ~src ~dst (created : Create.created) =
   let costs = Toolstack.costs src in
   let t0 = Engine.now () in
@@ -45,7 +47,7 @@ let migrate ~src ~dst (created : Create.created) =
   let rec stream attempt =
     Costs.charge ~category:"migrate.transfer"
       (mem_mb /. costs.Costs.migration_bw_mbps);
-    if Fault.fire "migrate.corrupt" then
+    if Fault.fire corrupt_point then
       if attempt < max_transfer_attempts then begin
         (* Receiver NACK + sender restart: one extra round trip. *)
         Costs.charge ~category:"migrate.handshake" costs.Costs.migration_rtt;

@@ -4,10 +4,13 @@ module Xs_client = Lightvm_xenstore.Xs_client
 module Ctrl = Lightvm_guest.Ctrl
 module Engine = Lightvm_sim.Engine
 
+(* A warm pool serves one flavour: the shape a shell is prepared with. *)
+type flavor = { mem_mb : float; vcpus : int; nics : int; disks : int }
+
 type t = {
   env : Create.env;
   pool_target : int;
-  pools : (string, Create.shell Pool.t) Hashtbl.t;
+  pools : (flavor, Create.shell Pool.t) Hashtbl.t;
   live : (int, Create.created) Hashtbl.t;
 }
 
@@ -37,22 +40,20 @@ let mode t = t.env.Create.mode
 let costs t = t.env.Create.costs
 let xs_server t = t.env.Create.xs_server
 
-let flavor_key ~mem_mb ~vcpus ~nics ~disks =
-  Printf.sprintf "%gMB-%dvcpu-%dnic-%ddisk" mem_mb vcpus nics disks
-
 let flavor_of_config t (cfg : Vmconfig.t) =
-  let mem_mb = Create.effective_mem_mb t.env cfg in
-  ( mem_mb,
-    cfg.Vmconfig.vcpus,
-    List.length cfg.Vmconfig.vifs,
-    List.length cfg.Vmconfig.disks )
+  {
+    mem_mb = Create.effective_mem_mb t.env cfg;
+    vcpus = cfg.Vmconfig.vcpus;
+    nics = List.length cfg.Vmconfig.vifs;
+    disks = List.length cfg.Vmconfig.disks;
+  }
 
 let pool_for t (cfg : Vmconfig.t) =
-  let mem_mb, vcpus, nics, disks = flavor_of_config t cfg in
-  let key = flavor_key ~mem_mb ~vcpus ~nics ~disks in
+  let key = flavor_of_config t cfg in
   match Hashtbl.find_opt t.pools key with
   | Some pool -> pool
   | None ->
+      let { mem_mb; vcpus; nics; disks } = key in
       let pool =
         Pool.create ~target:t.pool_target ~make:(fun () ->
             Create.prepare t.env ~mem_mb ~vcpus ~nics ~disks ())

@@ -259,6 +259,8 @@ let fire_watches t modified =
       Engine.spawn ~name:"xs-watch-delivery" (fun () -> deliver event))
     hits
 
+let equota_point = Fault.point "xs.equota"
+
 let check_quota t ~caller path =
   (* Fault point: a spurious EQUOTA on a node-creating request, as a
      real oxenstored returns when another domain's allocations race the
@@ -268,7 +270,7 @@ let check_quota t ~caller path =
      errors as fatal. Checked before the store so the injection
      schedule depends only on the request sequence, not on contents. *)
   if caller = 0 then
-    if Fault.fire "xs.equota" then Error Xs_error.EQUOTA else Ok ()
+    if Fault.fire equota_point then Error Xs_error.EQUOTA else Ok ()
   else if Xs_store.exists t.store path then Ok ()
   else if Xs_store.owned_count t.store ~domid:caller >= t.quota_nodes then
     Error Xs_error.EQUOTA
@@ -361,6 +363,8 @@ let do_in_tx t ~caller tx req =
   | Get_domain_path _ | Introduce _ | Release _ ->
       Err Xs_error.EINVAL
 
+let eagain_point = Fault.point "xs.eagain"
+
 let end_transaction t tx commit =
   let p = t.profile in
   charge ~category:"xs.tx" t p.Xs_costs.tx_commit;
@@ -377,7 +381,7 @@ let end_transaction t tx commit =
        discarded and the caller sees EAGAIN, the same path a genuine
        conflict takes. *)
     let commit_result =
-      if Fault.fire "xs.eagain" then begin
+      if Fault.fire eagain_point then begin
         Xs_transaction.abort tx;
         Error Xs_error.EAGAIN
       end

@@ -414,3 +414,10 @@ let of_snapshot s =
     owned = s.snap_owned;
     memo = None;
   }
+
+let restore t s =
+  t.root <- s.snap_root;
+  t.generation <- s.snap_generation;
+  t.count <- s.snap_count;
+  t.owned <- s.snap_owned;
+  t.memo <- None

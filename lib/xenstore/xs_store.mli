@@ -97,3 +97,8 @@ val snapshot : t -> snapshot
 val of_snapshot : snapshot -> t
 (** An independent store seeded from the snapshot; mutations do not
     affect the original. Also O(1) — restoring shares all structure. *)
+
+val restore : t -> snapshot -> unit
+(** [restore t s] makes [t] hold the snapshot's tree, generation, node
+    count and ownership counts, in O(1). Used to commit a transaction by
+    adopting the store it built. *)

@@ -96,32 +96,25 @@ let replay_into store entries =
   in
   List.iter apply entries
 
+(* A successful commit leaves the live store holding exactly the tree the
+   journal produces on it. When nothing else touched the store since
+   [start], that tree is the view itself, so the view is adopted as is.
+   Otherwise the journal is validated and applied once, on a scratch
+   copy of the live store, and the copy is adopted; a conflict leaves
+   the live store untouched. Both adoptions are O(1). *)
 let commit t ~into:store =
   if t.aborted then Error Xs_error.EINVAL
+  else if Xs_store.generation store = t.base_generation then begin
+    Xs_store.restore store (Xs_store.snapshot t.view);
+    Ok (writes t)
+  end
   else begin
-    let modified = writes t in
-    if Xs_store.generation store = t.base_generation then begin
-      (* Fast path: nothing else touched the store. Re-apply journaled
-         writes directly; they cannot conflict. *)
-      (try replay_into store (List.rev t.journal)
-       with Conflict -> assert false);
-      Ok modified
-    end
-    else begin
-      (* Validate + apply against a scratch copy so failure leaves the
-         live store untouched. *)
-      let scratch = Xs_store.of_snapshot (Xs_store.snapshot store) in
-      match replay_into scratch (List.rev t.journal) with
-      | () ->
-          (* Apply for real, now that validation passed. *)
-          (try replay_into store (List.rev t.journal)
-           with Conflict ->
-             (* Cannot happen: the live store has not changed since the
-                scratch copy was taken (single-threaded server). *)
-             assert false);
-          Ok modified
-      | exception Conflict -> Error Xs_error.EAGAIN
-    end
+    let scratch = Xs_store.of_snapshot (Xs_store.snapshot store) in
+    match replay_into scratch (List.rev t.journal) with
+    | () ->
+        Xs_store.restore store (Xs_store.snapshot scratch);
+        Ok (writes t)
+    | exception Conflict -> Error Xs_error.EAGAIN
   end
 
 let abort t = t.aborted <- true

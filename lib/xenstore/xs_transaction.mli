@@ -46,7 +46,9 @@ val writes : t -> Xs_path.t list
 val commit :
   t -> into:Xs_store.t -> (Xs_path.t list, Xs_error.t) result
 (** Validate + apply. [Ok modified_paths] on success; [Error EAGAIN] on
-    conflict. When the live store has not changed since [start] the
-    journal replays without validation overhead. *)
+    conflict, leaving the live store untouched. When the live store has
+    not changed since [start] it adopts the transaction's view outright;
+    otherwise the journal is replayed once, onto a copy of the live
+    store, which the store then adopts. *)
 
 val abort : t -> unit

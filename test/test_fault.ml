@@ -89,17 +89,18 @@ let test_scale () =
 (* ------------------------------------------------------------------ *)
 (* Fire semantics outside / under the empty spec *)
 
-let test_fire_unregistered_raises () =
+let test_point_unregistered_raises () =
   Alcotest.check_raises "typo fails loudly"
-    (Invalid_argument "Fault.fire: unregistered point \"xs.tpyo\"")
-    (fun () -> ignore (Fault.fire "xs.tpyo"))
+    (Invalid_argument "Fault.point: unregistered point \"xs.tpyo\"")
+    (fun () -> ignore (Fault.point "xs.tpyo"))
 
 let test_empty_spec_inert () =
-  Alcotest.(check bool) "no injector: no fire" false (Fault.fire "xs.eagain");
+  let eagain = Fault.point "xs.eagain" in
+  Alcotest.(check bool) "no injector: no fire" false (Fault.fire eagain);
   let inj = Fault.create ~seed:1L Fault.empty_spec in
   Fault.with_injector inj (fun () ->
       Alcotest.(check bool) "not active" false (Fault.active ());
-      Alcotest.(check bool) "empty spec: no fire" false (Fault.fire "xs.eagain"));
+      Alcotest.(check bool) "empty spec: no fire" false (Fault.fire eagain));
   Alcotest.(check int) "no counters" 0 (List.length (Fault.counts inj));
   Alcotest.(check int) "nothing injected" 0 (Fault.injected_total inj)
 
@@ -258,7 +259,7 @@ let suites =
         Alcotest.test_case "malformed specs rejected" `Quick test_parse_errors;
         Alcotest.test_case "scale" `Quick test_scale;
         Alcotest.test_case "unregistered point raises" `Quick
-          test_fire_unregistered_raises;
+          test_point_unregistered_raises;
         Alcotest.test_case "empty spec is inert" `Quick test_empty_spec_inert;
         QCheck_alcotest.to_alcotest prop_equal_seed_equal_digest;
       ] );

@@ -187,6 +187,136 @@ let test_past_scheduling_rejected () =
          | exception Invalid_argument _ -> ()))
 
 (* ------------------------------------------------------------------ *)
+(* Engine allocation and lifecycle hooks *)
+
+(* Minor words per unit of engine work, measured as the difference
+   between a run of [2n] units and a run of [n] so that per-run set-up
+   cancels out. [Gc.minor_words] is exact, unlike the [Gc.quick_stat]
+   field, which moves only at minor collections. *)
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let per_unit ~n run = (words (run (2 * n)) -. words (run n)) /. float_of_int n
+
+let check_ceiling name ~ceiling measured =
+  if measured > ceiling then
+    Alcotest.failf "%s: %.1f minor words, ceiling %.0f" name measured ceiling
+
+(* Two sleepers half a period apart: every sleep has the other's wake
+   ahead of it in the heap, so each one parks. *)
+let test_park_words () =
+  let sleepers n () =
+    ignore
+      (Engine.run (fun () ->
+           Engine.spawn (fun () ->
+               for _ = 1 to n do
+                 Engine.sleep 1.0
+               done);
+           Engine.sleep 0.5;
+           for _ = 1 to n do
+             Engine.sleep 1.0
+           done))
+  in
+  (* [n] more iterations per sleeper are [2n] more parks. *)
+  check_ceiling "park" ~ceiling:60. (per_unit ~n:1000 sleepers /. 2.)
+
+let empty_process () = ()
+
+(* Rounds of [k] spawns and one sleep: one more spawn per round costs
+   exactly one spawned empty process. *)
+let test_spawn_words () =
+  let spawner k n () =
+    ignore
+      (Engine.run (fun () ->
+           for _ = 1 to n do
+             for _ = 1 to k do
+               Engine.spawn empty_process
+             done;
+             Engine.sleep 1.0
+           done))
+  in
+  let n = 1000 in
+  let spawn =
+    (words (spawner 2 n) -. words (spawner 1 n)) /. float_of_int n
+  in
+  check_ceiling "spawn" ~ceiling:30. spawn
+
+(* Two partitions' timer chains half a period apart with a lookahead
+   far below the gap: every event is a round of its own, and the next
+   one belongs to the other partition. The same chains on one heap run
+   the same events without windows, so the difference is what a window
+   switch costs. *)
+let rec tick n () = if n > 0 then ignore (Engine.after 1.0 (tick (n - 1)))
+
+let two_chains n () =
+  Engine.post ~partition:1 ~delay:0.5 (tick n);
+  Engine.post ~partition:2 ~delay:1.0 (tick n)
+
+let test_window_words () =
+  let partitioned n () =
+    ignore
+      (Engine.run_partitioned ~lookahead:0.1 ~partitions:2 (two_chains n))
+  in
+  let one_heap n () = ignore (Engine.run (two_chains n)) in
+  (* [n] more ticks per chain are [2n] more windows. *)
+  let window =
+    (per_unit ~n:1000 partitioned -. per_unit ~n:1000 one_heap) /. 2.
+  in
+  check_ceiling "window switch" ~ceiling:32. window
+
+(* The benchmark's probe slices host time on the lifecycle hooks, so
+   the exact (hook, partition, pid) sequence is part of the engine's
+   contract: one scenario with sleep, Ivar.read, Resource contention,
+   yield, spawn and a cross-partition post. *)
+let test_hook_sequence () =
+  let log = ref [] in
+  let add hook pid =
+    log := (hook, Engine.current_partition (), pid) :: !log
+  in
+  Engine.set_trace_hooks
+    (Some
+       {
+         Engine.on_spawn = (fun ~pid ~name:_ -> add "spawn" pid);
+         on_park = (fun ~pid -> add "park" pid);
+         on_wake = (fun ~pid -> add "wake" pid);
+       });
+  Fun.protect
+    ~finally:(fun () -> Engine.set_trace_hooks None)
+    (fun () ->
+      ignore
+        (Engine.run_partitioned ~lookahead:0.1 ~partitions:1 (fun () ->
+             let iv = Engine.Ivar.create () in
+             let r = Resource.create 1 in
+             Engine.spawn ~name:"a" (fun () ->
+                 Resource.acquire r;
+                 Engine.sleep 1.0;
+                 Resource.release r;
+                 Engine.Ivar.fill iv 7);
+             Engine.spawn ~name:"b" (fun () ->
+                 Resource.acquire r;
+                 Engine.yield ();
+                 Resource.release r);
+             Engine.post ~partition:1 ~delay:0.2 (fun () ->
+                 Engine.spawn ~name:"remote" (fun () ->
+                     Engine.sleep 0.3;
+                     Engine.yield ()));
+             ignore (Engine.Ivar.read iv);
+             Engine.yield ();
+             Engine.sleep 0.5)));
+  Alcotest.(check (list (triple string int int)))
+    "hook sequence"
+    [
+      ("spawn", 0, 1); ("park", 0, 1); ("spawn", 0, 2); ("park", 0, 2);
+      ("spawn", 0, 3); ("park", 0, 3); ("spawn", 1, 1); ("park", 1, 1);
+      ("wake", 1, 1); ("park", 1, 1); ("wake", 1, 1); ("wake", 0, 2);
+      ("wake", 0, 3); ("wake", 0, 1); ("park", 0, 3); ("park", 0, 1);
+      ("wake", 0, 3); ("wake", 0, 1); ("park", 0, 1); ("wake", 0, 1);
+    ]
+    (List.rev !log)
+
+(* ------------------------------------------------------------------ *)
 (* Resource *)
 
 let test_resource_mutex () =
@@ -378,6 +508,13 @@ let suites =
         Alcotest.test_case "no nested run" `Quick test_no_nested_run;
         Alcotest.test_case "past scheduling rejected" `Quick
           test_past_scheduling_rejected;
+      ] );
+    ( "sim.engine.cost",
+      [
+        Alcotest.test_case "park words" `Quick test_park_words;
+        Alcotest.test_case "spawn words" `Quick test_spawn_words;
+        Alcotest.test_case "window switch words" `Quick test_window_words;
+        Alcotest.test_case "hook sequence" `Quick test_hook_sequence;
       ] );
     ( "sim.resource",
       [

@@ -393,6 +393,222 @@ let test_tx_writes_listed () =
     "modified paths in order" [ "/w/one"; "/w/two" ]
     (List.map Xs_path.to_string (Xs_transaction.writes tx))
 
+(* The transaction implementation before commits adopted the view or the
+   validated scratch copy: commit replayed the journal into the live
+   store (after validating it on a scratch copy when the store had
+   moved). Kept verbatim as the reference for [prop_commit_matches_replay]. *)
+module Replay_tx = struct
+  type journal_entry =
+    | J_read of int * Xs_path.t * (string, Xs_error.t) result
+    | J_directory of int * Xs_path.t * (string list, Xs_error.t) result
+    | J_write of int * Xs_path.t * string
+    | J_mkdir of int * Xs_path.t
+    | J_rm of int * Xs_path.t
+    | J_set_perms of int * Xs_path.t * Xs_perms.t
+
+  type t = {
+    tx_id : int;
+    base_generation : int;
+    view : Xs_store.t;
+    mutable journal : journal_entry list; (* reversed *)
+    mutable aborted : bool;
+  }
+
+  let start store ~id =
+    {
+      tx_id = id;
+      base_generation = Xs_store.generation store;
+      view = Xs_store.of_snapshot (Xs_store.snapshot store);
+      journal = [];
+      aborted = false;
+    }
+
+  let record t e = t.journal <- e :: t.journal
+
+  let read t ~caller path =
+    let r = Xs_store.read t.view ~caller path in
+    record t (J_read (caller, path, r));
+    r
+
+  let directory t ~caller path =
+    let r = Xs_store.directory t.view ~caller path in
+    record t (J_directory (caller, path, r));
+    r
+
+  let write t ~caller path value =
+    let r = Xs_store.write t.view ~caller path value in
+    if r = Ok () then record t (J_write (caller, path, value));
+    r
+
+  let mkdir t ~caller path =
+    let r = Xs_store.mkdir t.view ~caller path in
+    if r = Ok () then record t (J_mkdir (caller, path));
+    r
+
+  let rm t ~caller path =
+    let r = Xs_store.rm t.view ~caller path in
+    if r = Ok () then record t (J_rm (caller, path));
+    r
+
+  let set_perms t ~caller path perms =
+    let r = Xs_store.set_perms t.view ~caller path perms in
+    if r = Ok () then record t (J_set_perms (caller, path, perms));
+    r
+
+  let entry_write_path = function
+    | J_write (_, p, _) | J_mkdir (_, p) | J_rm (_, p)
+    | J_set_perms (_, p, _) ->
+        Some p
+    | J_read _ | J_directory _ -> None
+
+  let writes t =
+    List.filter_map entry_write_path (List.rev t.journal)
+
+  exception Conflict
+
+  let replay_into store entries =
+    let apply = function
+      | J_read (caller, path, expected) ->
+          if Xs_store.read store ~caller path <> expected then raise Conflict
+      | J_directory (caller, path, expected) ->
+          if Xs_store.directory store ~caller path <> expected then
+            raise Conflict
+      | J_write (caller, path, value) ->
+          if Xs_store.write store ~caller path value <> Ok () then
+            raise Conflict
+      | J_mkdir (caller, path) ->
+          if Xs_store.mkdir store ~caller path <> Ok () then raise Conflict
+      | J_rm (caller, path) ->
+          if Xs_store.rm store ~caller path <> Ok () then raise Conflict
+      | J_set_perms (caller, path, perms) ->
+          if Xs_store.set_perms store ~caller path perms <> Ok () then
+            raise Conflict
+    in
+    List.iter apply entries
+
+  let commit t ~into:store =
+    if t.aborted then Error Xs_error.EINVAL
+    else begin
+      let modified = writes t in
+      if Xs_store.generation store = t.base_generation then begin
+        (* Fast path: nothing else touched the store. Re-apply journaled
+           writes directly; they cannot conflict. *)
+        (try replay_into store (List.rev t.journal)
+         with Conflict -> assert false);
+        Ok modified
+      end
+      else begin
+        (* Validate + apply against a scratch copy so failure leaves the
+           live store untouched. *)
+        let scratch = Xs_store.of_snapshot (Xs_store.snapshot store) in
+        match replay_into scratch (List.rev t.journal) with
+        | () ->
+            (* Apply for real, now that validation passed. *)
+            (try replay_into store (List.rev t.journal)
+             with Conflict ->
+               (* Cannot happen: the live store has not changed since the
+                  scratch copy was taken (single-threaded server). *)
+               assert false);
+            Ok modified
+        | exception Conflict -> Error Xs_error.EAGAIN
+      end
+    end
+
+  let abort t = t.aborted <- true
+end
+
+(* Commit adopts a store instead of replaying the journal into it; over
+   random journals, with and without live writes between [start] and
+   [commit] (and sometimes an abort), the outcome must match the
+   replaying reference exactly: tree, generation, node count, owned
+   counts, modified list and error. *)
+let prop_commit_matches_replay =
+  let callers = [| 0; 5; 7 |] in
+  let op_gen =
+    QCheck.Gen.(
+      quad (int_range 0 5) (int_range 0 2)
+        (list_size (int_range 1 3) (int_range 0 3))
+        (int_range 0 2))
+  in
+  let path_of segs =
+    p (List.fold_left (fun acc s -> acc ^ "/k" ^ string_of_int s) "" segs)
+  in
+  let perms_of v =
+    Xs_perms.make ~owner:callers.(v)
+      ~default:(if v = 2 then Xs_perms.Read else Xs_perms.None_)
+      ()
+  in
+  (* One op against either a store or a transaction, as callbacks. *)
+  let apply ~read ~directory ~write ~mkdir ~rm ~set_perms
+      (kind, who, segs, v) =
+    let caller = callers.(who) and path = path_of segs in
+    match kind with
+    | 0 -> ignore (read ~caller path)
+    | 1 -> ignore (directory ~caller path)
+    | 2 | 3 -> ignore (write ~caller path ("v" ^ string_of_int v))
+    | 4 -> ignore (if v = 0 then rm ~caller path else mkdir ~caller path)
+    | _ -> ignore (set_perms ~caller path (perms_of v))
+  in
+  let live s =
+    apply ~read:(Xs_store.read s) ~directory:(Xs_store.directory s)
+      ~write:(Xs_store.write s) ~mkdir:(Xs_store.mkdir s) ~rm:(Xs_store.rm s)
+      ~set_perms:(Xs_store.set_perms s)
+  in
+  let observe s r =
+    let nodes = ref [] in
+    Xs_store.iter s (fun ~path ~value ~perms ->
+        nodes :=
+          (Xs_path.to_string path, value, Xs_perms.to_string perms) :: !nodes);
+    ( List.rev !nodes,
+      Xs_store.generation s,
+      Xs_store.node_count s,
+      Array.map (fun domid -> Xs_store.owned_count s ~domid) callers,
+      Result.map (List.map Xs_path.to_string) r )
+  in
+  QCheck.Test.make ~name:"commit = replaying reference" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          quad
+            (list_size (int_range 0 12) op_gen)
+            (list_size (int_range 0 12) op_gen)
+            (opt (list_size (int_range 1 6) op_gen))
+            (int_range 0 9)))
+    (fun (setup, tx_ops, interleaved, abort) ->
+      let fresh () =
+        let s = Xs_store.create () in
+        List.iter (live s) setup;
+        s
+      in
+      let interleaved = Option.value interleaved ~default:[] in
+      let adopted =
+        let s = fresh () in
+        let tx = Xs_transaction.start s ~id:1 in
+        List.iter
+          (apply ~read:(Xs_transaction.read tx)
+             ~directory:(Xs_transaction.directory tx)
+             ~write:(Xs_transaction.write tx) ~mkdir:(Xs_transaction.mkdir tx)
+             ~rm:(Xs_transaction.rm tx)
+             ~set_perms:(Xs_transaction.set_perms tx))
+          tx_ops;
+        List.iter (live s) interleaved;
+        if abort = 0 then Xs_transaction.abort tx;
+        observe s (Xs_transaction.commit tx ~into:s)
+      in
+      let replayed =
+        let s = fresh () in
+        let tx = Replay_tx.start s ~id:1 in
+        List.iter
+          (apply ~read:(Replay_tx.read tx) ~directory:(Replay_tx.directory tx)
+             ~write:(Replay_tx.write tx) ~mkdir:(Replay_tx.mkdir tx)
+             ~rm:(Replay_tx.rm tx) ~set_perms:(Replay_tx.set_perms tx))
+          tx_ops;
+        List.iter (live s) interleaved;
+        if abort = 0 then Replay_tx.abort tx;
+        observe s (Replay_tx.commit tx ~into:s)
+      in
+      adopted = replayed)
+
 (* ------------------------------------------------------------------ *)
 (* Watches *)
 
@@ -778,6 +994,7 @@ let suites =
         Alcotest.test_case "write-write conflict" `Quick
           test_tx_write_write_conflict;
         Alcotest.test_case "writes listed" `Quick test_tx_writes_listed;
+        QCheck_alcotest.to_alcotest prop_commit_matches_replay;
       ] );
     ( "xenstore.watch",
       [
