@@ -541,41 +541,7 @@ let boot_cmd =
 (* ------------------------------------------------------------------ *)
 (* xenstore: boot guests on the classic path and dump the store *)
 
-let run_xenstore count =
-  ignore
-    (Lightvm_sim.Engine.run (fun () ->
-         let host = Vmm.create ~mode:Mode.chaos_xs () in
-         for _ = 1 to count do
-           match Vmm.vm_create host (Vmm.vm_request Image.daytime) with
-           | Ok vi -> ignore (Vmm.vm_boot host ~domid:vi.Vmm.vi_domid)
-           | Error e -> failwith (Vmm.error_to_string e)
-         done;
-         let server =
-           Lightvm_toolstack.Toolstack.xs_server (Vmm.toolstack host)
-         in
-         let store = Lightvm_xenstore.Xs_server.store server in
-         Printf.printf
-           "XenStore after creating %d guest(s) (%d nodes, generation \
-            %d):\n"
-           count
-           (Lightvm_xenstore.Xs_store.node_count store)
-           (Lightvm_xenstore.Xs_store.generation store);
-         Lightvm_xenstore.Xs_store.iter store
-           (fun ~path ~value ~perms ->
-             Printf.printf "%-52s = %-14S  (%s)\n"
-               (Lightvm_xenstore.Xs_path.to_string path)
-               value
-               (Lightvm_xenstore.Xs_perms.to_string perms));
-         let counters = Lightvm_xenstore.Xs_server.counters server in
-         Printf.printf
-           "\ndaemon: %d ops, %d watch events, %d commits, %d conflicts, \
-            %.2f ms busy\n"
-           counters.Lightvm_xenstore.Xs_server.ops
-           counters.Lightvm_xenstore.Xs_server.watch_events
-           counters.Lightvm_xenstore.Xs_server.tx_commits
-           counters.Lightvm_xenstore.Xs_server.tx_conflicts
-           (counters.Lightvm_xenstore.Xs_server.busy_time *. 1e3);
-         Lightvm_sim.Engine.stop ()))
+let run_xenstore count = print_string (E.xenstore_dump ~count)
 
 let xenstore_cmd =
   let count =

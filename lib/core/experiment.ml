@@ -427,7 +427,7 @@ let fig9_create_times ?n () = series_of_jobs (fig9_jobs ?n ())
 (* The paper stops its creation sweeps at 1000 guests; this family
    extends them to the simulator's design target of 10,000 to show the
    host-side data structures (indexed watch dispatch, persistent
-   transaction snapshots, interned paths) stay near-linear while the
+   transaction snapshots, typed paths) stay near-linear while the
    *modeled* costs keep their figure-9 shapes exactly.
 
    xl is capped at [scale_xl_cap]: the modeled libxl protocol performs
@@ -2418,3 +2418,39 @@ let serverless_run ?n ?duration ?spec ?(fault_seed = 42L) ~arrival ~rate
           (result_of_piece ~name:"serverless" ~figure:"Open-loop serverless"
              (serverless_cell ~requests ~policy ~arrival ?spec ~seed:fault_seed
                 ()))
+
+(* ------------------------------------------------------------------ *)
+(* XenStore dump *)
+
+let xenstore_dump ~count =
+  let buf = Buffer.create 8192 in
+  ignore
+    (Engine.run (fun () ->
+         let host = Vmm.create ~mode:Mode.chaos_xs () in
+         for _ = 1 to count do
+           match Vmm.vm_create host (Vmm.vm_request Image.daytime) with
+           | Ok vi -> ignore (Vmm.vm_boot host ~domid:vi.Vmm.vi_domid)
+           | Error e -> failwith (Vmm.error_to_string e)
+         done;
+         let module Xs_server = Lightvm_xenstore.Xs_server in
+         let module Xs_store = Lightvm_xenstore.Xs_store in
+         let server = Toolstack.xs_server (Vmm.toolstack host) in
+         let store = Xs_server.store server in
+         Printf.bprintf buf
+           "XenStore after creating %d guest(s) (%d nodes, generation \
+            %d):\n"
+           count (Xs_store.node_count store) (Xs_store.generation store);
+         Xs_store.iter store (fun ~path ~value ~perms ->
+             Printf.bprintf buf "%-52s = %-14S  (%s)\n"
+               (Lightvm_xenstore.Xs_path.to_string path)
+               value
+               (Lightvm_xenstore.Xs_perms.to_string perms));
+         let c = Xs_server.counters server in
+         Printf.bprintf buf
+           "\ndaemon: %d ops, %d watch events, %d commits, %d conflicts, \
+            %.2f ms busy\n"
+           c.Xs_server.ops c.Xs_server.watch_events c.Xs_server.tx_commits
+           c.Xs_server.tx_conflicts
+           (c.Xs_server.busy_time *. 1e3);
+         Engine.stop ()));
+  Buffer.contents buf

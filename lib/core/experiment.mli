@@ -391,3 +391,9 @@ val serverless_bench_summary :
 (** [(cold_p99_us, warm_p99_us, warm_hit_rate)] for the flagship
     Poisson pair at the family seeds — the bench's JSON fields, and
     CI's warm-beats-cold assertion. *)
+
+val xenstore_dump : count:int -> string
+(** Boot [count] daytime guests on one chaos [XS] host and dump its
+    XenStore: every node's path, value and permissions, then the
+    daemon's counters. This is the text [lightvm_cli xenstore] prints,
+    and its digest is a line of [test/digests.txt]. *)

@@ -1,3 +1,5 @@
+module Xs_path = Lightvm_xenstore.Xs_path
+
 type kind = Vif | Vbd | Sysctl
 
 type config = {
@@ -27,16 +29,19 @@ let devpage_kind = function
   | Sysctl -> Lightvm_hv.Devpage.Sysctl
 
 let frontend_dir ~domid c =
-  Printf.sprintf "/local/domain/%d/device/%s/%d" domid
-    (kind_to_string c.kind) c.devid
-
-let backend_dir ~domid c =
-  Printf.sprintf "/local/domain/%d/backend/%s/%d/%d" c.backend_domid
-    (kind_to_string c.kind) domid c.devid
+  Xs_path.extend (Xs_path.domain_path domid)
+    [ "device"; kind_to_string c.kind; string_of_int c.devid ]
 
 let backend_domain_dir ~domid c =
-  Printf.sprintf "/local/domain/%d/backend/%s/%d" c.backend_domid
-    (kind_to_string c.kind) domid
+  Xs_path.extend
+    (Xs_path.domain_path c.backend_domid)
+    [ "backend"; kind_to_string c.kind; string_of_int domid ]
+
+let backend_dir ~domid c =
+  Xs_path.extend
+    (Xs_path.domain_path c.backend_domid)
+    [ "backend"; kind_to_string c.kind; string_of_int domid;
+      string_of_int c.devid ]
 
 let equal a b = a = b
 

@@ -21,14 +21,15 @@ val kind_to_string : kind -> string
 
 val devpage_kind : kind -> Lightvm_hv.Devpage.kind
 
-val frontend_dir : domid:int -> config -> string
+val frontend_dir : domid:int -> config -> Lightvm_xenstore.Xs_path.t
 (** XenStore frontend directory, e.g.
-    [/local/domain/5/device/vif/0]. *)
+    [/local/domain/5/device/vif/0]. Callers name its nodes with one
+    {!Lightvm_xenstore.Xs_path.concat} each. *)
 
-val backend_dir : domid:int -> config -> string
+val backend_dir : domid:int -> config -> Lightvm_xenstore.Xs_path.t
 (** XenStore backend directory, e.g. [/local/domain/0/backend/vif/5/0]. *)
 
-val backend_domain_dir : domid:int -> config -> string
+val backend_domain_dir : domid:int -> config -> Lightvm_xenstore.Xs_path.t
 (** The per-guest level above {!backend_dir}, e.g.
     [/local/domain/0/backend/vif/5]. Created implicitly by the first
     write under it; rollback removes this whole level so a failed

@@ -1,5 +1,6 @@
 module Engine = Lightvm_sim.Engine
 module Xs_client = Lightvm_xenstore.Xs_client
+module Xs_path = Lightvm_xenstore.Xs_path
 module Xs_watch = Lightvm_xenstore.Xs_watch
 module Xen = Lightvm_hv.Xen
 module Evtchn = Lightvm_hv.Evtchn
@@ -46,13 +47,14 @@ let connect ~xs ~xen ~domid (dev : Device.config) =
   let fe = Device.frontend_dir ~domid dev in
   let be = Device.backend_dir ~domid dev in
   (* 1. Discover the backend from our frontend directory. *)
-  let backend_path = Xs_client.read xs (fe ^ "/backend") in
-  if backend_path <> be then
+  let backend_path = Xs_client.read xs (Xs_path.concat fe "backend") in
+  if backend_path <> Xs_path.to_string be then
     raise
       (Connect_failed
-         (Printf.sprintf "backend path mismatch: %s vs %s" backend_path be));
+         (Printf.sprintf "backend path mismatch: %s vs %s" backend_path
+            (Xs_path.to_string be)));
   let backend_id =
-    int_of_string (Xs_client.read xs (fe ^ "/backend-id"))
+    int_of_string (Xs_client.read xs (Xs_path.concat fe "backend-id"))
   in
   (* 2. Allocate the shared ring and event channel. *)
   let costs = Xen.costs xen in
@@ -66,15 +68,16 @@ let connect ~xs ~xen ~domid (dev : Device.config) =
     Evtchn.alloc_unbound (Xen.evtchn xen) ~domid ~remote:backend_id
   in
   (* 3. Publish them and flip to Initialised. *)
+  let fe_state = Xs_path.concat fe "state" in
   Xs_client.write_many xs
     [
-      (fe ^ "/ring-ref", string_of_int ring_gref);
-      (fe ^ "/event-channel", string_of_int port);
-      (fe ^ "/state", state_to_wire Initialised);
+      (Xs_path.concat fe "ring-ref", string_of_int ring_gref);
+      (Xs_path.concat fe "event-channel", string_of_int port);
+      (fe_state, state_to_wire Initialised);
     ];
   (* 4. Wait for the backend to connect (watch on its state node). *)
   let connected = Engine.Ivar.create () in
-  let state_path = be ^ "/state" in
+  let state_path = Xs_path.concat be "state" in
   let token = Printf.sprintf "fe-%d-%s-%d" domid
       (Device.kind_to_string dev.Device.kind) dev.Device.devid in
   Xs_client.watch xs ~path:state_path ~token ~deliver:(fun _event ->
@@ -86,10 +89,11 @@ let connect ~xs ~xen ~domid (dev : Device.config) =
   Engine.Ivar.read connected;
   Xs_client.unwatch xs ~path:state_path ~token;
   (* 5. Read back what the backend published and go Connected. *)
-  ignore (Xs_client.read_opt xs (be ^ "/mac"));
-  Xs_client.write xs (fe ^ "/state") (state_to_wire Connected);
+  ignore (Xs_client.read_opt xs (Xs_path.concat be "mac"));
+  Xs_client.write xs fe_state (state_to_wire Connected);
   Xen.consume_guest xen ~domid (0.5 *. guest_side_work)
 
 let disconnect ~xs ~domid dev =
-  let fe = Device.frontend_dir ~domid dev in
-  Xs_client.write xs (fe ^ "/state") (state_to_wire Closed)
+  Xs_client.write xs
+    (Xs_path.concat (Device.frontend_dir ~domid dev) "state")
+    (state_to_wire Closed)

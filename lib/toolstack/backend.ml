@@ -5,6 +5,7 @@ module Evtchn = Lightvm_hv.Evtchn
 module Gnttab = Lightvm_hv.Gnttab
 module Params = Lightvm_hv.Params
 module Xs_client = Lightvm_xenstore.Xs_client
+module Xs_path = Lightvm_xenstore.Xs_path
 module Xs_error = Lightvm_xenstore.Xs_error
 module Device = Lightvm_guest.Device
 module Ctrl = Lightvm_guest.Ctrl
@@ -42,15 +43,15 @@ let fresh_mac t =
 let complete_handshake t ~domid (dev : Device.config) xs =
   (* Runs on a watch event: the frontend has published its half. *)
   let fe = Device.frontend_dir ~domid dev in
-  let be = Device.backend_dir ~domid dev in
-  match Xs_client.read_opt xs (be ^ "/state") with
+  let be_state = Xs_path.concat (Device.backend_dir ~domid dev) "state" in
+  match Xs_client.read_opt xs be_state with
   | Some s
     when Xenbus_front.state_of_wire s = Some Xenbus_front.Connected ->
       () (* already connected; spurious event *)
   | Some _ | None -> (
       match
-        ( Xs_client.read_opt xs (fe ^ "/ring-ref"),
-          Xs_client.read_opt xs (fe ^ "/event-channel") )
+        ( Xs_client.read_opt xs (Xs_path.concat fe "ring-ref"),
+          Xs_client.read_opt xs (Xs_path.concat fe "event-channel") )
       with
       | Some gref, Some port ->
           let costs = Xen.costs t.xen in
@@ -74,7 +75,7 @@ let complete_handshake t ~domid (dev : Device.config) xs =
              the store accepts, and any fault probability < 1 terminates. *)
           let rec publish_connected attempt =
             try
-              Xs_client.write xs (be ^ "/state")
+              Xs_client.write xs be_state
                 (Xenbus_front.state_to_wire Xenbus_front.Connected)
             with Xs_error.Error Xs_error.EQUOTA ->
               Costs.charge ~category:"devices.requeue"
@@ -90,7 +91,9 @@ let watch_device t ~domid (dev : Device.config) =
   match t.xs with
   | None -> invalid_arg "Backend.watch_device: no XenStore connection"
   | Some xs ->
-      let fe = Device.frontend_dir ~domid dev in
+      let fe_state =
+        Xs_path.concat (Device.frontend_dir ~domid dev) "state"
+      in
       let token =
         Printf.sprintf "be-%d-%s-%d" domid
           (Device.kind_to_string dev.Device.kind)
@@ -99,9 +102,9 @@ let watch_device t ~domid (dev : Device.config) =
       (* The watch stays registered for the device's lifetime (the real
          netback keeps watching for Closing) — the registry grows with
          the number of running guests. *)
-      Xs_client.watch xs ~path:(fe ^ "/state") ~token
+      Xs_client.watch xs ~path:fe_state ~token
         ~deliver:(fun _event ->
-          match Xs_client.read_opt xs (fe ^ "/state") with
+          match Xs_client.read_opt xs fe_state with
           | Some s
             when Xenbus_front.state_of_wire s
                  = Some Xenbus_front.Initialised ->

@@ -27,9 +27,7 @@ let trigger_suspend ts (created : Create.created) =
   if uses_xenstore ts then
     (* Classic path: write the control node; the guest's xenbus driver
        reacts; several store round-trips. *)
-    Xs_client.write env.Create.xs
-      (Printf.sprintf "/local/domain/%d/control/shutdown" domid)
-      "suspend"
+    Xs_client.write env.Create.xs (Create.shutdown_path domid) "suspend"
   else begin
     (* noxs: an ioctl to the sysctl back-end flips the shared page and
        kicks the event channel. *)

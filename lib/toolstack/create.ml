@@ -6,6 +6,7 @@ module Devpage = Lightvm_hv.Devpage
 module Params = Lightvm_hv.Params
 module Xs_server = Lightvm_xenstore.Xs_server
 module Xs_client = Lightvm_xenstore.Xs_client
+module Xs_path = Lightvm_xenstore.Xs_path
 module Xs_error = Lightvm_xenstore.Xs_error
 module Device = Lightvm_guest.Device
 module Guest = Lightvm_guest.Guest
@@ -144,12 +145,29 @@ let uses_xenstore env = env.mode.Mode.registry = Mode.Xenstore
 let scan_domain_names env = Xs_client.scan_names env.xs
 
 (* ------------------------------------------------------------------ *)
+(* XenStore paths *)
+
+let shutdown_path domid =
+  Xs_path.(domain_path domid / "control" / "shutdown")
+
+let vm_path domid = Xs_path.(root / "vm" / string_of_int domid)
+
+let shutdown_watch_token domid = Printf.sprintf "xl-shutdown-%d" domid
+
+(* ------------------------------------------------------------------ *)
 (* Rollback *)
 
-let device_watch_token ~domid (dev : Device.config) =
-  Printf.sprintf "be-%d-%s-%d" domid
-    (Device.kind_to_string dev.Device.kind)
-    dev.Device.devid
+(* Drop the backend's per-device watch ([Backend.watch_device]), if it
+   was ever registered. *)
+let unwatch_device env ~domid (dev : Device.config) =
+  try
+    Xs_client.unwatch env.xs
+      ~path:(Xs_path.concat (Device.frontend_dir ~domid dev) "state")
+      ~token:
+        (Printf.sprintf "be-%d-%s-%d" domid
+           (Device.kind_to_string dev.Device.kind)
+           dev.Device.devid)
+  with Xs_error.Error _ -> ()
 
 (* Undo a partially-built domain. Arguments say exactly how far the
    pipeline got — the rollback must release precisely what was acquired,
@@ -177,11 +195,7 @@ let rollback env ~domid ~skeleton ~devices ~xl_nodes ~xl_watch =
       if uses_xenstore env then begin
         List.iter
           (fun ((dev : Device.config), _) ->
-            let fe = Device.frontend_dir ~domid dev in
-            (try
-               Xs_client.unwatch env.xs ~path:(fe ^ "/state")
-                 ~token:(device_watch_token ~domid dev)
-             with Xs_error.Error _ -> ());
+            unwatch_device env ~domid dev;
             (* Remove the per-guest level, not just the device node:
                the first backend write implicitly created
                .../backend/<kind>/<domid>, which would otherwise leak
@@ -191,15 +205,14 @@ let rollback env ~domid ~skeleton ~devices ~xl_nodes ~xl_watch =
           devices;
         (if xl_watch then
            try
-             Xs_client.unwatch env.xs
-               ~path:(Printf.sprintf "/local/domain/%d/control/shutdown" domid)
-               ~token:(Printf.sprintf "xl-shutdown-%d" domid)
+             Xs_client.unwatch env.xs ~path:(shutdown_path domid)
+               ~token:(shutdown_watch_token domid)
            with Xs_error.Error _ -> ());
         (if xl_nodes then
-           try Xs_client.rm env.xs (Printf.sprintf "/vm/%d" domid)
+           try Xs_client.rm env.xs (vm_path domid)
            with Xs_error.Error _ -> ());
         if skeleton then begin
-          (try Xs_client.rm env.xs (Printf.sprintf "/local/domain/%d" domid)
+          (try Xs_client.rm env.xs (Xs_path.domain_path domid)
            with Xs_error.Error _ -> ());
           Xs_client.release env.xs domid
         end
@@ -279,15 +292,15 @@ let prepare env ~mem_mb ~vcpus ~nics ~disks ?breakdown () =
                 raise (Create_failed "out of memory populating guest RAM"));
         if uses_xenstore env then
           timed b Cat_xenstore (fun () ->
-              let dompath = Printf.sprintf "/local/domain/%d" domid in
+              let dompath = Xs_path.domain_path domid in
               skeleton := true;
               Xs_client.mkdir env.xs dompath;
               (* The guest owns its domain directory (libxl sets this so
                  the domain can populate its own subtree). *)
               Xs_client.set_perms env.xs dompath
                 (Lightvm_xenstore.Xs_perms.make ~owner:domid ());
-              Xs_client.mkdir env.xs (dompath ^ "/device");
-              Xs_client.mkdir env.xs (dompath ^ "/control")));
+              Xs_client.mkdir env.xs (Xs_path.concat dompath "device");
+              Xs_client.mkdir env.xs (Xs_path.concat dompath "control")));
     (* Phase 5: device pre-creation. Under noxs every guest also gets
        the sysctl pseudo-device for power operations (Section 5.1). *)
     let devices =
@@ -312,15 +325,15 @@ let prepare env ~mem_mb ~vcpus ~nics ~disks ?breakdown () =
                         ~acl:[ (domid, Lightvm_xenstore.Xs_perms.Read) ]
                         ()
                     in
+                    let frontend_id = Xs_path.concat be "frontend-id" in
+                    let state = Xs_path.concat be "state" in
                     Xs_client.mkdir env.xs be;
                     Xs_client.set_perms env.xs be guest_readable;
-                    Xs_client.write env.xs (be ^ "/frontend-id")
-                      (string_of_int domid);
-                    Xs_client.set_perms env.xs (be ^ "/frontend-id")
-                      guest_readable;
-                    Xs_client.write env.xs (be ^ "/state")
+                    Xs_client.write env.xs frontend_id (string_of_int domid);
+                    Xs_client.set_perms env.xs frontend_id guest_readable;
+                    Xs_client.write env.xs state
                       (Xenbus_front.state_to_wire Xenbus_front.Init_wait);
-                    Xs_client.set_perms env.xs (be ^ "/state") guest_readable;
+                    Xs_client.set_perms env.xs state guest_readable;
                     Backend.watch_device env.backend ~domid dev);
                 timed b Cat_devices (fun () ->
                     Hotplug.run env.mode.Mode.hotplug ~xen:env.xen
@@ -360,22 +373,23 @@ let discard_shell env (shell : shell) =
 (* Execute: phases 6-9 *)
 
 let xl_extra_entries domid =
-  let dompath = Printf.sprintf "/local/domain/%d" domid in
-  let vmpath = Printf.sprintf "/vm/%d" domid in
-  [
-    (vmpath ^ "/uuid", Printf.sprintf "0000-%04d" domid);
-    (vmpath ^ "/image/ostype", "linux");
-    (dompath ^ "/vm", vmpath);
-    (dompath ^ "/domid", string_of_int domid);
-    (dompath ^ "/memory/target", "0");
-    (dompath ^ "/memory/static-max", "0");
-    (dompath ^ "/console/ring-ref", "0");
-    (dompath ^ "/console/port", "0");
-    (dompath ^ "/console/limit", "65536");
-    (dompath ^ "/console/type", "xenconsoled");
-    (dompath ^ "/store/port", "1");
-    (dompath ^ "/cpu/0/availability", "online");
-  ]
+  let dompath = Xs_path.domain_path domid in
+  let vmpath = vm_path domid in
+  Xs_path.
+    [
+      (vmpath / "uuid", Printf.sprintf "0000-%04d" domid);
+      (vmpath / "image" / "ostype", "linux");
+      (dompath / "vm", to_string vmpath);
+      (dompath / "domid", string_of_int domid);
+      (dompath / "memory" / "target", "0");
+      (dompath / "memory" / "static-max", "0");
+      (dompath / "console" / "ring-ref", "0");
+      (dompath / "console" / "port", "0");
+      (dompath / "console" / "limit", "65536");
+      (dompath / "console" / "type", "xenconsoled");
+      (dompath / "store" / "port", "1");
+      (dompath / "cpu" / "0" / "availability", "online");
+    ]
 
 let init_device_xenstore env ~domid (dev : Device.config) =
   (* Frontend entries, written atomically in a transaction, as libxl
@@ -383,6 +397,7 @@ let init_device_xenstore env ~domid (dev : Device.config) =
      are handed to the guest so its driver can publish the ring. *)
   let fe = Device.frontend_dir ~domid dev in
   let be = Device.backend_dir ~domid dev in
+  let be_mac = Xs_path.concat be "mac" in
   let mac = Backend.fresh_mac env.backend in
   let guest_owned = Lightvm_xenstore.Xs_perms.make ~owner:domid () in
   let guest_readable =
@@ -390,22 +405,23 @@ let init_device_xenstore env ~domid (dev : Device.config) =
       ~acl:[ (domid, Lightvm_xenstore.Xs_perms.Read) ]
       ()
   in
+  let entries =
+    [
+      (Xs_path.concat fe "backend", Xs_path.to_string be);
+      (Xs_path.concat fe "backend-id",
+       string_of_int dev.Device.backend_domid);
+      (Xs_path.concat fe "state",
+       Xenbus_front.state_to_wire Xenbus_front.Initialising);
+      (Xs_path.concat fe "handle", string_of_int dev.Device.devid);
+    ]
+  in
   Xs_client.with_transaction env.xs (fun tx ->
-      Xs_client.write_many env.xs ~tx
-        [
-          (fe ^ "/backend", be);
-          (fe ^ "/backend-id",
-           string_of_int dev.Device.backend_domid);
-          (fe ^ "/state",
-           Xenbus_front.state_to_wire Xenbus_front.Initialising);
-          (fe ^ "/handle", string_of_int dev.Device.devid);
-        ];
+      Xs_client.write_many env.xs ~tx entries;
       List.iter
         (fun node -> Xs_client.set_perms env.xs ~tx node guest_owned)
-        [ fe; fe ^ "/backend"; fe ^ "/backend-id"; fe ^ "/state";
-          fe ^ "/handle" ];
-      Xs_client.write env.xs ~tx (be ^ "/mac") mac;
-      Xs_client.set_perms env.xs ~tx (be ^ "/mac") guest_readable)
+        (fe :: List.map fst entries);
+      Xs_client.write env.xs ~tx be_mac mac;
+      Xs_client.set_perms env.xs ~tx be_mac guest_readable)
 
 let init_device_noxs env ~domid (dev : Device.config) ids =
   let gref, port =
@@ -508,7 +524,7 @@ let execute env shell ?config_text ?image_override (cfg : Vmconfig.t)
               if is_xl env then begin
                 xl_nodes := true;
                 Xs_client.write env.xs
-                  (Printf.sprintf "/local/domain/%d/name" domid)
+                  (Xs_path.concat (Xs_path.domain_path domid) "name")
                   cfg.Vmconfig.name
               end;
               if is_xl env then begin
@@ -517,10 +533,8 @@ let execute env shell ?config_text ?image_override (cfg : Vmconfig.t)
                    track domain lifecycle — one more registry entry per
                    VM that every later write must be checked against. *)
                 xl_watch := true;
-                Xs_client.watch env.xs
-                  ~path:(Printf.sprintf "/local/domain/%d/control/shutdown"
-                           domid)
-                  ~token:(Printf.sprintf "xl-shutdown-%d" domid)
+                Xs_client.watch env.xs ~path:(shutdown_path domid)
+                  ~token:(shutdown_watch_token domid)
                   ~deliver:(fun _ -> ())
               end)
         end;
@@ -633,20 +647,11 @@ let destroy env created =
     (* Remove the device watches and the domain's subtree. *)
     List.iter
       (fun dev ->
-        let fe = Device.frontend_dir ~domid dev in
-        let token =
-          Printf.sprintf "be-%d-%s-%d" domid
-            (Device.kind_to_string dev.Device.kind)
-            dev.Device.devid
-        in
-        (try Xs_client.unwatch env.xs ~path:(fe ^ "/state") ~token
-         with Xs_error.Error _ -> ());
+        unwatch_device env ~domid dev;
         (if is_xl env then
            try
-             Xs_client.unwatch env.xs
-               ~path:(Printf.sprintf "/local/domain/%d/control/shutdown"
-                        domid)
-               ~token:(Printf.sprintf "xl-shutdown-%d" domid)
+             Xs_client.unwatch env.xs ~path:(shutdown_path domid)
+               ~token:(shutdown_watch_token domid)
            with Xs_error.Error _ -> ());
         (* The per-guest level, not just the device node: the first
            backend write implicitly created .../backend/<kind>/<domid>,
@@ -655,7 +660,7 @@ let destroy env created =
         try Xs_client.rm env.xs (Device.backend_domain_dir ~domid dev)
         with Xs_error.Error _ -> ())
       created.devices;
-    (try Xs_client.rm env.xs (Printf.sprintf "/local/domain/%d" domid)
+    (try Xs_client.rm env.xs (Xs_path.domain_path domid)
      with Xs_error.Error _ -> ());
     Xs_client.release env.xs domid
   end

@@ -80,6 +80,10 @@ exception Create_failed of string
     nothing ([Lightvm_cluster.Vmm.check_leak] asserts this; see DESIGN.md
     "Failure model"). *)
 
+val shutdown_path : int -> Lightvm_xenstore.Xs_path.t
+(** A guest's [/local/domain/<domid>/control/shutdown] node: xl watches
+    it for the guest's lifetime and a classic suspend writes it. *)
+
 val effective_mem_mb : env -> Vmconfig.t -> float
 (** Applies the 4 MB toolstack floor unless the mode carries the
     paper's footnote-1 patch. *)

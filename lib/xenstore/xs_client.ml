@@ -11,16 +11,14 @@ let unexpected () = fail Xs_error.EINVAL
 
 let op t ?tx req = Xs_server.op t.server ~caller:t.domid ?tx req
 
-let path s = Xs_path.of_string s
-
 let read t ?tx p =
-  match op t ?tx (Xs_server.Read (path p)) with
+  match op t ?tx (Xs_server.Read p) with
   | Xs_server.Ok_value v -> v
   | Xs_server.Err e -> fail e
   | _ -> unexpected ()
 
 let read_opt t ?tx p =
-  match op t ?tx (Xs_server.Read (path p)) with
+  match op t ?tx (Xs_server.Read p) with
   | Xs_server.Ok_value v -> Some v
   | Xs_server.Err Xs_error.ENOENT -> None
   | Xs_server.Err e -> fail e
@@ -31,26 +29,24 @@ let expect_unit = function
   | Xs_server.Err e -> fail e
   | _ -> unexpected ()
 
-let write t ?tx p v = expect_unit (op t ?tx (Xs_server.Write (path p, v)))
-let mkdir t ?tx p = expect_unit (op t ?tx (Xs_server.Mkdir (path p)))
-let rm t ?tx p = expect_unit (op t ?tx (Xs_server.Rm (path p)))
+let write t ?tx p v = expect_unit (op t ?tx (Xs_server.Write (p, v)))
+let mkdir t ?tx p = expect_unit (op t ?tx (Xs_server.Mkdir p))
+let rm t ?tx p = expect_unit (op t ?tx (Xs_server.Rm p))
 
 let directory t ?tx p =
-  match op t ?tx (Xs_server.Directory (path p)) with
+  match op t ?tx (Xs_server.Directory p) with
   | Xs_server.Ok_list entries -> entries
   | Xs_server.Err e -> fail e
   | _ -> unexpected ()
 
 let set_perms t ?tx p perms =
-  expect_unit (op t ?tx (Xs_server.Set_perms (path p, perms)))
+  expect_unit (op t ?tx (Xs_server.Set_perms (p, perms)))
 
-let watch t ~path:p ~token ~deliver =
-  expect_unit
-    (Xs_server.watch t.server ~caller:t.domid ~path:(path p) ~token
-       ~deliver)
+let watch t ~path ~token ~deliver =
+  expect_unit (Xs_server.watch t.server ~caller:t.domid ~path ~token ~deliver)
 
-let unwatch t ~path:p ~token =
-  expect_unit (op t (Xs_server.Unwatch (path p, token)))
+let unwatch t ~path ~token =
+  expect_unit (op t (Xs_server.Unwatch (path, token)))
 
 let with_transaction t f =
   match

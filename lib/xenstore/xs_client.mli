@@ -2,6 +2,11 @@
     libxs. Raises {!Xs_error.Error} instead of returning results, and
     adds the small helpers toolstacks lean on.
 
+    Paths are typed ({!Xs_path.t}): callers hold their directory paths
+    and extend them with {!Xs_path.concat}, so no request re-parses a
+    formatted string. The daemon still sees, and charges for, exactly
+    the path string {!Xs_path.to_string} gives.
+
     Every operation below that talks to the daemon can raise
     {!Xs_error.Error} with the code the daemon answered ([EACCES] on a
     permission failure, [EQUOTA] when a node-creating request is over
@@ -19,15 +24,15 @@ val domid : t -> int
 
 val server : t -> Xs_server.t
 
-val read : t -> ?tx:int -> string -> string
+val read : t -> ?tx:int -> Xs_path.t -> string
 (** @raise Xs_error.Error [ENOENT] when the node does not exist,
     [EACCES] when it is not readable by this connection's domid. *)
 
-val read_opt : t -> ?tx:int -> string -> string option
+val read_opt : t -> ?tx:int -> Xs_path.t -> string option
 (** [read] with [ENOENT] mapped to [None]; other errors still raise
     {!Xs_error.Error}. *)
 
-val write : t -> ?tx:int -> string -> string -> unit
+val write : t -> ?tx:int -> Xs_path.t -> string -> unit
 (** Creates missing intermediate nodes implicitly, owned by the
     caller, as the real daemon does.
     @raise Xs_error.Error [EACCES] on a write-protected existing node,
@@ -35,32 +40,32 @@ val write : t -> ?tx:int -> string -> string -> unit
     [EEXIST] when a toolstack name-registration write collides with a
     running guest's name. *)
 
-val mkdir : t -> ?tx:int -> string -> unit
+val mkdir : t -> ?tx:int -> Xs_path.t -> unit
 (** Silent success when the node already exists, like [XS_MKDIR].
     @raise Xs_error.Error [EACCES] or [EQUOTA]. *)
 
-val rm : t -> ?tx:int -> string -> unit
+val rm : t -> ?tx:int -> Xs_path.t -> unit
 (** Removes the node and its whole subtree.
     @raise Xs_error.Error [ENOENT] when the node does not exist,
     [EACCES] when neither the parent nor the target is writable by the
     caller, [EINVAL] on special paths. *)
 
-val directory : t -> ?tx:int -> string -> string list
+val directory : t -> ?tx:int -> Xs_path.t -> string list
 (** Child names of a node.
     @raise Xs_error.Error [ENOENT] or [EACCES]. *)
 
-val set_perms : t -> ?tx:int -> string -> Xs_perms.t -> unit
+val set_perms : t -> ?tx:int -> Xs_path.t -> Xs_perms.t -> unit
 (** @raise Xs_error.Error [ENOENT], or [EACCES] when the caller is
     neither Dom0 nor the node's owner. *)
 
 val watch :
-  t -> path:string -> token:string -> deliver:(Xs_watch.event -> unit) ->
-  unit
+  t -> path:Xs_path.t -> token:string ->
+  deliver:(Xs_watch.event -> unit) -> unit
 (** Register a watch. [deliver] runs in a fresh simulation process per
     event, starting with the immediate synthetic firing the protocol
     mandates on registration. Never raises. *)
 
-val unwatch : t -> path:string -> token:string -> unit
+val unwatch : t -> path:Xs_path.t -> token:string -> unit
 (** @raise Xs_error.Error [ENOENT] when no such [(path, token)] watch
     is registered by this caller. *)
 
@@ -85,7 +90,7 @@ val release : t -> int -> unit
 (** Forget a domain: drops its watch registrations, aborts its open
     transactions and fires [@releaseDomain]. Never raises. *)
 
-val write_many : t -> ?tx:int -> (string * string) list -> unit
+val write_many : t -> ?tx:int -> (Xs_path.t * string) list -> unit
 (** One {!write} per pair, in order; raises like {!write} and stops at
     the first failure. *)
 

@@ -1,7 +1,9 @@
-(* A path caches both its canonical string and its segment list: store
-   operations walk [segs] and logging/compare use [str], so neither
-   re-splits nor re-concatenates on the hot path (every XenStore op
-   used to pay a [String.concat] in [to_string]/[compare]). *)
+(* A path carries both its canonical string and its segment list:
+   store operations walk [segs] and logging/compare use [str], so
+   neither is ever re-split or re-joined on the hot path. Paths are
+   plain values with no per-domain tables behind them: callers build
+   them with [concat] from directory paths they already hold, and only
+   wire input, the CLI and tests parse strings. *)
 type t = {
   str : string; (* canonical form: "/", "/a/b", or "@special" *)
   segs : string list; (* [] for the root and for specials *)
@@ -25,49 +27,15 @@ let check_segment s =
   if s = "" then raise (Invalid "empty path segment");
   if String.length s > max_segment_length then
     raise (Invalid ("segment too long: " ^ s));
-  String.iter
-    (fun c ->
-      if not (segment_char_ok c) then
-        raise (Invalid (Printf.sprintf "illegal character %C in %S" c s)))
-    s
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if not (segment_char_ok c) then
+      raise (Invalid (Printf.sprintf "illegal character %C in %S" c s))
+  done
 
 let specials = [ "@introduceDomain"; "@releaseDomain" ]
 
-(* Segment interning: one canonical string per distinct segment, so
-   equal segments are physically equal and map/trie comparisons on the
-   store walk take the pointer fast path before falling back to a real
-   compare. The table is domain-local rather than global-with-a-mutex:
-   simulations run one per domain (pool workers included), and physical
-   equality only ever needs to hold within a domain.
-
-   The table is capped: a long-lived host churning through millions of
-   VM lifecycles interns a fresh domid segment per lifecycle, and an
-   uncapped table grows the GC live set without bound — major-GC
-   marking cost then scales with total VMs ever created, turning a
-   linear workload quadratic (this showed up as the serverless-day row
-   running 5x slower per request than a short row). Interning is an
-   optimisation only ([seg_equal]/[seg_compare] fall back to real
-   string comparison), so dropping the table just costs pointer
-   misses until the steady-state segments re-intern. *)
-let intern_tbl : (string, string) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 1024)
-
-let intern_cap = 65_536
-
-let intern seg =
-  let tbl = Domain.DLS.get intern_tbl in
-  match Hashtbl.find_opt tbl seg with
-  | Some canonical -> canonical
-  | None ->
-      if Hashtbl.length tbl >= intern_cap then Hashtbl.reset tbl;
-      Hashtbl.add tbl seg seg;
-      seg
-
-let seg_equal a b = a == b || String.equal a b
-
-let seg_compare a b = if a == b then 0 else String.compare a b
-
-let parse s =
+let of_string s =
   if List.mem s specials then { str = s; segs = []; special = true }
   else begin
     if String.length s > max_path_length then raise (Invalid "path too long");
@@ -85,34 +53,10 @@ let parse s =
       match parts with
       | "" :: segs ->
           List.iter check_segment segs;
-          { str = s; segs = List.map intern segs; special = false }
+          { str = s; segs; special = false }
       | _ -> raise (Invalid ("path not absolute: " ^ s))
     end
   end
-
-(* Parsing is pure, and clients re-parse the same strings constantly
-   (every simulated round trip starts from a string path), so memoize
-   successful parses per domain. The cap is a safety valve against a
-   workload filling memory with distinct paths — serverless churn does
-   exactly that, one /local/domain/<fresh domid> family per request —
-   and it is sized to cover the concurrent working set (dozens of
-   in-flight lifecycles x ~50 paths each), not to hoard history: every
-   cached dead path is GC live set that every major cycle re-marks.
-   Clearing just costs re-parses. *)
-let memo_tbl : (string, t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
-
-let memo_cap = 131_072
-
-let of_string s =
-  let tbl = Domain.DLS.get memo_tbl in
-  match Hashtbl.find_opt tbl s with
-  | Some p -> p
-  | None ->
-      let p = parse s in
-      if Hashtbl.length tbl >= memo_cap then Hashtbl.reset tbl;
-      Hashtbl.add tbl s p;
-      p
 
 let of_string_opt s = try Some (of_string s) with Invalid _ -> None
 
@@ -124,11 +68,18 @@ let is_special t = t.special
 
 let depth t = List.length t.segs
 
-let concat p seg =
-  if p.special then raise (Invalid "cannot extend a special path");
-  check_segment seg;
-  let str = if p.segs = [] then "/" ^ seg else p.str ^ "/" ^ seg in
-  { str; segs = p.segs @ [ intern seg ]; special = false }
+let extend p = function
+  | [] -> p
+  | segs ->
+      if p.special then raise (Invalid "cannot extend a special path");
+      List.iter check_segment segs;
+      let dir = if p.segs = [] then "" else p.str in
+      let str = String.concat "/" (dir :: segs) in
+      if String.length str > max_path_length then
+        raise (Invalid "path too long");
+      { str; segs = p.segs @ segs; special = false }
+
+let concat p seg = extend p [ seg ]
 
 let ( / ) = concat
 
@@ -164,7 +115,7 @@ let is_prefix p ~of_ =
       let rec go = function
         | [], _ -> true
         | _, [] -> false
-        | x :: xs, y :: ys -> seg_equal x y && go (xs, ys)
+        | x :: xs, y :: ys -> String.equal x y && go (xs, ys)
       in
       go (p.segs, of_.segs)
 
@@ -172,10 +123,6 @@ let equal a b = String.equal a.str b.str
 let compare a b = String.compare a.str b.str
 let pp fmt t = Format.pp_print_string fmt t.str
 
-let domain_path domid =
-  let id = intern (string_of_int domid) in
-  {
-    str = "/local/domain/" ^ id;
-    segs = [ intern "local"; intern "domain"; id ];
-    special = false;
-  }
+let local_domain = of_string "/local/domain"
+
+let domain_path domid = concat local_domain (string_of_int domid)

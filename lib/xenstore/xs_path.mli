@@ -14,30 +14,20 @@ val of_string : string -> t
 (** Parses an absolute path like ["/local/domain/3/name"]. Raises
     {!Invalid} on relative paths, empty segments, illegal characters or
     oversized paths. A single ["/"] is the root. Special watch paths
-    ["@introduceDomain"] and ["@releaseDomain"] are accepted. *)
+    ["@introduceDomain"] and ["@releaseDomain"] are accepted.
+
+    A plain parser with no cache: it serves wire input, the CLI and
+    tests. Code that already holds a directory path extends it with
+    {!concat} instead of formatting and re-parsing a string. *)
 
 val of_string_opt : string -> t option
 
 val to_string : t -> string
 
 val segments : t -> string list
-(** Root has no segments. The segment list is cached in the path value
+(** Root has no segments. The segment list is stored in the path value
     (as is the canonical string), so [segments]/[to_string]/[compare]
-    are allocation-free — store operations never re-split the path.
-    Segments are interned (see {!intern}), so two paths sharing a
-    segment share the same string value. *)
-
-val intern : string -> string
-(** The canonical (physically shared) copy of a segment string, per
-    domain. Every path constructor interns its segments, so segment
-    comparisons in the store and watch trie can test physical equality
-    first ({!seg_equal}, {!seg_compare}). *)
-
-val seg_equal : string -> string -> bool
-(** [String.equal] with a pointer fast path for interned segments. *)
-
-val seg_compare : string -> string -> int
-(** [String.compare] with a pointer fast path for interned segments. *)
+    are allocation-free — store operations never re-split the path. *)
 
 val is_special : t -> bool
 (** True for the [@...] watch paths. *)
@@ -45,12 +35,20 @@ val is_special : t -> bool
 val depth : t -> int
 
 val concat : t -> string -> t
-(** [concat p seg] appends one validated segment.
-    @raise Invalid on illegal characters, an empty or oversized
-    segment, or when the result would exceed {!max_path_length}. *)
+(** [concat p seg] appends one validated segment: the result has
+    [p]'s segments followed by [seg], exactly as if parsed.
+    @raise Invalid on a special [p], on illegal characters, an empty or
+    oversized segment, or when the result would exceed
+    {!max_path_length} bytes. *)
 
 val ( / ) : t -> string -> t
 (** Alias for {!concat}. *)
+
+val extend : t -> string list -> t
+(** [extend p segs] is [List.fold_left concat p segs], built in one
+    step: the segment list and the string are allocated once, not once
+    per level. [extend p [seg]] is [concat p seg].
+    @raise Invalid as {!concat} does. *)
 
 val parent : t -> t option
 (** [None] for the root. *)

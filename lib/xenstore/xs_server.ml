@@ -222,7 +222,7 @@ let uniqueness_scan t path value =
     try
       NMap.iter
         (fun id entry ->
-          if not (Xs_path.seg_equal id self) then begin
+          if not (String.equal id self) then begin
             t.counters.uniqueness_cmps <- t.counters.uniqueness_cmps + 1;
             charge ~category:"xs.name_scan" t p.Xs_costs.per_name_cmp;
             if int_of_string_opt id = None then raise_notrace (Stop (Ok ()))

@@ -1,12 +1,6 @@
-(* Children are keyed by interned path segments (Xs_path.intern), so
-   the map's compare hits the pointer fast path on the common case of
-   walking with a segment that already names an existing child. Order
-   agrees with String.compare, so [bindings] stays sorted by name. *)
-module SMap = Map.Make (struct
-  type t = string
-
-  let compare = Xs_path.seg_compare
-end)
+(* Children are keyed by segment name, so [bindings] is sorted by name
+   — the order [directory] answers in. *)
+module SMap = Map.Make (String)
 
 module IMap = Map.Make (Int)
 
@@ -39,12 +33,12 @@ type t = {
   mutable memo : (Xs_path.t * Node.t * Node.t) option;
       (** Single-entry lookup memo: [(path, root, node)] from the last
           successful walk. Clients overwhelmingly re-touch one key
-          (device state machines poll their own state node), and the
-          node tree is immutable, so the memo is valid exactly while
-          both the path and the root are physically unchanged — two
-          pointer compares instead of a per-segment walk. Any commit
-          that replaces [root] clears it, so it never pins a dead
-          tree. *)
+          (device state machines poll their own state node, through a
+          path value they hold), and the node tree is immutable, so
+          the memo is valid exactly while both the path and the root
+          are physically unchanged — two pointer compares instead of a
+          per-segment walk. Any commit that replaces [root] clears it,
+          so it never pins a dead tree. *)
 }
 
 type 'a r = ('a, Xs_error.t) result
@@ -142,12 +136,13 @@ let get_perms t ~caller path =
 
 (* Functional update along [segs]; [f] transforms the (optional) target
    node into its replacement. Counts created nodes so quotas and node
-   totals stay exact. *)
+   totals stay exact: every node one update creates is owned by
+   [caller], so the ownership map is touched once per mutation. *)
 let update t ~caller path ~(f : Node.t option -> (Node.t, Xs_error.t) result)
     =
   if Xs_path.is_special path then Error Xs_error.EINVAL
   else begin
-    let created = ref [] in
+    let created = ref 0 in
     let rec go (node : Node.t) segs : (Node.t, Xs_error.t) result =
       match segs with
       | [] -> assert false
@@ -165,7 +160,7 @@ let update t ~caller path ~(f : Node.t option -> (Node.t, Xs_error.t) result)
               (* [Option.is_none], not polymorphic [= None]: [existing]
                  carries a whole subtree, and structural equality is a C
                  call the compiler can't see through. *)
-              if Option.is_none existing then created := caller :: !created;
+              if Option.is_none existing then incr created;
               Ok
                 {
                   node with
@@ -180,7 +175,7 @@ let update t ~caller path ~(f : Node.t option -> (Node.t, Xs_error.t) result)
                 (* Implicit intermediate node owned by the caller. *)
                 if not (Xs_perms.can_write (Node.perms node) ~domid:caller)
                 then raise (Xs_error.Error Xs_error.EACCES);
-                created := caller :: !created;
+                incr created;
                 Node.make ~value:""
                   ~perms:(Xs_perms.owned_default caller)
           in
@@ -202,11 +197,10 @@ let update t ~caller path ~(f : Node.t option -> (Node.t, Xs_error.t) result)
             t.root <- root';
             t.memo <- None;
             t.generation <- t.generation + 1;
-            List.iter
-              (fun owner ->
-                t.count <- t.count + 1;
-                adjust_owned t owner 1)
-              !created;
+            if !created > 0 then begin
+              t.count <- t.count + !created;
+              adjust_owned t caller !created
+            end;
             Ok ()
         | exception Xs_error.Error e -> Error e)
   end

@@ -8,15 +8,19 @@ type watch = {
   seq : int; (* registration order; the dispatch order contract *)
 }
 
+(* Children are keyed by segment name, as in [Xs_store]. *)
+module SMap = Map.Make (String)
+
 (* One trie node per registered path prefix. [here] holds the watches
    whose path ends exactly at this node, newest first (matching the
-   old list's push order); [children] is keyed by interned segments.
+   old list's push order); [children] is a persistent map, so a leaf
+   costs one empty-map constant instead of a hashtable's buckets.
    Special paths (@introduceDomain/@releaseDomain) get parent-less
    bucket nodes outside the trie, so the same node/index machinery
    covers them without prefix semantics leaking in. *)
 type node = {
   mutable here : watch list;
-  children : (string, node) Hashtbl.t;
+  mutable children : node SMap.t;
   parent : node option; (* None for the root and the special buckets *)
   seg : string; (* key of this node in [parent]'s children *)
 }
@@ -38,7 +42,7 @@ type t = {
 }
 
 let mk_node ?parent ?(seg = "") () =
-  { here = []; children = Hashtbl.create 4; parent; seg }
+  { here = []; children = SMap.empty; parent; seg }
 
 let create () =
   {
@@ -70,11 +74,11 @@ let node_for t path =
   else
     List.fold_left
       (fun node seg ->
-        match Hashtbl.find_opt node.children seg with
+        match SMap.find_opt seg node.children with
         | Some child -> child
         | None ->
             let child = mk_node ~parent:node ~seg () in
-            Hashtbl.replace node.children seg child;
+            node.children <- SMap.add seg child node.children;
             child)
       t.root (Xs_path.segments path)
 
@@ -86,7 +90,7 @@ let find_node t path =
     let rec go node = function
       | [] -> Some node
       | seg :: rest -> (
-          match Hashtbl.find_opt node.children seg with
+          match SMap.find_opt seg node.children with
           | None -> None
           | Some child -> go child rest)
     in
@@ -97,8 +101,8 @@ let find_node t path =
    buckets have no parent and are never pruned (there are two). *)
 let rec prune node =
   match node.parent with
-  | Some parent when node.here = [] && Hashtbl.length node.children = 0 ->
-      Hashtbl.remove parent.children node.seg;
+  | Some parent when node.here = [] && SMap.is_empty node.children ->
+      parent.children <- SMap.remove node.seg parent.children;
       prune parent
   | _ -> ()
 
@@ -180,7 +184,7 @@ let matching t ~modified =
         match segs with
         | [] -> ()
         | seg :: rest -> (
-            match Hashtbl.find_opt node.children seg with
+            match SMap.find_opt seg node.children with
             | None -> ()
             | Some child -> walk child rest)
       in

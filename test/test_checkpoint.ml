@@ -12,8 +12,8 @@ module Fault = Lightvm_sim.Fault
 module Series = Lightvm_metrics.Series
 module Table = Lightvm_metrics.Table
 
-(* Exact (hex) floats, as in test_partition.ml: any numeric divergence
-   must show in the digest. *)
+(* Exact (hex) floats, as in the result manifest (test/manifest): any
+   numeric divergence must show in the digest. *)
 let render (r : E.result) =
   let buf = Buffer.create 4096 in
   List.iter

@@ -15,8 +15,6 @@ module Vmm = Lightvm_cluster.Vmm
 module Scheduler = Lightvm_cluster.Scheduler
 module Cluster = Lightvm_cluster.Cluster
 module E = Lightvm.Experiment
-module Series = Lightvm_metrics.Series
-module Table = Lightvm_metrics.Table
 
 let run_sim f =
   let result = ref None in
@@ -363,26 +361,10 @@ let test_drain_under_fault_leak_free () =
    (n, spec, fault_seed) — same seed gives byte-identical renders (and
    therefore placements) whatever the jobs count. *)
 
-let render (r : E.result) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (r.E.name ^ "/" ^ r.E.figure ^ "\n");
-  List.iter
-    (fun (l : E.labelled) ->
-      Buffer.add_string buf ("# " ^ l.E.label ^ "\n");
-      List.iter
-        (fun (x, y) -> Buffer.add_string buf (Printf.sprintf "%h\t%h\n" x y))
-        (Series.points l.E.series))
-    r.E.series;
-  List.iter
-    (fun t -> Buffer.add_string buf (Format.asprintf "%a@." Table.pp t))
-    r.E.tables;
-  List.iter (fun n -> Buffer.add_string buf (n ^ "\n")) r.E.notes;
-  Buffer.contents buf
-
 let digest_of_run ~jobs ~seed =
   let spec = spec_of_string "migrate.corrupt:0.5" in
   let plan = E.cluster_plan ~n:24 ~spec ~fault_seed:seed () in
-  Digest.to_hex (Digest.string (render (E.run_plan ~jobs plan)))
+  Digest_manifest.(digest (render (E.run_plan ~jobs plan)))
 
 let prop_cluster_seed_determinism =
   QCheck.Test.make ~name:"same seed => same placement digest, any jobs"

@@ -163,13 +163,16 @@ let test_ctrl_rendezvous =
 
 let test_device_paths () =
   let vif = Device.vif ~devid:0 () in
+  let str = Lightvm_xenstore.Xs_path.to_string in
   Alcotest.(check string) "frontend dir" "/local/domain/5/device/vif/0"
-    (Device.frontend_dir ~domid:5 vif);
+    (str (Device.frontend_dir ~domid:5 vif));
   Alcotest.(check string) "backend dir" "/local/domain/0/backend/vif/5/0"
-    (Device.backend_dir ~domid:5 vif);
+    (str (Device.backend_dir ~domid:5 vif));
+  Alcotest.(check string) "backend domain dir" "/local/domain/0/backend/vif/5"
+    (str (Device.backend_domain_dir ~domid:5 vif));
   let vbd = Device.vbd ~devid:1 () in
   Alcotest.(check string) "vbd backend" "/local/domain/0/backend/vbd/5/1"
-    (Device.backend_dir ~domid:5 vbd)
+    (str (Device.backend_dir ~domid:5 vbd))
 
 let test_resume_single_idle_loop =
   (* A suspend/resume cycle must not leave two idle loops running. *)

@@ -4,8 +4,6 @@
 module E = Lightvm.Experiment
 module Pool = Lightvm_sim.Pool
 module Heap = Lightvm_sim.Heap
-module Series = Lightvm_metrics.Series
-module Table = Lightvm_metrics.Table
 
 (* ------------------------------------------------------------------ *)
 (* Pool *)
@@ -52,36 +50,31 @@ let test_pool_exception () =
         (Array.for_all Fun.id ran)
 
 (* ------------------------------------------------------------------ *)
-(* Experiment plans: byte-identical output for any jobs count. *)
+(* Experiment plans: byte-identical output for any jobs count, and
+   equal to the committed manifest (test/digests.txt). *)
 
-(* Render with exact (hex) floats: any numeric divergence between a
-   sequential and a pooled run must show up in the comparison. *)
-let render (r : E.result) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf r.E.name;
-  Buffer.add_char buf '/';
-  Buffer.add_string buf r.E.figure;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (l : E.labelled) ->
-      Buffer.add_string buf ("# " ^ l.E.label ^ "\n");
-      List.iter
-        (fun (x, y) -> Buffer.add_string buf (Printf.sprintf "%h\t%h\n" x y))
-        (Series.points l.E.series))
-    r.E.series;
-  List.iter
-    (fun t -> Buffer.add_string buf (Format.asprintf "%a@." Table.pp t))
-    r.E.tables;
-  List.iter (fun n -> Buffer.add_string buf (n ^ "\n")) r.E.notes;
-  Buffer.contents buf
+module Manifest = Digest_manifest
+
+let manifest = lazy (Manifest.load ())
+
+let expect_line key actual =
+  match List.assoc_opt key (Lazy.force manifest) with
+  | None -> Alcotest.failf "test/digests.txt has no line %s" key
+  | Some expected ->
+      Alcotest.(check string)
+        (Printf.sprintf "test/digests.txt line %s" key)
+        expected actual
 
 let test_plan_deterministic name plan () =
-  let sequential = render (E.run_plan ~jobs:1 plan) in
-  let parallel = render (E.run_plan ~jobs:4 plan) in
+  let sequential = Manifest.render (E.run_plan ~jobs:1 plan) in
+  let parallel = Manifest.render (E.run_plan ~jobs:4 plan) in
   if not (String.equal sequential parallel) then
     Alcotest.failf
       "%s: output with jobs=4 differs from jobs=1 (%d vs %d bytes)" name
-      (String.length sequential) (String.length parallel)
+      (String.length sequential) (String.length parallel);
+  expect_line
+    (Manifest.render_key name Manifest.sweep_n)
+    (Manifest.digest sequential)
 
 (* Every registry entry, at a scale small enough for the test suite. *)
 let determinism_cases =
@@ -91,38 +84,37 @@ let determinism_cases =
         (Printf.sprintf "%s (%d job(s))" name (E.job_count plan))
         `Slow
         (test_plan_deterministic name plan))
-    (E.plans ~n:40 ())
+    (E.plans ~n:Manifest.sweep_n ())
 
 (* ------------------------------------------------------------------ *)
-(* Regression pins: exact render digests at fixed scales.
+(* Regression pins: renders at larger scales, and the store dump.
 
-   fig9 at the paper's n = 1000, as produced by the seed's linear-scan
-   watch registry and copying snapshots. The indexed registry,
-   persistent snapshots, interned paths and the engine's sleep fast
-   path are host-cost optimisations only — if this digest ever changes,
-   simulated behaviour changed and the optimisation broke the
-   modeled-cost invariant (see DESIGN.md "Scaling").
+   The indexed watch registry, persistent snapshots, typed paths and
+   the engine's sleep fast path are host-cost optimisations only — if
+   a pinned digest ever changes, simulated behaviour changed and the
+   optimisation broke the modeled-cost invariant (see DESIGN.md
+   "Scaling"). The jobs sweep above only compares a run with itself,
+   so these lines are what catch a deterministic change of behaviour,
+   such as a moved placement. *)
 
-   cluster at n = 500 and cluster-scale at n = 2000 pin the scheduler's
-   placements and the drain/rebalance they feed. The jobs sweep above
-   only compares a run with itself, so a deterministic change of
-   placement would pass it. *)
+let test_digest_pinned ((id, n) as pin) () =
+  expect_line (Manifest.render_key id n)
+    (Manifest.digest (Manifest.render_pin pin))
 
-let digest_pins =
-  [
-    ("fig9", 1000, "2b80ee104c48c228384b816e1380814c");
-    ("cluster", 500, "d1c81b003b01626bf46e61c819965ee2");
-    ("cluster-scale", 2000, "b78b310cd4240eff7d821130cd12a3db");
-  ]
+(* Every node's value and permissions after three classic-path
+   creations: the direct check that the toolstack, backends and
+   frontends write the same store. *)
+let test_xenstore_dump_pinned () =
+  expect_line Manifest.xenstore_key
+    (Manifest.digest (E.xenstore_dump ~count:Manifest.xenstore_count))
 
-let test_digest_pinned (id, n, digest) () =
-  match E.plan ~n id with
-  | None -> Alcotest.failf "%s plan missing" id
-  | Some p ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s@%d render digest" id n)
-        digest
-        (Digest.to_hex (Digest.string (render (E.run_plan ~jobs:1 p))))
+(* A registry entry added without a line, or a line left behind by a
+   removed one, fails here; the digests are checked above. *)
+let test_manifest_keys () =
+  Alcotest.(check (list string))
+    "test/digests.txt keys, in order"
+    (List.map fst (Manifest.entries ()))
+    (List.map fst (Lazy.force manifest))
 
 (* ------------------------------------------------------------------ *)
 (* Heap model: random push/pop/cancel against a naive reference,
@@ -279,11 +271,18 @@ let suites =
     ("parallel.experiments", determinism_cases);
     ( "experiment.regression",
       List.map
-        (fun ((id, n, _) as pin) ->
+        (fun ((id, n) as pin) ->
           Alcotest.test_case
             (Printf.sprintf "%s@%d digest pinned" id n)
             `Slow (test_digest_pinned pin))
-        digest_pins );
+        Manifest.pins
+      @ [
+          Alcotest.test_case
+            (Printf.sprintf "%s digest pinned" Manifest.xenstore_key)
+            `Quick test_xenstore_dump_pinned;
+          Alcotest.test_case "manifest lists every result" `Quick
+            test_manifest_keys;
+        ] );
     ( "sim.heap.compaction",
       [
         QCheck_alcotest.to_alcotest prop_heap_model;

@@ -9,8 +9,6 @@ module E = Lightvm.Experiment
 module Engine = Lightvm_sim.Engine
 module Fault = Lightvm_sim.Fault
 module Switch = Lightvm_net.Switch
-module Series = Lightvm_metrics.Series
-module Table = Lightvm_metrics.Table
 module Interp = Lightvm_minipy.Interp
 
 (* ------------------------------------------------------------------ *)
@@ -134,30 +132,14 @@ let prop_adaptive_matrix =
    enabled must produce bit-identical output whether the hosts share
    one heap or run as partitions on 1, 2 or 8 workers. *)
 
-(* Exact (hex) floats, as in test_parallel.ml: any numeric divergence
-   between runs must show up in the digest. *)
-let render (r : E.result) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf r.E.name;
-  Buffer.add_char buf '/';
-  Buffer.add_string buf r.E.figure;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (l : E.labelled) ->
-      Buffer.add_string buf ("# " ^ l.E.label ^ "\n");
-      List.iter
-        (fun (x, y) -> Buffer.add_string buf (Printf.sprintf "%h\t%h\n" x y))
-        (Series.points l.E.series))
-    r.E.series;
-  List.iter
-    (fun t -> Buffer.add_string buf (Format.asprintf "%a@." Table.pp t))
-    r.E.tables;
-  List.iter (fun n -> Buffer.add_string buf (n ^ "\n")) r.E.notes;
-  Buffer.contents buf
+(* Exact (hex) float renders, as in the result manifest: any numeric
+   divergence between runs must show up in the digest. *)
+let render_digest plan =
+  Digest_manifest.(digest (render (E.run_plan ~jobs:1 plan)))
 
 let cluster_digest ~n ~spec ~fault_seed ~partition ~sim_jobs =
   let plan = E.cluster_plan ~n ~spec ~fault_seed ~partition ~sim_jobs () in
-  Digest.to_hex (Digest.string (render (E.run_plan ~jobs:1 plan)))
+  render_digest plan
 
 let workload_arb =
   QCheck.make
@@ -190,7 +172,7 @@ let test_scale_partition_matrix () =
   let digest partition sim_jobs =
     match E.plan ~n:40 ~partition ~sim_jobs "scale" with
     | None -> Alcotest.fail "scale plan missing"
-    | Some p -> Digest.to_hex (Digest.string (render (E.run_plan ~jobs:1 p)))
+    | Some p -> render_digest p
   in
   let reference = digest `Host 1 in
   Alcotest.(check string) "sim_jobs=8" reference (digest `Host 8);

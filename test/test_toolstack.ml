@@ -376,6 +376,42 @@ let test_migrate =
       Alcotest.(check bool) "transfer part accounted" true
         (stats.Migrate.transfer > 0.))
 
+(* ------------------------------------------------------------------ *)
+(* Leak soak *)
+
+(* Domids are never reused, so any table that keeps a per-domid entry
+   after the VM is gone grows the live set with every lifecycle ever
+   run (a path cache, an ownership count left at zero, a watch-trie
+   node). Create, boot and delete a one-vif guest on one chaos [XS]
+   host, 500 times and then 1,500 more, and compact before each
+   reading: the live set after 2,000 lifecycles must equal the one
+   after 500 up to a constant well under one word per lifecycle. *)
+let test_xenstore_live_set_flat =
+  in_sim (fun () ->
+      let ts = make_host ~mode:Mode.chaos_xs () in
+      let cfg = daytime_cfg ~name:"soak" () in
+      let lifecycles n =
+        for _ = 1 to n do
+          let created = Toolstack.create_vm_exn ts cfg in
+          Guest.wait_ready created.Create.guest;
+          Toolstack.destroy_vm ts created
+        done
+      in
+      let live_words () =
+        Gc.compact ();
+        (Gc.stat ()).Gc.live_words
+      in
+      lifecycles 500;
+      let after_500 = live_words () in
+      lifecycles 1500;
+      let after_2000 = live_words () in
+      Alcotest.(check int) "no VM left" 0 (Toolstack.vm_count ts);
+      Alcotest.(check bool)
+        (Printf.sprintf "live words after 500 and 2,000 lifecycles: %d, %d"
+           after_500 after_2000)
+        true
+        (after_2000 - after_500 <= 1_000))
+
 let suites =
   [
     ( "toolstack.vmconfig",
@@ -417,5 +453,10 @@ let suites =
         Alcotest.test_case "save/restore" `Quick test_save_restore;
         Alcotest.test_case "xl slower" `Quick test_save_restore_xl_slower;
         Alcotest.test_case "migrate" `Quick test_migrate;
+      ] );
+    ( "toolstack.soak",
+      [
+        Alcotest.test_case "XenStore live set flat over lifecycles" `Quick
+          test_xenstore_live_set_flat;
       ] );
   ]

@@ -85,21 +85,62 @@ let test_path_domain () =
   Alcotest.(check string) "domain path" "/local/domain/7"
     (Xs_path.to_string (Xs_path.domain_path 7))
 
+(* [concat] enforces the same 3,072-byte bound as [of_string]: 15
+   segments of 200 bytes and a last one sized to land the whole path on
+   [len] bytes. *)
+let test_path_length_limit () =
+  let segs len =
+    List.init 15 (fun _ -> String.make 200 'a')
+    @ [ String.make (len - (15 * 201) - 1) 'b' ]
+  in
+  let by_concat len =
+    match List.fold_left Xs_path.concat Xs_path.root (segs len) with
+    | path -> Some (Xs_path.to_string path)
+    | exception Xs_path.Invalid _ -> None
+  in
+  let by_parse len =
+    Option.map Xs_path.to_string
+      (Xs_path.of_string_opt ("/" ^ String.concat "/" (segs len)))
+  in
+  Alcotest.(check (option int)) "3072 bytes built" (Some 3072)
+    (Option.map String.length (by_concat 3072));
+  Alcotest.(check (option string)) "3072 bytes agree" (by_parse 3072)
+    (by_concat 3072);
+  Alcotest.(check (option string)) "3073 bytes parse" None (by_parse 3073);
+  Alcotest.(check (option string)) "3073 bytes concat" None (by_concat 3073);
+  Alcotest.(check bool) "3073 bytes extend" true
+    (match Xs_path.extend Xs_path.root (segs 3073) with
+    | _ -> false
+    | exception Xs_path.Invalid _ -> true)
+
+let path_segs_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 6)
+      (string_size ~gen:(oneof [ char_range 'a' 'z'; char_range '0' '9' ])
+         (int_range 1 8)))
+
 let prop_path_roundtrip =
-  let seg =
-    QCheck.Gen.(
-      string_size ~gen:(oneof [ char_range 'a' 'z'; char_range '0' '9' ])
-        (int_range 1 8))
-  in
-  let path_gen =
-    QCheck.Gen.(
-      map
-        (fun segs -> "/" ^ String.concat "/" segs)
-        (list_size (int_range 1 6) seg))
-  in
   QCheck.Test.make ~name:"path to_string/of_string round-trips" ~count:200
-    (QCheck.make path_gen) (fun s ->
-      Xs_path.to_string (Xs_path.of_string s) = s)
+    (QCheck.make QCheck.Gen.(map (fun segs -> "/" ^ String.concat "/" segs)
+       path_segs_gen))
+    (fun s -> Xs_path.to_string (Xs_path.of_string s) = s)
+
+let prop_concat_parses =
+  QCheck.Test.make ~name:"concat/extend build what of_string parses"
+    ~count:200
+    (QCheck.make QCheck.Gen.(pair path_segs_gen (int_range 0 6)))
+    (fun (segs, k) ->
+      let same a b =
+        Xs_path.equal a b && Xs_path.segments a = Xs_path.segments b
+      in
+      let parsed = Xs_path.of_string ("/" ^ String.concat "/" segs) in
+      let head = List.filteri (fun i _ -> i < k) segs in
+      let tail = List.filteri (fun i _ -> i >= k) segs in
+      same (List.fold_left Xs_path.concat Xs_path.root segs) parsed
+      && same
+           (Xs_path.extend (List.fold_left Xs_path.concat Xs_path.root head)
+              tail)
+           parsed)
 
 (* ------------------------------------------------------------------ *)
 (* Perms *)
@@ -921,21 +962,21 @@ let test_client_api =
   in_sim (fun () ->
       let srv = Xs_server.create () in
       let c = Xs_client.connect srv ~domid:0 in
-      Xs_client.write c "/cl/x" "v";
-      Alcotest.(check string) "read" "v" (Xs_client.read c "/cl/x");
+      Xs_client.write c (p "/cl/x") "v";
+      Alcotest.(check string) "read" "v" (Xs_client.read c (p "/cl/x"));
       Alcotest.(check (option string))
         "read_opt missing" None
-        (Xs_client.read_opt c "/cl/missing");
+        (Xs_client.read_opt c (p "/cl/missing"));
       Xs_client.with_transaction c (fun txid ->
-          Xs_client.write c ~tx:txid "/cl/t1" "a";
-          Xs_client.write c ~tx:txid "/cl/t2" "b");
+          Xs_client.write c ~tx:txid (p "/cl/t1") "a";
+          Xs_client.write c ~tx:txid (p "/cl/t2") "b");
       Alcotest.(check (list string))
         "directory" [ "t1"; "t2"; "x" ]
-        (Xs_client.directory c "/cl");
-      Xs_client.rm c "/cl/x";
+        (Xs_client.directory c (p "/cl"));
+      Xs_client.rm c (p "/cl/x");
       Alcotest.check_raises "read after rm"
         (Xs_error.Error Xs_error.ENOENT) (fun () ->
-          ignore (Xs_client.read c "/cl/x"));
+          ignore (Xs_client.read c (p "/cl/x")));
       Alcotest.(check string) "domain path" "/local/domain/4"
         (Xs_client.get_domain_path c 4))
 
@@ -951,7 +992,9 @@ let suites =
         Alcotest.test_case "prefix" `Quick test_path_prefix;
         Alcotest.test_case "special" `Quick test_path_special;
         Alcotest.test_case "domain path" `Quick test_path_domain;
+        Alcotest.test_case "length limit" `Quick test_path_length_limit;
         QCheck_alcotest.to_alcotest prop_path_roundtrip;
+        QCheck_alcotest.to_alcotest prop_concat_parses;
       ] );
     ( "xenstore.perms",
       [
