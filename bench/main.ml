@@ -220,8 +220,8 @@ let planned =
   List.map
     (fun (id, n, note) ->
       match E.plan ?n ~partition ~sim_jobs:jobs id with
-      | Some p -> (id, n, note, p)
-      | None -> failwith ("bench: unknown experiment " ^ id))
+      | Ok p -> (id, n, note, p)
+      | Error msg -> failwith ("bench: " ^ msg))
     experiments
 
 (* GC counter deltas around a region of the calling domain: allocation
@@ -310,16 +310,6 @@ let run_all () =
                    handles )))
   end
 
-let finish_result (p : E.plan) pieces =
-  let merged = p.E.plan_finish pieces in
-  {
-    E.name = p.E.plan_name;
-    figure = p.E.plan_figure;
-    series = merged.E.p_series;
-    tables = merged.E.p_tables;
-    notes = merged.E.p_notes;
-  }
-
 (* (name, job count, summed job seconds, wall seconds, GC deltas) per
    experiment, in order. *)
 let experiment_rows =
@@ -354,7 +344,7 @@ let experiment_rows =
       (match n with
       | Some n -> section (Printf.sprintf "%s (n = %d)" id n) note
       | None -> section id note);
-      print_result (finish_result p pieces);
+      print_result (p.E.plan_finish pieces);
       Printf.printf "[%s: %.2f s over %d job(s), %.2f s wall; %s]\n" id
         job_secs
         (List.length timed_pieces)

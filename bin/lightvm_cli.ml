@@ -1,12 +1,13 @@
 (* Command-line front end.
 
      lightvm_cli figure fig9 -n 500      reproduce one figure
-     lightvm_cli list                    figures available
-     lightvm_cli headline                abstract's numbers
+     lightvm_cli list                    experiments available
+     lightvm_cli figure headline         abstract's numbers
      lightvm_cli tinyx --app nginx       run the Tinyx build system
      lightvm_cli minipy -e 'print(1+2)'  run the mini-Python interpreter
      lightvm_cli boot --image daytime --mode lightvm
-     lightvm_cli cluster -n 500 --faults 'migrate.corrupt:0.6'
+     lightvm_cli figure cluster -n 500 --faults 'migrate.corrupt:0.6'
+     lightvm_cli figure fig5 -n 10 --trace fig5.json
 *)
 
 module E = Lightvm.Experiment
@@ -19,6 +20,7 @@ module Create = Lightvm_toolstack.Create
 module Trace = Lightvm_trace.Trace
 module Trace_export = Lightvm_trace.Trace_export
 module Pool = Lightvm_sim.Pool
+module Fault = Lightvm_sim.Fault
 
 open Cmdliner
 
@@ -42,46 +44,7 @@ let print_result (r : E.result) =
   List.iter print_endline r.E.notes
 
 (* ------------------------------------------------------------------ *)
-(* figure *)
-
-let lookup_experiment id n =
-  match E.find ?n id with
-  | Some run -> run
-  | None ->
-      Printf.eprintf "unknown experiment %S; try: %s\n" id
-        (String.concat " " E.names);
-      exit 1
-
-(* Run an experiment with tracing on, dump the Chrome JSON if asked,
-   and print the plain-text attribution summaries. *)
-let run_traced id n trace_file buffer =
-  let run = lookup_experiment id n in
-  Trace.enable ~capacity:buffer ();
-  let r = run () in
-  Trace.disable ();
-  print_result r;
-  print_table (Trace_export.summary_table ());
-  print_table (Trace_export.charged_table ());
-  print_table (Trace_export.counters_table ());
-  match trace_file with
-  | None -> ()
-  | Some path -> (
-      match Trace_export.write_chrome_json path with
-      | () ->
-          Printf.printf
-            "trace: %d spans recorded (%d evicted), Chrome JSON in %s\n"
-            (Trace.span_count ()) (Trace.evicted ()) path
-      | exception Sys_error msg ->
-          Printf.eprintf "cannot write trace: %s\n" msg;
-          exit 1)
-
-let lookup_plan id n partition sim_jobs =
-  match E.plan ?n ~partition ~sim_jobs id with
-  | Some p -> p
-  | None ->
-      Printf.eprintf "unknown experiment %S; try: %s\n" id
-        (String.concat " " E.names);
-      exit 1
+(* figure: the one command that runs a registry experiment *)
 
 let parse_partition_or_exit s =
   match E.partition_of_string s with
@@ -90,20 +53,62 @@ let parse_partition_or_exit s =
       Printf.eprintf "bad --partition: %s\n" msg;
       exit 1
 
-let run_experiment id n jobs partition trace_file =
+let parse_spec_or_exit s =
+  match Fault.parse_spec s with
+  | Ok spec -> spec
+  | Error msg ->
+      Printf.eprintf "bad --faults spec: %s\nfault points:\n%s\n" msg
+        (String.concat "\n"
+           (List.map
+              (fun (name, doc) -> Printf.sprintf "  %-16s %s" name doc)
+              Fault.points));
+      exit 1
+
+(* Span ring-buffer capacity of a traced run; older spans are evicted
+   beyond it. *)
+let trace_buffer = 2_000_000
+
+(* Run [plan] with tracing on, print its result and the plain-text
+   attribution summaries, and write the Chrome JSON to [path]. *)
+let run_traced plan path =
+  Trace.enable ~capacity:trace_buffer ();
+  let r = E.run_plan plan in
+  Trace.disable ();
+  print_result r;
+  print_table (Trace_export.summary_table ());
+  print_table (Trace_export.charged_table ());
+  print_table (Trace_export.counters_table ());
+  match Trace_export.write_chrome_json path with
+  | () ->
+      Printf.printf
+        "trace: %d spans recorded (%d evicted), Chrome JSON in %s\n"
+        (Trace.span_count ()) (Trace.evicted ()) path
+  | exception Sys_error msg ->
+      Printf.eprintf "cannot write trace: %s\n" msg;
+      exit 1
+
+let run_figure id n jobs partition trace_file spec_str fault_seed =
   let partition = parse_partition_or_exit partition in
-  match trace_file with
+  let spec = Option.map parse_spec_or_exit spec_str in
   (* Tracing instruments the calling domain only, so a traced run is
-     always sequential regardless of --jobs. *)
-  | Some _ -> run_traced id n trace_file 2_000_000
-  | None ->
-      let jobs =
-        match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-      in
-      (* The same worker budget drives both layers of parallelism: the
-         per-curve Pool and, inside the partitioned families, the
-         per-partition windows. Output is identical either way. *)
-      print_result (E.run_plan ~jobs (lookup_plan id n partition jobs))
+     always sequential. Otherwise the same worker budget drives both
+     layers of parallelism: the per-curve Pool and, inside the
+     partitioned families, the per-partition windows. Output is
+     identical either way. *)
+  let jobs =
+    match (trace_file, jobs) with
+    | Some _, _ -> 1
+    | None, Some j -> max 1 j
+    | None, None -> Pool.default_jobs ()
+  in
+  match E.plan ?n ~partition ~sim_jobs:jobs ?spec ~fault_seed id with
+  | Error msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 1
+  | Ok plan -> (
+      match trace_file with
+      | None -> print_result (E.run_plan ~jobs plan)
+      | Some path -> run_traced plan path)
 
 let n_arg =
   Arg.(value & opt (some int) None
@@ -122,61 +127,20 @@ let partition_arg =
   Arg.(value & opt string "host"
        & info [ "partition" ] ~docv:"MODE"
            ~doc:"Partitioning of the multi-host simulations (scale's \
-                 partitioned row and the cluster policy jobs): \
-                 $(b,host) runs each simulated host in its own \
-                 partition of the conservative-sync parallel engine \
-                 (on up to --jobs cores); $(b,none) runs the identical \
-                 workload on the single-heap engine. Output is \
-                 bit-identical either way.")
+                 partitioned row, the cluster policy jobs and the \
+                 serverless fleets): $(b,host) runs each simulated host \
+                 in its own partition of the conservative-sync parallel \
+                 engine (on up to --jobs cores); $(b,none) runs the \
+                 identical workload on the single-heap engine. Output \
+                 is bit-identical either way.")
 
 let trace_file_arg =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write a Chrome trace_event JSON trace to $(docv) \
-                 (load in chrome://tracing or Perfetto).")
-
-let figure_cmd =
-  let id =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FIGURE" ~doc:"Figure id, e.g. fig9.")
-  in
-  let doc = "Reproduce one of the paper's figures." in
-  Cmd.v (Cmd.info "figure" ~doc)
-    Term.(
-      const run_experiment $ id $ n_arg $ jobs_arg $ partition_arg
-      $ trace_file_arg)
-
-let trace_cmd =
-  let id =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"EXPERIMENT" ~doc:"Experiment id, e.g. fig5.")
-  in
-  let buffer =
-    Arg.(value & opt int 2_000_000
-         & info [ "buffer" ] ~docv:"SPANS"
-             ~doc:"Span ring-buffer capacity (oldest evicted beyond it).")
-  in
-  let doc =
-    "Run an experiment with the tracer on and print time attribution."
-  in
-  Cmd.v (Cmd.info "trace" ~doc)
-    Term.(const run_traced $ id $ n_arg $ trace_file_arg $ buffer)
-
-(* ------------------------------------------------------------------ *)
-(* reliability: creation under deterministic fault injection *)
-
-module Fault = Lightvm_sim.Fault
-
-let parse_spec_or_exit s =
-  match Fault.parse_spec s with
-  | Ok spec -> spec
-  | Error msg ->
-      Printf.eprintf "bad --faults spec: %s\nfault points:\n%s\n" msg
-        (String.concat "\n"
-           (List.map
-              (fun (name, doc) -> Printf.sprintf "  %-16s %s" name doc)
-              Fault.points));
-      exit 1
+           ~doc:"Run with the tracer on (sequentially, whatever \
+                 --jobs says), print time-attribution tables after the \
+                 result and write a Chrome trace_event JSON trace to \
+                 $(docv) (load in chrome://tracing or Perfetto).")
 
 let faults_arg =
   Arg.(value & opt (some string) None
@@ -186,8 +150,8 @@ let faults_arg =
                  every Kth check, a bare $(i,point) always; \
                  $(i,prefix)$(b,*) configures every matching point, \
                  e.g. $(b,xs.eagain:0.1,create.phase*:0.01). Default: \
-                 the built-in mixed spec; the empty string disables \
-                 every point.")
+                 the family's built-in spec, if it has one; the empty \
+                 string disables every point.")
 
 let seed_arg =
   Arg.(value & opt int64 42L
@@ -196,47 +160,26 @@ let seed_arg =
                  seed) pair reproduces the exact same failures on \
                  every run and for any --jobs value.")
 
-let run_reliability n jobs spec_str fault_seed =
-  let spec = Option.map parse_spec_or_exit spec_str in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
+let figure_cmd =
+  let id =
+    Arg.(required & pos 0 (some string) None
+         & info [] ~docv:"FIGURE"
+             ~doc:"Experiment id, e.g. fig9 (see $(b,list)).")
   in
-  print_result (E.run_plan ~jobs (E.reliability_plan ?n ?spec ~fault_seed ()))
-
-let reliability_cmd =
   let doc =
-    "Creation success rates and latency CDFs under fault injection \
-     (xl vs chaos, fault rates x0/x1/x2/x4)."
+    "Run one registry experiment: a paper figure or table, or a family \
+     beyond the paper. --faults and --fault-seed reach the families \
+     that inject faults: $(b,reliability) (default spec: the built-in \
+     mixed spec), the $(b,cluster) and $(b,cluster-scale) drains \
+     (default migrate.corrupt:0.6) and $(b,serverless)'s faults cell \
+     (default: the reliability spec); --fault-seed also seeds every \
+     $(b,serverless) cell's streams. Every other experiment ignores \
+     them. -n below 1 is refused."
   in
-  Cmd.v (Cmd.info "reliability" ~doc)
-    Term.(const run_reliability $ n_arg $ jobs_arg $ faults_arg $ seed_arg)
-
-(* ------------------------------------------------------------------ *)
-(* cluster: the multi-host control plane *)
-
-let run_cluster n jobs partition spec_str fault_seed =
-  let partition = parse_partition_or_exit partition in
-  let spec = Option.map parse_spec_or_exit spec_str in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-  in
-  print_result
-    (E.run_plan ~jobs
-       (E.cluster_plan ?n ?spec ~fault_seed ~partition ~sim_jobs:jobs ()))
-
-let cluster_cmd =
-  let doc =
-    "Place guests across a multi-host cluster (bin-pack, spread, \
-     pool-everywhere), then drain a host by live migration under \
-     injected migration faults and rebalance. --faults overrides the \
-     drain job's default spec (migrate.corrupt:0.6); --partition \
-     selects the per-host parallel engine (host, the default) or the \
-     single-heap engine (none) for the policy jobs."
-  in
-  Cmd.v (Cmd.info "cluster" ~doc)
+  Cmd.v (Cmd.info "figure" ~doc)
     Term.(
-      const run_cluster $ n_arg $ jobs_arg $ partition_arg $ faults_arg
-      $ seed_arg)
+      const run_figure $ id $ n_arg $ jobs_arg $ partition_arg
+      $ trace_file_arg $ faults_arg $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serverless: open-loop traffic onto an autoscaled pool *)
@@ -329,8 +272,8 @@ let snapshot_cmd =
   let key =
     Arg.(value & pos 0 (some string) None
          & info [] ~docv:"PREFIX"
-             ~doc:"Prefix key, e.g. $(b,scale:chaos-xs\\@2000) or \
-                   $(b,cluster:drain\\@500). Omit to list the keys \
+             ~doc:"Prefix key, e.g. $(b,scale:chaos-xs@2000) or \
+                   $(b,cluster:drain@500). Omit to list the keys \
                    available at this scale.")
   in
   let out =
@@ -385,15 +328,6 @@ let list_cmd =
   let doc = "List the reproducible experiments." in
   Cmd.v (Cmd.info "list" ~doc)
     Term.(const (fun () -> List.iter print_endline E.names) $ const ())
-
-let headline_cmd =
-  let doc = "Print the abstract's headline numbers, paper vs measured." in
-  Cmd.v (Cmd.info "headline" ~doc)
-    Term.(
-      const (fun () ->
-          print_table (E.headline_numbers ());
-          print_table (E.tinyx_table ()))
-      $ const ())
 
 (* ------------------------------------------------------------------ *)
 (* tinyx *)
@@ -560,6 +494,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ figure_cmd; trace_cmd; reliability_cmd; cluster_cmd;
-            serverless_cmd; snapshot_cmd; resume_cmd; list_cmd;
-            headline_cmd; tinyx_cmd; minipy_cmd; boot_cmd; xenstore_cmd ]))
+          [ figure_cmd; serverless_cmd; snapshot_cmd; resume_cmd; list_cmd;
+            tinyx_cmd; minipy_cmd; boot_cmd; xenstore_cmd ]))

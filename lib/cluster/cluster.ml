@@ -16,8 +16,6 @@ type t = {
   mutable lost : Vmm.resources;  (* footprint freed by lost guests *)
 }
 
-let host_count t = Array.length t.nodes
-
 let host t i =
   if i < 0 || i >= Array.length t.nodes then
     invalid_arg (Printf.sprintf "Cluster.host: no host %d" i);
@@ -32,10 +30,6 @@ let rack_of t i =
 let policy t = Scheduler.policy t.sched
 let switch t = t.net
 let partitioned t = t.partitioned
-
-let partition_of t i =
-  ignore (host t i);
-  if t.partitioned then i + 1 else 0
 
 let vm_count t =
   Array.fold_left (fun acc h -> acc + Vmm.vm_count h) 0 t.nodes

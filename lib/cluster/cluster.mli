@@ -50,7 +50,7 @@ val create :
     (partition 0 is the control plane, where [create] runs): the host's
     switch port then delivers into its partition, and callers dispatch
     per-host work there with {!Lightvm_sim.Engine.spawn_in} on
-    {!partition_of}. Timelines are bit-identical to an unpartitioned
+    partition [i + 1]. Timelines are bit-identical to an unpartitioned
     cluster as long as per-host work touches only that host's state and
     cross-host effects travel via the switch or completion posts (see
     DESIGN.md "Parallel simulation").
@@ -59,18 +59,12 @@ val create :
     [1..hosts], or [partitioned] is set outside a [run_partitioned]
     with at least [hosts] partitions. *)
 
-val host_count : t -> int
-
 val host : t -> int -> Vmm.t
 (** The lifecycle endpoint of host [i].
     @raise Invalid_argument when [i] is out of range. *)
 
 val hosts : t -> Vmm.t list
 (** All endpoints, by ascending host id. *)
-
-val rack_of : t -> int -> int
-(** The failure domain of host [i] (contiguous blocks of
-    [hosts / racks] rounded up). *)
 
 val policy : t -> Scheduler.policy
 
@@ -80,12 +74,6 @@ val switch : t -> Lightvm_net.Switch.t
     partition 0 (see {!Lightvm_net.Switch.send}). *)
 
 val partitioned : t -> bool
-
-val partition_of : t -> int -> int
-(** The simulation partition host [i] runs in: [i + 1] for a
-    partitioned cluster, [0] (everything shares the global partition)
-    otherwise.
-    @raise Invalid_argument when [i] is out of range. *)
 
 val vm_count : t -> int
 (** Live VMs across all hosts. *)
@@ -129,22 +117,6 @@ val prefill_pools : t -> Lightvm_guest.Image.t -> nics:int -> disks:int -> unit
     [Pool_everywhere] deployment; no-op in non-split modes). *)
 
 (** {1 Migration, drain, rebalance} *)
-
-val migrate_vm :
-  t ->
-  src:int ->
-  dst:int ->
-  domid:int ->
-  (Vmm.vm_info * Lightvm_toolstack.Migrate.stats, error) result
-(** Live-migrate one VM between two hosts over the modeled network and
-    block until the resumed guest is running again on [dst] (its
-    frontends reconnected), so the cluster is settled on return and the
-    returned [vm_info] reflects the running guest. On
-    [Error (Api { err = Vm_migration_failed _; _ })] the guest is lost;
-    its freed footprint is added to {!lost_resources} so the loss is
-    accounted, not leaked.
-    @raise Invalid_argument when [src] or [dst] is out of range or
-    [src = dst]. *)
 
 (** Outcome of a multi-VM operation ({!drain} or {!rebalance}). *)
 type move_report = {

@@ -7,14 +7,6 @@ let policy_name = function
   | Spread -> "spread"
   | Pool_everywhere -> "pool-everywhere"
 
-let parse_policy s =
-  match List.find_opt (fun p -> policy_name p = s) policies with
-  | Some p -> Ok p
-  | None ->
-      Error
-        (Printf.sprintf "unknown policy %S (expected %s)" s
-           (String.concat ", " (List.map policy_name policies)))
-
 type host_view = {
   hv_id : int;
   hv_rack : int;

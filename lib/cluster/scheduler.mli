@@ -27,10 +27,6 @@ val policies : policy list
 
 val policy_name : policy -> string
 
-val parse_policy : string -> (policy, string) result
-(** Inverse of {!policy_name} for CLI parsing; the error lists the
-    valid names. *)
-
 (** What the scheduler sees of one host. *)
 type host_view = {
   hv_id : int;  (** host index in the cluster *)

@@ -45,8 +45,6 @@ val create :
     the background, as the pipeline spawns it). *)
 type vm_state = Created | Running | Paused
 
-val vm_state_name : vm_state -> string
-
 (** Structured failures. Lower-level toolstack exceptions
     ([Create_failed], [Migration_failed]) are caught at the API
     boundary and normalised to these; no lifecycle call raises. *)

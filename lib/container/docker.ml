@@ -173,8 +173,6 @@ let unpause t c =
 
 let is_paused c = c.paused
 
-let container_name c = c.c_name
-
 let rss_kb t =
   Hashtbl.fold
     (fun _ c acc -> if c.alive then acc + c.c_rss_kb else acc)

@@ -42,8 +42,6 @@ val running : t -> int
 
 val is_paused : container -> bool
 
-val container_name : container -> string
-
 val rss_kb : t -> int
 (** Resident memory of the engine + all containers (the Fig 14
     metric). *)

@@ -22,14 +22,6 @@ let pull store image =
       end)
     0 image.layers
 
-let stored_kb store =
-  Hashtbl.fold (fun _ l acc -> acc + l.size_kb) store.known 0
-
-let layer_count store = Hashtbl.length store.known
-
-let image_size_kb image =
-  List.fold_left (fun acc l -> acc + l.size_kb) 0 image.layers
-
 let alpine_base = { digest = "sha256:alpine-base"; size_kb = 4_900 }
 
 let micropython_image =
@@ -43,15 +35,4 @@ let alpine_noop =
   {
     image_name = "alpine-noop";
     layers = [ alpine_base; { digest = "sha256:noop"; size_kb = 12 } ];
-  }
-
-let nginx_image =
-  {
-    image_name = "nginx";
-    layers =
-      [
-        { digest = "sha256:debian-slim"; size_kb = 31_000 };
-        { digest = "sha256:nginx-bin"; size_kb = 17_500 };
-        { digest = "sha256:nginx-conf"; size_kb = 40 };
-      ];
   }

@@ -23,14 +23,6 @@ val pull : store -> image -> int
 (** Register an image; returns the KiB actually added (shared layers
     are free). *)
 
-val stored_kb : store -> int
-
-val layer_count : store -> int
-
-val image_size_kb : image -> int
-
 val micropython_image : image
 
 val alpine_noop : image
-
-val nginx_image : image

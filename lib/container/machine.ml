@@ -37,10 +37,5 @@ let consume_any t work =
   let cores = List.init t.platform.Params.cores Fun.id in
   Cpu.consume t.cpu ~core:(Cpu.pick_least_loaded t.cpu ~cores) work
 
-let pick_core t =
-  let core = t.rr mod t.platform.Params.cores in
-  t.rr <- t.rr + 1;
-  core
-
 let free_mem_kb t = Frames.free_kb t.mem
 let used_mem_kb t = Frames.used_kb t.mem

@@ -13,16 +13,10 @@ val cpu : t -> Lightvm_sim.Cpu.t
 
 val mem : t -> Lightvm_hv.Frames.t
 
-val kernel_owner : int
-(** Owner id used for kernel/base-system memory. *)
-
 val consume : t -> core:int -> float -> unit
 
 val consume_any : t -> float -> unit
 (** Run work on the least-loaded core. *)
-
-val pick_core : t -> int
-(** Round-robin core assignment for new workloads. *)
 
 val free_mem_kb : t -> int
 

@@ -48,5 +48,3 @@ let running t = Hashtbl.length t.procs
 
 let rss_kb t =
   Hashtbl.fold (fun _ p acc -> acc + p.p_rss_kb) t.procs 0
-
-let proc_name p = p.p_name

@@ -16,5 +16,3 @@ val kill : t -> proc -> unit
 val running : t -> int
 
 val rss_kb : t -> int
-
-val proc_name : proc -> string

@@ -216,11 +216,6 @@ let piece_concat pieces =
 
 type job = string * (unit -> piece)
 
-let run_jobs (jobs : job list) = List.map (fun (_, j) -> j ()) jobs
-
-let series_of_jobs jobs =
-  List.concat_map (fun p -> p.p_series) (run_jobs jobs)
-
 (* ------------------------------------------------------------------ *)
 (* Snapshot images.
 
@@ -241,6 +236,13 @@ type 'root image = {
   img_prefix : unit -> 'root;
 }
 
+(* An image's prefix and then [suffix] on its root, in one simulation
+   laid out by the image: the unbroken twin of a suffix resumed from
+   the image's bytes. *)
+let unbroken img suffix =
+  sim ~layout:img.img_layout (fun () ->
+      suffix img.img_layout.partition (img.img_prefix ()))
+
 (* ------------------------------------------------------------------ *)
 (* Fig 1 *)
 
@@ -255,13 +257,17 @@ let fig1_syscall_growth () =
         [ string_of_int p.Syscalls.year; p.Syscalls.version;
           string_of_int p.Syscalls.syscalls ])
     Syscalls.data;
-  (table, Syscalls.growth_per_year ())
+  let slope = Syscalls.growth_per_year () in
+  piece ~tables:[ table ]
+    ~notes:[ Printf.sprintf "growth: %.1f syscalls/year" slope ]
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Fig 2 *)
 
-let fig2_boot_vs_image_size
-    ?(sizes_mb = [ 0.; 50.; 100.; 200.; 400.; 600.; 800.; 1000. ]) () =
+let fig2_sizes_mb = [ 0.; 50.; 100.; 200.; 400.; 600.; 800.; 1000. ]
+
+let fig2_boot_vs_image_size () =
   let series = mk "fig2-boot-vs-image-size" "ms" in
   sim (fun () ->
       let host = Vmm.create ~mode:Mode.lightvm () in
@@ -274,8 +280,10 @@ let fig2_boot_vs_image_size
           Series.add series ~x:(Image.daytime.Image.disk_mb +. extra)
             ~y:(ms (t_create +. t_boot));
           retire host vm)
-        sizes_mb);
-  series
+        fig2_sizes_mb);
+  piece
+    ~series:[ { label = "daytime create+boot vs image size"; series } ]
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Fig 4 *)
@@ -365,12 +373,14 @@ let fig4_jobs ?(n = 200) () : job list =
     ("fig4/process", fun () -> piece ~series:[ process_series ~n ] ());
   ]
 
-let fig4_instantiation ?n () = series_of_jobs (fig4_jobs ?n ())
-
 (* ------------------------------------------------------------------ *)
 (* Fig 5 *)
 
-let fig5_breakdown ?(n = 200) ?(sample = 10) () =
+(* The breakdown is sampled at the first guest and every
+   [fig5_sample]th. *)
+let fig5_sample = 10
+
+let fig5_breakdown ?(n = 200) () =
   let series_for =
     List.map
       (fun cat -> (cat, mk ("fig5 " ^ Create.category_name cat) "ms"))
@@ -382,16 +392,19 @@ let fig5_breakdown ?(n = 200) ?(sample = 10) () =
         let vm, _, _ =
           launch_timed host ~nics:1 ~disks:1 Image.debian
         in
-        if i mod sample = 0 || i = 1 then
+        if i mod fig5_sample = 0 || i = 1 then
           List.iter
             (fun (cat, series) ->
               Series.add series ~x:(float_of_int i)
                 ~y:(ms (Create.breakdown_get vm.Create.breakdown cat)))
             series_for
       done);
-  List.map
-    (fun (cat, series) -> { label = Create.category_name cat; series })
-    series_for
+  piece
+    ~series:
+      (List.map
+         (fun (cat, series) -> { label = Create.category_name cat; series })
+         series_for)
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Fig 9 *)
@@ -418,8 +431,6 @@ let fig9_jobs ?(n = 200) () : job list =
       ( "fig9/" ^ Mode.name mode,
         fun () -> piece ~series:[ fig9_mode ~n mode ] () ))
     Mode.all_modes
-
-let fig9_create_times ?n () = series_of_jobs (fig9_jobs ?n ())
 
 (* ------------------------------------------------------------------ *)
 (* Scale: the Fig 9/14 creation sweeps pushed to 10,000 guests *)
@@ -542,8 +553,10 @@ let fleet_boot layout ~per () =
   fleet_wave layout nodes lat ~from:0 ~upto:(max 1 (per / 2));
   (nodes, lat)
 
-(* Wave 2 on a wave-1 root: the latency rows, complete. *)
-let fleet_finish layout (nodes, lat) =
+(* Wave 2 on a wave-1 root, laid out on [partition]: the latency rows,
+   complete. (The fan-out reads only the partition and the host count.) *)
+let fleet_finish partition (nodes, lat) =
+  let layout = { partition; sim_jobs = 1; hosts = Array.length nodes } in
   let per = Array.length lat.(0) in
   fleet_wave layout nodes lat ~from:(max 1 (per / 2)) ~upto:per;
   lat
@@ -562,7 +575,8 @@ let fleet_image layout ~per =
     img_prefix = fleet_boot layout ~per;
   }
 
-let fleet_row_render ~hosts ~per lat =
+let fleet_row_render lat =
+  let hosts = Array.length lat and per = Array.length lat.(0) in
   let total = hosts * per in
   let label =
     Printf.sprintf "%s x%d hosts/%d" (Mode.name Mode.chaos_xs) hosts total
@@ -587,13 +601,6 @@ let fleet_layout ~partition ~sim_jobs =
 
 let fleet_per count = max 1 (count / scale_partition_hosts)
 
-let scale_partitioned ~count ~partition ~sim_jobs =
-  let layout = fleet_layout ~partition ~sim_jobs and per = fleet_per count in
-  let lat =
-    sim ~layout (fun () -> fleet_finish layout (fleet_boot layout ~per ()))
-  in
-  fleet_row_render ~hosts:layout.hosts ~per lat
-
 let scale_mode_counts mode counts =
   if String.equal (Mode.name mode) "xl" then
     List.filter (fun c -> c <= scale_xl_cap) counts
@@ -613,12 +620,11 @@ let scale_jobs ?(n = 10_000) ?(partition = `Host) ?(sim_jobs = 1) () :
   @ [
       ( Printf.sprintf "scale/partitioned/%d" top,
         fun () ->
-          piece
-            ~series:[ scale_partitioned ~count:top ~partition ~sim_jobs ]
-            () );
+          let img =
+            fleet_image (fleet_layout ~partition ~sim_jobs) ~per:(fleet_per top)
+          in
+          piece ~series:[ fleet_row_render (unbroken img fleet_finish) ] () );
     ]
-
-let scale_creation ?n () = series_of_jobs (scale_jobs ?n ())
 
 (* ------------------------------------------------------------------ *)
 (* Reliability (no paper figure): creation under fault injection.
@@ -741,10 +747,6 @@ let reliability_suffix ~n ~spec ~seed ~level host =
     ~notes:(note :: List.rev !leaks)
     ()
 
-let reliability_cell ~n ~mode ~spec ~seed ~level =
-  sim (fun () ->
-      reliability_suffix ~n ~spec ~seed ~level (reliability_warm mode ()))
-
 let reliability_jobs ?(n = 200) ?(spec = reliability_spec) ?(fault_seed = 42L)
     () : job list =
   List.concat
@@ -754,9 +756,10 @@ let reliability_jobs ?(n = 200) ?(spec = reliability_spec) ?(fault_seed = 42L)
            (fun li level ->
              ( Printf.sprintf "reliability/%s/x%g" (Mode.name mode) level,
                fun () ->
-                 reliability_cell ~n ~mode ~spec
-                   ~seed:(reliability_cell_seed ~fault_seed mi li)
-                   ~level ))
+                 unbroken (reliability_image mode) (fun _ ->
+                     reliability_suffix ~n ~spec
+                       ~seed:(reliability_cell_seed ~fault_seed mi li)
+                       ~level) ))
            reliability_levels)
        reliability_modes)
 
@@ -805,22 +808,19 @@ let fig10_lightvm ~vms =
       with Create.Create_failed _ -> ());
   { label = "LightVM"; series = lightvm_series }
 
-let fig10_jobs ?(vms = 4000) ?(containers = 4000) () : job list =
+let fig10_jobs ?(n = 4000) () : job list =
   [
-    ("fig10/lightvm", fun () -> piece ~series:[ fig10_lightvm ~vms ] ());
+    ("fig10/lightvm", fun () -> piece ~series:[ fig10_lightvm ~vms:n ] ());
     ( "fig10/docker",
       fun () ->
         piece
           ~series:
             [
               docker_series ~platform:Params.amd_opteron_6376
-                ~image:Layers.alpine_noop ~n:containers ~label:"Docker";
+                ~image:Layers.alpine_noop ~n ~label:"Docker";
             ]
           () );
   ]
-
-let fig10_density ?vms ?containers () =
-  series_of_jobs (fig10_jobs ?vms ?containers ())
 
 (* ------------------------------------------------------------------ *)
 (* Fig 11 *)
@@ -871,14 +871,17 @@ let fig11_jobs ?(n = 200) () : job list =
           () );
   ]
 
-let fig11_boot_compare ?n () = series_of_jobs (fig11_jobs ?n ())
-
 (* ------------------------------------------------------------------ *)
 (* Figs 12 and 13 *)
 
 let checkpoint_modes = [ Mode.xl; Mode.chaos_xs; Mode.chaos_noxs; Mode.lightvm ]
 
-let fig12_mode ~n ~batch mode =
+(* Each round adds [checkpoint_batch] guests and checkpoints (or
+   migrates) as many random ones. *)
+let checkpoint_batch = 10
+
+let fig12_mode ~n mode =
+  let batch = checkpoint_batch in
   let label = Mode.name mode in
   let save_series = mk ("fig12a " ^ label) "ms" in
   let restore_series = mk ("fig12b " ^ label) "ms" in
@@ -930,21 +933,17 @@ let fig12_mode ~n ~batch mode =
   ( { label; series = save_series },
     { label; series = restore_series } )
 
-let fig12_jobs ?(n = 200) ?(batch = 10) () : job list =
+let fig12_jobs ?(n = 200) () : job list =
   List.map
     (fun mode ->
       ( "fig12/" ^ Mode.name mode,
         fun () ->
-          let save, restore = fig12_mode ~n ~batch mode in
+          let save, restore = fig12_mode ~n mode in
           piece ~series:[ save; restore ] () ))
     checkpoint_modes
 
-let fig12_checkpoint ?n ?batch () =
-  let pieces = run_jobs (fig12_jobs ?n ?batch ()) in
-  ( List.map (fun p -> List.nth p.p_series 0) pieces,
-    List.map (fun p -> List.nth p.p_series 1) pieces )
-
-let fig13_mode ~n ~batch mode =
+let fig13_mode ~n mode =
+  let batch = checkpoint_batch in
   let label = Mode.name mode in
   let series = mk ("fig13 " ^ label) "ms" in
   sim (fun () ->
@@ -976,31 +975,32 @@ let fig13_mode ~n ~batch mode =
       done);
   { label; series }
 
-let fig13_jobs ?(n = 200) ?(batch = 10) () : job list =
+let fig13_jobs ?(n = 200) () : job list =
   List.map
     (fun mode ->
       ( "fig13/" ^ Mode.name mode,
-        fun () -> piece ~series:[ fig13_mode ~n ~batch mode ] () ))
+        fun () -> piece ~series:[ fig13_mode ~n mode ] () ))
     checkpoint_modes
-
-let fig13_migration ?n ?batch () = series_of_jobs (fig13_jobs ?n ?batch ())
 
 (* ------------------------------------------------------------------ *)
 (* Fig 14 *)
 
-let fig14_vm_memory ~n ~sample ~image ~label =
+(* Memory is sampled at the first guest and every [fig14_sample]th. *)
+let fig14_sample = 20
+
+let fig14_vm_memory ~n ~image ~label =
   let series = mk ("fig14 " ^ label) "MB" in
   sim (fun () ->
       let host = Vmm.create ~mode:Mode.lightvm () in
       for i = 1 to n do
         ignore (launch host ~nics:1 image);
-        if i mod sample = 0 || i = 1 then
+        if i mod fig14_sample = 0 || i = 1 then
           Series.add series ~x:(float_of_int i)
             ~y:(float_of_int (Vmm.guest_mem_kb host) /. 1024.)
       done);
   { label; series }
 
-let fig14_docker_memory ~n ~sample =
+let fig14_docker_memory ~n =
   let series = mk "fig14 Docker" "MB" in
   sim (fun () ->
       let machine = Machine.create () in
@@ -1012,13 +1012,13 @@ let fig14_docker_memory ~n ~sample =
          with
         | Ok _ -> ()
         | Error _ -> ());
-        if i mod sample = 0 || i = 1 then
+        if i mod fig14_sample = 0 || i = 1 then
           Series.add series ~x:(float_of_int i)
             ~y:(float_of_int (Docker.rss_kb engine) /. 1024.)
       done);
   { label = "Docker Micropython"; series }
 
-let fig14_process_memory ~n ~sample =
+let fig14_process_memory ~n =
   let series = mk "fig14 process" "MB" in
   sim (fun () ->
       let machine = Machine.create () in
@@ -1027,49 +1027,51 @@ let fig14_process_memory ~n ~sample =
         ignore
           (Process.fork_exec procs ~rss_kb:1_600
              ~name:(Printf.sprintf "mpy%d" i) ());
-        if i mod sample = 0 || i = 1 then
+        if i mod fig14_sample = 0 || i = 1 then
           Series.add series ~x:(float_of_int i)
             ~y:(float_of_int (Process.rss_kb procs) /. 1024.)
       done);
   { label = "Micropython Process"; series }
 
-let fig14_jobs ?(n = 400) ?(sample = 20) () : job list =
+let fig14_jobs ?(n = 400) () : job list =
   let vm label image =
     ( "fig14/" ^ label,
-      fun () -> piece ~series:[ fig14_vm_memory ~n ~sample ~image ~label ] ()
-    )
+      fun () -> piece ~series:[ fig14_vm_memory ~n ~image ~label ] () )
   in
   [
     vm "Debian" Image.debian;
     vm "Tinyx" Image.tinyx_micropython;
-    ("fig14/docker", fun () -> piece ~series:[ fig14_docker_memory ~n ~sample ] ());
+    ("fig14/docker", fun () -> piece ~series:[ fig14_docker_memory ~n ] ());
     vm "Minipython" Image.minipython;
-    ("fig14/process", fun () -> piece ~series:[ fig14_process_memory ~n ~sample ] ());
+    ("fig14/process", fun () -> piece ~series:[ fig14_process_memory ~n ] ());
   ]
-
-let fig14_memory ?n ?sample () = series_of_jobs (fig14_jobs ?n ?sample ())
 
 (* ------------------------------------------------------------------ *)
 (* Fig 15 *)
 
-let fig15_vm_usage ~n ~sample ~window ~image ~label =
+(* Utilisation is measured over a [fig15_window]-second idle window at
+   the first guest and every [fig15_sample]th. *)
+let fig15_sample = 50
+let fig15_window = 10.
+
+let fig15_vm_usage ~n ~image ~label =
   let series = mk ("fig15 " ^ label) "%" in
   sim (fun () ->
       let host = Vmm.create ~mode:Mode.lightvm () in
       let cpu = Xen.cpu (Vmm.xen host) in
       for i = 1 to n do
         ignore (launch host ~nics:1 image);
-        if i mod sample = 0 || i = 1 then begin
+        if i mod fig15_sample = 0 || i = 1 then begin
           Cpu.reset_stats cpu;
           let t0 = Engine.now () in
-          Engine.sleep window;
+          Engine.sleep fig15_window;
           Series.add series ~x:(float_of_int i)
             ~y:(100. *. Cpu.utilization cpu ~since:t0)
         end
       done);
   { label; series }
 
-let fig15_docker_usage ~n ~sample ~window =
+let fig15_docker_usage ~n =
   let series = mk "fig15 Docker" "%" in
   sim (fun () ->
       let machine = Machine.create () in
@@ -1082,38 +1084,33 @@ let fig15_docker_usage ~n ~sample ~window =
          with
         | Ok _ -> ()
         | Error _ -> ());
-        if i mod sample = 0 || i = 1 then begin
+        if i mod fig15_sample = 0 || i = 1 then begin
           Cpu.reset_stats cpu;
           let t0 = Engine.now () in
-          Engine.sleep window;
+          Engine.sleep fig15_window;
           Series.add series ~x:(float_of_int i)
             ~y:(100. *. Cpu.utilization cpu ~since:t0)
         end
       done);
   { label = "Docker"; series }
 
-let fig15_jobs ?(n = 200) ?(sample = 50) ?(window = 10.) () : job list =
+let fig15_jobs ?(n = 200) () : job list =
   let vm label image =
     ( "fig15/" ^ label,
-      fun () ->
-        piece ~series:[ fig15_vm_usage ~n ~sample ~window ~image ~label ] ()
-    )
+      fun () -> piece ~series:[ fig15_vm_usage ~n ~image ~label ] () )
   in
   [
     vm "Debian" Image.debian;
     vm "Tinyx" Image.tinyx;
     vm "Unikernel" Image.noop_unikernel;
     ( "fig15/docker",
-      fun () -> piece ~series:[ fig15_docker_usage ~n ~sample ~window ] () );
+      fun () -> piece ~series:[ fig15_docker_usage ~n ] () );
   ]
-
-let fig15_cpu_usage ?n ?sample ?window () =
-  series_of_jobs (fig15_jobs ?n ?sample ?window ())
 
 (* ------------------------------------------------------------------ *)
 (* Section 7: use cases *)
 
-let fig16a_firewall ?(users = [ 1; 100; 250; 500; 750; 1000 ]) () =
+let fig16a_firewall () =
   let table =
     Table.create
       ~title:"Fig 16a: personal firewalls (ClickOS, 10 Mbps/user)"
@@ -1128,8 +1125,8 @@ let fig16a_firewall ?(users = [ 1; 100; 250; 500; 750; 1000 ]) () =
           Printf.sprintf "%.1f" p.Firewall.per_user_mbps;
           Printf.sprintf "%.1f" p.Firewall.rtt_ms;
         ])
-    (Firewall.capacity ~users ());
-  table
+    (Firewall.capacity ~users:[ 1; 100; 250; 500; 750; 1000 ] ());
+  piece ~tables:[ table ] ()
 
 let fig16b_interval ~clients interval =
   let label = Printf.sprintf "%.0f ms" (interval *. 1e3) in
@@ -1143,35 +1140,29 @@ let fig16b_interval ~clients interval =
     (Lightvm_metrics.Cdf.points result.Jit.cdf);
   { label; series }
 
-let fig16b_jobs ?(arrivals = [ 0.010; 0.025; 0.050; 0.100 ])
-    ?(clients = 250) () : job list =
+let fig16b_jobs ?(clients = 250) () : job list =
   List.map
     (fun interval ->
       ( Printf.sprintf "fig16b/%.0fms" (interval *. 1e3),
         fun () -> piece ~series:[ fig16b_interval ~clients interval ] () ))
-    arrivals
+    [ 0.010; 0.025; 0.050; 0.100 ]
 
-let fig16b_jit ?arrivals ?clients () =
-  series_of_jobs (fig16b_jobs ?arrivals ?clients ())
-
-let fig16c_backend ~instances backend =
+let fig16c_backend backend =
   let label = Tls_term.backend_name backend in
   let series = mk ("fig16c " ^ label) "Kreq/s" in
   List.iter
     (fun (n, tput) ->
       Series.add series ~x:(float_of_int n) ~y:(tput /. 1e3))
-    (Tls_term.sweep backend ~instances);
+    (Tls_term.sweep backend
+       ~instances:[ 1; 5; 10; 14; 50; 100; 250; 500; 750; 1000 ]);
   { label; series }
 
-let fig16c_jobs ?(instances = [ 1; 5; 10; 14; 50; 100; 250; 500; 750; 1000 ])
-    () : job list =
+let fig16c_jobs : job list =
   List.map
     (fun backend ->
       ( "fig16c/" ^ Tls_term.backend_name backend,
-        fun () -> piece ~series:[ fig16c_backend ~instances backend ] () ))
+        fun () -> piece ~series:[ fig16c_backend backend ] () ))
     [ Tls_term.Bare_metal; Tls_term.Tinyx_vm; Tls_term.Unikernel ]
-
-let fig16c_tls ?instances () = series_of_jobs (fig16c_jobs ?instances ())
 
 (* ------------------------------------------------------------------ *)
 (* Figs 17 and 18 *)
@@ -1213,14 +1204,6 @@ let fig18_jobs ?(requests = 400) () : job list =
           let _, concurrency = lambda_mode ~requests ~label mode in
           piece ~series:[ concurrency ] () ))
     lambda_runs
-
-let fig17_18_lambda ?(requests = 400) () =
-  let runs =
-    List.map
-      (fun (label, mode) -> lambda_mode ~requests ~label mode)
-      lambda_runs
-  in
-  (List.map fst runs, List.map snd runs)
 
 (* ------------------------------------------------------------------ *)
 (* Ablations *)
@@ -1271,8 +1254,6 @@ let ablation_jobs ?(n = 300) () : job list =
           () );
   ]
 
-let ablation_xenstore ?n () = series_of_jobs (ablation_jobs ?n ())
-
 (* Section 2's third requirement: pause/unpause as fast as container
    freeze/thaw (Amazon Lambda "freezes" and "thaws" its containers). *)
 let pause_unpause () =
@@ -1317,7 +1298,7 @@ let pause_unpause () =
   in
   row "LightVM guest (hypercall)" vm_times;
   row "Docker container (freezer cgroup)" container_times;
-  table
+  piece ~tables:[ table ] ()
 
 let wan_migration () =
   let table =
@@ -1350,7 +1331,7 @@ let wan_migration () =
           Printf.sprintf "%.0f" (ms total);
         ])
     [ Image.daytime; Image.clickos_firewall; Image.minipython ];
-  table
+  piece ~tables:[ table ] ()
 
 (* ------------------------------------------------------------------ *)
 (* Headline numbers *)
@@ -1418,7 +1399,7 @@ let headline_numbers () =
   row "save (LightVM)" "30 ms" (Printf.sprintf "%.0f ms" (ms save_t));
   row "restore (LightVM)" "20 ms" (Printf.sprintf "%.0f ms" (ms restore_t));
   row "migrate (LightVM)" "60 ms" (Printf.sprintf "%.0f ms" (ms migrate_t));
-  table
+  piece ~tables:[ table ] ()
 
 let tinyx_table () =
   let table =
@@ -1443,7 +1424,7 @@ let tinyx_table () =
               string_of_int r.Lightvm_tinyx.Build.debian_kernel_kb;
             ])
     [ "nginx"; "micropython"; "redis-server"; "haproxy" ];
-  table
+  piece ~tables:[ table ] ()
 
 (* ------------------------------------------------------------------ *)
 (* Cluster control plane.
@@ -1640,12 +1621,14 @@ let cluster_drain_suffix ~spec ~fault_seed c =
       ]
     ()
 
-(* The drain job migrates guests between hosts — inherently
-   cross-partition state motion — so it stays on the single-heap
-   engine. *)
-let cluster_drain_job ~hosts ~guests ~spec ~fault_seed () =
-  sim (fun () ->
-      cluster_drain_suffix ~spec ~fault_seed (drain_boot ~hosts ~guests ()))
+(* The drain job of family [name]: the drain image's prefix, then the
+   drain suffix. It migrates guests between hosts — inherently
+   cross-partition state motion — so its image is single-heap. *)
+let drain_job ~name ~hosts ~guests ~spec ~fault_seed =
+  ( name ^ "/drain",
+    fun () ->
+      unbroken (drain_image ~name ~hosts ~guests) (fun _ ->
+          cluster_drain_suffix ~spec ~fault_seed) )
 
 let cluster_jobs ?(n = 500) ?(spec = cluster_spec) ?(fault_seed = 42L)
     ?(partition = `Host) ?(sim_jobs = 1) () : job list =
@@ -1656,9 +1639,8 @@ let cluster_jobs ?(n = 500) ?(spec = cluster_spec) ?(fault_seed = 42L)
         cluster_policy_job ~guests ~partition ~sim_jobs policy ))
     Scheduler.policies
   @ [
-      ( "cluster/drain",
-        cluster_drain_job ~hosts:(cluster_hosts ~guests) ~guests ~spec
-          ~fault_seed );
+      drain_job ~name:"cluster" ~hosts:(cluster_hosts ~guests) ~guests ~spec
+        ~fault_seed;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1682,8 +1664,7 @@ let cluster_scale_jobs ?(n = 2000) ?(spec = cluster_spec) ?(fault_seed = 42L)
     ( "cluster-scale/spread",
       cluster_policy_job ~hosts ~summarize:true ~guests ~partition ~sim_jobs
         Scheduler.Spread );
-    ( "cluster-scale/drain",
-      cluster_drain_job ~hosts ~guests ~spec ~fault_seed );
+    drain_job ~name:"cluster-scale" ~hosts ~guests ~spec ~fault_seed;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1971,35 +1952,33 @@ let serverless_day_image layout =
     img_prefix = serverless_day_boot layout;
   }
 
-(* The day itself: every host's stream, on its prefilled node. *)
-let serverless_day_suffix layout ~requests ~seed nodes =
-  serverless_fleet_cells layout ~requests ~seed ~node:(Array.get nodes)
-
-let serverless_day_label hosts =
-  Printf.sprintf "day fleet x%d warmpool/poisson" hosts
-
-let serverless_day ~requests ~partition ~sim_jobs ~seed () =
-  let layout = serverless_fleet_layout ~partition ~sim_jobs in
+(* The day itself, laid out on [partition]: every host's stream on its
+   prefilled node, merged. (The fan-out reads only the partition and
+   the host count.) *)
+let serverless_day_suffix ~requests ~seed partition nodes =
+  let hosts = Array.length nodes in
   serverless_fleet_finish
-    ~label:(serverless_day_label layout.hosts)
-    (sim ~layout (fun () ->
-         serverless_day_suffix layout ~requests ~seed
-           (serverless_day_boot layout ())))
+    ~label:(Printf.sprintf "day fleet x%d warmpool/poisson" hosts)
+    (serverless_fleet_cells
+       { partition; sim_jobs = 1; hosts }
+       ~requests ~seed ~node:(Array.get nodes))
 
 let serverless_day_jobs ?(n = 8000) ?(partition = `Host) ?(sim_jobs = 1) () :
     job list =
   [
     ( "serverless-day/fleet",
       fun () ->
-        serverless_day ~requests:n ~partition ~sim_jobs
-          ~seed:(serverless_cell_seed ~seed:42L 7)
-          () );
+        unbroken
+          (serverless_day_image (serverless_fleet_layout ~partition ~sim_jobs))
+          (serverless_day_suffix ~requests:n
+             ~seed:(serverless_cell_seed ~seed:42L 7)) );
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Uniform result API: every experiment is reachable through [all] and
-   returns the same record, so front ends (CLI, bench) dispatch and
-   print generically instead of pattern-matching per-figure shapes. *)
+(* Results and plans: the one way to run an experiment. A plan is the
+   experiment's job list plus the (order-preserving) merge of the
+   resulting pieces into the record every front end (CLI, bench, tests)
+   renders generically. *)
 
 type result = {
   name : string;
@@ -2014,140 +1993,92 @@ let result_of_piece ~name ~figure p =
 
 let relabel suffix l = { l with label = l.label ^ " " ^ suffix }
 
-(* ------------------------------------------------------------------ *)
-(* Plans: the parallel execution layer. A plan is the experiment's job
-   list plus the (order-preserving) merge of the resulting pieces. *)
-
 type plan = {
-  plan_name : string;
-  plan_figure : string;
   plan_jobs : job list;
-  plan_finish : piece list -> piece;
+  plan_finish : piece list -> result;
 }
 
+(* A registry entry: the experiment's name and its plan. *)
 let mk_plan ?(finish = piece_concat) ~figure name jobs =
-  { plan_name = name; plan_figure = figure; plan_jobs = jobs;
-    plan_finish = finish }
+  ( name,
+    {
+      plan_jobs = jobs;
+      plan_finish =
+        (fun pieces -> result_of_piece ~name ~figure (finish pieces));
+    } )
 
 let single ~figure name f = mk_plan ~figure name [ (name, f) ]
 
-let reliability_plan ?n ?spec ?fault_seed () =
-  mk_plan ~figure:"Failure model" "reliability" ~finish:reliability_finish
-    (reliability_jobs ?n ?spec ?fault_seed ())
-
-let cluster_plan ?n ?spec ?fault_seed ?partition ?sim_jobs () =
-  mk_plan ~figure:"Cluster" "cluster"
-    (cluster_jobs ?n ?spec ?fault_seed ?partition ?sim_jobs ())
-
-let plans ?n ?partition ?sim_jobs () : (string * plan) list =
+let plans ?n ?partition ?sim_jobs ?spec ?fault_seed () : (string * plan) list =
   [
-    ( "fig1",
-      single ~figure:"Fig 1" "fig1" (fun () ->
-          let table, slope = fig1_syscall_growth () in
-          piece ~tables:[ table ]
-            ~notes:[ Printf.sprintf "growth: %.1f syscalls/year" slope ]
-            ()) );
-    ( "fig2",
-      single ~figure:"Fig 2" "fig2" (fun () ->
-          piece
-            ~series:
-              [
-                {
-                  label = "daytime create+boot vs image size";
-                  series = fig2_boot_vs_image_size ();
-                };
-              ]
-            ()) );
-    ("fig4", mk_plan ~figure:"Fig 4" "fig4" (fig4_jobs ?n ()));
-    ( "fig5",
-      single ~figure:"Fig 5" "fig5" (fun () ->
-          piece ~series:(fig5_breakdown ?n ()) ()) );
-    ("fig9", mk_plan ~figure:"Fig 9" "fig9" (fig9_jobs ?n ()));
-    ( "scale",
-      mk_plan ~figure:"Fig 9 at 10k" "scale"
-        (scale_jobs ?n ?partition ?sim_jobs ()) );
-    ("reliability", reliability_plan ?n ());
-    ( "fig10",
-      mk_plan ~figure:"Fig 10" "fig10"
-        (fig10_jobs ?vms:n ?containers:n ()) );
-    ("fig11", mk_plan ~figure:"Fig 11" "fig11" (fig11_jobs ?n ()));
-    ( "fig12",
-      (* Sequential rendering lists every mode's save series first,
-         then every restore: reassemble that order from the per-mode
-         pieces ([save; restore] each). *)
-      mk_plan ~figure:"Fig 12" "fig12" (fig12_jobs ?n ())
-        ~finish:(fun pieces ->
-          let save = List.map (fun p -> List.nth p.p_series 0) pieces in
-          let restore = List.map (fun p -> List.nth p.p_series 1) pieces in
-          piece
-            ~series:
-              (List.map (relabel "save") save
-              @ List.map (relabel "restore") restore)
-            ()) );
-    ("fig13", mk_plan ~figure:"Fig 13" "fig13" (fig13_jobs ?n ()));
-    ("fig14", mk_plan ~figure:"Fig 14" "fig14" (fig14_jobs ?n ()));
-    ("fig15", mk_plan ~figure:"Fig 15" "fig15" (fig15_jobs ?n ()));
-    ( "fig16a",
-      single ~figure:"Fig 16a" "fig16a" (fun () ->
-          piece ~tables:[ fig16a_firewall () ] ()) );
-    ( "fig16b",
-      mk_plan ~figure:"Fig 16b" "fig16b" (fig16b_jobs ?clients:n ()) );
-    ("fig16c", mk_plan ~figure:"Fig 16c" "fig16c" (fig16c_jobs ()));
-    ("fig17", mk_plan ~figure:"Fig 17" "fig17" (fig17_jobs ?requests:n ()));
-    ("fig18", mk_plan ~figure:"Fig 18" "fig18" (fig18_jobs ?requests:n ()));
-    ( "ablation",
-      mk_plan ~figure:"Sec 4.2 ablation" "ablation" (ablation_jobs ?n ()) );
-    ( "pause",
-      single ~figure:"Sec 2" "pause" (fun () ->
-          piece ~tables:[ pause_unpause () ] ()) );
-    ( "wan-migration",
-      single ~figure:"Sec 7.1" "wan-migration" (fun () ->
-          piece ~tables:[ wan_migration () ] ()) );
-    ( "headline",
-      single ~figure:"Abstract" "headline" (fun () ->
-          piece ~tables:[ headline_numbers () ] ()) );
-    ( "tinyx",
-      single ~figure:"Sec 3.2" "tinyx" (fun () ->
-          piece ~tables:[ tinyx_table () ] ()) );
-    ("cluster", cluster_plan ?n ?partition ?sim_jobs ());
-    ( "cluster-scale",
-      mk_plan ~figure:"Cluster at scale" "cluster-scale"
-        (cluster_scale_jobs ?n ?partition ?sim_jobs ()) );
-    ( "serverless",
-      mk_plan ~figure:"Open-loop serverless" "serverless"
-        (serverless_jobs ?n ?partition ?sim_jobs ()) );
-    ( "serverless-day",
-      mk_plan ~figure:"Serverless day" "serverless-day"
-        (serverless_day_jobs ?n ?partition ?sim_jobs ()) );
+    single ~figure:"Fig 1" "fig1" fig1_syscall_growth;
+    single ~figure:"Fig 2" "fig2" fig2_boot_vs_image_size;
+    mk_plan ~figure:"Fig 4" "fig4" (fig4_jobs ?n ());
+    single ~figure:"Fig 5" "fig5" (fig5_breakdown ?n);
+    mk_plan ~figure:"Fig 9" "fig9" (fig9_jobs ?n ());
+    mk_plan ~figure:"Fig 9 at 10k" "scale"
+      (scale_jobs ?n ?partition ?sim_jobs ());
+    mk_plan ~figure:"Failure model" "reliability" ~finish:reliability_finish
+      (reliability_jobs ?n ?spec ?fault_seed ());
+    mk_plan ~figure:"Fig 10" "fig10" (fig10_jobs ?n ());
+    mk_plan ~figure:"Fig 11" "fig11" (fig11_jobs ?n ());
+    (* Sequential rendering lists every mode's save series first, then
+       every restore: reassemble that order from the per-mode pieces
+       ([save; restore] each). *)
+    mk_plan ~figure:"Fig 12" "fig12" (fig12_jobs ?n ()) ~finish:(fun pieces ->
+        let save = List.map (fun p -> List.nth p.p_series 0) pieces in
+        let restore = List.map (fun p -> List.nth p.p_series 1) pieces in
+        piece
+          ~series:
+            (List.map (relabel "save") save
+            @ List.map (relabel "restore") restore)
+          ());
+    mk_plan ~figure:"Fig 13" "fig13" (fig13_jobs ?n ());
+    mk_plan ~figure:"Fig 14" "fig14" (fig14_jobs ?n ());
+    mk_plan ~figure:"Fig 15" "fig15" (fig15_jobs ?n ());
+    single ~figure:"Fig 16a" "fig16a" fig16a_firewall;
+    mk_plan ~figure:"Fig 16b" "fig16b" (fig16b_jobs ?clients:n ());
+    mk_plan ~figure:"Fig 16c" "fig16c" fig16c_jobs;
+    mk_plan ~figure:"Fig 17" "fig17" (fig17_jobs ?requests:n ());
+    mk_plan ~figure:"Fig 18" "fig18" (fig18_jobs ?requests:n ());
+    mk_plan ~figure:"Sec 4.2 ablation" "ablation" (ablation_jobs ?n ());
+    single ~figure:"Sec 2" "pause" pause_unpause;
+    single ~figure:"Sec 7.1" "wan-migration" wan_migration;
+    single ~figure:"Abstract" "headline" headline_numbers;
+    single ~figure:"Sec 3.2" "tinyx" tinyx_table;
+    mk_plan ~figure:"Cluster" "cluster"
+      (cluster_jobs ?n ?spec ?fault_seed ?partition ?sim_jobs ());
+    mk_plan ~figure:"Cluster at scale" "cluster-scale"
+      (cluster_scale_jobs ?n ?spec ?fault_seed ?partition ?sim_jobs ());
+    mk_plan ~figure:"Open-loop serverless" "serverless"
+      (serverless_jobs ?n ?spec ?fault_seed ?partition ?sim_jobs ());
+    mk_plan ~figure:"Serverless day" "serverless-day"
+      (serverless_day_jobs ?n ?partition ?sim_jobs ());
   ]
 
-let plan ?n ?partition ?sim_jobs name =
-  List.assoc_opt name (plans ?n ?partition ?sim_jobs ())
+let names = List.map fst (plans ())
 
-let job_count p = List.length p.plan_jobs
+(* The one check of a user-supplied scale, shared by [plan] and the
+   resume and serverless entry points. *)
+let check_n = function
+  | Some v when v < 1 -> Error (Printf.sprintf "-n must be >= 1 (got %d)" v)
+  | _ -> Ok ()
+
+let plan ?n ?partition ?sim_jobs ?spec ?fault_seed name =
+  match
+    List.assoc_opt name (plans ?n ?partition ?sim_jobs ?spec ?fault_seed ())
+  with
+  | None ->
+      Error
+        (Printf.sprintf "unknown experiment %S; try: %s" name
+           (String.concat " " names))
+  | Some p -> Result.map (fun () -> p) (check_n n)
 
 let run_plan ?(jobs = 1) p =
   let thunks = List.map snd p.plan_jobs in
-  let pieces =
-    if jobs <= 1 then List.map (fun f -> f ()) thunks
-    else Pool.run ~jobs thunks
-  in
-  result_of_piece ~name:p.plan_name ~figure:p.plan_figure
-    (p.plan_finish pieces)
-
-(* ------------------------------------------------------------------ *)
-
-let registry ?n ?partition ?sim_jobs () =
-  List.map
-    (fun (name, p) -> (name, fun () -> run_plan p))
-    (plans ?n ?partition ?sim_jobs ())
-
-let all = registry ()
-
-let names = List.map fst all
-
-let find ?n ?partition ?sim_jobs name =
-  List.assoc_opt name (registry ?n ?partition ?sim_jobs ())
+  p.plan_finish
+    (if jobs <= 1 then List.map (fun f -> f ()) thunks
+     else Pool.run ~jobs thunks)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot/resume.
@@ -2193,10 +2124,10 @@ let families ?n ~partition ~sim_jobs () =
         {
           images = [ drain_image ~name ~hosts:(hosts_for ~guests) ~guests ];
           make =
-            (fun ~n:_ ~spec ~fault_seed _ c ->
+            (fun ~n:_ ~spec ~fault_seed _ ->
               cluster_drain_suffix
                 ~spec:(Option.value spec ~default:cluster_spec)
-                ~fault_seed c);
+                ~fault_seed);
         } )
   in
   [
@@ -2234,12 +2165,11 @@ let families ?n ~partition ~sim_jobs () =
                 ~per:(fleet_per top);
             ];
           make =
-            (fun ~n:_ ~spec:_ ~fault_seed:_ partition ((nodes, _) as root) ->
-              let hosts = Array.length nodes in
-              let lat = fleet_finish { partition; sim_jobs = 1; hosts } root in
-              let per = Array.length lat.(0) in
+            (fun ~n:_ ~spec:_ ~fault_seed:_ partition root ->
+              let lat = fleet_finish partition root in
+              let hosts = Array.length lat and per = Array.length lat.(0) in
               piece
-                ~series:[ fleet_row_render ~hosts ~per lat ]
+                ~series:[ fleet_row_render lat ]
                 ~notes:
                   [
                     Printf.sprintf
@@ -2287,15 +2217,10 @@ let families ?n ~partition ~sim_jobs () =
                 (serverless_fleet_layout ~partition ~sim_jobs);
             ];
           make =
-            (fun ~n ~spec:_ ~fault_seed partition nodes ->
-              let hosts = Array.length nodes in
-              serverless_fleet_finish
-                ~label:(serverless_day_label hosts)
-                (serverless_day_suffix
-                   { partition; sim_jobs = 1; hosts }
-                   ~requests:(Option.value n ~default:8000)
-                   ~seed:(serverless_cell_seed ~seed:fault_seed 7)
-                   nodes));
+            (fun ~n ~spec:_ ~fault_seed ->
+              serverless_day_suffix
+                ~requests:(Option.value n ~default:8000)
+                ~seed:(serverless_cell_seed ~seed:fault_seed 7));
         } );
   ]
 
@@ -2319,10 +2244,6 @@ let resume make bytes =
         | Some _ -> `Host
       in
       Ok (sim ~from:saved (fun () -> make partition root))
-
-let check_n = function
-  | Some v when v < 1 -> Error (Printf.sprintf "-n must be >= 1 (got %d)" v)
-  | _ -> Ok ()
 
 let resumed = Result.map (result_of_piece ~name:"resume" ~figure:"snapshot")
 
@@ -2349,10 +2270,7 @@ let listed make img =
         resumed
           (Result.bind (check_n n) (fun () ->
                match origin with
-               | `Unbroken ->
-                   Ok
-                     (sim ~layout:img.img_layout (fun () ->
-                          make img.img_layout.partition (img.img_prefix ())))
+               | `Unbroken -> Ok (unbroken img make)
                | `Image bytes -> resume make bytes)));
   }
 
@@ -2400,24 +2318,23 @@ let resume_from_file ?n ?spec ?(fault_seed = 42L) ~path () =
 
 let serverless_run ?n ?duration ?spec ?(fault_seed = 42L) ~arrival ~rate
     ~policy () =
-  if rate <= 0. then Error "rate must be positive"
-  else
-    let requests, period =
-      match (duration, n) with
-      | Some d, _ -> (max 1 (int_of_float (rate *. d)), d)
-      | None, Some v -> (v, float_of_int v /. rate)
-      | None, None -> (2000, 2000. /. rate)
-    in
-    match
-      ( Arrival.of_flag ~rate ~period arrival,
-        Serverless.policy_of_string policy )
-    with
-    | Error m, _ | _, Error m -> Error m
-    | Ok arrival, Ok policy ->
-        Ok
-          (result_of_piece ~name:"serverless" ~figure:"Open-loop serverless"
-             (serverless_cell ~requests ~policy ~arrival ?spec ~seed:fault_seed
-                ()))
+  let requests, period =
+    match (duration, n) with
+    | Some d, _ -> (max 1 (int_of_float (rate *. d)), d)
+    | None, Some v -> (v, float_of_int v /. rate)
+    | None, None -> (2000, 2000. /. rate)
+  in
+  match
+    ( check_n n,
+      Arrival.of_flag ~rate ~period arrival,
+      Serverless.policy_of_string policy )
+  with
+  | Error m, _, _ | _, Error m, _ | _, _, Error m -> Error m
+  | Ok (), Ok arrival, Ok policy ->
+      Ok
+        (result_of_piece ~name:"serverless" ~figure:"Open-loop serverless"
+           (serverless_cell ~requests ~policy ~arrival ?spec ~seed:fault_seed
+              ()))
 
 (* ------------------------------------------------------------------ *)
 (* XenStore dump *)

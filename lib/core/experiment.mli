@@ -1,8 +1,9 @@
 (** Reproductions of every figure in the paper's evaluation (Section 6)
-    and use cases (Section 7). Each function runs one or more complete
-    simulations and returns the figure's data as labelled series or a
-    table; sizes default to laptop-friendly scales and accept the
-    paper's full parameters (see the [?n]-style arguments).
+    and use cases (Section 7). Each experiment is a {!type-plan} in the
+    {!plans} registry: {!val-plan} names it, {!run_plan} runs its complete
+    simulations and returns the figure's data as labelled series,
+    tables and notes. Sizes default to laptop-friendly scales and
+    accept the paper's full parameters through [?n].
 
     The per-experiment index lives in DESIGN.md; paper-vs-measured
     numbers in EXPERIMENTS.md. *)
@@ -33,37 +34,6 @@ val partition_name : partition -> string
 val partition_of_string : string -> (partition, string) result
 (** Parses ["host"] and ["none"] (the [--partition] flag). *)
 
-val fig1_syscall_growth : unit -> Table.t * float
-(** The Linux syscall-count table and its per-year growth slope. *)
-
-val fig2_boot_vs_image_size : ?sizes_mb:float list -> unit -> Series.t
-(** Boot time (ms) of the daytime unikernel vs image size (MB),
-    images inflated with binary objects, stored on a ramdisk. *)
-
-val fig4_instantiation : ?n:int -> unit -> labelled list
-(** Creation and boot time series (x = number of running guests,
-    y = ms) for Debian/Tinyx/unikernel under xl, Docker containers and
-    processes. Paper scale: [n = 1000]. *)
-
-val fig5_breakdown : ?n:int -> ?sample:int -> unit -> labelled list
-(** xl + Debian creation-time breakdown: one series per category
-    (xenstore, devices, toolstack, load, hypervisor, config). *)
-
-val fig9_create_times : ?n:int -> unit -> labelled list
-(** Creation+boot of the daytime unikernel under all five toolstack
-    combinations. *)
-
-val scale_creation : ?n:int -> unit -> labelled list
-(** The Fig 9 creation sweep pushed to the simulator's 10,000-guest
-    design target for xl, chaos [XS] and chaos [NoXS]; each mode runs
-    one simulation whose 2000/5000/10000-guest prefixes (capped by
-    [?n]) yield every count's curve, sampled to ~20 points per curve.
-    xl stops at 2000: its modeled libxl protocol is Θ(N²) simulated
-    round trips, so the quadratic trend is established early and chaos
-    [XS] carries the full-scale XenStore stress. A final partitioned
-    row brings the same top-count population up as 8 concurrent chaos
-    [XS] hosts, one partition each (see {!type-partition}). *)
-
 val reliability_default_spec : string
 (** The fault spec the [reliability] experiment runs when none is given
     on the command line: XenStore conflicts and quota rejections,
@@ -71,71 +41,21 @@ val reliability_default_spec : string
     failures, each at a low base probability (see DESIGN.md "Failure
     model"). Parses with [Lightvm_sim.Fault.parse_spec]. *)
 
-val fig10_density :
-  ?vms:int -> ?containers:int -> unit -> labelled list
-(** LightVM (noop unikernel, no devices) vs Docker on the 64-core AMD
-    machine. Paper scale: [vms = 8000]; Docker wedges around 3000. *)
+val cluster_fault_spec : string
+(** The migration-fault spec the [cluster] and [cluster-scale] drain
+    jobs run when none is given explicitly: ["migrate.corrupt:0.6"]. *)
 
-val fig11_boot_compare : ?n:int -> unit -> labelled list
-(** Unikernel and Tinyx guests over LightVM vs Docker containers. *)
+(** {1 Plans: the one way to run an experiment}
 
-val fig12_checkpoint :
-  ?n:int -> ?batch:int -> unit -> labelled list * labelled list
-(** (save series, restore series) per toolstack mode; each round adds
-    [batch] guests and checkpoints [batch] random ones. *)
-
-val fig13_migration : ?n:int -> ?batch:int -> unit -> labelled list
-
-val fig14_memory : ?n:int -> ?sample:int -> unit -> labelled list
-(** Total memory usage (MB) vs instance count for Debian, Tinyx,
-    Minipython unikernel, Docker and processes. *)
-
-val fig15_cpu_usage :
-  ?n:int -> ?sample:int -> ?window:float -> unit -> labelled list
-(** Idle CPU utilisation (%% of the whole machine) vs guest count. *)
-
-val fig16a_firewall : ?users:int list -> unit -> Table.t
-(** Aggregate throughput and ping RTT for up to 1000 ClickOS firewalls. *)
-
-val fig16b_jit :
-  ?arrivals:float list -> ?clients:int -> unit -> labelled list
-(** Ping-RTT CDFs for several client inter-arrival times. *)
-
-val fig16c_tls : ?instances:int list -> unit -> labelled list
-(** TLS termination throughput vs instance count for bare metal, Tinyx
-    and the axtls unikernel. *)
-
-val fig17_18_lambda :
-  ?requests:int -> unit -> labelled list * labelled list
-(** (Fig 17 service-time series, Fig 18 concurrency-over-time series)
-    for chaos [XS] vs LightVM on the overloaded host. *)
-
-val ablation_xenstore : ?n:int -> unit -> labelled list
-(** Design-choice ablation: chaos [XS] creation times under oxenstored,
-    cxenstored (the paper's "much higher overheads" footnote), and
-    oxenstored with access logging disabled (removes the rotation
-    spikes but not the growth). *)
-
-val pause_unpause : unit -> Table.t
-(** Section 2's third requirement: pausing/unpausing a guest must be as
-    quick as freezing/thawing a container. *)
-
-val wan_migration : unit -> Table.t
-(** Migration over a 1 Gbps / 10 ms RTT link (Section 7.1 reports
-    ~150 ms for a ClickOS guest). *)
-
-val headline_numbers : unit -> Table.t
-(** The abstract's numbers: 2.3 ms boot, save/restore/migrate times,
-    image sizes and footprints — paper vs this reproduction. *)
-
-val tinyx_table : unit -> Table.t
-(** Section 3.2 build-system numbers for several applications. *)
-
-(** {1 Uniform result API}
-
-    Every experiment above is also reachable through {!all} (or {!find})
-    and returns the same {!result} record, so front ends dispatch and
-    render generically instead of pattern-matching per-figure shapes. *)
+    Every experiment is a {!type-plan}: a list of independent jobs — one per
+    curve, mode or cell, each a self-contained simulation with its own
+    {!Lightvm_sim.Engine.run} and explicit Rng seeds — plus a merge of
+    the resulting pieces, in fixed job order, into one {!type-result}. Front
+    ends dispatch and render generically instead of pattern-matching
+    per-figure shapes. Because jobs share no state, a job's piece is
+    identical whether it runs inline or on a {!Lightvm_sim.Pool} worker,
+    and {!run_plan}'s output is bit-identical for any [jobs] count (see
+    test/test_parallel.ml). *)
 
 type result = {
   name : string;
@@ -145,41 +65,6 @@ type result = {
   notes : string list;
 }
 
-val all : (string * (unit -> result)) list
-(** Experiments at their default (laptop-friendly) scales, keyed by
-    name ([fig1] ... [fig18], [scale], [ablation], [pause],
-    [wan-migration], [headline], [tinyx]). *)
-
-val names : string list
-
-val registry :
-  ?n:int ->
-  ?partition:partition ->
-  ?sim_jobs:int ->
-  unit ->
-  (string * (unit -> result)) list
-(** Like {!all} with the scale knob (guests/clients/requests — the
-    figure's dominant axis) overridden where the experiment has one,
-    and the partitioning of the multi-host families (default [`Host]
-    with [sim_jobs = 1]: the partitioned engine, windows run inline). *)
-
-val find :
-  ?n:int ->
-  ?partition:partition ->
-  ?sim_jobs:int ->
-  string ->
-  (unit -> result) option
-
-(** {1 Plans: parallel execution}
-
-    A {!plan} decomposes an experiment into independent jobs — one per
-    curve or mode, each a self-contained simulation with its own
-    {!Lightvm_sim.Engine.run} and explicit Rng seeds — plus a merge of
-    the resulting pieces in fixed job order. Because jobs share no
-    state, a job's piece is identical whether it runs inline or on a
-    {!Lightvm_sim.Pool} worker, and {!run_plan}'s output is
-    bit-identical for any [jobs] count (see test/test_parallel.ml). *)
-
 type piece = {
   p_series : labelled list;
   p_tables : Table.t list;
@@ -188,12 +73,10 @@ type piece = {
 (** One job's contribution to an experiment's output. *)
 
 type plan = {
-  plan_name : string;
-  plan_figure : string;
   plan_jobs : (string * (unit -> piece)) list;
       (** labelled jobs, e.g. ["fig9/lightvm"]; label order is merge
           order *)
-  plan_finish : piece list -> piece;
+  plan_finish : piece list -> result;
       (** merge, given pieces in job order; usually concatenation *)
 }
 
@@ -201,62 +84,50 @@ val plans :
   ?n:int ->
   ?partition:partition ->
   ?sim_jobs:int ->
+  ?spec:Lightvm_sim.Fault.spec ->
+  ?fault_seed:int64 ->
   unit ->
   (string * plan) list
-(** Same registry as {!registry}, as plans. *)
+(** Every experiment, keyed by name ([fig1] ... [fig18], [scale],
+    [reliability], [ablation], [pause], [wan-migration], [headline],
+    [tinyx], [cluster], [cluster-scale], [serverless],
+    [serverless-day]; the per-experiment index is in DESIGN.md).
 
-val reliability_plan :
-  ?n:int ->
-  ?spec:Lightvm_sim.Fault.spec ->
-  ?fault_seed:int64 ->
-  unit ->
-  plan
-(** The [reliability] experiment with an explicit fault spec and seed
-    (defaults: {!reliability_default_spec} parsed, seed 42). For each
-    of xl, chaos [XS] and chaos [NoXS] at fault multipliers 0/1/2/4 it
-    attempts [n] creations (default 200) and reports a per-mode success
-    -rate series, per-cell creation-time CDFs, and notes with injected
-    -fault counts. Output is a pure function of [(n, spec, fault_seed)]
-    — identical for any [jobs] count. An empty [spec] consumes no
-    randomness and leaves every digest byte-identical. *)
+    - [n] overrides the scale knob (guests, clients or requests — the
+      figure's dominant axis) where the experiment has one; each
+      experiment otherwise runs at its own laptop-friendly default.
+    - [partition] and [sim_jobs] lay out the multi-host families
+      ([scale]'s partitioned row, the cluster policy jobs and the
+      serverless fleets): default [`Host] with [sim_jobs = 1], the
+      partitioned engine with windows run inline.
+    - [spec] and [fault_seed] reach the families that inject faults:
+      [reliability] (default {!reliability_default_spec}), the
+      [cluster] and [cluster-scale] drains (default
+      {!cluster_fault_spec}) and [serverless]'s faults cell (default
+      {!reliability_default_spec}). [fault_seed] (default 42) seeds
+      them, and every [serverless] cell's streams. Each such output is
+      a pure function of [(n, spec, fault_seed)]; an empty [spec]
+      consumes no randomness. *)
 
-val cluster_fault_spec : string
-(** The migration-fault spec the [cluster] drain job runs when none is
-    given explicitly: ["migrate.corrupt:0.6"]. *)
-
-val cluster_plan :
-  ?n:int ->
-  ?spec:Lightvm_sim.Fault.spec ->
-  ?fault_seed:int64 ->
-  ?partition:partition ->
-  ?sim_jobs:int ->
-  unit ->
-  plan
-(** The [cluster] experiment family: a multi-host cluster (up to 20
-    hosts across 4 racks, sized from [n]) brings up [n] guests (default
-    500) once per scheduling policy — bin-pack, spread, pool-everywhere.
-    Placements are planned by the policy against bookkept views and
-    announced on the switch from the control plane; every host then
-    creates its assigned guests concurrently (in its own partition with
-    [partition = `Host], the default), and the job records per-guest
-    create+boot latency plus the final placement distribution. A fourth
-    job drains host 0 by live migration under the injected fault [spec]
-    (default {!cluster_fault_spec} parsed, seed 42), rebalances, and
-    reports the cluster-wide resource accounting check (that job is
-    single-heap: migration is cross-partition state motion). Output is
-    a pure function of [(n, spec, fault_seed)] — identical for any
-    [jobs]/[sim_jobs] count and both partition modes. *)
+val names : string list
+(** The experiment names, in {!plans} order. *)
 
 val plan :
-  ?n:int -> ?partition:partition -> ?sim_jobs:int -> string -> plan option
-
-val job_count : plan -> int
+  ?n:int ->
+  ?partition:partition ->
+  ?sim_jobs:int ->
+  ?spec:Lightvm_sim.Fault.spec ->
+  ?fault_seed:int64 ->
+  string ->
+  (plan, string) Stdlib.result
+(** The named entry of {!plans}. [Error] for an unknown name (the
+    message lists the valid ones) and for [n < 1], with the same
+    message {!resume_from_file} gives. *)
 
 val run_plan : ?jobs:int -> plan -> result
 (** Run the plan's jobs on a fresh {!Lightvm_sim.Pool} of [jobs]
     workers ([jobs <= 1], the default, runs them inline on the calling
-    domain) and merge. [registry]'s runners are [run_plan] with the
-    default. *)
+    domain) and merge. *)
 
 (** {1 Snapshot and resume}
 
@@ -373,7 +244,9 @@ val serverless_run :
     ["warmpool"] or ["container"]. [duration] (simulated seconds of
     arrivals) wins over [n] (a request budget) when both are given.
     [spec] injects creation faults, which surface as failed requests.
-    [Error] on an unknown arrival or policy name. *)
+    [Error] on an unknown arrival or policy name, for [n < 1], and
+    unless [rate] and the run's duration are finite and positive (see
+    {!Lightvm_serverless.Arrival.of_flag}). *)
 
 val serverless_fleet :
   requests:int ->

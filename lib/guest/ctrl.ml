@@ -48,11 +48,4 @@ let front_port page = page.front_port
 
 let await_connected page = Engine.Ivar.read page.connected
 
-let state_to_string = function
-  | Init -> "init"
-  | Front_ready -> "front-ready"
-  | Connected -> "connected"
-  | Closing -> "closing"
-  | Closed -> "closed"
-
 let count t = Hashtbl.length t.pages

@@ -44,5 +44,3 @@ val await_connected : page -> unit
 val count : t -> int
 (** Registered control pages. For leak accounting — see
     [Lightvm_cluster.Vmm.resources]. *)
-
-val state_to_string : state -> string

@@ -27,7 +27,6 @@ let image t = t.image
 let devices t = t.devices
 let booted t = Engine.Ivar.is_full t.ready
 let wait_ready t = Engine.Ivar.read t.ready
-let is_up t = t.up
 
 let boot_time t =
   match t.ready_at with
@@ -39,8 +38,6 @@ let boot_time t =
    pseudo-device is a shared-page flip. *)
 let suspend_work_xenbus = 2.5e-3
 let suspend_work_noxs = 0.15e-3
-
-let suspend_work = suspend_work_xenbus
 
 (* Idle background load: Tinyx and Debian run periodic kernel/service
    work even when idle; unikernels do not (Image.idle_tick_period =

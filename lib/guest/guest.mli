@@ -43,12 +43,5 @@ val shutdown : t -> unit
 (** Stop the idle load and mark the guest down (guest-side part of
     shutdown/suspend; charges the guest's save work). *)
 
-val suspend_work : float
-(** Guest-side CPU seconds to quiesce over the xenbus path (save
-    internal state, acknowledge the control/shutdown handshake). The
-    noxs path is over an order of magnitude cheaper. *)
-
 val resume : t -> unit
 (** Restart idle load after a restore. *)
-
-val is_up : t -> bool

@@ -50,16 +50,10 @@ val minipython : t
 val clickos_firewall : t
 (** ClickOS running a firewall configuration: 1.7 MB image, 8 MB RAM. *)
 
-val tls_unikernel : t
-(** axtls-based TLS termination proxy: 16 MB RAM, ~6 ms boot. *)
-
 val tinyx : t
 (** Tinyx with no app: 9.5 MB image, ~30 MB RAM, ~180 ms boot. *)
 
 val tinyx_micropython : t
-
-val tinyx_tls : t
-(** Tinyx TLS proxy: 40 MB RAM, ~190 ms boot. *)
 
 val debian : t
 (** Minimal Debian jessie: 1.1 GB disk, 111 MB RAM, 1.5 s boot, and a

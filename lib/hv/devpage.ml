@@ -23,8 +23,6 @@ let setup t ~domid =
 
 let teardown t ~domid = Hashtbl.remove t.pages domid
 
-let has_page t ~domid = Hashtbl.mem t.pages domid
-
 let same_slot a ~kind ~devid = a.kind = kind && a.devid = devid
 
 let write_entry t ~caller ~domid entry =

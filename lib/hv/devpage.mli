@@ -20,17 +20,12 @@ type error = No_page | Access_denied | Page_full | No_entry
 
 type t
 
-val max_entries : int
-(** Entries that fit one 4 KiB page. *)
-
 val create : unit -> t
 
 val setup : t -> domid:int -> unit
 (** Allocate the (empty) device page for a new domain. *)
 
 val teardown : t -> domid:int -> unit
-
-val has_page : t -> domid:int -> bool
 
 val write_entry :
   t -> caller:int -> domid:int -> entry -> (unit, error) result

@@ -38,19 +38,6 @@ let state t = t.state
 let set_state t s = t.state <- s
 let vcpus t = t.vcpus
 let max_mem_kb t = t.max_mem_kb
-let set_max_mem_kb t kb = t.max_mem_kb <- kb
 let core t = t.core
-let set_core t c = t.core <- c
-let is_shell t = t.shell
 let set_shell t b = t.shell <- b
-let created_at t = t.created_at
 let is_running t = t.state = Running
-
-let pp_state fmt = function
-  | Paused -> Format.pp_print_string fmt "paused"
-  | Running -> Format.pp_print_string fmt "running"
-  | Shutdown Poweroff -> Format.pp_print_string fmt "shutdown(poweroff)"
-  | Shutdown Reboot -> Format.pp_print_string fmt "shutdown(reboot)"
-  | Shutdown Suspend -> Format.pp_print_string fmt "shutdown(suspend)"
-  | Shutdown Crash -> Format.pp_print_string fmt "shutdown(crash)"
-  | Dying -> Format.pp_print_string fmt "dying"

@@ -27,21 +27,10 @@ val vcpus : t -> int
 
 val max_mem_kb : t -> int
 
-val set_max_mem_kb : t -> int -> unit
-
 val core : t -> int
 (** Physical core this domain's vCPU is pinned to (round-robin
     assignment at creation, as in the paper's experiments). *)
 
-val set_core : t -> int -> unit
-
-val is_shell : t -> bool
-(** Pre-created, not yet specialised (split-toolstack pool, Fig 8). *)
-
 val set_shell : t -> bool -> unit
 
-val created_at : t -> float
-
 val is_running : t -> bool
-
-val pp_state : Format.formatter -> state -> unit

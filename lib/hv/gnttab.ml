@@ -70,11 +70,6 @@ let release_domain t ~domid =
   Hashtbl.remove t.next_ref domid;
   List.length owned
 
-let active_grants t ~owner =
-  Hashtbl.fold
-    (fun (o, _) _ acc -> if o = owner then acc + 1 else acc)
-    t.table 0
-
 let mapped_count t ~owner gref =
   match Hashtbl.find_opt t.table (owner, gref) with
   | None -> 0

@@ -29,9 +29,6 @@ val release_domain : t -> domid:int -> int
     mappings it held on other domains' entries. Returns how many owned
     entries were dropped. *)
 
-val active_grants : t -> owner:int -> int
-(** Outstanding grant entries owned by [owner]. *)
-
 val mapped_count : t -> owner:int -> gref -> int
 
 val count : t -> int

@@ -210,8 +210,6 @@ let consume_dom0 t work =
   let core = Cpu.pick_least_loaded t.cpu ~cores:(dom0_cores t) in
   Cpu.consume t.cpu ~core work
 
-let core_of t ~domid = Option.map Domain.core (domain t ~domid)
-
 let free_mem_kb t = Frames.free_kb t.frames
 let used_mem_kb t = Frames.used_kb t.frames
 let total_mem_kb t = Frames.total_kb t.frames

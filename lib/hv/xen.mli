@@ -90,8 +90,6 @@ val dom0_cores : t -> int list
 
 val guest_cores : t -> int list
 
-val core_of : t -> domid:int -> int option
-
 (** {1 Memory accounting} *)
 
 val free_mem_kb : t -> int

@@ -14,8 +14,6 @@ val mean : t -> float
 val variance : t -> float
 (** Sample variance; 0. for fewer than two observations. *)
 
-val stddev : t -> float
-
 val min_value : t -> float
 (** [infinity] when empty. *)
 

@@ -25,10 +25,6 @@ type env = {
   mutable last : Value.t;
 }
 
-let builtin_names =
-  [ "print"; "range"; "len"; "abs"; "str"; "int"; "float"; "min"; "max";
-    "sum" ]
-
 let err fmt = Printf.ksprintf (fun msg -> raise (Runtime_error msg)) fmt
 
 let is_builtin = function

@@ -20,7 +20,3 @@ val run : ?max_steps:int -> ?cache:bool -> string -> (outcome, string) result
     [true]) keeps parsed programs in a per-domain compiled-program
     cache so repeated runs of the same source skip lex+parse entirely;
     step counts are identical either way (parsing never ticks). *)
-
-val run_exn : ?max_steps:int -> ?cache:bool -> string -> outcome
-
-val builtin_names : string list

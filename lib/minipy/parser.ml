@@ -323,10 +323,3 @@ let parse source =
     | _ -> loop (parse_stmt st :: acc)
   in
   loop []
-
-let parse_result source =
-  match parse source with
-  | prog -> Ok prog
-  | exception Parse_error msg -> Error msg
-  | exception Lexer.Lex_error (line, msg) ->
-      Error (Printf.sprintf "line %d: %s" line msg)

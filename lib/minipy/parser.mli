@@ -5,5 +5,3 @@ exception Parse_error of string
 
 val parse : string -> Ast.program
 (** Raises {!Parse_error} or {!Lexer.Lex_error}. *)
-
-val parse_result : string -> (Ast.program, string) result

@@ -29,8 +29,6 @@ let make ~src ~dst ~kind ?size_b ?(payload = "") ~seq () =
   in
   { src; dst; kind; size_b; seq; payload }
 
-let is_broadcast t = t.dst = Broadcast
-
 let kind_to_string = function
   | Arp_request -> "arp-request"
   | Arp_reply -> "arp-reply"

@@ -27,8 +27,6 @@ val make :
 (** Default sizes: 64 B for ARP/ICMP, 1500 B otherwise, plus the
     payload length. *)
 
-val is_broadcast : t -> bool
-
 val kind_to_string : kind -> string
 
 val pp : Format.formatter -> t -> unit

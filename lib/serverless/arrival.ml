@@ -24,26 +24,42 @@ let describe = function
       Printf.sprintf "mmpp calm %g req/s (%gs) / burst %g req/s (%gs)"
         calm_rate mean_calm burst_rate mean_burst
 
-let of_flag ~rate ~period = function
-  | "poisson" -> Ok (Poisson { rate })
-  | "diurnal" -> Ok (Diurnal { base = rate; amplitude = 0.6; period })
-  | "mmpp" ->
-      (* Calm 5/6 of the time at rate/2, bursting 1/6 of the time at
-         4x: stationary mean (5/6)(rate/2) + (1/6)(4 rate) = rate
-         + rate/12 ~ rate; close enough for a load shape, and the
-         burst-to-calm contrast is what the tail percentiles see. *)
-      Ok
-        (Mmpp
-           {
-             calm_rate = rate /. 2.;
-             burst_rate = 4. *. rate;
-             mean_calm = period /. 12.;
-             mean_burst = period /. 60.;
-           })
-  | s ->
-      Error
-        (Printf.sprintf
-           "unknown arrival process %S (expected poisson, diurnal or mmpp)" s)
+(* A rate or period that is zero, negative, infinite or nan would make
+   the generator spin without advancing: a zero diurnal period never
+   accepts a thinning candidate, a non-positive MMPP sojourn mean never
+   leaves its phase, an infinite rate never moves time. *)
+let positive_finite x = Float.is_finite x && x > 0.
+
+let of_flag ~rate ~period name =
+  if not (positive_finite rate) then
+    Error (Printf.sprintf "rate must be finite and positive (got %g)" rate)
+  else if not (positive_finite period) then
+    Error
+      (Printf.sprintf
+         "period (the run's duration) must be finite and positive (got %g s)"
+         period)
+  else
+    match name with
+    | "poisson" -> Ok (Poisson { rate })
+    | "diurnal" -> Ok (Diurnal { base = rate; amplitude = 0.6; period })
+    | "mmpp" ->
+        (* Calm 5/6 of the time at rate/2, bursting 1/6 of the time at
+           4x: stationary mean (5/6)(rate/2) + (1/6)(4 rate) = rate
+           + rate/12 ~ rate; close enough for a load shape, and the
+           burst-to-calm contrast is what the tail percentiles see. *)
+        Ok
+          (Mmpp
+             {
+               calm_rate = rate /. 2.;
+               burst_rate = 4. *. rate;
+               mean_calm = period /. 12.;
+               mean_burst = period /. 60.;
+             })
+    | s ->
+        Error
+          (Printf.sprintf
+             "unknown arrival process %S (expected poisson, diurnal or mmpp)"
+             s)
 
 let mean_rate = function
   | Poisson { rate } -> rate

@@ -38,7 +38,9 @@ val of_flag :
     ["mmpp"]) into a process with conventional shapes at mean rate
     [rate]: diurnal swings +/-60% of [rate] over [period]; mmpp
     alternates calm at [rate]/2 with bursts at 4x[rate] (roughly one
-    fifth of the time), preserving the mean. *)
+    fifth of the time), preserving the mean. [Error] on an unknown name
+    and unless [rate] and [period] are both finite and positive: any
+    other value would leave the generator unable to advance. *)
 
 val mean_rate : process -> float
 (** Long-run arrivals/second (exact for poisson and diurnal, the

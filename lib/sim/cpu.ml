@@ -101,9 +101,6 @@ let load t ~core = List.length t.cores.(core).jobs
 let total_load t =
   Array.fold_left (fun acc c -> acc + List.length c.jobs) 0 t.cores
 
-let busiest_load t =
-  Array.fold_left (fun acc c -> max acc (List.length c.jobs)) 0 t.cores
-
 let pick_least_loaded t ~cores =
   match cores with
   | [] -> invalid_arg "Sim.Cpu.pick_least_loaded: no cores given"

@@ -31,8 +31,6 @@ val load : t -> core:int -> int
 
 val total_load : t -> int
 
-val busiest_load : t -> int
-
 val pick_least_loaded : t -> cores:int list -> int
 (** Among [cores], the one with the fewest active jobs (ties to the
     lowest id). *)

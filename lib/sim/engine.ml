@@ -108,8 +108,6 @@ let set_trace_hooks h = (dls ()).hooks <- h
 
 let self_pid () = (dls ()).current_pid
 
-let self_name () = (dls ()).current_pname
-
 let get_eng () =
   match (dls ()).current with
   | Some e -> e

@@ -162,9 +162,6 @@ val self_pid : unit -> int
     each {!run}. Returns 0 from non-process callbacks ({!after}/{!at}
     thunks) and outside any simulation. *)
 
-val self_name : unit -> string
-(** Name of the calling process ("engine" outside any process). *)
-
 (** Lifecycle callbacks for an external tracer: [on_spawn] fires when a
     process first executes, [on_park] when it blocks on {!suspend} (and
     everything built on it), [on_wake] when its resume function is

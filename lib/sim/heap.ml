@@ -223,17 +223,6 @@ let rec next_time t =
   end
   else t.times.(0)
 
-let rec peek_time t =
-  if t.len = 0 then None
-  else begin
-    let e = get t 0 in
-    if e.state = state_cancelled then begin
-      ignore (drop_top t);
-      peek_time t
-    end
-    else Some t.times.(0)
-  end
-
 (* Non-destructive snapshot of the live entries in pop order. The
    order is the same (time, seq) key [pop] uses, so re-pushing the
    returned pairs into a fresh heap — in array order, with fresh

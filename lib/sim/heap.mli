@@ -45,10 +45,8 @@ val pop_payload : 'a t -> 'a
 
     @raise Invalid_argument on a heap with no live entries. *)
 
-val peek_time : 'a t -> float option
-
 val next_time : 'a t -> float
-(** Allocation-free {!peek_time}: the time of the smallest live entry.
+(** The time of the smallest live entry, without allocating an option.
     The caller must check {!is_empty} first — there is no sentinel
     value, because [infinity] is a legal event time for a heap user
     with an unbounded horizon.

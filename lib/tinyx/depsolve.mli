@@ -13,8 +13,6 @@ type result = {
   total_kb : int;
 }
 
-val default_blacklist : string list
-
 val resolve :
   ?blacklist:string list ->
   ?whitelist:string list ->

@@ -16,9 +16,6 @@ let repo_of_list packages =
 
 let find repo name = Hashtbl.find_opt repo.by_name name
 
-let find_exn repo name =
-  match find repo name with Some p -> p | None -> raise Not_found
-
 let all repo = repo.order
 
 let providers_of_lib repo lib =

@@ -20,9 +20,6 @@ val repo_of_list : t list -> repo
 
 val find : repo -> string -> t option
 
-val find_exn : repo -> string -> t
-(** Raises [Not_found]. *)
-
 val all : repo -> t list
 
 val providers_of_lib : repo -> string -> t list

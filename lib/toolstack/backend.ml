@@ -190,5 +190,3 @@ let abort_precreated t ~domid (dev : Device.config) ~grant_ref ~port =
   ignore
     (Gnttab.end_access (Xen.gnttab t.xen) ~owner:dev.Device.backend_domid
        grant_ref)
-
-let connected_count t = t.connected

@@ -65,6 +65,3 @@ val abort_precreated :
     the grant. All three are owned by the backend domain, so destroying
     the guest would not reclaim them — the creation pipeline calls this
     for every pre-created device when a create fails mid-way. *)
-
-val connected_count : t -> int
-(** Devices brought to Connected so far (both paths). *)

@@ -91,12 +91,6 @@ type shell = {
          noxs mode *)
 }
 
-let shell_domid s = s.s_domid
-
-let shell_matches s ~mem_mb ~vcpus ~nics ~disks =
-  s.s_mem_mb = mem_mb && s.s_vcpus = vcpus && s.s_nics = nics
-  && s.s_disks = disks
-
 type created = {
   domid : int;
   vm_name : string;
@@ -169,54 +163,60 @@ let unwatch_device env ~domid (dev : Device.config) =
            dev.Device.devid)
   with Xs_error.Error _ -> ()
 
-(* Undo a partially-built domain. Arguments say exactly how far the
-   pipeline got — the rollback must release precisely what was acquired,
-   nothing more, so that a failure early in the pipeline (e.g. the
-   pre-existing out-of-memory abort in phase 4) performs the same
-   operations it always did:
+(* Remove a domain's XenStore state, as far as it was built — the one
+   teardown both [rollback] and [destroy] run, so a deleted guest
+   releases exactly what a failed creation at the same point would:
 
    - [devices]: devices whose phase-5 pre-creation started (backend
-     directory + watch under XenStore; grant + ctrl page + event channel
-     under noxs). May include a half-built last device — every step
-     tolerates "was never created".
+     directory + watch). May include a half-built last device — every
+     step tolerates "was never created".
+   - [xl_watch]/[xl_nodes]: xl's shutdown watch and its name
+     registration and /vm/<domid> subtree exist (phase 7, xl only).
    - [skeleton]: the /local/domain/<domid> subtree exists (phase 4).
-   - [xl_nodes]/[xl_watch]: xl's name registration, /vm/<domid> subtree
-     and shutdown watch exist (phase 7, xl only).
 
    Frontend entries (phase 7) live under the domain subtree and are
-   removed with it; guest-owned frames, event channels and the device
-   page are released by [Xen.destroy]. Dom0-owned resources are not —
-   hence the explicit per-device teardown. *)
+   removed with it. *)
+let xs_teardown env ~domid ~devices ~xl_watch ~xl_nodes ~skeleton =
+  List.iter
+    (fun dev ->
+      unwatch_device env ~domid dev;
+      (* Remove the per-guest level, not just the device node: the first
+         backend write implicitly created .../backend/<kind>/<domid>,
+         which would otherwise leak one empty directory per guest. *)
+      try Xs_client.rm env.xs (Device.backend_domain_dir ~domid dev)
+      with Xs_error.Error _ -> ())
+    devices;
+  (if xl_watch then
+     try
+       Xs_client.unwatch env.xs ~path:(shutdown_path domid)
+         ~token:(shutdown_watch_token domid)
+     with Xs_error.Error _ -> ());
+  (if xl_nodes then
+     try Xs_client.rm env.xs (vm_path domid) with Xs_error.Error _ -> ());
+  if skeleton then begin
+    (try Xs_client.rm env.xs (Xs_path.domain_path domid)
+     with Xs_error.Error _ -> ());
+    Xs_client.release env.xs domid
+  end
+
+(* Undo a partially-built domain. Arguments say exactly how far the
+   pipeline got (see [xs_teardown]) — the rollback must release
+   precisely what was acquired, nothing more, so that a failure early in
+   the pipeline (e.g. the pre-existing out-of-memory abort in phase 4)
+   performs the same operations it always did. Under noxs, [devices]
+   carries each pre-created device's grant, ctrl page and event channel.
+
+   Guest-owned frames, event channels and the device page are released
+   by [Xen.destroy]. Dom0-owned resources are not — hence the explicit
+   per-device teardown. *)
 let rollback env ~domid ~skeleton ~devices ~xl_nodes ~xl_watch =
   phase
     ~attrs:[ ("domid", string_of_int domid) ]
     "rollback"
     (fun () ->
-      if uses_xenstore env then begin
-        List.iter
-          (fun ((dev : Device.config), _) ->
-            unwatch_device env ~domid dev;
-            (* Remove the per-guest level, not just the device node:
-               the first backend write implicitly created
-               .../backend/<kind>/<domid>, which would otherwise leak
-               one empty directory per failed creation. *)
-            try Xs_client.rm env.xs (Device.backend_domain_dir ~domid dev)
-            with Xs_error.Error _ -> ())
-          devices;
-        (if xl_watch then
-           try
-             Xs_client.unwatch env.xs ~path:(shutdown_path domid)
-               ~token:(shutdown_watch_token domid)
-           with Xs_error.Error _ -> ());
-        (if xl_nodes then
-           try Xs_client.rm env.xs (vm_path domid)
-           with Xs_error.Error _ -> ());
-        if skeleton then begin
-          (try Xs_client.rm env.xs (Xs_path.domain_path domid)
-           with Xs_error.Error _ -> ());
-          Xs_client.release env.xs domid
-        end
-      end
+      if uses_xenstore env then
+        xs_teardown env ~domid ~devices:(List.map fst devices) ~xl_watch
+          ~xl_nodes ~skeleton
       else
         List.iter
           (fun (dev, ids) ->
@@ -643,27 +643,9 @@ let create_with_image env cfg ~image = create_gen env ~image_override:image cfg
 let destroy env created =
   Guest.shutdown created.guest;
   let domid = created.domid in
-  if uses_xenstore env then begin
-    (* Remove the device watches and the domain's subtree. *)
-    List.iter
-      (fun dev ->
-        unwatch_device env ~domid dev;
-        (if is_xl env then
-           try
-             Xs_client.unwatch env.xs ~path:(shutdown_path domid)
-               ~token:(shutdown_watch_token domid)
-           with Xs_error.Error _ -> ());
-        (* The per-guest level, not just the device node: the first
-           backend write implicitly created .../backend/<kind>/<domid>,
-           which would otherwise leak one directory per guest (the
-           failure rollback already removes the same level). *)
-        try Xs_client.rm env.xs (Device.backend_domain_dir ~domid dev)
-        with Xs_error.Error _ -> ())
-      created.devices;
-    (try Xs_client.rm env.xs (Xs_path.domain_path domid)
-     with Xs_error.Error _ -> ());
-    Xs_client.release env.xs domid
-  end
+  if uses_xenstore env then
+    xs_teardown env ~domid ~devices:created.devices ~xl_watch:(is_xl env)
+      ~xl_nodes:(is_xl env) ~skeleton:true
   else
     List.iter
       (fun (dev, gref) ->

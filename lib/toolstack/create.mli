@@ -47,11 +47,6 @@ type env = {
 (** A pre-created VM shell (output of the prepare phase). *)
 type shell
 
-val shell_domid : shell -> int
-
-val shell_matches :
-  shell -> mem_mb:float -> vcpus:int -> nics:int -> disks:int -> bool
-
 (** A fully created VM. *)
 type created = {
   domid : int;

@@ -73,6 +73,5 @@ let take t =
       kick_refill t;
       build t
 
-let made_total t = t.made
 let takes t = t.takes
 let hits t = t.hits

@@ -37,9 +37,6 @@ val take : 'a t -> 'a
     propagates from the synchronous fallback; background refill
     failures are contained in the refill process. *)
 
-val made_total : 'a t -> int
-(** Shells built over the pool's lifetime (for tests). *)
-
 val takes : 'a t -> int
 (** {!take} calls over the pool's lifetime. *)
 

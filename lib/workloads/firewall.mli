@@ -44,10 +44,6 @@ val personal_ruleset : user_id:int -> ruleset
     inbound except established/well-known, with some user-specific
     holes. *)
 
-val per_packet_cpu : ruleset -> float
-(** Reference CPU per packet through this ruleset (ClickOS fast path +
-    per-rule matching). *)
-
 (** {1 Capacity experiment} *)
 
 type point = {

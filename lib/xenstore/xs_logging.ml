@@ -29,5 +29,4 @@ let log_access t ~lines =
 
 let total_lines t = t.total
 let rotations t = t.rotations
-let lines_in_current t = t.current
 let files t = t.files

@@ -20,7 +20,5 @@ val total_lines : t -> int
 
 val rotations : t -> int
 
-val lines_in_current : t -> int
-
 val files : t -> int
 (** Size of the rotation ring; rotation cost scales with it. *)

@@ -38,8 +38,8 @@ val concat : t -> string -> t
 (** [concat p seg] appends one validated segment: the result has
     [p]'s segments followed by [seg], exactly as if parsed.
     @raise Invalid on a special [p], on illegal characters, an empty or
-    oversized segment, or when the result would exceed
-    {!max_path_length} bytes. *)
+    oversized segment (over 256 bytes), or when the result would exceed
+    3072 bytes, the protocol's path limit. *)
 
 val ( / ) : t -> string -> t
 (** Alias for {!concat}. *)
@@ -67,7 +67,3 @@ val pp : Format.formatter -> t -> unit
 
 val domain_path : int -> t
 (** [/local/domain/<domid>] *)
-
-val max_path_length : int
-
-val max_segment_length : int

@@ -5,7 +5,6 @@ type t = { owner : int; default : role; acl : (int * role) list }
 let make ~owner ?(default = None_) ?(acl = []) () = { owner; default; acl }
 
 let owner t = t.owner
-let default_role t = t.default
 let acl t = t.acl
 
 let owned_default owner = { owner; default = None_; acl = [] }

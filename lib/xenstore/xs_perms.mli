@@ -15,8 +15,6 @@ val make : owner:int -> ?default:role -> ?acl:(int * role) list -> unit -> t
 
 val owner : t -> int
 
-val default_role : t -> role
-
 val acl : t -> (int * role) list
 
 val owned_default : int -> t

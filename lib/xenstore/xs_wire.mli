@@ -43,14 +43,11 @@ type header = {
 val header_size : int
 (** 16 bytes. *)
 
-val max_payload : int
-(** 4096 bytes, as in the real protocol. *)
-
 exception Malformed of string
 
 val pack : op -> req_id:int32 -> tx_id:int32 -> string list -> bytes
 (** Payload strings are each NUL-terminated. Raises {!Malformed} when
-    the payload would exceed {!max_payload}. *)
+    the payload would exceed 4096 bytes, as in the real protocol. *)
 
 type scratch
 (** A reusable pack buffer, for callers that consume each message

@@ -47,8 +47,25 @@ let render_plan plan = render (E.run_plan ~jobs:1 plan)
 
 let render_pin (id, n) =
   match E.plan ~n id with
-  | Some plan -> render_plan plan
-  | None -> invalid_arg ("Digest_manifest: no plan " ^ id)
+  | Ok plan -> render_plan plan
+  | Error msg -> invalid_arg ("Digest_manifest: " ^ msg)
+
+(* Resume outputs: every prefix key that [snapshot -n 24] lists,
+   captured partitioned with one worker and resumed with the CLI's
+   defaults (no -n, no --faults, --fault-seed 42). *)
+let resume_n = 24
+
+let resume_key prefix_key = "resume/" ^ prefix_key
+
+let ok_or_fail = function Ok v -> v | Error msg -> failwith msg
+
+let render_resume key =
+  let path = Filename.temp_file "lightvm_manifest" ".lvmsnap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      ignore (ok_or_fail (E.snapshot_to_file ~n:resume_n ~key ~path ()));
+      render (ok_or_fail (E.resume_from_file ~path ())))
 
 let entries () =
   List.map
@@ -63,11 +80,19 @@ let entries () =
       ( xenstore_key,
         fun () -> digest (E.xenstore_dump ~count:xenstore_count) );
     ]
+  @ List.map
+      (fun (p : E.prefix) ->
+        let key = p.E.prefix_key in
+        (resume_key key, fun () -> digest (render_resume key)))
+      (E.prefixes ~n:resume_n ())
 
 let header =
-  "# Result digests, checked by dune runtest (test/test_parallel.ml).\n\
+  "# Result digests, checked by dune runtest (test/test_parallel.ml;\n\
+   #   resume/ lines in test/test_checkpoint.ml).\n\
    # <id>@<n>: MD5 of the registry entry rendered with exact floats.\n\
    # xenstore-dump@3: MD5 of what `lightvm_cli xenstore --count 3` prints.\n\
+   # resume/<key>: MD5 of the resume_from_file render (CLI defaults) of the\n\
+   #   image `lightvm_cli snapshot <key> -n 24 --jobs 1` writes.\n\
    # Regenerate: dune exec test/manifest/regen.exe > test/digests.txt\n\
    # A change that moves a line names it, and why, in CHANGES.md.\n"
 

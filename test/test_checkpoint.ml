@@ -9,25 +9,11 @@ module E = Lightvm.Experiment
 module Engine = Lightvm_sim.Engine
 module Checkpoint = Lightvm_sim.Checkpoint
 module Fault = Lightvm_sim.Fault
-module Series = Lightvm_metrics.Series
-module Table = Lightvm_metrics.Table
+module Manifest = Digest_manifest
 
-(* Exact (hex) floats, as in the result manifest (test/manifest): any
-   numeric divergence must show in the digest. *)
-let render (r : E.result) =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (l : E.labelled) ->
-      Buffer.add_string buf ("# " ^ l.E.label ^ "\n");
-      List.iter
-        (fun (x, y) -> Buffer.add_string buf (Printf.sprintf "%h\t%h\n" x y))
-        (Series.points l.E.series))
-    r.E.series;
-  List.iter
-    (fun t -> Buffer.add_string buf (Format.asprintf "%a@." Table.pp t))
-    r.E.tables;
-  List.iter (fun n -> Buffer.add_string buf (n ^ "\n")) r.E.notes;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+(* Exact (hex) floats, as in the result manifest: any numeric
+   divergence must show in the digest. *)
+let render r = Manifest.digest (Manifest.render r)
 
 let parse_spec s =
   match Fault.parse_spec s with Ok s -> s | Error e -> failwith e
@@ -59,19 +45,25 @@ let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
 
 (* Every listed key, captured under each (partition, sim_jobs) config:
    snapshot to a file, resume it twice with the CLI's default flags,
-   and compare against the same suffix run unbroken. A family that can
-   be snapshotted but not resumed, or whose image diverges from its
-   unbroken twin, fails here. *)
+   and compare against the same suffix run unbroken and against the
+   key's line in test/digests.txt. A family that can be snapshotted but
+   not resumed, or whose image diverges from its unbroken twin, fails
+   here. Every config lists the same keys in the same order; the
+   single-heap capture's fleet keys differ only in their partition tag,
+   and their renders must match the partitioned capture's lines. *)
 let test_every_key_resumes () =
   let path = tmp "lvm_test_every_key.lvmsnap" in
+  let manifest = Manifest.load () in
+  let lines = E.prefixes ~n:Manifest.resume_n () in
   List.iter
     (fun (partition, sim_jobs, cfg) ->
-      List.iter
-        (fun (p : E.prefix) ->
+      List.iter2
+        (fun (line : E.prefix) (p : E.prefix) ->
           let key = p.E.prefix_key in
           let name = Printf.sprintf "%s (%s)" key cfg in
           (match
-             E.snapshot_to_file ~n:24 ~partition ~sim_jobs ~key ~path ()
+             E.snapshot_to_file ~n:Manifest.resume_n ~partition ~sim_jobs ~key
+               ~path ()
            with
           | Ok _ -> ()
           | Error msg -> Alcotest.failf "snapshot %s: %s" name msg);
@@ -82,8 +74,16 @@ let test_every_key_resumes () =
           Alcotest.(check string)
             (name ^ " resume = unbroken")
             (ok name (p.E.prefix_run `Unbroken))
-            first)
-        (E.prefixes ~n:24 ~partition ~sim_jobs ()))
+            first;
+          let line_key = Manifest.resume_key line.E.prefix_key in
+          match List.assoc_opt line_key manifest with
+          | None -> Alcotest.failf "test/digests.txt has no line %s" line_key
+          | Some expected ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s = test/digests.txt line %s" name line_key)
+                expected first)
+        lines
+        (E.prefixes ~n:Manifest.resume_n ~partition ~sim_jobs ()))
     [ (`Host, 1, "host/j1"); (`Host, 4, "host/j4"); (`None, 1, "none/j1") ];
   Sys.remove path
 

@@ -14,7 +14,6 @@ module Image = Lightvm_guest.Image
 module Vmm = Lightvm_cluster.Vmm
 module Scheduler = Lightvm_cluster.Scheduler
 module Cluster = Lightvm_cluster.Cluster
-module E = Lightvm.Experiment
 
 let run_sim f =
   let result = ref None in
@@ -363,8 +362,8 @@ let test_drain_under_fault_leak_free () =
 
 let digest_of_run ~jobs ~seed =
   let spec = spec_of_string "migrate.corrupt:0.5" in
-  let plan = E.cluster_plan ~n:24 ~spec ~fault_seed:seed () in
-  Digest_manifest.(digest (render (E.run_plan ~jobs plan)))
+  Digest_manifest.(
+    digest (render (Plan_run.run ~jobs ~n:24 ~spec ~fault_seed:seed "cluster")))
 
 let prop_cluster_seed_determinism =
   QCheck.Test.make ~name:"same seed => same placement digest, any jobs"

@@ -67,28 +67,42 @@ let test_host_modes_independent =
       Alcotest.(check int) "hosts isolated" 0 (Vmm.vm_count b))
 
 (* ------------------------------------------------------------------ *)
-(* Experiments (small instances) *)
+(* Experiments (small instances), run the one way every front end runs
+   them: the registry plan, merged by run_plan. *)
+
+let series ?n id = (Plan_run.run ?n id).E.series
 
 let test_fig1 () =
-  let table, slope = E.fig1_syscall_growth () in
-  Alcotest.(check bool) "rows" true (List.length (Table.rows table) >= 10);
-  Alcotest.(check bool) "positive growth" true (slope > 0.)
+  let r = Plan_run.run "fig1" in
+  let rows =
+    match r.E.tables with [ t ] -> List.length (Table.rows t) | _ -> 0
+  in
+  Alcotest.(check bool) "rows" true (rows >= 10);
+  match r.E.notes with
+  | [ note ] ->
+      Alcotest.(check bool) (note ^ ": positive growth") true
+        (Scanf.sscanf note "growth: %f syscalls/year" Fun.id > 0.)
+  | _ -> Alcotest.fail "expected one growth note"
 
 let test_fig2_linear () =
-  let series = E.fig2_boot_vs_image_size ~sizes_mb:[ 0.; 100.; 500. ] () in
-  match Series.points series with
-  | [ (_, t0); (_, t100); (_, t500) ] ->
-      (* ~1 ms per MB (Fig 2's slope). *)
-      let slope = (t500 -. t100) /. 400. in
-      Alcotest.(check bool)
-        (Printf.sprintf "slope %.2f ms/MB" slope)
-        true
-        (slope > 0.8 && slope < 1.2);
-      Alcotest.(check bool) "small base" true (t0 < 20.)
-  | _ -> Alcotest.fail "wrong point count"
+  match series "fig2" with
+  | [ l ] -> (
+      match Series.points l.E.series with
+      | (_, t0) :: _ :: (_, t100) :: _ as points ->
+          (* ~1 ms per MB (Fig 2's slope), from 100 MB of extra image to
+             1000 MB. *)
+          let t1000 = snd (List.nth points (List.length points - 1)) in
+          let slope = (t1000 -. t100) /. 900. in
+          Alcotest.(check bool)
+            (Printf.sprintf "slope %.2f ms/MB" slope)
+            true
+            (slope > 0.8 && slope < 1.2);
+          Alcotest.(check bool) "small base" true (t0 < 20.)
+      | _ -> Alcotest.fail "wrong point count")
+  | _ -> Alcotest.fail "expected one series"
 
 let test_fig4_ordering () =
-  let series = E.fig4_instantiation ~n:25 () in
+  let series = series ~n:25 "fig4" in
   let debian_boot = last_y (find_label "Debian Boot" series) in
   let tinyx_boot = last_y (find_label "Tinyx Boot" series) in
   let minios_boot = last_y (find_label "MiniOS Boot" series) in
@@ -102,7 +116,7 @@ let test_fig4_ordering () =
   Alcotest.(check bool) "MiniOS boots in ms" true (minios_boot < 15.)
 
 let test_fig5_devices_dominate () =
-  let series = E.fig5_breakdown ~n:20 ~sample:5 () in
+  let series = series ~n:20 "fig5" in
   let devices = last_y (find_label "devices" series) in
   let total =
     List.fold_left
@@ -113,7 +127,7 @@ let test_fig5_devices_dominate () =
     (devices > 0.3 *. total)
 
 let test_fig9_ordering () =
-  let series = E.fig9_create_times ~n:40 () in
+  let series = series ~n:40 "fig9" in
   let get label = last_y (find_label label series) in
   let xl = get "xl" in
   let chaos = get "chaos [XS]" in
@@ -125,7 +139,7 @@ let test_fig9_ordering () =
   Alcotest.(check bool) "lightvm ~4ms" true (lightvm < 6.)
 
 let test_fig10_density () =
-  let series = E.fig10_density ~vms:300 ~containers:300 () in
+  let series = series ~n:300 "fig10" in
   let lightvm = find_label "LightVM" series in
   let docker = find_label "Docker" series in
   Alcotest.(check int) "all vms created" 300 (Series.length lightvm);
@@ -135,10 +149,10 @@ let test_fig10_density () =
     (first_y docker > 10. *. first_y lightvm)
 
 let test_fig12_flat_lightvm () =
-  let save, restore = E.fig12_checkpoint ~n:60 ~batch:10 () in
-  let lv_save = find_label "LightVM" save in
-  let xl_restore = find_label "xl" restore in
-  let lv_restore = find_label "LightVM" restore in
+  let series = series ~n:60 "fig12" in
+  let lv_save = find_label "LightVM save" series in
+  let xl_restore = find_label "xl restore" series in
+  let lv_restore = find_label "LightVM restore" series in
   Alcotest.(check bool) "lightvm save flat" true
     (Series.max_y lv_save -. Series.min_y lv_save < 5.);
   Alcotest.(check bool)
@@ -148,15 +162,14 @@ let test_fig12_flat_lightvm () =
     (last_y xl_restore > 10. *. last_y lv_restore)
 
 let test_fig13_migration_times () =
-  let series = E.fig13_migration ~n:40 ~batch:10 () in
-  let lv = last_y (find_label "LightVM" series) in
+  let lv = last_y (find_label "LightVM" (series ~n:40 "fig13")) in
   Alcotest.(check bool)
     (Printf.sprintf "LightVM migration ~60ms (%.0f)" lv)
     true
     (lv > 30. && lv < 120.)
 
 let test_fig14_memory_ordering () =
-  let series = E.fig14_memory ~n:100 ~sample:50 () in
+  let series = series ~n:100 "fig14" in
   let get label = last_y (find_label label series) in
   let debian = get "Debian" in
   let tinyx = get "Tinyx" in
@@ -173,7 +186,7 @@ let test_fig14_memory_ordering () =
   Alcotest.(check bool) "docker engine base visible" true (docker > 200.)
 
 let test_fig15_ordering () =
-  let series = E.fig15_cpu_usage ~n:100 ~sample:100 ~window:5. () in
+  let series = series ~n:100 "fig15" in
   let get label = last_y (find_label label series) in
   Alcotest.(check bool)
     (Printf.sprintf "Debian %.2f%% > Tinyx %.3f%% > Unikernel %.4f%%"
@@ -182,7 +195,7 @@ let test_fig15_ordering () =
     (get "Debian" > get "Tinyx" && get "Tinyx" >= get "Unikernel")
 
 let test_fig16c_levels () =
-  let series = E.fig16c_tls ~instances:[ 1; 100; 1000 ] () in
+  let series = series "fig16c" in
   let bare = last_y (find_label "bare metal" series) in
   let uni = last_y (find_label "unikernel" series) in
   Alcotest.(check bool)
@@ -191,7 +204,7 @@ let test_fig16c_levels () =
     (bare /. uni > 4. && bare /. uni < 6.)
 
 let test_headline_table () =
-  let table = E.headline_numbers () in
+  let table = Plan_run.table "headline" in
   Alcotest.(check int) "seven rows" 7 (List.length (Table.rows table));
   (* Every measured cell is filled in. *)
   List.iter
@@ -204,8 +217,8 @@ let test_headline_table () =
     (Table.rows table)
 
 let test_tinyx_table () =
-  let table = E.tinyx_table () in
-  Alcotest.(check int) "four apps" 4 (List.length (Table.rows table))
+  Alcotest.(check int) "four apps" 4
+    (List.length (Table.rows (Plan_run.table "tinyx")))
 
 let suites =
   [

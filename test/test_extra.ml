@@ -173,7 +173,7 @@ let mode_matrix_cases =
 (* Aux experiments *)
 
 let test_ablation_ordering () =
-  let series = E.ablation_xenstore ~n:60 () in
+  let series = (Plan_run.run ~n:60 "ablation").E.series in
   let last label =
     match
       List.find_opt (fun (l : E.labelled) -> l.E.label = label) series
@@ -191,7 +191,7 @@ let test_ablation_ordering () =
     < 0.02 *. last "oxenstored")
 
 let test_wan_migration_table () =
-  let table = E.wan_migration () in
+  let table = Plan_run.table "wan-migration" in
   Alcotest.(check int) "three guests" 3 (List.length (Table.rows table));
   List.iter
     (fun row ->
@@ -206,7 +206,7 @@ let test_wan_migration_table () =
     (Table.rows table)
 
 let test_pause_unpause_table () =
-  let table = E.pause_unpause () in
+  let table = Plan_run.table "pause" in
   match Table.rows table with
   | [ [ _; vm_pause; _ ]; [ _; c_pause; _ ] ] ->
       Alcotest.(check bool) "hypercall pause cheaper than freezer" true

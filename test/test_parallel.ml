@@ -81,7 +81,8 @@ let determinism_cases =
   List.map
     (fun (name, plan) ->
       Alcotest.test_case
-        (Printf.sprintf "%s (%d job(s))" name (E.job_count plan))
+        (Printf.sprintf "%s (%d job(s))" name
+           (List.length plan.E.plan_jobs))
         `Slow
         (test_plan_deterministic name plan))
     (E.plans ~n:Manifest.sweep_n ())

@@ -134,12 +134,9 @@ let prop_adaptive_matrix =
 
 (* Exact (hex) float renders, as in the result manifest: any numeric
    divergence between runs must show up in the digest. *)
-let render_digest plan =
-  Digest_manifest.(digest (render (E.run_plan ~jobs:1 plan)))
-
-let cluster_digest ~n ~spec ~fault_seed ~partition ~sim_jobs =
-  let plan = E.cluster_plan ~n ~spec ~fault_seed ~partition ~sim_jobs () in
-  render_digest plan
+let plan_digest ?spec ?fault_seed ~n ~partition ~sim_jobs id =
+  Digest_manifest.(
+    digest (render (Plan_run.run ~n ~partition ~sim_jobs ?spec ?fault_seed id)))
 
 let workload_arb =
   QCheck.make
@@ -160,7 +157,7 @@ let prop_partition_matrix =
         | Error e -> failwith e
       in
       let digest partition sim_jobs =
-        cluster_digest ~n ~spec ~fault_seed ~partition ~sim_jobs
+        plan_digest ~spec ~fault_seed ~n ~partition ~sim_jobs "cluster"
       in
       let reference = digest `Host 1 in
       String.equal reference (digest `Host 2)
@@ -170,9 +167,7 @@ let prop_partition_matrix =
 let test_scale_partition_matrix () =
   (* The scale experiment's partitioned row, same matrix. *)
   let digest partition sim_jobs =
-    match E.plan ~n:40 ~partition ~sim_jobs "scale" with
-    | None -> Alcotest.fail "scale plan missing"
-    | Some p -> render_digest p
+    plan_digest ~n:40 ~partition ~sim_jobs "scale"
   in
   let reference = digest `Host 1 in
   Alcotest.(check string) "sim_jobs=8" reference (digest `Host 8);

@@ -72,9 +72,7 @@ let prop_fleet_matrix =
    either (jobs only schedules; every cell owns its streams). *)
 let test_family_jobs_matrix () =
   let digest jobs partition =
-    match E.plan ~n:250 ~partition "serverless" with
-    | None -> Alcotest.fail "serverless plan missing"
-    | Some p -> result_digest (E.run_plan ~jobs p)
+    result_digest (Plan_run.run ~jobs ~n:250 ~partition "serverless")
   in
   let reference = digest 1 `Host in
   Alcotest.(check string) "jobs=8" reference (digest 8 `Host);
@@ -181,6 +179,35 @@ let test_quantiles_nearest_rank () =
   Alcotest.(check int) "merged count" 7 (Quantiles.count m);
   Alcotest.(check (float 1e-9)) "merged max" 10. (Quantiles.quantile m 1.)
 
+(* Degenerate flag values are refused where they are parsed. Each of
+   these would otherwise hang the generator: a zero diurnal period never
+   accepts a candidate, a zero or negative MMPP sojourn mean never leaves
+   its phase, an infinite rate never advances time; nan would render nan
+   rows. A zero scale is refused by the registry the same way. *)
+let test_degenerate_flags_refused () =
+  List.iter
+    (fun (arrival, rate, period) ->
+      match A.of_flag ~rate ~period arrival with
+      | Ok _ ->
+          Alcotest.failf "--arrival %s, rate %g, period %g accepted" arrival
+            rate period
+      | Error _ -> ())
+    [
+      ("diurnal", 2000., 0.);
+      ("mmpp", 2000., 0.);
+      ("mmpp", 2000., -5.);
+      ("poisson", Float.infinity, 0.005);
+      ("poisson", Float.nan, 1.);
+      ("poisson", 0., 1.);
+      ("mmpp", 2000., Float.infinity);
+    ];
+  (match A.of_flag ~rate:2000. ~period:1. "mmpp" with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  match E.plan ~n:0 "serverless" with
+  | Ok _ -> Alcotest.fail "plan ~n:0 \"serverless\" accepted"
+  | Error _ -> ()
+
 let suites =
   [
     ( "serverless",
@@ -196,5 +223,7 @@ let suites =
           test_autoscaler_drain_no_leak;
         Alcotest.test_case "quantiles: nearest rank, merge" `Quick
           test_quantiles_nearest_rank;
+        Alcotest.test_case "degenerate arrival flags refused" `Quick
+          test_degenerate_flags_refused;
       ] );
   ]

@@ -14,6 +14,7 @@ module Pool = Lightvm_toolstack.Pool
 module Toolstack = Lightvm_toolstack.Toolstack
 module Checkpoint = Lightvm_toolstack.Checkpoint
 module Migrate = Lightvm_toolstack.Migrate
+module Vmm = Lightvm_cluster.Vmm
 
 let in_sim f () = ignore (Engine.run f)
 
@@ -412,6 +413,46 @@ let test_xenstore_live_set_flat =
         true
         (after_2000 - after_500 <= 1_000))
 
+(* A completed create, boot and delete releases everything it acquired,
+   in every mode and device shape. A warm-up lifecycle runs first: the
+   first creation on a fresh host materialises shared store directories
+   (/vm, the backend kind levels) that persist for the host's lifetime.
+   After it, the host's resource counts — XenStore nodes and watches
+   included — must return exactly to their pre-create values. Each
+   lifecycle is followed by a simulated second of idling, so a split
+   toolstack's background refill has put back the shell the creation
+   took before the counts are read. *)
+let test_lifecycle_leak_free () =
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun (nics, disks) ->
+          ignore
+            (Engine.run (fun () ->
+                 let host = Vmm.create ~mode () in
+                 let lifecycle () =
+                   let vi =
+                     Vmm_boot.ok "vm_create"
+                       (Vmm.vm_create host
+                          (Vmm.vm_request ~nics ~disks Image.daytime))
+                   in
+                   let domid = vi.Vmm.vi_domid in
+                   Vmm_boot.ok "vm_boot" (Vmm.vm_boot host ~domid);
+                   Vmm_boot.delete host ~domid;
+                   Engine.sleep 1.
+                 in
+                 lifecycle ();
+                 let before = Vmm.resources host in
+                 lifecycle ();
+                 (match Vmm.check_leak host ~before with
+                 | Ok () -> ()
+                 | Error leaked ->
+                     Alcotest.failf "%s, %d nic(s), %d disk(s): leaked %s"
+                       (Mode.name mode) nics disks leaked);
+                 Engine.stop ())))
+        [ (0, 0); (1, 0); (1, 1) ])
+    Mode.all_modes
+
 let suites =
   [
     ( "toolstack.vmconfig",
@@ -458,5 +499,7 @@ let suites =
       [
         Alcotest.test_case "XenStore live set flat over lifecycles" `Quick
           test_xenstore_live_set_flat;
+        Alcotest.test_case "lifecycle leak-free in every mode" `Quick
+          test_lifecycle_leak_free;
       ] );
   ]

@@ -271,11 +271,17 @@ let test_chrome_json () =
 
 let test_fig5_breakdown_unchanged () =
   Trace.disable ();
-  let baseline = E.fig5_breakdown ~n:6 ~sample:2 () in
-  let traced =
-    with_trace ~capacity:100_000 (fun () ->
-        E.fig5_breakdown ~n:6 ~sample:2 ())
-  in
+  (* n = 10 samples guests 1 and 10 of the breakdown. *)
+  let fig5 () = (Plan_run.run ~n:10 "fig5").E.series in
+  let baseline = fig5 () in
+  let traced = with_trace ~capacity:100_000 fig5 in
+  List.iter
+    (fun (l : E.labelled) ->
+      Alcotest.(check int)
+        (l.E.label ^ ": two sampled points")
+        2
+        (Series.length l.E.series))
+    baseline;
   List.iter2
     (fun (a : E.labelled) (b : E.labelled) ->
       Alcotest.(check string) "label" a.E.label b.E.label;
