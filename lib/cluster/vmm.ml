@@ -113,7 +113,7 @@ let vm_count t = Toolstack.vm_count t.ts
 
 let fresh_name t image =
   t.counter <- t.counter + 1;
-  Printf.sprintf "%s-%d" image.Image.name t.counter
+  image.Image.name ^ "-" ^ string_of_int t.counter
 
 let config_for t ?name ?(nics = 1) ?(disks = 0) image =
   let name = match name with Some n -> n | None -> fresh_name t image in

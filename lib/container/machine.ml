@@ -34,8 +34,8 @@ let mem t = t.mem
 let consume t ~core work = Cpu.consume t.cpu ~core work
 
 let consume_any t work =
-  let cores = List.init t.platform.Params.cores Fun.id in
-  Cpu.consume t.cpu ~core:(Cpu.pick_least_loaded t.cpu ~cores) work
+  let core = Cpu.least_loaded t.cpu ~first:0 ~count:t.platform.Params.cores in
+  Cpu.consume t.cpu ~core work
 
 let free_mem_kb t = Frames.free_kb t.mem
 let used_mem_kb t = Frames.used_kb t.mem

@@ -99,7 +99,7 @@ let start ~xen ~registry ~domid ~image ~devices ?(on_ready = fun () -> ())
       idle_gen = 0;
     }
   in
-  Engine.spawn ~name:(Printf.sprintf "guest-%d" domid) (boot_process t ~on_ready);
+  Engine.spawn ~name:("guest-" ^ string_of_int domid) (boot_process t ~on_ready);
   t
 
 let shutdown t =
@@ -124,6 +124,6 @@ let resume t =
     t.up <- true;
     t.idle_gen <- t.idle_gen + 1;
     let gen = t.idle_gen in
-    Engine.spawn ~name:(Printf.sprintf "guest-%d-idle" t.domid) (fun () ->
+    Engine.spawn ~name:("guest-" ^ string_of_int t.domid ^ "-idle") (fun () ->
         idle_loop t gen)
   end

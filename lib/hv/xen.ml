@@ -35,21 +35,24 @@ let gnttab t = t.gnttab
 let devpage t = t.devpage
 let hypercalls t = t.hypercalls
 
-let dom0_cores t = List.init t.platform.Params.dom0_cores Fun.id
-
-let guest_cores t =
-  List.init
-    (Params.guest_cores t.platform)
-    (fun i -> t.platform.Params.dom0_cores + i)
+(* Dom0 owns cores 0 .. dom0_cores - 1 and guests take the rest, round
+   robin; with no guest cores left every guest shares core 0. *)
+let guest_core t i =
+  match Params.guest_cores t.platform with
+  | n when n <= 0 -> 0
+  | n -> t.platform.Params.dom0_cores + (i mod n)
 
 (* Every hypercall is one guest->hypervisor->guest round trip: two
-   privilege crossings. *)
+   privilege crossings. With tracing off nothing but the charge runs. *)
 let hypercall ?(op = "hypercall") t ~cost =
   t.hypercalls <- t.hypercalls + 1;
-  Trace.Counter.incr "hv.hypercalls";
-  Trace.Counter.incr ~by:2 "hv.crossings";
-  Trace.Span.with_ ~category:"hv" op (fun () ->
-      Engine.sleep (t.costs.Params.hypercall_base +. cost))
+  if Trace.enabled () then begin
+    Trace.Counter.incr "hv.hypercalls";
+    Trace.Counter.incr ~by:2 "hv.crossings";
+    Trace.Span.with_ ~category:"hv" op (fun () ->
+        Engine.sleep (t.costs.Params.hypercall_base +. cost))
+  end
+  else Engine.sleep (t.costs.Params.hypercall_base +. cost)
 
 let boot ?(platform = Params.xeon_e5_1630) ?(costs = Params.default_costs)
     ?(dom0_mem_mb = 4096) () =
@@ -114,15 +117,8 @@ let create_domain t ~name ~vcpus ~mem_mb =
   | Error Frames.ENOMEM -> Error ENOMEM
   | Ok () ->
       t.next_domid <- t.next_domid + 1;
-      let cores = guest_cores t in
-      let core =
-        match cores with
-        | [] -> 0
-        | _ ->
-            let core = List.nth cores (t.rr_next mod List.length cores) in
-            t.rr_next <- t.rr_next + 1;
-            core
-      in
+      let core = guest_core t t.rr_next in
+      t.rr_next <- t.rr_next + 1;
       let dom = Domain.make ~domid ~name ~vcpus ~max_mem_kb:mem_kb ~core in
       Hashtbl.replace t.domains domid dom;
       Hashtbl.replace t.pending_mem_kb domid mem_kb;
@@ -207,7 +203,9 @@ let consume_guest t ~domid work =
   | Some dom -> Cpu.consume t.cpu ~core:(Domain.core dom) work
 
 let consume_dom0 t work =
-  let core = Cpu.pick_least_loaded t.cpu ~cores:(dom0_cores t) in
+  let core =
+    Cpu.least_loaded t.cpu ~first:0 ~count:t.platform.Params.dom0_cores
+  in
   Cpu.consume t.cpu ~core work
 
 let free_mem_kb t = Frames.free_kb t.frames

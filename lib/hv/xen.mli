@@ -86,9 +86,10 @@ val consume_guest : t -> domid:int -> float -> unit
 val consume_dom0 : t -> float -> unit
 (** Run work on the least-loaded Dom0 core. *)
 
-val dom0_cores : t -> int list
-
-val guest_cores : t -> int list
+val guest_core : t -> int -> int
+(** [guest_core t i] is the core of the [i]-th guest domain created:
+    Dom0 owns the platform's first [dom0_cores] cores and guests take
+    the rest round robin (core 0 when none is left). *)
 
 (** {1 Memory accounting} *)
 

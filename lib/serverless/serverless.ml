@@ -94,6 +94,9 @@ let percentile_note ~label s =
     (us (q 0.999))
     (us mean) (hit_rate s) s.makespan
 
+(* The name of request [idx]'s process and of its instance. *)
+let fn_name idx = "fn-" ^ string_of_int idx
+
 (* The policy-independent open-loop dispatcher. One arrival process
    sleeps the generator's gaps and fires requests; [concurrency] slots
    gate admission; a request that finds no free slot waits in FIFO
@@ -130,7 +133,7 @@ let run_open_loop ?control ~gen ~service_rng ~duration ~concurrency
   let rec start_request (idx, arrived, service_s) =
     decr free;
     Engine.spawn
-      ~name:(Printf.sprintf "fn-%d" idx)
+      ~name:(fn_name idx)
       (fun () ->
         (if invoke idx service_s then begin
            Quantiles.add latency (Engine.now () -. arrived);
@@ -209,7 +212,7 @@ let run_open_loop ?control ~gen ~service_rng ~duration ~concurrency
 let fn_image = Image.minipython
 
 let vm_invoke host idx service_s =
-  let name = Printf.sprintf "fn-%d" idx in
+  let name = fn_name idx in
   match Vmm.vm_create host (Vmm.vm_request ~name ~nics:0 ~disks:0 fn_image) with
   | Error _ -> false
   | Ok vi ->
@@ -222,7 +225,7 @@ let vm_invoke host idx service_s =
 let container_invoke eng idx service_s =
   match
     Docker.run eng ~image:Layers.micropython_image
-      ~name:(Printf.sprintf "fn-%d" idx) ()
+      ~name:(fn_name idx) ()
   with
   | Error _ -> false
   | Ok c ->

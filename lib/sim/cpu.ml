@@ -26,6 +26,13 @@ let create ?(speed = 1.0) ~ncores () =
 
 let ncores t = Array.length t.cores
 
+(* Serve [served] seconds of work to each job. *)
+let rec serve served = function
+  | [] -> ()
+  | j :: rest ->
+      j.remaining <- j.remaining -. served;
+      serve served rest
+
 let advance t core =
   let now = Engine.now () in
   let n = List.length core.jobs in
@@ -33,29 +40,39 @@ let advance t core =
     let elapsed = now -. core.last in
     if elapsed > 0. then begin
       core.busy <- core.busy +. elapsed;
-      let served = elapsed *. t.speed /. float_of_int n in
-      List.iter (fun j -> j.remaining <- j.remaining -. served) core.jobs
+      serve (elapsed *. t.speed /. float_of_int n) core.jobs
     end
   end;
   core.last <- now
 
+let finished j = j.remaining <= epsilon
+
+(* The least remaining work, picked with [Stdlib.min]'s rule but
+   without boxing an accumulator per job. *)
+let rec min_remaining acc = function
+  | [] -> acc
+  | j :: rest ->
+      min_remaining (if acc <= j.remaining then acc else j.remaining) rest
+
+(* Retire the finished jobs and arm one timer for the next completion.
+   The timer's callback is built once per busy period: a re-arm
+   schedules the callback of the timer it replaces. *)
 let rec reschedule t core =
-  (match core.event with
+  let prev = core.event in
+  (match prev with
   | Some tok ->
       Engine.cancel tok;
       core.event <- None
   | None -> ());
-  let finished, active =
-    List.partition (fun j -> j.remaining <= epsilon) core.jobs
-  in
-  core.jobs <- active;
-  List.iter (fun j -> Engine.Ivar.fill j.done_ ()) finished;
-  match active with
+  if List.exists finished core.jobs then begin
+    let done_jobs, active = List.partition finished core.jobs in
+    core.jobs <- active;
+    List.iter (fun j -> Engine.Ivar.fill j.done_ ()) done_jobs
+  end;
+  match core.jobs with
   | [] -> ()
   | jobs ->
-      let min_rem =
-        List.fold_left (fun acc j -> min acc j.remaining) infinity jobs
-      in
+      let min_rem = min_remaining infinity jobs in
       let n = float_of_int (List.length jobs) in
       let dt = min_rem *. n /. t.speed in
       let now = Engine.now () in
@@ -72,19 +89,22 @@ let rec reschedule t core =
           jobs;
         reschedule t core
       end
-      else begin
-        let tok =
-          Engine.after dt (fun () ->
-              advance t core;
-              reschedule t core)
-        in
-        core.event <- Some tok
-      end
+      else
+        core.event <-
+          Some
+            (match prev with
+            | Some tok -> Engine.after_same tok dt
+            | None ->
+                Engine.after dt (fun () ->
+                    advance t core;
+                    reschedule t core))
 
-let consume_async t ~core work =
+let core_of t core =
   if core < 0 || core >= Array.length t.cores then
     invalid_arg "Sim.Cpu: core index out of range";
-  let c = t.cores.(core) in
+  t.cores.(core)
+
+let enqueue t c work =
   let done_ = Engine.Ivar.create () in
   if work <= 0. then Engine.Ivar.fill done_ ()
   else begin
@@ -94,21 +114,57 @@ let consume_async t ~core work =
   end;
   done_
 
-let consume t ~core work = Engine.Ivar.read (consume_async t ~core work)
+let consume_async t ~core work = enqueue t (core_of t core) work
+
+(* A burst alone on its core, [rem] of its work left, the clock at
+   [c.last]. The timer path would arm a completion timer and park; when
+   [Engine.try_sleep] says that timer would fire next, the burst
+   finishes in place instead, with the very expressions of that path:
+   [reschedule]'s [dt] and sub-ulp test for one job, then [advance]'s
+   service when the timer fires — again while a residue above [epsilon]
+   is left. Where the window would not admit a wake, the job enters the
+   timer path as the last timer left it. *)
+let rec serve_alone t c rem =
+  if not (rem <= epsilon) then begin
+    let now = Engine.now () in
+    let dt = rem *. 1. /. t.speed in
+    let wake = now +. dt in
+    if wake <= now then () (* [reschedule]'s sub-ulp retire *)
+    else if Engine.try_sleep dt then begin
+      let elapsed = wake -. c.last in
+      c.busy <- c.busy +. elapsed;
+      c.last <- wake;
+      serve_alone t c (rem -. (elapsed *. t.speed /. 1.))
+    end
+    else begin
+      let done_ = Engine.Ivar.create () in
+      c.jobs <- [ { remaining = rem; done_ } ];
+      reschedule t c;
+      Engine.Ivar.read done_
+    end
+  end
+
+let consume t ~core work =
+  let c = core_of t core in
+  if not (work <= 0.) then
+    match c.jobs with
+    | [] ->
+        advance t c;
+        serve_alone t c work
+    | _ :: _ -> Engine.Ivar.read (enqueue t c work)
 
 let load t ~core = List.length t.cores.(core).jobs
 
 let total_load t =
   Array.fold_left (fun acc c -> acc + List.length c.jobs) 0 t.cores
 
-let pick_least_loaded t ~cores =
-  match cores with
-  | [] -> invalid_arg "Sim.Cpu.pick_least_loaded: no cores given"
-  | first :: rest ->
-      List.fold_left
-        (fun best c ->
-          if load t ~core:c < load t ~core:best then c else best)
-        first rest
+let least_loaded t ~first ~count =
+  if count < 1 then invalid_arg "Sim.Cpu.least_loaded: no cores given";
+  let best = ref first in
+  for core = first + 1 to first + count - 1 do
+    if load t ~core < load t ~core:!best then best := core
+  done;
+  !best
 
 let busy_seconds t =
   let now = Engine.now () in

@@ -21,7 +21,11 @@ val ncores : t -> int
 
 val consume : t -> core:int -> float -> unit
 (** [consume t ~core w] blocks until [w] seconds of reference CPU work
-    have been served on [core]. [w <= 0.] returns immediately. *)
+    have been served on [core]. [w <= 0.] returns immediately. A burst
+    alone on an idle core with nothing else due before its completion
+    finishes in place ({!Engine.try_sleep}): the same completion time,
+    busy total and load as the completion timer, without a timer or a
+    park. *)
 
 val consume_async : t -> core:int -> float -> unit Engine.Ivar.t
 (** Non-blocking variant: the returned ivar fills on completion. *)
@@ -31,9 +35,9 @@ val load : t -> core:int -> int
 
 val total_load : t -> int
 
-val pick_least_loaded : t -> cores:int list -> int
-(** Among [cores], the one with the fewest active jobs (ties to the
-    lowest id). *)
+val least_loaded : t -> first:int -> count:int -> int
+(** Among the [count] cores from [first] on, the one with the fewest
+    active jobs (ties to the lowest id). *)
 
 val busy_seconds : t -> float
 (** Cumulative busy time summed over cores since creation or the last

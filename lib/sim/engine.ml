@@ -21,6 +21,11 @@ type eng = {
          have fallen, so cross-partition sends are batched exactly as
          the fixed-window protocol would batch them (see
          [run_partitioned]) *)
+  mutable limit : float;
+      (* earliest foreign event of an adaptively grown window: the
+         bound [next_round] admits new virtual rounds against;
+         [neg_infinity] in a classic window, a plain run and between
+         windows *)
   mutable next_pid : int;
       (* per-engine so pid allocation is independent of how partitions
          interleave across worker domains *)
@@ -36,6 +41,7 @@ let fresh_eng ?(horizon = infinity) () =
     horizon;
     wend = infinity;
     vwend = infinity;
+    limit = neg_infinity;
     next_pid = 1;
     out_seq = 0;
     outbox = [];
@@ -141,6 +147,8 @@ let after delay thunk =
   (schedule_at eng (eng.clock +. delay) thunk, eng)
 
 let cancel (entry, eng) = Heap.cancel eng.heap entry
+
+let after_same (entry, _) delay = after delay (Heap.payload entry)
 
 type _ Effect.t +=
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
@@ -312,47 +320,80 @@ let post ~partition ~delay thunk =
 let spawn_in ?(name = "anonymous") ~partition ~delay f =
   post ~partition ~delay (fun () -> exec [] name f)
 
+(* A virtual round of an adaptively grown window (see
+   [run_partitioned]). [window_loop] admits an event at [t] past the
+   current round end [vwend] only when the fixed-window protocol would
+   have opened a single-active round at [t] next: no send is waiting
+   for the barrier (a send pins the merge batch to its virtual round)
+   and the round [t, t + lookahead) stays clear of the earliest foreign
+   event [eng.limit]. Admitting it opens that round: [vwend] moves to
+   [t + lookahead]. In a classic window [limit = neg_infinity] and
+   nothing is admitted past [vwend]. *)
+let next_round ctx eng t =
+  match eng.outbox with
+  | _ :: _ -> false (* batch closed by a send *)
+  | [] ->
+      t +. ctx.lookahead <= eng.limit
+      && begin
+           eng.vwend <- t +. ctx.lookahead;
+           true
+         end
+
+let admits ctx eng t = t < eng.wend && (t < eng.vwend || next_round ctx eng t)
+
 (* Sleeping is the single hottest engine operation (every simulated
-   cost charge is a sleep), so the common case — nothing else is
-   scheduled to run before we would wake — advances the clock in place
-   instead of parking through the heap. This is observably equivalent:
-   the suspend path would push a wake entry whose (time, seq) key beats
-   every later push, so when no existing entry has time <= wake the pop
-   order is exactly "resume this task next". The fast path is skipped
-   when process-lifecycle hooks are installed (tracers count park/wake
-   transitions), after [stop] (a parked task must never resume), when
-   waking would cross the [run ~until] horizon (the park-forever
-   behaviour is the contract there), and when waking would cross the
-   current synchronization window (the wake entry must stay in the heap
-   so the next window's start time accounts for it). The window bound
-   is the *virtual* fixed-lookahead round end [vwend], not the possibly
-   grown [wend]: an adaptively grown window relies on the heap's peek
-   times to reconstruct where every fixed-window round boundary would
-   have fallen, so a sleep crossing a virtual boundary must surface as
-   a heap entry exactly as it would under fixed windows. On the slow
-   path the timer thunk is the resume function itself. *)
+   cost charge is a sleep), and a CPU burst on an idle core is a sleep
+   of known length too ([Cpu.consume]), so both first try to advance
+   the clock in place instead of parking through the heap. The common
+   case qualifies: nothing else is scheduled to run before the wake.
+   This is observably equivalent: the suspend path would push a wake
+   entry whose (time, seq) key beats every later push, so when no
+   existing entry has time <= wake the pop order is exactly "resume
+   this task next". The fast path is skipped when process-lifecycle
+   hooks are installed (tracers count park/wake transitions), after
+   [stop] (a parked task must never resume), when waking would cross
+   the [run ~until] horizon (the park-forever behaviour is the contract
+   there), and when the window would not pop the wake entry next
+   ([admits]). In a classic window that is any wake at or past its
+   end: the entry must stay in the heap so the next window's start time
+   accounts for it. In an adaptively grown window a wake past the
+   current virtual round is admitted exactly when the window would
+   admit the wake entry, and it opens the same next round: the
+   adaptive schedule rebuilds every fixed-window round boundary from
+   the events it pops, and the in-place wake is the event the round at
+   [wake] would have popped first. *)
+let advance_in_place st eng delay =
+  let wake = eng.clock +. delay in
+  (match st.hooks with None -> true | Some _ -> false)
+  && (not eng.stopped)
+  && wake <= eng.horizon
+  && (Heap.is_empty eng.heap || Heap.next_time eng.heap > wake)
+  && (match st.pctx with
+     | None -> wake < eng.vwend
+     | Some ctx -> admits ctx eng wake)
+  && begin
+       eng.clock <- wake;
+       true
+     end
+
+let current_eng st =
+  match st.current with
+  | Some e -> e
+  | None -> invalid_arg "Sim.Engine: no simulation is running"
+
+let try_sleep delay =
+  if delay < 0. then invalid_arg "Sim.Engine.try_sleep: negative delay";
+  let st = dls () in
+  advance_in_place st (current_eng st) delay
+
+(* On the slow path the timer thunk is the resume function itself. *)
 let sleep delay =
   if delay < 0. then invalid_arg "Sim.Engine.sleep: negative delay"
   else if delay = 0. then ()
   else begin
     let st = dls () in
-    let eng =
-      match st.current with
-      | Some e -> e
-      | None -> invalid_arg "Sim.Engine: no simulation is running"
-    in
-    let wake = eng.clock +. delay in
-    let idle =
-      Heap.is_empty eng.heap || Heap.next_time eng.heap > wake
-    in
-    let untraced = match st.hooks with None -> true | Some _ -> false in
-    if
-      idle && untraced
-      && (not eng.stopped)
-      && wake <= eng.horizon
-      && wake < eng.vwend
-    then eng.clock <- wake
-    else
+    let eng = current_eng st in
+    if not (advance_in_place st eng delay) then
       suspend (fun resume ->
           ignore (schedule_at eng (eng.clock +. delay) resume))
   end
@@ -487,39 +528,27 @@ let run_capture ?until main =
 
 (* Run partition [idx] for one window: every event before [eng.wend]
    that the current virtual round admits. A classic window has
-   [eng.wend = eng.vwend =] its end and [limit = neg_infinity]. An
+   [eng.wend = eng.vwend =] its end and [eng.limit = neg_infinity]. An
    adaptively grown window (see [drive_rounds]) starts with
    [eng.wend = infinity], [eng.vwend] the end of the *first* virtual
-   fixed-lookahead round, and [limit] the earliest foreign event: it
-   keeps absorbing later virtual rounds — advancing [eng.vwend] to
-   [t + lookahead] for each first event [t] past the current virtual
-   boundary — for as long as the outbox is empty (a send pins the merge
-   batch to its virtual round) and the next virtual round would still
-   be single-active ([t + lookahead <= limit]). Every event executed
-   this way runs in exactly the virtual round the fixed-window protocol
-   would have run it in, so the grown window is bit-identical to the
-   sequence of fixed windows it replaces. Nothing here allocates: the
-   loop is a top-level function and the [Some] values put in [dls] are
-   the ones [ctx] was built with. *)
-let next_round ctx eng limit t =
-  match eng.outbox with
-  | _ :: _ -> false (* batch closed by a send *)
-  | [] ->
-      t +. ctx.lookahead <= limit
-      && begin
-           eng.vwend <- t +. ctx.lookahead;
-           true
-         end
-
-let rec window_loop ctx eng limit =
+   fixed-lookahead round, and [eng.limit] the earliest foreign event:
+   it keeps absorbing later virtual rounds ([next_round]) for as long
+   as the outbox is empty and the next virtual round would still be
+   single-active. Every event executed this way runs in exactly the
+   virtual round the fixed-window protocol would have run it in, so the
+   grown window is bit-identical to the sequence of fixed windows it
+   replaces. Nothing here allocates: the loop is a top-level function
+   and the [Some] values put in [dls] are the ones [ctx] was built
+   with. *)
+let rec window_loop ctx eng =
   if eng.stopped || Heap.is_empty eng.heap then ()
   else begin
     let t = Heap.next_time eng.heap in
-    if t < eng.wend && (t < eng.vwend || next_round ctx eng limit t) then begin
+    if admits ctx eng t then begin
       let thunk = Heap.pop_payload eng.heap in
       eng.clock <- t;
       thunk ();
-      window_loop ctx eng limit
+      window_loop ctx eng
     end
   end
 
@@ -528,7 +557,8 @@ let close_window st eng =
   st.pctx <- None;
   st.cur_idx <- 0;
   eng.wend <- infinity;
-  eng.vwend <- infinity
+  eng.vwend <- infinity;
+  eng.limit <- neg_infinity
 
 let run_window ctx idx ~wend ~vwend ~limit =
   let st = dls () in
@@ -542,7 +572,8 @@ let run_window ctx idx ~wend ~vwend ~limit =
   st.cur_idx <- idx;
   eng.wend <- wend;
   eng.vwend <- vwend;
-  match window_loop ctx eng limit with
+  eng.limit <- limit;
+  match window_loop ctx eng with
   | () -> close_window st eng
   | exception e ->
       close_window st eng;

@@ -144,6 +144,14 @@ val now : unit -> float
 val sleep : float -> unit
 (** Block the calling process for a (non-negative) duration. *)
 
+val try_sleep : float -> bool
+(** [try_sleep d] is [sleep d] when that sleep would resume the caller
+    next with nothing run in between — the case in which [sleep]
+    advances the clock in place instead of parking — and returns
+    [true]. Otherwise it changes nothing and returns [false]. A negative
+    [d] raises [Invalid_argument]. [Cpu.consume] uses it to finish a
+    burst on an idle core without a completion timer. *)
+
 val yield : unit -> unit
 (** Reschedule the calling process behind events already due now. *)
 
@@ -186,6 +194,11 @@ val at : float -> (unit -> unit) -> token
 (** Like {!after} with an absolute timestamp (>= now). *)
 
 val cancel : token -> unit
+
+val after_same : token -> float -> token
+(** [after_same tok delay] schedules [tok]'s callback again, [delay]
+    from now, without building a new closure. [tok] itself is left as
+    it is: cancel it first if it has not fired. *)
 
 val suspend : (('a -> unit) -> unit) -> 'a
 (** [suspend register] blocks the calling process and hands [register] a

@@ -250,3 +250,5 @@ let cancel t entry =
   end
 
 let cancelled entry = entry.state = state_cancelled
+
+let payload entry = entry.payload

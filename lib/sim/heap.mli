@@ -64,3 +64,6 @@ val cancel : 'a t -> 'a entry -> unit
     cancelling an entry [pop] already returned is a no-op. *)
 
 val cancelled : 'a entry -> bool
+
+val payload : 'a entry -> 'a
+(** The value the entry was pushed with, whatever its state. *)

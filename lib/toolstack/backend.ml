@@ -29,13 +29,25 @@ let create ~xen ~xs ~ctrl ~costs =
 
 let ctrl t = t.ctrl
 
+(* Write [byte] as two lowercase hex digits at [pos]. *)
+let put_hex b pos byte =
+  Bytes.set b pos "0123456789abcdef".[byte lsr 4];
+  Bytes.set b (pos + 1) "0123456789abcdef".[byte land 0xf]
+
+(* The low 24 bits of the counter, after the Xen prefix. *)
 let fresh_mac t =
   t.mac_counter <- t.mac_counter + 1;
   let n = t.mac_counter in
-  Printf.sprintf "00:16:3e:%02x:%02x:%02x"
-    ((n lsr 16) land 0xff)
-    ((n lsr 8) land 0xff)
-    (n land 0xff)
+  let b = Bytes.of_string "00:16:3e:00:00:00" in
+  put_hex b 9 ((n lsr 16) land 0xff);
+  put_hex b 12 ((n lsr 8) land 0xff);
+  put_hex b 15 (n land 0xff);
+  Bytes.unsafe_to_string b
+
+let watch_token ~domid (dev : Device.config) =
+  String.concat "-"
+    [ "be"; string_of_int domid; Device.kind_to_string dev.Device.kind;
+      string_of_int dev.Device.devid ]
 
 (* ------------------------------------------------------------------ *)
 (* XenStore path *)
@@ -94,11 +106,7 @@ let watch_device t ~domid (dev : Device.config) =
       let fe_state =
         Xs_path.concat (Device.frontend_dir ~domid dev) "state"
       in
-      let token =
-        Printf.sprintf "be-%d-%s-%d" domid
-          (Device.kind_to_string dev.Device.kind)
-          dev.Device.devid
-      in
+      let token = watch_token ~domid dev in
       (* The watch stays registered for the device's lifetime (the real
          netback keeps watching for Closing) — the registry grows with
          the number of running guests. *)

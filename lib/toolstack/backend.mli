@@ -34,6 +34,9 @@ val ctrl : t -> Lightvm_guest.Ctrl.t
 val fresh_mac : t -> string
 (** Xen-prefixed MAC (00:16:3e:...), sequential. *)
 
+val watch_token : domid:int -> Lightvm_guest.Device.config -> string
+(** The token of the watch {!watch_device} registers. *)
+
 val watch_device :
   t -> domid:int -> Lightvm_guest.Device.config -> unit
 (** XenStore path: register the persistent frontend-state watch for a

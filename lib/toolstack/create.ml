@@ -51,23 +51,28 @@ let breakdown_get b cat = b.(category_index cat)
 
 let breakdown_total b = Array.fold_left ( +. ) 0. b
 
-(* Attribute the wall-clock (simulated) duration of [f] to [cat]. The
-   measurement comes from the tracer, so the Fig 5 breakdown is a
-   consumer of trace data: when tracing is on each measured slice also
-   lands in the span ring under the category's name. *)
+(* Attribute the wall-clock (simulated) duration of [f] to [cat]. When
+   tracing is on the slice also lands in the span ring under the
+   category's name; the span opens and closes at the two clock reads
+   taken here, so its duration is exactly what the breakdown adds. *)
 let timed (b : breakdown option) cat f =
   match b with
   | None -> f ()
   | Some b ->
-      let r, dt =
-        Trace.timed ~category:(category_name cat) (category_name cat) f
+      let i = category_index cat in
+      let t0 = Engine.now () in
+      let r =
+        Trace.Span.with_ ~category:(category_name cat) (category_name cat) f
       in
-      b.(category_index cat) <- b.(category_index cat) +. dt;
+      b.(i) <- b.(i) +. (Engine.now () -. t0);
       r
 
-(* One span per pipeline phase (category "create"); a no-op unless
-   tracing is enabled. *)
-let phase ?(attrs = []) name f = Trace.Span.with_ ~attrs ~category:"create" name f
+(* One span per pipeline phase (category "create"); with tracing off
+   [f] runs bare and [attrs] is never called. *)
+let phase attrs name f =
+  if Trace.enabled () then
+    Trace.Span.with_ ~attrs:(attrs ()) ~category:"create" name f
+  else f ()
 
 type env = {
   xen : Xen.t;
@@ -79,6 +84,10 @@ type env = {
   costs : Costs.t;
   shells : int ref;
 }
+
+(* The attributes of every phase span of [domid]'s creation. *)
+let phase_attrs env domid () =
+  [ ("domid", string_of_int domid); ("mode", Mode.name env.mode) ]
 
 type shell = {
   s_domid : int;
@@ -157,10 +166,7 @@ let unwatch_device env ~domid (dev : Device.config) =
   try
     Xs_client.unwatch env.xs
       ~path:(Xs_path.concat (Device.frontend_dir ~domid dev) "state")
-      ~token:
-        (Printf.sprintf "be-%d-%s-%d" domid
-           (Device.kind_to_string dev.Device.kind)
-           dev.Device.devid)
+      ~token:(Backend.watch_token ~domid dev)
   with Xs_error.Error _ -> ()
 
 (* Remove a domain's XenStore state, as far as it was built — the one
@@ -211,7 +217,7 @@ let xs_teardown env ~domid ~devices ~xl_watch ~xl_nodes ~skeleton =
    per-device teardown. *)
 let rollback env ~domid ~skeleton ~devices ~xl_nodes ~xl_watch =
   phase
-    ~attrs:[ ("domid", string_of_int domid) ]
+    (fun () -> [ ("domid", string_of_int domid) ])
     "rollback"
     (fun () ->
       if uses_xenstore env then
@@ -238,33 +244,37 @@ let prepare env ~mem_mb ~vcpus ~nics ~disks ?breakdown () =
      would make shell names depend on whatever ran earlier in the
      process. *)
   incr env.shells;
-  let shell_name = Printf.sprintf "chaos-shell-%d" !(env.shells) in
-  let mode_attr = ("mode", Mode.name env.mode) in
-  (* Phase 1: hypervisor reservation. The domid only exists once the
-     reservation succeeds, so it is attached to the span after the fact. *)
-  let sp1 =
-    Trace.Span.begin_ ~attrs:[ mode_attr ] ~category:"create" "phase1:reserve"
+  let shell_name = "chaos-shell-" ^ string_of_int !(env.shells) in
+  (* Phase 1: hypervisor reservation. *)
+  let reserve () =
+    timed b Cat_hypervisor (fun () ->
+        inject_phase 1;
+        match Xen.create_domain env.xen ~name:shell_name ~vcpus ~mem_mb with
+        | Ok dom -> dom
+        | Error Xen.ENOMEM -> raise (Create_failed "out of memory")
+        | Error _ -> raise (Create_failed "domain creation failed"))
   in
   let dom =
-    Fun.protect
-      ~finally:(fun () -> Trace.Span.end_ sp1)
-      (fun () ->
-        let dom =
-          timed b Cat_hypervisor (fun () ->
-              inject_phase 1;
-              match
-                Xen.create_domain env.xen ~name:shell_name ~vcpus ~mem_mb
-              with
-              | Ok dom -> dom
-              | Error Xen.ENOMEM -> raise (Create_failed "out of memory")
-              | Error _ -> raise (Create_failed "domain creation failed"))
-        in
-        Trace.Span.add_attr sp1 "domid" (string_of_int (Domain.domid dom));
-        dom)
+    if Trace.enabled () then begin
+      (* The domid only exists once the reservation succeeds, so it is
+         attached to the span after the fact. *)
+      let sp1 =
+        Trace.Span.begin_
+          ~attrs:[ ("mode", Mode.name env.mode) ]
+          ~category:"create" "phase1:reserve"
+      in
+      Fun.protect
+        ~finally:(fun () -> Trace.Span.end_ sp1)
+        (fun () ->
+          let dom = reserve () in
+          Trace.Span.add_attr sp1 "domid" (string_of_int (Domain.domid dom));
+          dom)
+    end
+    else reserve ()
   in
   let domid = Domain.domid dom in
   Domain.set_shell dom true;
-  let attrs = [ ("domid", string_of_int domid); mode_attr ] in
+  let attrs = phase_attrs env domid in
   (* From here on the domain exists, so any failure — injected or
      natural — must release what has been acquired. The two refs record
      how far we got; the handler below rolls back exactly that. *)
@@ -272,18 +282,18 @@ let prepare env ~mem_mb ~vcpus ~nics ~disks ?breakdown () =
   let precreated = ref [] in
   try
     (* Phase 2: compute allocation. *)
-    phase ~attrs "phase2:compute_alloc" (fun () ->
+    phase attrs "phase2:compute_alloc" (fun () ->
         timed b Cat_toolstack (fun () ->
             inject_phase 2;
             Costs.charge ~category:"toolstack.compute_alloc"
               env.costs.Costs.compute_alloc));
     (* Phase 3: memory reservation (set maxmem). *)
-    phase ~attrs "phase3:set_maxmem" (fun () ->
+    phase attrs "phase3:set_maxmem" (fun () ->
         timed b Cat_hypervisor (fun () ->
             inject_phase 3;
             Xen.hypercall ~op:"set_maxmem" env.xen ~cost:8.0e-6));
     (* Phase 4: memory preparation, plus the domain's XenStore skeleton. *)
-    phase ~attrs "phase4:populate" (fun () ->
+    phase attrs "phase4:populate" (fun () ->
         timed b Cat_hypervisor (fun () ->
             inject_phase 4;
             match Xen.populate_memory env.xen ~domid with
@@ -309,7 +319,7 @@ let prepare env ~mem_mb ~vcpus ~nics ~disks ?breakdown () =
       @ (if uses_xenstore env then [] else [ Device.sysctl () ])
     in
     let s_devices =
-      phase ~attrs "phase5:precreate_devices" (fun () ->
+      phase attrs "phase5:precreate_devices" (fun () ->
           inject_phase 5;
           List.map
             (fun dev ->
@@ -459,9 +469,7 @@ let execute env shell ?config_text ?image_override (cfg : Vmconfig.t)
     | Some dom -> dom
     | None -> raise (Create_failed "shell domain vanished")
   in
-  let attrs =
-    [ ("domid", string_of_int domid); ("mode", Mode.name env.mode) ]
-  in
+  let attrs = phase_attrs env domid in
   (* The shell arrives here owning phases 1-5's resources (under the
      split toolstack it was prepared long ago by the pool daemon), so
      any failure in phases 6-9 must release all of them plus whatever
@@ -473,7 +481,7 @@ let execute env shell ?config_text ?image_override (cfg : Vmconfig.t)
      event machinery; chaos: a small in-memory record) and
      configuration parsing. *)
   let cfg =
-    phase ~attrs "phase6:parse" (fun () ->
+    phase attrs "phase6:parse" (fun () ->
         timed b Cat_toolstack (fun () ->
             inject_phase 6;
             Costs.charge ~category:"toolstack.bookkeeping"
@@ -497,7 +505,7 @@ let execute env shell ?config_text ?image_override (cfg : Vmconfig.t)
   in
   (* Phase 7: device initialization. *)
   let noxs_grants =
-    phase ~attrs "phase7:init_devices" (fun () ->
+    phase attrs "phase7:init_devices" (fun () ->
         inject_phase 7;
         Domain.set_name dom cfg.Vmconfig.name;
         Domain.set_shell dom false;
@@ -570,7 +578,7 @@ let execute env shell ?config_text ?image_override (cfg : Vmconfig.t)
             raise
               (Create_failed ("unknown kernel image: " ^ cfg.Vmconfig.kernel)))
   in
-  phase ~attrs "phase8:build" (fun () ->
+  phase attrs "phase8:build" (fun () ->
       inject_phase 8;
       (if is_xl env then
          match image.Image.kind with
@@ -586,7 +594,7 @@ let execute env shell ?config_text ?image_override (cfg : Vmconfig.t)
           | Ok () -> ()
           | Error _ -> raise (Create_failed "image load failed")));
   (* Phase 9: boot. *)
-  phase ~attrs "phase9:boot" (fun () ->
+  phase attrs "phase9:boot" (fun () ->
       timed b Cat_hypervisor (fun () ->
           inject_phase 9;
           match Xen.unpause env.xen ~domid with

@@ -232,32 +232,6 @@ module Span = struct
         raise e
 end
 
-(* Measure [f] on the virtual clock whether or not tracing is enabled;
-   emit the span only when it is. This is the single timing source for
-   consumers such as [Create.breakdown]: the duration they account is
-   exactly the span's. *)
-let timed ?attrs ~category name f =
-  if not state.enabled then begin
-    let t0 = Engine.now () in
-    let r = f () in
-    (r, Engine.now () -. t0)
-  end
-  else begin
-    match Span.begin_ ?attrs ~category name with
-    | Disabled ->
-        let t0 = Engine.now () in
-        let r = f () in
-        (r, Engine.now () -. t0)
-    | Open frame -> (
-        match f () with
-        | r ->
-            let sp = Span.finish frame in
-            (r, duration sp)
-        | exception e ->
-            ignore (Span.finish frame);
-            raise e)
-  end
-
 let charge ~category ?(attrs = []) dt =
   ignore attrs;
   if state.enabled && dt > 0. then begin

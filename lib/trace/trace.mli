@@ -77,14 +77,6 @@ module Counter : sig
   (** Sorted by name. *)
 end
 
-val timed :
-  ?attrs:attr list -> category:string -> string -> (unit -> 'a) -> 'a * float
-(** [timed ~category name f] measures [f] on the virtual clock {e
-    whether or not} tracing is enabled, and additionally records the
-    span when it is. Returns [(result, duration)]. This is the single
-    timing source for consumers that need durations unconditionally,
-    e.g. the creation-time breakdown of Fig 5. *)
-
 val charge : category:string -> ?attrs:attr list -> float -> unit
 (** [charge ~category dt] advances the calling process's virtual clock
     by [dt] (exactly like [Engine.sleep dt]) and, when tracing is

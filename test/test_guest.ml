@@ -65,7 +65,9 @@ let test_boot_stretches_under_load =
               for _ = 1 to 10_000 do
                 Cpu.consume (Xen.cpu xen) ~core 0.01
               done))
-        (Xen.guest_cores xen);
+        (List.init
+           (Lightvm_hv.Params.guest_cores (Xen.platform xen))
+           (Xen.guest_core xen));
       Engine.sleep 0.001;
       let _, loaded_boot = boot_one ts Image.daytime in
       (* An unloaded host for comparison. *)

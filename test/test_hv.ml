@@ -224,9 +224,26 @@ let test_xen_boot =
       Alcotest.(check int) "one domain (Dom0)" 1
         (List.length (Xen.domains xen));
       Alcotest.(check int) "no guests" 0 (Xen.guest_count xen);
-      Alcotest.(check (list int)) "dom0 core" [ 0 ] (Xen.dom0_cores xen);
+      let core domid =
+        match Xen.domain xen ~domid with
+        | Some dom -> Domain.core dom
+        | None -> Alcotest.failf "no domain %d" domid
+      in
+      Alcotest.(check int) "dom0 core" 0 (core 0);
+      let guests =
+        List.init 4 (fun i ->
+            match
+              Xen.create_domain xen ~name:(Printf.sprintf "g%d" i) ~vcpus:1
+                ~mem_mb:8.
+            with
+            | Ok dom -> Domain.core dom
+            | Error _ -> Alcotest.fail "create_domain")
+      in
+      Alcotest.(check (list int)) "guest cores, round robin" [ 1; 2; 3; 1 ]
+        guests;
       Alcotest.(check (list int))
-        "guest cores" [ 1; 2; 3 ] (Xen.guest_cores xen))
+        "guest_core is the placement" guests
+        (List.init 4 (Xen.guest_core xen)))
 
 let test_xen_domain_lifecycle =
   in_sim (fun () ->

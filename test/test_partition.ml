@@ -7,6 +7,7 @@
 
 module E = Lightvm.Experiment
 module Engine = Lightvm_sim.Engine
+module Cpu = Lightvm_sim.Cpu
 module Fault = Lightvm_sim.Fault
 module Switch = Lightvm_net.Switch
 module Interp = Lightvm_minipy.Interp
@@ -70,19 +71,45 @@ let test_simultaneous_merge_order jobs () =
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive window sizing must be invisible: a random multi-partition
-   workload of self-hops (sub-lookahead delays) and cross-partition
-   posts produces the exact same per-partition event logs — times
-   included — with [adaptive] on or off, at any jobs count. *)
+   workload of self-hops (sub-lookahead delays), cross-partition posts
+   and processes that sleep and run CPU bursts across several
+   lookaheads — some right after a post — produces the exact same
+   per-partition event logs, times and CPU busy totals included, with
+   [adaptive] on or off, at any jobs count. Every delay is a multiple of
+   an eighth of the lookahead; with a power-of-two lookahead the times
+   are exact, so events of different partitions often tie and the log
+   order also pins which barrier merged each message. *)
 
-let adaptive_workload ~adaptive ~jobs ~partitions ~seed =
+let adaptive_workload ~adaptive ~jobs ~lookahead ~partitions ~seed =
   let steps = 10 in
+  let q = lookahead /. 8. in
   let logs = Array.make (partitions + 1) [] in
   (* Each cell is only ever touched by events of its own partition, so
      partitions running concurrently never share a cell. *)
   let record p tag = logs.(p) <- (Engine.now (), tag) :: logs.(p) in
+  let cpus = Array.init (partitions + 1) (fun _ -> Cpu.create ~ncores:1 ()) in
   ignore
     (Engine.run_partitioned ~jobs ~adaptive ~lookahead ~partitions (fun () ->
          for p = 1 to partitions do
+           (* A worker process: sleeps or CPU bursts of up to four
+              lookaheads, half of them right after a cross-partition
+              post, on a core the driver chain below also loads. *)
+           let wrng = Random.State.make [| 0x5eed; seed; p; 1 |] in
+           Engine.spawn_in ~name:"worker" ~partition:p ~delay:lookahead
+             (fun () ->
+               for i = 1 to steps do
+                 if Random.State.bool wrng then begin
+                   let target = 1 + Random.State.int wrng partitions in
+                   Engine.post ~partition:target ~delay:lookahead (fun () ->
+                       record target (Printf.sprintf "p%d worker->p%d %d" p target i))
+                 end;
+                 let span = q *. float (1 + Random.State.int wrng 32) in
+                 if Random.State.bool wrng then Engine.sleep span
+                 else Cpu.consume cpus.(p) ~core:0 span;
+                 record p
+                   (Printf.sprintf "p%d worker %d busy %h" p i
+                      (Cpu.busy_seconds cpus.(p)))
+               done);
            (* One driver chain per partition, each with its own stream:
               the draws depend only on (seed, p, step), never on the
               interleaving. *)
@@ -96,9 +123,9 @@ let adaptive_workload ~adaptive ~jobs ~partitions ~seed =
                in
                Engine.post ~partition:target ~delay:cross (fun () ->
                    record target (Printf.sprintf "p%d->p%d msg%d" p target i));
-               let hop =
-                 lookahead *. float (Random.State.int rng 100) /. 150.
-               in
+               let hop = q *. float (Random.State.int rng 8) in
+               if Random.State.int rng 4 = 0 then
+                 ignore (Cpu.consume_async cpus.(p) ~core:0 hop);
                Engine.post ~partition:p ~delay:hop (fun () -> step (i + 1))
              end
            in
@@ -119,13 +146,16 @@ let prop_adaptive_matrix =
   QCheck.Test.make
     ~name:"adaptive windows: logs identical to fixed windows (jobs 1/4)"
     ~count:6 adaptive_arb (fun (partitions, seed) ->
-      let run ~adaptive ~jobs =
-        adaptive_workload ~adaptive ~jobs ~partitions ~seed
-      in
-      let reference = run ~adaptive:false ~jobs:1 in
-      reference = run ~adaptive:true ~jobs:1
-      && reference = run ~adaptive:false ~jobs:4
-      && reference = run ~adaptive:true ~jobs:4)
+      List.for_all
+        (fun lookahead ->
+          let run ~adaptive ~jobs =
+            adaptive_workload ~adaptive ~jobs ~lookahead ~partitions ~seed
+          in
+          let reference = run ~adaptive:false ~jobs:1 in
+          reference = run ~adaptive:true ~jobs:1
+          && reference = run ~adaptive:false ~jobs:4
+          && reference = run ~adaptive:true ~jobs:4)
+        [ lookahead; 1. /. 1024. ])
 
 (* ------------------------------------------------------------------ *)
 (* Determinism matrix: random cluster workloads with migration faults

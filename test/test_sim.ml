@@ -266,6 +266,33 @@ let test_window_words () =
   in
   check_ceiling "window switch" ~ceiling:32. window
 
+(* Lone bursts on an idle core finish in place: no job, ivar, timer or
+   park. *)
+let test_burst_words () =
+  let bursts n () =
+    ignore
+      (Engine.run (fun () ->
+           let cpu = Cpu.create ~ncores:1 () in
+           for _ = 1 to n do
+             Cpu.consume cpu ~core:0 1.0
+           done))
+  in
+  check_ceiling "lone burst" ~ceiling:20. (per_unit ~n:1000 bursts)
+
+(* Sleeps of ten lookaheads in the only active partition: each wake
+   opens the next virtual round of the grown window in place. *)
+let test_cross_round_sleep_words () =
+  let sleeper n () =
+    ignore
+      (Engine.run_partitioned ~lookahead:0.1 ~partitions:1 (fun () ->
+           Engine.spawn_in ~partition:1 ~delay:0.1 (fun () ->
+               for _ = 1 to n do
+                 Engine.sleep 1.0
+               done)))
+  in
+  check_ceiling "cross-round sleep" ~ceiling:12.
+    (per_unit ~n:1000 sleeper)
+
 (* The benchmark's probe slices host time on the lifecycle hooks, so
    the exact (hook, partition, pid) sequence is part of the engine's
    contract: one scenario with sleep, Ivar.read, Resource contention,
@@ -456,9 +483,14 @@ let test_cpu_least_loaded () =
          ignore (Cpu.consume_async cpu ~core:1 10.0);
          ignore (Cpu.consume_async cpu ~core:1 10.0);
          Alcotest.(check int) "least loaded" 2
-           (Cpu.pick_least_loaded cpu ~cores:[ 0; 1; 2 ]);
+           (Cpu.least_loaded cpu ~first:0 ~count:3);
+         Alcotest.(check int) "within a range" 0
+           (Cpu.least_loaded cpu ~first:0 ~count:2);
          Alcotest.(check int) "loads" 2 (Cpu.load cpu ~core:1);
-         Alcotest.(check int) "total" 3 (Cpu.total_load cpu)))
+         Alcotest.(check int) "total" 3 (Cpu.total_load cpu);
+         ignore (Cpu.consume_async cpu ~core:2 10.0);
+         Alcotest.(check int) "tie to the lowest id" 0
+           (Cpu.least_loaded cpu ~first:0 ~count:3)))
 
 let prop_cpu_work_conservation =
   (* Total completion time of N jobs submitted together on one core
@@ -478,6 +510,135 @@ let prop_cpu_work_conservation =
              Engine.wait_all ivars;
              finish := Engine.now ()));
       Float.abs (!finish -. total) < 1e-6)
+
+(* In-place bursts. A burst alone on an idle core finishes in place
+   when nothing else is due before its completion; installed trace hooks
+   turn every in-place path off. Each scenario runs untraced and with
+   no-op hooks, and the two runs must log the same bits: every
+   completion time, busy total and run-queue length. *)
+
+let noop_hooks =
+  {
+    Engine.on_spawn = (fun ~pid:_ ~name:_ -> ());
+    on_park = (fun ~pid:_ -> ());
+    on_wake = (fun ~pid:_ -> ());
+  }
+
+(* Run [scenario cpu note] from clock [start] on a fresh CPU; [note tag]
+   logs the clock, [busy_seconds] and each core's load. *)
+let cpu_log ~speed ~start ~cores hooks scenario =
+  let buf = Buffer.create 1024 in
+  Engine.set_trace_hooks hooks;
+  Fun.protect
+    ~finally:(fun () -> Engine.set_trace_hooks None)
+    (fun () ->
+      ignore
+        (Engine.run (fun () ->
+             Engine.sleep start;
+             let cpu = Cpu.create ~speed ~ncores:cores () in
+             let note tag =
+               Buffer.add_string buf
+                 (Printf.sprintf "%s %h %h" tag (Engine.now ())
+                    (Cpu.busy_seconds cpu));
+               for core = 0 to cores - 1 do
+                 Buffer.add_string buf
+                   (Printf.sprintf " %d" (Cpu.load cpu ~core))
+               done;
+               Buffer.add_char buf '\n'
+             in
+             scenario cpu note)));
+  Buffer.contents buf
+
+let check_in_place ?(speed = 1.0) ?(start = 0.) ?(cores = 1) scenario =
+  let untraced = cpu_log ~speed ~start ~cores None scenario in
+  let hooked = cpu_log ~speed ~start ~cores (Some noop_hooks) scenario in
+  Alcotest.(check string) "untraced = hooked" hooked untraced
+
+let in_place_case name ?cores scenario =
+  Alcotest.test_case name `Quick (fun () -> check_in_place ?cores scenario)
+
+let lone_bursts cpu note =
+  List.iteri
+    (fun i w ->
+      Cpu.consume cpu ~core:0 w;
+      note (Printf.sprintf "burst %d" i);
+      Engine.sleep 0.25)
+    [ 0.5; 1e-3; 2.0; 0.125; 3e-7; 0.1 +. 0.2 ]
+
+(* Two cores; on core 0 a second process arrives while the first
+   still runs, and the first goes again while the second runs. *)
+let overlapping_bursts cpu note =
+  Engine.spawn (fun () ->
+      Cpu.consume cpu ~core:0 1.0;
+      note "a";
+      Cpu.consume cpu ~core:0 0.5;
+      note "a again");
+  Engine.spawn (fun () ->
+      Engine.sleep 0.5;
+      Cpu.consume cpu ~core:0 1.0;
+      note "b");
+  Cpu.consume cpu ~core:1 0.75;
+  note "main";
+  Engine.sleep 0.5;
+  Cpu.consume cpu ~core:1 0.3;
+  note "main again"
+
+(* An arrival already scheduled inside the burst keeps it on the timer
+   path and shares the core from then on. *)
+let cut_burst cpu note =
+  ignore
+    (Engine.after 0.3 (fun () ->
+         note "arrival";
+         ignore (Cpu.consume_async cpu ~core:0 0.5)));
+  Cpu.consume cpu ~core:0 1.0;
+  note "cut";
+  Engine.sleep 2.0;
+  note "after"
+
+let nonpositive_work cpu note =
+  Cpu.consume cpu ~core:0 0.;
+  note "zero";
+  Cpu.consume cpu ~core:0 (-1.);
+  note "negative";
+  Cpu.consume cpu ~core:0 1e-13;
+  note "below epsilon";
+  Cpu.consume cpu ~core:0 1.;
+  note "one"
+
+(* A sampler wakes every 0.3 s: some bursts end before the next sample
+   and finish in place, others park behind it. *)
+let sampled_bursts cpu note =
+  Engine.spawn (fun () ->
+      for _ = 1 to 8 do
+        Engine.sleep 0.3;
+        note "sample"
+      done);
+  List.iter
+    (fun w ->
+      Cpu.consume cpu ~core:0 w;
+      note "burst")
+    [ 0.1; 0.5; 0.05; 1.0; 0.02 ]
+
+(* At a clock near 1e4 s on a double-speed core, one ulp of the clock
+   exceeds what [epsilon] absorbs: a first completion can leave a
+   residue above it, which the sub-ulp branch then retires. The test
+   also counts, by the timer path's own arithmetic, the bursts that
+   do. *)
+let test_late_residues () =
+  let residues = ref 0 in
+  let late_bursts cpu note =
+    for i = 1 to 40 do
+      let w = 1e-4 *. float_of_int (1 + (i * 7919 mod 1000)) in
+      let t0 = Engine.now () in
+      let t1 = t0 +. (w *. 1. /. 2.0) in
+      if w -. ((t1 -. t0) *. 2.0 /. 1.) > 1e-12 then incr residues;
+      Cpu.consume cpu ~core:0 w;
+      note (Printf.sprintf "burst %d" i);
+      Engine.sleep 1e-3
+    done
+  in
+  check_in_place ~speed:2.0 ~start:1e4 late_bursts;
+  if !residues = 0 then Alcotest.fail "no burst left a residue above epsilon"
 
 let suites =
   [
@@ -514,6 +675,9 @@ let suites =
         Alcotest.test_case "park words" `Quick test_park_words;
         Alcotest.test_case "spawn words" `Quick test_spawn_words;
         Alcotest.test_case "window switch words" `Quick test_window_words;
+        Alcotest.test_case "lone burst words" `Quick test_burst_words;
+        Alcotest.test_case "cross-round sleep words" `Quick
+          test_cross_round_sleep_words;
         Alcotest.test_case "hook sequence" `Quick test_hook_sequence;
       ] );
     ( "sim.resource",
@@ -534,5 +698,13 @@ let suites =
         Alcotest.test_case "utilization" `Quick test_cpu_utilization;
         Alcotest.test_case "least loaded" `Quick test_cpu_least_loaded;
         QCheck_alcotest.to_alcotest prop_cpu_work_conservation;
+        in_place_case "in place: lone bursts" lone_bursts;
+        in_place_case "in place: overlapping bursts" ~cores:2
+          overlapping_bursts;
+        in_place_case "in place: burst cut by an arrival" cut_burst;
+        in_place_case "in place: work <= 0" nonpositive_work;
+        in_place_case "in place: sampled load" sampled_bursts;
+        Alcotest.test_case "in place: residue near 1e4 s" `Quick
+          test_late_residues;
       ] );
   ]

@@ -15,6 +15,8 @@ module Toolstack = Lightvm_toolstack.Toolstack
 module Checkpoint = Lightvm_toolstack.Checkpoint
 module Migrate = Lightvm_toolstack.Migrate
 module Vmm = Lightvm_cluster.Vmm
+module Backend = Lightvm_toolstack.Backend
+module Serverless = Lightvm_serverless.Serverless
 
 let in_sim f () = ignore (Engine.run f)
 
@@ -453,6 +455,79 @@ let test_lifecycle_leak_free () =
         [ (0, 0); (1, 0); (1, 1) ])
     Mode.all_modes
 
+(* ------------------------------------------------------------------ *)
+(* Names and MACs are built without [Printf]; they must read exactly as
+   the format strings they replace. *)
+
+let test_fresh_mac () =
+  let backend =
+    Backend.create ~xen:(Xen.boot ()) ~xs:None
+      ~ctrl:(Lightvm_guest.Ctrl.create ()) ~costs:Costs.default
+  in
+  let checked = [ 1; 255; 256; 65_535; 65_536; 0xffffff; 0x1000000 ] in
+  let last = List.fold_left max 0 checked in
+  for n = 1 to last do
+    let mac = Backend.fresh_mac backend in
+    if List.mem n checked then
+      Alcotest.(check string)
+        (Printf.sprintf "mac %d" n)
+        (Printf.sprintf "00:16:3e:%02x:%02x:%02x"
+           ((n lsr 16) land 0xff)
+           ((n lsr 8) land 0xff)
+           (n land 0xff))
+        mac
+  done
+
+(* The process names a warm-pool serverless run spawns; the benchmark's
+   probe maps them to layers. *)
+let test_spawn_names () =
+  let names = ref [] in
+  Engine.set_trace_hooks
+    (Some
+       {
+         Engine.on_spawn = (fun ~pid:_ ~name -> names := name :: !names);
+         on_park = (fun ~pid:_ -> ());
+         on_wake = (fun ~pid:_ -> ());
+       });
+  let stats =
+    Fun.protect
+      ~finally:(fun () -> Engine.set_trace_hooks None)
+      (fun () ->
+        let result = ref None in
+        ignore
+          (Engine.run (fun () ->
+               let host = Vmm.create ~mode:Mode.lightvm () in
+               let cfg =
+                 Serverless.default_config ~duration:0.05 Serverless.Warm_pool
+               in
+               result := Some (Serverless.run_node cfg host);
+               Engine.stop ()));
+        Option.get !result)
+  in
+  let names = List.rev !names in
+  let count p = List.length (List.filter p names) in
+  let numbered prefix name =
+    String.starts_with ~prefix name
+    &&
+    let rest =
+      String.sub name (String.length prefix)
+        (String.length name - String.length prefix)
+    in
+    rest <> "" && String.for_all (fun c -> c >= '0' && c <= '9') rest
+  in
+  Alcotest.(check int)
+    "one fn-<idx> per request" stats.Serverless.requests
+    (count (numbered "fn-"));
+  List.iteri
+    (fun i name ->
+      Alcotest.(check string) "fn names in dispatch order"
+        ("fn-" ^ string_of_int i) name)
+    (List.filter (numbered "fn-") names);
+  Alcotest.(check bool) "guest-<domid> boots" true
+    (count (numbered "guest-") >= stats.Serverless.requests);
+  Alcotest.(check bool) "refill daemon" true
+    (List.mem "chaos-daemon-refill" names)
+
 let suites =
   [
     ( "toolstack.vmconfig",
@@ -501,5 +576,10 @@ let suites =
           test_xenstore_live_set_flat;
         Alcotest.test_case "lifecycle leak-free in every mode" `Quick
           test_lifecycle_leak_free;
+      ] );
+    ( "toolstack.names",
+      [
+        Alcotest.test_case "fresh_mac = the old format" `Quick test_fresh_mac;
+        Alcotest.test_case "spawn names" `Quick test_spawn_names;
       ] );
   ]

@@ -295,6 +295,86 @@ let test_fig5_breakdown_unchanged () =
     baseline traced
 
 (* ------------------------------------------------------------------ *)
+(* Tracing on, every instrumented site still emits its spans and
+   counters exactly once: the span count per (category, name) of a
+   traced fig5 at n = 10, and its counters, as the implementation that
+   always built spans, attributes and counters produced them. The
+   engine's lifecycle counters also show that installed hooks keep
+   every in-place sleep and CPU burst on the parking path. *)
+
+let fig5_span_counts =
+  [
+    ("config", "config", 10); ("create", "phase1:reserve", 10);
+    ("create", "phase2:compute_alloc", 10); ("create", "phase3:set_maxmem", 10);
+    ("create", "phase4:populate", 10);
+    ("create", "phase5:precreate_devices", 10); ("create", "phase6:parse", 10);
+    ("create", "phase7:init_devices", 10); ("create", "phase8:build", 10);
+    ("create", "phase9:boot", 10); ("create", "rollback", 0);
+    ("devices", "devices", 20); ("hv", "domctl_create", 10);
+    ("hv", "domctl_unpause", 10); ("hv", "evtchn_op", 40);
+    ("hv", "gnttab_op", 40); ("hv", "load_image", 10);
+    ("hv", "populate_physmap", 10); ("hv", "set_maxmem", 10);
+    ("hypervisor", "hypervisor", 40); ("load", "load", 10);
+    ("toolstack", "toolstack", 40); ("xenstore", "xenstore", 50);
+  ]
+
+let fig5_counters =
+  [
+    ("hv.crossings", 260); ("hv.hypercalls", 130);
+    ("sim.process_parks", 4743); ("sim.process_spawns", 161);
+    ("sim.process_wakes", 4733);
+  ]
+
+let span_counts pins =
+  let spans = Trace.spans () in
+  List.map
+    (fun (category, name, _) ->
+      ( category,
+        name,
+        List.length
+          (List.filter
+             (fun s -> s.Trace.sp_category = category && s.Trace.sp_name = name)
+             spans) ))
+    pins
+
+let test_fig5_trace_parity () =
+  with_trace ~capacity:100_000 (fun () ->
+      ignore (Plan_run.run ~n:10 "fig5");
+      Alcotest.(check int) "nothing evicted" 0 (Trace.evicted ());
+      Alcotest.(check (list (triple string string int)))
+        "spans per (category, name)" fig5_span_counts
+        (span_counts fig5_span_counts);
+      Alcotest.(check (list (pair string int)))
+        "counters" fig5_counters
+        (List.map (fun (k, _) -> (k, Trace.Counter.value k)) fig5_counters))
+
+(* A creation that fails in phase 5 rolls back under one span carrying
+   the domid. *)
+let test_rollback_span () =
+  let spec =
+    match Lightvm_sim.Fault.parse_spec "create.phase5:1" with
+    | Ok spec -> spec
+    | Error msg -> Alcotest.fail msg
+  in
+  with_trace (fun () ->
+      run_sim (fun () ->
+          let host = Vmm.create ~mode:Mode.chaos_xs () in
+          Lightvm_sim.Fault.with_injector (Lightvm_sim.Fault.create spec)
+            (fun () ->
+              match
+                Vmm.vm_create host
+                  (Vmm.vm_request ~name:"doomed" ~nics:1 Image.daytime)
+              with
+              | Ok _ -> Alcotest.fail "phase 5 was meant to fail"
+              | Error _ -> ()));
+      match
+        List.filter (fun s -> s.Trace.sp_name = "rollback") (Trace.spans ())
+      with
+      | [ s ] ->
+          Alcotest.(check string) "category" "create" s.Trace.sp_category;
+          Alcotest.(check (list (pair string string)))
+            "attributes" [ ("domid", "1") ] s.Trace.sp_attrs
+      | l -> Alcotest.failf "%d rollback spans, expected one" (List.length l))
 
 let suites =
   [
@@ -307,5 +387,8 @@ let suites =
         Alcotest.test_case "chrome json" `Quick test_chrome_json;
         Alcotest.test_case "fig5 unchanged" `Quick
           test_fig5_breakdown_unchanged;
+        Alcotest.test_case "fig5 traced spans and counters" `Quick
+          test_fig5_trace_parity;
+        Alcotest.test_case "rollback span" `Quick test_rollback_span;
       ] );
   ]
