@@ -469,7 +469,7 @@ let xs_wire_roundtrip () =
   (* The message protocol behind Fig 5's xenstore category: scratch
      reuse, so a pack+unpack cycle allocates only the decoded strings.
      8 messages per op — a single roundtrip (~150 ns) sits below the
-     harness noise floor; the ref pair below amortizes identically. *)
+     harness noise floor. *)
   let scratch = Lightvm_xenstore.Xs_wire.scratch () in
   Staged.stage (fun () ->
       for _ = 1 to 8 do
@@ -479,73 +479,6 @@ let xs_wire_roundtrip () =
             [ "/local/domain/1/name"; "guest-1" ]
         in
         ignore (Lightvm_xenstore.Xs_wire.unpack buf)
-      done)
-
-(* Reference replica of the wire codec the scratch path replaced:
-   assoc-list opcode tables, a fresh buffer per pack, and an unpack
-   that copies the payload before splitting it. *)
-module Old_wire_ref = struct
-  module W = Lightvm_xenstore.Xs_wire
-
-  let op_table =
-    [ (W.Debug, 0); (W.Directory, 1); (W.Read, 2); (W.Get_perms, 3);
-      (W.Watch, 4); (W.Unwatch, 5); (W.Transaction_start, 6);
-      (W.Transaction_end, 7); (W.Introduce, 8); (W.Release, 9);
-      (W.Get_domain_path, 10); (W.Write, 11); (W.Mkdir, 12); (W.Rm, 13);
-      (W.Set_perms, 14); (W.Watch_event, 15); (W.Error, 16);
-      (W.Is_domain_introduced, 17); (W.Resume, 18); (W.Set_target, 19) ]
-
-  let op_of_int n =
-    List.find_map (fun (op, i) -> if i = n then Some op else None) op_table
-
-  let pack op ~req_id ~tx_id strings =
-    let len =
-      List.fold_left (fun acc s -> acc + String.length s + 1) 0 strings
-    in
-    let buf = Bytes.create (W.header_size + len) in
-    Bytes.set_int32_le buf 0 (Int32.of_int (List.assoc op op_table));
-    Bytes.set_int32_le buf 4 req_id;
-    Bytes.set_int32_le buf 8 tx_id;
-    Bytes.set_int32_le buf 12 (Int32.of_int len);
-    let pos = ref W.header_size in
-    List.iter
-      (fun s ->
-        Bytes.blit_string s 0 buf !pos (String.length s);
-        Bytes.set buf (!pos + String.length s) '\000';
-        pos := !pos + String.length s + 1)
-      strings;
-    buf
-
-  let unpack buf =
-    let op =
-      match op_of_int (Int32.to_int (Bytes.get_int32_le buf 0)) with
-      | Some op -> op
-      | None -> assert false
-    in
-    let req_id = Bytes.get_int32_le buf 4 in
-    let tx_id = Bytes.get_int32_le buf 8 in
-    let len = Int32.to_int (Bytes.get_int32_le buf 12) in
-    let payload = Bytes.sub_string buf W.header_size len in
-    let strings =
-      match String.split_on_char '\000' payload with
-      | [] -> []
-      | parts -> (
-          match List.rev parts with
-          | "" :: rest -> List.rev rest
-          | _ -> parts)
-    in
-    ((op, req_id, tx_id, len), strings)
-end
-
-let xs_wire_roundtrip_old () =
-  Staged.stage (fun () ->
-      for _ = 1 to 8 do
-        let buf =
-          Old_wire_ref.pack Lightvm_xenstore.Xs_wire.Write ~req_id:1l
-            ~tx_id:0l
-            [ "/local/domain/1/name"; "guest-1" ]
-        in
-        ignore (Old_wire_ref.unpack buf)
       done)
 
 let xs_transaction () =
@@ -590,115 +523,13 @@ let event_heap_churn () =
       Lightvm_sim.Heap.cancel heap b;
       ignore (Lightvm_sim.Heap.pop heap))
 
-(* Reference replica of the event heap the 4-ary index heap replaced:
-   one boxed record per entry behind an option slot, binary sift_up/
-   sift_down chasing entry pointers on every comparison, pop returning
-   a fresh [(time, payload) option]. Only the push/pop core is
-   replicated — exactly what the hold-model pair below exercises. Kept
-   verbatim so the pair keeps measuring the same before/after as the
-   live heap evolves. *)
-module Old_heap_ref = struct
-  type 'a entry = {
-    time : float;
-    seq : int;
-    payload : 'a;
-    mutable cancelled : bool;
-    mutable departed : bool;
-  }
-
-  type 'a t = {
-    mutable data : 'a entry option array;
-    mutable len : int;
-    mutable next_seq : int;
-    mutable live : int;
-  }
-
-  let create () = { data = [||]; len = 0; next_seq = 0; live = 0 }
-
-  let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-  let get t i =
-    match t.data.(i) with Some e -> e | None -> assert false
-
-  let swap t i j =
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(j);
-    t.data.(j) <- tmp
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if lt (get t i) (get t parent) then begin
-        swap t i parent;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.len && lt (get t l) (get t !smallest) then smallest := l;
-    if r < t.len && lt (get t r) (get t !smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
-    end
-
-  let ensure_capacity t =
-    let cap = Array.length t.data in
-    if t.len >= cap then begin
-      let ncap = if cap = 0 then 16 else 2 * cap in
-      let fresh = Array.make ncap None in
-      Array.blit t.data 0 fresh 0 t.len;
-      t.data <- fresh
-    end
-
-  let push t ~time payload =
-    let entry =
-      { time; seq = t.next_seq; payload; cancelled = false;
-        departed = false }
-    in
-    t.next_seq <- t.next_seq + 1;
-    ensure_capacity t;
-    t.data.(t.len) <- Some entry;
-    t.len <- t.len + 1;
-    t.live <- t.live + 1;
-    sift_up t (t.len - 1);
-    entry
-
-  let pop_any t =
-    if t.len = 0 then None
-    else begin
-      let top = get t 0 in
-      t.len <- t.len - 1;
-      if t.len > 0 then begin
-        t.data.(0) <- t.data.(t.len);
-        t.data.(t.len) <- None;
-        sift_down t 0
-      end
-      else t.data.(0) <- None;
-      Some top
-    end
-
-  let rec pop t =
-    match pop_any t with
-    | None -> None
-    | Some entry ->
-        if entry.cancelled then pop t
-        else begin
-          entry.departed <- true;
-          t.live <- t.live - 1;
-          Some (entry.time, entry.payload)
-        end
-end
-
 (* The hold model on a deep standing heap — the regime the 100-host
    cluster and the simulated day put the event core in: ~10k pending
    timers, every operation a full-depth sift. Each hold schedules one
    event a random delay ahead of the clock and pops the next one,
    exactly the engine hot loop's next_time/pop_payload sequence.
-   8 holds per measured op, same amortization as the wire pair, so the
-   harness floor does not flatten the old/new ratio. *)
+   8 holds per measured op, as in the wire row, so an op sits well
+   above the harness noise floor. *)
 let deep_heap_standing = 10_000
 
 let event_heap_deep () =
@@ -716,24 +547,6 @@ let event_heap_deep () =
              ());
         clock := Lightvm_sim.Heap.next_time heap;
         ignore (Lightvm_sim.Heap.pop_payload heap)
-      done)
-
-let event_heap_deep_old () =
-  let heap = Old_heap_ref.create () in
-  let rng = Lightvm_sim.Rng.create 7L in
-  for _ = 1 to deep_heap_standing do
-    ignore (Old_heap_ref.push heap ~time:(Lightvm_sim.Rng.float rng 1.) ())
-  done;
-  let clock = ref 0. in
-  Staged.stage (fun () ->
-      for _ = 1 to 8 do
-        ignore
-          (Old_heap_ref.push heap
-             ~time:(!clock +. Lightvm_sim.Rng.float rng 1.)
-             ());
-        match Old_heap_ref.pop heap with
-        | Some (t, ()) -> clock := t
-        | None -> ()
       done)
 
 let minipy_src = "total = 0\nfor i in range(50):\n    total += i\n"
@@ -767,160 +580,6 @@ let vmconfig_parse () =
   (* Fig 8/9's phase 6, on the single-pass cursor parser. *)
   Staged.stage (fun () ->
       ignore (Lightvm_toolstack.Vmconfig.parse vmconfig_text))
-
-(* Reference replica of the parser the single-pass rewrite replaced:
-   split into lines, strip/copy each piece, fold a record copy per
-   key. Kept verbatim so the bench pair keeps measuring the same
-   before/after even as the live parser evolves. *)
-module Old_vmconfig_ref = struct
-  type value = Str of string | Num of float | Lst of string list
-
-  exception Parse_error of int * string
-
-  let fail line msg = raise (Parse_error (line, msg))
-
-  let strip s =
-    let is_space c = c = ' ' || c = '\t' || c = '\r' in
-    let n = String.length s in
-    let rec first i = if i < n && is_space s.[i] then first (i + 1) else i in
-    let rec last i = if i > 0 && is_space s.[i - 1] then last (i - 1) else i in
-    let a = first 0 and b = last n in
-    if a >= b then "" else String.sub s a (b - a)
-
-  let drop_comment s =
-    let n = String.length s in
-    let rec go i in_quote quote_char =
-      if i >= n then s
-      else
-        match s.[i] with
-        | ('"' | '\'') as c when not in_quote -> go (i + 1) true c
-        | c when in_quote && c = quote_char -> go (i + 1) false ' '
-        | '#' when not in_quote -> String.sub s 0 i
-        | _ -> go (i + 1) in_quote quote_char
-    in
-    go 0 false ' '
-
-  let parse_quoted line s =
-    let n = String.length s in
-    if n < 2 then fail line "unterminated string"
-    else begin
-      let quote = s.[0] in
-      if s.[n - 1] <> quote then fail line "unterminated string"
-      else String.sub s 1 (n - 2)
-    end
-
-  let split_list_items line inner =
-    let items = ref [] and buf = Buffer.create 16 in
-    let in_quote = ref false and quote = ref ' ' in
-    String.iter
-      (fun c ->
-        match c with
-        | ('"' | '\'') when not !in_quote ->
-            in_quote := true;
-            quote := c;
-            Buffer.add_char buf c
-        | c when !in_quote && c = !quote ->
-            in_quote := false;
-            Buffer.add_char buf c
-        | ',' when not !in_quote ->
-            items := Buffer.contents buf :: !items;
-            Buffer.clear buf
-        | c -> Buffer.add_char buf c)
-      inner;
-    if !in_quote then fail line "unterminated string in list";
-    items := Buffer.contents buf :: !items;
-    List.rev !items
-
-  let parse_list line s =
-    let n = String.length s in
-    if n < 2 || s.[0] <> '[' || s.[n - 1] <> ']' then
-      fail line "malformed list";
-    let inner = strip (String.sub s 1 (n - 2)) in
-    if inner = "" then []
-    else
-      List.map
-        (fun item ->
-          let item = strip item in
-          if String.length item >= 2 && (item.[0] = '"' || item.[0] = '\'')
-          then parse_quoted line item
-          else fail line ("list items must be quoted: " ^ item))
-        (split_list_items line inner)
-
-  let parse_value line s =
-    let s = strip s in
-    if s = "" then fail line "missing value"
-    else if s.[0] = '[' then Lst (parse_list line s)
-    else if s.[0] = '"' || s.[0] = '\'' then Str (parse_quoted line s)
-    else
-      match float_of_string_opt s with
-      | Some f -> Num f
-      | None -> fail line ("cannot parse value: " ^ s)
-
-  let parse_line line s =
-    match String.index_opt s '=' with
-    | None -> fail line "expected key = value"
-    | Some i ->
-        let key = strip (String.sub s 0 i) in
-        let value = String.sub s (i + 1) (String.length s - i - 1) in
-        if key = "" then fail line "empty key";
-        (key, parse_value line value)
-
-  type t = {
-    name : string;
-    kernel : string;
-    memory_mb : float;
-    vcpus : int;
-    vifs : string list;
-    disks : string list;
-    on_crash : string;
-    extra : (string * string) list;
-  }
-
-  let default =
-    { name = ""; kernel = ""; memory_mb = 4.; vcpus = 1; vifs = [];
-      disks = []; on_crash = "destroy"; extra = [] }
-
-  let apply line cfg (key, value) =
-    match (key, value) with
-    | "name", Str s -> { cfg with name = s }
-    | "kernel", Str s -> { cfg with kernel = s }
-    | "memory", Num f -> { cfg with memory_mb = f }
-    | "maxmem", Num _ -> cfg
-    | "vcpus", Num f -> { cfg with vcpus = int_of_float f }
-    | "vif", Lst items -> { cfg with vifs = items }
-    | "disk", Lst items -> { cfg with disks = items }
-    | "on_crash", Str s -> { cfg with on_crash = s }
-    | ("name" | "kernel" | "on_crash"), _ ->
-        fail line (key ^ " expects a string")
-    | ("memory" | "vcpus"), _ -> fail line (key ^ " expects a number")
-    | ("vif" | "disk"), _ -> fail line (key ^ " expects a list")
-    | _, Str s -> { cfg with extra = cfg.extra @ [ (key, s) ] }
-    | _, Num f ->
-        { cfg with extra = cfg.extra @ [ (key, Printf.sprintf "%g" f) ] }
-    | _, Lst items ->
-        { cfg with extra = cfg.extra @ [ (key, String.concat ";" items) ] }
-
-  let parse text =
-    try
-      let lines = String.split_on_char '\n' text in
-      let cfg =
-        List.fold_left
-          (fun (lineno, cfg) raw ->
-            let s = strip (drop_comment raw) in
-            if s = "" then (lineno + 1, cfg)
-            else (lineno + 1, apply lineno cfg (parse_line lineno s)))
-          (1, default) lines
-        |> snd
-      in
-      if cfg.name = "" then Error "missing required key: name"
-      else if cfg.kernel = "" then Error "missing required key: kernel"
-      else Ok cfg
-    with Parse_error (line, msg) ->
-      Error (Printf.sprintf "line %d: %s" line msg)
-end
-
-let vmconfig_parse_old () =
-  Staged.stage (fun () -> ignore (Old_vmconfig_ref.parse vmconfig_text))
 
 let kconfig_prune () =
   (* Tinyx's kernel-minimisation loop (Section 3.2). *)
@@ -1010,8 +669,6 @@ let micro_tests =
     Test.make ~name:"fig5/fig9: xenstore write+read (generic ref)"
       (xs_store_ops_generic ());
     Test.make ~name:"fig5: xs wire pack/unpack" (xs_wire_roundtrip ());
-    Test.make ~name:"fig5: xs wire pack/unpack (alloc ref)"
-      (xs_wire_roundtrip_old ());
     Test.make ~name:"fig17: xenstore transaction" (xs_transaction ());
     Test.make ~name:"fig5/fig9: xs_path segments (cached)"
       (xs_path_segments ());
@@ -1020,16 +677,11 @@ let micro_tests =
       (event_heap_churn ());
     Test.make ~name:"cluster-scale: event heap hold@10k (4-ary index)"
       (event_heap_deep ());
-    Test.make
-      ~name:"cluster-scale: event heap hold@10k (boxed binary ref)"
-      (event_heap_deep_old ());
     Test.make ~name:"fig17/18: minipy program" (minipy_run ());
     Test.make ~name:"fig17/18: minipy program (fresh-parse ref)"
       (minipy_run_fresh ());
     Test.make ~name:"fig16a: firewall rule eval" (firewall_eval ());
     Test.make ~name:"fig8/9: vm config parse" (vmconfig_parse ());
-    Test.make ~name:"fig8/9: vm config parse (list-based ref)"
-      (vmconfig_parse_old ());
     Test.make ~name:"tinyx: kconfig prune loop" (kconfig_prune ());
     Test.make ~name:"fig16c: TLS handshake steps" (tls_handshake ());
     Test.make ~name:"scale: watch dispatch (trie, 10k watches)"

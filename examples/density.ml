@@ -48,10 +48,7 @@ let () =
          let containers = ref 0 in
          (try
             while true do
-              match
-                Docker.run engine ~image:Layers.alpine_noop
-                  ~name:(Printf.sprintf "c%d" !containers) ()
-              with
+              match Docker.run engine ~image:Layers.alpine_noop () with
               | Ok _ -> incr containers
               | Error _ -> raise Exit
             done

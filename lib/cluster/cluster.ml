@@ -229,9 +229,9 @@ let drain t ~host:src =
     mv_seconds = Engine.now () -. t0;
   }
 
-let rebalance t ?max_moves () =
+let rebalance t () =
   let t0 = Engine.now () in
-  let bound = match max_moves with Some m -> m | None -> 4 * vm_count t in
+  let bound = 4 * vm_count t in
   let attempted = ref 0 and moved = ref 0 and lost = ref 0 in
   let stranded = ref 0 in
   let continue = ref true in

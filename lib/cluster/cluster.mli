@@ -133,12 +133,12 @@ val drain : t -> host:int -> move_report
     is deterministic). The host itself stays up — refill it by
     launching or rebalancing. *)
 
-val rebalance : t -> ?max_moves:int -> unit -> move_report
+val rebalance : t -> unit -> move_report
 (** Move VMs one at a time from the fullest host to the emptiest
     (lowest-domid victim) until the spread between any two hosts is at
-    most one VM, or [max_moves] migrations have been attempted
-    (default [4 * vm_count], a safety bound — the loop converges long
-    before it on any real imbalance). *)
+    most one VM, or [4 * vm_count] migrations have been attempted (a
+    safety bound — the loop converges long before it on any real
+    imbalance). *)
 
 (** {1 Cluster-wide resource accounting} *)
 

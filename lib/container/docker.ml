@@ -3,7 +3,6 @@ module Frames = Lightvm_hv.Frames
 
 type container = {
   id : int;
-  c_name : string;
   image : Layers.image;
   c_rss_kb : int;
   mutable paused : bool;
@@ -104,7 +103,7 @@ let reserve_pool t kb =
         t.is_wedged <- true;
         Error ()
 
-let run t ?(rss_kb = 1_500) ~image ~name () =
+let run t ?(rss_kb = 1_500) ~image () =
   if t.is_wedged then Error Engine_wedged
   else begin
     ignore (Layers.pull t.store image);
@@ -143,8 +142,8 @@ let run t ?(rss_kb = 1_500) ~image ~name () =
         | Ok () ->
             t.next_id <- t.next_id + 1;
             let c =
-              { id; c_name = name; image; c_rss_kb = total_rss;
-                paused = false; alive = true }
+              { id; image; c_rss_kb = total_rss; paused = false;
+                alive = true }
             in
             Hashtbl.replace t.containers id c;
             Ok c)

@@ -25,7 +25,6 @@ val run :
   t ->
   ?rss_kb:int ->
   image:Layers.image ->
-  name:string ->
   unit ->
   (container, error) result
 (** Create + start one container (blocking). [rss_kb] is the payload

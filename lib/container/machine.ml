@@ -6,7 +6,6 @@ type t = {
   platform : Params.platform;
   cpu : Cpu.t;
   mem : Frames.t;
-  mutable rr : int;
 }
 
 let kernel_owner = -1
@@ -24,7 +23,6 @@ let create ?(platform = Params.xeon_e5_1630) () =
       Cpu.create ~speed:platform.Params.speed ~ncores:platform.Params.cores
         ();
     mem;
-    rr = 0;
   }
 
 let platform t = t.platform

@@ -3,7 +3,6 @@ module Frames = Lightvm_hv.Frames
 
 type proc = {
   pid : int;
-  p_name : string;
   p_rss_kb : int;
   mutable alive : bool;
 }
@@ -24,15 +23,13 @@ let create machine ~rng =
 let fork_exec_cost rng =
   0.0012 +. Rng.exponential rng ~mean:0.0023
 
-let fork_exec t ?(rss_kb = 1_400) ~name () =
+let fork_exec t ?(rss_kb = 1_400) () =
   Machine.consume_any t.machine (fork_exec_cost t.rng);
   (match Frames.alloc (Machine.mem t.machine) ~owner:t.next_pid ~kb:rss_kb
    with
   | Ok () -> ()
   | Error Frames.ENOMEM -> failwith "Process.fork_exec: out of memory");
-  let proc =
-    { pid = t.next_pid; p_name = name; p_rss_kb = rss_kb; alive = true }
-  in
+  let proc = { pid = t.next_pid; p_rss_kb = rss_kb; alive = true } in
   t.next_pid <- t.next_pid + 1;
   Hashtbl.replace t.procs proc.pid proc;
   proc

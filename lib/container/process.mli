@@ -8,7 +8,7 @@ type proc
 
 val create : Machine.t -> rng:Lightvm_sim.Rng.t -> t
 
-val fork_exec : t -> ?rss_kb:int -> name:string -> unit -> proc
+val fork_exec : t -> ?rss_kb:int -> unit -> proc
 (** Blocks for the fork+exec duration (randomised, heavy-tailed). *)
 
 val kill : t -> proc -> unit

@@ -52,8 +52,9 @@ let mk label unit_label = Series.create ~unit_label ~name:label ()
    the model is a network hop, so it always carries at least the
    lookahead of simulated delay and [Engine.post] never rejects it.
 
-   [`None] runs the *same* workload in a plain single-heap [Engine.run]
-   (every [spawn_in]/[post] degrades to [after], same delays). Per-host
+   [`None] runs the *same* workload on one heap: partition 0 alone,
+   under an infinite lookahead, where every [spawn_in]/[post] targets
+   partition 0 and so is an [after] with the same delay. Per-host
    state is disjoint and cross-host effects travel only via switch
    deliveries and completion posts, so the two modes — and any [jobs]
    count — produce bit-identical series (pinned in
@@ -74,8 +75,8 @@ let lookahead = Switch.default_latency
 
 (* Where a simulation runs: [`Host] gives each of [hosts] simulated
    hosts its own partition, windows run on up to [sim_jobs] cores;
-   [`None] (and [single_heap], the layout of every one-host body) is
-   the plain single-heap engine. *)
+   [`None] (and [single_heap], the layout of every one-host body) runs
+   on partition 0 alone. *)
 type layout = {
   partition : partition;
   sim_jobs : int;
@@ -97,21 +98,22 @@ let run_main ?from ~capture layout f =
     result := Some (f ());
     Engine.stop ()
   in
-  let jobs = layout.sim_jobs and partitions = layout.hosts in
+  let jobs = layout.sim_jobs in
+  let lookahead, partitions =
+    match layout.partition with
+    | `Host -> (lookahead, layout.hosts)
+    | `None -> (infinity, 0)
+  in
   let saved =
-    match (from, layout.partition) with
-    | Some saved, _ ->
+    match from with
+    | Some saved ->
         ignore (Engine.resume ~jobs saved main);
         None
-    | None, `None when capture -> Some (snd (Engine.run_capture main))
-    | None, `None ->
-        ignore (Engine.run main);
-        None
-    | None, `Host when capture ->
+    | None when capture ->
         Some
           (snd
              (Engine.run_partitioned_capture ~jobs ~lookahead ~partitions main))
-    | None, `Host ->
+    | None ->
         ignore (Engine.run_partitioned ~jobs ~lookahead ~partitions main);
         None
   in
@@ -314,9 +316,7 @@ let docker_series ~platform ~image ~n ~label =
       (try
          for i = 1 to n do
            let t0 = Engine.now () in
-           match
-             Docker.run engine ~image ~name:(Printf.sprintf "c%d" i) ()
-           with
+           match Docker.run engine ~image () with
            | Ok _ ->
                Series.add series ~x:(float_of_int i)
                  ~y:(ms (Engine.now () -. t0))
@@ -332,7 +332,7 @@ let process_series ~n =
       let procs = Process.create machine ~rng:(Rng.create 7L) in
       for i = 1 to n do
         let t0 = Engine.now () in
-        ignore (Process.fork_exec procs ~name:(Printf.sprintf "p%d" i) ());
+        ignore (Process.fork_exec procs ());
         Series.add series ~x:(float_of_int i)
           ~y:(ms (Engine.now () -. t0))
       done);
@@ -1006,10 +1006,7 @@ let fig14_docker_memory ~n =
       let machine = Machine.create () in
       let engine = Docker.create machine in
       for i = 1 to n do
-        (match
-           Docker.run engine ~image:Layers.micropython_image
-             ~name:(Printf.sprintf "c%d" i) ()
-         with
+        (match Docker.run engine ~image:Layers.micropython_image () with
         | Ok _ -> ()
         | Error _ -> ());
         if i mod fig14_sample = 0 || i = 1 then
@@ -1024,9 +1021,7 @@ let fig14_process_memory ~n =
       let machine = Machine.create () in
       let procs = Process.create machine ~rng:(Rng.create 5L) in
       for i = 1 to n do
-        ignore
-          (Process.fork_exec procs ~rss_kb:1_600
-             ~name:(Printf.sprintf "mpy%d" i) ());
+        ignore (Process.fork_exec procs ~rss_kb:1_600 ());
         if i mod fig14_sample = 0 || i = 1 then
           Series.add series ~x:(float_of_int i)
             ~y:(float_of_int (Process.rss_kb procs) /. 1024.)
@@ -1078,10 +1073,7 @@ let fig15_docker_usage ~n =
       let engine = Docker.create machine in
       let cpu = Machine.cpu machine in
       for i = 1 to n do
-        (match
-           Docker.run engine ~image:Layers.alpine_noop
-             ~name:(Printf.sprintf "c%d" i) ()
-         with
+        (match Docker.run engine ~image:Layers.alpine_noop () with
         | Ok _ -> ()
         | Error _ -> ());
         if i mod fig15_sample = 0 || i = 1 then begin
@@ -1282,7 +1274,7 @@ let pause_unpause () =
     sim (fun () ->
         let machine = Machine.create () in
         let engine = Docker.create machine in
-        match Docker.run engine ~image:Layers.alpine_noop ~name:"c" () with
+        match Docker.run engine ~image:Layers.alpine_noop () with
         | Error _ -> failwith "docker run failed"
         | Ok c ->
             let t0 = Engine.now () in
@@ -2239,9 +2231,7 @@ let resume make bytes =
   | Error e -> Error (Snap.error_to_string e)
   | Ok ((saved : Engine.saved), root) ->
       let partition =
-        match Engine.saved_partitions saved with
-        | None -> `None
-        | Some _ -> `Host
+        if Engine.saved_partitions saved = 0 then `None else `Host
       in
       Ok (sim ~from:saved (fun () -> make partition root))
 

@@ -23,7 +23,8 @@ type labelled = {
     partition of a {!Lightvm_sim.Engine.run_partitioned} — conservative
     synchronization with the modeled top-of-rack switch latency as the
     lookahead — executing on up to [sim_jobs] cores. [`None] runs the
-    identical workload in a plain single-heap {!Lightvm_sim.Engine.run}.
+    identical workload on one heap, partition 0 alone, as
+    {!Lightvm_sim.Engine.run} does.
     Both modes, at any [sim_jobs], produce bit-identical output
     (test/test_partition.ml pins this). *)
 
@@ -139,7 +140,7 @@ val run_plan : ?jobs:int -> plan -> result
     (the cluster with all its guests running, before the drain),
     [serverless] (a host with its warm pool prefilled) and
     [serverless-day] (the prefilled fleet). An image is captured
-    ({!Lightvm_sim.Engine.run_capture}), frozen to bytes
+    ({!Lightvm_sim.Engine.run_partitioned_capture}), frozen to bytes
     ({!Lightvm_sim.Checkpoint.freeze}) and written to disk by
     {!snapshot_to_file}; {!resume_from_file} runs the family's suffix
     from the file in a later process. A suffix run from an image

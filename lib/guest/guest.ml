@@ -73,18 +73,16 @@ let connect_devices t =
           t.devices
       end
 
-let boot_process t ~on_ready () =
+let boot_process t () =
   Xen.consume_guest t.xen ~domid:t.domid t.image.Image.kernel_init_work;
   connect_devices t;
   Xen.consume_guest t.xen ~domid:t.domid t.image.Image.app_init_work;
   t.ready_at <- Some (Engine.now ());
   t.up <- true;
   Engine.Ivar.fill t.ready ();
-  on_ready ();
   idle_loop t t.idle_gen
 
-let start ~xen ~registry ~domid ~image ~devices ?(on_ready = fun () -> ())
-    () =
+let start ~xen ~registry ~domid ~image ~devices () =
   let t =
     {
       xen;
@@ -99,7 +97,7 @@ let start ~xen ~registry ~domid ~image ~devices ?(on_ready = fun () -> ())
       idle_gen = 0;
     }
   in
-  Engine.spawn ~name:("guest-" ^ string_of_int domid) (boot_process t ~on_ready);
+  Engine.spawn ~name:("guest-" ^ string_of_int domid) (boot_process t);
   t
 
 let shutdown t =

@@ -19,7 +19,6 @@ val start :
   domid:int ->
   image:Image.t ->
   devices:Device.config list ->
-  ?on_ready:(unit -> unit) ->
   unit ->
   t
 (** Spawn the guest's boot process (returns immediately). *)

@@ -11,10 +11,8 @@ type t = {
   mutable name : string;
   mutable state : state;
   vcpus : int;
-  mutable max_mem_kb : int;
-  mutable core : int;
-  mutable shell : bool;
-  created_at : float;
+  max_mem_kb : int;
+  core : int;
 }
 
 let make ~domid ~name ~vcpus ~max_mem_kb ~core =
@@ -25,10 +23,6 @@ let make ~domid ~name ~vcpus ~max_mem_kb ~core =
     vcpus;
     max_mem_kb;
     core;
-    shell = false;
-    created_at =
-      (if Lightvm_sim.Engine.running () then Lightvm_sim.Engine.now ()
-       else 0.);
   }
 
 let domid t = t.domid
@@ -39,5 +33,4 @@ let set_state t s = t.state <- s
 let vcpus t = t.vcpus
 let max_mem_kb t = t.max_mem_kb
 let core t = t.core
-let set_shell t b = t.shell <- b
 let is_running t = t.state = Running

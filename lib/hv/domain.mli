@@ -31,6 +31,4 @@ val core : t -> int
 (** Physical core this domain's vCPU is pinned to (round-robin
     assignment at creation, as in the paper's experiments). *)
 
-val set_shell : t -> bool -> unit
-
 val is_running : t -> bool

@@ -21,13 +21,9 @@ let default_size = function
   | Arp_request | Arp_reply | Icmp_echo | Icmp_reply -> 64
   | Udp | Tcp -> 1500
 
-let make ~src ~dst ~kind ?size_b ?(payload = "") ~seq () =
-  let size_b =
-    match size_b with
-    | Some s -> s
-    | None -> default_size kind + String.length payload
-  in
-  { src; dst; kind; size_b; seq; payload }
+let make ~src ~dst ~kind ?(payload = "") ~seq () =
+  { src; dst; kind; size_b = default_size kind + String.length payload; seq;
+    payload }
 
 let kind_to_string = function
   | Arp_request -> "arp-request"

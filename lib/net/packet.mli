@@ -22,10 +22,9 @@ type t = {
 }
 
 val make :
-  src:int -> dst:addr -> kind:kind -> ?size_b:int -> ?payload:string ->
-  seq:int -> unit -> t
-(** Default sizes: 64 B for ARP/ICMP, 1500 B otherwise, plus the
-    payload length. *)
+  src:int -> dst:addr -> kind:kind -> ?payload:string -> seq:int -> unit -> t
+(** Sizes: 64 B for ARP/ICMP, 1500 B otherwise, plus the payload
+    length. *)
 
 val kind_to_string : kind -> string
 

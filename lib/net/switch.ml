@@ -2,7 +2,6 @@ module Engine = Lightvm_sim.Engine
 
 type t = {
   capacity_pps : float;
-  latency : float;
   queue_slots : int;
   handlers : (int, Packet.t -> unit) Hashtbl.t;
   partitions : (int, int) Hashtbl.t; (* port -> partition, when declared *)
@@ -16,11 +15,9 @@ type t = {
 
 let default_latency = 30.0e-6
 
-let create ?(capacity_pps = 300_000.) ?(latency = default_latency)
-    ?(queue_slots = 2048) () =
+let create ?(capacity_pps = 300_000.) ?(queue_slots = 2048) () =
   {
     capacity_pps;
-    latency;
     queue_slots;
     handlers = Hashtbl.create 64;
     partitions = Hashtbl.create 64;
@@ -60,7 +57,7 @@ let refill t =
    latency is exactly the conservative-sync lookahead (see
    DESIGN.md "Parallel simulation"), which is what makes every
    cross-partition post legal. Timing is identical in both modes: the
-   handler process starts [latency] after the send. *)
+   handler process starts [default_latency] after the send. *)
 let deliver t port pkt =
   match Hashtbl.find_opt t.handlers port with
   | None -> ()
@@ -70,8 +67,8 @@ let deliver t port pkt =
       in
       (match Hashtbl.find_opt t.partitions port with
       | Some p when p <> Engine.current_partition () ->
-          Engine.post ~partition:p ~delay:t.latency start
-      | Some _ | None -> ignore (Engine.after t.latency start))
+          Engine.post ~partition:p ~delay:default_latency start
+      | Some _ | None -> ignore (Engine.after default_latency start))
 
 let send t (pkt : Packet.t) =
   refill t;

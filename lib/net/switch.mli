@@ -12,15 +12,15 @@
 type t
 
 val default_latency : float
-(** The default forwarding latency (30 us). Partitioned experiments use
+(** The forwarding latency (30 us). Partitioned experiments use
     this as the conservative-sync lookahead, so every switch-carried
     message legally crosses partitions (see
     {!Lightvm_sim.Engine.run_partitioned}). *)
 
 val create :
-  ?capacity_pps:float -> ?latency:float -> ?queue_slots:int -> unit -> t
-(** Defaults: 300k pps, {!default_latency} forwarding latency, 2048
-    burst slots. *)
+  ?capacity_pps:float -> ?queue_slots:int -> unit -> t
+(** Defaults: 300k pps and 2048 burst slots. Every switch forwards
+    after {!default_latency}. *)
 
 val attach :
   ?partition:int -> t -> port:int -> handler:(Packet.t -> unit) -> unit
@@ -29,8 +29,9 @@ val attach :
     {!Lightvm_sim.Engine.run_partitioned} owns the port: its packets
     are then delivered via {!Lightvm_sim.Engine.post}, so the handler
     runs inside that partition. Delivery timing is identical with or
-    without a partition (the forwarding latency), and a partition
-    declared to a plain run is ignored. *)
+    without a partition (the forwarding latency). The partition must
+    exist in the run that delivers to the port: a delivery to a
+    partition the run lacks raises [Invalid_argument]. *)
 
 val detach : t -> port:int -> unit
 

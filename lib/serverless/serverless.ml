@@ -222,11 +222,8 @@ let vm_invoke host idx service_s =
       (match Vmm.vm_delete host ~domid with Ok () | Error _ -> ());
       true
 
-let container_invoke eng idx service_s =
-  match
-    Docker.run eng ~image:Layers.micropython_image
-      ~name:(fn_name idx) ()
-  with
+let container_invoke eng _idx service_s =
+  match Docker.run eng ~image:Layers.micropython_image () with
   | Error _ -> false
   | Ok c ->
       Engine.sleep service_s;

@@ -10,10 +10,7 @@ type eng = {
   mutable clock : float;
   heap : (unit -> unit) Heap.t;
   mutable stopped : bool;
-  mutable horizon : float; (* [run ~until]; infinity when unbounded *)
-  mutable wend : float;
-      (* current synchronization-window end for partitioned runs;
-         infinity for plain runs and between windows *)
+  mutable wend : float; (* end of the window the partition is running *)
   mutable vwend : float;
       (* end of the current *virtual* fixed-lookahead round. In a
          classic window this equals [wend]; in an adaptively grown
@@ -24,28 +21,13 @@ type eng = {
   mutable limit : float;
       (* earliest foreign event of an adaptively grown window: the
          bound [next_round] admits new virtual rounds against;
-         [neg_infinity] in a classic window, a plain run and between
-         windows *)
+         [neg_infinity] in a classic window *)
   mutable next_pid : int;
       (* per-engine so pid allocation is independent of how partitions
          interleave across worker domains *)
   mutable out_seq : int;
   mutable outbox : out_msg list; (* reversed; merged at the barrier *)
 }
-
-let fresh_eng ?(horizon = infinity) () =
-  {
-    clock = 0.;
-    heap = Heap.create ();
-    stopped = false;
-    horizon;
-    wend = infinity;
-    vwend = infinity;
-    limit = neg_infinity;
-    next_pid = 1;
-    out_seq = 0;
-    outbox = [];
-  }
 
 type token = (unit -> unit) Heap.entry * eng
 
@@ -60,9 +42,10 @@ type trace_hooks = {
   on_wake : pid:int -> unit;
 }
 
-(* A partitioned run: one engine per partition (index 0 is the
-   dom0/global partition, 1..n the declared partitions), coupled only
-   through [post]ed cross-partition messages. *)
+(* A run: one engine per partition (index 0 is the dom0/global
+   partition, 1..n the declared partitions), coupled only through
+   [post]ed cross-partition messages. A single-heap run is partition 0
+   alone with an infinite lookahead. *)
 type pctx = {
   engs : eng array;
   lookahead : float;
@@ -80,15 +63,15 @@ type process_local = ..
 (* All engine bookkeeping is domain-local: a domain drives (at most)
    one engine at a time, and engines on different domains never share
    state, which is what lets Pool run independent experiments in
-   parallel with bit-identical results. Partitioned runs move a
-   partition's engine from domain to domain between windows, so nothing
-   below may close over the [dls] record itself — closures that outlive
-   the current event (continuations, resume functions, spawned thunks)
-   and the shared process handler always re-read [dls ()] at execution
+   parallel with bit-identical results. A run moves a partition's
+   engine from domain to domain between windows, so nothing below may
+   close over the [dls] record itself — closures that outlive the
+   current event (continuations, resume functions, spawned thunks) and
+   the shared process handler always re-read [dls ()] at execution
    time. *)
 type dls = {
-  mutable current : eng option;
-  mutable pctx : pctx option;
+  mutable current : eng option; (* the engine of the window running *)
+  mutable pctx : pctx option; (* and its run; both set or both unset *)
   mutable cur_idx : int; (* partition index the domain is executing *)
   mutable current_pid : int;
   mutable current_pname : string;
@@ -114,14 +97,14 @@ let set_trace_hooks h = (dls ()).hooks <- h
 
 let self_pid () = (dls ()).current_pid
 
-let get_eng () =
-  match (dls ()).current with
-  | Some e -> e
-  | None -> invalid_arg "Sim.Engine: no simulation is running"
+let not_running () = invalid_arg "Sim.Engine: no simulation is running"
+
+let current_eng st =
+  match st.current with Some e -> e | None -> not_running ()
 
 let running () = (dls ()).current <> None
 
-let now () = (get_eng ()).clock
+let now () = (current_eng (dls ())).clock
 
 let current_partition () = (dls ()).cur_idx
 
@@ -138,11 +121,11 @@ let schedule_at eng time thunk =
   Heap.push eng.heap ~time thunk
 
 let at time thunk =
-  let eng = get_eng () in
+  let eng = current_eng (dls ()) in
   (schedule_at eng time thunk, eng)
 
 let after delay thunk =
-  let eng = get_eng () in
+  let eng = current_eng (dls ()) in
   if delay < 0. then invalid_arg "Sim.Engine.after: negative delay";
   (schedule_at eng (eng.clock +. delay) thunk, eng)
 
@@ -232,7 +215,7 @@ let park k register =
          pk_pid = pid;
          pk_name = st.current_pname;
          pk_plocals = st.plocals;
-         pk_home = get_eng ();
+         pk_home = current_eng st;
          pk_fired = false;
        })
 
@@ -262,60 +245,58 @@ let handler =
 let run_body f handler = Effect.Deep.match_with f () handler
 
 let exec plocals name f =
-  let eng = get_eng () in
+  let eng = current_eng (dls ()) in
   let pid = eng.next_pid in
   eng.next_pid <- pid + 1;
   (match (dls ()).hooks with Some h -> h.on_spawn ~pid ~name | None -> ());
   as_process pid name plocals run_body f handler
 
 let spawn ?(name = "anonymous") f =
-  let eng = get_eng () in
+  let eng = current_eng (dls ()) in
   let pl = (dls ()).plocals in
   ignore (schedule_at eng eng.clock (fun () -> exec pl name f))
 
-(* Cross-partition scheduling. Within a partition (or outside any
-   partitioned run) this is just [after]. Across partitions the thunk
-   goes to the source engine's outbox and is merged into the target's
-   heap at the end of the window, so the delay must cover the lookahead
-   — otherwise the target may already have advanced past the arrival
-   time. Merging sorts by (time, source partition, per-source posting
-   order), making cross-partition delivery order a pure function of the
-   workload, independent of [--jobs]. *)
+(* Cross-partition scheduling. Within a partition this is just
+   [after]; a partition the run does not have is an error, in a
+   single-heap run too. Across partitions the thunk goes to the source
+   engine's outbox and is merged into the target's heap at the end of
+   the window, so the delay must cover the lookahead — otherwise the
+   target may already have advanced past the arrival time. Merging
+   sorts by (time, source partition, per-source posting order), making
+   cross-partition delivery order a pure function of the workload,
+   independent of [--jobs]. *)
 let post ~partition ~delay thunk =
   if delay < 0. then invalid_arg "Sim.Engine.post: negative delay";
   let st = dls () in
-  match st.pctx with
-  | None -> ignore (after delay thunk)
-  | Some ctx ->
-      if partition < 0 || partition >= Array.length ctx.engs then
-        invalid_arg
-          (Printf.sprintf "Sim.Engine.post: unknown partition %d" partition);
-      if partition = st.cur_idx then ignore (after delay thunk)
-      else begin
-        if delay < ctx.lookahead then
-          invalid_arg
-            (Printf.sprintf
-               "Sim.Engine.post: cross-partition delay %g below the \
-                lookahead %g"
-               delay ctx.lookahead);
-        let eng = get_eng () in
-        eng.outbox <-
-          {
-            out_time = eng.clock +. delay;
-            out_src = st.cur_idx;
-            out_seq = eng.out_seq;
-            out_target = partition;
-            out_thunk = thunk;
-          }
-          :: eng.outbox;
-        eng.out_seq <- eng.out_seq + 1;
-        (* An adaptively grown window must close at the end of the
-           virtual round that produced the first send, so the message
-           is merged in exactly the batch the fixed-window protocol
-           would merge it in. In a classic window [vwend = wend] and
-           this clamp is a no-op. *)
-        eng.wend <- Float.min eng.wend eng.vwend
-      end
+  let ctx = match st.pctx with Some ctx -> ctx | None -> not_running () in
+  if partition < 0 || partition >= Array.length ctx.engs then
+    invalid_arg
+      (Printf.sprintf "Sim.Engine.post: unknown partition %d" partition);
+  if partition = st.cur_idx then ignore (after delay thunk)
+  else begin
+    if delay < ctx.lookahead then
+      invalid_arg
+        (Printf.sprintf
+           "Sim.Engine.post: cross-partition delay %g below the lookahead \
+            %g"
+           delay ctx.lookahead);
+    let eng = current_eng st in
+    eng.outbox <-
+      {
+        out_time = eng.clock +. delay;
+        out_src = st.cur_idx;
+        out_seq = eng.out_seq;
+        out_target = partition;
+        out_thunk = thunk;
+      }
+      :: eng.outbox;
+    eng.out_seq <- eng.out_seq + 1;
+    (* An adaptively grown window must close at the end of the virtual
+       round that produced the first send, so the message is merged in
+       exactly the batch the fixed-window protocol would merge it in. In
+       a classic window [vwend = wend] and this clamp is a no-op. *)
+    eng.wend <- Float.min eng.wend eng.vwend
+  end
 
 let spawn_in ?(name = "anonymous") ~partition ~delay f =
   post ~partition ~delay (fun () -> exec [] name f)
@@ -339,7 +320,10 @@ let next_round ctx eng t =
            true
          end
 
-let admits ctx eng t = t < eng.wend && (t < eng.vwend || next_round ctx eng t)
+(* Inlined so that callers' float arguments stay unboxed: [sleep]'s
+   wake time is otherwise boxed on every in-place advance. *)
+let[@inline] admits ctx eng t =
+  t < eng.wend && (t < eng.vwend || next_round ctx eng t)
 
 (* Sleeping is the single hottest engine operation (every simulated
    cost charge is a sleep), and a CPU burst on an idle core is a sleep
@@ -351,14 +335,13 @@ let admits ctx eng t = t < eng.wend && (t < eng.vwend || next_round ctx eng t)
    existing entry has time <= wake the pop order is exactly "resume
    this task next". The fast path is skipped when process-lifecycle
    hooks are installed (tracers count park/wake transitions), after
-   [stop] (a parked task must never resume), when waking would cross
-   the [run ~until] horizon (the park-forever behaviour is the contract
-   there), and when the window would not pop the wake entry next
-   ([admits]). In a classic window that is any wake at or past its
-   end: the entry must stay in the heap so the next window's start time
-   accounts for it. In an adaptively grown window a wake past the
-   current virtual round is admitted exactly when the window would
-   admit the wake entry, and it opens the same next round: the
+   [stop] (a parked task must never resume), and when the window would
+   not pop the wake entry next ([admits]). A single-heap run's window
+   admits every finite wake. In a classic window that is any wake at or
+   past its end: the entry must stay in the heap so the next window's
+   start time accounts for it. In an adaptively grown window a wake
+   past the current virtual round is admitted exactly when the window
+   would admit the wake entry, and it opens the same next round: the
    adaptive schedule rebuilds every fixed-window round boundary from
    the events it pops, and the in-place wake is the event the round at
    [wake] would have popped first. *)
@@ -366,20 +349,12 @@ let advance_in_place st eng delay =
   let wake = eng.clock +. delay in
   (match st.hooks with None -> true | Some _ -> false)
   && (not eng.stopped)
-  && wake <= eng.horizon
   && (Heap.is_empty eng.heap || Heap.next_time eng.heap > wake)
-  && (match st.pctx with
-     | None -> wake < eng.vwend
-     | Some ctx -> admits ctx eng wake)
+  && (match st.pctx with Some ctx -> admits ctx eng wake | None -> false)
   && begin
        eng.clock <- wake;
        true
      end
-
-let current_eng st =
-  match st.current with
-  | Some e -> e
-  | None -> invalid_arg "Sim.Engine: no simulation is running"
 
 let try_sleep delay =
   if delay < 0. then invalid_arg "Sim.Engine.try_sleep: negative delay";
@@ -399,12 +374,12 @@ let sleep delay =
   end
 
 let yield_register resume =
-  let eng = get_eng () in
+  let eng = current_eng (dls ()) in
   ignore (schedule_at eng eng.clock resume)
 
 let yield () = suspend yield_register
 
-let stop () = (get_eng ()).stopped <- true
+let stop () = (current_eng (dls ())).stopped <- true
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointable engine state. A quiesced engine is fully described by
@@ -427,10 +402,10 @@ type saved_eng = {
 }
 
 type saved = {
-  sv_lookahead : float option;
-      (* [None] for a plain run; [Some l] for a partitioned run with
-         conservative-sync lookahead [l] *)
-  sv_engs : saved_eng array; (* one per partition; plain runs have one *)
+  sv_lookahead : float;
+      (* the conservative-sync lookahead; [infinity] for a single-heap
+         run *)
+  sv_engs : saved_eng array; (* one per partition, partition 0 first *)
 }
 
 let harvest eng =
@@ -441,17 +416,21 @@ let harvest eng =
     sv_events = Heap.entries eng.heap;
   }
 
-let saved_partitions s =
-  match s.sv_lookahead with
-  | None -> None
-  | Some _ -> Some (Array.length s.sv_engs - 1)
+let saved_partitions s = Array.length s.sv_engs - 1
 
-let restore_eng ?horizon sv =
-  let eng = fresh_eng ?horizon () in
-  eng.clock <- sv.sv_clock;
-  eng.next_pid <- sv.sv_next_pid;
-  eng.out_seq <- sv.sv_out_seq;
-  eng
+(* The window bounds are set by each window that runs the engine. *)
+let restore_eng sv =
+  {
+    clock = sv.sv_clock;
+    heap = Heap.create ();
+    stopped = false;
+    wend = infinity;
+    vwend = infinity;
+    limit = neg_infinity;
+    next_pid = sv.sv_next_pid;
+    out_seq = sv.sv_out_seq;
+    outbox = [];
+  }
 
 (* A fresh engine is the restore of an empty image. *)
 let blank =
@@ -467,51 +446,8 @@ let repush eng sv =
     (fun (time, thunk) -> ignore (Heap.push eng.heap ~time thunk))
     sv.sv_events
 
-(* The one plain event loop, for fresh runs ([blank]) and resumes
-   alike. *)
-let run_eng ?until sv main =
-  let st = dls () in
-  (match st.current with
-  | Some _ -> invalid_arg "Sim.Engine.run: a simulation is already running"
-  | None -> ());
-  let horizon = match until with Some t -> t | None -> infinity in
-  let eng = restore_eng ~horizon sv in
-  ignore (schedule_at eng eng.clock (fun () -> exec [] "main" main));
-  repush eng sv;
-  st.current <- Some eng;
-  Fun.protect
-    ~finally:(fun () -> (dls ()).current <- None)
-    (fun () ->
-      (* Peek ([next_time]) before popping: an event beyond the horizon
-         must stay in the heap, not be popped and dropped — a capture
-         taken from a [~until]-bounded run resumes unbounded and still
-         owes that event. The loop allocates nothing per event:
-         [is_empty]/[next_time]/[pop_payload] replace the option- and
-         pair-returning heap API on this hot path. *)
-      let rec loop () =
-        if eng.stopped || Heap.is_empty eng.heap then ()
-        else begin
-          let time = Heap.next_time eng.heap in
-          if time > horizon then eng.clock <- horizon
-          else begin
-            let thunk = Heap.pop_payload eng.heap in
-            eng.clock <- time;
-            thunk ();
-            loop ()
-          end
-        end
-      in
-      loop ();
-      eng)
-
-let run ?until main = (run_eng ?until blank main).clock
-
-let run_capture ?until main =
-  let eng = run_eng ?until blank main in
-  (eng.clock, { sv_lookahead = None; sv_engs = [| harvest eng |] })
-
 (* ------------------------------------------------------------------ *)
-(* Partitioned runs: conservative-synchronization parallel DES.
+(* Runs: conservative-synchronization parallel DES.
 
    Each round, the coordinator takes T = the earliest pending event
    across all partitions and opens the window [T, T + lookahead): every
@@ -524,7 +460,13 @@ let run_capture ?until main =
    collected messages are merged into the target heaps in (time, source
    partition, per-source order), which the heap's (time, seq) tiebreak
    then preserves: the merged schedule, and hence the whole run, is
-   bit-identical whatever the worker count. *)
+   bit-identical whatever the worker count.
+
+   A single-heap run is the degenerate case: partition 0 alone with
+   [lookahead = infinity]. Its first window [T, infinity) lasts until
+   the heap drains or [stop] is called, so it runs every event in one
+   window with no barrier. The round loop ends a run once the earliest
+   pending event is at [infinity]. *)
 
 (* Run partition [idx] for one window: every event before [eng.wend]
    that the current virtual round admits. A classic window has
@@ -552,13 +494,10 @@ let rec window_loop ctx eng =
     end
   end
 
-let close_window st eng =
+let close_window st =
   st.current <- None;
   st.pctx <- None;
-  st.cur_idx <- 0;
-  eng.wend <- infinity;
-  eng.vwend <- infinity;
-  eng.limit <- neg_infinity
+  st.cur_idx <- 0
 
 let run_window ctx idx ~wend ~vwend ~limit =
   let st = dls () in
@@ -574,12 +513,12 @@ let run_window ctx idx ~wend ~vwend ~limit =
   eng.vwend <- vwend;
   eng.limit <- limit;
   match window_loop ctx eng with
-  | () -> close_window st eng
+  | () -> close_window st
   | exception e ->
-      close_window st eng;
+      close_window st;
       raise e
 
-(* The round loop shared by [run_partitioned] and [resume]: open a
+(* The round loop of every run, fresh or resumed: open a
    window at the earliest pending event, run every partition with work
    in it (possibly on worker domains), then deterministically merge the
    outboxes. With [adaptive] (the default), a round whose base window
@@ -743,12 +682,12 @@ let check_partitioned_args ~lookahead =
 let max_clock ctx =
   Array.fold_left (fun acc e -> Float.max acc e.clock) 0. ctx.engs
 
-(* The one partitioned driver, for fresh runs (every partition
-   [blank]) and resumes alike: as in [run_eng], the main process is
-   pushed into partition 0 before that partition's image events. *)
+(* Every run starts here, fresh (every partition [blank]) or resumed:
+   the main process is pushed into partition 0 before that partition's
+   image events. *)
 let run_ctx ?jobs ~adaptive ~lookahead svs main =
   check_partitioned_args ~lookahead;
-  let engs = Array.map (fun sv -> restore_eng sv) svs in
+  let engs = Array.map restore_eng svs in
   let some_engs = Array.map Option.some engs in
   let rec ctx = { engs; lookahead; some_engs; some_self = Some ctx } in
   let e0 = ctx.engs.(0) in
@@ -764,8 +703,7 @@ let run_partitioned_ctx ?jobs ~adaptive ~lookahead ~partitions main =
 
 let capture_ctx ctx =
   ( max_clock ctx,
-    { sv_lookahead = Some ctx.lookahead; sv_engs = Array.map harvest ctx.engs }
-  )
+    { sv_lookahead = ctx.lookahead; sv_engs = Array.map harvest ctx.engs } )
 
 let run_partitioned ?jobs ?(adaptive = true) ~lookahead ~partitions main =
   max_clock (run_partitioned_ctx ?jobs ~adaptive ~lookahead ~partitions main)
@@ -774,19 +712,18 @@ let run_partitioned_capture ?jobs ?(adaptive = true) ~lookahead ~partitions
     main =
   capture_ctx (run_partitioned_ctx ?jobs ~adaptive ~lookahead ~partitions main)
 
+let run main = run_partitioned ~lookahead:infinity ~partitions:0 main
+
+let run_capture main =
+  run_partitioned_capture ~lookahead:infinity ~partitions:0 main
+
 let resume ?jobs ?(adaptive = true) sv main =
-  match sv.sv_lookahead with
-  | None -> (run_eng sv.sv_engs.(0) main).clock
-  | Some lookahead ->
-      max_clock (run_ctx ?jobs ~adaptive ~lookahead sv.sv_engs main)
+  max_clock
+    (run_ctx ?jobs ~adaptive ~lookahead:sv.sv_lookahead sv.sv_engs main)
 
 let resume_capture ?jobs ?(adaptive = true) sv main =
-  match sv.sv_lookahead with
-  | None ->
-      let eng = run_eng sv.sv_engs.(0) main in
-      (eng.clock, { sv_lookahead = None; sv_engs = [| harvest eng |] })
-  | Some lookahead ->
-      capture_ctx (run_ctx ?jobs ~adaptive ~lookahead sv.sv_engs main)
+  capture_ctx
+    (run_ctx ?jobs ~adaptive ~lookahead:sv.sv_lookahead sv.sv_engs main)
 
 module Ivar = struct
   type 'a state =

@@ -17,13 +17,20 @@
 type token
 (** Handle for a scheduled callback; see {!cancel}. *)
 
-val run : ?until:float -> (unit -> unit) -> float
+val run : (unit -> unit) -> float
 (** [run main] executes [main] as the initial process at virtual time 0
-    and drives the event loop until the queue is empty (or [until] is
-    reached, whichever comes first). Returns the final clock value.
-    Exceptions raised by any process abort the run and propagate.
-    Processes still blocked when the queue drains are dropped — a
-    simulation ends when no more events can fire. *)
+    and drives the event loop until the queue is empty or {!stop} is
+    called. Returns the final clock value. Exceptions raised by any
+    process abort the run and propagate. Processes still blocked when
+    the queue drains are dropped — a simulation ends when no more
+    events can fire.
+
+    A single-heap run is partition 0 of {!run_partitioned} alone, with
+    [lookahead = infinity]: one round loop serves both, with the same
+    rules for {!sleep}, {!post}, capture and resume. Its one window lasts
+    until the heap drains or [stop] is called. Like every run, it ends
+    once its earliest pending event is at [infinity]: that event never
+    runs. *)
 
 val run_partitioned :
   ?jobs:int ->
@@ -43,7 +50,8 @@ val run_partitioned :
     (delay >= lookahead, enforced) and are merged at the window barrier
     in (time, source partition, per-source order) — so the run is
     bit-identical for every [jobs]. [stop] from any partition ends the
-    run at the round boundary. Returns the largest partition clock.
+    run at the round boundary, and so does an earliest pending event
+    at [infinity]. Returns the largest partition clock.
     Tracing hooks only observe windows run on the calling domain; use
     [jobs:1] when tracing.
 
@@ -80,10 +88,11 @@ type saved
     closures over model state; a [saved] value is only as quiesced as
     the run that produced it (see {!Checkpoint.freeze}). *)
 
-val run_capture : ?until:float -> (unit -> unit) -> float * saved
+val run_capture : (unit -> unit) -> float * saved
 (** {!run}, additionally capturing the engine state at exit (after
-    [stop] or queue drain). A capture taken from a [~until]-bounded run
-    resumes unbounded. *)
+    [stop] or queue drain). The capture is that of a partitioned run
+    with no host partitions and an infinite lookahead, so {!resume}
+    runs it single-heap again. *)
 
 val run_partitioned_capture :
   ?jobs:int ->
@@ -98,38 +107,39 @@ val run_partitioned_capture :
 
 val resume : ?jobs:int -> ?adaptive:bool -> saved -> (unit -> unit) -> float
 (** [resume saved main] rebuilds the engine(s) from [saved] and runs
-    [main] as the suffix process in partition 0 at the restored clock.
-    Plain captures resume on a plain engine; partitioned captures
-    resume under the same lookahead with [jobs] workers. Returns the
-    final (largest) clock. A [saved] value may be resumed any number of
-    times, but the closures it holds share model state: to run
-    independent variants, thaw a fresh copy of the frozen image for
-    each ({!Checkpoint.thaw}). *)
+    [main] as the suffix process in partition 0 at the restored clock,
+    under the captured lookahead ([infinity] for a capture of {!run})
+    with [jobs] workers. Returns the final (largest) clock. A [saved]
+    value may be resumed any number of times, but the closures it holds
+    share model state: to run independent variants, thaw a fresh copy
+    of the frozen image for each ({!Checkpoint.thaw}). *)
 
 val resume_capture :
   ?jobs:int -> ?adaptive:bool -> saved -> (unit -> unit) -> float * saved
 (** {!resume} that captures again at exit — the chaining primitive for
     incremental prefixes (boot to N, snapshot, extend to M, snapshot). *)
 
-val saved_partitions : saved -> int option
-(** [None] for a plain capture, [Some n] for a partitioned capture with
-    [n] host partitions. *)
+val saved_partitions : saved -> int
+(** The number of host partitions of the captured run, not counting
+    partition 0: 0 for a capture of {!run}. *)
 
 val current_partition : unit -> int
-(** The partition the calling process/callback runs in; 0 outside
-    partitioned runs (everything is the global partition). *)
+(** The partition the calling process/callback runs in; always 0 in a
+    single-heap {!run}. *)
 
 val partition_count : unit -> int
 (** Number of host partitions of the enclosing {!run_partitioned} (not
-    counting partition 0); 0 in a plain {!run}. *)
+    counting partition 0); 0 in a single-heap {!run}. *)
 
 val post : partition:int -> delay:float -> (unit -> unit) -> unit
 (** Schedule a callback in another partition after [delay] of simulated
-    time. Same-partition posts (and posts in plain runs) are exactly
-    [after delay]. Cross-partition posts require [delay >=] the run's
-    lookahead and are delivered at the next window barrier;
-    [Invalid_argument] otherwise — the switch's modeled latency is the
-    lookahead, so in-model traffic always qualifies. *)
+    time. Same-partition posts are exactly [after delay]. A partition
+    the run does not have raises [Invalid_argument] in every run: a
+    single-heap {!run} has partition 0 only. Cross-partition posts
+    require [delay >=] the run's lookahead and are delivered at the
+    next window barrier; [Invalid_argument] otherwise — the switch's
+    modeled latency is the lookahead, so in-model traffic always
+    qualifies. *)
 
 val spawn_in :
   ?name:string -> partition:int -> delay:float -> (unit -> unit) -> unit

@@ -48,8 +48,9 @@ val pop_payload : 'a t -> 'a
 val next_time : 'a t -> float
 (** The time of the smallest live entry, without allocating an option.
     The caller must check {!is_empty} first — there is no sentinel
-    value, because [infinity] is a legal event time for a heap user
-    with an unbounded horizon.
+    value, because [infinity] is a legal event time: an engine run ends
+    when its earliest pending event is at [infinity] (see
+    {!Engine.run}), which is not the same as an empty heap.
 
     @raise Invalid_argument on a heap with no live entries. *)
 

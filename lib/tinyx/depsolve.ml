@@ -4,7 +4,7 @@ type result = {
   total_kb : int;
 }
 
-let default_blacklist =
+let blacklist =
   [ "dpkg"; "apt"; "debconf"; "perl-base"; "gcc-4.9-base"; "systemd";
     "sysvinit" ]
 
@@ -26,8 +26,7 @@ let closure ~repo roots =
            (Hashtbl.fold (fun name () acc -> name :: acc) seen []))
   | exception Failure msg -> Error msg
 
-let resolve ?(blacklist = default_blacklist) ?(whitelist = []) ~repo ~app
-    () =
+let resolve ?(whitelist = []) ~repo ~app () =
   match Package.find repo app with
   | None -> Error ("unknown application package: " ^ app)
   | Some _ -> (

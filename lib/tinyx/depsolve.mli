@@ -14,7 +14,6 @@ type result = {
 }
 
 val resolve :
-  ?blacklist:string list ->
   ?whitelist:string list ->
   repo:Package.repo ->
   app:string ->

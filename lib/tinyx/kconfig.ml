@@ -82,10 +82,7 @@ let boots config ~platform ~app =
   let required = Data.platform_required platform @ Data.app_required app in
   List.for_all (fun name -> SSet.mem name config) required
 
-let prune ~platform ~app ?candidates config =
-  let candidates =
-    match candidates with Some c -> c | None -> enabled config
-  in
+let prune ~platform ~app config =
   List.fold_left
     (fun (config, iterations) name ->
       if not (SSet.mem name config) then (config, iterations)
@@ -96,4 +93,4 @@ let prune ~platform ~app ?candidates config =
         if boots attempt ~platform ~app then (attempt, iterations + 1)
         else (config, iterations + 1)
       end)
-    (config, 0) candidates
+    (config, 0) (enabled config)

@@ -43,10 +43,9 @@ val boots : config -> platform:Kconfig_types.platform -> app:string -> bool
 val prune :
   platform:Kconfig_types.platform ->
   app:string ->
-  ?candidates:string list ->
   config ->
   config * int
-(** The olddefconfig loop: for each candidate (default: every enabled
-    option), disable, rebuild, test; re-enable only if the test fails.
+(** The olddefconfig loop: for each enabled option, disable, rebuild,
+    test; re-enable only if the test fails.
     Returns the pruned config and the number of rebuild+test
     iterations performed. *)

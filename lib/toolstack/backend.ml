@@ -17,15 +17,13 @@ type t = {
   ctrl : Ctrl.t;
   costs : Costs.t;
   mutable mac_counter : int;
-  mutable connected : int;
   mutable next_ctrl_frame : int;
 }
 
 exception Alloc_failed of string
 
 let create ~xen ~xs ~ctrl ~costs =
-  { xen; xs; ctrl; costs; mac_counter = 0; connected = 0;
-    next_ctrl_frame = 0x1000 }
+  { xen; xs; ctrl; costs; mac_counter = 0; next_ctrl_frame = 0x1000 }
 
 let ctrl t = t.ctrl
 
@@ -95,8 +93,7 @@ let complete_handshake t ~domid (dev : Device.config) xs =
                 *. float_of_int (1 lsl Stdlib.min attempt 6));
               publish_connected (attempt + 1)
           in
-          publish_connected 0;
-          t.connected <- t.connected + 1
+          publish_connected 0
       | _ -> () (* frontend not ready yet; wait for the next event *))
 
 let watch_device t ~domid (dev : Device.config) =
@@ -170,7 +167,6 @@ let precreate_device t ~domid (dev : Device.config) =
       then begin
         Xen.consume_dom0 t.xen t.costs.Costs.backend_connect_work;
         Ctrl.set_back_state page Ctrl.Connected;
-        t.connected <- t.connected + 1;
         match Ctrl.front_port page with
         | Some fport ->
             ignore (Evtchn.notify (Xen.evtchn t.xen) ~domid ~port:fport)

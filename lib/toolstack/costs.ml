@@ -105,4 +105,4 @@ let wan = { default with migration_rtt = 10.0e-3 }
 (* The uniform entry point for all toolstack-side simulated-time costs:
    advances the virtual clock and, when tracing is on, attributes the
    charge to [category] (see Trace.charge). *)
-let charge ~category ?attrs dt = Lightvm_trace.Trace.charge ~category ?attrs dt
+let charge ~category dt = Lightvm_trace.Trace.charge ~category dt

@@ -273,7 +273,6 @@ let prepare env ~mem_mb ~vcpus ~nics ~disks ?breakdown () =
     else reserve ()
   in
   let domid = Domain.domid dom in
-  Domain.set_shell dom true;
   let attrs = phase_attrs env domid in
   (* From here on the domain exists, so any failure — injected or
      natural — must release what has been acquired. The two refs record
@@ -508,7 +507,6 @@ let execute env shell ?config_text ?image_override (cfg : Vmconfig.t)
     phase attrs "phase7:init_devices" (fun () ->
         inject_phase 7;
         Domain.set_name dom cfg.Vmconfig.name;
-        Domain.set_shell dom false;
         if uses_xenstore env then begin
           (* libxl resolves names by scanning every guest, several
              times per command. *)

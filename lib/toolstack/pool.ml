@@ -5,7 +5,6 @@ type 'a t = {
   make : unit -> 'a;
   shells : 'a Queue.t;
   mutable refilling : bool;
-  mutable made : int;
   mutable takes : int;
   mutable hits : int;
 }
@@ -17,19 +16,13 @@ let create ~target ~make =
     make;
     shells = Queue.create ();
     refilling = false;
-    made = 0;
     takes = 0;
     hits = 0;
   }
 
-let build t =
-  let shell = t.make () in
-  t.made <- t.made + 1;
-  shell
-
 let prefill t =
   while Queue.length t.shells < t.target do
-    Queue.add (build t) t.shells
+    Queue.add (t.make ()) t.shells
   done
 
 let size t = Queue.length t.shells
@@ -44,7 +37,7 @@ let take_surplus t =
 
 let rec refill_loop t =
   if Queue.length t.shells < t.target then begin
-    match build t with
+    match t.make () with
     | shell ->
         Queue.add shell t.shells;
         refill_loop t
@@ -71,7 +64,7 @@ let take t =
       shell
   | None ->
       kick_refill t;
-      build t
+      t.make ()
 
 let takes t = t.takes
 let hits t = t.hits

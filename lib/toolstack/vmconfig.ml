@@ -280,9 +280,10 @@ let devices cfg =
 
 let image cfg = Lightvm_guest.Image.find cfg.kernel
 
-let make ?(memory_mb = 4.) ?(vcpus = 1) ?(vifs = []) ?(disks = [])
-    ?(on_crash = "destroy") ~name ~kernel () =
-  { name; kernel; memory_mb; vcpus; vifs; disks; on_crash; extra = [] }
+let make ?(memory_mb = 4.) ?(vcpus = 1) ?(vifs = []) ?(disks = []) ~name
+    ~kernel () =
+  { name; kernel; memory_mb; vcpus; vifs; disks; on_crash = "destroy";
+    extra = [] }
 
 let for_image ?(nics = 1) ?(disks = 0) ~name img =
   let module Image = Lightvm_guest.Image in

@@ -45,7 +45,6 @@ val make :
   ?vcpus:int ->
   ?vifs:string list ->
   ?disks:string list ->
-  ?on_crash:string ->
   name:string ->
   kernel:string ->
   unit ->

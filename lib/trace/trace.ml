@@ -232,8 +232,7 @@ module Span = struct
         raise e
 end
 
-let charge ~category ?(attrs = []) dt =
-  ignore attrs;
+let charge ~category dt =
   if state.enabled && dt > 0. then begin
     (match Hashtbl.find_opt state.charged category with
     | Some r -> r := !r +. dt

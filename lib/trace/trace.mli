@@ -77,7 +77,7 @@ module Counter : sig
   (** Sorted by name. *)
 end
 
-val charge : category:string -> ?attrs:attr list -> float -> unit
+val charge : category:string -> float -> unit
 (** [charge ~category dt] advances the calling process's virtual clock
     by [dt] (exactly like [Engine.sleep dt]) and, when tracing is
     enabled, attributes the charge to [category]. The uniform entry

@@ -120,8 +120,10 @@ type point = {
   rtt_ms : float;
 }
 
-let capacity ?(platform = Params.xeon_e5_2690) ?(per_user_mbps = 10.)
-    ~users () =
+(* Each user offers "typical 4G speeds in busy cells". *)
+let offered_mbps = 10.
+
+let capacity ?(platform = Params.xeon_e5_2690) ~users () =
   let guest_cores = Params.guest_cores platform in
   List.map
     (fun n ->
@@ -133,7 +135,7 @@ let capacity ?(platform = Params.xeon_e5_2690) ?(per_user_mbps = 10.)
             in
             {
               Flow.flow_id = i;
-              offered_bps = per_user_mbps *. 1e6;
+              offered_bps = offered_mbps *. 1e6;
               cpu_per_bit;
               core = i mod guest_cores;
             })

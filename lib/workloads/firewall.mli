@@ -55,11 +55,10 @@ type point = {
 
 val capacity :
   ?platform:Lightvm_hv.Params.platform ->
-  ?per_user_mbps:float ->
   users:int list ->
   unit ->
   point list
 (** For each user count: one firewall VM per user pinned round-robin on
-    the guest cores, each offering [per_user_mbps] (default 10, "typical
-    4G speeds in busy cells"); throughput from max-min fair CPU sharing,
-    RTT from the run-queue length ahead of the ping VM. *)
+    the guest cores, each offering 10 Mb/s ("typical 4G speeds in busy
+    cells"); throughput from max-min fair CPU sharing, RTT from the
+    run-queue length ahead of the ping VM. *)

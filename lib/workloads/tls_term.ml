@@ -25,12 +25,11 @@ let virt_overhead = function
   | Tinyx_vm -> 1.04
   | Unikernel -> 1.02
 
-let per_request_cpu ?(cipher = Tls.rsa_1024) backend =
-  Tls.serve_request_cpu cipher ~stack:(stack_of backend) ~response_kb:0.2
+let per_request_cpu backend =
+  Tls.serve_request_cpu Tls.rsa_1024 ~stack:(stack_of backend) ~response_kb:0.2
   *. virt_overhead backend
 
-let throughput ?(platform = Params.xeon_e5_2690) ?cipher backend
-    ~instances =
+let throughput ?(platform = Params.xeon_e5_2690) backend ~instances =
   if instances <= 0 then 0.
   else begin
     (* Closed-loop clients keep every instance busy; an instance is
@@ -41,7 +40,7 @@ let throughput ?(platform = Params.xeon_e5_2690) ?cipher backend
     let capacity =
       float_of_int busy_cores *. platform.Params.speed
     in
-    capacity /. per_request_cpu ?cipher backend
+    capacity /. per_request_cpu backend
   end
 
 let sweep ?platform backend ~instances =

@@ -15,7 +15,6 @@ val backend_name : backend -> string
 
 val throughput :
   ?platform:Lightvm_hv.Params.platform ->
-  ?cipher:Lightvm_net.Tls.cipher ->
   backend ->
   instances:int ->
   float

@@ -87,4 +87,4 @@ let message_cost p ~payload_bytes =
 (* The uniform entry point for all simulated-time XenStore costs:
    advances the virtual clock and, when tracing is on, attributes the
    charge to [category] (see Trace.charge). *)
-let charge ~category ?attrs dt = Lightvm_trace.Trace.charge ~category ?attrs dt
+let charge ~category dt = Lightvm_trace.Trace.charge ~category dt

@@ -1,5 +1,4 @@
 type t = {
-  files : int;
   rotate_lines : int;
   on : bool;
   mutable current : int;
@@ -7,10 +6,11 @@ type t = {
   mutable rotations : int;
 }
 
-let create ?(files = 20) ?(rotate_lines = 13_215) ~enabled () =
-  if files < 1 then invalid_arg "Xs_logging.create: files < 1";
+let files = 20
+
+let create ?(rotate_lines = 13_215) ~enabled () =
   if rotate_lines < 1 then invalid_arg "Xs_logging.create: rotate_lines < 1";
-  { files; rotate_lines; on = enabled; current = 0; total = 0; rotations = 0 }
+  { rotate_lines; on = enabled; current = 0; total = 0; rotations = 0 }
 
 let enabled t = t.on
 
@@ -29,4 +29,3 @@ let log_access t ~lines =
 
 let total_lines t = t.total
 let rotations t = t.rotations
-let files t = t.files

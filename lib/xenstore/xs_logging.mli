@@ -7,8 +7,12 @@
 
 type t
 
-val create : ?files:int -> ?rotate_lines:int -> enabled:bool -> unit -> t
-(** Defaults follow the paper: 20 files, 13,215 lines per file. *)
+val files : int
+(** Size of the rotation ring, 20 files as in the paper; rotation cost
+    scales with it. *)
+
+val create : ?rotate_lines:int -> enabled:bool -> unit -> t
+(** The default follows the paper: 13,215 lines per file. *)
 
 val enabled : t -> bool
 
@@ -19,6 +23,3 @@ val log_access : t -> lines:int -> bool
 val total_lines : t -> int
 
 val rotations : t -> int
-
-val files : t -> int
-(** Size of the rotation ring; rotation cost scales with it. *)

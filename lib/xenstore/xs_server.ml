@@ -54,13 +54,11 @@ type t = {
   mutable next_txid : int;
   quota_nodes : int;
   counters : counters;
-  register_watch_cb : Xs_watch.event -> unit;
   mutable name_idx : (string * Xs_perms.t) option NMap.t;
   mutable name_idx_gen : int; (* store generation it mirrors; -1 = stale *)
 }
 
-let create ?(profile = Xs_costs.oxenstored) ?(quota_nodes = 1000)
-    ?(register_watch_cb = fun _ -> ()) () =
+let create ?(profile = Xs_costs.oxenstored) ?(quota_nodes = 1000) () =
   {
     profile;
     store = Xs_store.create ();
@@ -80,7 +78,6 @@ let create ?(profile = Xs_costs.oxenstored) ?(quota_nodes = 1000)
         uniqueness_cmps = 0;
         busy_time = 0.;
       };
-    register_watch_cb;
     name_idx = NMap.empty;
     name_idx_gen = -1;
   }
@@ -118,7 +115,7 @@ let charge_logging t =
   let cost =
     if rotated then
       cost
-      +. (float_of_int (Xs_logging.files t.log)
+      +. (float_of_int Xs_logging.files
           *. p.Xs_costs.log_rotate_per_file)
     else cost
   in
@@ -609,7 +606,10 @@ let watch t ~caller ~path ~token ~deliver =
               deliver { Xs_watch.event_path = path; token });
           Ok_unit))
 
-let transaction t ~caller ?(max_retries = 8) f =
+(* Conflicted commits retried before [transaction] gives up. *)
+let max_retries = 8
+
+let transaction t ~caller f =
   let rec attempt n =
     match op t ~caller Transaction_start with
     | Ok_txid txid -> (
@@ -684,7 +684,7 @@ let handle_packet t ~caller buf =
           match args with
           | [ p; token ] ->
               watch t ~caller ~path:(Xs_path.of_string p) ~token
-                ~deliver:t.register_watch_cb
+                ~deliver:ignore
           | _ -> Err Xs_error.EINVAL)
       | Xs_wire.Unwatch -> (
           match args with

@@ -51,7 +51,6 @@ type counters = {
 val create :
   ?profile:Xs_costs.profile ->
   ?quota_nodes:int ->
-  ?register_watch_cb:(Xs_watch.event -> unit) ->
   unit ->
   t
 (** Defaults: {!Xs_costs.oxenstored}, 1000-node per-domain quota. *)
@@ -100,19 +99,18 @@ val watch :
     [Ok_unit]. *)
 
 val transaction :
-  t -> caller:int -> ?max_retries:int -> (int -> ('a, Xs_error.t) result) ->
+  t -> caller:int -> (int -> ('a, Xs_error.t) result) ->
   ('a, Xs_error.t) result
 (** [transaction t ~caller f] runs [f txid], committing afterwards and
     retrying the whole body on [EAGAIN] (the paper's retried
-    transactions) with exponential client-side backoff, up to
-    [max_retries] (default 8) — after which [Error EAGAIN] is
-    returned. An [Error] from the body itself aborts the transaction
-    and is returned without retrying. Conflicts may be natural (a
-    concurrent commit bumped the store generation) or injected via the
-    [xs.eagain] fault point; both take the same retry path. *)
+    transactions) with exponential client-side backoff, up to 8 times
+    — after which [Error EAGAIN] is returned. An [Error] from the body
+    itself aborts the transaction and is returned without retrying.
+    Conflicts may be natural (a concurrent commit bumped the store
+    generation) or injected via the [xs.eagain] fault point; both take
+    the same retry path. *)
 
 val handle_packet : t -> caller:int -> bytes -> bytes
 (** Wire-level entry point: decode a {!Xs_wire} packet, perform the
     operation, encode the reply (with matching [req_id]/[tx_id]). Watch
-    registrations through this interface deliver events to
-    [register_watch_cb] given at {!create} (default: dropped). *)
+    registrations through this interface drop their events. *)

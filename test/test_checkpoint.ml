@@ -304,8 +304,10 @@ let test_not_quiesced () =
   (* A process asleep across the capture point parks an effect
      continuation in the heap: not a legal checkpoint. *)
   let _, saved =
-    Engine.run_capture ~until:1.0 (fun () ->
-        Engine.spawn ~name:"sleeper" (fun () -> Engine.sleep 10.))
+    Engine.run_capture (fun () ->
+        Engine.spawn ~name:"sleeper" (fun () -> Engine.sleep 10.);
+        Engine.sleep 1.0;
+        Engine.stop ())
   in
   match Checkpoint.freeze saved with
   | Error (Checkpoint.Not_quiesced _) -> ()

@@ -34,9 +34,7 @@ let test_docker_run_time =
       let machine = Machine.create () in
       let engine = Docker.create machine in
       let t0 = Engine.now () in
-      (match
-         Docker.run engine ~image:Layers.micropython_image ~name:"c1" ()
-       with
+      (match Docker.run engine ~image:Layers.micropython_image () with
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "run failed");
       let dt = Engine.now () -. t0 in
@@ -50,9 +48,7 @@ let test_docker_pause_unpause =
   in_sim (fun () ->
       let machine = Machine.create () in
       let engine = Docker.create machine in
-      match
-        Docker.run engine ~image:Layers.alpine_noop ~name:"c" ()
-      with
+      match Docker.run engine ~image:Layers.alpine_noop () with
       | Error _ -> Alcotest.fail "run failed"
       | Ok c ->
           let t0 = Engine.now () in
@@ -70,11 +66,8 @@ let test_docker_memory_scaling =
       let machine = Machine.create () in
       let engine = Docker.create machine in
       let before = Docker.rss_kb engine in
-      for i = 1 to 100 do
-        match
-          Docker.run engine ~image:Layers.micropython_image
-            ~name:(Printf.sprintf "c%d" i) ()
-        with
+      for _ = 1 to 100 do
+        match Docker.run engine ~image:Layers.micropython_image () with
         | Ok _ -> ()
         | Error _ -> Alcotest.fail "run failed"
       done;
@@ -94,14 +87,12 @@ let test_docker_wedges_when_full =
       let platform = { Params.xeon_e5_1630 with Params.ram_mb = 4096 } in
       let machine = Machine.create ~platform () in
       let engine = Docker.create machine in
-      (match
-         Docker.run engine ~image:Layers.alpine_noop ~name:"c0" ()
-       with
+      (match Docker.run engine ~image:Layers.alpine_noop () with
       | Error Docker.Out_of_memory -> ()
       | Error Docker.Engine_wedged -> Alcotest.fail "wedged too early"
       | Ok _ -> Alcotest.fail "run should have failed");
       Alcotest.(check bool) "engine wedged" true (Docker.wedged engine);
-      match Docker.run engine ~image:Layers.alpine_noop ~name:"c1" () with
+      match Docker.run engine ~image:Layers.alpine_noop () with
       | Error Docker.Engine_wedged -> ()
       | _ -> Alcotest.fail "wedged engine accepted work")
 
@@ -109,9 +100,7 @@ let test_docker_stop_releases =
   in_sim (fun () ->
       let machine = Machine.create () in
       let engine = Docker.create machine in
-      match
-        Docker.run engine ~image:Layers.alpine_noop ~name:"c" ()
-      with
+      match Docker.run engine ~image:Layers.alpine_noop () with
       | Error _ -> Alcotest.fail "run failed"
       | Ok c ->
           let with_c = Docker.rss_kb engine in
@@ -128,10 +117,9 @@ let test_process_create_times =
       let machine = Machine.create () in
       let procs = Process.create machine ~rng:(Rng.create 42L) in
       let times =
-        List.init 300 (fun i ->
+        List.init 300 (fun _ ->
             let t0 = Engine.now () in
-            ignore
-              (Process.fork_exec procs ~name:(Printf.sprintf "p%d" i) ());
+            ignore (Process.fork_exec procs ());
             Engine.now () -. t0)
       in
       let mean =
@@ -152,7 +140,7 @@ let test_process_kill =
   in_sim (fun () ->
       let machine = Machine.create () in
       let procs = Process.create machine ~rng:(Rng.create 1L) in
-      let p = Process.fork_exec procs ~name:"x" () in
+      let p = Process.fork_exec procs () in
       Alcotest.(check int) "running" 1 (Process.running procs);
       Alcotest.(check bool) "rss accounted" true (Process.rss_kb procs > 0);
       Process.kill procs p;

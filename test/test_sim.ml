@@ -160,17 +160,6 @@ let test_after_and_cancel () =
   Alcotest.(check (list int)) "only uncancelled fire" [ 1; 3 ]
     (List.rev !fired)
 
-let test_run_until () =
-  let final =
-    Engine.run ~until:2.5 (fun () ->
-        let rec tick () =
-          Engine.sleep 1.0;
-          tick ()
-        in
-        tick ())
-  in
-  check_time "stops at horizon" 2.5 final
-
 let test_no_nested_run () =
   ignore
     (Engine.run (fun () ->
@@ -185,6 +174,18 @@ let test_past_scheduling_rejected () =
          match Engine.at 1.0 (fun () -> ()) with
          | _ -> Alcotest.fail "expected Invalid_argument"
          | exception Invalid_argument _ -> ()))
+
+(* A single-heap run is partition 0 alone: a post to a partition the
+   run does not have is rejected there exactly as in a partitioned
+   run. *)
+let test_post_unknown_partition () =
+  let post_to_3 () =
+    Alcotest.check_raises "post to partition 3"
+      (Invalid_argument "Sim.Engine.post: unknown partition 3")
+      (fun () -> Engine.post ~partition:3 ~delay:1.0 ignore)
+  in
+  ignore (Engine.run post_to_3);
+  ignore (Engine.run_partitioned ~lookahead:0.1 ~partitions:2 post_to_3)
 
 (* ------------------------------------------------------------------ *)
 (* Engine allocation and lifecycle hooks *)
@@ -246,25 +247,40 @@ let test_spawn_words () =
 (* Two partitions' timer chains half a period apart with a lookahead
    far below the gap: every event is a round of its own, and the next
    one belongs to the other partition. The same chains on one heap run
-   the same events without windows, so the difference is what a window
+   the same events in one window, so the difference is what a window
    switch costs. *)
 let rec tick n () = if n > 0 then ignore (Engine.after 1.0 (tick (n - 1)))
-
-let two_chains n () =
-  Engine.post ~partition:1 ~delay:0.5 (tick n);
-  Engine.post ~partition:2 ~delay:1.0 (tick n)
 
 let test_window_words () =
   let partitioned n () =
     ignore
-      (Engine.run_partitioned ~lookahead:0.1 ~partitions:2 (two_chains n))
+      (Engine.run_partitioned ~lookahead:0.1 ~partitions:2 (fun () ->
+           Engine.post ~partition:1 ~delay:0.5 (tick n);
+           Engine.post ~partition:2 ~delay:1.0 (tick n)))
   in
-  let one_heap n () = ignore (Engine.run (two_chains n)) in
+  let one_heap n () =
+    ignore
+      (Engine.run (fun () ->
+           ignore (Engine.after 0.5 (tick n));
+           ignore (Engine.after 1.0 (tick n))))
+  in
   (* [n] more ticks per chain are [2n] more windows. *)
   let window =
     (per_unit ~n:1000 partitioned -. per_unit ~n:1000 one_heap) /. 2.
   in
   check_ceiling "window switch" ~ceiling:32. window
+
+(* A lone sleeper advances the clock in place: each sleep stores the
+   new clock, one boxed float, and allocates nothing else. *)
+let test_lone_sleep_words () =
+  let sleeper n () =
+    ignore
+      (Engine.run (fun () ->
+           for _ = 1 to n do
+             Engine.sleep 1.0
+           done))
+  in
+  check_ceiling "lone sleep" ~ceiling:3. (per_unit ~n:1000 sleeper)
 
 (* Lone bursts on an idle core finish in place: no job, ivar, timer or
    park. *)
@@ -665,16 +681,18 @@ let suites =
         Alcotest.test_case "ivar blocks and wakes" `Quick test_ivar_blocks;
         Alcotest.test_case "ivar double fill" `Quick test_ivar_double_fill;
         Alcotest.test_case "after and cancel" `Quick test_after_and_cancel;
-        Alcotest.test_case "run until horizon" `Quick test_run_until;
         Alcotest.test_case "no nested run" `Quick test_no_nested_run;
         Alcotest.test_case "past scheduling rejected" `Quick
           test_past_scheduling_rejected;
+        Alcotest.test_case "post to an unknown partition" `Quick
+          test_post_unknown_partition;
       ] );
     ( "sim.engine.cost",
       [
         Alcotest.test_case "park words" `Quick test_park_words;
         Alcotest.test_case "spawn words" `Quick test_spawn_words;
         Alcotest.test_case "window switch words" `Quick test_window_words;
+        Alcotest.test_case "lone sleep words" `Quick test_lone_sleep_words;
         Alcotest.test_case "lone burst words" `Quick test_burst_words;
         Alcotest.test_case "cross-round sleep words" `Quick
           test_cross_round_sleep_words;
