@@ -7,7 +7,6 @@ module Xen = Lightvm_hv.Xen
 
 type t = {
   nodes : Vmm.t array;
-  partitioned : bool;
   hosts_per_rack : int;
   sched : Scheduler.t;
   net : Switch.t;
@@ -29,7 +28,6 @@ let rack_of t i =
 
 let policy t = Scheduler.policy t.sched
 let switch t = t.net
-let partitioned t = t.partitioned
 
 let vm_count t =
   Array.fold_left (fun acc h -> acc + Vmm.vm_count h) 0 t.nodes
@@ -59,19 +57,18 @@ let warm h =
       (match Vmm.vm_boot h ~domid with Ok () | Error _ -> ());
       ignore (Vmm.vm_delete h ~domid)
 
-let create ~hosts:n ?(racks = 1) ?(partitioned = false) ?platform ?mode
-    ?xs_profile ?costs ?pool_target ~policy () =
+let create ~hosts:n ?(racks = 1) ?mode ?pool_target ~policy () =
   if n < 1 then invalid_arg "Cluster.create: hosts must be >= 1";
   if racks < 1 || racks > n then
     invalid_arg "Cluster.create: racks must be in 1..hosts";
-  if partitioned && Engine.partition_count () < n then
+  let partitions = Engine.partition_count () in
+  let partitioned = partitions > 0 in
+  if partitioned && partitions < n then
     invalid_arg
-      "Cluster.create: partitioned cluster needs run_partitioned with at \
-       least one partition per host";
+      "Cluster.create: a partitioned run needs at least one host \
+       partition per host";
   let nodes =
-    Array.init n (fun i ->
-        Vmm.create ~host_id:i ?platform ?mode ?xs_profile ?costs ?pool_target
-          ())
+    Array.init n (fun i -> Vmm.create ~host_id:i ?mode ?pool_target ())
   in
   let net = Switch.create () in
   let rx = Array.make n 0 in
@@ -93,7 +90,6 @@ let create ~hosts:n ?(racks = 1) ?(partitioned = false) ?platform ?mode
   Array.iter warm nodes;
   {
     nodes;
-    partitioned;
     hosts_per_rack = (n + racks - 1) / racks;
     sched = Scheduler.make policy;
     net;

@@ -26,11 +26,7 @@ type t
 val create :
   hosts:int ->
   ?racks:int ->
-  ?partitioned:bool ->
-  ?platform:Lightvm_hv.Params.platform ->
   ?mode:Lightvm_toolstack.Mode.t ->
-  ?xs_profile:Lightvm_xenstore.Xs_costs.profile ->
-  ?costs:Lightvm_toolstack.Costs.t ->
   ?pool_target:int ->
   policy:Scheduler.policy ->
   unit ->
@@ -45,19 +41,21 @@ val create :
     would look like a phantom on a fresh destination (see DESIGN.md
     "Failure model").
 
-    [partitioned] (default [false]) declares host [i] the owner of
-    partition [i + 1] of the enclosing {!Lightvm_sim.Engine.run_partitioned}
-    (partition 0 is the control plane, where [create] runs): the host's
-    switch port then delivers into its partition, and callers dispatch
-    per-host work there with {!Lightvm_sim.Engine.spawn_in} on
-    partition [i + 1]. Timelines are bit-identical to an unpartitioned
-    cluster as long as per-host work touches only that host's state and
-    cross-host effects travel via the switch or completion posts (see
-    DESIGN.md "Parallel simulation").
+    Inside a {!Lightvm_sim.Engine.run_partitioned} with host partitions
+    ({!Lightvm_sim.Engine.partition_count} [> 0]), host [i] owns
+    partition [i + 1] (partition 0 is the control plane, where [create]
+    runs): the host's switch port delivers into its partition, and
+    callers dispatch per-host work there with
+    {!Lightvm_sim.Engine.spawn_in} on partition [i + 1]. In a run
+    without host partitions every port delivers on partition 0.
+    Timelines are bit-identical either way as long as per-host work
+    touches only that host's state and cross-host effects travel via
+    the switch or completion posts (see DESIGN.md "Parallel
+    simulation").
 
     @raise Invalid_argument when [hosts < 1], [racks] is not in
-    [1..hosts], or [partitioned] is set outside a [run_partitioned]
-    with at least [hosts] partitions. *)
+    [1..hosts], or the run has host partitions but fewer than
+    [hosts]. *)
 
 val host : t -> int -> Vmm.t
 (** The lifecycle endpoint of host [i].
@@ -73,15 +71,14 @@ val switch : t -> Lightvm_net.Switch.t
     live here). Shared state: in a partitioned run, send only from
     partition 0 (see {!Lightvm_net.Switch.send}). *)
 
-val partitioned : t -> bool
-
 val vm_count : t -> int
 (** Live VMs across all hosts. *)
 
 val views : t -> Scheduler.host_view list
 (** The scheduler's current picture of the cluster, by host id. Each
-    view costs O(1): the host's VM count and free memory are counters,
-    the same numbers {!Vmm.host_info} reports. *)
+    view costs O(1): the host's VM count is the size of its
+    {!Vmm} registry ({!Vmm.vm_count}) and its free memory the
+    hypervisor's frame counter. *)
 
 (** {1 Placement} *)
 

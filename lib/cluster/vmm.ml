@@ -68,20 +68,9 @@ type vm_counters = {
 
 type ping = { pg_version : string; pg_host_id : int; pg_vm_count : int }
 
-type host_info = {
-  hi_host_id : int;
-  hi_platform : string;
-  hi_mode : string;
-  hi_vm_count : int;
-  hi_shell_count : int;
-  hi_free_mem_kb : int;
-  hi_total_mem_kb : int;
-  hi_guest_mem_kb : int;
-}
-
-(* Per-VM API-side bookkeeping. [created] is the pipeline handle;
-   [awaited] distinguishes a VM whose guest has been waited for (so a
-   resume returns it to [Running] rather than [Created]). *)
+(* One live VM. [created] is the pipeline handle; [awaited]
+   distinguishes a VM whose guest has been waited for (so a resume
+   returns it to [Running] rather than [Created]). *)
 type vm_record = {
   created : Create.created;
   t_created : float;  (* Engine.now at registration, for boot_s *)
@@ -90,6 +79,10 @@ type vm_record = {
   mutable boot_s : float;
 }
 
+(* [vms] is the host's VM registry, keyed by domid: a VM enters it when
+   its creation, restore or incoming migration returns and leaves it
+   when it is deleted, snapshotted or migrated away. Domids are never
+   reused, so nothing else may keep a per-domid entry. *)
 type t = {
   host_id : int;
   xen : Xen.t;
@@ -108,8 +101,7 @@ let xen t = t.xen
 let toolstack t = t.ts
 let mode t = Toolstack.mode t.ts
 let platform t = Xen.platform t.xen
-let host_id t = t.host_id
-let vm_count t = Toolstack.vm_count t.ts
+let vm_count t = Hashtbl.length t.vms
 
 let fresh_name t image =
   t.counter <- t.counter + 1;
@@ -128,35 +120,10 @@ let override_for image =
   | Some registered when registered == image -> None
   | _ -> Some image
 
-let adopt_record (created : Create.created) =
-  (* A VM registered behind the API's back (restore or an incoming
-     migration through the toolstack plumbing): synthesise its record
-     from the guest's own state so every endpoint still works on it. *)
-  let booted = Guest.booted created.Create.guest in
-  {
-    created;
-    t_created = Engine.now ();
-    state = (if booted then Running else Created);
-    awaited = booted;
-    boot_s = (if booted then Guest.boot_time created.Create.guest else 0.);
-  }
-
-(* The toolstack registry is the source of truth for which domains are
-   alive; the API table only carries lifecycle state on top of it. A
-   domid the toolstack no longer knows is dropped, an unknown one is
-   adopted. *)
 let lookup t ~domid =
-  match Toolstack.vm t.ts ~domid with
-  | None ->
-      Hashtbl.remove t.vms domid;
-      Error (Vm_not_found domid)
-  | Some created -> (
-      match Hashtbl.find_opt t.vms domid with
-      | Some r when r.created == created -> Ok r
-      | _ ->
-          let r = adopt_record created in
-          Hashtbl.replace t.vms domid r;
-          Ok r)
+  match Hashtbl.find_opt t.vms domid with
+  | Some r -> Ok r
+  | None -> Error (Vm_not_found domid)
 
 let info_of (r : vm_record) =
   let cfg = r.created.Create.config in
@@ -189,21 +156,9 @@ let register t (created : Create.created) =
 
 let ping t =
   { pg_version = api_version; pg_host_id = t.host_id;
-    pg_vm_count = Toolstack.vm_count t.ts }
+    pg_vm_count = vm_count t }
 
 let guest_mem_kb t = Xen.guest_mem_kb t.xen
-
-let host_info t =
-  {
-    hi_host_id = t.host_id;
-    hi_platform = (Xen.platform t.xen).Params.name;
-    hi_mode = Mode.name (Toolstack.mode t.ts);
-    hi_vm_count = Toolstack.vm_count t.ts;
-    hi_shell_count = Toolstack.shell_count t.ts;
-    hi_free_mem_kb = Xen.free_mem_kb t.xen;
-    hi_total_mem_kb = Xen.total_mem_kb t.xen;
-    hi_guest_mem_kb = guest_mem_kb t;
-  }
 
 let vm_create t req =
   let cfg =
@@ -225,13 +180,13 @@ let vm_boot t ~domid =
       | Paused -> Error (Vm_bad_state { domid; state = Paused; op = "vm.boot" })
       | Running -> Ok ()
       | Created ->
+          (* Only a VM never awaited is [Created] ([vm_resume] returns an
+             awaited one to [Running]). [t_created] is stamped when the
+             creation call returns, so this is exactly the guest-boot
+             wait. *)
           Guest.wait_ready r.created.Create.guest;
-          if not r.awaited then begin
-            (* [t_created] is stamped when the creation call returns, so
-               this is exactly the guest-boot wait. *)
-            r.boot_s <- Engine.now () -. r.t_created;
-            r.awaited <- true
-          end;
+          r.boot_s <- Engine.now () -. r.t_created;
+          r.awaited <- true;
           r.state <- Running;
           Ok ())
 
@@ -296,12 +251,10 @@ let vm_counters t ~domid =
     (lookup t ~domid)
 
 let vm_list t =
-  List.filter_map
-    (fun (c : Create.created) ->
-      match lookup t ~domid:c.Create.domid with
-      | Ok r -> Some (info_of r)
-      | Error _ -> None)
-    (Toolstack.vms t.ts)
+  Hashtbl.fold (fun _ r acc -> r :: acc) t.vms []
+  |> List.sort (fun a b ->
+         Int.compare a.created.Create.domid b.created.Create.domid)
+  |> List.map info_of
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot, restore, migration *)
@@ -339,10 +292,6 @@ let vm_migrate ~src ~dst ~domid =
 
 let prefill_pool t image ~nics ~disks =
   Toolstack.prefill_pool t.ts
-    (config_for t ~name:"pool-template" ~nics ~disks image)
-
-let pool_size t image ~nics ~disks =
-  Toolstack.pool_size t.ts
     (config_for t ~name:"pool-template" ~nics ~disks image)
 
 let pool_target t image ~nics ~disks =

@@ -4,16 +4,24 @@
     hypervisor, XenStore daemon, Dom0 backends and toolstack — exposed
     through a cloud-hypervisor-shaped surface: [ping], [vm_create],
     [vm_boot], [vm_pause]/[vm_resume], [vm_delete], [vm_info],
-    [vm_counters], [host_info], plus [vm_snapshot]/[vm_restore] and
+    [vm_counters], [vm_list], plus [vm_snapshot]/[vm_restore] and
     [vm_migrate] (the [vm.send-migration] analogue). Every operation
     takes and returns typed records and reports failure as a structured
     {!type-error} instead of letting toolstack exceptions escape.
 
-    This module is the {e only} public entry point for VM lifecycle
-    operations: experiments, the CLI, the bench harness and the cluster
-    control plane all go through it. The API layer itself charges no
-    simulated time — costs are exactly the underlying toolstack's, so
-    lifecycle timings are bit-identical to direct toolstack calls. *)
+    A [Vmm.t] is also the host's VM registry: one table keyed by domid
+    holds every live VM with its lifecycle state, and experiments name
+    a VM by its domid alone. The toolstack below keeps no table of its
+    own. A VM enters the registry when {!vm_create}, {!vm_restore} or
+    an incoming {!vm_migrate} returns, and leaves it on {!vm_delete},
+    {!vm_snapshot} or an outgoing {!vm_migrate}, including one that
+    returns [Vm_migration_failed].
+
+    This module is the public entry point for VM lifecycle operations:
+    experiments, the CLI, the bench harness and the cluster control
+    plane all go through it. The API layer itself charges no simulated
+    time — costs are exactly the underlying toolstack's, so lifecycle
+    timings are bit-identical to direct toolstack calls. *)
 
 type t
 (** A host's management endpoint. *)
@@ -114,25 +122,10 @@ type ping = {
   pg_vm_count : int;
 }
 
-type host_info = {
-  hi_host_id : int;
-  hi_platform : string;
-  hi_mode : string;
-  hi_vm_count : int;
-  hi_shell_count : int;
-      (** pre-created split-toolstack shells (paused domains) *)
-  hi_free_mem_kb : int;
-  hi_total_mem_kb : int;
-  hi_guest_mem_kb : int;
-      (** memory held by guests, excluding Dom0/Xen *)
-}
-
 (** {1 The lifecycle API} *)
 
 val ping : t -> ping
 (** Liveness probe; free (charges no simulated time). *)
-
-val host_info : t -> host_info
 
 val vm_create : t -> vm_create_request -> (vm_info, error) result
 (** Run the full creation pipeline for the request (in split mode,
@@ -163,6 +156,7 @@ val vm_list : t -> vm_info list
 (** Live VMs by ascending domid. *)
 
 val vm_count : t -> int
+(** Live VMs on this host: the size of the registry. *)
 
 (** {1 Snapshot, restore, migration} *)
 
@@ -203,8 +197,6 @@ val mode : t -> Lightvm_toolstack.Mode.t
 
 val platform : t -> Lightvm_hv.Params.platform
 
-val host_id : t -> int
-
 val guest_mem_kb : t -> int
 (** Memory held by guests (excluding Dom0/Xen), for the Fig 14
     accounting. *)
@@ -213,9 +205,6 @@ val prefill_pool :
   t -> Lightvm_guest.Image.t -> nics:int -> disks:int -> unit
 (** Warm the split-toolstack shell pool for this image's flavor up to
     the pool target (no-op unless the mode is split). *)
-
-val pool_size : t -> Lightvm_guest.Image.t -> nics:int -> disks:int -> int
-(** Pre-created shells currently queued for this image's flavor. *)
 
 val pool_target :
   t -> Lightvm_guest.Image.t -> nics:int -> disks:int -> int

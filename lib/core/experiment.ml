@@ -156,38 +156,31 @@ let fan_out_hosts layout work =
    the cluster library's Vmm API (the public lifecycle surface). The
    helpers reproduce the measurement arithmetic of the original inline
    implementations exactly — t0 / now-.t0 / now-.t0-.t_create — so the
-   digest-pinned renders are bit-identical to the pre-API code. The
-   returned [Create.created] handle feeds the bodies that reach into
-   toolstack internals (breakdown categories, checkpoint victims). *)
-
-let vmm_created host (vi : Vmm.vm_info) =
-  match Toolstack.vm (Vmm.toolstack host) ~domid:vi.Vmm.vi_domid with
-  | Some created -> created
-  | None -> assert false
+   digest-pinned renders are bit-identical to the pre-API code. A VM is
+   named by its domid, the key of the host's registry. *)
 
 let vm_create_exn host ?name ?nics ?disks image =
   match Vmm.vm_create host (Vmm.vm_request ?name ?nics ?disks image) with
-  | Ok vi -> vmm_created host vi
+  | Ok vi -> vi.Vmm.vi_domid
   | Error (Vmm.Vm_create_failed msg) -> raise (Create.Create_failed msg)
   | Error e -> raise (Create.Create_failed (Vmm.error_to_string e))
 
-(* Create a VM and block until its guest is up. *)
+(* Create a VM and block until its guest is up; its domid. *)
 let launch host ?name ?nics ?disks image =
-  let created = vm_create_exn host ?name ?nics ?disks image in
-  ignore (Vmm.vm_boot host ~domid:created.Create.domid);
-  created
+  let domid = vm_create_exn host ?name ?nics ?disks image in
+  ignore (Vmm.vm_boot host ~domid);
+  domid
 
-(* [(vm, create_seconds, boot_seconds)]. *)
+(* [(domid, create_seconds, boot_seconds)]. *)
 let launch_timed host ?name ?nics ?disks image =
   let t0 = Engine.now () in
-  let created = vm_create_exn host ?name ?nics ?disks image in
+  let domid = vm_create_exn host ?name ?nics ?disks image in
   let t_create = Engine.now () -. t0 in
-  ignore (Vmm.vm_boot host ~domid:created.Create.domid);
+  ignore (Vmm.vm_boot host ~domid);
   let t_boot = Engine.now () -. t0 -. t_create in
-  (created, t_create, t_boot)
+  (domid, t_create, t_boot)
 
-let retire host (created : Create.created) =
-  ignore (Vmm.vm_delete host ~domid:created.Create.domid)
+let retire host domid = ignore (Vmm.vm_delete host ~domid)
 
 (* ------------------------------------------------------------------ *)
 (* Job decomposition.
@@ -276,12 +269,12 @@ let fig2_boot_vs_image_size () =
       List.iter
         (fun extra ->
           let image = Image.with_inflated_image Image.daytime ~extra_mb:extra in
-          let vm, t_create, t_boot =
+          let domid, t_create, t_boot =
             launch_timed host image
           in
           Series.add series ~x:(Image.daytime.Image.disk_mb +. extra)
             ~y:(ms (t_create +. t_boot));
-          retire host vm)
+          retire host domid)
         fig2_sizes_mb);
   piece
     ~series:[ { label = "daytime create+boot vs image size"; series } ]
@@ -380,31 +373,32 @@ let fig4_jobs ?(n = 200) () : job list =
    [fig5_sample]th. *)
 let fig5_sample = 10
 
+(* One series per creation-time category, in [Vmm.vm_counters]'s
+   canonical order. *)
 let fig5_breakdown ?(n = 200) () =
-  let series_for =
+  let series =
     List.map
-      (fun cat -> (cat, mk ("fig5 " ^ Create.category_name cat) "ms"))
+      (fun cat ->
+        let label = Create.category_name cat in
+        { label; series = mk ("fig5 " ^ label) "ms" })
       Create.categories
   in
   sim (fun () ->
       let host = Vmm.create ~mode:Mode.xl () in
       for i = 1 to n do
-        let vm, _, _ =
+        let domid, _, _ =
           launch_timed host ~nics:1 ~disks:1 Image.debian
         in
         if i mod fig5_sample = 0 || i = 1 then
-          List.iter
-            (fun (cat, series) ->
-              Series.add series ~x:(float_of_int i)
-                ~y:(ms (Create.breakdown_get vm.Create.breakdown cat)))
-            series_for
+          match Vmm.vm_counters host ~domid with
+          | Error e -> failwith (Vmm.error_to_string e)
+          | Ok vc ->
+              List.iter2
+                (fun { series; _ } (_, seconds) ->
+                  Series.add series ~x:(float_of_int i) ~y:(ms seconds))
+                series vc.Vmm.vc_breakdown
       done);
-  piece
-    ~series:
-      (List.map
-         (fun (cat, series) -> { label = Create.category_name cat; series })
-         series_for)
-    ()
+  piece ~series ()
 
 (* ------------------------------------------------------------------ *)
 (* Fig 9 *)
@@ -889,7 +883,6 @@ let fig12_mode ~n mode =
       let host = Vmm.create ~mode () in
       if mode.Mode.split then
         Vmm.prefill_pool host Image.daytime ~nics:1 ~disks:0;
-      let ts = Vmm.toolstack host in
       let rng = Rng.create 33L in
       let rounds = n / batch in
       for round = 1 to rounds do
@@ -899,14 +892,14 @@ let fig12_mode ~n mode =
         done;
         (* Checkpoint [batch] randomly chosen guests (vm.snapshot /
            vm.restore through the host's API endpoint). *)
-        let victims = Array.of_list (Toolstack.vms ts) in
+        let victims = Array.of_list (Vmm.vm_list host) in
         Rng.shuffle rng victims;
         let victims = Array.to_list (Array.sub victims 0 batch) in
         let t0 = Engine.now () in
         let saved =
           List.map
-            (fun (vm : Create.created) ->
-              match Vmm.vm_snapshot host ~domid:vm.Create.domid with
+            (fun (vm : Vmm.vm_info) ->
+              match Vmm.vm_snapshot host ~domid:vm.Vmm.vi_domid with
               | Ok s -> s
               | Error e -> failwith (Vmm.error_to_string e))
             victims
@@ -957,13 +950,13 @@ let fig13_mode ~n mode =
         while Vmm.vm_count src < round * batch do
           ignore (launch src Image.daytime)
         done;
-        let victims = Array.of_list (Toolstack.vms (Vmm.toolstack src)) in
+        let victims = Array.of_list (Vmm.vm_list src) in
         Rng.shuffle rng victims;
         let victims = Array.to_list (Array.sub victims 0 batch) in
         let t0 = Engine.now () in
         List.iter
-          (fun (vm : Create.created) ->
-            match Vmm.vm_migrate ~src ~dst ~domid:vm.Create.domid with
+          (fun (vm : Vmm.vm_info) ->
+            match Vmm.vm_migrate ~src ~dst ~domid:vm.Vmm.vi_domid with
             | Error e -> failwith (Vmm.error_to_string e)
             | Ok (resumed, _stats) ->
                 ignore (Vmm.vm_boot dst ~domid:resumed.Vmm.vi_domid))
@@ -1257,8 +1250,7 @@ let pause_unpause () =
   let vm_times =
     sim (fun () ->
         let host = Vmm.create ~mode:Mode.lightvm () in
-        let vm = launch host Image.daytime in
-        let domid = vm.Create.domid in
+        let domid = launch host Image.daytime in
         let t0 = Engine.now () in
         (match Vmm.vm_pause host ~domid with
         | Ok () -> ()
@@ -1309,10 +1301,8 @@ let wan_migration () =
                 ~costs:Lightvm_toolstack.Costs.wan ()
             in
             let src = mk_host 0 and dst = mk_host 1 in
-            let created = launch src ~name:"wan-guest" image in
-            match
-              Vmm.vm_migrate ~src ~dst ~domid:created.Create.domid
-            with
+            let domid = launch src ~name:"wan-guest" image in
+            match Vmm.vm_migrate ~src ~dst ~domid with
             | Error e -> failwith (Vmm.error_to_string e)
             | Ok (_resumed, stats) -> stats.Migrate.total)
       in
@@ -1355,10 +1345,10 @@ let headline_numbers () =
   let save_t, restore_t =
     sim (fun () ->
         let host = Vmm.create ~mode:Mode.lightvm () in
-        let vm = launch host Image.daytime in
+        let domid = launch host Image.daytime in
         let t0 = Engine.now () in
         let saved =
-          match Vmm.vm_snapshot host ~domid:vm.Create.domid with
+          match Vmm.vm_snapshot host ~domid with
           | Ok s -> s
           | Error e -> failwith (Vmm.error_to_string e)
         in
@@ -1373,8 +1363,8 @@ let headline_numbers () =
     sim (fun () ->
         let src = Vmm.create ~host_id:0 ~mode:Mode.lightvm () in
         let dst = Vmm.create ~host_id:1 ~mode:Mode.lightvm () in
-        let vm = launch src Image.daytime in
-        match Vmm.vm_migrate ~src ~dst ~domid:vm.Create.domid with
+        let domid = launch src Image.daytime in
+        match Vmm.vm_migrate ~src ~dst ~domid with
         | Error e -> failwith (Vmm.error_to_string e)
         | Ok (_resumed, stats) -> stats.Migrate.total)
   in
@@ -1472,9 +1462,8 @@ let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
       | Scheduler.Binpack | Scheduler.Spread -> (Mode.chaos_xs, None)
     in
     let c =
-      Cluster.create ~hosts ~racks:cluster_racks
-        ~partitioned:(partition = `Host)
-        ~mode ?pool_target ~policy ()
+      Cluster.create ~hosts ~racks:cluster_racks ~mode ?pool_target ~policy
+        ()
     in
     (match policy with
     | Scheduler.Pool_everywhere ->

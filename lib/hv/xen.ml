@@ -210,7 +210,6 @@ let consume_dom0 t work =
 
 let free_mem_kb t = Frames.free_kb t.frames
 let used_mem_kb t = Frames.used_kb t.frames
-let total_mem_kb t = Frames.total_kb t.frames
 let domain_mem_kb t ~domid = Frames.owned_kb t.frames ~owner:domid
 
 (* Every frame is held by Xen, Dom0 or a live guest: [destroy] frees a

@@ -97,8 +97,6 @@ val free_mem_kb : t -> int
 
 val used_mem_kb : t -> int
 
-val total_mem_kb : t -> int
-
 val domain_mem_kb : t -> domid:int -> int
 (** Frames held on behalf of the domain (RAM + hypervisor overhead). *)
 

@@ -158,7 +158,6 @@ type stream = {
 }
 
 type t = {
-  seed : int64;
   spec : spec;
   streams : stream option array; (* by point index; [None] unconfigured *)
 }
@@ -187,22 +186,7 @@ let create ?(seed = 0L) spec =
             injected = 0;
           })
     spec;
-  { seed; spec; streams }
-
-let seed t = t.seed
-let spec t = t.spec
-
-(* Per-host injectors in partitioned cluster runs: mix a stable salt
-   into the seed so each host draws from an independent stream that
-   depends only on (parent seed, salt) — never on which worker domain
-   runs the host or how windows interleave. The multiplier is the
-   splitmix64 golden-gamma constant. *)
-let derive t ~salt =
-  create
-    ~seed:
-      (Int64.add t.seed
-         (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (salt + 1))))
-    t.spec
+  { spec; streams }
 
 (* The current injector is process-local, not domain-local: a
    simulation process carries it across suspensions and passes it to

@@ -27,9 +27,9 @@
     across suspensions and is inherited by the processes it spawns, so
     a fault stream follows the workload it was installed around — not
     the worker domain that happens to execute it. Parallel experiment
-    jobs and the partitions of a {!Engine.run_partitioned} therefore
-    each own their streams, and results stay independent of [--jobs];
-    {!derive} builds the per-partition injectors. *)
+    jobs therefore each own their streams, as does every partition of
+    a {!Engine.run_partitioned} whose processes install their own
+    injector, and results stay independent of [--jobs]. *)
 
 type spec
 (** A parsed fault specification: a finite map from point name to
@@ -81,18 +81,6 @@ val create : ?seed:int64 -> spec -> t
     splitmix64 stream derived from [(seed, point name)] only, so the
     same [(seed, spec)] always yields the same fault sequence, whatever
     else the simulation does. [seed] defaults to [0L]. *)
-
-val seed : t -> int64
-
-val spec : t -> spec
-
-val derive : t -> salt:int -> t
-(** A fresh injector with the same spec whose streams are derived from
-    [(seed t, salt)]: deterministic, and independent across salts. Used
-    to give each partition of a partitioned cluster run its own fault
-    streams (salt = host index), so injection depends only on the
-    host's own workload, never on cross-host interleaving. Counters
-    start at zero; the parent's are not shared. *)
 
 val with_injector : t -> (unit -> 'a) -> 'a
 (** [with_injector t f] installs [t] as the current injector for the

@@ -10,6 +10,7 @@ module Xs_error = Lightvm_xenstore.Xs_error
 module Device = Lightvm_guest.Device
 module Ctrl = Lightvm_guest.Ctrl
 module Xenbus_front = Lightvm_guest.Xenbus_front
+module Trace = Lightvm_trace.Trace
 
 type t = {
   xen : Xen.t;
@@ -88,7 +89,7 @@ let complete_handshake t ~domid (dev : Device.config) xs =
               Xs_client.write xs be_state
                 (Xenbus_front.state_to_wire Xenbus_front.Connected)
             with Xs_error.Error Xs_error.EQUOTA ->
-              Costs.charge ~category:"devices.requeue"
+              Trace.charge ~category:"devices.requeue"
                 (t.costs.Costs.xendevd_requeue_delay
                 *. float_of_int (1 lsl Stdlib.min attempt 6));
               publish_connected (attempt + 1)

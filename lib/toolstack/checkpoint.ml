@@ -5,6 +5,7 @@ module Xs_client = Lightvm_xenstore.Xs_client
 module Xs_error = Lightvm_xenstore.Xs_error
 module Guest = Lightvm_guest.Guest
 module Image = Lightvm_guest.Image
+module Trace = Lightvm_trace.Trace
 
 type saved = {
   sv_config : Vmconfig.t;
@@ -39,34 +40,31 @@ let trigger_suspend ts (created : Create.created) =
   Guest.shutdown created.Create.guest;
   ignore (Xen.shutdown env.Create.xen ~domid ~reason:Lightvm_hv.Domain.Suspend)
 
-let detach_and_destroy ts (created : Create.created) =
-  Create.destroy (Toolstack.env ts) created;
-  Toolstack.unregister_vm ts ~domid:created.Create.domid
-
-let make_saved (created : Create.created) =
-  {
-    sv_config = created.Create.config;
-    sv_image = created.Create.guest |> Guest.image;
-    sv_mem_mb =
-      (match Vmconfig.image created.Create.config with
-      | Some img -> img.Image.mem_mb
-      | None -> created.Create.config.Vmconfig.memory_mb);
-  }
-
-let save ts created =
+(* Suspend the guest, charge the toolstack's save bookkeeping and,
+   with [dump], the write of its memory to the ramdisk, then destroy
+   the domain. A migration skips the dump: the memory is streamed. *)
+let suspend ts (created : Create.created) ~dump =
   let env = Toolstack.env ts in
   let costs = Toolstack.costs ts in
   trigger_suspend ts created;
-  (* Toolstack bookkeeping around the save. *)
-  Costs.charge ~category:"checkpoint.save_overhead"
+  Trace.charge ~category:"checkpoint.save_overhead"
     (if is_xl ts then costs.Costs.xl_save_overhead
      else costs.Costs.chaos_save_overhead);
-  (* Dump guest memory to the ramdisk. *)
   let mem_mb = Create.effective_mem_mb env created.Create.config in
-  Costs.charge ~category:"checkpoint.dump" (mem_mb /. costs.Costs.save_dump_mbps);
-  let saved = { (make_saved created) with sv_mem_mb = mem_mb } in
-  detach_and_destroy ts created;
+  if dump then
+    Trace.charge ~category:"checkpoint.dump"
+      (mem_mb /. costs.Costs.save_dump_mbps);
+  let saved =
+    {
+      sv_config = created.Create.config;
+      sv_image = Guest.image created.Create.guest;
+      sv_mem_mb = mem_mb;
+    }
+  in
+  Create.destroy env created;
   saved
+
+let save ts created = suspend ts created ~dump:true
 
 (* A restored guest does not reboot its kernel: frontends reconnect and
    execution continues. *)
@@ -82,33 +80,21 @@ let restored_image (img : Image.t) =
 let rebuild ts saved ~skip_read =
   let env = Toolstack.env ts in
   let costs = Toolstack.costs ts in
-  Costs.charge ~category:"checkpoint.restore_overhead"
+  Trace.charge ~category:"checkpoint.restore_overhead"
     (if is_xl ts then costs.Costs.xl_restore_overhead
      else costs.Costs.chaos_restore_overhead);
   if not skip_read then
     (* Read the dump back from the ramdisk. *)
-    Costs.charge ~category:"checkpoint.read"
+    Trace.charge ~category:"checkpoint.read"
       (saved.sv_mem_mb /. costs.Costs.restore_read_mbps);
   (* Rebuild the domain and devices through the normal create pipeline,
      with a "restored" image so the guest reconnects instead of
      rebooting. *)
   let image = restored_image saved.sv_image in
-  let created = Create.create_with_image env saved.sv_config ~image in
-  Toolstack.register_vm ts created;
-  created
+  Create.create env ~image_override:image saved.sv_config
 
 let restore ts saved = rebuild ts saved ~skip_read:false
 
-let suspend_for_transfer ts created =
-  trigger_suspend ts created;
-  let costs = Toolstack.costs ts in
-  Costs.charge ~category:"checkpoint.save_overhead"
-    (if is_xl ts then costs.Costs.xl_save_overhead
-     else costs.Costs.chaos_save_overhead);
-  let env = Toolstack.env ts in
-  let mem_mb = Create.effective_mem_mb env created.Create.config in
-  let saved = { (make_saved created) with sv_mem_mb = mem_mb } in
-  detach_and_destroy ts created;
-  saved
+let suspend_for_transfer ts created = suspend ts created ~dump:false
 
 let resume_from_transfer ts saved = rebuild ts saved ~skip_read:true

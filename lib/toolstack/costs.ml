@@ -101,8 +101,3 @@ let default =
 (* A wide-area link: 1 Gbps with a 10 ms RTT — Section 7.1 reports
    migrating a ClickOS VM over such a link in ~150 ms. *)
 let wan = { default with migration_rtt = 10.0e-3 }
-
-(* The uniform entry point for all toolstack-side simulated-time costs:
-   advances the virtual clock and, when tracing is on, attributes the
-   charge to [category] (see Trace.charge). *)
-let charge ~category dt = Lightvm_trace.Trace.charge ~category dt

@@ -284,7 +284,7 @@ let prepare env ~mem_mb ~vcpus ~nics ~disks ?breakdown () =
     phase attrs "phase2:compute_alloc" (fun () ->
         timed b Cat_toolstack (fun () ->
             inject_phase 2;
-            Costs.charge ~category:"toolstack.compute_alloc"
+            Trace.charge ~category:"toolstack.compute_alloc"
               env.costs.Costs.compute_alloc));
     (* Phase 3: memory reservation (set maxmem). *)
     phase attrs "phase3:set_maxmem" (fun () ->
@@ -483,17 +483,17 @@ let execute env shell ?config_text ?image_override (cfg : Vmconfig.t)
     phase attrs "phase6:parse" (fun () ->
         timed b Cat_toolstack (fun () ->
             inject_phase 6;
-            Costs.charge ~category:"toolstack.bookkeeping"
+            Trace.charge ~category:"toolstack.bookkeeping"
               (if is_xl env then env.costs.Costs.xl_bookkeeping
                else env.costs.Costs.chaos_bookkeeping));
         timed b Cat_parse (fun () ->
             match config_text with
             | None ->
-                Costs.charge ~category:"toolstack.config_parse"
+                Trace.charge ~category:"toolstack.config_parse"
                   env.costs.Costs.config_parse_base;
                 cfg
             | Some text ->
-                Costs.charge ~category:"toolstack.config_parse"
+                Trace.charge ~category:"toolstack.config_parse"
                   (env.costs.Costs.config_parse_base
                   +. (float_of_int (String.length text)
                       *. env.costs.Costs.config_parse_per_byte));
@@ -560,7 +560,7 @@ let execute env shell ?config_text ?image_override (cfg : Vmconfig.t)
         in
         (if is_xl env then
            timed b Cat_toolstack (fun () ->
-               Costs.charge ~category:"toolstack.console_setup"
+               Trace.charge ~category:"toolstack.console_setup"
                  env.costs.Costs.xl_console_setup));
         noxs_grants)
   in
@@ -582,7 +582,7 @@ let execute env shell ?config_text ?image_override (cfg : Vmconfig.t)
          match image.Image.kind with
          | Image.Tinyx _ | Image.Debian ->
              timed b Cat_toolstack (fun () ->
-                 Costs.charge ~category:"toolstack.pv_build"
+                 Trace.charge ~category:"toolstack.pv_build"
                    env.costs.Costs.xl_pv_build_extra)
          | Image.Unikernel _ -> ());
       timed b Cat_load (fun () ->
@@ -624,7 +624,7 @@ let execute env shell ?config_text ?image_override (cfg : Vmconfig.t)
       ~devices:shell.s_devices ~xl_nodes:!xl_nodes ~xl_watch:!xl_watch;
     raise (as_create_failed e)
 
-let create_gen env ?config_text ?image_override cfg =
+let create env ?config_text ?image_override cfg =
   let b = breakdown_create () in
   let t0 = Engine.now () in
   let mem_mb = effective_mem_mb env cfg in
@@ -638,11 +638,6 @@ let create_gen env ?config_text ?image_override cfg =
     execute env shell ?config_text ?image_override cfg ~breakdown:b ()
   in
   { created with create_time = Engine.now () -. t0 }
-
-let create env ?config_text ?image_override cfg =
-  create_gen env ?config_text ?image_override cfg
-
-let create_with_image env cfg ~image = create_gen env ~image_override:image cfg
 
 (* ------------------------------------------------------------------ *)
 

@@ -111,13 +111,9 @@ val execute :
 val create :
   env -> ?config_text:string -> ?image_override:Lightvm_guest.Image.t ->
   Vmconfig.t -> created
-(** prepare + execute inline (the non-split path).
+(** prepare + execute inline (the non-split path, and restore, which
+    passes the quiesced guest's image as [image_override]).
     @raise Create_failed as {!prepare} and {!execute} do. *)
-
-val create_with_image :
-  env -> Vmconfig.t -> image:Lightvm_guest.Image.t -> created
-(** [create] with an explicit image (used by restore, which boots a
-    quiesced image rather than a fresh kernel). *)
 
 val destroy : env -> created -> unit
 (** Tear down devices, registry state and the domain. *)

@@ -1,6 +1,7 @@
 module Fault = Lightvm_sim.Fault
 module Xen = Lightvm_hv.Xen
 module Device = Lightvm_guest.Device
+module Trace = Lightvm_trace.Trace
 
 exception Timeout of string
 
@@ -21,7 +22,7 @@ let hang_point = Fault.point "hotplug.hang"
    waits out the timeout but the script burns no Dom0 CPU. *)
 let attempt kind ~xen ~costs dev =
   if Fault.fire hang_point then begin
-    Costs.charge ~category:"devices.hotplug_timeout"
+    Trace.charge ~category:"devices.hotplug_timeout"
       costs.Costs.hotplug_timeout;
     false
   end
@@ -48,7 +49,7 @@ let run kind ~xen ~costs dev =
       let rec go n =
         if attempt kind ~xen ~costs dev then ()
         else if n < costs.Costs.xendevd_requeue_limit then begin
-          Costs.charge ~category:"devices.requeue"
+          Trace.charge ~category:"devices.requeue"
             costs.Costs.xendevd_requeue_delay;
           go (n + 1)
         end

@@ -1,5 +1,6 @@
 module Engine = Lightvm_sim.Engine
 module Fault = Lightvm_sim.Fault
+module Trace = Lightvm_trace.Trace
 
 exception Migration_failed of string
 
@@ -22,12 +23,12 @@ let migrate ~src ~dst (created : Create.created) =
   (* 1. Open the TCP connection and ship the configuration (several
      round trips: SYN, config, acknowledgements). *)
   let config_text = Vmconfig.to_string created.Create.config in
-  Costs.charge ~category:"migrate.handshake"
+  Trace.charge ~category:"migrate.handshake"
     ((float_of_int costs.Costs.migration_handshake_rtts
       *. costs.Costs.migration_rtt)
     +. (float_of_int (String.length config_text)
         /. (costs.Costs.migration_bw_mbps *. 1.0e6)));
-  Costs.charge ~category:"migrate.daemon"
+  Trace.charge ~category:"migrate.daemon"
     costs.Costs.migration_daemon_overhead;
   (* 2. Suspend at the source (the destination's pre-creation happens
      while the source works, so only the longer of the two gates the
@@ -45,12 +46,12 @@ let migrate ~src ~dst (created : Create.created) =
   let t_transfer0 = Engine.now () in
   let mem_mb = Checkpoint.saved_mem_mb saved in
   let rec stream attempt =
-    Costs.charge ~category:"migrate.transfer"
+    Trace.charge ~category:"migrate.transfer"
       (mem_mb /. costs.Costs.migration_bw_mbps);
     if Fault.fire corrupt_point then
       if attempt < max_transfer_attempts then begin
         (* Receiver NACK + sender restart: one extra round trip. *)
-        Costs.charge ~category:"migrate.handshake" costs.Costs.migration_rtt;
+        Trace.charge ~category:"migrate.handshake" costs.Costs.migration_rtt;
         stream (attempt + 1)
       end
       else

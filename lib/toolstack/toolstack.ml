@@ -11,7 +11,6 @@ type t = {
   env : Create.env;
   pool_target : int;
   pools : (flavor, Create.shell Pool.t) Hashtbl.t;
-  live : (int, Create.created) Hashtbl.t;
 }
 
 let make ~xen ~mode ?xs_profile ?(costs = Costs.default)
@@ -32,7 +31,7 @@ let make ~xen ~mode ?xs_profile ?(costs = Costs.default)
     { Create.xen; xs_server; xs; ctrl; backend; mode; costs;
       shells = ref 0 }
   in
-  { env; pool_target; pools = Hashtbl.create 8; live = Hashtbl.create 64 }
+  { env; pool_target; pools = Hashtbl.create 8 }
 
 let env t = t.env
 let xen t = t.env.Create.xen
@@ -61,10 +60,6 @@ let pool_for t (cfg : Vmconfig.t) =
       Hashtbl.replace t.pools key pool;
       pool
 
-let register_vm t created = Hashtbl.replace t.live created.Create.domid created
-
-let unregister_vm t ~domid = Hashtbl.remove t.live domid
-
 let create_vm t ?config_text ?image_override cfg =
   match
     if (mode t).Mode.split then begin
@@ -79,9 +74,7 @@ let create_vm t ?config_text ?image_override cfg =
     end
     else Create.create t.env ?config_text ?image_override cfg
   with
-  | created ->
-      register_vm t created;
-      Ok created
+  | created -> Ok created
   | exception Create.Create_failed msg -> Error msg
   | exception Lightvm_xenstore.Xs_error.Error e ->
       Error (Lightvm_xenstore.Xs_error.to_string e)
@@ -91,24 +84,10 @@ let create_vm_exn t ?config_text ?image_override cfg =
   | Ok created -> created
   | Error msg -> raise (Create.Create_failed msg)
 
-let destroy_vm t created =
-  Create.destroy t.env created;
-  unregister_vm t ~domid:created.Create.domid
-
-let vm t ~domid = Hashtbl.find_opt t.live domid
-
-let vms t =
-  List.sort
-    (fun a b -> compare a.Create.domid b.Create.domid)
-    (Hashtbl.fold (fun _ v acc -> v :: acc) t.live [])
-
-let vm_count t = Hashtbl.length t.live
+let destroy_vm t created = Create.destroy t.env created
 
 let prefill_pool t cfg =
   if (mode t).Mode.split then Pool.prefill (pool_for t cfg)
-
-let pool_size t cfg =
-  if (mode t).Mode.split then Pool.size (pool_for t cfg) else 0
 
 let pool_target t cfg =
   if (mode t).Mode.split then Pool.target (pool_for t cfg) else 0

@@ -1,6 +1,10 @@
 (** Host-level toolstack facade: one value bundling the hypervisor, the
     XenStore daemon, Dom0 backends and the selected toolstack mode, with
-    VM bookkeeping and the shell pools of the split toolstack. *)
+    the shell pools of the split toolstack. It keeps no table of live
+    VMs: {!create_vm} hands the caller the pipeline handle and
+    {!destroy_vm} takes it back. On a host driven through the lifecycle
+    API, that API's registry ([Lightvm_cluster.Vmm]) is the one table
+    of live VMs. *)
 
 type t
 
@@ -35,7 +39,8 @@ val create_vm :
     the execute phase. [Error msg] is a caught {!Create.Create_failed}
     — out of memory, hotplug timeout, or an injected fault — and
     implies the partial domain was already rolled back (nothing to
-    clean up, the VM is not registered). *)
+    clean up). On [Ok] the caller owns the handle: nothing here
+    records the VM. *)
 
 val create_vm_exn :
   t -> ?config_text:string ->
@@ -46,19 +51,11 @@ val create_vm_exn :
     the same already-rolled-back guarantee). *)
 
 val destroy_vm : t -> Create.created -> unit
-
-val vm : t -> domid:int -> Create.created option
-
-val vms : t -> Create.created list
-(** Live VMs by ascending domid. *)
-
-val vm_count : t -> int
+(** {!Create.destroy} on this host. *)
 
 val prefill_pool : t -> Vmconfig.t -> unit
 (** Warm the pool for this config's flavor up to the pool target
     (no-op unless the mode is split). *)
-
-val pool_size : t -> Vmconfig.t -> int
 
 val pool_target : t -> Vmconfig.t -> int
 (** Current low-water mark of this config's flavor pool ([0] when the
@@ -80,8 +77,3 @@ val pool_stats : t -> Vmconfig.t -> int * int
 val shell_count : t -> int
 (** Total pre-created shells across all flavors (these exist as paused
     domains, so they show up in the hypervisor's domain count). *)
-
-val register_vm : t -> Create.created -> unit
-(** Used by restore/migration to adopt an incoming VM. *)
-
-val unregister_vm : t -> domid:int -> unit

@@ -81,8 +81,8 @@ val charge : category:string -> float -> unit
 (** [charge ~category dt] advances the calling process's virtual clock
     by [dt] (exactly like [Engine.sleep dt]) and, when tracing is
     enabled, attributes the charge to [category]. The uniform entry
-    point for all simulated-time costs; see [Costs.charge] and
-    [Xs_costs.charge]. *)
+    point for all simulated-time costs: the toolstack and the XenStore
+    daemon call it directly at every cost site. *)
 
 val charged : unit -> (string * float) list
 (** Total virtual seconds charged per category, sorted by name. *)

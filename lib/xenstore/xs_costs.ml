@@ -83,8 +83,3 @@ let message_cost p ~payload_bytes =
   +. (float_of_int p.crossings_per_message *. p.crossing)
   +. p.base_op
   +. (float_of_int payload_bytes *. p.per_byte)
-
-(* The uniform entry point for all simulated-time XenStore costs:
-   advances the virtual clock and, when tracing is on, attributes the
-   charge to [category] (see Trace.charge). *)
-let charge ~category dt = Lightvm_trace.Trace.charge ~category dt

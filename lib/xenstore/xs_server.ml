@@ -89,7 +89,7 @@ let watch_count t = Xs_watch.count t.watches
 
 let charge ?(category = "xs") t cost =
   t.counters.busy_time <- t.counters.busy_time +. cost;
-  Xs_costs.charge ~category cost
+  Trace.charge ~category cost
 
 let request_payload_bytes = function
   | Read p | Mkdir p | Rm p | Directory p | Get_perms p ->
@@ -629,7 +629,7 @@ let transaction t ~caller f =
                    the daemon mutex is not held and busy_time does not
                    accrue. Only taken on an actual conflict, so
                    conflict-free runs are unchanged. *)
-                Xs_costs.charge ~category:"xs.backoff"
+                Trace.charge ~category:"xs.backoff"
                   (t.profile.Xs_costs.tx_backoff_base
                   *. float_of_int (1 lsl Stdlib.min n 6));
                 attempt (n + 1)

@@ -40,9 +40,6 @@ type header = {
   len : int;
 }
 
-val header_size : int
-(** 16 bytes. *)
-
 exception Malformed of string
 
 val pack : op -> req_id:int32 -> tx_id:int32 -> string list -> bytes

@@ -1,11 +1,13 @@
-(* The cluster control plane: scheduler policy shapes (binpack fills
-   host 0 first; spread never co-locates in a failure domain while an
-   empty one has capacity), a qcheck property holding the one-pass
-   placement to a list-based reference, its allocation flat in the
-   host count, drain/rebalance under injected migration corruption with
-   exact loss accounting, and a qcheck property pinning that the whole
-   cluster experiment family is a pure function of its seed — identical
-   placement and digests for any --jobs. *)
+(* The cluster control plane: each host's VM registry through every
+   lifecycle operation, scheduler policy shapes (binpack fills host 0
+   first; spread never co-locates in a failure domain while an empty
+   one has capacity), a qcheck property holding the one-pass placement
+   to a list-based reference, its allocation flat in the host count,
+   the partition layout a cluster takes from its run, drain/rebalance
+   under injected migration corruption with exact loss accounting, and
+   a qcheck property pinning that the whole cluster experiment family
+   is a pure function of its seed — identical placement and digests for
+   any --jobs. *)
 
 module Engine = Lightvm_sim.Engine
 module Fault = Lightvm_sim.Fault
@@ -14,6 +16,7 @@ module Image = Lightvm_guest.Image
 module Vmm = Lightvm_cluster.Vmm
 module Scheduler = Lightvm_cluster.Scheduler
 module Cluster = Lightvm_cluster.Cluster
+module Switch = Lightvm_net.Switch
 
 let run_sim f =
   let result = ref None in
@@ -44,6 +47,73 @@ let launch_or_fail c =
 let vms_per_host c =
   List.map (fun (v : Scheduler.host_view) -> v.Scheduler.hv_vms)
     (Cluster.views c)
+
+(* ------------------------------------------------------------------ *)
+(* The per-host VM registry *)
+
+let expect_not_found what domid = function
+  | Error (Vmm.Vm_not_found d) when d = domid -> ()
+  | Error e -> Alcotest.failf "%s: %s" what (Vmm.error_to_string e)
+  | Ok _ -> Alcotest.failf "%s: domid %d still answers" what domid
+
+let state_name = function
+  | Vmm.Created -> "created"
+  | Vmm.Running -> "running"
+  | Vmm.Paused -> "paused"
+
+let check_state what want domid host =
+  let vi = Vmm_boot.ok what (Vmm.vm_info host ~domid) in
+  Alcotest.(check string) what (state_name want) (state_name vi.Vmm.vi_state)
+
+(* One VM walked through every operation that moves it in or out of a
+   host's registry: each leaves it on exactly one host, under the domid
+   that host answers to, or on none once it is lost. *)
+let test_registry_lifecycle () =
+  run_sim (fun () ->
+      let a = Vmm.create ~host_id:0 ~mode:Mode.lightvm () in
+      let b = Vmm.create ~host_id:1 ~mode:Mode.lightvm () in
+      let domid = Vmm_boot.boot a Image.daytime in
+      Alcotest.(check int) "created and booted" 1 (Vmm.vm_count a);
+      check_state "booted" Vmm.Running domid a;
+      let saved = Vmm_boot.ok "vm_snapshot" (Vmm.vm_snapshot a ~domid) in
+      Alcotest.(check int) "snapshotted" 0 (Vmm.vm_count a);
+      expect_not_found "vm_info after vm_snapshot" domid
+        (Vmm.vm_info a ~domid);
+      let vi = Vmm_boot.ok "vm_restore" (Vmm.vm_restore a saved) in
+      let restored = vi.Vmm.vi_domid in
+      if restored = domid then
+        Alcotest.failf "restore reused domid %d" domid;
+      check_state "restored" Vmm.Created restored a;
+      Vmm_boot.ok "vm_boot" (Vmm.vm_boot a ~domid:restored);
+      check_state "restored and booted" Vmm.Running restored a;
+      Alcotest.(check (list int))
+        "vm_list after restore" [ restored ]
+        (List.map (fun (v : Vmm.vm_info) -> v.Vmm.vi_domid) (Vmm.vm_list a));
+      let vi, _ =
+        Vmm_boot.ok "vm_migrate" (Vmm.vm_migrate ~src:a ~dst:b ~domid:restored)
+      in
+      let moved = vi.Vmm.vi_domid in
+      expect_not_found "source after vm_migrate" restored
+        (Vmm.vm_info a ~domid:restored);
+      Alcotest.(check int) "source after vm_migrate" 0 (Vmm.vm_count a);
+      Alcotest.(check int) "destination after vm_migrate" 1 (Vmm.vm_count b);
+      Vmm_boot.ok "vm_boot" (Vmm.vm_boot b ~domid:moved);
+      let injector = Fault.create ~seed:1L (spec_of_string "migrate.corrupt:1") in
+      (match
+         Fault.with_injector injector (fun () ->
+             Vmm.vm_migrate ~src:b ~dst:a ~domid:moved)
+       with
+      | Error (Vmm.Vm_migration_failed _) -> ()
+      | Error e ->
+          Alcotest.failf "corrupted migration: %s" (Vmm.error_to_string e)
+      | Ok _ -> Alcotest.fail "migration survived migrate.corrupt:1");
+      expect_not_found "source after a lost migration" moved
+        (Vmm.vm_info b ~domid:moved);
+      Alcotest.(check (pair int int))
+        "lost: on neither host" (0, 0)
+        (Vmm.vm_count a, Vmm.vm_count b);
+      expect_not_found "vm_delete of a missing domid" moved
+        (Vmm.vm_delete b ~domid:moved))
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler policies through the control plane *)
@@ -308,6 +378,35 @@ let test_place_allocation_flat () =
     Scheduler.policies
 
 (* ------------------------------------------------------------------ *)
+(* Partition layout: a cluster inside a run with host partitions gives
+   host [i] partition [i + 1], so the run must have one per host. *)
+
+let test_create_needs_partition_per_host () =
+  let create_in ~partitions ~hosts =
+    let refused = ref None in
+    ignore
+      (Engine.run_partitioned ~lookahead:Switch.default_latency ~partitions
+         (fun () ->
+           (refused :=
+              match
+                Cluster.create ~hosts ~mode:Mode.chaos_xs
+                  ~policy:Scheduler.Spread ()
+              with
+              | _ -> Some false
+              | exception Invalid_argument _ -> Some true);
+           Engine.stop ()));
+    match !refused with
+    | Some r -> r
+    | None -> Alcotest.fail "simulation did not complete"
+  in
+  Alcotest.(check bool)
+    "4 hosts on 2 host partitions refused" true
+    (create_in ~partitions:2 ~hosts:4);
+  Alcotest.(check bool)
+    "4 hosts on 4 host partitions accepted" false
+    (create_in ~partitions:4 ~hosts:4)
+
+(* ------------------------------------------------------------------ *)
 (* Drain under injected migration corruption: losses are accounted,
    never leaked. *)
 
@@ -385,6 +484,16 @@ let test_distinct_seeds_distinct_outcomes () =
 
 let suites =
   [
+    ( "cluster.vmm",
+      [
+        Alcotest.test_case "one registry through every lifecycle" `Quick
+          test_registry_lifecycle;
+      ] );
+    ( "cluster.partition",
+      [
+        Alcotest.test_case "a partitioned run needs one per host" `Quick
+          test_create_needs_partition_per_host;
+      ] );
     ( "cluster.scheduler",
       [
         Alcotest.test_case "binpack fills host 0 first" `Quick
