@@ -9,7 +9,14 @@
 
     The model also tracks per-core busy time so experiments can report
     utilisation (paper Fig. 15), and exposes run-queue lengths for the
-    scheduling-latency model used by the firewall use case (Fig. 16a). *)
+    scheduling-latency model used by the firewall use case (Fig. 16a).
+
+    A core keeps its jobs in insertion order: their remaining work in an
+    unboxed float array, beside an array of wakers (a blocked burst's
+    own resume, or an {!Engine.Ivar.fill} for {!consume_async}). Its
+    busy time is a float-only record, and its one completion timer
+    callback is built when it first arms a timer. Jobs that finish
+    together wake in insertion order. *)
 
 type t
 
@@ -21,14 +28,16 @@ val ncores : t -> int
 
 val consume : t -> core:int -> float -> unit
 (** [consume t ~core w] blocks until [w] seconds of reference CPU work
-    have been served on [core]. [w <= 0.] returns immediately. A burst
+    have been served on [core]. [w <= 0.] returns immediately; a NaN [w]
+    raises [Invalid_argument]. A burst
     alone on an idle core with nothing else due before its completion
     finishes in place ({!Engine.try_sleep}): the same completion time,
     busy total and load as the completion timer, without a timer or a
     park. *)
 
 val consume_async : t -> core:int -> float -> unit Engine.Ivar.t
-(** Non-blocking variant: the returned ivar fills on completion. *)
+(** Non-blocking variant: the returned ivar fills on completion, at
+    once for [w <= 0.]; a NaN [w] raises [Invalid_argument]. *)
 
 val load : t -> core:int -> int
 (** Number of jobs currently sharing the core. *)

@@ -113,11 +113,13 @@ let partition_count () =
   | None -> 0
   | Some ctx -> Array.length ctx.engs - 1
 
+(* Every guard below is written so that NaN fails it: a NaN time would
+   sort nowhere in the heap and end the run early. *)
 let schedule_at eng time thunk =
-  if time < eng.clock then
+  if not (time >= eng.clock) then
     invalid_arg
-      (Printf.sprintf "Sim.Engine: scheduling in the past (%g < %g)" time
-         eng.clock);
+      (Printf.sprintf "Sim.Engine: scheduling in the past or at NaN (%g < %g)"
+         time eng.clock);
   Heap.push eng.heap ~time thunk
 
 let at time thunk =
@@ -126,15 +128,15 @@ let at time thunk =
 
 let after delay thunk =
   let eng = current_eng (dls ()) in
-  if delay < 0. then invalid_arg "Sim.Engine.after: negative delay";
+  if not (delay >= 0.) then
+    invalid_arg "Sim.Engine.after: negative or NaN delay";
   (schedule_at eng (eng.clock +. delay) thunk, eng)
 
 let cancel (entry, eng) = Heap.cancel eng.heap entry
 
-let after_same (entry, _) delay = after delay (Heap.payload entry)
-
 type _ Effect.t +=
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+  | Sleep_until : float -> unit Effect.t
 
 let suspend register = Effect.perform (Suspend register)
 
@@ -204,20 +206,39 @@ let wake r v =
 
 (* The park itself runs in the handler, still as the parking process:
    its identity, locals and partition are read off [dls]. *)
-let park k register =
+let park_record k =
   let st = dls () in
   let pid = st.current_pid in
   (match st.hooks with Some h -> h.on_park ~pid | None -> ());
-  register
-    (wake
-       {
-         pk_k = k;
-         pk_pid = pid;
-         pk_name = st.current_pname;
-         pk_plocals = st.plocals;
-         pk_home = current_eng st;
-         pk_fired = false;
-       })
+  {
+    pk_k = k;
+    pk_pid = pid;
+    pk_name = st.current_pname;
+    pk_plocals = st.plocals;
+    pk_home = current_eng st;
+    pk_fired = false;
+  }
+
+let park k register = register (wake (park_record k))
+
+(* A parked sleep's timer. The wake entry [wake] would push at the
+   timer's own time is the next pop when no live entry is due at or
+   before it — [advance_in_place]'s rule, at a clock the window has
+   already admitted — so with no hooks to call the timer resumes the
+   process itself: the same continuation at the same time, without
+   the entry. The sleep's resume escapes to nothing else, so nothing
+   can fire it twice. *)
+let fire_sleep r =
+  let home = r.pk_home in
+  if
+    (match (dls ()).hooks with None -> true | Some _ -> false)
+    && (Heap.is_empty home.heap || Heap.next_time home.heap > home.clock)
+  then as_process r.pk_pid r.pk_name r.pk_plocals Effect.Deep.continue r.pk_k ()
+  else wake r ()
+
+let park_sleep k time =
+  let r = park_record k in
+  ignore (schedule_at r.pk_home time (fun () -> fire_sleep r))
 
 (* Every process (the initial [main] and every [spawn]) runs under this
    one static deep handler; it knows which process it serves only
@@ -239,6 +260,9 @@ let handler =
         | Suspend register ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) -> park k register)
+        | Sleep_until time ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) -> park_sleep k time)
         | _ -> None);
   }
 
@@ -266,7 +290,8 @@ let spawn ?(name = "anonymous") f =
    cross-partition delivery order a pure function of the workload,
    independent of [--jobs]. *)
 let post ~partition ~delay thunk =
-  if delay < 0. then invalid_arg "Sim.Engine.post: negative delay";
+  if not (delay >= 0.) then
+    invalid_arg "Sim.Engine.post: negative or NaN delay";
   let st = dls () in
   let ctx = match st.pctx with Some ctx -> ctx | None -> not_running () in
   if partition < 0 || partition >= Array.length ctx.engs then
@@ -357,20 +382,22 @@ let advance_in_place st eng delay =
      end
 
 let try_sleep delay =
-  if delay < 0. then invalid_arg "Sim.Engine.try_sleep: negative delay";
+  if not (delay >= 0.) then
+    invalid_arg "Sim.Engine.try_sleep: negative or NaN delay";
   let st = dls () in
   advance_in_place st (current_eng st) delay
 
-(* On the slow path the timer thunk is the resume function itself. *)
+(* On the slow path the process parks behind a timer that resumes it
+   ([fire_sleep]). *)
 let sleep delay =
-  if delay < 0. then invalid_arg "Sim.Engine.sleep: negative delay"
+  if not (delay >= 0.) then
+    invalid_arg "Sim.Engine.sleep: negative or NaN delay"
   else if delay = 0. then ()
   else begin
     let st = dls () in
     let eng = current_eng st in
     if not (advance_in_place st eng delay) then
-      suspend (fun resume ->
-          ignore (schedule_at eng (eng.clock +. delay) resume))
+      Effect.perform (Sleep_until (eng.clock +. delay))
   end
 
 let yield_register resume =
@@ -422,7 +449,7 @@ let saved_partitions s = Array.length s.sv_engs - 1
 let restore_eng sv =
   {
     clock = sv.sv_clock;
-    heap = Heap.create ();
+    heap = Heap.create ignore;
     stopped = false;
     wend = infinity;
     vwend = infinity;

@@ -135,7 +135,8 @@ val post : partition:int -> delay:float -> (unit -> unit) -> unit
 (** Schedule a callback in another partition after [delay] of simulated
     time. Same-partition posts are exactly [after delay]. A partition
     the run does not have raises [Invalid_argument] in every run: a
-    single-heap {!run} has partition 0 only. Cross-partition posts
+    single-heap {!run} has partition 0 only, and so does a negative or
+    NaN delay. Cross-partition posts
     require [delay >=] the run's lookahead and are delivered at the
     next window barrier; [Invalid_argument] otherwise — the switch's
     modeled latency is the lookahead, so in-model traffic always
@@ -152,14 +153,20 @@ val now : unit -> float
 (** Current virtual time in seconds. *)
 
 val sleep : float -> unit
-(** Block the calling process for a (non-negative) duration. *)
+(** Block the calling process for a (non-negative) duration. When
+    nothing else is due before the wake, the clock advances in place
+    (see {!try_sleep}). Otherwise the process parks behind a timer, and
+    when the timer fires with no live event due at or before its time
+    and no {!trace_hooks} installed, it resumes the process itself: the
+    wake entry it would otherwise push would be the next pop. A negative
+    or NaN duration raises [Invalid_argument]. *)
 
 val try_sleep : float -> bool
 (** [try_sleep d] is [sleep d] when that sleep would resume the caller
     next with nothing run in between — the case in which [sleep]
     advances the clock in place instead of parking — and returns
     [true]. Otherwise it changes nothing and returns [false]. A negative
-    [d] raises [Invalid_argument]. [Cpu.consume] uses it to finish a
+    or NaN [d] raises [Invalid_argument]. [Cpu.consume] uses it to finish a
     burst on an idle core without a completion timer. *)
 
 val yield : unit -> unit
@@ -198,17 +205,14 @@ val set_trace_hooks : trace_hooks option -> unit
 
 val after : float -> (unit -> unit) -> token
 (** Run a callback (not a blocking process) after a delay. The callback
-    must not block; to start blocking work from a callback, [spawn]. *)
+    must not block; to start blocking work from a callback, [spawn]. A
+    negative or NaN delay raises [Invalid_argument]. *)
 
 val at : float -> (unit -> unit) -> token
-(** Like {!after} with an absolute timestamp (>= now). *)
+(** Like {!after} with an absolute timestamp (>= now; an earlier or NaN
+    time raises [Invalid_argument]). *)
 
 val cancel : token -> unit
-
-val after_same : token -> float -> token
-(** [after_same tok delay] schedules [tok]'s callback again, [delay]
-    from now, without building a new closure. [tok] itself is left as
-    it is: cancel it first if it has not fired. *)
 
 val suspend : (('a -> unit) -> unit) -> 'a
 (** [suspend register] blocks the calling process and hands [register] a

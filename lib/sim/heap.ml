@@ -19,35 +19,38 @@ let state_departed = 2
 
 type 'a entry = { payload : 'a; mutable state : int }
 
-(* Payload slots beyond [len] hold [None]; a popped slot is reset to
-   [None] so the heap never retains a payload it no longer owns. An
-   earlier version kept a dummy entry built with [Obj.magic 0] as the
-   array filler, which is undefined behaviour waiting to happen
-   (flambda is free to propagate type information through it); the
-   option array is the safe sentinel and costs nothing on the hot path
-   because the sift loops only read [times]/[seqs]. *)
+(* Entry slots at or beyond [len] hold [filler], an entry built from
+   the caller's filler payload, and a popped slot is reset to it, so
+   the heap never retains a payload it no longer owns. Slots hold
+   entries directly: a typed filler costs no [Some] box per push, and
+   unlike a dummy built with [Obj.magic] it gives the compiler nothing
+   to mistype. *)
 type 'a t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable ents : 'a entry option array;
+  mutable ents : 'a entry array;
   mutable len : int;
   mutable next_seq : int;
   mutable live : int;
+  filler : 'a entry;
 }
 
-let create () =
-  { times = [||]; seqs = [||]; ents = [||]; len = 0; next_seq = 0; live = 0 }
+let create filler =
+  {
+    times = [||];
+    seqs = [||];
+    ents = [||];
+    len = 0;
+    next_seq = 0;
+    live = 0;
+    filler = { payload = filler; state = state_departed };
+  }
 
 let size t = t.live
 
 let is_empty t = t.live = 0
 
 let capacity t = Array.length t.ents
-
-let get t i =
-  match t.ents.(i) with
-  | Some e -> e
-  | None -> assert false (* i < len by construction *)
 
 (* Arrays only ever grew before this heap existed; a long-lived forked
    prefix image that drains from 10k guests to a handful would retain
@@ -60,7 +63,7 @@ let shrink_floor = 1024
 let resize t ncap =
   let ntimes = Array.make ncap 0.0 in
   let nseqs = Array.make ncap 0 in
-  let nents = Array.make ncap None in
+  let nents = Array.make ncap t.filler in
   Array.blit t.times 0 ntimes 0 t.len;
   Array.blit t.seqs 0 nseqs 0 t.len;
   Array.blit t.ents 0 nents 0 t.len;
@@ -121,8 +124,7 @@ let sift_down_from t i time seq ent =
 let compact t =
   let kept = ref 0 in
   for i = 0 to t.len - 1 do
-    let e = get t i in
-    if e.state <> state_cancelled then begin
+    if t.ents.(i).state <> state_cancelled then begin
       let k = !kept in
       if k <> i then begin
         t.times.(k) <- t.times.(i);
@@ -132,9 +134,7 @@ let compact t =
       incr kept
     end
   done;
-  for i = !kept to t.len - 1 do
-    t.ents.(i) <- None
-  done;
+  Array.fill t.ents !kept (t.len - !kept) t.filler;
   t.len <- !kept;
   if t.len > 1 then
     for i = (t.len - 2) / 4 downto 0 do
@@ -173,21 +173,21 @@ let push t ~time payload =
   done;
   times.(!i) <- time;
   seqs.(!i) <- seq;
-  ents.(!i) <- Some entry;
+  ents.(!i) <- entry;
   entry
 
 (* Remove the root whatever its state and hand it back; the caller
    decides whether it was a live pop or a lazy-cancel discard. *)
 let drop_top t =
-  let e = get t 0 in
+  let e = t.ents.(0) in
   let n = t.len - 1 in
   t.len <- n;
   if n > 0 then begin
     let lt = t.times.(n) and ls = t.seqs.(n) and le = t.ents.(n) in
-    t.ents.(n) <- None;
+    t.ents.(n) <- t.filler;
     sift_down_from t 0 lt ls le
   end
-  else t.ents.(0) <- None;
+  else t.ents.(0) <- t.filler;
   maybe_shrink t;
   e
 
@@ -216,8 +216,7 @@ let rec pop_payload t =
 
 let rec next_time t =
   if t.len = 0 then invalid_arg "Heap.next_time: no live entries";
-  let e = get t 0 in
-  if e.state = state_cancelled then begin
+  if t.ents.(0).state = state_cancelled then begin
     ignore (drop_top t);
     next_time t
   end
@@ -231,7 +230,7 @@ let rec next_time t =
 let entries t =
   let out = ref [] in
   for i = 0 to t.len - 1 do
-    let e = get t i in
+    let e = t.ents.(i) in
     if e.state = state_live then
       out := (t.times.(i), t.seqs.(i), e.payload) :: !out
   done;
@@ -250,5 +249,3 @@ let cancel t entry =
   end
 
 let cancelled entry = entry.state = state_cancelled
-
-let payload entry = entry.payload

@@ -20,7 +20,11 @@ type 'a t
 
 type 'a entry
 
-val create : unit -> 'a t
+val create : 'a -> 'a t
+(** [create filler] is an empty heap. Slots hold entries without an
+    option box, so the slots no entry occupies need a value of the
+    payload type: [filler]. It is never returned, and a popped or
+    compacted slot holds it again instead of the payload it held. *)
 
 val size : 'a t -> int
 (** Number of live (non-cancelled) entries. *)
@@ -65,6 +69,3 @@ val cancel : 'a t -> 'a entry -> unit
     cancelling an entry [pop] already returned is a no-op. *)
 
 val cancelled : 'a entry -> bool
-
-val payload : 'a entry -> 'a
-(** The value the entry was pushed with, whatever its state. *)

@@ -149,7 +149,7 @@ type model_state = Live | Gone
 let prop_heap_model =
   QCheck.Test.make ~name:"heap matches model under push/pop/cancel"
     ~count:200 ops_arb (fun ops ->
-      let h = Heap.create () in
+      let h = Heap.create 0 in
       (* (key, heap entry, state), oldest first; payload = seq. *)
       let entries = ref [] in
       let seq = ref 0 in
@@ -200,7 +200,7 @@ let prop_heap_model =
       in
       let snap = Heap.entries h in
       let snapshot_ok = Array.to_list snap = expected_live in
-      let h' = Heap.create () in
+      let h' = Heap.create 0 in
       Array.iter (fun (t, v) -> ignore (Heap.push h' ~time:t v)) snap;
       let pops heap =
         let rec go acc =
@@ -217,7 +217,7 @@ let test_heap_compaction_shrinks () =
   (* Push many, cancel all but one: the backing array must not keep a
      slot per cancelled entry once past the threshold, and the
      survivor must still pop correctly. *)
-  let h = Heap.create () in
+  let h = Heap.create "" in
   let keeper = Heap.push h ~time:5000. "keeper" in
   ignore keeper;
   for i = 1 to 10_000 do
@@ -233,7 +233,7 @@ let test_heap_capacity_shrinks () =
   (* Grow-to-peak then drain: the backing arrays must give the peak
      storage back (halving at quarter occupancy) instead of holding it
      for the heap's lifetime, and must stop at the fixed floor. *)
-  let h = Heap.create () in
+  let h = Heap.create 0 in
   for i = 1 to 100_000 do
     ignore (Heap.push h ~time:(float_of_int i) i)
   done;

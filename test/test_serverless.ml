@@ -208,6 +208,41 @@ let test_degenerate_flags_refused () =
   | Ok _ -> Alcotest.fail "plan ~n:0 \"serverless\" accepted"
   | Error _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Allocation per warm request: [run_node] on one LightVM host with a
+   warm pool of 4 and Poisson arrivals at 80 req/s, as a host of the
+   benchmark's serverless-warm fleet runs. The difference between a run
+   of about 4,000 requests and one of about 2,000, over the difference
+   in requests, cancels the set-up. [Gc.minor_words] is exact. *)
+
+let warm_run requests =
+  let cfg =
+    {
+      (S.default_config
+         ~arrival:(A.Poisson { rate = 80. })
+         ~duration:(float_of_int requests /. 80.)
+         S.Warm_pool)
+      with
+      S.seed = 7L;
+      autoscaler = { S.default_autoscaler with S.min_target = 4 };
+    }
+  in
+  let w0 = Gc.minor_words () in
+  let stats =
+    run_sim (fun () ->
+        let host = Vmm.create () in
+        S.warm_pool host ~target:4;
+        S.run_node cfg host)
+  in
+  (Gc.minor_words () -. w0, stats.S.requests)
+
+let test_warm_request_words () =
+  let w1, r1 = warm_run 2000 in
+  let w2, r2 = warm_run 4000 in
+  let per_request = (w2 -. w1) /. float_of_int (r2 - r1) in
+  if per_request > 1750. then
+    Alcotest.failf "warm request: %.1f minor words, ceiling 1750" per_request
+
 let suites =
   [
     ( "serverless",
@@ -226,4 +261,7 @@ let suites =
         Alcotest.test_case "degenerate arrival flags refused" `Quick
           test_degenerate_flags_refused;
       ] );
+    ( "serverless.cost",
+      [ Alcotest.test_case "warm request words" `Quick test_warm_request_words ]
+    );
   ]

@@ -16,7 +16,7 @@ let check_time name expected actual =
 (* Heap *)
 
 let test_heap_order () =
-  let h = Heap.create () in
+  let h = Heap.create "" in
   ignore (Heap.push h ~time:3.0 "c");
   ignore (Heap.push h ~time:1.0 "a");
   ignore (Heap.push h ~time:2.0 "b");
@@ -27,7 +27,7 @@ let test_heap_order () =
     order
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
+  let h = Heap.create "" in
   ignore (Heap.push h ~time:1.0 "first");
   ignore (Heap.push h ~time:1.0 "second");
   ignore (Heap.push h ~time:1.0 "third");
@@ -39,7 +39,7 @@ let test_heap_fifo_ties () =
     [ "first"; "second"; "third" ] vals
 
 let test_heap_cancel () =
-  let h = Heap.create () in
+  let h = Heap.create "" in
   let _a = Heap.push h ~time:1.0 "a" in
   let b = Heap.push h ~time:2.0 "b" in
   let _c = Heap.push h ~time:3.0 "c" in
@@ -56,7 +56,7 @@ let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
     QCheck.(list (float_bound_exclusive 1000.))
     (fun times ->
-      let h = Heap.create () in
+      let h = Heap.create 0. in
       List.iter (fun t -> ignore (Heap.push h ~time:t t)) times;
       let rec drain acc =
         match Heap.pop h with
@@ -187,6 +187,38 @@ let test_post_unknown_partition () =
   ignore (Engine.run post_to_3);
   ignore (Engine.run_partitioned ~lookahead:0.1 ~partitions:2 post_to_3)
 
+(* A NaN time sorts nowhere in the heap: as the root it ended the run
+   as if it had finished. Every entry point that takes a delay, a time
+   or CPU work refuses it, and the run goes on to its timers. *)
+let test_nan_rejected () =
+  let fired = ref [] in
+  let refuses name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted NaN" name
+    | exception Invalid_argument _ -> ()
+  in
+  let clock =
+    Engine.run_partitioned ~lookahead:0.1 ~partitions:1 (fun () ->
+        ignore (Engine.after 1.0 (fun () -> fired := 1 :: !fired));
+        ignore (Engine.after 2.0 (fun () -> fired := 2 :: !fired));
+        let cpu = Cpu.create ~ncores:1 () in
+        let nan = Float.nan in
+        refuses "sleep" (fun () -> Engine.sleep nan);
+        refuses "try_sleep" (fun () -> ignore (Engine.try_sleep nan));
+        refuses "after" (fun () -> ignore (Engine.after nan ignore));
+        refuses "at" (fun () -> ignore (Engine.at nan ignore));
+        refuses "post" (fun () -> Engine.post ~partition:0 ~delay:nan ignore);
+        refuses "post across partitions" (fun () ->
+            Engine.post ~partition:1 ~delay:nan ignore);
+        refuses "spawn_in" (fun () ->
+            Engine.spawn_in ~partition:1 ~delay:nan ignore);
+        refuses "Cpu.consume" (fun () -> Cpu.consume cpu ~core:0 nan);
+        refuses "Cpu.consume_async" (fun () ->
+            ignore (Cpu.consume_async cpu ~core:0 nan)))
+  in
+  Alcotest.(check (list int)) "both timers fire" [ 1; 2 ] (List.rev !fired);
+  check_time "run ends at the last timer" 2.0 clock
+
 (* ------------------------------------------------------------------ *)
 (* Engine allocation and lifecycle hooks *)
 
@@ -221,7 +253,7 @@ let test_park_words () =
            done))
   in
   (* [n] more iterations per sleeper are [2n] more parks. *)
-  check_ceiling "park" ~ceiling:60. (per_unit ~n:1000 sleepers /. 2.)
+  check_ceiling "park" ~ceiling:45. (per_unit ~n:1000 sleepers /. 2.)
 
 let empty_process () = ()
 
@@ -294,6 +326,21 @@ let test_burst_words () =
            done))
   in
   check_ceiling "lone burst" ~ceiling:20. (per_unit ~n:1000 bursts)
+
+(* Lone bursts behind an earlier pending event: each one arms the
+   completion timer and parks, and the timer wakes it. The callback
+   event itself is a few words of each unit. *)
+let test_timer_burst_words () =
+  let bursts n () =
+    ignore
+      (Engine.run (fun () ->
+           let cpu = Cpu.create ~ncores:1 () in
+           for _ = 1 to n do
+             ignore (Engine.after 0.5 ignore);
+             Cpu.consume cpu ~core:0 1.0
+           done))
+  in
+  check_ceiling "timer-path burst" ~ceiling:80. (per_unit ~n:1000 bursts)
 
 (* Sleeps of ten lookaheads in the only active partition: each wake
    opens the next virtual round of the grown window in place. *)
@@ -656,6 +703,158 @@ let test_late_residues () =
   check_in_place ~speed:2.0 ~start:1e4 late_bursts;
   if !residues = 0 then Alcotest.fail "no burst left a residue above epsilon"
 
+(* The array-backed cores against the list-based model they replaced
+   ([Cpu_reference]): random schedules of blocking and asynchronous
+   bursts on 1-3 cores at speeds 0.5-2, with equal works that finish
+   together, works below [epsilon], clocks near 1e4 s where residues
+   fall below one ulp, arrivals on busy cores, and a chain of pending
+   callbacks that keeps bursts on the completion timer. Each schedule
+   runs on both models, untraced and with no-op hooks (which turn the
+   in-place paths off); all four logs must match bit for bit: every
+   completion time in wake order, with [busy_seconds] and every core's
+   load at each completion and each callback. *)
+
+module type CPU = sig
+  type t
+
+  val create : ?speed:float -> ncores:int -> unit -> t
+  val consume : t -> core:int -> float -> unit
+  val consume_async : t -> core:int -> float -> unit Engine.Ivar.t
+  val load : t -> core:int -> int
+  val busy_seconds : t -> float
+end
+
+type burst = { core : int; work : float; async : bool; gap : float }
+
+type schedule = {
+  start : float; (* the clock the CPU is created at *)
+  speed : float;
+  ncores : int;
+  chain : float; (* period of the pending callback chain; 0 for none *)
+  procs : (float * burst list) list; (* start delay, bursts in turn *)
+}
+
+let chain_ticks = 40
+
+module Cpu_run (C : CPU) = struct
+  let log hooks sc =
+    let buf = Buffer.create 4096 in
+    Engine.set_trace_hooks hooks;
+    Fun.protect
+      ~finally:(fun () -> Engine.set_trace_hooks None)
+      (fun () ->
+        ignore
+          (Engine.run (fun () ->
+               Engine.sleep sc.start;
+               let cpu = C.create ~speed:sc.speed ~ncores:sc.ncores () in
+               let note tag =
+                 Buffer.add_string buf
+                   (Printf.sprintf "%s %h %h" tag (Engine.now ())
+                      (C.busy_seconds cpu));
+                 for core = 0 to sc.ncores - 1 do
+                   Buffer.add_string buf
+                     (Printf.sprintf " %d" (C.load cpu ~core))
+                 done;
+                 Buffer.add_char buf '\n'
+               in
+               let rec tick k () =
+                 note (Printf.sprintf "tick %d" k);
+                 if k < chain_ticks then
+                   ignore (Engine.after sc.chain (tick (k + 1)))
+               in
+               if sc.chain > 0. then ignore (Engine.after sc.chain (tick 1));
+               List.iteri
+                 (fun p (delay, bursts) ->
+                   Engine.spawn (fun () ->
+                       Engine.sleep delay;
+                       List.iteri
+                         (fun b { core; work; async; gap } ->
+                           let tag = Printf.sprintf "p%d.%d" p b in
+                           if async then begin
+                             let done_ = C.consume_async cpu ~core work in
+                             Engine.spawn (fun () ->
+                                 Engine.Ivar.read done_;
+                                 note tag)
+                           end
+                           else begin
+                             C.consume cpu ~core work;
+                             note tag
+                           end;
+                           Engine.sleep gap)
+                         bursts))
+                 sc.procs)));
+    Buffer.contents buf
+end
+
+module Array_cores = Cpu_run (Cpu)
+module List_cores = Cpu_run (Cpu_reference)
+
+let gen_schedule =
+  let open QCheck.Gen in
+  let* late = bool in
+  let* start =
+    if late then map (fun f -> 1e4 +. f) (float_bound_inclusive 1.)
+    else oneofl [ 0.; 0.25 ]
+  in
+  let* speed =
+    oneof [ oneofl [ 0.5; 1.; 2. ]; float_range 0.5 2. ]
+  in
+  let* ncores = int_range 1 3 in
+  let* chain =
+    frequency
+      [ (2, return 0.); (1, oneofl [ 0.3; 0.05 ]); (1, float_range 0.01 0.5) ]
+  in
+  let work =
+    frequency
+      [
+        (4, oneofl [ 0.25; 0.5; 1. ]);
+        (3, float_range 1e-6 1.);
+        (3, map (fun k -> 1e-4 *. float_of_int k) (int_range 1 1000));
+        (1, oneofl [ 1e-13; 3e-7; 0.1 +. 0.2; 0. ]);
+      ]
+  in
+  let burst =
+    let* core = int_bound (ncores - 1) in
+    let* work = work in
+    let* async = bool in
+    let* gap =
+      frequency [ (3, return 0.); (2, oneofl [ 0.25; 1e-3 ]); (1, float_bound_inclusive 0.5) ]
+    in
+    return { core; work; async; gap }
+  in
+  let proc =
+    let* delay =
+      frequency [ (3, return 0.); (2, oneofl [ 0.1; 0.25 ]); (1, float_bound_inclusive 1.) ]
+    in
+    let* bursts = list_size (int_range 1 6) burst in
+    return (delay, bursts)
+  in
+  let* procs = list_size (int_range 1 4) proc in
+  return { start; speed; ncores; chain; procs }
+
+let print_schedule sc =
+  let burst b =
+    Printf.sprintf "{core %d; work %h; %s; gap %h}" b.core b.work
+      (if b.async then "async" else "blocking")
+      b.gap
+  in
+  Printf.sprintf "start %h speed %h cores %d chain %h\n%s" sc.start sc.speed
+    sc.ncores sc.chain
+    (String.concat "\n"
+       (List.map
+          (fun (d, bs) ->
+            Printf.sprintf "delay %h: %s" d (String.concat " " (List.map burst bs)))
+          sc.procs))
+
+let prop_cpu_reference =
+  QCheck.Test.make ~name:"cpu: array cores = list reference" ~count:300
+    (QCheck.make ~print:print_schedule gen_schedule)
+    (fun sc ->
+      let reference = List_cores.log None sc in
+      reference = Array_cores.log None sc
+      && reference = List_cores.log (Some noop_hooks) sc
+      && reference = Array_cores.log (Some noop_hooks) sc)
+
 let suites =
   [
     ( "sim.heap",
@@ -686,6 +885,7 @@ let suites =
           test_past_scheduling_rejected;
         Alcotest.test_case "post to an unknown partition" `Quick
           test_post_unknown_partition;
+        Alcotest.test_case "NaN times refused" `Quick test_nan_rejected;
       ] );
     ( "sim.engine.cost",
       [
@@ -694,6 +894,8 @@ let suites =
         Alcotest.test_case "window switch words" `Quick test_window_words;
         Alcotest.test_case "lone sleep words" `Quick test_lone_sleep_words;
         Alcotest.test_case "lone burst words" `Quick test_burst_words;
+        Alcotest.test_case "timer-path burst words" `Quick
+          test_timer_burst_words;
         Alcotest.test_case "cross-round sleep words" `Quick
           test_cross_round_sleep_words;
         Alcotest.test_case "hook sequence" `Quick test_hook_sequence;
@@ -716,6 +918,7 @@ let suites =
         Alcotest.test_case "utilization" `Quick test_cpu_utilization;
         Alcotest.test_case "least loaded" `Quick test_cpu_least_loaded;
         QCheck_alcotest.to_alcotest prop_cpu_work_conservation;
+        QCheck_alcotest.to_alcotest prop_cpu_reference;
         in_place_case "in place: lone bursts" lone_bursts;
         in_place_case "in place: overlapping bursts" ~cores:2
           overlapping_bursts;
