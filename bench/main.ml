@@ -446,23 +446,13 @@ open Bechamel
 open Toolkit
 
 let xs_store_ops () =
-  (* Fig 5/9's substrate: real store writes + reads, on the overwrite
-     fast path (same-value refresh through the lookup memo). *)
+  (* Fig 5/9's substrate: real store writes + reads; after the first,
+     each write re-asserts the value the node holds and each read hits
+     the lookup memo. *)
   let store = Lightvm_xenstore.Xs_store.create () in
   let path = Lightvm_xenstore.Xs_path.of_string "/local/domain/1/name" in
   Staged.stage (fun () ->
       ignore (Lightvm_xenstore.Xs_store.write store ~caller:0 path "guest");
-      ignore (Lightvm_xenstore.Xs_store.read store ~caller:0 path))
-
-let xs_store_ops_generic () =
-  (* Reference: the functional-update path every write used before the
-     overwrite fast path and lookup memo existed. *)
-  let store = Lightvm_xenstore.Xs_store.create () in
-  let path = Lightvm_xenstore.Xs_path.of_string "/local/domain/1/name" in
-  Staged.stage (fun () ->
-      ignore
-        (Lightvm_xenstore.Xs_store.write_generic store ~caller:0 path
-           "guest");
       ignore (Lightvm_xenstore.Xs_store.read store ~caller:0 path))
 
 let xs_wire_roundtrip () =
@@ -491,8 +481,8 @@ let xs_transaction () =
       ignore (Lightvm_xenstore.Xs_transaction.commit tx ~into:store))
 
 let xs_path_segments () =
-  (* The store walks a path's segments on every op; they are cached in
-     the path value, so this must be a pointer read, not a re-split. *)
+  (* The store walks a path's segments on every op; a path value holds
+     its segment list, so this must be a field read, not a re-split. *)
   let path =
     Lightvm_xenstore.Xs_path.of_string "/local/domain/7/device/vif/0/state"
   in
@@ -641,7 +631,8 @@ let scale_watch_linear () =
 
 let scale_snapshot_persistent () =
   (* Transaction snapshot of a 10k-domain store: pure structural
-     sharing (immutable node tree + persistent ownership map). *)
+     sharing of the node tree and the persistent ownership map; the
+     store just moves to a fresh epoch. *)
   let module S = Lightvm_xenstore.Xs_store in
   let module P = Lightvm_xenstore.Xs_path in
   let store = S.create () in
@@ -666,11 +657,9 @@ let scale_snapshot_copy () =
 let micro_tests =
   [
     Test.make ~name:"fig5/fig9: xenstore write+read" (xs_store_ops ());
-    Test.make ~name:"fig5/fig9: xenstore write+read (generic ref)"
-      (xs_store_ops_generic ());
     Test.make ~name:"fig5: xs wire pack/unpack" (xs_wire_roundtrip ());
     Test.make ~name:"fig17: xenstore transaction" (xs_transaction ());
-    Test.make ~name:"fig5/fig9: xs_path segments (cached)"
+    Test.make ~name:"fig5/fig9: xs_path segments (field read)"
       (xs_path_segments ());
     Test.make ~name:"all figs: event heap push/pop" (event_heap ());
     Test.make ~name:"all figs: event heap push/cancel/pop"

@@ -5,10 +5,13 @@ module SMap = Map.Make (String)
 module IMap = Map.Make (Int)
 
 module Node = struct
+  (* [epoch] is the epoch of the store that created or copied the node;
+     only a store that holds that epoch changes the node in place. *)
   type t = {
-    value : string;
-    perms : Xs_perms.t;
-    children : t SMap.t;
+    mutable value : string;
+    mutable perms : Xs_perms.t;
+    mutable children : t SMap.t;
+    epoch : int;
   }
 
   let value t = t.value
@@ -17,28 +20,46 @@ module Node = struct
 
   let rec subtree_size t =
     SMap.fold (fun _ child acc -> acc + subtree_size child) t.children 1
-
-  let make ~value ~perms = { value; perms; children = SMap.empty }
 end
 
-(* [owned] is a persistent map (not a Hashtbl) so that snapshots are
-   pure structural sharing: [snapshot]/[of_snapshot] copy four words
-   whatever the number of owners, where a Hashtbl would cost an O(n)
-   copy per transaction start and per scratch validation. *)
+(* A transient tree. Snapshots share nodes with the store they were
+   taken from and with the stores built from them, so a store changes
+   in place only the nodes that carry its own [epoch]: the ones it
+   created or copied since it took that epoch, which nothing else can
+   reach. A mutation copies each shared node on its path into the
+   store's epoch, links the copy into its parent (already the store's
+   own) and then changes the target in place. The nodes of the current
+   epoch form a subtree that holds the root whenever it is not empty,
+   since a node is only ever created or copied under a parent of the
+   current epoch; so a target of the current epoch has no shared
+   ancestor, and overwriting it sets one field.
+
+   [snapshot], [of_snapshot] and [adopt] move stores to fresh epochs
+   drawn from [epochs], a counter that a store, its snapshots and the
+   stores made from them share. It lives in the store rather than in a
+   global, so a checkpoint image carries it and a thawed copy never
+   re-issues an epoch its nodes already carry.
+
+   [owned] is a persistent map (not a Hashtbl) so that a snapshot
+   shares it whatever the number of owners, where a Hashtbl would cost
+   an O(n) copy per transaction start and per scratch validation.
+
+   [memo_path] and [memo_node] are a single-entry lookup memo: the node
+   the last successful walk reached, keyed by the path value's address.
+   Clients overwhelmingly re-touch one key (device state machines poll
+   their own state node, through a path value they hold). Every
+   mutation and every change of root resets the memo to the root path
+   and the root node, an entry that is always valid, so the memo needs
+   no option box and never pins a dead tree. *)
 type t = {
   mutable root : Node.t;
   mutable generation : int;
   mutable count : int;
   mutable owned : int IMap.t;
-  mutable memo : (Xs_path.t * Node.t * Node.t) option;
-      (** Single-entry lookup memo: [(path, root, node)] from the last
-          successful walk. Clients overwhelmingly re-touch one key
-          (device state machines poll their own state node, through a
-          path value they hold), and the node tree is immutable, so
-          the memo is valid exactly while both the path and the root
-          are physically unchanged — two pointer compares instead of a
-          per-segment walk. Any commit that replaces [root] clears it,
-          so it never pins a dead tree. *)
+  mutable epoch : int;
+  mutable epochs : int ref;
+  mutable memo_path : Xs_path.t;
+  mutable memo_node : Node.t;
 }
 
 type 'a r = ('a, Xs_error.t) result
@@ -48,7 +69,16 @@ type snapshot = {
   snap_generation : int;
   snap_count : int;
   snap_owned : int IMap.t;
+  snap_epochs : int ref;
 }
+
+let fresh_epoch epochs =
+  incr epochs;
+  !epochs
+
+let forget t =
+  t.memo_path <- Xs_path.root;
+  t.memo_node <- t.root
 
 let adjust_owned t domid delta =
   let cur = Option.value ~default:0 (IMap.find_opt domid t.owned) in
@@ -67,260 +97,226 @@ let owned_count t ~domid =
 let node_count t = t.count
 let generation t = t.generation
 
-let dom0_node value =
-  Node.make ~value ~perms:(Xs_perms.make ~owner:0 ~default:Xs_perms.Read ())
-
 let create () =
-  let leaf = dom0_node "" in
-  let domain = leaf in
-  let local = { leaf with Node.children = SMap.singleton "domain" domain } in
+  let perms = Xs_perms.make ~owner:0 ~default:Xs_perms.Read () in
+  let dir ?(children = SMap.empty) () =
+    { Node.value = ""; perms; children; epoch = 0 }
+  in
+  let local = dir ~children:(SMap.singleton "domain" (dir ())) () in
   let root =
-    {
-      (dom0_node "") with
-      Node.children =
-        SMap.of_seq
-          (List.to_seq
-             [ ("local", local); ("tool", leaf); ("vm", leaf) ]);
-    }
+    dir
+      ~children:
+        (SMap.of_seq
+           (List.to_seq [ ("local", local); ("tool", dir ()); ("vm", dir ()) ]))
+      ()
   in
   let t =
-    { root; generation = 0; count = 5; owned = IMap.empty; memo = None }
+    {
+      root;
+      generation = 0;
+      count = 5;
+      owned = IMap.empty;
+      epoch = 0;
+      epochs = ref 0;
+      memo_path = Xs_path.root;
+      memo_node = root;
+    }
   in
   adjust_owned t 0 5;
   t
 
-let rec lookup_node node = function
-  | [] -> Some node
-  | seg :: rest -> (
-      match SMap.find_opt seg node.Node.children with
-      | None -> None
-      | Some child -> lookup_node child rest)
+(* The node reached by following [segs] from [node] up to its suffix
+   [stop]; raises [Not_found] at a missing segment. *)
+let rec find_upto (node : Node.t) segs stop =
+  if segs == stop then node
+  else
+    match segs with
+    | [] -> node
+    | seg :: rest -> find_upto (SMap.find seg node.children) rest stop
 
-let lookup t path =
-  match t.memo with
-  | Some (p, r, node) when p == path && r == t.root -> Some node
-  | _ ->
-      if Xs_path.is_special path then None
-      else (
-        match lookup_node t.root (Xs_path.segments path) with
-        | Some node as found ->
-            t.memo <- Some (path, t.root, node);
-            found
-        | None -> None)
-
-let exists t path = Option.is_some (lookup t path)
-
-let read t ~caller path =
-  match lookup t path with
-  | None -> Error Xs_error.ENOENT
-  | Some node ->
-      if Xs_perms.can_read (Node.perms node) ~domid:caller then
-        Ok (Node.value node)
-      else Error Xs_error.EACCES
-
-let directory t ~caller path =
-  match lookup t path with
-  | None -> Error Xs_error.ENOENT
-  | Some node ->
-      if Xs_perms.can_read (Node.perms node) ~domid:caller then
-        Ok (List.map fst (Node.children node))
-      else Error Xs_error.EACCES
-
-let get_perms t ~caller path =
-  match lookup t path with
-  | None -> Error Xs_error.ENOENT
-  | Some node ->
-      if Xs_perms.can_read (Node.perms node) ~domid:caller then
-        Ok (Node.perms node)
-      else Error Xs_error.EACCES
-
-(* Functional update along [segs]; [f] transforms the (optional) target
-   node into its replacement. Counts created nodes so quotas and node
-   totals stay exact: every node one update creates is owned by
-   [caller], so the ownership map is touched once per mutation. *)
-let update t ~caller path ~(f : Node.t option -> (Node.t, Xs_error.t) result)
-    =
-  if Xs_path.is_special path then Error Xs_error.EINVAL
+let find t path =
+  if path == t.memo_path then t.memo_node
+  else if Xs_path.is_special path then raise_notrace Not_found
   else begin
-    let created = ref 0 in
-    let rec go (node : Node.t) segs : (Node.t, Xs_error.t) result =
-      match segs with
-      | [] -> assert false
-      | [ last ] -> (
-          let existing = SMap.find_opt last node.Node.children in
-          (match existing with
-          | Some _ -> ()
-          | None ->
-              (* Creating: need write permission on the parent. *)
-              if not (Xs_perms.can_write (Node.perms node) ~domid:caller)
-              then raise (Xs_error.Error Xs_error.EACCES));
-          match f existing with
-          | Error e -> Error e
-          | Ok replacement ->
-              (* [Option.is_none], not polymorphic [= None]: [existing]
-                 carries a whole subtree, and structural equality is a C
-                 call the compiler can't see through. *)
-              if Option.is_none existing then incr created;
-              Ok
-                {
-                  node with
-                  Node.children =
-                    SMap.add last replacement node.Node.children;
-                })
-      | seg :: rest -> (
-          let child =
-            match SMap.find_opt seg node.Node.children with
-            | Some c -> c
-            | None ->
-                (* Implicit intermediate node owned by the caller. *)
-                if not (Xs_perms.can_write (Node.perms node) ~domid:caller)
-                then raise (Xs_error.Error Xs_error.EACCES);
-                incr created;
-                Node.make ~value:""
-                  ~perms:(Xs_perms.owned_default caller)
-          in
-          match go child rest with
-          | Error e -> Error e
-          | Ok child' ->
-              Ok
-                {
-                  node with
-                  Node.children = SMap.add seg child' node.Node.children;
-                })
-    in
-    match Xs_path.segments path with
-    | [] -> Error Xs_error.EINVAL
-    | segs -> (
-        match go t.root segs with
-        | Error e -> Error e
-        | Ok root' ->
-            t.root <- root';
-            t.memo <- None;
-            t.generation <- t.generation + 1;
-            if !created > 0 then begin
-              t.count <- t.count + !created;
-              adjust_owned t caller !created
-            end;
-            Ok ()
-        | exception Xs_error.Error e -> Error e)
+    let node = find_upto t.root (Xs_path.segments path) [] in
+    t.memo_path <- path;
+    t.memo_node <- node;
+    node
   end
 
-let write_generic t ~caller path value =
-  update t ~caller path ~f:(fun existing ->
-      match existing with
-      | Some node ->
-          if Xs_perms.can_write (Node.perms node) ~domid:caller then
-            Ok { node with Node.value = value }
-          else Error Xs_error.EACCES
-      | None ->
-          Ok (Node.make ~value ~perms:(Xs_perms.owned_default caller)))
+let lookup t path =
+  match find t path with node -> Some node | exception Not_found -> None
 
-(* Overwriting an existing node is the dominant write shape (device
-   state machines and per-domain bookkeeping rewrite the same keys),
-   and it needs none of [update]'s machinery: nothing is created, so no
-   quota/ownership accounting, no per-level [result] boxing and no
-   created-node list — just rebuild the spine. Any missing segment
-   falls back to the generic path, which keeps the two observably
-   identical (same permission checks, same errors). *)
-exception Missing
+let exists t path =
+  match find t path with _ -> true | exception Not_found -> false
 
-exception Unchanged
+let readable t ~caller path ~(f : Node.t -> 'a) =
+  match find t path with
+  | exception Not_found -> Error Xs_error.ENOENT
+  | node ->
+      if Xs_perms.can_read node.perms ~domid:caller then Ok (f node)
+      else Error Xs_error.EACCES
 
-let write_slow t ~caller path value =
+let read t ~caller path = readable t ~caller path ~f:Node.value
+
+let directory t ~caller path =
+  readable t ~caller path ~f:(fun node ->
+      List.map fst (Node.children node))
+
+let get_perms t ~caller path = readable t ~caller path ~f:Node.perms
+
+(* Where [segs] ends below [node]: the node it names, or the deepest
+   existing node on the way and the segments missing below it. *)
+type probe = Found of Node.t | Missing of Node.t * string list
+
+let rec probe (node : Node.t) = function
+  | [] -> Found node
+  | seg :: rest as segs -> (
+      match SMap.find seg node.children with
+      | child -> probe child rest
+      | exception Not_found -> Missing (node, segs))
+
+(* [find_upto] for a mutation: every shared node on the way is copied
+   into the store's epoch and the copy linked into its parent, so the
+   node returned is the store's own. *)
+let rec own_upto t (node : Node.t) segs stop =
+  if segs == stop then node
+  else
+    match segs with
+    | [] -> node
+    | seg :: rest ->
+        let child = SMap.find seg node.children in
+        let child =
+          if child.epoch = t.epoch then child
+          else begin
+            let copy = { child with epoch = t.epoch } in
+            node.children <- SMap.add seg copy node.children;
+            copy
+          end
+        in
+        own_upto t child rest stop
+
+(* [node], found at [segs] up to [stop], made the store's own. *)
+let writable t (node : Node.t) segs stop =
+  if node.epoch = t.epoch then node
+  else begin
+    let root =
+      if t.root.epoch = t.epoch then t.root
+      else begin
+        let copy = { t.root with epoch = t.epoch } in
+        t.root <- copy;
+        copy
+      end
+    in
+    own_upto t root segs stop
+  end
+
+let mutated t =
+  t.generation <- t.generation + 1;
+  forget t
+
+(* The new nodes [segs] names, all owned by [perms]' owner: an empty
+   directory per segment and [value] at the last. *)
+let rec chain epoch perms value = function
+  | [] | [ _ ] -> { Node.value; perms; children = SMap.empty; epoch }
+  | _ :: (next :: _ as rest) ->
+      {
+        Node.value = "";
+        perms;
+        children = SMap.singleton next (chain epoch perms value rest);
+        epoch;
+      }
+
+(* Creates [missing] below [parent], the deepest existing node on
+   [segs]: the new nodes are linked into the tree once, at the top. Every
+   created node is owned by [caller], so the ownership map is touched
+   once per mutation. *)
+let add t ~caller segs parent missing value =
+  match missing with
+  | [] -> ()
+  | seg :: _ ->
+      let parent = writable t parent segs missing in
+      let perms = Xs_perms.owned_default caller in
+      parent.children <-
+        SMap.add seg (chain t.epoch perms value missing) parent.children;
+      let created = List.length missing in
+      t.count <- t.count + created;
+      adjust_owned t caller created;
+      mutated t
+
+(* Every mutation makes all of its checks before it changes anything,
+   so a failed one leaves the tree as it was. Creating needs write
+   permission on the deepest existing node; the implicit directories
+   below it are the caller's own. *)
+let write t ~caller path value =
   if Xs_path.is_special path then Error Xs_error.EINVAL
   else
     match Xs_path.segments path with
     | [] -> Error Xs_error.EINVAL
     | segs -> (
-        let rec overwrite (node : Node.t) = function
-          | [] -> assert false
-          | [ last ] -> (
-              match SMap.find_opt last node.Node.children with
-              | None -> raise_notrace Missing
-              | Some leaf ->
-                  if Xs_perms.can_write (Node.perms leaf) ~domid:caller then
-                    if String.equal (Node.value leaf) value then
-                      (* Same-value refresh (clients re-assert keys they
-                         already own, as oxenstored also special-cases):
-                         the tree after the rebuild would be structurally
-                         identical, so skip it. The write still counts —
-                         generation bumps, watches fire at the server
-                         layer — only the allocation disappears. *)
-                      raise_notrace Unchanged
-                    else
-                      {
-                        node with
-                        Node.children =
-                          SMap.add last
-                            { leaf with Node.value = value }
-                            node.Node.children;
-                      }
-                  else raise_notrace (Xs_error.Error Xs_error.EACCES))
-          | seg :: rest -> (
-              match SMap.find_opt seg node.Node.children with
-              | None -> raise_notrace Missing
-              | Some child ->
-                  {
-                    node with
-                    Node.children =
-                      SMap.add seg (overwrite child rest) node.Node.children;
-                  })
-        in
-        match overwrite t.root segs with
-        | root' ->
-            t.root <- root';
-            t.memo <- None;
-            t.generation <- t.generation + 1;
-            Ok ()
-        | exception Unchanged ->
-            t.generation <- t.generation + 1;
-            Ok ()
-        | exception Missing -> write_generic t ~caller path value
-        | exception Xs_error.Error e -> Error e)
-
-let write t ~caller path value =
-  match t.memo with
-  | Some (p, r, leaf)
-    when p == path && r == t.root
-         && Xs_perms.can_write (Node.perms leaf) ~domid:caller
-         && String.equal (Node.value leaf) value ->
-      (* Memoized same-value refresh: the tree would come out
-         structurally identical, so only the generation advances. *)
-      t.generation <- t.generation + 1;
-      Ok ()
-  | _ -> write_slow t ~caller path value
+        match probe t.root segs with
+        | Found node ->
+            if not (Xs_perms.can_write node.perms ~domid:caller) then
+              Error Xs_error.EACCES
+            else if String.equal node.value value then begin
+              (* Same-value refresh (clients re-assert keys they already
+                 own): the tree would not change, so nothing is copied.
+                 The write still counts — generation bumps, watches
+                 fire at the server layer. *)
+              t.generation <- t.generation + 1;
+              Ok ()
+            end
+            else begin
+              (writable t node segs []).value <- value;
+              mutated t;
+              Ok ()
+            end
+        | Missing (parent, missing) ->
+            if not (Xs_perms.can_write parent.perms ~domid:caller) then
+              Error Xs_error.EACCES
+            else begin
+              add t ~caller segs parent missing value;
+              Ok ()
+            end)
 
 let mkdir t ~caller path =
-  if exists t path then Ok () (* silent success, like the real daemon *)
+  if Xs_path.is_special path then Error Xs_error.EINVAL
   else
-    update t ~caller path ~f:(fun existing ->
-        match existing with
-        | Some node -> Ok node
-        | None ->
-            Ok (Node.make ~value:"" ~perms:(Xs_perms.owned_default caller)))
+    let segs = Xs_path.segments path in
+    match probe t.root segs with
+    | Found _ -> Ok () (* silent success, like the real daemon *)
+    | Missing (parent, missing) ->
+        if not (Xs_perms.can_write parent.perms ~domid:caller) then
+          Error Xs_error.EACCES
+        else begin
+          add t ~caller segs parent missing "";
+          Ok ()
+        end
 
 let set_perms t ~caller path perms =
-  let previous_owner = ref None in
-  let result =
-    update t ~caller path ~f:(fun existing ->
-        match existing with
-        | None -> Error Xs_error.ENOENT
-        | Some node ->
-            if caller = 0 || Xs_perms.owner (Node.perms node) = caller then begin
-              previous_owner := Some (Xs_perms.owner (Node.perms node));
-              Ok { node with Node.perms = perms }
+  if Xs_path.is_special path then Error Xs_error.EINVAL
+  else
+    match Xs_path.segments path with
+    | [] -> Error Xs_error.EINVAL
+    | segs -> (
+        match probe t.root segs with
+        | Missing (parent, _) ->
+            if Xs_perms.can_write parent.perms ~domid:caller then
+              Error Xs_error.ENOENT
+            else Error Xs_error.EACCES
+        | Found node ->
+            let old_owner = Xs_perms.owner node.perms in
+            if caller = 0 || old_owner = caller then begin
+              (writable t node segs []).perms <- perms;
+              let new_owner = Xs_perms.owner perms in
+              if old_owner <> new_owner then begin
+                adjust_owned t old_owner (-1);
+                adjust_owned t new_owner 1
+              end;
+              mutated t;
+              Ok ()
             end
             else Error Xs_error.EACCES)
-  in
-  (match (result, !previous_owner) with
-  | Ok (), Some old_owner ->
-      let new_owner = Xs_perms.owner perms in
-      if old_owner <> new_owner then begin
-        adjust_owned t old_owner (-1);
-        adjust_owned t new_owner 1
-      end
-  | _ -> ());
-  result
 
 let count_owners node =
   let rec go acc (n : Node.t) =
@@ -334,47 +330,36 @@ let count_owners node =
   in
   go IMap.empty node
 
+let rec last_cell = function
+  | ([] | [ _ ]) as cell -> cell
+  | _ :: rest -> last_cell rest
+
 let rm t ~caller path =
   if Xs_path.is_special path then Error Xs_error.EINVAL
   else
     match Xs_path.segments path with
     | [] -> Error Xs_error.EINVAL
     | segs -> (
-        match lookup t path with
-        | None -> Error Xs_error.ENOENT
-        | Some target ->
-            let removable parent_node =
-              Xs_perms.can_write (Node.perms parent_node) ~domid:caller
-              || Xs_perms.can_write (Node.perms target) ~domid:caller
-            in
-            let rec go node = function
-              | [] -> assert false
-              | [ last ] ->
-                  if not (removable node) then
-                    raise (Xs_error.Error Xs_error.EACCES);
-                  {
-                    node with
-                    Node.children = SMap.remove last node.Node.children;
-                  }
-              | seg :: rest ->
-                  let child = SMap.find seg node.Node.children in
-                  {
-                    node with
-                    Node.children =
-                      SMap.add seg (go child rest) node.Node.children;
-                  }
-            in
-            (match go t.root segs with
-            | root' ->
-                IMap.iter
-                  (fun owner n -> adjust_owned t owner (-n))
-                  (count_owners target);
-                t.count <- t.count - Node.subtree_size target;
-                t.root <- root';
-                t.memo <- None;
-                t.generation <- t.generation + 1;
-                Ok ()
-            | exception Xs_error.Error e -> Error e))
+        match find t path with
+        | exception Not_found -> Error Xs_error.ENOENT
+        | target ->
+            let last = last_cell segs in
+            let parent = find_upto t.root segs last in
+            if
+              not
+                (Xs_perms.can_write parent.perms ~domid:caller
+                || Xs_perms.can_write target.perms ~domid:caller)
+            then Error Xs_error.EACCES
+            else begin
+              let parent = writable t parent segs last in
+              parent.children <- SMap.remove (List.hd last) parent.children;
+              IMap.iter
+                (fun owner n -> adjust_owned t owner (-n))
+                (count_owners target);
+              t.count <- t.count - Node.subtree_size target;
+              mutated t;
+              Ok ()
+            end)
 
 let iter t f =
   let rec go path node =
@@ -388,17 +373,23 @@ let iter t f =
   in
   go Xs_path.root t.root
 
-(* Both O(1): the node tree is immutable and [owned] is persistent, so
-   a snapshot is four words and restoring one shares all structure.
-   Mutations on either side replace fields; they never leak across
-   (pinned by the snapshot-independence test in test_xenstore.ml). *)
+(* All O(1). A snapshot shares the whole tree, so the store it was
+   taken from moves to a fresh epoch and copies what it changes from
+   then on; a store seeded from a snapshot starts in a fresh epoch for
+   the same reason. Mutations on either side never leak across (pinned
+   by the snapshot-independence tests in test_xenstore.ml). *)
 let snapshot t =
-  {
-    snap_root = t.root;
-    snap_generation = t.generation;
-    snap_count = t.count;
-    snap_owned = t.owned;
-  }
+  let s =
+    {
+      snap_root = t.root;
+      snap_generation = t.generation;
+      snap_count = t.count;
+      snap_owned = t.owned;
+      snap_epochs = t.epochs;
+    }
+  in
+  t.epoch <- fresh_epoch t.epochs;
+  s
 
 let of_snapshot s =
   {
@@ -406,12 +397,22 @@ let of_snapshot s =
     generation = s.snap_generation;
     count = s.snap_count;
     owned = s.snap_owned;
-    memo = None;
+    epoch = fresh_epoch s.snap_epochs;
+    epochs = s.snap_epochs;
+    memo_path = Xs_path.root;
+    memo_node = s.snap_root;
   }
 
-let restore t s =
-  t.root <- s.snap_root;
-  t.generation <- s.snap_generation;
-  t.count <- s.snap_count;
-  t.owned <- s.snap_owned;
-  t.memo <- None
+(* [t] takes over [from]'s tree together with its epoch, so the nodes
+   [from] copied or created stay writable in place. [from] is spent;
+   it moves to a fresh epoch so that no two stores hold one epoch: a
+   stray write through it copies instead of changing [t]'s nodes. *)
+let adopt t ~from =
+  t.root <- from.root;
+  t.generation <- from.generation;
+  t.count <- from.count;
+  t.owned <- from.owned;
+  t.epochs <- from.epochs;
+  t.epoch <- from.epoch;
+  forget t;
+  from.epoch <- fresh_epoch from.epochs

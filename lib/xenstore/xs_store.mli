@@ -1,16 +1,24 @@
 (** The XenStore database: a tree of nodes, each carrying a value,
     permissions and named children.
 
-    Nodes are immutable; a store is a mutable handle onto the current
-    root plus bookkeeping. Immutability makes transaction snapshots O(1)
-    (exactly the trick the real oxenstored plays) and lets transactions
-    run against private views.
+    The tree is transient. A snapshot shares every node with the store
+    it was taken from, which makes transaction snapshots O(1) (the trick
+    the real oxenstored plays with an immutable tree) and lets
+    transactions run against private views. Each node records the epoch
+    of the store that created or copied it, and a store changes in
+    place only the nodes of its own epoch: those nothing else can reach.
+    A mutation copies just the shared nodes on its path, so a store
+    that no snapshot shares rewrites a value in place, and after a
+    snapshot each path is copied once.
 
     This module is pure bookkeeping — simulation-time costs are charged
     by {!Xs_server}, which also enforces quotas and fires watches. *)
 
 module Node : sig
   type t
+  (** A node is not a value: one that [lookup] returned reflects the
+      store's later in-place writes, until the store copies it. Read
+      what you need from it right away. *)
 
   val value : t -> string
 
@@ -42,6 +50,8 @@ val owned_count : t -> domid:int -> int
 val exists : t -> Xs_path.t -> bool
 
 val lookup : t -> Xs_path.t -> Node.t option
+(** The node at the path, or [None]. See {!Node} on how long it stays
+    current. *)
 
 val read : t -> caller:int -> Xs_path.t -> string r
 (** [Error ENOENT] when absent, [Error EACCES] when not readable by
@@ -51,18 +61,9 @@ val read : t -> caller:int -> Xs_path.t -> string r
 val write : t -> caller:int -> Xs_path.t -> string -> unit r
 (** Creates the node (and any missing ancestors, owned by [caller]) if
     needed; requires write permission on the node or, when creating, on
-    the nearest existing ancestor. Overwrites of an existing node take
-    a specialized spine-rebuild path that skips the quota/ownership
-    bookkeeping (nothing is created), and an overwrite with the value
-    the node already holds skips the rebuild entirely (the generation
-    still advances, so transactions and watches observe the write);
-    creating writes go through {!write_generic}. *)
-
-val write_generic : t -> caller:int -> Xs_path.t -> string -> unit r
-(** The general functional-update implementation of {!write}: handles
-    node creation and all accounting. [write] delegates to it whenever
-    any path segment is missing; it is exported as the reference side
-    of the bench pair pinning the overwrite fast path. *)
+    the nearest existing ancestor. An overwrite with the value the node
+    already holds changes no node, but the generation still advances,
+    so transactions and watches observe the write. *)
 
 val mkdir : t -> caller:int -> Xs_path.t -> unit r
 (** Like [write] with an empty value, but succeeds silently when the
@@ -90,15 +91,20 @@ val iter :
 type snapshot
 
 val snapshot : t -> snapshot
-(** O(1): the node tree is immutable and the ownership counts are a
-    persistent map, so a snapshot is pure structural sharing — no
-    copies, whatever the store size. *)
+(** O(1): the snapshot shares the whole tree and the persistent
+    ownership counts, and the store moves to a fresh epoch, so its
+    later writes copy the nodes they change instead of changing the
+    snapshot's. *)
 
 val of_snapshot : snapshot -> t
-(** An independent store seeded from the snapshot; mutations do not
-    affect the original. Also O(1) — restoring shares all structure. *)
+(** An independent store seeded from the snapshot, in a fresh epoch;
+    mutations on either side do not affect the other. Also O(1). *)
 
-val restore : t -> snapshot -> unit
-(** [restore t s] makes [t] hold the snapshot's tree, generation, node
-    count and ownership counts, in O(1). Used to commit a transaction by
-    adopting the store it built. *)
+val adopt : t -> from:t -> unit
+(** [adopt t ~from] makes [t] hold [from]'s tree, generation, node
+    count and ownership counts, in O(1), and hands it [from]'s epoch
+    too: the nodes [from] created or copied stay writable in place, in
+    [t]. [from] must not be used afterwards: [t]'s later writes change
+    nodes [from] still reaches, so what it would read is unspecified.
+    {!Xs_transaction.commit} adopts the transaction's view, or the copy
+    it validated the journal on. *)

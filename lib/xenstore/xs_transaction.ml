@@ -101,18 +101,20 @@ let replay_into store entries =
    [start], that tree is the view itself, so the view is adopted as is.
    Otherwise the journal is validated and applied once, on a scratch
    copy of the live store, and the copy is adopted; a conflict leaves
-   the live store untouched. Both adoptions are O(1). *)
+   the live store untouched. Both adoptions are O(1), and the store
+   takes the adopted tree's epoch with it, so the nodes the view or the
+   copy wrote stay writable in place. *)
 let commit t ~into:store =
   if t.aborted then Error Xs_error.EINVAL
   else if Xs_store.generation store = t.base_generation then begin
-    Xs_store.restore store (Xs_store.snapshot t.view);
+    Xs_store.adopt store ~from:t.view;
     Ok (writes t)
   end
   else begin
     let scratch = Xs_store.of_snapshot (Xs_store.snapshot store) in
     match replay_into scratch (List.rev t.journal) with
     | () ->
-        Xs_store.restore store (Xs_store.snapshot scratch);
+        Xs_store.adopt store ~from:scratch;
         Ok (writes t)
     | exception Conflict -> Error Xs_error.EAGAIN
   end

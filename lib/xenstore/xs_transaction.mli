@@ -1,12 +1,12 @@
 (** XenStore transactions.
 
     A transaction runs against a private store view snapshotted at
-    start (O(1), thanks to the immutable tree). Every operation is
-    journaled; commit validates the journal against the live store —
-    every read must yield the result it yielded inside the transaction —
-    and then applies the writes atomically. A validation failure is the
-    paper's "failed transactions that need to be retried": the caller
-    gets [EAGAIN]. *)
+    start (O(1): the view shares the store's tree until either writes).
+    Every operation is journaled; commit validates the journal against
+    the live store — every read must yield the result it yielded inside
+    the transaction — and then applies the writes atomically. A
+    validation failure is the paper's "failed transactions that need to
+    be retried": the caller gets [EAGAIN]. *)
 
 type t
 
@@ -21,7 +21,8 @@ val id : t -> int
 
 val view : t -> Xs_store.t
 (** The private view; callers run ordinary {!Xs_store} operations on it
-    through the journaling wrappers below. *)
+    through the journaling wrappers below. Do not use it once a commit
+    has succeeded: the store adopts its tree ({!Xs_store.adopt}). *)
 
 val read : t -> caller:int -> Xs_path.t -> (string, Xs_error.t) result
 
@@ -49,6 +50,8 @@ val commit :
     conflict, leaving the live store untouched. When the live store has
     not changed since [start] it adopts the transaction's view outright;
     otherwise the journal is replayed once, onto a copy of the live
-    store, which the store then adopts. *)
+    store, which the store then adopts. Either way the store takes the
+    adopted tree's epoch, so the nodes that tree copied stay writable in
+    place. *)
 
 val abort : t -> unit

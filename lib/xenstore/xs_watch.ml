@@ -166,31 +166,35 @@ let remove_owner t ~owner =
       t.total <- t.total - slot.n;
       slot.n
 
+(* The watches on the trie spine along [segs], pushed onto [acc]: by
+   construction exactly those whose path is a prefix of (or equal to)
+   the path [segs] spells. *)
+let rec spine acc node segs =
+  let acc = List.rev_append node.here acc in
+  match segs with
+  | [] -> acc
+  | seg :: rest -> (
+      match SMap.find seg node.children with
+      | child -> spine acc child rest
+      | exception Not_found -> acc)
+
+let hit w = (w.path, w.token, w.deliver)
+
 let matching t ~modified =
-  (* Collect in one pass: a special modified path matches exactly its
-     bucket; otherwise every node on the trie walk along [modified]'s
-     segments holds, by construction, exactly the watches whose path
-     is a prefix of (or equal to) [modified]. Cost: O(depth + hits),
-     independent of the registry size. *)
+  (* A special modified path matches exactly its bucket; otherwise the
+     trie walk along [modified]'s segments collects the hits. Cost:
+     O(depth + hits), independent of the registry size. Most fires hit
+     nothing, so the walk allocates only per hit, and fewer than two
+     hits skip [List.sort]: it allocates the closures of its local
+     merge functions (21 words) before it checks the length. *)
   let hits =
     if Xs_path.is_special modified then
-      match Hashtbl.find_opt t.specials (Xs_path.to_string modified) with
-      | Some node -> node.here
-      | None -> []
-    else begin
-      let acc = ref [] in
-      let rec walk node segs =
-        acc := List.rev_append node.here !acc;
-        match segs with
-        | [] -> ()
-        | seg :: rest -> (
-            match SMap.find_opt seg node.children with
-            | None -> ()
-            | Some child -> walk child rest)
-      in
-      walk t.root (Xs_path.segments modified);
-      !acc
-    end
+      match Hashtbl.find t.specials (Xs_path.to_string modified) with
+      | node -> node.here
+      | exception Not_found -> []
+    else spine [] t.root (Xs_path.segments modified)
   in
-  List.sort (fun a b -> Int.compare a.seq b.seq) hits
-  |> List.map (fun w -> (w.path, w.token, w.deliver))
+  match hits with
+  | [] -> []
+  | [ w ] -> [ hit w ]
+  | _ -> List.map hit (List.sort (fun a b -> Int.compare a.seq b.seq) hits)

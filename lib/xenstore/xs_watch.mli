@@ -51,4 +51,5 @@ val matching : t -> modified:Xs_path.t -> (Xs_path.t * string * (event -> unit))
 (** Watches whose path is a prefix of (or equal to) [modified], in
     registration order, as [(watch_path, token, deliver)]. Special
     paths ([@introduceDomain], [@releaseDomain]) only match exactly.
-    Single pass over the trie spine plus a sort of the hits. *)
+    Single pass over the trie spine; a fire that hits nothing
+    allocates nothing. *)

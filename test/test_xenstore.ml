@@ -651,6 +651,396 @@ let prop_commit_matches_replay =
       adopted = replayed)
 
 (* ------------------------------------------------------------------ *)
+(* Transient store = persistent reference *)
+
+(* [Xs_store] changes the nodes of its own epoch in place, where the
+   store it replaced ([Xs_store_reference], verbatim) rebuilt the spine
+   of an immutable tree on every mutation. Random scripts run the same
+   steps on both, over a live store, two views and a snapshot slot, with
+   up to two transactions open on the live store: mutations by callers
+   0-3 over shared path prefixes, snapshots, [of_snapshot], restores
+   (an [adopt] of a store seeded from the slot, against the reference's
+   [restore]), and commits, on the fast path when the live store has
+   not moved and by replay when it has. After every step each store (the slot through
+   [of_snapshot], each open transaction through its view) must match
+   the reference: listing, node count, generation and owned counts, and
+   the step's result. Paths come from one pool of values, so the lookup
+   memo, keyed by address, gets hit. *)
+
+module R = Xs_store_reference
+
+type kind = K_read | K_write | K_mkdir | K_rm | K_set_perms
+
+type step =
+  | Op of int * kind * int * int * int (* store, kind, caller, path, value *)
+  | Snap of int
+  | Of_snap of int (* a view *)
+  | Restore of int
+  | Tx_start of int
+  | Tx_op of int * kind * int * int * int
+  | Tx_commit of int
+
+let ref_paths =
+  let rec below depth dir =
+    if depth = 0 then []
+    else
+      List.concat_map
+        (fun seg ->
+          let path = Xs_path.concat dir seg in
+          path :: below (depth - 1) path)
+        [ "k0"; "k1"; "k2" ]
+  in
+  (* The first six are the hot set, parsed apart from their equals in
+     the tree below, so that equal paths at different addresses meet. *)
+  Array.of_list
+    (List.map p
+       [
+         "/k0";
+         "/k0/k1";
+         "/k0/k1/k2";
+         "/local/domain/k0";
+         "/local/domain/k0/k1";
+         "/k1/k0";
+       ]
+    @ [ Xs_path.root; p "/local/domain"; p "@releaseDomain" ]
+    @ below 3 Xs_path.root
+    @ below 2 (p "/local/domain"))
+
+let ref_perms =
+  Xs_perms.
+    [|
+      owned_default 1;
+      make ~owner:2 ~default:Read ();
+      make ~owner:3 ~default:None_ ~acl:[ (1, Write) ] ();
+      make ~owner:0 ~default:Both ();
+      owned_default 3;
+    |]
+
+let kind_name = function
+  | K_read -> "read"
+  | K_write -> "write"
+  | K_mkdir -> "mkdir"
+  | K_rm -> "rm"
+  | K_set_perms -> "set_perms"
+
+let show_step = function
+  | Op (i, k, c, pi, v) | Tx_op (i, k, c, pi, v) as step ->
+      Printf.sprintf "%s%d %s by %d %s v%d"
+        (match step with Op _ -> "store" | _ -> "tx")
+        i (kind_name k) c
+        (Xs_path.to_string ref_paths.(pi))
+        v
+  | Snap i -> Printf.sprintf "snapshot store%d" i
+  | Of_snap i -> Printf.sprintf "store%d := of_snapshot" i
+  | Restore i -> Printf.sprintf "restore store%d" i
+  | Tx_start j -> Printf.sprintf "tx%d start" j
+  | Tx_commit j -> Printf.sprintf "tx%d commit" j
+
+let step_gen =
+  let open QCheck.Gen in
+  let kind =
+    oneofl [ K_read; K_read; K_write; K_write; K_mkdir; K_rm; K_set_perms ]
+  in
+  let path =
+    frequency
+      [ (3, int_bound 5); (2, int_bound (Array.length ref_paths - 1)) ]
+  in
+  let args = pair (int_range 0 3) (pair path (int_bound 4)) in
+  frequency
+    [
+      ( 10,
+        map3 (fun i k (c, (pi, v)) -> Op (i, k, c, pi, v)) (int_range 0 2) kind
+          args );
+      (2, map (fun i -> Snap i) (int_range 0 2));
+      (1, map (fun i -> Of_snap i) (int_range 1 2));
+      (1, map (fun i -> Restore i) (int_range 0 2));
+      (2, map (fun j -> Tx_start j) (int_range 0 1));
+      ( 5,
+        map3 (fun j k (c, (pi, v)) -> Tx_op (j, k, c, pi, v)) (int_range 0 1)
+          kind args );
+      (2, map (fun j -> Tx_commit j) (int_range 0 1));
+    ]
+
+(* The transaction as it committed before adoption, over the reference
+   store: replay entries checked in journal order, written paths. *)
+type ref_tx = {
+  base : int;
+  rview : R.t;
+  mutable replay : (R.t -> bool) list; (* reversed *)
+  mutable written : string list; (* reversed *)
+}
+
+let show_result show = function
+  | Ok v -> "ok " ^ show v
+  | Error e -> Xs_error.to_string e
+
+(* One operation on any store-shaped target, as its rendered result. *)
+let run_kind ~read ~write ~mkdir ~rm ~set_perms kind ~caller pi v =
+  let path = ref_paths.(pi) and unit () = "" in
+  match kind with
+  | K_read -> show_result Fun.id (read ~caller path)
+  | K_write -> show_result unit (write ~caller path ("v" ^ string_of_int v))
+  | K_mkdir -> show_result unit (mkdir ~caller path)
+  | K_rm -> show_result unit (rm ~caller path)
+  | K_set_perms -> show_result unit (set_perms ~caller path ref_perms.(v))
+
+(* The path read back by Dom0 right after a step's operation, through
+   the lookup memo that the operation's own walk may have left. *)
+let read_back read pi = show_result Fun.id (read ~caller:0 ref_paths.(pi))
+
+let on_store s =
+  Xs_store.(
+    run_kind ~read:(read s) ~write:(write s) ~mkdir:(mkdir s) ~rm:(rm s)
+      ~set_perms:(set_perms s))
+
+let on_ref s =
+  R.(
+    run_kind ~read:(read s) ~write:(write s) ~mkdir:(mkdir s) ~rm:(rm s)
+      ~set_perms:(set_perms s))
+
+let on_tx tx =
+  Xs_transaction.(
+    run_kind ~read:(read tx) ~write:(write tx) ~mkdir:(mkdir tx) ~rm:(rm tx)
+      ~set_perms:(set_perms tx))
+
+let prop_store_matches_reference =
+  QCheck.Test.make ~name:"transient store = persistent reference" ~count:300
+    (QCheck.make
+       ~print:(fun steps -> String.concat "\n" (List.map show_step steps))
+       QCheck.Gen.(list_size (int_range 1 60) step_gen))
+    (fun steps ->
+      let live = Xs_store.create () and rlive = R.create () in
+      let impl =
+        [|
+          live;
+          Xs_store.of_snapshot (Xs_store.snapshot live);
+          Xs_store.of_snapshot (Xs_store.snapshot live);
+        |]
+      in
+      let refs =
+        [|
+          rlive;
+          R.of_snapshot (R.snapshot rlive);
+          R.of_snapshot (R.snapshot rlive);
+        |]
+      in
+      let slot = ref (Xs_store.snapshot live, R.snapshot rlive) in
+      let txs = [| None; None |] in
+      let observe s =
+        let nodes = ref [] in
+        Xs_store.iter s (fun ~path ~value ~perms ->
+            nodes :=
+              (Xs_path.to_string path, value, Xs_perms.to_string perms)
+              :: !nodes);
+        ( !nodes,
+          Xs_store.node_count s,
+          Xs_store.generation s,
+          List.init 4 (fun domid -> Xs_store.owned_count s ~domid) )
+      in
+      let observe_ref s =
+        let nodes = ref [] in
+        R.iter s (fun ~path ~value ~perms ->
+            nodes :=
+              (Xs_path.to_string path, value, Xs_perms.to_string perms)
+              :: !nodes);
+        ( !nodes,
+          R.node_count s,
+          R.generation s,
+          List.init 4 (fun domid -> R.owned_count s ~domid) )
+      in
+      let check_same n what s rs =
+        if observe s <> observe_ref rs then
+          QCheck.Test.fail_reportf "step %d: %s differs from the reference" n
+            what
+      in
+      let result n a b =
+        if not (String.equal a b) then
+          QCheck.Test.fail_reportf "step %d: result %S, reference %S" n a b
+      in
+      List.iteri
+        (fun n step ->
+          (match step with
+          | Op (i, kind, caller, pi, v) ->
+              result n
+                (on_store impl.(i) kind ~caller pi v)
+                (on_ref refs.(i) kind ~caller pi v);
+              result n
+                (read_back (Xs_store.read impl.(i)) pi)
+                (read_back (R.read refs.(i)) pi)
+          | Snap i -> slot := (Xs_store.snapshot impl.(i), R.snapshot refs.(i))
+          | Of_snap i ->
+              impl.(i) <- Xs_store.of_snapshot (fst !slot);
+              refs.(i) <- R.of_snapshot (snd !slot)
+          | Restore i ->
+              Xs_store.adopt impl.(i)
+                ~from:(Xs_store.of_snapshot (fst !slot));
+              R.restore refs.(i) (snd !slot)
+          | Tx_start j ->
+              if Option.is_none txs.(j) then
+                txs.(j) <-
+                  Some
+                    ( Xs_transaction.start impl.(0) ~id:j,
+                      {
+                        base = R.generation refs.(0);
+                        rview = R.of_snapshot (R.snapshot refs.(0));
+                        replay = [];
+                        written = [];
+                      } )
+          | Tx_op (j, kind, caller, pi, v) -> (
+              match txs.(j) with
+              | None -> ()
+              | Some (tx, rt) ->
+                  let a = on_tx tx kind ~caller pi v in
+                  let b = on_ref rt.rview kind ~caller pi v in
+                  (* Journaled: every read, and each mutation that
+                     succeeded; its replay must answer the same. *)
+                  if kind = K_read || String.equal b "ok " then begin
+                    rt.replay <-
+                      (fun target ->
+                        String.equal (on_ref target kind ~caller pi v) b)
+                      :: rt.replay;
+                    if kind <> K_read then
+                      rt.written <-
+                        Xs_path.to_string ref_paths.(pi) :: rt.written
+                  end;
+                  result n a b;
+                  result n
+                    (read_back (Xs_store.read (Xs_transaction.view tx)) pi)
+                    (read_back (R.read rt.rview) pi))
+          | Tx_commit j -> (
+              match txs.(j) with
+              | None -> ()
+              | Some (tx, rt) ->
+                  txs.(j) <- None;
+                  let a =
+                    Xs_transaction.commit tx ~into:impl.(0)
+                    |> Result.map (List.map Xs_path.to_string)
+                  in
+                  let b =
+                    if R.generation refs.(0) = rt.base then begin
+                      R.restore refs.(0) (R.snapshot rt.rview);
+                      Ok (List.rev rt.written)
+                    end
+                    else
+                      let scratch = R.of_snapshot (R.snapshot refs.(0)) in
+                      if List.for_all (fun f -> f scratch) (List.rev rt.replay)
+                      then begin
+                        R.restore refs.(0) (R.snapshot scratch);
+                        Ok (List.rev rt.written)
+                      end
+                      else Error Xs_error.EAGAIN
+                  in
+                  result n
+                    (show_result (String.concat ",") a)
+                    (show_result (String.concat ",") b)));
+          Array.iteri
+            (fun i s -> check_same n (Printf.sprintf "store%d" i) s refs.(i))
+            impl;
+          check_same n "the snapshot slot"
+            (Xs_store.of_snapshot (fst !slot))
+            (R.of_snapshot (snd !slot));
+          Array.iteri
+            (fun j tx ->
+              match tx with
+              | None -> ()
+              | Some (tx, rt) ->
+                  check_same n
+                    (Printf.sprintf "tx%d's view" j)
+                    (Xs_transaction.view tx) rt.rview)
+            txs)
+        steps;
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* Store allocation *)
+
+(* Minor words per store operation, by the difference between [2n] and
+   [n] operations on the same store, so that the set-up cancels out.
+   [Gc.minor_words] is exact. The store holds 10,000 domains, as the
+   dense host of the scale experiments does, so a write that rebuilt
+   the path through /local/domain would pay for a 10,000-entry map. *)
+let dense_store () =
+  let s = Xs_store.create () in
+  for i = 1 to 10_000 do
+    ignore
+      (Xs_store.write s ~caller:0
+         Xs_path.(domain_path i / "name")
+         ("guest-" ^ string_of_int i))
+  done;
+  s
+
+let words_per_op ~n run =
+  let words k =
+    let w0 = Gc.minor_words () in
+    run k;
+    Gc.minor_words () -. w0
+  in
+  (words (2 * n) -. words n) /. float_of_int n
+
+let check_words name ~ceiling measured =
+  if measured > ceiling then
+    Alcotest.failf "%s: %.1f minor words, ceiling %.0f" name measured ceiling
+
+(* Nothing shares the store's nodes, so an overwrite sets the value in
+   place. *)
+let test_overwrite_words () =
+  let s = dense_store () in
+  let path = Xs_path.(domain_path 5_000 / "name") in
+  let overwrite k =
+    for i = 1 to k do
+      ignore (Xs_store.write s ~caller:0 path (if i land 1 = 0 then "a" else "b"))
+    done
+  in
+  check_words "overwrite" ~ceiling:8. (words_per_op ~n:1000 overwrite)
+
+(* A snapshot shares every node, so the first write after it copies the
+   path down to the target and links each copy into its parent, which
+   rebuilds a path through the 10,000-entry /local/domain map: about as
+   many words as the rebuild every write made before the tree was
+   transient. The snapshot's own words are measured apart and taken
+   out; each value differs from the one it replaces. *)
+let test_first_write_after_snapshot_words () =
+  let s = dense_store () in
+  let paths =
+    Array.init 100 (fun i -> Xs_path.(domain_path ((i * 97) + 1) / "name"))
+  in
+  let snapshots k =
+    for _ = 1 to k do
+      ignore (Xs_store.snapshot s)
+    done
+  in
+  let snapshot_and_write k =
+    for i = 1 to k do
+      ignore (Xs_store.snapshot s);
+      ignore
+        (Xs_store.write s ~caller:0 paths.(i mod 100)
+           (if (i / 100) land 1 = 0 then "a" else "b"))
+    done
+  in
+  check_words "first write after a snapshot" ~ceiling:125.
+    (words_per_op ~n:1000 snapshot_and_write -. words_per_op ~n:1000 snapshots)
+
+(* Most fires on a dense host hit no watch: such a fire walks the trie
+   and returns without allocating, and one hit costs only a list cell
+   on the walk and its cell and triple in the result, 10 words. Without
+   the short-list arms, [List.sort] would add 21 words to either. *)
+let test_matching_words () =
+  let w = Xs_watch.create () in
+  Xs_watch.add w ~owner:0 ~path:(p "/local/domain/0/backend/vif")
+    ~token:"vif" ~deliver:ignore;
+  Xs_watch.add w ~owner:0 ~path:(p "/local/domain/7/device")
+    ~token:"device" ~deliver:ignore;
+  let fire modified k =
+    for _ = 1 to k do
+      ignore (Sys.opaque_identity (Xs_watch.matching w ~modified))
+    done
+  in
+  check_words "a fire with no hit" ~ceiling:0.
+    (words_per_op ~n:1000 (fire (p "/local/domain/7/control/shutdown")));
+  check_words "a fire with one hit" ~ceiling:10.
+    (words_per_op ~n:1000 (fire (p "/local/domain/0/backend/vif/7/0/state")))
+
+(* ------------------------------------------------------------------ *)
 (* Watches *)
 
 let test_watch_matching () =
@@ -1038,6 +1428,14 @@ let suites =
           test_tx_write_write_conflict;
         Alcotest.test_case "writes listed" `Quick test_tx_writes_listed;
         QCheck_alcotest.to_alcotest prop_commit_matches_replay;
+        QCheck_alcotest.to_alcotest prop_store_matches_reference;
+      ] );
+    ( "xenstore.cost",
+      [
+        Alcotest.test_case "overwrite words" `Quick test_overwrite_words;
+        Alcotest.test_case "first write after a snapshot words" `Quick
+          test_first_write_after_snapshot_words;
+        Alcotest.test_case "watch matching words" `Quick test_matching_words;
       ] );
     ( "xenstore.watch",
       [
