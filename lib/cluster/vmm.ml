@@ -9,6 +9,7 @@ module Toolstack = Lightvm_toolstack.Toolstack
 module Create = Lightvm_toolstack.Create
 module Checkpoint = Lightvm_toolstack.Checkpoint
 module Migrate = Lightvm_toolstack.Migrate
+module Pool = Lightvm_toolstack.Pool
 
 let api_version = "lightvm-vmm/0.1"
 
@@ -22,14 +23,14 @@ let vm_state_name = function
 type error =
   | Vm_not_found of int
   | Vm_bad_state of { domid : int; state : vm_state; op : string }
-  | Vm_create_failed of string
+  | Vm_failed of { op : string; reason : string }
   | Vm_migration_failed of string
 
 let error_to_string = function
   | Vm_not_found domid -> Printf.sprintf "no such VM: domid %d" domid
   | Vm_bad_state { domid; state; op } ->
       Printf.sprintf "%s: domid %d is %s" op domid (vm_state_name state)
-  | Vm_create_failed msg -> "create failed: " ^ msg
+  | Vm_failed { op; reason } -> op ^ " failed: " ^ reason
   | Vm_migration_failed msg -> "migration failed: " ^ msg
 
 type vm_create_request = {
@@ -79,23 +80,32 @@ type vm_record = {
   mutable boot_s : float;
 }
 
+(* A shell pool serves one flavour: the shape a shell is prepared
+   with. *)
+type flavor = { mem_mb : float; vcpus : int; nics : int; disks : int }
+
 (* [vms] is the host's VM registry, keyed by domid: a VM enters it when
    its creation, restore or incoming migration returns and leaves it
-   when it is deleted, snapshotted or migrated away. Domids are never
-   reused, so nothing else may keep a per-domid entry. *)
+   when it is deleted, snapshotted or migrated away, so it holds a VM
+   exactly when the VM's domain exists. Domids are never reused, so
+   nothing else may keep a per-domid entry. [pools] are the split
+   toolstack's shells, [pool_target] per flavor. *)
 type t = {
   host_id : int;
   xen : Xen.t;
   ts : Toolstack.t;
+  pool_target : int;
+  pools : (flavor, Create.shell Pool.t) Hashtbl.t;
   mutable counter : int;
   vms : (int, vm_record) Hashtbl.t;
 }
 
 let create ?(host_id = 0) ?(platform = Params.xeon_e5_1630)
-    ?(mode = Mode.lightvm) ?xs_profile ?costs ?pool_target () =
+    ?(mode = Mode.lightvm) ?xs_profile ?costs ?(pool_target = 8) () =
   let xen = Xen.boot ~platform () in
-  let ts = Toolstack.make ~xen ~mode ?xs_profile ?costs ?pool_target () in
-  { host_id; xen; ts; counter = 0; vms = Hashtbl.create 64 }
+  let ts = Toolstack.make ~xen ~mode ?xs_profile ?costs () in
+  { host_id; xen; ts; pool_target; pools = Hashtbl.create 8; counter = 0;
+    vms = Hashtbl.create 64 }
 
 let xen t = t.xen
 let toolstack t = t.ts
@@ -152,6 +162,81 @@ let register t (created : Create.created) =
   r
 
 (* ------------------------------------------------------------------ *)
+(* Shell pools *)
+
+let split t = (Toolstack.mode t.ts).Mode.split
+
+let pool_for t (cfg : Vmconfig.t) =
+  let env = Toolstack.env t.ts in
+  let key =
+    {
+      mem_mb = Create.effective_mem_mb env cfg;
+      vcpus = cfg.Vmconfig.vcpus;
+      nics = List.length cfg.Vmconfig.vifs;
+      disks = List.length cfg.Vmconfig.disks;
+    }
+  in
+  match Hashtbl.find_opt t.pools key with
+  | Some pool -> pool
+  | None ->
+      let { mem_mb; vcpus; nics; disks } = key in
+      let pool =
+        Pool.create ~target:t.pool_target ~make:(fun () ->
+            Create.prepare env ~mem_mb ~vcpus ~nics ~disks ())
+      in
+      Hashtbl.replace t.pools key pool;
+      pool
+
+(* The pool of an image's flavor. *)
+let template_pool t image ~nics ~disks =
+  pool_for t (config_for t ~name:"pool-template" ~nics ~disks image)
+
+(* The split toolstack executes a pooled shell, so [create_time] covers
+   only phases 6-9 (and a synchronous prepare when the pool is empty);
+   the other modes run the whole pipeline inline. *)
+let create_vm t ?config_text ?image_override cfg =
+  if split t then begin
+    let since = Engine.now () in
+    let breakdown = Create.breakdown_create () in
+    match Pool.take (pool_for t cfg) with
+    | Error reason -> Error reason
+    | Ok shell ->
+        Create.execute (Toolstack.env t.ts) shell ~since ?config_text
+          ?image_override cfg ~breakdown ()
+  end
+  else Create.create (Toolstack.env t.ts) ?config_text ?image_override cfg
+
+let prefill_pool t image ~nics ~disks =
+  if split t then Pool.prefill (template_pool t image ~nics ~disks)
+
+let pool_target t image ~nics ~disks =
+  if split t then Pool.target (template_pool t image ~nics ~disks) else 0
+
+(* Scale the flavor's pool: raising the target leaves refilling to the
+   next take (or an explicit [prefill_pool]); lowering it retires the
+   surplus shells immediately through the full prepare-inverse, so no
+   domain, frame or store node outlives the scale-down. *)
+let set_pool_target t image ~nics ~disks target =
+  if split t then begin
+    let pool = template_pool t image ~nics ~disks in
+    Pool.set_target pool target;
+    let rec drain () =
+      match Pool.take_surplus pool with
+      | None -> ()
+      | Some shell ->
+          Create.discard_shell (Toolstack.env t.ts) shell;
+          drain ()
+    in
+    drain ()
+  end
+
+let pool_stats t image ~nics ~disks =
+  if split t then
+    let pool = template_pool t image ~nics ~disks in
+    (Pool.hits pool, Pool.takes pool)
+  else (0, 0)
+
+(* ------------------------------------------------------------------ *)
 (* The lifecycle API *)
 
 let ping t =
@@ -166,10 +251,10 @@ let vm_create t req =
       req.req_image
   in
   match
-    Toolstack.create_vm t.ts ?config_text:req.req_config_text
+    create_vm t ?config_text:req.req_config_text
       ?image_override:(override_for req.req_image) cfg
   with
-  | Error msg -> Error (Vm_create_failed msg)
+  | Error reason -> Error (Vm_failed { op = "vm.create"; reason })
   | Ok created -> Ok (info_of (register t created))
 
 let vm_boot t ~domid =
@@ -192,8 +277,8 @@ let vm_boot t ~domid =
 
 let hv_err ~domid ~op = function
   | Xen.ENOENT -> Vm_not_found domid
-  | Xen.ENOMEM -> Vm_create_failed (op ^ ": out of memory")
-  | Xen.EINVAL -> Vm_create_failed (op ^ ": invalid domain state")
+  | Xen.ENOMEM -> Vm_failed { op; reason = "out of memory" }
+  | Xen.EINVAL -> Vm_failed { op; reason = "invalid domain state" }
 
 let vm_pause t ~domid =
   match lookup t ~domid with
@@ -229,7 +314,7 @@ let vm_delete t ~domid =
   | Ok r ->
       (* Destroy works from any state — a paused domain is torn down
          exactly like a running one (that is how pool shells die). *)
-      Toolstack.destroy_vm t.ts r.created;
+      Create.destroy (Toolstack.env t.ts) r.created;
       Hashtbl.remove t.vms domid;
       Ok ()
 
@@ -262,50 +347,32 @@ let vm_list t =
 let vm_snapshot t ~domid =
   match lookup t ~domid with
   | Error e -> Error e
-  | Ok r ->
-      let saved = Checkpoint.save t.ts r.created in
-      Hashtbl.remove t.vms domid;
-      Ok saved
+  | Ok r -> (
+      match Checkpoint.save t.ts r.created with
+      | Error reason -> Error (Vm_failed { op = "vm.snapshot"; reason })
+      | Ok saved ->
+          Hashtbl.remove t.vms domid;
+          Ok saved)
 
 let vm_restore t saved =
   match Checkpoint.restore t.ts saved with
-  | created -> Ok (info_of (register t created))
-  | exception Create.Create_failed msg -> Error (Vm_create_failed msg)
+  | Error reason -> Error (Vm_failed { op = "vm.restore"; reason })
+  | Ok created -> Ok (info_of (register t created))
 
 let vm_migrate ~src ~dst ~domid =
   match lookup src ~domid with
   | Error e -> Error e
   | Ok r -> (
       match Migrate.migrate ~src:src.ts ~dst:dst.ts r.created with
-      | resumed, stats ->
+      | Ok (resumed, stats) ->
           Hashtbl.remove src.vms domid;
           Ok (info_of (register dst resumed), stats)
-      | exception Migrate.Migration_failed msg ->
-          (* The source domain was destroyed at suspend; drop it. *)
+      | Error reason when Option.is_none (Xen.domain src.xen ~domid) ->
+          (* Past the suspend: the source domain is gone and the guest
+             with it. *)
           Hashtbl.remove src.vms domid;
-          Error (Vm_migration_failed msg)
-      | exception Create.Create_failed msg ->
-          (* Destination could not resume the guest. The source was
-             already destroyed at suspend here too: same loss mode. *)
-          Hashtbl.remove src.vms domid;
-          Error (Vm_migration_failed msg))
-
-let prefill_pool t image ~nics ~disks =
-  Toolstack.prefill_pool t.ts
-    (config_for t ~name:"pool-template" ~nics ~disks image)
-
-let pool_target t image ~nics ~disks =
-  Toolstack.pool_target t.ts
-    (config_for t ~name:"pool-template" ~nics ~disks image)
-
-let set_pool_target t image ~nics ~disks target =
-  Toolstack.set_pool_target t.ts
-    (config_for t ~name:"pool-template" ~nics ~disks image)
-    target
-
-let pool_stats t image ~nics ~disks =
-  Toolstack.pool_stats t.ts
-    (config_for t ~name:"pool-template" ~nics ~disks image)
+          Error (Vm_migration_failed reason)
+      | Error reason -> Error (Vm_failed { op = "vm.migrate"; reason }))
 
 (* ------------------------------------------------------------------ *)
 (* Resource accounting *)

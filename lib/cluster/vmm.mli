@@ -7,21 +7,24 @@
     [vm_counters], [vm_list], plus [vm_snapshot]/[vm_restore] and
     [vm_migrate] (the [vm.send-migration] analogue). Every operation
     takes and returns typed records and reports failure as a structured
-    {!type-error} instead of letting toolstack exceptions escape.
+    {!type-error}: no lifecycle call raises.
 
     A [Vmm.t] is also the host's VM registry: one table keyed by domid
     holds every live VM with its lifecycle state, and experiments name
-    a VM by its domid alone. The toolstack below keeps no table of its
-    own. A VM enters the registry when {!vm_create}, {!vm_restore} or
-    an incoming {!vm_migrate} returns, and leaves it on {!vm_delete},
-    {!vm_snapshot} or an outgoing {!vm_migrate}, including one that
-    returns [Vm_migration_failed].
+    a VM by its domid alone. A VM enters the registry when
+    {!vm_create}, {!vm_restore} or an incoming {!vm_migrate} returns,
+    and leaves it on {!vm_delete}, {!vm_snapshot} or an outgoing
+    {!vm_migrate}, including one that returns [Vm_migration_failed]:
+    the registry holds a VM exactly when its domain exists. It also
+    owns the split toolstack's shell pools (pre-created domains, one
+    pool per VM shape) and chooses between a pooled shell and inline
+    creation. The toolstack below ([Lightvm_toolstack.Toolstack]) is
+    only the host's control plane and keeps neither.
 
-    This module is the public entry point for VM lifecycle operations:
-    experiments, the CLI, the bench harness and the cluster control
-    plane all go through it. The API layer itself charges no simulated
-    time — costs are exactly the underlying toolstack's, so lifecycle
-    timings are bit-identical to direct toolstack calls. *)
+    This module is the only way a VM is created, moved or destroyed:
+    experiments, workloads, the CLI, the bench harness and the cluster
+    control plane all go through it. The API layer itself charges no
+    simulated time: costs are exactly the underlying toolstack's. *)
 
 type t
 (** A host's management endpoint. *)
@@ -42,8 +45,10 @@ val create :
 (** Boot a host inside a running simulation and return its endpoint.
     Defaults: host 0, the paper's 4-core Xeon, full LightVM mode (chaos
     + noxs + split toolstack, xendevd, min-memory patch), oxenstored
-    cost profile, default toolstack costs. [host_id] only labels the
-    endpoint (cluster position); it does not affect behaviour. *)
+    cost profile, default toolstack costs, and 8 shells per flavor
+    ([pool_target]) when the mode has the split toolstack. [host_id]
+    only labels the endpoint (cluster position); it does not affect
+    behaviour. *)
 
 (** {1 Requests, responses and errors} *)
 
@@ -53,9 +58,8 @@ val create :
     the background, as the pipeline spawns it). *)
 type vm_state = Created | Running | Paused
 
-(** Structured failures. Lower-level toolstack exceptions
-    ([Create_failed], [Migration_failed]) are caught at the API
-    boundary and normalised to these; no lifecycle call raises. *)
+(** Structured failures. The toolstack below returns its failures as
+    values; they reach the caller as these. *)
 type error =
   | Vm_not_found of int  (** no VM with that domid on this host *)
   | Vm_bad_state of {
@@ -63,10 +67,16 @@ type error =
       state : vm_state;
       op : string;  (** the operation that was attempted *)
     }  (** e.g. booting a paused VM *)
-  | Vm_create_failed of string
-      (** the creation pipeline failed (out of memory, hotplug timeout
-          or an injected fault); the partial domain was already rolled
-          back, nothing to clean up *)
+  | Vm_failed of {
+      op : string;  (** the operation, e.g. ["vm.create"] *)
+      reason : string;
+    }
+      (** the operation failed and changed nothing: a create or restore
+          whose partial domain was rolled back (out of memory, a
+          refused store operation, a hotplug timeout or an injected
+          fault), a snapshot or migration whose suspend request failed
+          (the VM keeps running), or a pause or resume the hypervisor
+          refused *)
   | Vm_migration_failed of string
       (** the guest was lost mid-migration: the source domain is
           destroyed at suspend time, so a stream corrupted past every
@@ -131,8 +141,8 @@ val vm_create : t -> vm_create_request -> (vm_info, error) result
 (** Run the full creation pipeline for the request (in split mode,
     taking a pre-created shell from the pool). On [Ok] the VM is
     registered in state [Created] and its guest boot process is
-    running; on [Error (Vm_create_failed _)] the partial domain was
-    already rolled back. *)
+    running; on [Error (Vm_failed _)] the partial domain was already
+    rolled back. *)
 
 val vm_boot : t -> domid:int -> (unit, error) result
 (** Block until the guest has finished booting and mark it [Running].
@@ -164,13 +174,17 @@ val vm_snapshot :
   t -> domid:int -> (Lightvm_toolstack.Checkpoint.saved, error) result
 (** Suspend the guest, dump its memory to the ramdisk and destroy the
     domain (the [vm.snapshot] + delete flow): on [Ok] the VM is gone
-    from this host and the returned handle restores it. *)
+    from this host and the returned handle restores it. On
+    [Error (Vm_failed _)] the suspend request was refused and the VM
+    keeps running. *)
 
 val vm_restore :
   t -> Lightvm_toolstack.Checkpoint.saved -> (vm_info, error) result
 (** Rebuild the domain through the creation pipeline and reconnect the
     quiesced guest. The restored VM is registered in state [Created];
-    use {!vm_boot} to await frontend reconnection. *)
+    use {!vm_boot} to await frontend reconnection. On
+    [Error (Vm_failed _)] the partial domain was rolled back and the
+    saved handle can be restored again. *)
 
 val vm_migrate :
   src:t -> dst:t -> domid:int -> (vm_info * Lightvm_toolstack.Migrate.stats, error) result
@@ -178,10 +192,11 @@ val vm_migrate :
     [Lightvm_toolstack.Migrate]: ship the config, suspend at the
     source, stream memory, resume at the destination. On [Ok] the VM is
     registered on [dst] (state [Created]; {!vm_boot} awaits resume) and
-    gone from [src]. On [Error (Vm_migration_failed _)] the guest is
-    lost: already destroyed at the source, never resumed at the
-    destination (the caller can aggregate the loss —
-    see [Cluster.check_leak]). *)
+    gone from [src]. On [Error (Vm_failed _)] the source refused the
+    suspend request and the VM keeps running there. On
+    [Error (Vm_migration_failed _)] the guest is lost: already
+    destroyed at the source, never resumed at the destination (the
+    caller can aggregate the loss — see [Cluster.check_leak]). *)
 
 (** {1 Host plumbing}
 
@@ -204,7 +219,8 @@ val guest_mem_kb : t -> int
 val prefill_pool :
   t -> Lightvm_guest.Image.t -> nics:int -> disks:int -> unit
 (** Warm the split-toolstack shell pool for this image's flavor up to
-    the pool target (no-op unless the mode is split). *)
+    the pool target, stopping at the first shell that cannot be built
+    (no-op unless the mode is split). *)
 
 val pool_target :
   t -> Lightvm_guest.Image.t -> nics:int -> disks:int -> int
@@ -213,10 +229,10 @@ val pool_target :
 val set_pool_target :
   t -> Lightvm_guest.Image.t -> nics:int -> disks:int -> int -> unit
 (** Autoscaler hook: move the flavor pool's low-water mark. Lowering it
-    immediately retires surplus shells (their domains, frames and store
-    state are released exactly — see {!Lightvm_toolstack.Toolstack.
-    set_pool_target}); raising it takes effect on the next take or
-    {!prefill_pool}.
+    immediately retires surplus shells through
+    {!Lightvm_toolstack.Create.discard_shell}, releasing their domains,
+    frames and store state exactly; raising it takes effect on the next
+    take or {!prefill_pool} (no-op unless the mode is split).
     @raise Invalid_argument on a negative target. *)
 
 val pool_stats :

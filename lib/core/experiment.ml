@@ -162,8 +162,7 @@ let fan_out_hosts layout work =
 let vm_create_exn host ?name ?nics ?disks image =
   match Vmm.vm_create host (Vmm.vm_request ?name ?nics ?disks image) with
   | Ok vi -> vi.Vmm.vi_domid
-  | Error (Vmm.Vm_create_failed msg) -> raise (Create.Create_failed msg)
-  | Error e -> raise (Create.Create_failed (Vmm.error_to_string e))
+  | Error e -> failwith (Vmm.error_to_string e)
 
 (* Create a VM and block until its guest is up; its domid. *)
 let launch host ?name ?nics ?disks image =
@@ -171,14 +170,23 @@ let launch host ?name ?nics ?disks image =
   ignore (Vmm.vm_boot host ~domid);
   domid
 
-(* [(domid, create_seconds, boot_seconds)]. *)
-let launch_timed host ?name ?nics ?disks image =
+(* [Ok (domid, create_seconds, boot_seconds)], or the creation's
+   error. *)
+let try_launch_timed host ?name ?nics ?disks image =
   let t0 = Engine.now () in
-  let domid = vm_create_exn host ?name ?nics ?disks image in
-  let t_create = Engine.now () -. t0 in
-  ignore (Vmm.vm_boot host ~domid);
-  let t_boot = Engine.now () -. t0 -. t_create in
-  (domid, t_create, t_boot)
+  match Vmm.vm_create host (Vmm.vm_request ?name ?nics ?disks image) with
+  | Error _ as e -> e
+  | Ok vi ->
+      let domid = vi.Vmm.vi_domid in
+      let t_create = Engine.now () -. t0 in
+      ignore (Vmm.vm_boot host ~domid);
+      let t_boot = Engine.now () -. t0 -. t_create in
+      Ok (domid, t_create, t_boot)
+
+let launch_timed host ?name ?nics ?disks image =
+  match try_launch_timed host ?name ?nics ?disks image with
+  | Ok timed -> timed
+  | Error e -> failwith (Vmm.error_to_string e)
 
 let retire host domid = ignore (Vmm.vm_delete host ~domid)
 
@@ -791,15 +799,18 @@ let fig10_lightvm ~vms =
         Vmm.create ~platform:Params.amd_opteron_6376 ~mode:Mode.lightvm ()
       in
       Vmm.prefill_pool host Image.noop_unikernel ~nics:0 ~disks:0;
-      try
-        for i = 1 to vms do
-          let _vm, t_create, t_boot =
-            launch_timed host ~nics:0 Image.noop_unikernel
-          in
-          Series.add lightvm_series ~x:(float_of_int i)
-            ~y:(ms (t_create +. t_boot))
-        done
-      with Create.Create_failed _ -> ());
+      (* Create and boot guests until the host is full: the first
+         creation that fails ends the series. *)
+      let rec fill i =
+        if i <= vms then
+          match try_launch_timed host ~nics:0 Image.noop_unikernel with
+          | Error _ -> ()
+          | Ok (_vm, t_create, t_boot) ->
+              Series.add lightvm_series ~x:(float_of_int i)
+                ~y:(ms (t_create +. t_boot));
+              fill (i + 1)
+      in
+      fill 1);
   { label = "LightVM"; series = lightvm_series }
 
 let fig10_jobs ?(n = 4000) () : job list =

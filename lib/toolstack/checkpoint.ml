@@ -1,8 +1,6 @@
-module Engine = Lightvm_sim.Engine
 module Xen = Lightvm_hv.Xen
 module Params = Lightvm_hv.Params
 module Xs_client = Lightvm_xenstore.Xs_client
-module Xs_error = Lightvm_xenstore.Xs_error
 module Guest = Lightvm_guest.Guest
 module Image = Lightvm_guest.Image
 module Trace = Lightvm_trace.Trace
@@ -21,48 +19,53 @@ let is_xl ts = (Toolstack.mode ts).Mode.impl = Mode.Xl
 let uses_xenstore ts =
   (Toolstack.mode ts).Mode.registry = Mode.Xenstore
 
-(* Ask the guest to suspend and wait for it to quiesce. *)
-let trigger_suspend ts (created : Create.created) =
+(* Ask the guest to suspend: on the classic path write the control
+   node, which the guest's xenbus driver reacts to (several store round
+   trips); under noxs an ioctl to the sysctl back-end flips the shared
+   page and kicks the event channel. *)
+let request_suspend ts domid =
   let env = Toolstack.env ts in
-  let domid = created.Create.domid in
   if uses_xenstore ts then
-    (* Classic path: write the control node; the guest's xenbus driver
-       reacts; several store round-trips. *)
     Xs_client.write env.Create.xs (Create.shutdown_path domid) "suspend"
   else begin
-    (* noxs: an ioctl to the sysctl back-end flips the shared page and
-       kicks the event channel. *)
     let costs = Xen.costs env.Create.xen in
     Xen.consume_dom0 env.Create.xen 60.0e-6;
     Xen.hypercall ~op:"evtchn_op" env.Create.xen ~cost:costs.Params.evtchn_op
-  end;
-  (* Guest-side quiesce: save internal state, unbind channels/pages. *)
-  Guest.shutdown created.Create.guest;
-  ignore (Xen.shutdown env.Create.xen ~domid ~reason:Lightvm_hv.Domain.Suspend)
+  end
 
 (* Suspend the guest, charge the toolstack's save bookkeeping and,
    with [dump], the write of its memory to the ramdisk, then destroy
-   the domain. A migration skips the dump: the memory is streamed. *)
+   the domain. A migration skips the dump: the memory is streamed. A
+   refused suspend request changes nothing: the guest keeps running. *)
 let suspend ts (created : Create.created) ~dump =
   let env = Toolstack.env ts in
   let costs = Toolstack.costs ts in
-  trigger_suspend ts created;
-  Trace.charge ~category:"checkpoint.save_overhead"
-    (if is_xl ts then costs.Costs.xl_save_overhead
-     else costs.Costs.chaos_save_overhead);
-  let mem_mb = Create.effective_mem_mb env created.Create.config in
-  if dump then
-    Trace.charge ~category:"checkpoint.dump"
-      (mem_mb /. costs.Costs.save_dump_mbps);
-  let saved =
-    {
-      sv_config = created.Create.config;
-      sv_image = Guest.image created.Create.guest;
-      sv_mem_mb = mem_mb;
-    }
-  in
-  Create.destroy env created;
-  saved
+  let domid = created.Create.domid in
+  match request_suspend ts domid with
+  | exception e -> Error (Create.failure_reason e)
+  | () ->
+      (* Guest-side quiesce: save internal state, unbind channels and
+         pages. *)
+      Guest.shutdown created.Create.guest;
+      ignore
+        (Xen.shutdown env.Create.xen ~domid
+           ~reason:Lightvm_hv.Domain.Suspend);
+      Trace.charge ~category:"checkpoint.save_overhead"
+        (if is_xl ts then costs.Costs.xl_save_overhead
+         else costs.Costs.chaos_save_overhead);
+      let mem_mb = Create.effective_mem_mb env created.Create.config in
+      if dump then
+        Trace.charge ~category:"checkpoint.dump"
+          (mem_mb /. costs.Costs.save_dump_mbps);
+      let saved =
+        {
+          sv_config = created.Create.config;
+          sv_image = Guest.image created.Create.guest;
+          sv_mem_mb = mem_mb;
+        }
+      in
+      Create.destroy env created;
+      Ok saved
 
 let save ts created = suspend ts created ~dump:true
 

@@ -49,8 +49,6 @@ let breakdown_create () = Array.make 6 0.
 
 let breakdown_get b cat = b.(category_index cat)
 
-let breakdown_total b = Array.fold_left ( +. ) 0. b
-
 (* Attribute the wall-clock (simulated) duration of [f] to [cat]. When
    tracing is on the slice also lands in the span ring under the
    category's name; the span opens and closes at the two clock reads
@@ -111,7 +109,9 @@ type created = {
   breakdown : breakdown;
 }
 
-exception Create_failed of string
+(* The pipeline's own abort, raised from inside a phase and caught at
+   the phase's rollback point. *)
+exception Abort of string
 
 (* Injected phase failure (fault point "create.phaseN"): the phase's
    dominant operation reports an error after the toolstack has already
@@ -119,16 +119,18 @@ exception Create_failed of string
 let phase_points =
   Array.init 9 (fun i -> Fault.point (Printf.sprintf "create.phase%d" (i + 1)))
 
-let inject_phase n =
-  if Fault.fire phase_points.(n - 1) then
-    raise (Create_failed (Printf.sprintf "injected fault: phase %d failed" n))
+let injected n = Printf.sprintf "injected fault: phase %d failed" n
 
-(* Lower layers report their own failures; the pipeline presents every
-   abort to callers as [Create_failed] so the retry/cleanup contract has
-   a single exception to document. *)
-let as_create_failed = function
-  | Backend.Alloc_failed msg | Hotplug.Timeout msg -> Create_failed msg
-  | e -> e
+let inject_phase n =
+  if Fault.fire phase_points.(n - 1) then raise (Abort (injected n))
+
+(* A failure the toolstack expects becomes the reason of an [Error];
+   anything else is a bug and goes on up. *)
+let failure_reason = function
+  | Abort reason | Backend.Alloc_failed reason | Hotplug.Timeout reason ->
+      reason
+  | Xs_error.Error e -> Xs_error.to_string e
+  | e -> Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
 
 let effective_mem_mb env (cfg : Vmconfig.t) =
   if env.mode.Mode.min_mem_patch then cfg.Vmconfig.memory_mb
@@ -245,16 +247,18 @@ let prepare env ~mem_mb ~vcpus ~nics ~disks ?breakdown () =
      process. *)
   incr env.shells;
   let shell_name = "chaos-shell-" ^ string_of_int !(env.shells) in
-  (* Phase 1: hypervisor reservation. *)
+  (* Phase 1: hypervisor reservation. Nothing exists before it, so its
+     failure needs no rollback. *)
   let reserve () =
     timed b Cat_hypervisor (fun () ->
-        inject_phase 1;
-        match Xen.create_domain env.xen ~name:shell_name ~vcpus ~mem_mb with
-        | Ok dom -> dom
-        | Error Xen.ENOMEM -> raise (Create_failed "out of memory")
-        | Error _ -> raise (Create_failed "domain creation failed"))
+        if Fault.fire phase_points.(0) then Error (injected 1)
+        else
+          match Xen.create_domain env.xen ~name:shell_name ~vcpus ~mem_mb with
+          | Ok dom -> Ok dom
+          | Error Xen.ENOMEM -> Error "out of memory"
+          | Error _ -> Error "domain creation failed")
   in
-  let dom =
+  let reserved =
     if Trace.enabled () then begin
       (* The domid only exists once the reservation succeeds, so it is
          attached to the span after the fact. *)
@@ -263,111 +267,119 @@ let prepare env ~mem_mb ~vcpus ~nics ~disks ?breakdown () =
           ~attrs:[ ("mode", Mode.name env.mode) ]
           ~category:"create" "phase1:reserve"
       in
-      Fun.protect
-        ~finally:(fun () -> Trace.Span.end_ sp1)
-        (fun () ->
-          let dom = reserve () in
-          Trace.Span.add_attr sp1 "domid" (string_of_int (Domain.domid dom));
-          dom)
+      let reserved = reserve () in
+      (match reserved with
+      | Ok dom ->
+          Trace.Span.add_attr sp1 "domid" (string_of_int (Domain.domid dom))
+      | Error _ -> ());
+      Trace.Span.end_ sp1;
+      reserved
     end
     else reserve ()
   in
-  let domid = Domain.domid dom in
-  let attrs = phase_attrs env domid in
-  (* From here on the domain exists, so any failure — injected or
-     natural — must release what has been acquired. The two refs record
-     how far we got; the handler below rolls back exactly that. *)
-  let skeleton = ref false in
-  let precreated = ref [] in
-  try
-    (* Phase 2: compute allocation. *)
-    phase attrs "phase2:compute_alloc" (fun () ->
-        timed b Cat_toolstack (fun () ->
-            inject_phase 2;
-            Trace.charge ~category:"toolstack.compute_alloc"
-              env.costs.Costs.compute_alloc));
-    (* Phase 3: memory reservation (set maxmem). *)
-    phase attrs "phase3:set_maxmem" (fun () ->
-        timed b Cat_hypervisor (fun () ->
-            inject_phase 3;
-            Xen.hypercall ~op:"set_maxmem" env.xen ~cost:8.0e-6));
-    (* Phase 4: memory preparation, plus the domain's XenStore skeleton. *)
-    phase attrs "phase4:populate" (fun () ->
-        timed b Cat_hypervisor (fun () ->
-            inject_phase 4;
-            match Xen.populate_memory env.xen ~domid with
-            | Ok () -> ()
-            | Error _ ->
-                raise (Create_failed "out of memory populating guest RAM"));
-        if uses_xenstore env then
-          timed b Cat_xenstore (fun () ->
-              let dompath = Xs_path.domain_path domid in
-              skeleton := true;
-              Xs_client.mkdir env.xs dompath;
-              (* The guest owns its domain directory (libxl sets this so
-                 the domain can populate its own subtree). *)
-              Xs_client.set_perms env.xs dompath
-                (Lightvm_xenstore.Xs_perms.make ~owner:domid ());
-              Xs_client.mkdir env.xs (Xs_path.concat dompath "device");
-              Xs_client.mkdir env.xs (Xs_path.concat dompath "control")));
-    (* Phase 5: device pre-creation. Under noxs every guest also gets
-       the sysctl pseudo-device for power operations (Section 5.1). *)
-    let devices =
-      List.init nics (fun i -> Device.vif ~devid:i ())
-      @ List.init disks (fun i -> Device.vbd ~devid:i ())
-      @ (if uses_xenstore env then [] else [ Device.sysctl () ])
-    in
-    let s_devices =
-      phase attrs "phase5:precreate_devices" (fun () ->
-          inject_phase 5;
-          List.map
-            (fun dev ->
-              if uses_xenstore env then begin
-                precreated := (dev, None) :: !precreated;
-                timed b Cat_xenstore (fun () ->
-                    (* Backend directory skeleton + the backend's watch.
-                       The guest's frontend must be able to read the
-                       backend's nodes (state, mac). *)
-                    let be = Device.backend_dir ~domid dev in
-                    let guest_readable =
-                      Lightvm_xenstore.Xs_perms.make ~owner:0
-                        ~acl:[ (domid, Lightvm_xenstore.Xs_perms.Read) ]
-                        ()
+  match reserved with
+  | Error reason -> Error reason
+  | Ok dom -> (
+      let domid = Domain.domid dom in
+      let attrs = phase_attrs env domid in
+      (* From here on the domain exists, so any failure — injected or
+         natural — must release what has been acquired. The two refs record
+         how far we got; the handler below rolls back exactly that. *)
+      let skeleton = ref false in
+      let precreated = ref [] in
+      match
+        (* Phase 2: compute allocation. *)
+        phase attrs "phase2:compute_alloc" (fun () ->
+            timed b Cat_toolstack (fun () ->
+                inject_phase 2;
+                Trace.charge ~category:"toolstack.compute_alloc"
+                  env.costs.Costs.compute_alloc));
+        (* Phase 3: memory reservation (set maxmem). *)
+        phase attrs "phase3:set_maxmem" (fun () ->
+            timed b Cat_hypervisor (fun () ->
+                inject_phase 3;
+                Xen.hypercall ~op:"set_maxmem" env.xen ~cost:8.0e-6));
+        (* Phase 4: memory preparation, plus the domain's XenStore skeleton. *)
+        phase attrs "phase4:populate" (fun () ->
+            timed b Cat_hypervisor (fun () ->
+                inject_phase 4;
+                match Xen.populate_memory env.xen ~domid with
+                | Ok () -> ()
+                | Error _ ->
+                    raise (Abort "out of memory populating guest RAM"));
+            if uses_xenstore env then
+              timed b Cat_xenstore (fun () ->
+                  let dompath = Xs_path.domain_path domid in
+                  skeleton := true;
+                  Xs_client.mkdir env.xs dompath;
+                  (* The guest owns its domain directory (libxl sets this so
+                     the domain can populate its own subtree). *)
+                  Xs_client.set_perms env.xs dompath
+                    (Lightvm_xenstore.Xs_perms.make ~owner:domid ());
+                  Xs_client.mkdir env.xs (Xs_path.concat dompath "device");
+                  Xs_client.mkdir env.xs (Xs_path.concat dompath "control")));
+        (* Phase 5: device pre-creation. Under noxs every guest also gets
+           the sysctl pseudo-device for power operations (Section 5.1). *)
+        let devices =
+          List.init nics (fun i -> Device.vif ~devid:i ())
+          @ List.init disks (fun i -> Device.vbd ~devid:i ())
+          @ (if uses_xenstore env then [] else [ Device.sysctl () ])
+        in
+        let s_devices =
+          phase attrs "phase5:precreate_devices" (fun () ->
+              inject_phase 5;
+              List.map
+                (fun dev ->
+                  if uses_xenstore env then begin
+                    precreated := (dev, None) :: !precreated;
+                    timed b Cat_xenstore (fun () ->
+                        (* Backend directory skeleton + the backend's watch.
+                           The guest's frontend must be able to read the
+                           backend's nodes (state, mac). *)
+                        let be = Device.backend_dir ~domid dev in
+                        let guest_readable =
+                          Lightvm_xenstore.Xs_perms.make ~owner:0
+                            ~acl:[ (domid, Lightvm_xenstore.Xs_perms.Read) ]
+                            ()
+                        in
+                        let frontend_id = Xs_path.concat be "frontend-id" in
+                        let state = Xs_path.concat be "state" in
+                        Xs_client.mkdir env.xs be;
+                        Xs_client.set_perms env.xs be guest_readable;
+                        Xs_client.write env.xs frontend_id
+                          (string_of_int domid);
+                        Xs_client.set_perms env.xs frontend_id guest_readable;
+                        Xs_client.write env.xs state
+                          (Xenbus_front.state_to_wire Xenbus_front.Init_wait);
+                        Xs_client.set_perms env.xs state guest_readable;
+                        Backend.watch_device env.backend ~domid dev);
+                    timed b Cat_devices (fun () ->
+                        Hotplug.run env.mode.Mode.hotplug ~xen:env.xen
+                          ~costs:env.costs dev);
+                    (dev, None)
+                  end
+                  else begin
+                    let ids =
+                      timed b Cat_devices (fun () ->
+                          Backend.precreate_device env.backend ~domid dev)
                     in
-                    let frontend_id = Xs_path.concat be "frontend-id" in
-                    let state = Xs_path.concat be "state" in
-                    Xs_client.mkdir env.xs be;
-                    Xs_client.set_perms env.xs be guest_readable;
-                    Xs_client.write env.xs frontend_id (string_of_int domid);
-                    Xs_client.set_perms env.xs frontend_id guest_readable;
-                    Xs_client.write env.xs state
-                      (Xenbus_front.state_to_wire Xenbus_front.Init_wait);
-                    Xs_client.set_perms env.xs state guest_readable;
-                    Backend.watch_device env.backend ~domid dev);
-                timed b Cat_devices (fun () ->
-                    Hotplug.run env.mode.Mode.hotplug ~xen:env.xen
-                      ~costs:env.costs dev);
-                (dev, None)
-              end
-              else begin
-                let ids =
-                  timed b Cat_devices (fun () ->
-                      Backend.precreate_device env.backend ~domid dev)
-                in
-                precreated := (dev, Some ids) :: !precreated;
-                timed b Cat_devices (fun () ->
-                    Hotplug.run env.mode.Mode.hotplug ~xen:env.xen
-                      ~costs:env.costs dev);
-                (dev, Some ids)
-              end)
-            devices)
-    in
-    { s_domid = domid; s_mem_mb = mem_mb; s_vcpus = vcpus; s_nics = nics;
-      s_disks = disks; s_devices }
-  with e ->
-    rollback env ~domid ~skeleton:!skeleton ~devices:!precreated
-      ~xl_nodes:false ~xl_watch:false;
-    raise (as_create_failed e)
+                    precreated := (dev, Some ids) :: !precreated;
+                    timed b Cat_devices (fun () ->
+                        Hotplug.run env.mode.Mode.hotplug ~xen:env.xen
+                          ~costs:env.costs dev);
+                    (dev, Some ids)
+                  end)
+                devices)
+        in
+        { s_domid = domid; s_mem_mb = mem_mb; s_vcpus = vcpus; s_nics = nics;
+          s_disks = disks; s_devices }
+      with
+      | shell -> Ok shell
+      | exception e ->
+          let reason = failure_reason e in
+          rollback env ~domid ~skeleton:!skeleton ~devices:!precreated
+            ~xl_nodes:false ~xl_watch:false;
+          Error reason)
 
 (* Retire an unused shell: the inverse of a completed [prepare], i.e.
    exactly the rollback [execute] performs before xl's phase-7 state
@@ -455,189 +467,187 @@ let init_device_noxs env ~domid (dev : Device.config) ids =
        }
    with
   | Ok () -> ()
-  | Error _ -> raise (Create_failed "device page write failed"));
+  | Error _ -> raise (Abort "device page write failed"));
   (dev, gref)
 
-let execute env shell ?config_text ?image_override (cfg : Vmconfig.t)
+let execute env shell ~since ?config_text ?image_override (cfg : Vmconfig.t)
     ?breakdown () =
   let b = breakdown in
-  let t0 = Engine.now () in
   let domid = shell.s_domid in
-  let dom =
-    match Xen.domain env.xen ~domid with
-    | Some dom -> dom
-    | None -> raise (Create_failed "shell domain vanished")
-  in
-  let attrs = phase_attrs env domid in
-  (* The shell arrives here owning phases 1-5's resources (under the
-     split toolstack it was prepared long ago by the pool daemon), so
-     any failure in phases 6-9 must release all of them plus whatever
-     phase 7 added. *)
-  let xl_nodes = ref false in
-  let xl_watch = ref false in
-  try
-  (* Phase 6: toolstack bookkeeping (libxl: lock files, JSON state,
-     event machinery; chaos: a small in-memory record) and
-     configuration parsing. *)
-  let cfg =
-    phase attrs "phase6:parse" (fun () ->
-        timed b Cat_toolstack (fun () ->
-            inject_phase 6;
-            Trace.charge ~category:"toolstack.bookkeeping"
-              (if is_xl env then env.costs.Costs.xl_bookkeeping
-               else env.costs.Costs.chaos_bookkeeping));
-        timed b Cat_parse (fun () ->
-            match config_text with
-            | None ->
-                Trace.charge ~category:"toolstack.config_parse"
-                  env.costs.Costs.config_parse_base;
-                cfg
-            | Some text ->
-                Trace.charge ~category:"toolstack.config_parse"
-                  (env.costs.Costs.config_parse_base
-                  +. (float_of_int (String.length text)
-                      *. env.costs.Costs.config_parse_per_byte));
-                (match Vmconfig.parse text with
-                | Ok parsed -> parsed
-                | Error msg ->
-                    raise (Create_failed ("config parse error: " ^ msg)))))
-  in
-  (* Phase 7: device initialization. *)
-  let noxs_grants =
-    phase attrs "phase7:init_devices" (fun () ->
-        inject_phase 7;
-        Domain.set_name dom cfg.Vmconfig.name;
-        if uses_xenstore env then begin
-          (* libxl resolves names by scanning every guest, several
-             times per command. *)
-          timed b Cat_xenstore (fun () ->
-              for i = 1 to
-                (if is_xl env then env.costs.Costs.xl_name_scans
-                 else env.costs.Costs.chaos_name_scans)
-              do
-                let names = scan_domain_names env in
-                if i = 1 && List.mem cfg.Vmconfig.name names then
-                  raise
-                    (Create_failed
-                       ("domain already exists: " ^ cfg.Vmconfig.name))
-              done;
-              (* xl registers the guest name in the store, which
-                 triggers the daemon's uniqueness scan over every
-                 running guest. chaos leans on the paper's observation
-                 that "the name ... is kept in the XenStore but is not
-                 needed during boot": it keeps the name in the
-                 hypervisor record only. *)
-              if is_xl env then begin
-                xl_nodes := true;
-                Xs_client.write env.xs
-                  (Xs_path.concat (Xs_path.domain_path domid) "name")
-                  cfg.Vmconfig.name
-              end;
-              if is_xl env then begin
-                Xs_client.write_many env.xs (xl_extra_entries domid);
-                (* The xl daemon watches every guest's shutdown node to
-                   track domain lifecycle — one more registry entry per
-                   VM that every later write must be checked against. *)
-                xl_watch := true;
-                Xs_client.watch env.xs ~path:(shutdown_path domid)
-                  ~token:(shutdown_watch_token domid)
-                  ~deliver:(fun _ -> ())
-              end)
-        end;
-        let noxs_grants =
-          if uses_xenstore env then begin
-            timed b Cat_xenstore (fun () ->
-                List.iter
-                  (fun (dev, _) -> init_device_xenstore env ~domid dev)
-                  shell.s_devices);
-            []
-          end
-          else
-            timed b Cat_devices (fun () ->
-                List.map
-                  (fun (dev, ids) -> init_device_noxs env ~domid dev ids)
-                  shell.s_devices)
+  match Xen.domain env.xen ~domid with
+  | None -> Error "shell domain vanished"
+  | Some dom -> (
+      let attrs = phase_attrs env domid in
+      (* The shell arrives here owning phases 1-5's resources (under the
+         split toolstack it was prepared long ago by the pool daemon), so
+         any failure in phases 6-9 must release all of them plus whatever
+         phase 7 added. *)
+      let xl_nodes = ref false in
+      let xl_watch = ref false in
+      match
+        (* Phase 6: toolstack bookkeeping (libxl: lock files, JSON state,
+           event machinery; chaos: a small in-memory record) and
+           configuration parsing. *)
+        let cfg =
+          phase attrs "phase6:parse" (fun () ->
+              timed b Cat_toolstack (fun () ->
+                  inject_phase 6;
+                  Trace.charge ~category:"toolstack.bookkeeping"
+                    (if is_xl env then env.costs.Costs.xl_bookkeeping
+                     else env.costs.Costs.chaos_bookkeeping));
+              timed b Cat_parse (fun () ->
+                  match config_text with
+                  | None ->
+                      Trace.charge ~category:"toolstack.config_parse"
+                        env.costs.Costs.config_parse_base;
+                      cfg
+                  | Some text ->
+                      Trace.charge ~category:"toolstack.config_parse"
+                        (env.costs.Costs.config_parse_base
+                        +. (float_of_int (String.length text)
+                            *. env.costs.Costs.config_parse_per_byte));
+                      (match Vmconfig.parse text with
+                      | Ok parsed -> parsed
+                      | Error msg ->
+                          raise (Abort ("config parse error: " ^ msg)))))
         in
-        (if is_xl env then
-           timed b Cat_toolstack (fun () ->
-               Trace.charge ~category:"toolstack.console_setup"
-                 env.costs.Costs.xl_console_setup));
-        noxs_grants)
-  in
-  (* Phase 8: image build — parse the kernel image and lay it out in
-     guest memory (linear in image size; Figure 2). *)
-  let image =
-    match image_override with
-    | Some image -> image
-    | None -> (
-        match Vmconfig.image cfg with
-        | Some image -> image
-        | None ->
-            raise
-              (Create_failed ("unknown kernel image: " ^ cfg.Vmconfig.kernel)))
-  in
-  phase attrs "phase8:build" (fun () ->
-      inject_phase 8;
-      (if is_xl env then
-         match image.Image.kind with
-         | Image.Tinyx _ | Image.Debian ->
-             timed b Cat_toolstack (fun () ->
-                 Trace.charge ~category:"toolstack.pv_build"
-                   env.costs.Costs.xl_pv_build_extra)
-         | Image.Unikernel _ -> ());
-      timed b Cat_load (fun () ->
-          match
-            Xen.load_image env.xen ~domid ~size_mb:image.Image.kernel_mb
-          with
-          | Ok () -> ()
-          | Error _ -> raise (Create_failed "image load failed")));
-  (* Phase 9: boot. *)
-  phase attrs "phase9:boot" (fun () ->
-      timed b Cat_hypervisor (fun () ->
-          inject_phase 9;
-          match Xen.unpause env.xen ~domid with
-          | Ok () -> ()
-          | Error _ -> raise (Create_failed "unpause failed")));
-  let devices = List.map fst shell.s_devices in
-  let registry =
-    if uses_xenstore env then
-      Guest.Xenbus (Xs_client.connect env.xs_server ~domid)
-    else Guest.Noxs env.ctrl
-  in
-  let guest =
-    Guest.start ~xen:env.xen ~registry ~domid ~image ~devices ()
-  in
-  let create_time = Engine.now () -. t0 in
-  {
-    domid;
-    vm_name = cfg.Vmconfig.name;
-    config = cfg;
-    guest;
-    devices;
-    noxs_grants;
-    create_time;
-    breakdown =
-      (match b with Some b -> b | None -> breakdown_create ());
-  }
-  with e ->
-    rollback env ~domid ~skeleton:(uses_xenstore env)
-      ~devices:shell.s_devices ~xl_nodes:!xl_nodes ~xl_watch:!xl_watch;
-    raise (as_create_failed e)
+        (* Phase 7: device initialization. *)
+        let noxs_grants =
+          phase attrs "phase7:init_devices" (fun () ->
+              inject_phase 7;
+              Domain.set_name dom cfg.Vmconfig.name;
+              if uses_xenstore env then begin
+                (* libxl resolves names by scanning every guest, several
+                   times per command. *)
+                timed b Cat_xenstore (fun () ->
+                    for i = 1 to
+                      (if is_xl env then env.costs.Costs.xl_name_scans
+                       else env.costs.Costs.chaos_name_scans)
+                    do
+                      let names = scan_domain_names env in
+                      if i = 1 && List.mem cfg.Vmconfig.name names then
+                        raise
+                          (Abort
+                             ("domain already exists: " ^ cfg.Vmconfig.name))
+                    done;
+                    (* xl registers the guest name in the store, which
+                       triggers the daemon's uniqueness scan over every
+                       running guest. chaos leans on the paper's observation
+                       that "the name ... is kept in the XenStore but is not
+                       needed during boot": it keeps the name in the
+                       hypervisor record only. *)
+                    if is_xl env then begin
+                      xl_nodes := true;
+                      Xs_client.write env.xs
+                        (Xs_path.concat (Xs_path.domain_path domid) "name")
+                        cfg.Vmconfig.name
+                    end;
+                    if is_xl env then begin
+                      Xs_client.write_many env.xs (xl_extra_entries domid);
+                      (* The xl daemon watches every guest's shutdown node to
+                         track domain lifecycle — one more registry entry per
+                         VM that every later write must be checked against. *)
+                      xl_watch := true;
+                      Xs_client.watch env.xs ~path:(shutdown_path domid)
+                        ~token:(shutdown_watch_token domid)
+                        ~deliver:(fun _ -> ())
+                    end)
+              end;
+              let noxs_grants =
+                if uses_xenstore env then begin
+                  timed b Cat_xenstore (fun () ->
+                      List.iter
+                        (fun (dev, _) -> init_device_xenstore env ~domid dev)
+                        shell.s_devices);
+                  []
+                end
+                else
+                  timed b Cat_devices (fun () ->
+                      List.map
+                        (fun (dev, ids) -> init_device_noxs env ~domid dev ids)
+                        shell.s_devices)
+              in
+              (if is_xl env then
+                 timed b Cat_toolstack (fun () ->
+                     Trace.charge ~category:"toolstack.console_setup"
+                       env.costs.Costs.xl_console_setup));
+              noxs_grants)
+        in
+        (* Phase 8: image build — parse the kernel image and lay it out in
+           guest memory (linear in image size; Figure 2). *)
+        let image =
+          match image_override with
+          | Some image -> image
+          | None -> (
+              match Vmconfig.image cfg with
+              | Some image -> image
+              | None ->
+                  raise
+                    (Abort ("unknown kernel image: " ^ cfg.Vmconfig.kernel)))
+        in
+        phase attrs "phase8:build" (fun () ->
+            inject_phase 8;
+            (if is_xl env then
+               match image.Image.kind with
+               | Image.Tinyx _ | Image.Debian ->
+                   timed b Cat_toolstack (fun () ->
+                       Trace.charge ~category:"toolstack.pv_build"
+                         env.costs.Costs.xl_pv_build_extra)
+               | Image.Unikernel _ -> ());
+            timed b Cat_load (fun () ->
+                match
+                  Xen.load_image env.xen ~domid ~size_mb:image.Image.kernel_mb
+                with
+                | Ok () -> ()
+                | Error _ -> raise (Abort "image load failed")));
+        (* Phase 9: boot. *)
+        phase attrs "phase9:boot" (fun () ->
+            timed b Cat_hypervisor (fun () ->
+                inject_phase 9;
+                match Xen.unpause env.xen ~domid with
+                | Ok () -> ()
+                | Error _ -> raise (Abort "unpause failed")));
+        let devices = List.map fst shell.s_devices in
+        let registry =
+          if uses_xenstore env then
+            Guest.Xenbus (Xs_client.connect env.xs_server ~domid)
+          else Guest.Noxs env.ctrl
+        in
+        let guest =
+          Guest.start ~xen:env.xen ~registry ~domid ~image ~devices ()
+        in
+        {
+          domid;
+          vm_name = cfg.Vmconfig.name;
+          config = cfg;
+          guest;
+          devices;
+          noxs_grants;
+          create_time = Engine.now () -. since;
+          breakdown =
+            (match b with Some b -> b | None -> breakdown_create ());
+        }
+      with
+      | created -> Ok created
+      | exception e ->
+          let reason = failure_reason e in
+          rollback env ~domid ~skeleton:(uses_xenstore env)
+            ~devices:shell.s_devices ~xl_nodes:!xl_nodes ~xl_watch:!xl_watch;
+          Error reason)
 
 let create env ?config_text ?image_override cfg =
   let b = breakdown_create () in
-  let t0 = Engine.now () in
+  let since = Engine.now () in
   let mem_mb = effective_mem_mb env cfg in
-  let shell =
+  match
     prepare env ~mem_mb ~vcpus:cfg.Vmconfig.vcpus
       ~nics:(List.length cfg.Vmconfig.vifs)
       ~disks:(List.length cfg.Vmconfig.disks)
       ~breakdown:b ()
-  in
-  let created =
-    execute env shell ?config_text ?image_override cfg ~breakdown:b ()
-  in
-  { created with create_time = Engine.now () -. t0 }
+  with
+  | Error reason -> Error reason
+  | Ok shell ->
+      execute env shell ~since ?config_text ?image_override cfg ~breakdown:b ()
 
 (* ------------------------------------------------------------------ *)
 

@@ -30,8 +30,6 @@ val breakdown_create : unit -> breakdown
 
 val breakdown_get : breakdown -> category -> float
 
-val breakdown_total : breakdown -> float
-
 (** Everything the pipeline needs from the host. *)
 type env = {
   xen : Lightvm_hv.Xen.t;
@@ -60,20 +58,29 @@ type created = {
   breakdown : breakdown;
 }
 
-exception Create_failed of string
-(** The single failure exit of the pipeline. Lower-level aborts
-    ([Backend.Alloc_failed], [Hotplug.Timeout]) and injected faults
-    (the [create.phase1]..[create.phase9] points, plus [evtchn.alloc],
-    [gnttab.alloc] and [hotplug.hang] firing inside phases 5 and 7 —
-    see [lib/sim/fault.ml]) are all normalised to it, so callers have
-    one retry/cleanup contract. By the time it reaches the caller the
-    partially-built domain has been rolled back: devices pre-created
-    in phase 5 are torn down (backend nodes and watches, or noxs
-    grants/ctrl pages/event channels), the [/local/domain/<domid>]
-    subtree, xl's [/vm/<domid>] registration and shutdown watch are
-    removed, and the domain is destroyed — a failed creation leaks
-    nothing ([Lightvm_cluster.Vmm.check_leak] asserts this; see DESIGN.md
-    "Failure model"). *)
+(** {1 Failures}
+
+    Every step that can fail returns [Error reason] instead of raising.
+    By then the partially-built domain has been rolled back: devices
+    pre-created in phase 5 are torn down (backend nodes and watches, or
+    noxs grants, ctrl pages and event channels), the
+    [/local/domain/<domid>] subtree, xl's [/vm/<domid>] registration
+    and shutdown watch are removed, and the domain is destroyed, so a
+    failed creation leaks nothing ([Lightvm_cluster.Vmm.check_leak]
+    asserts this; see DESIGN.md "Failure model"). The reasons are out
+    of memory, a config parse error, an unknown kernel, a duplicate
+    name (xl), a refused store operation, a backend allocation failure,
+    a hotplug timeout, or an injected fault (the [create.phase1] to
+    [create.phase9] points, plus [evtchn.alloc], [gnttab.alloc],
+    [hotplug.hang], [xs.eagain] and [xs.equota] firing inside phases 4,
+    5 and 7; see [lib/sim/fault.ml]). *)
+
+val failure_reason : exn -> string
+(** The reason of a failure the toolstack expects: the pipeline's own
+    aborts, {!Backend.Alloc_failed}, {!Hotplug.Timeout} and
+    [Lightvm_xenstore.Xs_error.Error]. The pipeline applies it where it
+    rolls back; {!Checkpoint} applies it to a failed suspend request.
+    Any other exception is a bug, and [failure_reason] re-raises it. *)
 
 val shutdown_path : int -> Lightvm_xenstore.Xs_path.t
 (** A guest's [/local/domain/<domid>/control/shutdown] node: xl watches
@@ -85,10 +92,10 @@ val effective_mem_mb : env -> Vmconfig.t -> float
 
 val prepare :
   env -> mem_mb:float -> vcpus:int -> nics:int -> disks:int ->
-  ?breakdown:breakdown -> unit -> shell
-(** Phases 1-5.
-    @raise Create_failed on out-of-memory, an allocation failure or an
-    injected fault; the partial shell is rolled back first. *)
+  ?breakdown:breakdown -> unit -> (shell, string) result
+(** Phases 1-5. [Error] on out-of-memory, a refused store operation, an
+    allocation failure, a hotplug timeout or an injected fault; the
+    partial shell is rolled back first. *)
 
 val discard_shell : env -> shell -> unit
 (** Tear down a pre-created shell that will never be executed (pool
@@ -97,23 +104,25 @@ val discard_shell : env -> shell -> unit
     must not be reused afterwards. *)
 
 val execute :
-  env -> shell -> ?config_text:string ->
+  env -> shell -> since:float -> ?config_text:string ->
   ?image_override:Lightvm_guest.Image.t -> Vmconfig.t ->
-  ?breakdown:breakdown -> unit -> created
+  ?breakdown:breakdown -> unit -> (created, string) result
 (** Phases 6-9. The guest's boot process is spawned; use
     [Guest.wait_ready created.guest] to block until it is up.
+    [create_time] counts from [since], the moment the caller started
+    the creation (before taking or preparing the shell).
     [image_override] bypasses the kernel-name lookup (restore path).
-    @raise Create_failed on a config parse error, unknown kernel,
-    hotplug timeout or injected fault; the shell {e and} everything
-    this call built are rolled back first, so the shell must not be
-    reused. *)
+    [Error] on a config parse error, an unknown kernel, a refused store
+    operation, a hotplug timeout or an injected fault; the shell {e and}
+    everything this call built are rolled back first, so the shell
+    must not be reused. *)
 
 val create :
   env -> ?config_text:string -> ?image_override:Lightvm_guest.Image.t ->
-  Vmconfig.t -> created
+  Vmconfig.t -> (created, string) result
 (** prepare + execute inline (the non-split path, and restore, which
-    passes the quiesced guest's image as [image_override]).
-    @raise Create_failed as {!prepare} and {!execute} do. *)
+    passes the quiesced guest's image as [image_override]). [Error] as
+    {!prepare} and {!execute} return it. *)
 
 val destroy : env -> created -> unit
 (** Tear down devices, registry state and the domain. *)

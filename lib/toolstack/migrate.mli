@@ -5,13 +5,6 @@
     the domain and its devices; the source then suspends the guest and
     streams its memory; the destination resumes it. *)
 
-exception Migration_failed of string
-(** The memory stream was corrupted (fault point [migrate.corrupt]) on
-    every one of the bounded retransfer attempts. By this point the
-    source domain has already been destroyed at suspend, so the guest
-    is lost — the same failure mode as [xl migrate] dying mid-stream.
-    Only possible under an installed fault injector. *)
-
 type stats = {
   total : float;  (** wall-clock migration time *)
   precreate : float;  (** remote domain + device pre-creation *)
@@ -24,7 +17,7 @@ val migrate :
   src:Toolstack.t ->
   dst:Toolstack.t ->
   Create.created ->
-  Create.created * stats
+  (Create.created * stats, string) result
 (** Returns the VM handle on the destination host. Both hosts should
     run the same toolstack mode.
 
@@ -32,7 +25,13 @@ val migrate :
     adding one transfer's worth of virtual time plus a NACK round
     trip) before the migration is abandoned.
 
-    @raise Create.Create_failed when the destination cannot host the
-    guest (e.g. out of memory pre-creating the domain).
-    @raise Migration_failed when the stream stays corrupted through
-    every retransfer attempt. *)
+    [Error] in three cases. When the source refuses the suspend request
+    (see {!Checkpoint.save}) nothing changed and the guest keeps
+    running on the source. Past the suspend the source domain is
+    already destroyed, so the guest is lost, the same failure mode as
+    [xl migrate] dying mid-stream: when the memory stream stays
+    corrupted (fault point [migrate.corrupt]) through every retransfer
+    attempt, or when the destination cannot host the guest (out of
+    memory, a refused store operation, an injected fault; the partial
+    domain there is rolled back). The caller tells the two apart by
+    whether the source domain still exists. *)

@@ -2,7 +2,7 @@ module Engine = Lightvm_sim.Engine
 
 type 'a t = {
   mutable target : int;
-  make : unit -> 'a;
+  make : unit -> ('a, string) result;
   shells : 'a Queue.t;
   mutable refilling : bool;
   mutable takes : int;
@@ -20,10 +20,15 @@ let create ~target ~make =
     hits = 0;
   }
 
-let prefill t =
-  while Queue.length t.shells < t.target do
-    Queue.add (t.make ()) t.shells
-  done
+(* Build shells up to the target, stopping at the first that cannot be
+   built (e.g. the host ran out of memory): a later take builds again. *)
+let rec prefill t =
+  if Queue.length t.shells < t.target then
+    match t.make () with
+    | Ok shell ->
+        Queue.add shell t.shells;
+        prefill t
+    | Error _ -> ()
 
 let size t = Queue.length t.shells
 let target t = t.target
@@ -35,24 +40,12 @@ let set_target t n =
 let take_surplus t =
   if Queue.length t.shells > t.target then Queue.take_opt t.shells else None
 
-let rec refill_loop t =
-  if Queue.length t.shells < t.target then begin
-    match t.make () with
-    | shell ->
-        Queue.add shell t.shells;
-        refill_loop t
-    | exception _ ->
-        (* Background refills must not crash the daemon (e.g. the host
-           ran out of memory); creation paths will surface the error
-           when a synchronous build fails. *)
-        t.refilling <- false
-  end
-  else t.refilling <- false
-
 let kick_refill t =
   if not t.refilling then begin
     t.refilling <- true;
-    Engine.spawn ~name:"chaos-daemon-refill" (fun () -> refill_loop t)
+    Engine.spawn ~name:"chaos-daemon-refill" (fun () ->
+        prefill t;
+        t.refilling <- false)
   end
 
 let take t =
@@ -61,7 +54,7 @@ let take t =
   | Some shell ->
       t.hits <- t.hits + 1;
       kick_refill t;
-      shell
+      Ok shell
   | None ->
       kick_refill t;
       t.make ()

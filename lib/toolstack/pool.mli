@@ -7,12 +7,14 @@
 
 type 'a t
 
-val create : target:int -> make:(unit -> 'a) -> 'a t
-(** [target] is the low-water mark the daemon maintains.
+val create : target:int -> make:(unit -> ('a, string) result) -> 'a t
+(** [target] is the low-water mark the daemon maintains; [make] builds
+    one shell or says why it could not.
     @raise Invalid_argument when [target < 1]. *)
 
 val prefill : 'a t -> unit
-(** Synchronously build shells up to [target] (daemon start-up). *)
+(** Synchronously build shells up to [target] (daemon start-up),
+    stopping at the first shell [make] cannot build. *)
 
 val size : 'a t -> int
 
@@ -30,12 +32,12 @@ val take_surplus : 'a t -> 'a option
 (** Pop one shell iff the pool currently holds more than [target]
     (scale-down): [None] once the pool is at or below the mark. *)
 
-val take : 'a t -> 'a
+val take : 'a t -> ('a, string) result
 (** Pop a shell; falls back to building one synchronously when the
-    pool is empty (and still triggers the background refill). Whatever
-    [make] raises (e.g. {!Create.Create_failed} for shell pools)
-    propagates from the synchronous fallback; background refill
-    failures are contained in the refill process. *)
+    pool is empty (and still triggers the background refill), and
+    returns [make]'s [Error] when that build fails. A background
+    refill stops at the first shell it cannot build; the next [take]
+    starts another. *)
 
 val takes : 'a t -> int
 (** {!take} calls over the pool's lifetime. *)

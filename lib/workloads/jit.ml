@@ -2,11 +2,8 @@ module Engine = Lightvm_sim.Engine
 module Cdf = Lightvm_metrics.Cdf
 module Xen = Lightvm_hv.Xen
 module Image = Lightvm_guest.Image
-module Guest = Lightvm_guest.Guest
 module Mode = Lightvm_toolstack.Mode
-module Vmconfig = Lightvm_toolstack.Vmconfig
-module Toolstack = Lightvm_toolstack.Toolstack
-module Create = Lightvm_toolstack.Create
+module Vmm = Lightvm_cluster.Vmm
 module Packet = Lightvm_net.Packet
 module Switch = Lightvm_net.Switch
 
@@ -51,7 +48,7 @@ let service_addr i = 20_000 + i
 
 type vm_state =
   | Booting of Packet.t list ref  (** pings stashed until the VM is up *)
-  | Ready of Create.created
+  | Ready of int  (** the VM's domid *)
 
 let run config =
   let rtts = Array.make config.clients nan in
@@ -61,22 +58,24 @@ let run config =
   let arp_drops = ref 0 in
   ignore
     (Engine.run (fun () ->
-         let xen = Xen.boot () in
-         let ts = Toolstack.make ~xen ~mode:config.mode () in
+         let host = Vmm.create ~mode:config.mode () in
+         let xen = Vmm.xen host in
          let sw = Switch.create ~capacity_pps:config.bridge_pps () in
          let vms : (int, vm_state) Hashtbl.t = Hashtbl.create 64 in
          let last_activity : (int, float) Hashtbl.t = Hashtbl.create 64 in
-         let vm_config i =
-           Vmconfig.for_image
-             ~name:(Printf.sprintf "svc-%d" i)
+         let vm_request i =
+           Vmm.vm_request ~name:(Printf.sprintf "svc-%d" i)
              Image.clickos_firewall
          in
-         if config.mode.Mode.split then
-           Toolstack.prefill_pool ts (vm_config 0);
+         (* Warm the shell pool (split modes only) for the flavor that
+            every request asks for. *)
+         let flavor = vm_request 0 in
+         Vmm.prefill_pool host flavor.Vmm.req_image
+           ~nics:flavor.Vmm.req_nics ~disks:flavor.Vmm.req_disks;
 
          (* The service VM's behaviour once up: answer pings on its own
             port. *)
-         let attach_vm i (created : Create.created) =
+         let attach_vm i domid =
            Switch.attach sw ~port:(service_addr i)
              ~handler:(fun pkt ->
                match pkt.Packet.kind with
@@ -84,8 +83,7 @@ let run config =
                  when pkt.Packet.dst = Packet.Addr (service_addr i) ->
                    Hashtbl.replace last_activity i (Engine.now ());
                    (* Echo handling costs a little guest CPU. *)
-                   Xen.consume_guest xen ~domid:created.Create.domid
-                     50.0e-6;
+                   Xen.consume_guest xen ~domid 50.0e-6;
                    Switch.send sw
                      (Packet.make ~src:(service_addr i)
                         ~dst:(Packet.Addr pkt.Packet.src)
@@ -99,14 +97,15 @@ let run config =
          let boot_vm i pending =
            Engine.spawn ~name:(Printf.sprintf "jit-boot-%d" i)
              (fun () ->
-               match Toolstack.create_vm ts (vm_config i) with
+               match Vmm.vm_create host (vm_request i) with
                | Error _ -> Hashtbl.remove vms i
-               | Ok created ->
-                   Guest.wait_ready created.Create.guest;
+               | Ok vi ->
+                   let domid = vi.Vmm.vi_domid in
+                   ignore (Vmm.vm_boot host ~domid);
                    incr vms_booted;
-                   Hashtbl.replace vms i (Ready created);
+                   Hashtbl.replace vms i (Ready domid);
                    Hashtbl.replace last_activity i (Engine.now ());
-                   attach_vm i created;
+                   attach_vm i domid;
                    (* Replay the packets that arrived while booting. *)
                    List.iter (Switch.send sw) (List.rev !pending);
                    pending := [])
@@ -140,11 +139,11 @@ let run config =
                  (fun i last ->
                    if now -. last > config.idle_teardown then
                      match Hashtbl.find_opt vms i with
-                     | Some (Ready created) ->
+                     | Some (Ready domid) ->
                          Hashtbl.remove vms i;
                          Hashtbl.remove last_activity i;
                          Switch.detach sw ~port:(service_addr i);
-                         Toolstack.destroy_vm ts created;
+                         ignore (Vmm.vm_delete host ~domid);
                          incr torn_down
                      | Some (Booting _) | None -> ())
                  (Hashtbl.copy last_activity)

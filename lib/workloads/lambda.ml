@@ -1,11 +1,8 @@
 module Engine = Lightvm_sim.Engine
 module Xen = Lightvm_hv.Xen
 module Image = Lightvm_guest.Image
-module Guest = Lightvm_guest.Guest
 module Mode = Lightvm_toolstack.Mode
-module Vmconfig = Lightvm_toolstack.Vmconfig
-module Toolstack = Lightvm_toolstack.Toolstack
-module Create = Lightvm_toolstack.Create
+module Vmm = Lightvm_cluster.Vmm
 module Interp = Lightvm_minipy.Interp
 module Value = Lightvm_minipy.Value
 
@@ -65,15 +62,16 @@ let run config =
   let makespan = ref 0. in
   ignore
     (Engine.run (fun () ->
-         let xen = Xen.boot () in
-         let ts = Toolstack.make ~xen ~mode:config.mode () in
-         let vm_config i =
-           Vmconfig.for_image
-             ~name:(Printf.sprintf "lambda-%d" i)
+         let host = Vmm.create ~mode:config.mode () in
+         let vm_request i =
+           Vmm.vm_request ~name:(Printf.sprintf "lambda-%d" i)
              Image.minipython
          in
-         if config.mode.Mode.split then
-           Toolstack.prefill_pool ts (vm_config 0);
+         (* Warm the shell pool (split modes only) for the flavor that
+            every request asks for. *)
+         let flavor = vm_request 0 in
+         Vmm.prefill_pool host flavor.Vmm.req_image
+           ~nics:flavor.Vmm.req_nics ~disks:flavor.Vmm.req_disks;
          let finished = ref 0 in
          let all_done = Engine.Ivar.create () in
          (* Sampler for the Fig 18 concurrency curve. *)
@@ -86,10 +84,11 @@ let run config =
          let handle_request i () =
            let arrived = Engine.now () in
            incr live;
-           (match Toolstack.create_vm ts (vm_config i) with
+           (match Vmm.vm_create host (vm_request i) with
            | Error _ -> incr failures
-           | Ok created ->
-               Guest.wait_ready created.Create.guest;
+           | Ok vi ->
+               let domid = vi.Vmm.vi_domid in
+               ignore (Vmm.vm_boot host ~domid);
                (* Run the program for real; charge its work as guest
                   CPU, scaled so this program costs
                   [config.compute_seconds]. *)
@@ -97,9 +96,8 @@ let run config =
                | Error _ -> bad_output := true
                | Ok { Interp.stdout; _ } ->
                    if stdout <> expected then bad_output := true);
-               Xen.consume_guest xen ~domid:created.Create.domid
-                 config.compute_seconds;
-               Toolstack.destroy_vm ts created);
+               Xen.consume_guest (Vmm.xen host) ~domid config.compute_seconds;
+               ignore (Vmm.vm_delete host ~domid));
            decr live;
            service_times := (i, Engine.now () -. arrived) :: !service_times;
            incr finished;

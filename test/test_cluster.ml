@@ -14,6 +14,7 @@ module Fault = Lightvm_sim.Fault
 module Mode = Lightvm_toolstack.Mode
 module Image = Lightvm_guest.Image
 module Vmm = Lightvm_cluster.Vmm
+module Xen = Lightvm_hv.Xen
 module Scheduler = Lightvm_cluster.Scheduler
 module Cluster = Lightvm_cluster.Cluster
 module Switch = Lightvm_net.Switch
@@ -114,6 +115,73 @@ let test_registry_lifecycle () =
         (Vmm.vm_count a, Vmm.vm_count b);
       expect_not_found "vm_delete of a missing domid" moved
         (Vmm.vm_delete b ~domid:moved))
+
+(* The registry holds a VM exactly when its domain exists: the
+   registered domids are the host's guest domains, less the split
+   toolstack's pre-created shells. *)
+let check_registry what host =
+  Alcotest.(check (list int))
+    (what ^ ": registry = domains")
+    (Vmm_boot.guest_domids host)
+    (List.map (fun (v : Vmm.vm_info) -> v.Vmm.vi_domid) (Vmm.vm_list host))
+
+(* Snapshot, restore and migration of a booted guest on each XenStore
+   mode, with every store quota check or every transaction commit
+   failing: each call returns a value (a restore always an error), after
+   each the registries match the domains, and a failed migration
+   reports the guest lost exactly when its source domain is gone. *)
+let test_no_raise_under_xs_faults () =
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun spec ->
+          let call op f =
+            let what =
+              Printf.sprintf "%s under %s on %s" op spec (Mode.name mode)
+            in
+            let injector = Fault.create ~seed:1L (spec_of_string spec) in
+            match Fault.with_injector injector f with
+            | result -> (what, result)
+            | exception e ->
+                Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+          in
+          run_sim (fun () ->
+              let host = Vmm.create ~mode () in
+              let domid = Vmm_boot.boot host Image.daytime in
+              let what, _ = call "vm_snapshot" (fun () ->
+                  Vmm.vm_snapshot host ~domid)
+              in
+              check_registry what host;
+              let host = Vmm.create ~mode () in
+              let domid = Vmm_boot.boot host Image.daytime in
+              let saved =
+                Vmm_boot.ok "vm_snapshot" (Vmm.vm_snapshot host ~domid)
+              in
+              let what, restored = call "vm_restore" (fun () ->
+                  Vmm.vm_restore host saved)
+              in
+              Alcotest.(check bool) (what ^ ": refused") true
+                (Result.is_error restored);
+              check_registry what host;
+              let src = Vmm.create ~host_id:0 ~mode () in
+              let dst = Vmm.create ~host_id:1 ~mode () in
+              let domid = Vmm_boot.boot src Image.daytime in
+              let what, result = call "vm_migrate" (fun () ->
+                  Vmm.vm_migrate ~src ~dst ~domid)
+              in
+              check_registry (what ^ ", source") src;
+              check_registry (what ^ ", destination") dst;
+              match result with
+              | Ok _ -> ()
+              | Error e ->
+                  Alcotest.(check bool)
+                    (what ^ ": guest lost = source domain gone")
+                    (Option.is_none (Xen.domain (Vmm.xen src) ~domid))
+                    (match e with
+                    | Vmm.Vm_migration_failed _ -> true
+                    | _ -> false)))
+        [ "xs.equota:1"; "xs.eagain:1" ])
+    [ Mode.xl; Mode.chaos_xs; Mode.chaos_xs_split ]
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler policies through the control plane *)
@@ -488,6 +556,8 @@ let suites =
       [
         Alcotest.test_case "one registry through every lifecycle" `Quick
           test_registry_lifecycle;
+        Alcotest.test_case "no lifecycle call raises under XenStore faults"
+          `Quick test_no_raise_under_xs_faults;
       ] );
     ( "cluster.partition",
       [

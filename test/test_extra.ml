@@ -10,9 +10,7 @@ module Interp = Lightvm_minipy.Interp
 module Image = Lightvm_guest.Image
 module Mode = Lightvm_toolstack.Mode
 module Costs = Lightvm_toolstack.Costs
-module Toolstack = Lightvm_toolstack.Toolstack
-module Create = Lightvm_toolstack.Create
-module Guest = Lightvm_guest.Guest
+module Vmm = Lightvm_cluster.Vmm
 module Xen = Lightvm_hv.Xen
 module Table = Lightvm_metrics.Table
 module E = Lightvm.Experiment
@@ -135,18 +133,19 @@ let test_minipy_recursion_limit_via_steps () =
 
 let lifecycle mode image ~nics ~disks =
   in_sim (fun () ->
-      let xen = Xen.boot () in
-      let ts = Toolstack.make ~xen ~mode () in
-      let cfg =
-        Lightvm_toolstack.Vmconfig.for_image ~nics ~disks ~name:"m" image
+      let host = Vmm.create ~mode () in
+      let vi =
+        Vmm_boot.ok "vm_create"
+          (Vmm.vm_create host (Vmm.vm_request ~name:"m" ~nics ~disks image))
       in
-      let created = Toolstack.create_vm_exn ts cfg in
-      Guest.wait_ready created.Create.guest;
-      Toolstack.destroy_vm ts created;
-      (* Let any background shell refill settle before the census. *)
+      Vmm_boot.ok "vm_boot" (Vmm.vm_boot host ~domid:vi.Vmm.vi_domid);
+      Vmm_boot.delete host ~domid:vi.Vmm.vi_domid;
+      (* Let any background shell refill settle before the census: only
+         the flavor's pool shells remain. *)
       Engine.sleep 2.0;
-      Alcotest.(check int) "clean teardown" (Toolstack.shell_count ts)
-        (Xen.guest_count xen))
+      Alcotest.(check int) "clean teardown"
+        (Vmm.pool_target host image ~nics ~disks)
+        (Xen.guest_count (Vmm.xen host)))
 
 let mode_matrix_cases =
   List.concat_map
@@ -215,17 +214,11 @@ let test_pause_unpause_table () =
 
 let test_sysctl_in_devpage =
   in_sim (fun () ->
-      let xen = Xen.boot () in
-      let ts = Toolstack.make ~xen ~mode:Mode.lightvm () in
-      let cfg =
-        Lightvm_toolstack.Vmconfig.for_image ~name:"s" Image.daytime
-      in
-      let created = Toolstack.create_vm_exn ts cfg in
-      Guest.wait_ready created.Create.guest;
+      let host = Vmm.create ~mode:Mode.lightvm () in
+      let domid = Vmm_boot.boot host Image.daytime in
       match
-        Lightvm_hv.Devpage.find (Xen.devpage xen) ~caller:0
-          ~domid:created.Create.domid ~kind:Lightvm_hv.Devpage.Sysctl
-          ~devid:0
+        Lightvm_hv.Devpage.find (Xen.devpage (Vmm.xen host)) ~caller:0 ~domid
+          ~kind:Lightvm_hv.Devpage.Sysctl ~devid:0
       with
       | Ok entry ->
           Alcotest.(check int) "backend is dom0" 0

@@ -6,7 +6,6 @@ module Engine = Lightvm_sim.Engine
 module Fault = Lightvm_sim.Fault
 module Mode = Lightvm_toolstack.Mode
 module Toolstack = Lightvm_toolstack.Toolstack
-module Vmconfig = Lightvm_toolstack.Vmconfig
 module Xs_server = Lightvm_xenstore.Xs_server
 module Image = Lightvm_guest.Image
 module Vmm = Lightvm_cluster.Vmm
@@ -111,8 +110,8 @@ let test_empty_spec_inert () =
 
 let reliability_modes = [ Mode.xl; Mode.chaos_xs; Mode.chaos_noxs ]
 
-let attempt_config i =
-  Vmconfig.for_image ~nics:1 ~disks:0
+let attempt_request i =
+  Vmm.vm_request ~nics:1 ~disks:0
     ~name:(Printf.sprintf "flt-%d" i)
     Image.daytime
 
@@ -134,10 +133,10 @@ let run_digest ~mode ~seed spec =
       Fault.with_injector inj (fun () ->
           for i = 1 to 3 do
             let t0 = Engine.now () in
-            (match Toolstack.create_vm (Vmm.toolstack host) (attempt_config i)
-             with
+            (match Vmm.vm_create host (attempt_request i) with
             | Ok _ -> Buffer.add_string buf "ok "
-            | Error e -> Buffer.add_string buf ("err " ^ e ^ " "));
+            | Error e ->
+                Buffer.add_string buf ("err " ^ Vmm.error_to_string e ^ " "));
             Buffer.add_string buf (Printf.sprintf "%h\n" (Engine.now () -. t0))
           done));
   List.iter
@@ -188,11 +187,11 @@ let test_eagain_retry_absorbed () =
       let inj = Fault.create ~seed:3L (spec_of_string "xs.eagain:@2") in
       Fault.with_injector inj (fun () ->
           for i = 1 to 3 do
-            match Toolstack.create_vm (Vmm.toolstack host) (attempt_config i)
-            with
+            match Vmm.vm_create host (attempt_request i) with
             | Ok _ -> ()
             | Error e ->
-                Alcotest.failf "create %d failed despite retries: %s" i e
+                Alcotest.failf "create %d failed despite retries: %s" i
+                  (Vmm.error_to_string e)
           done);
       let counters =
         Xs_server.counters (Toolstack.xs_server (Vmm.toolstack host))
@@ -232,8 +231,7 @@ let test_no_leak_after_injected_failure () =
               let before = Vmm.resources host in
               let outcome =
                 Fault.with_injector inj (fun () ->
-                    Toolstack.create_vm (Vmm.toolstack host)
-                      (attempt_config 1))
+                    Vmm.vm_create host (attempt_request 1))
               in
               match outcome with
               | Error _ -> (

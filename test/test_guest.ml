@@ -15,6 +15,12 @@ module Create = Lightvm_toolstack.Create
 
 let in_sim f () = ignore (Engine.run f)
 
+(* The creation pipeline, run inline on [ts]'s host. *)
+let create_exn ts cfg =
+  match Create.create (Toolstack.env ts) cfg with
+  | Ok created -> created
+  | Error msg -> Alcotest.fail msg
+
 (* ------------------------------------------------------------------ *)
 (* Images *)
 
@@ -50,7 +56,7 @@ let test_image_inflation () =
 
 let boot_one ts image =
   let cfg = Lightvm_toolstack.Vmconfig.for_image ~name:"probe" image in
-  let created = Toolstack.create_vm_exn ts cfg in
+  let created = create_exn ts cfg in
   Guest.wait_ready created.Create.guest;
   (created, Guest.boot_time created.Create.guest)
 
@@ -87,7 +93,7 @@ let test_idle_load_consumes_cpu =
       let cfg =
         Lightvm_toolstack.Vmconfig.for_image ~name:"idler" Image.debian
       in
-      let created = Toolstack.create_vm_exn ts cfg in
+      let created = create_exn ts cfg in
       Guest.wait_ready created.Create.guest;
       Cpu.reset_stats (Xen.cpu xen);
       let t0 = Engine.now () in
@@ -184,7 +190,7 @@ let test_resume_single_idle_loop =
       let cfg =
         Lightvm_toolstack.Vmconfig.for_image ~name:"cycled" Image.tinyx
       in
-      let created = Toolstack.create_vm_exn ts cfg in
+      let created = create_exn ts cfg in
       Guest.wait_ready created.Create.guest;
       let guest = created.Create.guest in
       let measure () =

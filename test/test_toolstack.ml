@@ -4,8 +4,12 @@
 module Engine = Lightvm_sim.Engine
 module Xen = Lightvm_hv.Xen
 module Domain = Lightvm_hv.Domain
+module Devpage = Lightvm_hv.Devpage
 module Image = Lightvm_guest.Image
 module Guest = Lightvm_guest.Guest
+module Device = Lightvm_guest.Device
+module Xs_server = Lightvm_xenstore.Xs_server
+module Xs_store = Lightvm_xenstore.Xs_store
 module Vmconfig = Lightvm_toolstack.Vmconfig
 module Mode = Lightvm_toolstack.Mode
 module Costs = Lightvm_toolstack.Costs
@@ -104,64 +108,82 @@ let test_config_comment_in_string () =
 (* ------------------------------------------------------------------ *)
 (* Full creation pipeline *)
 
-let make_host ?(mode = Mode.xl) ?platform () =
-  let xen =
-    match platform with
-    | Some platform -> Xen.boot ~platform ()
-    | None -> Xen.boot ()
-  in
-  Toolstack.make ~xen ~mode ()
+let make_host ?(mode = Mode.xl) ?platform () = Vmm.create ?platform ~mode ()
 
-let daytime_cfg ?(name = "guest-a") () =
-  Vmconfig.for_image ~name Image.daytime
+let daytime_req ?(name = "guest-a") ?config_text () =
+  Vmm.vm_request ~name ?config_text Image.daytime
+
+let create_ok host req = Vmm_boot.ok "vm_create" (Vmm.vm_create host req)
+
+let counters host ~domid =
+  Vmm_boot.ok "vm_counters" (Vmm.vm_counters host ~domid)
+
+(* Create the request's VM and wait for its guest: the domid and the
+   toolstack time of its creation. *)
+let boot_timed host req =
+  let domid = (create_ok host req).Vmm.vi_domid in
+  Vmm_boot.ok "vm_boot" (Vmm.vm_boot host ~domid);
+  (domid, (counters host ~domid).Vmm.vc_create_s)
+
+(* The vifs the pipeline built for [domid], counted on the host side:
+   the guest's Vif entries in its device page under noxs, the devids
+   under its vif backend directory in the XenStore otherwise. *)
+let vif_count host ~domid =
+  match (Vmm.mode host).Mode.registry with
+  | Mode.Noxs -> (
+      match Devpage.read (Xen.devpage (Vmm.xen host)) ~caller:0 ~domid with
+      | Ok entries ->
+          List.length
+            (List.filter (fun e -> e.Devpage.kind = Devpage.Vif) entries)
+      | Error _ -> Alcotest.fail "no device page")
+  | Mode.Xenstore -> (
+      let store = Xs_server.store (Toolstack.xs_server (Vmm.toolstack host)) in
+      let dir = Device.backend_domain_dir ~domid (Device.vif ~devid:0 ()) in
+      match Xs_store.directory store ~caller:0 dir with
+      | Ok devids -> List.length devids
+      | Error _ -> 0)
 
 let test_create_mode mode =
   in_sim (fun () ->
-      let ts = make_host ~mode () in
-      let created = Toolstack.create_vm_exn ts (daytime_cfg ()) in
-      Guest.wait_ready created.Create.guest;
+      let host = make_host ~mode () in
+      let vi = create_ok host (daytime_req ()) in
+      let domid = vi.Vmm.vi_domid in
+      Vmm_boot.ok "vm_boot" (Vmm.vm_boot host ~domid);
       (* The VM is running with its devices connected. *)
       let dom =
-        match Xen.domain (Toolstack.xen ts) ~domid:created.Create.domid with
+        match Xen.domain (Vmm.xen host) ~domid with
         | Some dom -> dom
         | None -> Alcotest.fail "domain missing"
       in
       Alcotest.(check bool) "running" true (Domain.is_running dom);
       Alcotest.(check string) "named" "guest-a" (Domain.name dom);
-      let vifs =
-        List.filter
-          (fun d ->
-            d.Lightvm_guest.Device.kind = Lightvm_guest.Device.Vif)
-          created.Create.devices
-      in
-      Alcotest.(check int) "one vif" 1 (List.length vifs);
+      Alcotest.(check int) "one vif" 1 (vif_count host ~domid);
+      let c = counters host ~domid in
       Alcotest.(check bool) "create time positive" true
-        (created.Create.create_time > 0.);
-      Alcotest.(check bool) "boot completed" true
-        (Guest.booted created.Create.guest);
+        (c.Vmm.vc_create_s > 0.);
+      Alcotest.(check bool) "boot completed" true (c.Vmm.vc_boot_s > 0.);
       Alcotest.(check bool)
         (Printf.sprintf "create sane for %s: %.1fms" (Mode.name mode)
-           (created.Create.create_time *. 1000.))
+           (c.Vmm.vc_create_s *. 1000.))
         true
-        (created.Create.create_time < 1.0);
-      Toolstack.destroy_vm ts created;
+        (c.Vmm.vc_create_s < 1.0);
+      Vmm_boot.delete host ~domid;
       (* Let the chaos daemon finish any background shell refills, then
-         only pool shells (split modes) may remain as domains. *)
+         only pool shells (split modes), refilled to the pool target, may
+         remain as domains. *)
       Engine.sleep 2.0;
       Alcotest.(check int) "only dom0 and shells remain"
-        (Toolstack.shell_count ts)
-        (Xen.guest_count (Toolstack.xen ts)))
+        (Vmm.pool_target host Image.daytime ~nics:1 ~disks:0)
+        (Xen.guest_count (Vmm.xen host)))
 
 let test_create_time_ordering =
   (* xl must be slowest; LightVM fastest. *)
   in_sim (fun () ->
       let time_for mode =
-        let ts = make_host ~mode () in
+        let host = make_host ~mode () in
         (* Warm the pool so split mode measures the execute phase. *)
-        Toolstack.prefill_pool ts (daytime_cfg ());
-        let created = Toolstack.create_vm_exn ts (daytime_cfg ()) in
-        Guest.wait_ready created.Create.guest;
-        created.Create.create_time
+        Vmm.prefill_pool host Image.daytime ~nics:1 ~disks:0;
+        snd (boot_timed host (daytime_req ()))
       in
       let t_xl = time_for Mode.xl in
       let t_chaos = time_for Mode.chaos_xs in
@@ -181,37 +203,31 @@ let test_create_time_ordering =
 
 let test_breakdown_accounts_time =
   in_sim (fun () ->
-      let ts = make_host ~mode:Mode.xl () in
-      let created = Toolstack.create_vm_exn ts (daytime_cfg ()) in
-      let b = created.Create.breakdown in
-      let total = Create.breakdown_total b in
+      let host = make_host ~mode:Mode.xl () in
+      let domid = (create_ok host (daytime_req ())).Vmm.vi_domid in
+      let c = counters host ~domid in
+      let b = c.Vmm.vc_breakdown in
+      let total = List.fold_left (fun acc (_, s) -> acc +. s) 0. b in
       Alcotest.(check bool) "categories sum close to create time" true
-        (Float.abs (total -. created.Create.create_time)
-        < 0.2 *. created.Create.create_time);
+        (Float.abs (total -. c.Vmm.vc_create_s) < 0.2 *. c.Vmm.vc_create_s);
       (* Devices (hotplug scripts) dominate for xl at low density. *)
       Alcotest.(check bool) "devices large" true
-        (Create.breakdown_get b Create.Cat_devices
+        (List.assoc (Create.category_name Create.Cat_devices) b
         > 0.3 *. total))
 
 let test_min_memory_floor =
   in_sim (fun () ->
       (* Without the patch the toolstack rounds 3.6 MB up to 4 MB. *)
-      let ts = make_host ~mode:Mode.xl () in
-      let created = Toolstack.create_vm_exn ts (daytime_cfg ()) in
-      Guest.wait_ready created.Create.guest;
-      let kb =
-        Xen.domain_mem_kb (Toolstack.xen ts) ~domid:created.Create.domid
-      in
+      let host = make_host ~mode:Mode.xl () in
+      let domid, _ = boot_timed host (daytime_req ()) in
+      let kb = Xen.domain_mem_kb (Vmm.xen host) ~domid in
       Alcotest.(check bool)
         (Printf.sprintf "at least 4MB (%d kb)" kb)
         true (kb >= 4096);
       (* With the patch, 3.6 MB runs as 3.6 MB. *)
-      let ts2 = make_host ~mode:Mode.chaos_noxs () in
-      let created2 = Toolstack.create_vm_exn ts2 (daytime_cfg ()) in
-      Guest.wait_ready created2.Create.guest;
-      let kb2 =
-        Xen.domain_mem_kb (Toolstack.xen ts2) ~domid:created2.Create.domid
-      in
+      let host2 = make_host ~mode:Mode.chaos_noxs () in
+      let domid2, _ = boot_timed host2 (daytime_req ()) in
+      let kb2 = Xen.domain_mem_kb (Vmm.xen host2) ~domid:domid2 in
       Alcotest.(check bool)
         (Printf.sprintf "under 4MB+overhead (%d kb)" kb2)
         true
@@ -219,35 +235,42 @@ let test_min_memory_floor =
 
 let test_create_from_config_text =
   in_sim (fun () ->
-      let ts = make_host ~mode:Mode.chaos_xs () in
-      let cfg = daytime_cfg () in
-      let text = Vmconfig.to_string cfg in
-      let created = Toolstack.create_vm_exn ts ~config_text:text cfg in
-      Guest.wait_ready created.Create.guest;
-      Alcotest.(check string) "name from text" "guest-a"
-        created.Create.vm_name)
+      let host = make_host ~mode:Mode.chaos_xs () in
+      let text =
+        Vmconfig.to_string (Vmconfig.for_image ~name:"guest-a" Image.daytime)
+      in
+      let vi =
+        create_ok host (daytime_req ~name:"from-request" ~config_text:text ())
+      in
+      Alcotest.(check string) "name from text" "guest-a" vi.Vmm.vi_name)
 
 let test_create_bad_kernel =
   in_sim (fun () ->
-      let ts = make_host ~mode:Mode.chaos_xs () in
+      let host = make_host ~mode:Mode.chaos_xs () in
       let cfg = Vmconfig.make ~name:"x" ~kernel:"no-such-kernel" () in
-      match Toolstack.create_vm ts cfg with
+      let before = Vmm.resources host in
+      (match Create.create (Toolstack.env (Vmm.toolstack host)) cfg with
       | Error msg ->
           Alcotest.(check bool) "mentions kernel" true
             (String.length msg > 0)
-      | Ok _ -> Alcotest.fail "bad kernel accepted")
+      | Ok _ -> Alcotest.fail "bad kernel accepted");
+      match Vmm.check_leak host ~before with
+      | Ok () -> ()
+      | Error leaked -> Alcotest.failf "bad kernel leaked %s" leaked)
 
 let test_duplicate_names_rejected_xl =
   in_sim (fun () ->
-      let ts = make_host ~mode:Mode.xl () in
-      let c1 = Toolstack.create_vm_exn ts (daytime_cfg ~name:"dup" ()) in
-      Guest.wait_ready c1.Create.guest;
-      match Toolstack.create_vm ts (daytime_cfg ~name:"dup" ()) with
-      | Error _ -> ()
+      let host = make_host ~mode:Mode.xl () in
+      ignore (boot_timed host (daytime_req ~name:"dup" ()));
+      match Vmm.vm_create host (daytime_req ~name:"dup" ()) with
+      | Error (Vmm.Vm_failed _) -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Vmm.error_to_string e)
       | Ok _ -> Alcotest.fail "duplicate name accepted")
 
 (* ------------------------------------------------------------------ *)
 (* Pool *)
+
+let ok_or_fail = function Ok v -> v | Error msg -> Alcotest.fail msg
 
 let test_pool_basics =
   in_sim (fun () ->
@@ -256,12 +279,12 @@ let test_pool_basics =
         Pool.create ~target:3 ~make:(fun () ->
             incr built;
             Engine.sleep 0.010;
-            !built)
+            Ok !built)
       in
       Pool.prefill pool;
       Alcotest.(check int) "prefilled" 3 (Pool.size pool);
       let t0 = Engine.now () in
-      let shell = Pool.take pool in
+      let shell = ok_or_fail (Pool.take pool) in
       Alcotest.(check int) "fifo" 1 shell;
       Alcotest.(check bool) "take is instant" true (Engine.now () = t0);
       (* Background refill tops the pool back up. *)
@@ -273,26 +296,58 @@ let test_pool_empty_fallback =
       let pool =
         Pool.create ~target:2 ~make:(fun () ->
             Engine.sleep 0.005;
-            ())
+            Ok ())
       in
       (* Never prefilled: falls back to synchronous builds. *)
       let t0 = Engine.now () in
-      Pool.take pool;
+      ok_or_fail (Pool.take pool);
       Alcotest.(check bool) "paid for the build" true
         (Engine.now () -. t0 >= 0.005))
 
+(* A shell that cannot be built is a value, never an exception: [take]
+   returns [make]'s error, [prefill] stops at it, and a background
+   refill stops at it without ending the simulation; the next [take]
+   builds again. *)
+let test_pool_failures_are_values =
+  in_sim (fun () ->
+      let fail = ref false and built = ref 0 in
+      let pool =
+        Pool.create ~target:3 ~make:(fun () ->
+            let result =
+              if !fail then Error "no room"
+              else begin
+                incr built;
+                Ok !built
+              end
+            in
+            Engine.sleep 0.001;
+            result)
+      in
+      fail := true;
+      Alcotest.(check (result int string)) "take returns make's error"
+        (Error "no room") (Pool.take pool);
+      Pool.prefill pool;
+      Alcotest.(check int) "prefill stops" 0 (Pool.size pool);
+      (* The failed take's background refill stopped too. *)
+      Engine.sleep 0.1;
+      Alcotest.(check int) "refill stops" 0 (Pool.size pool);
+      fail := false;
+      Alcotest.(check (result int string)) "next take builds" (Ok 1)
+        (Pool.take pool);
+      Engine.sleep 0.1;
+      Alcotest.(check int) "refill restarts" 3 (Pool.size pool);
+      Alcotest.(check (pair int int)) "hits, takes" (0, 2)
+        (Pool.hits pool, Pool.takes pool))
+
 let test_split_uses_pool =
   in_sim (fun () ->
-      let ts = make_host ~mode:Mode.lightvm () in
-      let cfg = daytime_cfg () in
-      Toolstack.prefill_pool ts cfg;
-      let with_pool = (Toolstack.create_vm_exn ts cfg).Create.create_time in
+      let host = make_host ~mode:Mode.lightvm () in
+      Vmm.prefill_pool host Image.daytime ~nics:1 ~disks:0;
+      let _, with_pool = boot_timed host (daytime_req ()) in
       (* A fresh host without prefilling pays prepare inline on first
          create. *)
-      let ts2 = make_host ~mode:Mode.chaos_noxs () in
-      let without =
-        (Toolstack.create_vm_exn ts2 (daytime_cfg ())).Create.create_time
-      in
+      let host2 = make_host ~mode:Mode.chaos_noxs () in
+      let _, without = boot_timed host2 (daytime_req ()) in
       Alcotest.(check bool)
         (Printf.sprintf "split faster (%.2fms vs %.2fms)"
            (with_pool *. 1e3) (without *. 1e3))
@@ -303,23 +358,23 @@ let test_split_uses_pool =
 
 let test_save_restore =
   in_sim (fun () ->
-      let ts = make_host ~mode:Mode.lightvm () in
-      let created = Toolstack.create_vm_exn ts (daytime_cfg ()) in
-      Guest.wait_ready created.Create.guest;
+      let host = make_host ~mode:Mode.lightvm () in
+      let domid, _ = boot_timed host (daytime_req ()) in
       let t0 = Engine.now () in
-      let saved = Checkpoint.save ts created in
+      let saved = Vmm_boot.ok "vm_snapshot" (Vmm.vm_snapshot host ~domid) in
       let t_save = Engine.now () -. t0 in
-      Alcotest.(check int) "gone after save" (Toolstack.shell_count ts)
-        (Xen.guest_count (Toolstack.xen ts));
+      Alcotest.(check (list int)) "gone after save" []
+        (Vmm_boot.guest_domids host);
       Alcotest.(check string) "saved name" "guest-a"
         (Checkpoint.saved_name saved);
       let t1 = Engine.now () in
-      let restored = Checkpoint.restore ts saved in
-      Guest.wait_ready restored.Create.guest;
+      let restored =
+        (Vmm_boot.ok "vm_restore" (Vmm.vm_restore host saved)).Vmm.vi_domid
+      in
+      Vmm_boot.ok "vm_boot" (Vmm.vm_boot host ~domid:restored);
       let t_restore = Engine.now () -. t1 in
-      Alcotest.(check int) "back after restore"
-        (1 + Toolstack.shell_count ts)
-        (Xen.guest_count (Toolstack.xen ts));
+      Alcotest.(check (list int)) "back after restore" [ restored ]
+        (Vmm_boot.guest_domids host);
       Alcotest.(check bool)
         (Printf.sprintf "LightVM save ~30ms (%.1fms)" (t_save *. 1e3))
         true
@@ -332,15 +387,16 @@ let test_save_restore =
 let test_save_restore_xl_slower =
   in_sim (fun () ->
       let run mode =
-        let ts = make_host ~mode () in
-        let created = Toolstack.create_vm_exn ts (daytime_cfg ()) in
-        Guest.wait_ready created.Create.guest;
+        let host = make_host ~mode () in
+        let domid, _ = boot_timed host (daytime_req ()) in
         let t0 = Engine.now () in
-        let saved = Checkpoint.save ts created in
+        let saved = Vmm_boot.ok "vm_snapshot" (Vmm.vm_snapshot host ~domid) in
         let t_save = Engine.now () -. t0 in
         let t1 = Engine.now () in
-        let restored = Checkpoint.restore ts saved in
-        Guest.wait_ready restored.Create.guest;
+        let restored =
+          (Vmm_boot.ok "vm_restore" (Vmm.vm_restore host saved)).Vmm.vi_domid
+        in
+        Vmm_boot.ok "vm_boot" (Vmm.vm_boot host ~domid:restored);
         (t_save, Engine.now () -. t1)
       in
       let xl_save, xl_restore = run Mode.xl in
@@ -360,16 +416,16 @@ let test_migrate =
   in_sim (fun () ->
       let src = make_host ~mode:Mode.lightvm () in
       let dst = make_host ~mode:Mode.lightvm () in
-      let created = Toolstack.create_vm_exn src (daytime_cfg ()) in
-      Guest.wait_ready created.Create.guest;
-      let resumed, stats = Migrate.migrate ~src ~dst created in
-      Guest.wait_ready resumed.Create.guest;
-      Alcotest.(check int) "source empty" (Toolstack.shell_count src)
-        (Xen.guest_count (Toolstack.xen src));
-      Alcotest.(check int) "destination has it"
-        (1 + Toolstack.shell_count dst)
-        (Xen.guest_count (Toolstack.xen dst));
-      Alcotest.(check string) "same name" "guest-a" resumed.Create.vm_name;
+      let domid, _ = boot_timed src (daytime_req ()) in
+      let vi, stats =
+        Vmm_boot.ok "vm_migrate" (Vmm.vm_migrate ~src ~dst ~domid)
+      in
+      Vmm_boot.ok "vm_boot" (Vmm.vm_boot dst ~domid:vi.Vmm.vi_domid);
+      Alcotest.(check (list int)) "source empty" []
+        (Vmm_boot.guest_domids src);
+      Alcotest.(check (list int)) "destination has it" [ vi.Vmm.vi_domid ]
+        (Vmm_boot.guest_domids dst);
+      Alcotest.(check string) "same name" "guest-a" vi.Vmm.vi_name;
       Alcotest.(check bool)
         (Printf.sprintf "LightVM migration ~60ms (%.1fms)"
            (stats.Migrate.total *. 1e3))
@@ -561,6 +617,8 @@ let suites =
       [
         Alcotest.test_case "basics" `Quick test_pool_basics;
         Alcotest.test_case "empty fallback" `Quick test_pool_empty_fallback;
+        Alcotest.test_case "failures are values" `Quick
+          test_pool_failures_are_values;
         Alcotest.test_case "split uses pool" `Quick test_split_uses_pool;
       ] );
     ( "toolstack.checkpoint",

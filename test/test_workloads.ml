@@ -339,10 +339,7 @@ let suites =
 
 module Daytime = Lightvm_workloads.Daytime
 module Switch = Lightvm_net.Switch
-module Xen = Lightvm_hv.Xen
-module Toolstack = Lightvm_toolstack.Toolstack
-module Guest = Lightvm_guest.Guest
-module Create = Lightvm_toolstack.Create
+module Vmm = Lightvm_cluster.Vmm
 module Image = Lightvm_guest.Image
 
 let test_daytime_format () =
@@ -362,20 +359,11 @@ let test_daytime_format () =
 let test_daytime_end_to_end () =
   ignore
     (Lightvm_sim.Engine.run (fun () ->
-         let xen = Xen.boot () in
-         let ts =
-           Toolstack.make ~xen ~mode:Lightvm_toolstack.Mode.lightvm ()
-         in
-         let cfg =
-           Lightvm_toolstack.Vmconfig.for_image ~name:"daytime-0"
-             Image.daytime
-         in
-         let created = Toolstack.create_vm_exn ts cfg in
-         Guest.wait_ready created.Create.guest;
+         let host = Vmm.create ~mode:Lightvm_toolstack.Mode.lightvm () in
+         let domid = Vmm_boot.boot host Image.daytime in
          let sw = Switch.create () in
          let server =
-           Daytime.start ~switch:sw ~xen ~domid:created.Create.domid
-             ~port:80
+           Daytime.start ~switch:sw ~xen:(Vmm.xen host) ~domid ~port:80
          in
          Lightvm_sim.Engine.sleep 3600.;
          let daytime, rtt =
