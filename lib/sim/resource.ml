@@ -30,13 +30,3 @@ let release t =
       if t.avail >= t.cap then
         invalid_arg "Sim.Resource.release: released more than acquired";
       t.avail <- t.avail + 1
-
-let with_resource t f =
-  acquire t;
-  match f () with
-  | v ->
-      release t;
-      v
-  | exception e ->
-      release t;
-      raise e

@@ -19,6 +19,3 @@ val acquire : t -> unit
 val try_acquire : t -> bool
 
 val release : t -> unit
-
-val with_resource : t -> (unit -> 'a) -> 'a
-(** Acquire, run, release — also on exception. *)

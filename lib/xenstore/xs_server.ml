@@ -262,7 +262,17 @@ let fire_watches t modified =
 
 let equota_point = Fault.point "xs.equota"
 
-let check_quota t ~caller path =
+(* A guest may create a node while it owns fewer than [quota_nodes] in
+   [store]: the live store, or an open transaction's view, which holds
+   the nodes the transaction created. *)
+let guest_quota t store ~caller path =
+  if
+    Xs_store.exists store path
+    || Xs_store.owned_count store ~domid:caller < t.quota_nodes
+  then Ok ()
+  else Error Xs_error.EQUOTA
+
+let check_quota t store ~caller path =
   (* Fault point: a spurious EQUOTA on a node-creating request, as a
      real oxenstored returns when another domain's allocations race the
      caller past its quota. Injected only for Dom0 clients — the
@@ -272,10 +282,7 @@ let check_quota t ~caller path =
      schedule depends only on the request sequence, not on contents. *)
   if caller = 0 then
     if Fault.fire equota_point then Error Xs_error.EQUOTA else Ok ()
-  else if Xs_store.exists t.store path then Ok ()
-  else if Xs_store.owned_count t.store ~domid:caller >= t.quota_nodes then
-    Error Xs_error.EQUOTA
-  else Ok ()
+  else guest_quota t store ~caller path
 
 let lift = function Ok () -> Ok_unit | Error e -> Err e
 
@@ -298,7 +305,7 @@ let do_plain t ~caller req =
       | Ok perms -> Ok_perms perms
       | Error e -> Err e)
   | Write (path, value) -> (
-      match check_quota t ~caller path with
+      match check_quota t t.store ~caller path with
       | Error e -> Err e
       | Ok () -> (
           let unique =
@@ -314,7 +321,7 @@ let do_plain t ~caller req =
                   Ok_unit
               | Error e -> Err e)))
   | Mkdir path -> (
-      match check_quota t ~caller path with
+      match check_quota t t.store ~caller path with
       | Error e -> Err e
       | Ok () -> (
           match Xs_store.mkdir t.store ~caller path with
@@ -349,10 +356,18 @@ let do_in_tx t ~caller tx req =
       | Ok entries -> Ok_list entries
       | Error e -> Err e)
   | Write (path, value) -> (
-      match check_quota t ~caller path with
+      match check_quota t (Xs_transaction.view tx) ~caller path with
       | Error e -> Err e
       | Ok () -> lift (Xs_transaction.write tx ~caller path value))
-  | Mkdir path -> lift (Xs_transaction.mkdir tx ~caller path)
+  | Mkdir path -> (
+      (* Dom0's mkdirs in a transaction pass no check: [xs.equota]
+         fires on its transactional writes only. *)
+      match
+        if caller = 0 then Ok ()
+        else guest_quota t (Xs_transaction.view tx) ~caller path
+      with
+      | Error e -> Err e
+      | Ok () -> lift (Xs_transaction.mkdir tx ~caller path))
   | Rm path -> lift (Xs_transaction.rm tx ~caller path)
   | Set_perms (path, perms) ->
       lift (Xs_transaction.set_perms tx ~caller path perms)
@@ -455,10 +470,13 @@ let dispatch t ~caller ~tx req =
               if owner <> caller then Err Xs_error.EACCES
               else do_in_tx t ~caller transaction plain))
 
-let with_daemon t f =
-  Resource.with_resource t.mutex (fun () ->
-      t.counters.ops <- t.counters.ops + 1;
-      f ())
+(* The daemon entry: every request holds the mutex from [enter] until
+   its caller releases it, on return and on exception. These are plain
+   calls rather than a wrapper taking the request as a closure, since
+   a dense host makes tens of requests per guest. *)
+let enter t =
+  Resource.acquire t.mutex;
+  t.counters.ops <- t.counters.ops + 1
 
 let request_kind = function
   | Read _ -> "read"
@@ -476,54 +494,62 @@ let request_kind = function
   | Introduce _ -> "introduce"
   | Release _ -> "release"
 
+(* The request/ack messages and the access log lines of one request of
+   [payload_bytes]. *)
+let charge_message t ~payload_bytes =
+  charge ~category:"xs.message" t
+    (Xs_costs.message_cost t.profile ~payload_bytes);
+  charge_logging t
+
 (* One span per dispatched request, plus the counters the paper cares
    about: ops by type, softirqs and privilege crossings implied by the
-   request/ack message protocol. *)
+   request/ack message protocol. Requests are the host hot path at
+   large guest counts (libxl's name scans issue O(guests) of them per
+   creation), so the entry points call this, and build its closure,
+   only when tracing is on; untraced they make the same charges
+   directly. *)
 let traced_request t ~caller req f =
   let payload_bytes = request_payload_bytes req in
-  if not (Trace.enabled ()) then begin
-    (* Requests are the host hot path at large guest counts (libxl's
-       name scans issue O(guests) of them per creation), so skip the
-       span/counter bookkeeping — including its attr and label
-       allocations — entirely when tracing is off. The simulated
-       charges are identical on both branches. *)
-    charge ~category:"xs.message" t
-      (Xs_costs.message_cost t.profile ~payload_bytes);
-    charge_logging t;
-    f ()
-  end
-  else begin
-    let kind = request_kind req in
-    Trace.Counter.incr ("xs.op." ^ kind);
-    Trace.Counter.incr ~by:t.profile.Xs_costs.irqs_per_message "xs.softirqs";
-    Trace.Counter.incr ~by:t.profile.Xs_costs.crossings_per_message
-      "xs.crossings";
-    let cmps_before = t.counters.uniqueness_cmps in
-    let sp =
-      Trace.Span.begin_ ~category:"xs"
-        ~attrs:
-          [
-            ("caller", string_of_int caller);
-            ("payload_bytes", string_of_int payload_bytes);
-          ]
-        kind
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        let cmps = t.counters.uniqueness_cmps - cmps_before in
-        if cmps > 0 then
-          Trace.Span.add_attr sp "name_cmps" (string_of_int cmps);
-        Trace.Span.end_ sp)
-      (fun () ->
-        charge ~category:"xs.message" t
-          (Xs_costs.message_cost t.profile ~payload_bytes);
-        charge_logging t;
-        f ())
-  end
+  let kind = request_kind req in
+  Trace.Counter.incr ("xs.op." ^ kind);
+  Trace.Counter.incr ~by:t.profile.Xs_costs.irqs_per_message "xs.softirqs";
+  Trace.Counter.incr ~by:t.profile.Xs_costs.crossings_per_message
+    "xs.crossings";
+  let cmps_before = t.counters.uniqueness_cmps in
+  let sp =
+    Trace.Span.begin_ ~category:"xs"
+      ~attrs:
+        [
+          ("caller", string_of_int caller);
+          ("payload_bytes", string_of_int payload_bytes);
+        ]
+      kind
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      let cmps = t.counters.uniqueness_cmps - cmps_before in
+      if cmps > 0 then Trace.Span.add_attr sp "name_cmps" (string_of_int cmps);
+      Trace.Span.end_ sp)
+    (fun () ->
+      charge_message t ~payload_bytes;
+      f ())
 
 let op t ~caller ?tx req =
-  with_daemon t (fun () ->
-      traced_request t ~caller req (fun () -> dispatch t ~caller ~tx req))
+  enter t;
+  match
+    if Trace.enabled () then
+      traced_request t ~caller req (fun () -> dispatch t ~caller ~tx req)
+    else begin
+      charge_message t ~payload_bytes:(request_payload_bytes req);
+      dispatch t ~caller ~tx req
+    end
+  with
+  | response ->
+      Resource.release t.mutex;
+      response
+  | exception e ->
+      Resource.release t.mutex;
+      raise e
 
 (* Bulk name resolution (libxl_name_to_domid's scan): modeled exactly
    as a Directory of /local/domain followed by one Read of every
@@ -554,23 +580,25 @@ let scan_names t ~caller =
   end
   else begin
     let p = t.profile in
-    with_daemon t (fun () ->
-        charge ~category:"xs.message" t
-          (Xs_costs.message_cost p
-             ~payload_bytes:
-               (String.length (Xs_path.to_string domain_dir) + 1));
-        charge_logging t;
-        ensure_index t;
-        match Xs_store.lookup t.store domain_dir with
-        | None -> raise (Xs_error.Error Xs_error.ENOENT)
-        | Some node ->
-            if
-              not
-                (Xs_perms.can_read (Xs_store.Node.perms node) ~domid:caller)
-            then raise (Xs_error.Error Xs_error.EACCES);
-            charge ~category:"xs.dir" t
-              (float_of_int (NMap.cardinal t.name_idx)
-              *. p.Xs_costs.per_dir_entry));
+    enter t;
+    (match
+       charge_message t
+         ~payload_bytes:(String.length (Xs_path.to_string domain_dir) + 1);
+       ensure_index t;
+       match Xs_store.lookup t.store domain_dir with
+       | None -> raise (Xs_error.Error Xs_error.ENOENT)
+       | Some node ->
+           if
+             not (Xs_perms.can_read (Xs_store.Node.perms node) ~domid:caller)
+           then raise (Xs_error.Error Xs_error.EACCES);
+           charge ~category:"xs.dir" t
+             (float_of_int (NMap.cardinal t.name_idx)
+             *. p.Xs_costs.per_dir_entry)
+     with
+    | () -> Resource.release t.mutex
+    | exception e ->
+        Resource.release t.mutex;
+        raise e);
     (* One modeled Read round-trip per directory entry: payload is
        "/local/domain/" ^ id ^ "/name" plus the trailing NUL. *)
     let base =
@@ -580,11 +608,12 @@ let scan_names t ~caller =
     let names =
       NMap.fold
         (fun id entry acc ->
-          with_daemon t (fun () ->
-              charge ~category:"xs.message" t
-                (Xs_costs.message_cost p
-                   ~payload_bytes:(base + String.length id));
-              charge_logging t);
+          enter t;
+          (match charge_message t ~payload_bytes:(base + String.length id) with
+          | () -> Resource.release t.mutex
+          | exception e ->
+              Resource.release t.mutex;
+              raise e);
           match entry with
           | Some (v, perms) ->
               if Xs_perms.can_read perms ~domid:caller then v :: acc
@@ -595,20 +624,34 @@ let scan_names t ~caller =
     List.rev names
   end
 
+let add_watch t ~caller ~path ~token ~deliver =
+  Xs_watch.add t.watches ~owner:caller ~path ~token ~deliver;
+  (* Registering a watch immediately fires it once (protocol rule). *)
+  t.counters.watch_events <- t.counters.watch_events + 1;
+  Trace.Counter.incr "xs.watch_fires";
+  charge ~category:"xs.watch" t t.profile.Xs_costs.watch_fire;
+  Engine.spawn ~name:"xs-watch-initial" (fun () ->
+      deliver { Xs_watch.event_path = path; token });
+  Ok_unit
+
 let watch t ~caller ~path ~token ~deliver =
-  with_daemon t (fun () ->
-      traced_request t ~caller
-        (Watch (path, token))
-        (fun () ->
-          Xs_watch.add t.watches ~owner:caller ~path ~token ~deliver;
-          (* Registering a watch immediately fires it once (protocol
-             rule). *)
-          t.counters.watch_events <- t.counters.watch_events + 1;
-          Trace.Counter.incr "xs.watch_fires";
-          charge ~category:"xs.watch" t t.profile.Xs_costs.watch_fire;
-          Engine.spawn ~name:"xs-watch-initial" (fun () ->
-              deliver { Xs_watch.event_path = path; token });
-          Ok_unit))
+  let req = Watch (path, token) in
+  enter t;
+  match
+    if Trace.enabled () then
+      traced_request t ~caller req (fun () ->
+          add_watch t ~caller ~path ~token ~deliver)
+    else begin
+      charge_message t ~payload_bytes:(request_payload_bytes req);
+      add_watch t ~caller ~path ~token ~deliver
+    end
+  with
+  | response ->
+      Resource.release t.mutex;
+      response
+  | exception e ->
+      Resource.release t.mutex;
+      raise e
 
 (* Conflicted commits retried before [transaction] gives up. *)
 let max_retries = 8

@@ -70,7 +70,14 @@ val op : t -> caller:int -> ?tx:int -> request -> response
     back as [Err] — including injected ones (the [xs.equota] fault
     point can fail any node-creating request from Dom0, and
     [xs.eagain] can abort a [Transaction_end true]; see
-    [lib/sim/fault.ml]). *)
+    [lib/sim/fault.ml]).
+
+    Node quota: a [Write] or [Mkdir] by a guest ([caller <> 0]) that
+    would create a node fails with [EQUOTA] once the guest owns
+    [quota_nodes] nodes. Inside a transaction both are checked against
+    the transaction's view, which counts the nodes the transaction has
+    created. Dom0 has no quota: only [xs.equota] can fail its plain
+    writes and mkdirs and its transactional writes. *)
 
 val scan_names : t -> caller:int -> string list
 (** Every running guest's name, in [/local/domain] directory order —

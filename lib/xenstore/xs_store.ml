@@ -2,8 +2,6 @@
    — the order [directory] answers in. *)
 module SMap = Map.Make (String)
 
-module IMap = Map.Make (Int)
-
 module Node = struct
   (* [epoch] is the epoch of the store that created or copied the node;
      only a store that holds that epoch changes the node in place. *)
@@ -21,6 +19,21 @@ module Node = struct
   let rec subtree_size t =
     SMap.fold (fun _ child acc -> acc + subtree_size child) t.children 1
 end
+
+(* Owned counts: a 16-way trie over the domid's base-16 digits, most
+   significant first, [owned_levels] levels deep. A leaf holds the
+   counts of 16 consecutive domids, unboxed. Like a tree node, each
+   trie node carries the epoch of the store that made it and is changed
+   in place only by that store; any other store copies the node's path
+   first, once per epoch. A leaf whose counts are all zero is unlinked,
+   and so is a branch left with no child, so domids that own nothing
+   (domids are never reused) keep nothing. The trie grows a level on
+   top when a larger domid first owns a node; read unsigned, any int
+   fits in 16 levels. *)
+type owned =
+  | Empty
+  | Leaf of { epoch : int; counts : int array }
+  | Branch of { epoch : int; kids : owned array }
 
 (* A transient tree. Snapshots share nodes with the store they were
    taken from and with the stores built from them, so a store changes
@@ -40,9 +53,13 @@ end
    global, so a checkpoint image carries it and a thawed copy never
    re-issues an epoch its nodes already carry.
 
-   [owned] is a persistent map (not a Hashtbl) so that a snapshot
-   shares it whatever the number of owners, where a Hashtbl would cost
-   an O(n) copy per transaction start and per scratch validation.
+   [owned] is transient on the same epochs, so a snapshot shares it
+   whatever the number of owners, a store that no snapshot shares
+   changes a count in place, and the first change of a count after a
+   snapshot copies that count's path through the trie. No domain keeps
+   a heap block of its own, so a checkpoint image of a dense host holds
+   one leaf per 16 domids rather than a block per domain: the image's
+   object count sizes the marshaller's sharing table (DESIGN.md §6).
 
    [memo_path] and [memo_node] are a single-entry lookup memo: the node
    the last successful walk reached, keyed by the path value's address.
@@ -55,7 +72,8 @@ type t = {
   mutable root : Node.t;
   mutable generation : int;
   mutable count : int;
-  mutable owned : int IMap.t;
+  mutable owned : owned;
+  mutable owned_levels : int;
   mutable epoch : int;
   mutable epochs : int ref;
   mutable memo_path : Xs_path.t;
@@ -68,7 +86,8 @@ type snapshot = {
   snap_root : Node.t;
   snap_generation : int;
   snap_count : int;
-  snap_owned : int IMap.t;
+  snap_owned : owned;
+  snap_owned_levels : int;
   snap_epochs : int ref;
 }
 
@@ -80,19 +99,69 @@ let forget t =
   t.memo_path <- Xs_path.root;
   t.memo_node <- t.root
 
-let adjust_owned t domid delta =
-  let cur = Option.value ~default:0 (IMap.find_opt domid t.owned) in
-  let n = cur + delta in
-  (* Drop exhausted owners instead of keeping a [domid -> 0] entry:
-     domids are never reused, so on a host churning millions of VM
-     lifecycles those dead entries would grow the map (and the GC live
-     set, and every snapshot) without bound. [owned_count] reads a
-     missing entry and a zero entry identically. *)
-  t.owned <-
-    (if n = 0 then IMap.remove domid t.owned else IMap.add domid n t.owned)
+(* Whether a trie [levels] deep covers [domid]; 16 levels cover every
+   int, and a shift by 64 bits would be unspecified. *)
+let fits domid levels = levels >= 16 || domid lsr (4 * levels) = 0
+
+(* The trie index of [domid] at [level]; the leaves are level 0. *)
+let digit domid level = (domid lsr (4 * level)) land 15
+
+let rec count_of node domid level =
+  match node with
+  | Empty -> 0
+  | Leaf l -> l.counts.(digit domid 0)
+  | Branch b -> count_of b.kids.(digit domid level) domid (level - 1)
 
 let owned_count t ~domid =
-  Option.value ~default:0 (IMap.find_opt domid t.owned)
+  if fits domid t.owned_levels then
+    count_of t.owned domid (t.owned_levels - 1)
+  else 0
+
+(* [node], at [level], made the store's own: itself if the store made
+   it, else a copy, or a new empty node in place of [Empty]. *)
+let own_owned t node level =
+  match node with
+  | Leaf l when l.epoch = t.epoch -> node
+  | Branch b when b.epoch = t.epoch -> node
+  | Leaf l -> Leaf { epoch = t.epoch; counts = Array.copy l.counts }
+  | Branch b -> Branch { epoch = t.epoch; kids = Array.copy b.kids }
+  | Empty ->
+      if level = 0 then Leaf { epoch = t.epoch; counts = Array.make 16 0 }
+      else Branch { epoch = t.epoch; kids = Array.make 16 Empty }
+
+(* [node], at [level], with [delta] added to [domid]'s count: [Empty]
+   once it holds no count. *)
+let rec adjust t node domid level delta =
+  match own_owned t node level with
+  | Empty -> assert false (* [own_owned] builds a node in its place *)
+  | Leaf l as leaf ->
+      let i = digit domid 0 in
+      l.counts.(i) <- l.counts.(i) + delta;
+      if l.counts.(i) = 0 && Array.for_all (fun n -> n = 0) l.counts then
+        Empty
+      else leaf
+  | Branch b as branch ->
+      let i = digit domid level in
+      let kid = adjust t b.kids.(i) domid (level - 1) delta in
+      b.kids.(i) <- kid;
+      if kid == Empty && Array.for_all (fun k -> k == Empty) b.kids then
+        Empty
+      else branch
+
+let rec grow t domid =
+  if not (fits domid t.owned_levels) then begin
+    if t.owned != Empty then begin
+      let kids = Array.make 16 Empty in
+      kids.(0) <- t.owned;
+      t.owned <- Branch { epoch = t.epoch; kids }
+    end;
+    t.owned_levels <- t.owned_levels + 1;
+    grow t domid
+  end
+
+let adjust_owned t domid delta =
+  grow t domid;
+  t.owned <- adjust t t.owned domid (t.owned_levels - 1) delta
 
 let node_count t = t.count
 let generation t = t.generation
@@ -115,7 +184,8 @@ let create () =
       root;
       generation = 0;
       count = 5;
-      owned = IMap.empty;
+      owned = Empty;
+      owned_levels = 1;
       epoch = 0;
       epochs = ref 0;
       memo_path = Xs_path.root;
@@ -318,17 +388,13 @@ let set_perms t ~caller path perms =
             end
             else Error Xs_error.EACCES)
 
-let count_owners node =
-  let rec go acc (n : Node.t) =
-    let owner = Xs_perms.owner (Node.perms n) in
-    let acc =
-      IMap.add owner
-        (1 + Option.value ~default:0 (IMap.find_opt owner acc))
-        acc
-    in
-    SMap.fold (fun _ c acc -> go acc c) n.Node.children acc
-  in
-  go IMap.empty node
+(* Takes [node]'s subtree out of the node count and the owned counts,
+   in one walk. The store is the fold's accumulator, so the walk builds
+   no closure. *)
+let rec uncount t (node : Node.t) =
+  t.count <- t.count - 1;
+  adjust_owned t (Xs_perms.owner node.perms) (-1);
+  SMap.fold (fun _ child t -> uncount t child) node.children t
 
 let rec last_cell = function
   | ([] | [ _ ]) as cell -> cell
@@ -353,10 +419,7 @@ let rm t ~caller path =
             else begin
               let parent = writable t parent segs last in
               parent.children <- SMap.remove (List.hd last) parent.children;
-              IMap.iter
-                (fun owner n -> adjust_owned t owner (-n))
-                (count_owners target);
-              t.count <- t.count - Node.subtree_size target;
+              ignore (uncount t target);
               mutated t;
               Ok ()
             end)
@@ -385,6 +448,7 @@ let snapshot t =
       snap_generation = t.generation;
       snap_count = t.count;
       snap_owned = t.owned;
+      snap_owned_levels = t.owned_levels;
       snap_epochs = t.epochs;
     }
   in
@@ -397,6 +461,7 @@ let of_snapshot s =
     generation = s.snap_generation;
     count = s.snap_count;
     owned = s.snap_owned;
+    owned_levels = s.snap_owned_levels;
     epoch = fresh_epoch s.snap_epochs;
     epochs = s.snap_epochs;
     memo_path = Xs_path.root;
@@ -412,6 +477,7 @@ let adopt t ~from =
   t.generation <- from.generation;
   t.count <- from.count;
   t.owned <- from.owned;
+  t.owned_levels <- from.owned_levels;
   t.epochs <- from.epochs;
   t.epoch <- from.epoch;
   forget t;

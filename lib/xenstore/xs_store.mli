@@ -9,7 +9,10 @@
     place only the nodes of its own epoch: those nothing else can reach.
     A mutation copies just the shared nodes on its path, so a store
     that no snapshot shares rewrites a value in place, and after a
-    snapshot each path is copied once.
+    snapshot each path is copied once. The per-domain owned counts are
+    transient on the same epochs: a trie over the domid's digits whose
+    leaves hold 16 counts each, changed in place where the store made
+    them and copied once per path after a snapshot.
 
     This module is pure bookkeeping — simulation-time costs are charged
     by {!Xs_server}, which also enforces quotas and fires watches. *)
@@ -45,7 +48,8 @@ val generation : t -> int
 val node_count : t -> int
 
 val owned_count : t -> domid:int -> int
-(** Number of nodes whose permission owner is [domid]. *)
+(** Number of nodes whose permission owner is [domid]; 0 for a domain
+    that owns none, which the store keeps no entry for. *)
 
 val exists : t -> Xs_path.t -> bool
 
@@ -91,9 +95,9 @@ val iter :
 type snapshot
 
 val snapshot : t -> snapshot
-(** O(1): the snapshot shares the whole tree and the persistent
-    ownership counts, and the store moves to a fresh epoch, so its
-    later writes copy the nodes they change instead of changing the
+(** O(1): the snapshot shares the whole tree and the owned counts, and
+    the store moves to a fresh epoch, so its later writes copy the
+    nodes and count leaves they change instead of changing the
     snapshot's. *)
 
 val of_snapshot : snapshot -> t

@@ -10,6 +10,9 @@ module Engine = Lightvm_sim.Engine
 module Checkpoint = Lightvm_sim.Checkpoint
 module Fault = Lightvm_sim.Fault
 module Manifest = Digest_manifest
+module Vmm = Lightvm_cluster.Vmm
+module Mode = Lightvm_toolstack.Mode
+module Image = Lightvm_guest.Image
 
 (* Exact (hex) floats, as in the result manifest: any numeric
    divergence must show in the digest. *)
@@ -321,6 +324,47 @@ let test_not_quiesced () =
       Alcotest.fail ("expected Not_quiesced, got " ^ Checkpoint.error_to_string e)
   | Ok _ -> Alcotest.fail "parked continuation marshalled"
 
+(* The number of objects a Marshal image holds, read from its header
+   (the runtime's intext.h): a small header, magic 0x8495A6BE, holds it
+   as a 32-bit word at byte 8, and a big one, magic 0x8495A6BF, as a
+   64-bit word at byte 16. *)
+let marshal_objects image =
+  match String.get_int32_be image 0 with
+  | 0x8495A6BEl -> Int32.to_int (String.get_int32_be image 8) land 0xffff_ffff
+  | 0x8495A6BFl -> Int64.to_int (String.get_int64_be image 16)
+  | _ -> Alcotest.fail "not a Marshal image"
+
+(* A chaos [XS] host frozen with [n] daytime guests created and booted. *)
+let host_image n =
+  let host = ref None in
+  let _, saved =
+    Engine.run_capture (fun () ->
+        let h = Vmm.create ~mode:Mode.chaos_xs () in
+        for _ = 1 to n do
+          ignore (Vmm_boot.boot h Image.daytime)
+        done;
+        host := Some h)
+  in
+  match Checkpoint.freeze (saved, Option.get !host) with
+  | Ok image -> image
+  | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
+
+(* OCaml 5.1's marshaller sizes its table of shared objects by the
+   image's object count, and doubles it past 2/3 * 2^21 = 1,398,101
+   objects. The benchmark's create-dense image of 10,000 guests holds
+   fewer, but not many fewer: a host representation that kept one more
+   heap block per domain (a mutable owned-count cell per domid) pushed
+   it from 1,390,209 objects to 1,400,210, and that run's peak RSS from
+   182.8 to 246.7 MB. So the objects each added guest brings may not
+   grow past this tree's reading, 130.14 (owned counts kept in a map
+   with one node per owning domid read 131.00). *)
+let test_objects_per_guest () =
+  let objects n = marshal_objects (host_image n) in
+  let added = objects 300 - objects 100 in
+  if added > 26_028 then
+    Alcotest.failf "%.2f objects per added guest, ceiling 130.14"
+      (float_of_int added /. 200.)
+
 (* ------------------------------------------------------------------ *)
 (* The CLI surface: snapshot_to_file / resume_from_file. *)
 
@@ -405,6 +449,8 @@ let suites =
           test_payload_flips_refused;
         Alcotest.test_case "unquiesced state refused" `Quick
           test_not_quiesced;
+        Alcotest.test_case "objects per guest in a host image" `Quick
+          test_objects_per_guest;
         Alcotest.test_case "snapshot/resume via file" `Slow
           test_snapshot_file_roundtrip;
         Alcotest.test_case "unknown prefix key refused" `Quick

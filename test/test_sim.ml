@@ -415,9 +415,10 @@ let test_resource_mutex () =
     (Engine.run (fun () ->
          let m = Resource.create 1 in
          let worker name dur () =
-           Resource.with_resource m (fun () ->
-               log := (name, Engine.now ()) :: !log;
-               Engine.sleep dur)
+           Resource.acquire m;
+           log := (name, Engine.now ()) :: !log;
+           Engine.sleep dur;
+           Resource.release m
          in
          Engine.spawn (worker "a" 2.0);
          Engine.spawn (worker "b" 1.0);

@@ -280,6 +280,84 @@ let test_store_owned_count () =
   ignore (Xs_store.rm s ~caller:3 (p "/g/a"));
   Alcotest.(check int) "freed on rm" base (Xs_store.owned_count s ~domid:3)
 
+(* The owned counts are a 16-way trie over the domid's base-16 digits.
+   Counts either side of a leaf's edge (15/16) and of a level's
+   (255/256) stay apart, and so does the largest domid the wire's perms
+   accept, which must fit a trie of bounded depth: a trie cut short
+   would share its count with the domid that has the same low 60 bits.
+   Each owner here owns a different number of nodes. *)
+let test_store_owned_trie_edges () =
+  let s = Xs_store.create () in
+  let max_owner =
+    match Xs_perms.of_string ("n" ^ string_of_int max_int) with
+    | Some perms -> perms
+    | None -> Alcotest.fail "wire perms refused max_int"
+  in
+  let owners =
+    [ (15, Xs_perms.owned_default 15); (16, Xs_perms.owned_default 16);
+      (255, Xs_perms.owned_default 255); (256, Xs_perms.owned_default 256);
+      (max_int, max_owner) ]
+  in
+  List.iteri
+    (fun i (domid, perms) ->
+      let dir = p ("/o" ^ string_of_int domid) in
+      ignore (Xs_store.write s ~caller:0 dir "");
+      ignore (Xs_store.set_perms s ~caller:0 dir perms);
+      for k = 1 to i do
+        ignore
+          (Xs_store.write s ~caller:domid
+             (Xs_path.concat dir (string_of_int k))
+             "")
+      done)
+    owners;
+  List.iteri
+    (fun i (domid, _) ->
+      Alcotest.(check int)
+        (Printf.sprintf "owned_count %d" domid)
+        (i + 1)
+        (Xs_store.owned_count s ~domid))
+    owners;
+  List.iter
+    (fun domid ->
+      Alcotest.(check int)
+        (Printf.sprintf "owned_count %d" domid)
+        0
+        (Xs_store.owned_count s ~domid))
+    [ 1; 14; 17; 254; 257; max_int - 1; max_int land ((1 lsl 60) - 1) ];
+  Alcotest.(check int) "dom0 keeps the skeleton" 5
+    (Xs_store.owned_count s ~domid:0)
+
+(* A domain whose count falls to zero reads 0, and the trie keeps
+   nothing for it: the store is the same size as one in which the
+   domain never owned a node. Domain 17 shares a branch with Dom0, so
+   only its leaf goes; domain 4000 takes its branch with it. Domain
+   300 keeps both stores three levels deep. *)
+let test_store_owned_zero_frees_leaf () =
+  let build ~moved =
+    let s = Xs_store.create () in
+    ignore (Xs_store.write s ~caller:0 (p "/a") "");
+    ignore
+      (Xs_store.set_perms s ~caller:0 (p "/a") (Xs_perms.owned_default 300));
+    ignore (Xs_store.write s ~caller:0 (p "/b") "");
+    List.iter
+      (fun domid ->
+        ignore
+          (Xs_store.set_perms s ~caller:0 (p "/b")
+             (Xs_perms.owned_default domid));
+        Alcotest.(check int) "moved in" 1 (Xs_store.owned_count s ~domid))
+      moved;
+    ignore
+      (Xs_store.set_perms s ~caller:0 (p "/b") (Xs_perms.owned_default 0));
+    s
+  in
+  let s = build ~moved:[ 17; 4000 ] in
+  Alcotest.(check int) "owned_count 17" 0 (Xs_store.owned_count s ~domid:17);
+  Alcotest.(check int) "owned_count 4000" 0
+    (Xs_store.owned_count s ~domid:4000);
+  Alcotest.(check int) "words of a store whose owners never moved"
+    (Obj.reachable_words (Obj.repr (build ~moved:[])))
+    (Obj.reachable_words (Obj.repr s))
+
 let test_store_mkdir_idempotent () =
   let s = Xs_store.create () in
   Alcotest.check (store_res Alcotest.unit) "mkdir" (Ok ())
@@ -957,16 +1035,22 @@ let prop_store_matches_reference =
 (* Minor words per store operation, by the difference between [2n] and
    [n] operations on the same store, so that the set-up cancels out.
    [Gc.minor_words] is exact. The store holds 10,000 domains, as the
-   dense host of the scale experiments does, so a write that rebuilt
-   the path through /local/domain would pay for a 10,000-entry map. *)
+   dense host of the scale experiments does, each owning its directory,
+   so a write that rebuilt the path through /local/domain would pay
+   for a 10,000-entry map, and an owned count kept in a map keyed by
+   domid for a 10,000-entry map too. *)
+let populate s =
+  for i = 1 to 10_000 do
+    let dir = Xs_path.domain_path i in
+    ignore
+      (Xs_store.write s ~caller:0 Xs_path.(dir / "name")
+         ("guest-" ^ string_of_int i));
+    ignore (Xs_store.set_perms s ~caller:0 dir (Xs_perms.owned_default i))
+  done
+
 let dense_store () =
   let s = Xs_store.create () in
-  for i = 1 to 10_000 do
-    ignore
-      (Xs_store.write s ~caller:0
-         Xs_path.(domain_path i / "name")
-         ("guest-" ^ string_of_int i))
-  done;
+  populate s;
   s
 
 let words_per_op ~n run =
@@ -1019,6 +1103,70 @@ let test_first_write_after_snapshot_words () =
   in
   check_words "first write after a snapshot" ~ceiling:125.
     (words_per_op ~n:1000 snapshot_and_write -. words_per_op ~n:1000 snapshots)
+
+(* Moving a node between two domains that own nodes already, here Dom0
+   and a guest as the toolstack does, changes their counts in place:
+   the trie's nodes are the store's own. After a snapshot the first
+   move copies the tree's path to the node, about 120 words, and each
+   count's path through the trie once: two leaves and the five
+   branches above them (they share the root), 20 words a node. A map
+   keyed by domid rebuilds both paths through its 10,000 entries on
+   every move, 160 words; a 32-way trie would copy 36 words a node,
+   180 in all. *)
+let test_set_perms_words () =
+  let s = dense_store () in
+  let path = Xs_path.(domain_path 5_000 / "name") in
+  let perms = [| Xs_perms.owned_default 0; Xs_perms.owned_default 5_000 |] in
+  let move k =
+    for i = 1 to k do
+      ignore (Xs_store.set_perms s ~caller:0 path perms.(i land 1))
+    done
+  in
+  check_words "set_perms between owners" ~ceiling:8.
+    (words_per_op ~n:1000 move);
+  let snapshots k =
+    for _ = 1 to k do
+      ignore (Xs_store.snapshot s)
+    done
+  in
+  let snapshot_and_move k =
+    for i = 1 to k do
+      ignore (Xs_store.snapshot s);
+      ignore (Xs_store.set_perms s ~caller:0 path perms.(i land 1))
+    done
+  in
+  check_words "first set_perms after a snapshot" ~ceiling:270.
+    (words_per_op ~n:1000 snapshot_and_move -. words_per_op ~n:1000 snapshots)
+
+(* A request to the daemon on the dense store: it waits for the mutex,
+   charges its messages and dispatches without building a closure (a
+   wrapper that took the request as closures added about 20 words).
+   The target is a domain's directory node, so the overwrite is not a
+   name write (no uniqueness scan) and fires no watch. *)
+let test_op_words () =
+  let srv = Xs_server.create () in
+  populate (Xs_server.store srv);
+  let path = Xs_path.domain_path 5_000 in
+  let read = Xs_server.Read path in
+  let writes = [| Xs_server.Write (path, "a"); Xs_server.Write (path, "b") |] in
+  let reads k =
+    for _ = 1 to k do
+      ignore (Xs_server.op srv ~caller:0 read)
+    done
+  in
+  let overwrites k =
+    for i = 1 to k do
+      ignore (Xs_server.op srv ~caller:0 writes.(i land 1))
+    done
+  in
+  let measured = ref (0., 0.) in
+  ignore
+    (Engine.run (fun () ->
+         measured :=
+           (words_per_op ~n:1000 reads, words_per_op ~n:1000 overwrites)));
+  let read_words, overwrite_words = !measured in
+  check_words "op Read" ~ceiling:20. read_words;
+  check_words "op overwrite" ~ceiling:26. overwrite_words
 
 (* Most fires on a dense host hit no watch: such a fire walks the trie
    and returns without allocating, and one hit costs only a list cell
@@ -1245,6 +1393,58 @@ let test_server_quota =
       | Xs_server.Err Xs_error.EQUOTA -> ()
       | _ -> Alcotest.fail "quota not enforced")
 
+(* A guest's node quota holds inside a transaction: each create is
+   checked against the transaction's view, which counts the nodes the
+   transaction itself created, and a mkdir is checked like a write. *)
+let test_server_tx_quota =
+  in_sim (fun () ->
+      let srv = Xs_server.create ~quota_nodes:3 () in
+      ignore (Xs_server.op srv ~caller:0 (Xs_server.Mkdir (p "/g")));
+      ignore
+        (Xs_server.op srv ~caller:0
+           (Xs_server.Set_perms (p "/g", Xs_perms.owned_default 9)));
+      let show = function
+        | Xs_server.Ok_unit -> "ok"
+        | Xs_server.Err e -> Xs_error.to_string e
+        | _ -> "other"
+      in
+      let replies =
+        Xs_server.transaction srv ~caller:9 (fun txid ->
+            Ok
+              (List.init 6 (fun i ->
+                   let path = p ("/g/n" ^ string_of_int i) in
+                   show
+                     (Xs_server.op srv ~caller:9 ~tx:txid
+                        (if i land 1 = 0 then Xs_server.Write (path, "v")
+                         else Xs_server.Mkdir path)))))
+      in
+      Alcotest.(check (result (list string) err))
+        "two creates fit, four exceed the quota"
+        (Ok [ "ok"; "ok"; "EQUOTA"; "EQUOTA"; "EQUOTA"; "EQUOTA" ])
+        replies;
+      Alcotest.(check int) "domain 9 owns its quota" 3
+        (Xs_store.owned_count (Xs_server.store srv) ~domid:9))
+
+(* A request that fails by raising still leaves the daemon's mutex
+   free: a guest's name scan is refused, since Dom0 made /local/domain
+   unreadable, and the next request is served. A mutex left held would
+   park that request for ever and end the run early. *)
+let test_server_free_after_raise () =
+  let served = ref false in
+  ignore
+    (Engine.run (fun () ->
+         let srv = Xs_server.create () in
+         ignore
+           (Xs_server.op srv ~caller:0
+              (Xs_server.Set_perms (p "/local/domain", Xs_perms.owned_default 0)));
+         (match Xs_server.scan_names srv ~caller:7 with
+         | _ -> Alcotest.fail "a guest scanned an unreadable /local/domain"
+         | exception Xs_error.Error Xs_error.EACCES -> ());
+         match Xs_server.op srv ~caller:0 (Xs_server.Read (p "/local")) with
+         | Xs_server.Ok_value _ -> served := true
+         | _ -> Alcotest.fail "read after the refused scan failed"));
+  Alcotest.(check bool) "served after the refused scan" true !served
+
 let test_server_uniqueness_scan_cost =
   in_sim (fun () ->
       let srv = Xs_server.create () in
@@ -1406,6 +1606,10 @@ let suites =
         Alcotest.test_case "set_perms owner only" `Quick
           test_store_setperms_owner_only;
         Alcotest.test_case "owned counts" `Quick test_store_owned_count;
+        Alcotest.test_case "owned counts at the trie's edges" `Quick
+          test_store_owned_trie_edges;
+        Alcotest.test_case "a zero count frees its leaf" `Quick
+          test_store_owned_zero_frees_leaf;
         Alcotest.test_case "mkdir idempotent" `Quick
           test_store_mkdir_idempotent;
         Alcotest.test_case "generation" `Quick test_store_generation;
@@ -1436,6 +1640,8 @@ let suites =
         Alcotest.test_case "first write after a snapshot words" `Quick
           test_first_write_after_snapshot_words;
         Alcotest.test_case "watch matching words" `Quick test_matching_words;
+        Alcotest.test_case "set_perms words" `Quick test_set_perms_words;
+        Alcotest.test_case "daemon request words" `Quick test_op_words;
       ] );
     ( "xenstore.watch",
       [
@@ -1463,6 +1669,10 @@ let suites =
         Alcotest.test_case "transaction helper" `Quick
           test_server_transaction_helper;
         Alcotest.test_case "quota" `Quick test_server_quota;
+        Alcotest.test_case "quota inside a transaction" `Quick
+          test_server_tx_quota;
+        Alcotest.test_case "daemon free after a raise" `Quick
+          test_server_free_after_raise;
         Alcotest.test_case "uniqueness scan cost" `Quick
           test_server_uniqueness_scan_cost;
         Alcotest.test_case "duplicate name rejected" `Quick
