@@ -5,9 +5,14 @@ module Packet = Lightvm_net.Packet
 module Migrate = Lightvm_toolstack.Migrate
 module Xen = Lightvm_hv.Xen
 
+(* [views] is the scheduler's picture of the hosts, by id. [placed]
+   brings it up to date before each placement, replacing only the
+   entries whose host changed, so a placement allocates nothing per
+   host. *)
 type t = {
   nodes : Vmm.t array;
   hosts_per_rack : int;
+  views : Scheduler.host_view array;
   sched : Scheduler.t;
   net : Switch.t;
   rx : int array;  (* control-plane packets delivered per host port *)
@@ -22,25 +27,34 @@ let host t i =
 
 let hosts t = Array.to_list t.nodes
 
-let rack_of t i =
-  ignore (host t i);
-  i / t.hosts_per_rack
-
 let policy t = Scheduler.policy t.sched
 let switch t = t.net
 
 let vm_count t =
   Array.fold_left (fun acc h -> acc + Vmm.vm_count h) 0 t.nodes
 
-let views t =
-  List.init (Array.length t.nodes) (fun i ->
-      let h = t.nodes.(i) in
-      {
-        Scheduler.hv_id = i;
-        hv_rack = rack_of t i;
-        hv_vms = Vmm.vm_count h;
-        hv_free_kb = Xen.free_mem_kb (Vmm.xen h);
-      })
+let view ~hosts_per_rack i h =
+  {
+    Scheduler.hv_id = i;
+    hv_rack = i / hosts_per_rack;
+    hv_vms = Vmm.vm_count h;
+    hv_free_kb = Xen.free_mem_kb (Vmm.xen h);
+  }
+
+(* [t.views] with every host's live VM count and free memory. They are
+   read on every call: hosts also change outside the cluster (a VM
+   deleted through its host's {!Vmm}). *)
+let placed t =
+  for i = 0 to Array.length t.nodes - 1 do
+    let h = t.nodes.(i) and v = t.views.(i) in
+    if
+      v.Scheduler.hv_vms <> Vmm.vm_count h
+      || v.Scheduler.hv_free_kb <> Xen.free_mem_kb (Vmm.xen h)
+    then t.views.(i) <- view ~hosts_per_rack:t.hosts_per_rack i h
+  done;
+  t.views
+
+let views t = Array.copy (placed t)
 
 (* Warm one host: a full create+boot+destroy cycle through its own API.
    The first creation materialises shared store directories (/vm, the
@@ -88,9 +102,11 @@ let create ~hosts:n ?(racks = 1) ?mode ?pool_target ~policy () =
      0), strictly before any per-partition workload starts — so host
      state is never touched from two partitions in the same window. *)
   Array.iter warm nodes;
+  let hosts_per_rack = (n + racks - 1) / racks in
   {
     nodes;
-    hosts_per_rack = (n + racks - 1) / racks;
+    hosts_per_rack;
+    views = Array.mapi (view ~hosts_per_rack) nodes;
     sched = Scheduler.make policy;
     net;
     rx;
@@ -125,7 +141,7 @@ let launch t req =
   let mem_kb =
     int_of_float (ceil (req.Vmm.req_image.Image.mem_mb *. 1024.))
   in
-  match Scheduler.place t.sched ~hosts:(views t) ~mem_kb with
+  match Scheduler.place t.sched ~hosts:(placed t) ~mem_kb with
   | Error msg -> Error (No_capacity msg)
   | Ok id -> (
       (* The control plane (using the destination's own port as its
@@ -205,8 +221,10 @@ let drain t ~host:src =
   List.iter
     (fun (vi : Vmm.vm_info) ->
       let mem_kb = int_of_float (ceil (vi.Vmm.vi_memory_mb *. 1024.)) in
+      let views = placed t in
       let others =
-        List.filter (fun v -> v.Scheduler.hv_id <> src) (views t)
+        Array.init (Array.length views - 1) (fun i ->
+            views.(if i < src then i else i + 1))
       in
       match Scheduler.place t.sched ~hosts:others ~mem_kb with
       | Error _ -> incr stranded

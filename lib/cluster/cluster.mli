@@ -74,11 +74,14 @@ val switch : t -> Lightvm_net.Switch.t
 val vm_count : t -> int
 (** Live VMs across all hosts. *)
 
-val views : t -> Scheduler.host_view list
-(** The scheduler's current picture of the cluster, by host id. Each
-    view costs O(1): the host's VM count is the size of its
-    {!Vmm} registry ({!Vmm.vm_count}) and its free memory the
-    hypervisor's frame counter. *)
+val views : t -> Scheduler.host_view array
+(** The scheduler's current picture of the cluster, indexed by host id:
+    a fresh array the caller may change. Each view is read in O(1): the
+    host's VM count is the size of its {!Vmm} registry
+    ({!Vmm.vm_count}) and its free memory the hypervisor's frame
+    counter. The cluster keeps its own array of views and, before each
+    placement, replaces only the views of hosts whose count or free
+    memory changed, so {!launch} allocates nothing per host. *)
 
 (** {1 Placement} *)
 

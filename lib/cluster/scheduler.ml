@@ -21,32 +21,36 @@ let make pol = { pol; cursor = 0 }
 let policy t = t.pol
 
 (* The feasible view that [better] ranks first, in one pass. Every
-   ranking ends on the id, so the choice never depends on list order
-   (hosts can arrive in any order). *)
-let pick better ~mem_kb hosts =
-  let rec scan best = function
-    | [] -> best
-    | h :: rest ->
-        scan
-          (if h.hv_free_kb >= mem_kb && better h best then h else best)
-          rest
-  in
-  let rec first = function
-    | [] -> None
-    | h :: rest ->
-        if h.hv_free_kb >= mem_kb then Some (scan h rest) else first rest
-  in
-  first hosts
+   ranking ends on the id, so the choice never depends on the order of
+   the array (hosts can arrive in any order). The scans take every
+   value they use as an argument, so a placement builds no closure for
+   them. *)
+let rec scan better mem_kb hosts best i =
+  if i = Array.length hosts then best
+  else
+    let h = hosts.(i) in
+    scan better mem_kb hosts
+      (if h.hv_free_kb >= mem_kb && better h best then h else best)
+      (i + 1)
+
+let rec first better mem_kb hosts i =
+  if i = Array.length hosts then None
+  else
+    let h = hosts.(i) in
+    if h.hv_free_kb >= mem_kb then Some (scan better mem_kb hosts h (i + 1))
+    else first better mem_kb hosts (i + 1)
+
+let pick better ~mem_kb hosts = first better mem_kb hosts 0
 
 (* VMs per rack over every view given, infeasible hosts included. *)
 let rack_loads hosts =
   let racks =
-    List.fold_left
+    Array.fold_left
       (fun n h -> if h.hv_rack >= n then h.hv_rack + 1 else n)
       0 hosts
   in
   let loads = Array.make racks 0 in
-  List.iter (fun h -> loads.(h.hv_rack) <- loads.(h.hv_rack) + h.hv_vms) hosts;
+  Array.iter (fun h -> loads.(h.hv_rack) <- loads.(h.hv_rack) + h.hv_vms) hosts;
   loads
 
 let place t ~hosts ~mem_kb =
@@ -91,5 +95,5 @@ let place t ~hosts ~mem_kb =
   | None ->
       Error
         (Printf.sprintf "no host with %d kB free (cluster of %d)" mem_kb
-           (List.length hosts))
+           (Array.length hosts))
   | Some h -> Ok h.hv_id

@@ -45,11 +45,11 @@ val make : policy -> t
 
 val policy : t -> policy
 
-val place : t -> hosts:host_view list -> mem_kb:int -> (int, string) result
+val place : t -> hosts:host_view array -> mem_kb:int -> (int, string) result
 (** Pick the host for a VM needing [mem_kb] of free memory. [Ok id] is
     the chosen host's [hv_id]; [Error _] means no host has that much
     memory free. Hosts may be passed in any order — ties are broken on
-    [hv_id], never on list position.
+    [hv_id], never on array position. [hosts] is only read.
 
     Cost: O(hosts) for every policy. The host is picked in a single
     pass over [hosts] with integer comparisons — no sorting and no

@@ -1461,7 +1461,7 @@ let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
   let pname = Scheduler.policy_name policy in
   let latency = mk (Printf.sprintf "cluster boot latency %s" pname) "ms" in
   let sample = max 1 (guests / 50) in
-  let final_views = ref [] in
+  let final_views = ref [||] in
   let lat = Array.make guests nan in
   let body () =
     (* Pool-everywhere only makes sense on a pool-capable toolstack;
@@ -1480,7 +1480,7 @@ let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
     | Scheduler.Pool_everywhere ->
         Cluster.prefill_pools c Image.daytime ~nics:1 ~disks:0
     | Scheduler.Binpack | Scheduler.Spread -> ());
-    let views = Array.of_list (Cluster.views c) in
+    let views = Cluster.views c in
     let planner = Scheduler.make policy in
     let mem_kb =
       int_of_float (ceil (Image.daytime.Image.mem_mb *. 1024.))
@@ -1488,7 +1488,7 @@ let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
     let per_host = Array.make hosts [] in
     for gi = 0 to guests - 1 do
       match
-        Scheduler.place planner ~hosts:(Array.to_list views) ~mem_kb
+        Scheduler.place planner ~hosts:views ~mem_kb
       with
       | Error msg -> failwith ("cluster plan: no capacity: " ^ msg)
       | Ok id ->
@@ -1525,7 +1525,9 @@ let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
       Series.add latency ~x:(float_of_int i) ~y:(ms lat.(i - 1))
   done;
   let counts =
-    List.map (fun (v : Scheduler.host_view) -> v.Scheduler.hv_vms) !final_views
+    Array.to_list
+      (Array.map (fun (v : Scheduler.host_view) -> v.Scheduler.hv_vms)
+         !final_views)
   in
   let note =
     (* A 100-host placement list is noise; the scale row reports the

@@ -29,19 +29,17 @@ let devpage_kind = function
   | Sysctl -> Lightvm_hv.Devpage.Sysctl
 
 let frontend_dir ~domid c =
-  Xs_path.extend (Xs_path.domain_path domid)
-    [ "device"; kind_to_string c.kind; string_of_int c.devid ]
+  Xs_path.(
+    domain_path domid / "device" / kind_to_string c.kind
+    / string_of_int c.devid)
 
 let backend_domain_dir ~domid c =
-  Xs_path.extend
-    (Xs_path.domain_path c.backend_domid)
-    [ "backend"; kind_to_string c.kind; string_of_int domid ]
+  Xs_path.(
+    domain_path c.backend_domid / "backend" / kind_to_string c.kind
+    / string_of_int domid)
 
 let backend_dir ~domid c =
-  Xs_path.extend
-    (Xs_path.domain_path c.backend_domid)
-    [ "backend"; kind_to_string c.kind; string_of_int domid;
-      string_of_int c.devid ]
+  Xs_path.concat (backend_domain_dir ~domid c) (string_of_int c.devid)
 
 let equal a b = a = b
 

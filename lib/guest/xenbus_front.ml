@@ -78,8 +78,11 @@ let connect ~xs ~xen ~domid (dev : Device.config) =
   (* 4. Wait for the backend to connect (watch on its state node). *)
   let connected = Engine.Ivar.create () in
   let state_path = Xs_path.concat be "state" in
-  let token = Printf.sprintf "fe-%d-%s-%d" domid
-      (Device.kind_to_string dev.Device.kind) dev.Device.devid in
+  let token =
+    String.concat "-"
+      [ "fe"; string_of_int domid; Device.kind_to_string dev.Device.kind;
+        string_of_int dev.Device.devid ]
+  in
   Xs_client.watch xs ~path:state_path ~token ~deliver:(fun _event ->
       match Xs_client.read_opt xs state_path with
       | Some wire when state_of_wire wire = Some Connected ->

@@ -1,21 +1,21 @@
-(* A path carries both its canonical string and its segment list:
-   store operations walk [segs] and logging/compare use [str], so
-   neither is ever re-split or re-joined on the hot path. Paths are
-   plain values with no per-domain tables behind them: callers build
-   them with [concat] from directory paths they already hold, and only
-   wire input, the CLI and tests parse strings. *)
-type t = {
-  str : string; (* canonical form: "/", "/a/b", or "@special" *)
-  segs : string list; (* [] for the root and for specials *)
-  special : bool;
-}
+(* A path is a chain of nodes up to the root, one segment per node: the
+   parent/child relation the XenStore spec defines paths by. Each node
+   also holds the byte length of its canonical string, so [concat] is
+   one node whatever the depth, and sizes are known without the string.
+   The string itself is built only by [to_string]: for the wire, dumps
+   and the few paths stored as values. Walkers ([Xs_store], [Xs_watch],
+   [Xs_server]'s name checks) recurse on the chain. *)
+type t =
+  | Root
+  | Seg of { parent : t; seg : string; len : int }
+  | Special of string
 
 exception Invalid of string
 
 let max_path_length = 3072
 let max_segment_length = 256
 
-let root = { str = "/"; segs = []; special = false }
+let root = Root
 
 let segment_char_ok c =
   (c >= 'a' && c <= 'z')
@@ -33,10 +33,29 @@ let check_segment s =
       raise (Invalid (Printf.sprintf "illegal character %C in %S" c s))
   done
 
+let length = function
+  | Root -> 1
+  | Seg s -> s.len
+  | Special s -> String.length s
+
+let concat p seg =
+  let dir =
+    match p with
+    | Root -> 0
+    | Seg s -> s.len
+    | Special _ -> raise (Invalid "cannot extend a special path")
+  in
+  check_segment seg;
+  let len = dir + 1 + String.length seg in
+  if len > max_path_length then raise (Invalid "path too long");
+  Seg { parent = p; seg; len }
+
+let ( / ) = concat
+
 let specials = [ "@introduceDomain"; "@releaseDomain" ]
 
 let of_string s =
-  if List.mem s specials then { str = s; segs = []; special = true }
+  if List.mem s specials then Special s
   else begin
     if String.length s > max_path_length then raise (Invalid "path too long");
     if s = "" then raise (Invalid "empty path");
@@ -45,83 +64,90 @@ let of_string s =
     else begin
       (* Tolerate a single trailing slash, as the real daemon does. *)
       let s =
-        if String.length s > 1 && s.[String.length s - 1] = '/' then
+        if s.[String.length s - 1] = '/' then
           String.sub s 0 (String.length s - 1)
         else s
       in
-      let parts = String.split_on_char '/' s in
-      match parts with
-      | "" :: segs ->
-          List.iter check_segment segs;
-          { str = s; segs; special = false }
+      match String.split_on_char '/' s with
+      | "" :: segs -> List.fold_left concat root segs
       | _ -> raise (Invalid ("path not absolute: " ^ s))
     end
   end
 
 let of_string_opt s = try Some (of_string s) with Invalid _ -> None
 
-let to_string t = t.str
+(* Each segment is copied to its place from the end of the string
+   back, so the string is the only allocation. *)
+let to_string = function
+  | Root -> "/"
+  | Special s -> s
+  | Seg s as t ->
+      let b = Bytes.create s.len in
+      let rec fill = function
+        | Root | Special _ -> ()
+        | Seg { parent; seg; len } ->
+            let n = String.length seg in
+            Bytes.unsafe_set b (len - n - 1) '/';
+            Bytes.unsafe_blit_string seg 0 b (len - n) n;
+            fill parent
+      in
+      fill t;
+      Bytes.unsafe_to_string b
 
-let segments t = t.segs
+let segments t =
+  let rec up acc = function
+    | Root | Special _ -> acc
+    | Seg { parent; seg; _ } -> up (seg :: acc) parent
+  in
+  up [] t
 
-let is_special t = t.special
+let is_special = function Special _ -> true | Root | Seg _ -> false
 
-let depth t = List.length t.segs
+let depth t =
+  let rec up n = function
+    | Root | Special _ -> n
+    | Seg { parent; _ } -> up (n + 1) parent
+  in
+  up 0 t
 
-let extend p = function
-  | [] -> p
-  | segs ->
-      if p.special then raise (Invalid "cannot extend a special path");
-      List.iter check_segment segs;
-      let dir = if p.segs = [] then "" else p.str in
-      let str = String.concat "/" (dir :: segs) in
-      if String.length str > max_path_length then
-        raise (Invalid "path too long");
-      { str; segs = p.segs @ segs; special = false }
+let parent = function
+  | Seg { parent; _ } -> Some parent
+  | Root | Special _ -> None
 
-let concat p seg = extend p [ seg ]
+let basename = function
+  | Seg { seg; _ } -> Some seg
+  | Root | Special _ -> None
 
-let ( / ) = concat
+(* Equal lengths at every level, so the chains have the same depth. *)
+let rec equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Seg x, Seg y ->
+      x.len = y.len && String.equal x.seg y.seg && equal x.parent y.parent
+  | Special x, Special y -> String.equal x y
+  | Root, Root -> true
+  | (Root | Seg _ | Special _), _ -> false
 
-let parent t =
-  if t.special then None
-  else
-    match t.segs with
-    | [] -> None
-    | segs ->
-        let rec drop_last = function
-          | [] | [ _ ] -> []
-          | x :: rest -> x :: drop_last rest
-        in
-        let i = String.rindex t.str '/' in
-        if i = 0 then Some root
-        else
-          Some
-            { str = String.sub t.str 0 i; segs = drop_last segs;
-              special = false }
-
-let basename t =
-  if t.special then None
-  else
-    match t.segs with
-    | [] -> None
-    | segs -> Some (List.nth segs (List.length segs - 1))
+(* The ancestor-or-self of [t] whose string is [len] bytes long or
+   shorter: lengths shrink strictly up the chain. *)
+let rec up_to len = function
+  | Seg s when s.len > len -> up_to len s.parent
+  | t -> t
 
 let is_prefix p ~of_ =
-  match (p.special, of_.special) with
-  | true, true -> String.equal p.str of_.str
-  | true, false | false, true -> false
-  | false, false ->
-      let rec go = function
-        | [], _ -> true
-        | _, [] -> false
-        | x :: xs, y :: ys -> String.equal x y && go (xs, ys)
-      in
-      go (p.segs, of_.segs)
+  match (p, of_) with
+  | Special a, Special b -> String.equal a b
+  | Special _, _ | _, Special _ -> false
+  | Root, _ -> true
+  | Seg s, _ -> equal p (up_to s.len of_)
 
-let equal a b = String.equal a.str b.str
-let compare a b = String.compare a.str b.str
-let pp fmt t = Format.pp_print_string fmt t.str
+(* The string order: '-', '.' and '+' sort before '/', so comparing
+   segment by segment would order "/a/b" and "/a-c" the other way. *)
+let compare a b =
+  if a == b then 0 else String.compare (to_string a) (to_string b)
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let local_domain = of_string "/local/domain"
 

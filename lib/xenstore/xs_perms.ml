@@ -47,6 +47,19 @@ let to_string t =
     (entry t.default t.owner
     :: List.map (fun (domid, role) -> entry role domid) t.acl)
 
+(* Decimal digits of [n], with its sign: counted on the non-positive
+   side, where [min_int] has a counterpart. *)
+let decimal_length n =
+  let rec digits n acc = if n > -10 then acc else digits (n / 10) (acc + 1) in
+  if n < 0 then 1 + digits n 1 else digits (-n) 1
+
+(* One role character and the domid per entry, a comma between. *)
+let wire_length t =
+  List.fold_left
+    (fun acc (domid, _) -> acc + 2 + decimal_length domid)
+    (1 + decimal_length t.owner)
+    t.acl
+
 let of_string s =
   let parse_entry e =
     if String.length e < 2 then None

@@ -31,6 +31,10 @@ val to_string : t -> string
 (** Wire encoding, e.g. ["n3,r0,b5"]: first entry is owner+default,
     the rest the ACL. *)
 
+val wire_length : t -> int
+(** [String.length (to_string t)], computed without building the
+    string: the daemon charges a request by its payload size. *)
+
 val of_string : string -> t option
 
 val equal : t -> t -> bool

@@ -37,6 +37,11 @@ type counters = {
   mutable busy_time : float;
 }
 
+(* The daemon's busy time, accumulated here rather than in [counters]:
+   a record of floats only stores them unboxed, so a charge allocates
+   nothing. [counters] copies it out when asked. *)
+type busy = { mutable seconds : float }
+
 (* Host-side index of /local/domain: child id -> its [name] node's
    (value, perms), or [None] when the domain directory has no name
    node. Map over strings so iteration order is the store's sorted
@@ -54,6 +59,7 @@ type t = {
   mutable next_txid : int;
   quota_nodes : int;
   counters : counters;
+  busy : busy;
   mutable name_idx : (string * Xs_perms.t) option NMap.t;
   mutable name_idx_gen : int; (* store generation it mirrors; -1 = stale *)
 }
@@ -78,29 +84,32 @@ let create ?(profile = Xs_costs.oxenstored) ?(quota_nodes = 1000) () =
         uniqueness_cmps = 0;
         busy_time = 0.;
       };
+    busy = { seconds = 0. };
     name_idx = NMap.empty;
     name_idx_gen = -1;
   }
 
 let profile t = t.profile
 let store t = t.store
-let counters t = t.counters
+let counters t =
+  t.counters.busy_time <- t.busy.seconds;
+  t.counters
+
 let watch_count t = Xs_watch.count t.watches
 
 let charge ?(category = "xs") t cost =
-  t.counters.busy_time <- t.counters.busy_time +. cost;
+  t.busy.seconds <- t.busy.seconds +. cost;
   Trace.charge ~category cost
 
+(* Each argument's bytes and its NUL terminator, computed without
+   serialising the request. *)
 let request_payload_bytes = function
   | Read p | Mkdir p | Rm p | Directory p | Get_perms p ->
-      String.length (Xs_path.to_string p) + 1
-  | Write (p, v) -> String.length (Xs_path.to_string p) + String.length v + 2
-  | Set_perms (p, perms) ->
-      String.length (Xs_path.to_string p)
-      + String.length (Xs_perms.to_string perms)
-      + 2
+      Xs_path.length p + 1
+  | Write (p, v) -> Xs_path.length p + String.length v + 2
+  | Set_perms (p, perms) -> Xs_path.length p + Xs_perms.wire_length perms + 2
   | Watch (p, tok) | Unwatch (p, tok) ->
-      String.length (Xs_path.to_string p) + String.length tok + 2
+      Xs_path.length p + String.length tok + 2
   | Transaction_start -> 1
   | Transaction_end _ -> 2
   | Get_domain_path _ | Introduce _ | Release _ -> 8
@@ -123,16 +132,18 @@ let charge_logging t =
 
 (* Constant paths, parsed once — these sit on the per-request and
    per-creation hot paths. *)
-let domain_dir = Xs_path.of_string "/local/domain"
+let local_dir = Xs_path.of_string "/local"
+let domain_dir = Xs_path.concat local_dir "domain"
 let introduce_path = Xs_path.of_string "@introduceDomain"
 let release_path = Xs_path.of_string "@releaseDomain"
 
-(* Writing a guest's name triggers the daemon's uniqueness check: scan
-   every running guest and compare names (paper Section 4.2). *)
-let is_name_write path =
-  match Xs_path.segments path with
-  | [ "local"; "domain"; _; "name" ] -> true
-  | _ -> false
+(* Writing a guest's name, [/local/domain/<id>/name], triggers the
+   daemon's uniqueness check: scan every running guest and compare
+   names (paper Section 4.2). *)
+let is_name_write : Xs_path.t -> bool = function
+  | Seg { seg = "name"; parent = Seg { parent; _ }; _ } ->
+      Xs_path.equal parent domain_dir
+  | Root | Seg _ | Special _ -> false
 
 (* --- name index --------------------------------------------------- *)
 (* The modeled daemon scans /local/domain on every name write, and
@@ -160,23 +171,28 @@ let probe t path =
   | None -> None
   | Some node -> Some (Xs_store.Node.value node, Xs_store.Node.perms node)
 
-let refresh_domain t id =
-  let dir = Xs_path.concat domain_dir id in
+(* [dir] is [/local/domain/<id>]. *)
+let refresh_domain t id dir =
   match probe t dir with
   | None -> t.name_idx <- NMap.remove id t.name_idx
   | Some _ ->
       t.name_idx <-
         NMap.add id (probe t (Xs_path.concat dir "name")) t.name_idx
 
+(* Refreshes the entry of the /local/domain child that [path] lies in,
+   if it lies in one: its ancestor-or-self whose parent is
+   /local/domain. *)
+let rec note_domain t : Xs_path.t -> unit = function
+  | Seg { seg = id; parent; _ } as dir when Xs_path.equal parent domain_dir ->
+      refresh_domain t id dir
+  | Seg { parent; _ } -> note_domain t parent
+  | Root | Special _ -> ()
+
 let note_modified t path =
   if t.name_idx_gen >= 0 then begin
-    (match Xs_path.segments path with
-    | "local" :: "domain" :: rest -> (
-        match rest with
-        | [] -> t.name_idx_gen <- -2 (* /local/domain replaced: rebuild *)
-        | id :: _ -> refresh_domain t id)
-    | [ "local" ] -> t.name_idx_gen <- -2 (* subtree may be gone *)
-    | _ -> ());
+    if Xs_path.equal path local_dir || Xs_path.equal path domain_dir then
+      t.name_idx_gen <- -2 (* the subtree may be gone: rebuild *)
+    else note_domain t path;
     if t.name_idx_gen >= 0 then
       t.name_idx_gen <- Xs_store.generation t.store
   end
@@ -211,8 +227,8 @@ let uniqueness_scan t path value =
     charge ~category:"xs.name_scan" t
       (float_of_int (NMap.cardinal t.name_idx) *. p.Xs_costs.per_dir_entry);
     let self =
-      match Xs_path.segments path with
-      | [ _; _; id; _ ] -> id
+      match (path : Xs_path.t) with
+      | Seg { parent = Seg { seg = id; _ }; _ } -> id
       | _ -> ""
     in
     let exception Stop of (unit, Xs_error.t) result in
@@ -583,7 +599,7 @@ let scan_names t ~caller =
     enter t;
     (match
        charge_message t
-         ~payload_bytes:(String.length (Xs_path.to_string domain_dir) + 1);
+         ~payload_bytes:(Xs_path.length domain_dir + 1);
        ensure_index t;
        match Xs_store.lookup t.store domain_dir with
        | None -> raise (Xs_error.Error Xs_error.ENOENT)
@@ -601,10 +617,7 @@ let scan_names t ~caller =
         raise e);
     (* One modeled Read round-trip per directory entry: payload is
        "/local/domain/" ^ id ^ "/name" plus the trailing NUL. *)
-    let base =
-      String.length (Xs_path.to_string domain_dir)
-      + String.length "/name" + 2
-    in
+    let base = Xs_path.length domain_dir + String.length "/name" + 2 in
     let names =
       NMap.fold
         (fun id entry acc ->

@@ -38,7 +38,8 @@ type response =
   | Ok_path of string
   | Err of Xs_error.t
 
-(** Cumulative instrumentation, readable at any time. *)
+(** Cumulative instrumentation, readable at any time through
+    {!val-counters}. *)
 type counters = {
   mutable ops : int;
   mutable watch_events : int;
@@ -60,6 +61,11 @@ val profile : t -> Xs_costs.profile
 val store : t -> Xs_store.t
 
 val counters : t -> counters
+(** The daemon's counters, current as of this call. The integer
+    counters are updated in place as requests run; [busy_time]
+    accumulates apart, in an unboxed float, so that a charge allocates
+    nothing, and is copied into the record by this call. Call it again
+    for a later reading rather than keeping the record. *)
 
 val watch_count : t -> int
 

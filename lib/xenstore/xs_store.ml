@@ -195,20 +195,19 @@ let create () =
   adjust_owned t 0 5;
   t
 
-(* The node reached by following [segs] from [node] up to its suffix
-   [stop]; raises [Not_found] at a missing segment. *)
-let rec find_upto (node : Node.t) segs stop =
-  if segs == stop then node
-  else
-    match segs with
-    | [] -> node
-    | seg :: rest -> find_upto (SMap.find seg node.children) rest stop
+(* The node [path] names below [root], found by recursing up the
+   path's parent chain and descending on the way back; raises
+   [Not_found] at a missing segment, and allocates nothing. *)
+let rec find_in (root : Node.t) (path : Xs_path.t) =
+  match path with
+  | Root -> root
+  | Seg { parent; seg; _ } -> SMap.find seg (find_in root parent).children
+  | Special _ -> raise_notrace Not_found
 
 let find t path =
   if path == t.memo_path then t.memo_node
-  else if Xs_path.is_special path then raise_notrace Not_found
   else begin
-    let node = find_upto t.root (Xs_path.segments path) [] in
+    let node = find_in t.root path in
     t.memo_path <- path;
     t.memo_node <- node;
     node
@@ -235,158 +234,159 @@ let directory t ~caller path =
 
 let get_perms t ~caller path = readable t ~caller path ~f:Node.perms
 
-(* Where [segs] ends below [node]: the node it names, or the deepest
-   existing node on the way and the segments missing below it. *)
-type probe = Found of Node.t | Missing of Node.t * string list
+(* Raised by [probe] when [path] ends below the tree: the deepest
+   existing node on it, and that node's path, an ancestor of [path] on
+   its chain. A walk that finds its node allocates nothing; one that
+   misses allocates this, once. *)
+exception Missing of Node.t * Xs_path.t
 
-let rec probe (node : Node.t) = function
-  | [] -> Found node
-  | seg :: rest as segs -> (
+(* [find_in] for a mutation, which needs the deepest existing node
+   when the path is missing. *)
+let rec probe (root : Node.t) (path : Xs_path.t) =
+  match path with
+  | Root | Special _ -> root
+  | Seg { parent; seg; _ } -> (
+      let node = probe root parent in
       match SMap.find seg node.children with
-      | child -> probe child rest
-      | exception Not_found -> Missing (node, segs))
+      | child -> child
+      | exception Not_found -> raise_notrace (Missing (node, parent)))
 
-(* [find_upto] for a mutation: every shared node on the way is copied
-   into the store's epoch and the copy linked into its parent, so the
-   node returned is the store's own. *)
-let rec own_upto t (node : Node.t) segs stop =
-  if segs == stop then node
-  else
-    match segs with
-    | [] -> node
-    | seg :: rest ->
-        let child = SMap.find seg node.children in
-        let child =
-          if child.epoch = t.epoch then child
-          else begin
-            let copy = { child with epoch = t.epoch } in
-            node.children <- SMap.add seg copy node.children;
-            copy
-          end
-        in
-        own_upto t child rest stop
-
-(* [node], found at [segs] up to [stop], made the store's own. *)
-let writable t (node : Node.t) segs stop =
-  if node.epoch = t.epoch then node
-  else begin
-    let root =
-      if t.root.epoch = t.epoch then t.root
+(* The node at [path] made the store's own: every shared node on the
+   way, the root included, is copied into the store's epoch and the
+   copy linked into its parent. *)
+let rec own t (path : Xs_path.t) : Node.t =
+  match path with
+  | Root | Special _ ->
+      if t.root.epoch <> t.epoch then t.root <- { t.root with epoch = t.epoch };
+      t.root
+  | Seg { parent; seg; _ } ->
+      let dir = own t parent in
+      let child = SMap.find seg dir.children in
+      if child.epoch = t.epoch then child
       else begin
-        let copy = { t.root with epoch = t.epoch } in
-        t.root <- copy;
+        let copy = { child with epoch = t.epoch } in
+        dir.children <- SMap.add seg copy dir.children;
         copy
       end
-    in
-    own_upto t root segs stop
-  end
+
+(* [node], found at [path], made the store's own. *)
+let writable t (node : Node.t) path =
+  if node.epoch = t.epoch then node else own t path
 
 let mutated t =
   t.generation <- t.generation + 1;
   forget t
 
-(* The new nodes [segs] names, all owned by [perms]' owner: an empty
-   directory per segment and [value] at the last. *)
-let rec chain epoch perms value = function
-  | [] | [ _ ] -> { Node.value; perms; children = SMap.empty; epoch }
-  | _ :: (next :: _ as rest) ->
-      {
-        Node.value = "";
-        perms;
-        children = SMap.singleton next (chain epoch perms value rest);
-        epoch;
-      }
+(* Links [node], the new node at [path], into [dir], the deepest
+   existing node at [top], creating an empty directory, owned as
+   [node] is, at each missing level between them; returns the number
+   of nodes created. The chain is built bottom-up and linked into the
+   tree once, at the top. *)
+let rec link (dir : Node.t) top (path : Xs_path.t) (node : Node.t) created =
+  match path with
+  | Root | Special _ -> assert false (* [top] is an ancestor of [path] *)
+  | Seg { parent; seg; _ } ->
+      if parent == top then begin
+        dir.children <- SMap.add seg node dir.children;
+        created
+      end
+      else
+        link dir top parent
+          {
+            Node.value = "";
+            perms = node.perms;
+            children = SMap.singleton seg node;
+            epoch = node.epoch;
+          }
+          (created + 1)
 
-(* Creates [missing] below [parent], the deepest existing node on
-   [segs]: the new nodes are linked into the tree once, at the top. Every
-   created node is owned by [caller], so the ownership map is touched
-   once per mutation. *)
-let add t ~caller segs parent missing value =
-  match missing with
-  | [] -> ()
-  | seg :: _ ->
-      let parent = writable t parent segs missing in
-      let perms = Xs_perms.owned_default caller in
-      parent.children <-
-        SMap.add seg (chain t.epoch perms value missing) parent.children;
-      let created = List.length missing in
-      t.count <- t.count + created;
-      adjust_owned t caller created;
-      mutated t
+(* Creates the nodes missing from [path] below [dir], the deepest
+   existing node, at [top]. Every created node is owned by [caller],
+   so the ownership counts are touched once per mutation. *)
+let add t ~caller path dir top value =
+  let dir = writable t dir top in
+  let node =
+    {
+      Node.value;
+      perms = Xs_perms.owned_default caller;
+      children = SMap.empty;
+      epoch = t.epoch;
+    }
+  in
+  let created = link dir top path node 1 in
+  t.count <- t.count + created;
+  adjust_owned t caller created;
+  mutated t
 
 (* Every mutation makes all of its checks before it changes anything,
    so a failed one leaves the tree as it was. Creating needs write
    permission on the deepest existing node; the implicit directories
    below it are the caller's own. *)
-let write t ~caller path value =
-  if Xs_path.is_special path then Error Xs_error.EINVAL
-  else
-    match Xs_path.segments path with
-    | [] -> Error Xs_error.EINVAL
-    | segs -> (
-        match probe t.root segs with
-        | Found node ->
-            if not (Xs_perms.can_write node.perms ~domid:caller) then
-              Error Xs_error.EACCES
-            else if String.equal node.value value then begin
-              (* Same-value refresh (clients re-assert keys they already
-                 own): the tree would not change, so nothing is copied.
-                 The write still counts — generation bumps, watches
-                 fire at the server layer. *)
-              t.generation <- t.generation + 1;
-              Ok ()
-            end
-            else begin
-              (writable t node segs []).value <- value;
-              mutated t;
-              Ok ()
-            end
-        | Missing (parent, missing) ->
-            if not (Xs_perms.can_write parent.perms ~domid:caller) then
-              Error Xs_error.EACCES
-            else begin
-              add t ~caller segs parent missing value;
-              Ok ()
-            end)
+let write t ~caller (path : Xs_path.t) value =
+  match path with
+  | Root | Special _ -> Error Xs_error.EINVAL
+  | Seg _ -> (
+      match probe t.root path with
+      | node ->
+          if not (Xs_perms.can_write node.perms ~domid:caller) then
+            Error Xs_error.EACCES
+          else if String.equal node.value value then begin
+            (* Same-value refresh (clients re-assert keys they already
+               own): the tree would not change, so nothing is copied.
+               The write still counts — generation bumps, watches fire
+               at the server layer. *)
+            t.generation <- t.generation + 1;
+            Ok ()
+          end
+          else begin
+            (writable t node path).value <- value;
+            mutated t;
+            Ok ()
+          end
+      | exception Missing (dir, top) ->
+          if not (Xs_perms.can_write dir.perms ~domid:caller) then
+            Error Xs_error.EACCES
+          else begin
+            add t ~caller path dir top value;
+            Ok ()
+          end)
 
-let mkdir t ~caller path =
-  if Xs_path.is_special path then Error Xs_error.EINVAL
-  else
-    let segs = Xs_path.segments path in
-    match probe t.root segs with
-    | Found _ -> Ok () (* silent success, like the real daemon *)
-    | Missing (parent, missing) ->
-        if not (Xs_perms.can_write parent.perms ~domid:caller) then
-          Error Xs_error.EACCES
-        else begin
-          add t ~caller segs parent missing "";
-          Ok ()
-        end
+let mkdir t ~caller (path : Xs_path.t) =
+  match path with
+  | Special _ -> Error Xs_error.EINVAL
+  | Root | Seg _ -> (
+      match probe t.root path with
+      | _ -> Ok () (* silent success, like the real daemon *)
+      | exception Missing (dir, top) ->
+          if not (Xs_perms.can_write dir.perms ~domid:caller) then
+            Error Xs_error.EACCES
+          else begin
+            add t ~caller path dir top "";
+            Ok ()
+          end)
 
-let set_perms t ~caller path perms =
-  if Xs_path.is_special path then Error Xs_error.EINVAL
-  else
-    match Xs_path.segments path with
-    | [] -> Error Xs_error.EINVAL
-    | segs -> (
-        match probe t.root segs with
-        | Missing (parent, _) ->
-            if Xs_perms.can_write parent.perms ~domid:caller then
-              Error Xs_error.ENOENT
-            else Error Xs_error.EACCES
-        | Found node ->
-            let old_owner = Xs_perms.owner node.perms in
-            if caller = 0 || old_owner = caller then begin
-              (writable t node segs []).perms <- perms;
-              let new_owner = Xs_perms.owner perms in
-              if old_owner <> new_owner then begin
-                adjust_owned t old_owner (-1);
-                adjust_owned t new_owner 1
-              end;
-              mutated t;
-              Ok ()
-            end
-            else Error Xs_error.EACCES)
+let set_perms t ~caller (path : Xs_path.t) perms =
+  match path with
+  | Root | Special _ -> Error Xs_error.EINVAL
+  | Seg _ -> (
+      match probe t.root path with
+      | exception Missing (dir, _) ->
+          if Xs_perms.can_write dir.perms ~domid:caller then
+            Error Xs_error.ENOENT
+          else Error Xs_error.EACCES
+      | node ->
+          let old_owner = Xs_perms.owner node.perms in
+          if caller = 0 || old_owner = caller then begin
+            (writable t node path).perms <- perms;
+            let new_owner = Xs_perms.owner perms in
+            if old_owner <> new_owner then begin
+              adjust_owned t old_owner (-1);
+              adjust_owned t new_owner 1
+            end;
+            mutated t;
+            Ok ()
+          end
+          else Error Xs_error.EACCES)
 
 (* Takes [node]'s subtree out of the node count and the owned counts,
    in one walk. The store is the fold's accumulator, so the walk builds
@@ -396,33 +396,28 @@ let rec uncount t (node : Node.t) =
   adjust_owned t (Xs_perms.owner node.perms) (-1);
   SMap.fold (fun _ child t -> uncount t child) node.children t
 
-let rec last_cell = function
-  | ([] | [ _ ]) as cell -> cell
-  | _ :: rest -> last_cell rest
-
-let rm t ~caller path =
-  if Xs_path.is_special path then Error Xs_error.EINVAL
-  else
-    match Xs_path.segments path with
-    | [] -> Error Xs_error.EINVAL
-    | segs -> (
-        match find t path with
-        | exception Not_found -> Error Xs_error.ENOENT
-        | target ->
-            let last = last_cell segs in
-            let parent = find_upto t.root segs last in
-            if
-              not
-                (Xs_perms.can_write parent.perms ~domid:caller
-                || Xs_perms.can_write target.perms ~domid:caller)
-            then Error Xs_error.EACCES
-            else begin
-              let parent = writable t parent segs last in
-              parent.children <- SMap.remove (List.hd last) parent.children;
-              ignore (uncount t target);
-              mutated t;
-              Ok ()
-            end)
+let rm t ~caller (path : Xs_path.t) =
+  match path with
+  | Root | Special _ -> Error Xs_error.EINVAL
+  | Seg { parent = up; seg; _ } -> (
+      match find_in t.root up with
+      | exception Not_found -> Error Xs_error.ENOENT
+      | dir -> (
+          match SMap.find seg dir.children with
+          | exception Not_found -> Error Xs_error.ENOENT
+          | target ->
+              if
+                not
+                  (Xs_perms.can_write dir.perms ~domid:caller
+                  || Xs_perms.can_write target.perms ~domid:caller)
+              then Error Xs_error.EACCES
+              else begin
+                let dir = writable t dir up in
+                dir.children <- SMap.remove seg dir.children;
+                ignore (uncount t target);
+                mutated t;
+                Ok ()
+              end))
 
 let iter t f =
   let rec go path node =

@@ -33,12 +33,17 @@ type owner_slot = {
   mutable entries : (node * watch) list;
 }
 
+(* [hits] is scratch space for [matching]: the walk collects its hits
+   there and [matching] empties it before returning, so a fire that
+   hits nothing allocates nothing and the registry holds no stale
+   list between fires. *)
 type t = {
   root : node;
   specials : (string, node) Hashtbl.t;
   by_owner : (int, owner_slot) Hashtbl.t;
   mutable total : int;
   mutable next_seq : int;
+  mutable hits : watch list;
 }
 
 let mk_node ?parent ?(seg = "") () =
@@ -51,6 +56,7 @@ let create () =
     by_owner = Hashtbl.create 64;
     total = 0;
     next_seq = 0;
+    hits = [];
   }
 
 let count t = t.total
@@ -60,7 +66,22 @@ let count_for t ~owner =
   | Some slot -> slot.n
   | None -> 0
 
-(* The node a path's watches live at, creating the spine on demand. *)
+(* The trie node of a non-special path, creating the spine on demand:
+   the recursion climbs the path's parent chain and descends on the
+   way back. *)
+let rec spine_node t (path : Xs_path.t) =
+  match path with
+  | Root | Special _ -> t.root
+  | Seg { parent; seg; _ } -> (
+      let node = spine_node t parent in
+      match SMap.find seg node.children with
+      | child -> child
+      | exception Not_found ->
+          let child = mk_node ~parent:node ~seg () in
+          node.children <- SMap.add seg child node.children;
+          child)
+
+(* The node a path's watches live at, created on demand. *)
 let node_for t path =
   if Xs_path.is_special path then begin
     let key = Xs_path.to_string path in
@@ -71,30 +92,23 @@ let node_for t path =
         Hashtbl.replace t.specials key node;
         node
   end
-  else
-    List.fold_left
-      (fun node seg ->
-        match SMap.find_opt seg node.children with
-        | Some child -> child
-        | None ->
-            let child = mk_node ~parent:node ~seg () in
-            node.children <- SMap.add seg child node.children;
-            child)
-      t.root (Xs_path.segments path)
+  else spine_node t path
+
+(* The trie node of a non-special path; [Not_found] when no watch was
+   ever registered there. *)
+let rec trie_node t (path : Xs_path.t) =
+  match path with
+  | Root | Special _ -> t.root
+  | Seg { parent; seg; _ } -> SMap.find seg (trie_node t parent).children
 
 (* Read-only lookup: [None] when no watch was ever registered there. *)
 let find_node t path =
   if Xs_path.is_special path then
     Hashtbl.find_opt t.specials (Xs_path.to_string path)
   else
-    let rec go node = function
-      | [] -> Some node
-      | seg :: rest -> (
-          match SMap.find_opt seg node.children with
-          | None -> None
-          | Some child -> go child rest)
-    in
-    go t.root (Xs_path.segments path)
+    match trie_node t path with
+    | node -> Some node
+    | exception Not_found -> None
 
 (* Drop now-empty nodes bottom-up so a churny registry (guests come
    and go) does not leave an ever-growing skeleton behind. Special
@@ -166,23 +180,24 @@ let remove_owner t ~owner =
       t.total <- t.total - slot.n;
       slot.n
 
-(* The watches on the trie spine along [segs], pushed onto [acc]: by
-   construction exactly those whose path is a prefix of (or equal to)
-   the path [segs] spells. *)
-let rec spine acc node segs =
-  let acc = List.rev_append node.here acc in
-  match segs with
-  | [] -> acc
-  | seg :: rest -> (
-      match SMap.find seg node.children with
-      | child -> spine acc child rest
-      | exception Not_found -> acc)
+(* Pushes onto [t.hits] the watches on the trie spine down to [path]:
+   by construction exactly those whose path is a prefix of (or equal
+   to) [path]. Raises [Not_found] below the deepest trie node on the
+   way, once the hits above it are collected. *)
+let rec spine t (path : Xs_path.t) =
+  let node =
+    match path with
+    | Root | Special _ -> t.root
+    | Seg { parent; seg; _ } -> SMap.find seg (spine t parent).children
+  in
+  if node.here != [] then t.hits <- List.rev_append node.here t.hits;
+  node
 
 let hit w = (w.path, w.token, w.deliver)
 
 let matching t ~modified =
   (* A special modified path matches exactly its bucket; otherwise the
-     trie walk along [modified]'s segments collects the hits. Cost:
+     trie walk along [modified]'s chain collects the hits. Cost:
      O(depth + hits), independent of the registry size. Most fires hit
      nothing, so the walk allocates only per hit, and fewer than two
      hits skip [List.sort]: it allocates the closures of its local
@@ -192,7 +207,12 @@ let matching t ~modified =
       match Hashtbl.find t.specials (Xs_path.to_string modified) with
       | node -> node.here
       | exception Not_found -> []
-    else spine [] t.root (Xs_path.segments modified)
+    else begin
+      (match spine t modified with _ -> () | exception Not_found -> ());
+      let hits = t.hits in
+      t.hits <- [];
+      hits
+    end
   in
   match hits with
   | [] -> []

@@ -46,8 +46,9 @@ let launch_or_fail c =
       | Error e -> Alcotest.failf "boot: %s" (Vmm.error_to_string e))
 
 let vms_per_host c =
-  List.map (fun (v : Scheduler.host_view) -> v.Scheduler.hv_vms)
-    (Cluster.views c)
+  Array.to_list
+    (Array.map (fun (v : Scheduler.host_view) -> v.Scheduler.hv_vms)
+       (Cluster.views c))
 
 (* ------------------------------------------------------------------ *)
 (* The per-host VM registry *)
@@ -212,7 +213,7 @@ let test_spread_respects_failure_domains () =
       for i = 1 to 8 do
         ignore (launch_or_fail c);
         let by_rack = Hashtbl.create 4 in
-        List.iter
+        Array.iter
           (fun (v : Scheduler.host_view) ->
             let r = v.Scheduler.hv_rack in
             Hashtbl.replace by_rack r
@@ -235,15 +236,15 @@ let test_spread_respects_failure_domains () =
 
 let test_scheduler_no_capacity () =
   let views =
-    [
+    [|
       { Scheduler.hv_id = 0; hv_rack = 0; hv_vms = 3; hv_free_kb = 64 };
       { Scheduler.hv_id = 1; hv_rack = 0; hv_vms = 0; hv_free_kb = 128 };
-    ]
+    |]
   in
   List.iter
     (fun policy ->
       let s = Scheduler.make policy in
-      (match Scheduler.place s ~hosts:[] ~mem_kb:0 with
+      (match Scheduler.place s ~hosts:[||] ~mem_kb:0 with
       | Ok id ->
           Alcotest.failf "%s placed on %d in an empty cluster"
             (Scheduler.policy_name policy)
@@ -393,7 +394,9 @@ let prop_place_matches_reference =
                     List.filteri (fun j _ -> j <> i) !views
                 | _ -> !views
               in
-              let got = Scheduler.place s ~hosts ~mem_kb in
+              let got =
+                Scheduler.place s ~hosts:(Array.of_list hosts) ~mem_kb
+              in
               let want = Reference.place r ~hosts ~mem_kb in
               (match got with
               | Ok id ->
@@ -417,7 +420,7 @@ let prop_place_matches_reference =
    loads, the result) whatever the cluster size: nothing per host. *)
 let test_place_allocation_flat () =
   let views n =
-    List.init n (fun i ->
+    Array.init n (fun i ->
         {
           Scheduler.hv_id = i;
           hv_rack = i mod 4;
@@ -444,6 +447,43 @@ let test_place_allocation_flat () =
           (Scheduler.policy_name policy)
           w1000 w10)
     Scheduler.policies
+
+(* A launch brings the cluster's views up to date by replacing only
+   those of hosts that changed, so its words do not grow with the host
+   count; a view rebuilt per host would cost about 8 words a host. Each
+   cluster takes eight launches on empty hosts, which spread places on
+   hosts 0 to 7 in both, so the creations themselves do the same work;
+   the words are summed over the launches alone. *)
+let test_launch_allocation_flat () =
+  let launch_words hosts =
+    run_sim (fun () ->
+        let c =
+          Cluster.create ~hosts ~mode:Mode.chaos_xs ~policy:Scheduler.Spread
+            ()
+        in
+        let words = ref 0. in
+        for _ = 1 to 8 do
+          let before = Gc.minor_words () in
+          let placed =
+            Cluster.launch c (Vmm.vm_request ~nics:1 Image.daytime)
+          in
+          words := !words +. (Gc.minor_words () -. before);
+          match placed with
+          | Error e -> Alcotest.failf "launch: %s" (Cluster.error_to_string e)
+          | Ok p ->
+              ignore
+                (Vmm_boot.ok "boot"
+                   (Vmm.vm_boot (Cluster.host c p.Cluster.pl_host)
+                      ~domid:p.Cluster.pl_vm.Vmm.vi_domid))
+        done;
+        !words /. 8.)
+  in
+  let small = launch_words 8 and large = launch_words 64 in
+  if large > small +. 56. then
+    Alcotest.failf
+      "%.1f words per launch over 64 hosts, %.1f over 8: %.2f a host"
+      large small
+      ((large -. small) /. 56.)
 
 (* ------------------------------------------------------------------ *)
 (* Partition layout: a cluster inside a run with host partitions gives
@@ -575,6 +615,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_place_matches_reference;
         Alcotest.test_case "placement allocation independent of hosts"
           `Quick test_place_allocation_flat;
+        Alcotest.test_case "launch allocation independent of hosts" `Quick
+          test_launch_allocation_flat;
       ] );
     ( "cluster.drain",
       [

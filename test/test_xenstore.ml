@@ -107,11 +107,7 @@ let test_path_length_limit () =
   Alcotest.(check (option string)) "3072 bytes agree" (by_parse 3072)
     (by_concat 3072);
   Alcotest.(check (option string)) "3073 bytes parse" None (by_parse 3073);
-  Alcotest.(check (option string)) "3073 bytes concat" None (by_concat 3073);
-  Alcotest.(check bool) "3073 bytes extend" true
-    (match Xs_path.extend Xs_path.root (segs 3073) with
-    | _ -> false
-    | exception Xs_path.Invalid _ -> true)
+  Alcotest.(check (option string)) "3073 bytes concat" None (by_concat 3073)
 
 let path_segs_gen =
   QCheck.Gen.(
@@ -119,28 +115,133 @@ let path_segs_gen =
       (string_size ~gen:(oneof [ char_range 'a' 'z'; char_range '0' '9' ])
          (int_range 1 8)))
 
+(* [to_string] builds the string from the chain and [length] is kept
+   beside it: both must give back what was parsed. *)
 let prop_path_roundtrip =
   QCheck.Test.make ~name:"path to_string/of_string round-trips" ~count:200
     (QCheck.make QCheck.Gen.(map (fun segs -> "/" ^ String.concat "/" segs)
        path_segs_gen))
-    (fun s -> Xs_path.to_string (Xs_path.of_string s) = s)
+    (fun s ->
+      let path = Xs_path.of_string s in
+      Xs_path.to_string path = s
+      && Xs_path.length path = String.length s
+      && Xs_path.equal (Xs_path.of_string (Xs_path.to_string path)) path)
 
+(* Segments that are valid, empty, illegal (a character outside the
+   segment alphabet), oversized (257 bytes) or long (up to 256), and
+   runs of 10 to 17 long ones, whose totals straddle the 3,072-byte
+   path limit. The last segment is never empty: the parser tolerates
+   one trailing slash. *)
+let legal_char = QCheck.Gen.oneofl (List.of_seq (String.to_seq "azAZ09_-.:@+"))
+let long_segment_gen =
+  QCheck.Gen.(string_size ~gen:legal_char (int_range 180 256))
+
+let any_segment_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, string_size ~gen:legal_char (int_range 1 8));
+        (1, return "");
+        ( 1,
+          map (fun s -> s ^ "*") (string_size ~gen:legal_char (int_range 0 4))
+        );
+        (1, map (fun c -> String.make 1 c) (oneofl [ ' '; '#'; '\\'; '~' ]));
+        (1, return (String.make 257 'x'));
+        (2, long_segment_gen);
+      ])
+
+let any_segs_gen =
+  QCheck.Gen.(
+    let nonempty = map (fun s -> if s = "" then "x" else s) any_segment_gen in
+    let ending init = map (fun last -> init @ [ last ]) nonempty in
+    frequency
+      [
+        (1, return []);
+        (6, list_size (int_range 0 20) any_segment_gen >>= ending);
+        (3, list_size (int_range 10 17) long_segment_gen >>= ending);
+      ])
+
+let print_segs segs =
+  String.concat "/"
+    (List.map
+       (fun s ->
+         if String.length s > 16 then
+           Printf.sprintf "<%d bytes>" (String.length s)
+         else Printf.sprintf "%S" s)
+       segs)
+
+(* A path built with [concat] and the one [of_string] parses from the
+   same segments agree on every accessor, and one raises [Invalid]
+   exactly when the other does. *)
 let prop_concat_parses =
-  QCheck.Test.make ~name:"concat/extend build what of_string parses"
-    ~count:200
-    (QCheck.make QCheck.Gen.(pair path_segs_gen (int_range 0 6)))
-    (fun (segs, k) ->
-      let same a b =
-        Xs_path.equal a b && Xs_path.segments a = Xs_path.segments b
+  QCheck.Test.make ~name:"concat builds what of_string parses" ~count:500
+    (QCheck.make ~print:print_segs any_segs_gen)
+    (fun segs ->
+      let attempt f =
+        match f () with x -> Some x | exception Xs_path.Invalid _ -> None
       in
-      let parsed = Xs_path.of_string ("/" ^ String.concat "/" segs) in
-      let head = List.filteri (fun i _ -> i < k) segs in
-      let tail = List.filteri (fun i _ -> i >= k) segs in
-      same (List.fold_left Xs_path.concat Xs_path.root segs) parsed
-      && same
-           (Xs_path.extend (List.fold_left Xs_path.concat Xs_path.root head)
-              tail)
-           parsed)
+      let built () = List.fold_left Xs_path.concat Xs_path.root segs in
+      let str = "/" ^ String.concat "/" segs in
+      let parsed () = Xs_path.of_string str in
+      let parent p = Option.map Xs_path.to_string (Xs_path.parent p) in
+      match (attempt built, attempt parsed) with
+      | None, None -> true
+      | Some a, Some b ->
+          Xs_path.to_string a = str
+          && Xs_path.to_string b = str
+          && Xs_path.length a = String.length str
+          && Xs_path.length b = String.length str
+          && Xs_path.segments a = segs
+          && Xs_path.segments b = segs
+          && parent a = parent b
+          && Xs_path.basename a = Xs_path.basename b
+          && Xs_path.depth a = List.length segs
+          && Xs_path.depth b = List.length segs
+          && Xs_path.equal a b
+      | Some _, None | None, Some _ -> false)
+
+(* Paths over a small alphabet, so that equal paths, prefixes and
+   siblings sharing a prefix are common; '-', '.' and '+' sort before
+   '/', which a segment-wise order would get wrong. The specials are
+   in the mix too. *)
+let prefix_case_gen =
+  QCheck.Gen.(
+    let seg =
+      string_size ~gen:(oneofl [ 'a'; 'b'; '-'; '.'; '+' ]) (int_range 1 2)
+    in
+    let path =
+      frequency
+        [
+          ( 8,
+            map
+              (fun segs -> "/" ^ String.concat "/" segs)
+              (list_size (int_range 1 4) seg) );
+          (1, return "/");
+          (1, oneofl [ "@introduceDomain"; "@releaseDomain" ]);
+        ]
+    in
+    pair path path)
+
+(* [is_prefix] follows the spec's rule: [<parent>/] is an initial
+   substring of [<child>], or the two are equal; the root is a prefix
+   of every non-special path. [equal] and [compare] are those of the
+   strings. *)
+let prop_path_order =
+  QCheck.Test.make ~name:"is_prefix/equal/compare agree with the strings"
+    ~count:1000
+    (QCheck.make ~print:QCheck.Print.(pair string string) prefix_case_gen)
+    (fun (sa, sb) ->
+      let a = Xs_path.of_string sa and b = Xs_path.of_string sb in
+      let special s = s.[0] = '@' in
+      let prefix =
+        String.equal sa sb
+        || (sa = "/" && not (special sb))
+        || String.starts_with ~prefix:(sa ^ "/") sb
+      in
+      Xs_path.is_prefix a ~of_:b = prefix
+      && Xs_path.equal a b = String.equal sa sb
+      && Int.compare (Xs_path.compare a b) 0
+         = Int.compare (String.compare sa sb) 0)
 
 (* ------------------------------------------------------------------ *)
 (* Perms *)
@@ -182,6 +283,34 @@ let test_perms_bad_string () =
   Alcotest.(check bool) "garbage rejected" true
     (Xs_perms.of_string "x3,r0" = None);
   Alcotest.(check bool) "empty rejected" true (Xs_perms.of_string "" = None)
+
+(* The daemon charges a Set_perms by [wire_length] instead of building
+   the string. [make] takes any int, so the domids cover each change of
+   digit count, both ends of the int range and negative values. *)
+let prop_perms_wire_length =
+  let domid =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl
+            [
+              0; 9; 10; 99; 100; max_int; min_int; -1; -9; -10; -100;
+              min_int + 1;
+            ];
+          int;
+        ])
+  in
+  let role = QCheck.Gen.oneofl Xs_perms.[ None_; Read; Write; Both ] in
+  let perms =
+    QCheck.Gen.(
+      map3
+        (fun owner default acl -> Xs_perms.make ~owner ~default ~acl ())
+        domid role
+        (list_size (int_range 0 4) (pair domid role)))
+  in
+  QCheck.Test.make ~name:"wire_length = length of to_string" ~count:500
+    (QCheck.make ~print:Xs_perms.to_string perms)
+    (fun p -> Xs_perms.wire_length p = String.length (Xs_perms.to_string p))
 
 (* ------------------------------------------------------------------ *)
 (* Store *)
@@ -1142,31 +1271,71 @@ let test_set_perms_words () =
    charges its messages and dispatches without building a closure (a
    wrapper that took the request as closures added about 20 words).
    The target is a domain's directory node, so the overwrite is not a
-   name write (no uniqueness scan) and fires no watch. *)
+   name write (no uniqueness scan) and fires no watch. The payload is
+   charged by size, without serialising the request: a Set_perms that
+   formatted its perms to measure them cost 98.5 words, the ACL the
+   toolstack gives a frontend node included. Every charge adds to the
+   daemon's busy time in place; a float kept in the counters record
+   boxed each one (a Read's 16 words, an overwrite's 22). *)
 let test_op_words () =
   let srv = Xs_server.create () in
   populate (Xs_server.store srv);
   let path = Xs_path.domain_path 5_000 in
   let read = Xs_server.Read path in
   let writes = [| Xs_server.Write (path, "a"); Xs_server.Write (path, "b") |] in
+  let set_perms =
+    [|
+      Xs_server.Set_perms
+        (path, Xs_perms.make ~owner:0 ~acl:[ (5_000, Xs_perms.Read) ] ());
+      Xs_server.Set_perms (path, Xs_perms.owned_default 5_000);
+    |]
+  in
   let reads k =
     for _ = 1 to k do
       ignore (Xs_server.op srv ~caller:0 read)
     done
   in
-  let overwrites k =
+  let alternate reqs k =
     for i = 1 to k do
-      ignore (Xs_server.op srv ~caller:0 writes.(i land 1))
+      ignore (Xs_server.op srv ~caller:0 reqs.(i land 1))
     done
   in
-  let measured = ref (0., 0.) in
+  let measured = ref (0., 0., 0.) in
   ignore
     (Engine.run (fun () ->
          measured :=
-           (words_per_op ~n:1000 reads, words_per_op ~n:1000 overwrites)));
-  let read_words, overwrite_words = !measured in
-  check_words "op Read" ~ceiling:20. read_words;
-  check_words "op overwrite" ~ceiling:26. overwrite_words
+           ( words_per_op ~n:1000 reads,
+             words_per_op ~n:1000 (alternate writes),
+             words_per_op ~n:1000 (alternate set_perms) )));
+  let read_words, overwrite_words, set_perms_words = !measured in
+  check_words "op Read" ~ceiling:14. read_words;
+  check_words "op overwrite" ~ceiling:18. overwrite_words;
+  check_words "op Set_perms" ~ceiling:20. set_perms_words
+
+(* A path is its parent, one segment and a length, so extending one
+   allocates a single node at any depth; a path that held its segment
+   list and string copied both, 34 words at depth 7. The device
+   directories chain one [concat] a level from the domain's path: each
+   costs its nodes and its number strings (the list-built ones took 54
+   and 59 words). *)
+let test_path_words () =
+  let dir = p "/local/domain/7/device/vif/0" in
+  let concat k =
+    for _ = 1 to k do
+      ignore (Sys.opaque_identity (Xs_path.concat dir "state"))
+    done
+  in
+  check_words "concat at depth 7" ~ceiling:4. (words_per_op ~n:1000 concat);
+  let vif = Lightvm_guest.Device.vif ~devid:0 () in
+  let each dir k =
+    for _ = 1 to k do
+      ignore (Sys.opaque_identity (dir ~domid:5_000 vif))
+    done
+  in
+  check_words "frontend_dir" ~ceiling:30.
+    (words_per_op ~n:1000 (each Lightvm_guest.Device.frontend_dir));
+  check_words "backend_dir" ~ceiling:30.
+    (words_per_op ~n:1000 (each Lightvm_guest.Device.backend_dir))
 
 (* Most fires on a dense host hit no watch: such a fire walks the trie
    and returns without allocating, and one hit costs only a list cell
@@ -1585,6 +1754,7 @@ let suites =
         Alcotest.test_case "length limit" `Quick test_path_length_limit;
         QCheck_alcotest.to_alcotest prop_path_roundtrip;
         QCheck_alcotest.to_alcotest prop_concat_parses;
+        QCheck_alcotest.to_alcotest prop_path_order;
       ] );
     ( "xenstore.perms",
       [
@@ -1592,6 +1762,7 @@ let suites =
         Alcotest.test_case "acl" `Quick test_perms_acl;
         Alcotest.test_case "string round trip" `Quick test_perms_string;
         Alcotest.test_case "bad strings" `Quick test_perms_bad_string;
+        QCheck_alcotest.to_alcotest prop_perms_wire_length;
       ] );
     ( "xenstore.store",
       [
@@ -1642,6 +1813,7 @@ let suites =
         Alcotest.test_case "watch matching words" `Quick test_matching_words;
         Alcotest.test_case "set_perms words" `Quick test_set_perms_words;
         Alcotest.test_case "daemon request words" `Quick test_op_words;
+        Alcotest.test_case "path words" `Quick test_path_words;
       ] );
     ( "xenstore.watch",
       [
