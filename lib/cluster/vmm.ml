@@ -10,6 +10,7 @@ module Create = Lightvm_toolstack.Create
 module Checkpoint = Lightvm_toolstack.Checkpoint
 module Migrate = Lightvm_toolstack.Migrate
 module Pool = Lightvm_toolstack.Pool
+module Tbl = Hashtbl.Make (Int)
 
 let api_version = "lightvm-vmm/0.1"
 
@@ -84,6 +85,17 @@ type vm_record = {
    with. *)
 type flavor = { mem_mb : float; vcpus : int; nics : int; disks : int }
 
+(* A host serves a handful of flavours, so its pools are a list searched
+   field by field: a request builds no key and hashes nothing. *)
+let rec find_pool ~mem_mb ~vcpus ~nics ~disks = function
+  | [] -> raise Not_found
+  | (f, pool) :: rest ->
+      if
+        f.vcpus = vcpus && f.nics = nics && f.disks = disks
+        && Float.equal f.mem_mb mem_mb
+      then pool
+      else find_pool ~mem_mb ~vcpus ~nics ~disks rest
+
 (* [vms] is the host's VM registry, keyed by domid: a VM enters it when
    its creation, restore or incoming migration returns and leaves it
    when it is deleted, snapshotted or migrated away, so it holds a VM
@@ -95,23 +107,23 @@ type t = {
   xen : Xen.t;
   ts : Toolstack.t;
   pool_target : int;
-  pools : (flavor, Create.shell Pool.t) Hashtbl.t;
+  mutable pools : (flavor * Create.shell Pool.t) list;
   mutable counter : int;
-  vms : (int, vm_record) Hashtbl.t;
+  vms : vm_record Tbl.t;
 }
 
 let create ?(host_id = 0) ?(platform = Params.xeon_e5_1630)
     ?(mode = Mode.lightvm) ?xs_profile ?costs ?(pool_target = 8) () =
   let xen = Xen.boot ~platform () in
   let ts = Toolstack.make ~xen ~mode ?xs_profile ?costs () in
-  { host_id; xen; ts; pool_target; pools = Hashtbl.create 8; counter = 0;
-    vms = Hashtbl.create 64 }
+  { host_id; xen; ts; pool_target; pools = []; counter = 0;
+    vms = Tbl.create 64 }
 
 let xen t = t.xen
 let toolstack t = t.ts
 let mode t = Toolstack.mode t.ts
 let platform t = Xen.platform t.xen
-let vm_count t = Hashtbl.length t.vms
+let vm_count t = Tbl.length t.vms
 
 let fresh_name t image =
   t.counter <- t.counter + 1;
@@ -131,9 +143,9 @@ let override_for image =
   | _ -> Some image
 
 let lookup t ~domid =
-  match Hashtbl.find_opt t.vms domid with
-  | Some r -> Ok r
-  | None -> Error (Vm_not_found domid)
+  match Tbl.find t.vms domid with
+  | r -> Ok r
+  | exception Not_found -> Error (Vm_not_found domid)
 
 let info_of (r : vm_record) =
   let cfg = r.created.Create.config in
@@ -158,7 +170,7 @@ let register t (created : Create.created) =
       boot_s = 0.;
     }
   in
-  Hashtbl.replace t.vms created.Create.domid r;
+  Tbl.replace t.vms created.Create.domid r;
   r
 
 (* ------------------------------------------------------------------ *)
@@ -168,23 +180,18 @@ let split t = (Toolstack.mode t.ts).Mode.split
 
 let pool_for t (cfg : Vmconfig.t) =
   let env = Toolstack.env t.ts in
-  let key =
-    {
-      mem_mb = Create.effective_mem_mb env cfg;
-      vcpus = cfg.Vmconfig.vcpus;
-      nics = List.length cfg.Vmconfig.vifs;
-      disks = List.length cfg.Vmconfig.disks;
-    }
-  in
-  match Hashtbl.find_opt t.pools key with
-  | Some pool -> pool
-  | None ->
-      let { mem_mb; vcpus; nics; disks } = key in
+  let mem_mb = Create.effective_mem_mb env cfg in
+  let vcpus = cfg.Vmconfig.vcpus in
+  let nics = List.length cfg.Vmconfig.vifs in
+  let disks = List.length cfg.Vmconfig.disks in
+  match find_pool ~mem_mb ~vcpus ~nics ~disks t.pools with
+  | pool -> pool
+  | exception Not_found ->
       let pool =
         Pool.create ~target:t.pool_target ~make:(fun () ->
             Create.prepare env ~mem_mb ~vcpus ~nics ~disks ())
       in
-      Hashtbl.replace t.pools key pool;
+      t.pools <- ({ mem_mb; vcpus; nics; disks }, pool) :: t.pools;
       pool
 
 (* The pool of an image's flavor. *)
@@ -258,9 +265,9 @@ let vm_create t req =
   | Ok created -> Ok (info_of (register t created))
 
 let vm_boot t ~domid =
-  match lookup t ~domid with
-  | Error err -> Error err
-  | Ok r -> (
+  match Tbl.find t.vms domid with
+  | exception Not_found -> Error (Vm_not_found domid)
+  | r -> (
       match r.state with
       | Paused -> Error (Vm_bad_state { domid; state = Paused; op = "vm.boot" })
       | Running -> Ok ()
@@ -309,13 +316,13 @@ let vm_resume t ~domid =
           | Error e -> Error (hv_err ~domid ~op:"vm.resume" e)))
 
 let vm_delete t ~domid =
-  match lookup t ~domid with
-  | Error err -> Error err
-  | Ok r ->
+  match Tbl.find t.vms domid with
+  | exception Not_found -> Error (Vm_not_found domid)
+  | r ->
       (* Destroy works from any state — a paused domain is torn down
          exactly like a running one (that is how pool shells die). *)
       Create.destroy (Toolstack.env t.ts) r.created;
-      Hashtbl.remove t.vms domid;
+      Tbl.remove t.vms domid;
       Ok ()
 
 let vm_info t ~domid = Result.map info_of (lookup t ~domid)
@@ -336,7 +343,7 @@ let vm_counters t ~domid =
     (lookup t ~domid)
 
 let vm_list t =
-  Hashtbl.fold (fun _ r acc -> r :: acc) t.vms []
+  Tbl.fold (fun _ r acc -> r :: acc) t.vms []
   |> List.sort (fun a b ->
          Int.compare a.created.Create.domid b.created.Create.domid)
   |> List.map info_of
@@ -351,7 +358,7 @@ let vm_snapshot t ~domid =
       match Checkpoint.save t.ts r.created with
       | Error reason -> Error (Vm_failed { op = "vm.snapshot"; reason })
       | Ok saved ->
-          Hashtbl.remove t.vms domid;
+          Tbl.remove t.vms domid;
           Ok saved)
 
 let vm_restore t saved =
@@ -365,12 +372,12 @@ let vm_migrate ~src ~dst ~domid =
   | Ok r -> (
       match Migrate.migrate ~src:src.ts ~dst:dst.ts r.created with
       | Ok (resumed, stats) ->
-          Hashtbl.remove src.vms domid;
+          Tbl.remove src.vms domid;
           Ok (info_of (register dst resumed), stats)
       | Error reason when Option.is_none (Xen.domain src.xen ~domid) ->
           (* Past the suspend: the source domain is gone and the guest
              with it. *)
-          Hashtbl.remove src.vms domid;
+          Tbl.remove src.vms domid;
           Error (Vm_migration_failed reason)
       | Error reason -> Error (Vm_failed { op = "vm.migrate"; reason }))
 

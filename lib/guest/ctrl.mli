@@ -19,7 +19,8 @@ val register :
   t -> backend_domid:int -> grant_ref:int -> mac:string -> page
 (** Called by the back-end when pre-creating a device. *)
 
-val find : t -> backend_domid:int -> grant_ref:int -> page option
+val find : t -> backend_domid:int -> grant_ref:int -> page
+(** @raise Not_found when no page is registered there. *)
 
 val unregister : t -> backend_domid:int -> grant_ref:int -> unit
 
@@ -36,7 +37,8 @@ val set_back_state : page -> state -> unit
 
 val set_front_port : page -> int -> unit
 
-val front_port : page -> int option
+val front_port : page -> int
+(** The port the frontend bound; 0 (no port) until {!set_front_port}. *)
 
 val await_connected : page -> unit
 (** Block (simulated time) until the back-end reports [Connected]. *)

@@ -14,7 +14,7 @@ type t = {
   devices : Device.config list;
   ready : unit Engine.Ivar.t;
   started_at : float;
-  mutable ready_at : float option;
+  mutable ready_at : float; (* meaningful once [ready] is full *)
   mutable up : bool;
   (* Bumped on every shutdown/resume so a stale idle loop (asleep
      across a suspend/resume cycle) exits instead of doubling the
@@ -29,9 +29,8 @@ let booted t = Engine.Ivar.is_full t.ready
 let wait_ready t = Engine.Ivar.read t.ready
 
 let boot_time t =
-  match t.ready_at with
-  | Some at -> at -. t.started_at
-  | None -> invalid_arg "Guest.boot_time: guest not booted yet"
+  if booted t then t.ready_at -. t.started_at
+  else invalid_arg "Guest.boot_time: guest not booted yet"
 
 (* Quiescing over the classic path means a XenStore control/shutdown
    handshake (watch + acknowledgement writes); under noxs the sysctl
@@ -48,36 +47,41 @@ let rec idle_loop t gen =
     if period <> infinity then begin
       Engine.sleep period;
       if t.up && t.idle_gen = gen then begin
-        (match Xen.domain t.xen ~domid:t.domid with
-        | Some dom when Domain.is_running dom ->
+        (match Xen.find_domain t.xen ~domid:t.domid with
+        | dom when Domain.is_running dom ->
             Xen.consume_guest t.xen ~domid:t.domid
               t.image.Image.idle_tick_work
-        | Some _ | None -> ());
+        | _ | (exception Not_found) -> ());
         idle_loop t gen
       end
     end
   end
 
+let rec connect_xenbus t xs = function
+  | [] -> ()
+  | dev :: rest ->
+      Xenbus_front.connect ~xs ~xen:t.xen ~domid:t.domid dev;
+      connect_xenbus t xs rest
+
+let rec connect_noxs t ctrl = function
+  | [] -> ()
+  | dev :: rest ->
+      Noxs_front.connect ~xen:t.xen ~ctrl ~domid:t.domid dev;
+      connect_noxs t ctrl rest
+
 let connect_devices t =
-  match t.registry with
-  | Xenbus xs ->
-      List.iter
-        (fun dev -> Xenbus_front.connect ~xs ~xen:t.xen ~domid:t.domid dev)
-        t.devices
-  | Noxs ctrl ->
-      if t.devices <> [] then begin
-        ignore (Noxs_front.map_device_page ~xen:t.xen ~domid:t.domid);
-        List.iter
-          (fun dev ->
-            Noxs_front.connect ~xen:t.xen ~ctrl ~domid:t.domid dev)
-          t.devices
-      end
+  match (t.registry, t.devices) with
+  | Xenbus xs, devices -> connect_xenbus t xs devices
+  | Noxs _, [] -> ()
+  | Noxs ctrl, devices ->
+      ignore (Noxs_front.map_device_page ~xen:t.xen ~domid:t.domid);
+      connect_noxs t ctrl devices
 
 let boot_process t () =
   Xen.consume_guest t.xen ~domid:t.domid t.image.Image.kernel_init_work;
   connect_devices t;
   Xen.consume_guest t.xen ~domid:t.domid t.image.Image.app_init_work;
-  t.ready_at <- Some (Engine.now ());
+  t.ready_at <- Engine.now ();
   t.up <- true;
   Engine.Ivar.fill t.ready ();
   idle_loop t t.idle_gen
@@ -92,7 +96,7 @@ let start ~xen ~registry ~domid ~image ~devices () =
       devices;
       ready = Engine.Ivar.create ();
       started_at = Engine.now ();
-      ready_at = None;
+      ready_at = nan;
       up = false;
       idle_gen = 0;
     }
@@ -111,10 +115,10 @@ let shutdown t =
       | Xenbus _ -> suspend_work_xenbus
       | Noxs _ -> suspend_work_noxs
     in
-    match Xen.domain t.xen ~domid:t.domid with
-    | Some dom when Domain.is_running dom ->
+    match Xen.find_domain t.xen ~domid:t.domid with
+    | dom when Domain.is_running dom ->
         Xen.consume_guest t.xen ~domid:t.domid work
-    | Some _ | None -> ()
+    | _ | (exception Not_found) -> ()
   end
 
 let resume t =

@@ -128,4 +128,8 @@ let all =
     debian;
   ]
 
-let find name = List.find_opt (fun i -> i.name = name) all
+let rec find_in name = function
+  | [] -> None
+  | i :: rest -> if String.equal i.name name then Some i else find_in name rest
+
+let find name = find_in name all

@@ -51,8 +51,8 @@ let connect ~xen ~ctrl ~domid (dev : Device.config) =
       Ctrl.find ctrl ~backend_domid:entry.Devpage.backend_domid
         ~grant_ref:entry.Devpage.grant_ref
     with
-    | Some page -> page
-    | None -> raise (Connect_failed "no control page registered")
+    | page -> page
+    | exception Not_found -> raise (Connect_failed "no control page registered")
   in
   (* Bind to the backend's event channel. *)
   Xen.hypercall ~op:"evtchn_op" xen ~cost:costs.Params.evtchn_op;
@@ -80,6 +80,6 @@ let disconnect ~xen ~ctrl ~domid (dev : Device.config) =
         Ctrl.find ctrl ~backend_domid:entry.Devpage.backend_domid
           ~grant_ref:entry.Devpage.grant_ref
       with
-      | Some page -> Ctrl.set_front_state page Ctrl.Closed
-      | None -> ())
+      | page -> Ctrl.set_front_state page Ctrl.Closed
+      | exception Not_found -> ())
   | exception Connect_failed _ -> ()

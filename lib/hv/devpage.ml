@@ -10,46 +10,60 @@ type entry = {
 
 type error = No_page | Access_denied | Page_full | No_entry
 
-type t = { pages : (int, entry list ref) Hashtbl.t }
+module Tbl = Hashtbl.Make (Int)
+
+(* domid -> the page's entries, in write order. *)
+type t = { pages : entry list Tbl.t }
 
 (* A 4 KiB page holds a header plus 32-byte entries. *)
 let max_entries = 120
 
-let create () = { pages = Hashtbl.create 32 }
+let create () = { pages = Tbl.create 32 }
 
 let setup t ~domid =
-  if not (Hashtbl.mem t.pages domid) then
-    Hashtbl.replace t.pages domid (ref [])
+  if not (Tbl.mem t.pages domid) then Tbl.replace t.pages domid []
 
-let teardown t ~domid = Hashtbl.remove t.pages domid
+let teardown t ~domid = Tbl.remove t.pages domid
 
 let same_slot a ~kind ~devid = a.kind = kind && a.devid = devid
 
+let rec has_slot ~kind ~devid = function
+  | [] -> false
+  | e :: rest -> same_slot e ~kind ~devid || has_slot ~kind ~devid rest
+
+(* Slots are unique, so this drops at most one entry. *)
+let rec without ~kind ~devid = function
+  | [] -> []
+  | e :: rest ->
+      if same_slot e ~kind ~devid then rest else e :: without ~kind ~devid rest
+
+(* A rewritten slot moves to the end of the page. *)
 let write_entry t ~caller ~domid entry =
   if caller <> 0 then Error Access_denied
   else
-    match Hashtbl.find_opt t.pages domid with
-    | None -> Error No_page
-    | Some page ->
+    match Tbl.find t.pages domid with
+    | exception Not_found -> Error No_page
+    | page ->
+        let kind = entry.kind and devid = entry.devid in
         let others =
-          List.filter
-            (fun e -> not (same_slot e ~kind:entry.kind ~devid:entry.devid))
-            !page
+          if has_slot ~kind ~devid page then without ~kind ~devid page
+          else page
         in
-        if List.length others >= max_entries then Error Page_full
+        if List.compare_length_with others max_entries >= 0 then
+          Error Page_full
         else begin
-          page := others @ [ entry ];
+          Tbl.replace t.pages domid (others @ [ entry ]);
           Ok ()
         end
 
 let remove_entry t ~caller ~domid ~kind ~devid =
   if caller <> 0 then Error Access_denied
   else
-    match Hashtbl.find_opt t.pages domid with
-    | None -> Error No_page
-    | Some page ->
-        if List.exists (fun e -> same_slot e ~kind ~devid) !page then begin
-          page := List.filter (fun e -> not (same_slot e ~kind ~devid)) !page;
+    match Tbl.find t.pages domid with
+    | exception Not_found -> Error No_page
+    | page ->
+        if has_slot ~kind ~devid page then begin
+          Tbl.replace t.pages domid (without ~kind ~devid page);
           Ok ()
         end
         else Error No_entry
@@ -57,17 +71,21 @@ let remove_entry t ~caller ~domid ~kind ~devid =
 let read t ~caller ~domid =
   if caller <> 0 && caller <> domid then Error Access_denied
   else
-    match Hashtbl.find_opt t.pages domid with
-    | None -> Error No_page
-    | Some page -> Ok !page
+    match Tbl.find t.pages domid with
+    | exception Not_found -> Error No_page
+    | page -> Ok page
+
+let rec find_slot ~kind ~devid = function
+  | [] -> Error No_entry
+  | e :: rest ->
+      if same_slot e ~kind ~devid then Ok e else find_slot ~kind ~devid rest
 
 let find t ~caller ~domid ~kind ~devid =
-  match read t ~caller ~domid with
-  | Error e -> Error e
-  | Ok entries -> (
-      match List.find_opt (fun e -> same_slot e ~kind ~devid) entries with
-      | Some e -> Ok e
-      | None -> Error No_entry)
+  if caller <> 0 && caller <> domid then Error Access_denied
+  else
+    match Tbl.find t.pages domid with
+    | exception Not_found -> Error No_page
+    | page -> find_slot ~kind ~devid page
 
 let kind_to_string = function
   | Vif -> "vif"

@@ -1,6 +1,7 @@
 module Engine = Lightvm_sim.Engine
 module Cpu = Lightvm_sim.Cpu
 module Trace = Lightvm_trace.Trace
+module Tbl = Hashtbl.Make (Int)
 
 type error = ENOMEM | ENOENT | EINVAL
 
@@ -12,11 +13,7 @@ type t = {
   gnttab : Gnttab.t;
   devpage : Devpage.t;
   cpu : Cpu.t;
-  domains : (int, Domain.t) Hashtbl.t;
-  (* Guest RAM is tracked separately from hypervisor overhead so
-     populate/depopulate and the Fig 14 accounting stay exact. *)
-  ram_kb : (int, int) Hashtbl.t; (* domid -> populated guest RAM *)
-  pending_mem_kb : (int, int) Hashtbl.t; (* requested but not populated *)
+  domains : Domain.t Tbl.t;
   mutable next_domid : int;
   mutable rr_next : int; (* round-robin index into guest cores *)
   mutable hypercalls : int;
@@ -66,14 +63,14 @@ let boot ?(platform = Params.xeon_e5_1630) ?(costs = Params.default_costs)
   let cpu =
     Cpu.create ~speed:platform.Params.speed ~ncores:platform.Params.cores ()
   in
-  let domains = Hashtbl.create 64 in
+  let domains = Tbl.create 64 in
   let dom0 =
     Domain.make ~domid:0 ~name:"Domain-0"
       ~vcpus:platform.Params.dom0_cores
       ~max_mem_kb:(dom0_mem_mb * 1024) ~core:0
   in
   Domain.set_state dom0 Domain.Running;
-  Hashtbl.replace domains 0 dom0;
+  Tbl.replace domains 0 dom0;
   {
     platform;
     costs;
@@ -83,21 +80,24 @@ let boot ?(platform = Params.xeon_e5_1630) ?(costs = Params.default_costs)
     devpage = Devpage.create ();
     cpu;
     domains;
-    ram_kb = Hashtbl.create 64;
-    pending_mem_kb = Hashtbl.create 64;
     next_domid = 1;
     rr_next = 0;
     hypercalls = 0;
   }
 
-let domain t ~domid = Hashtbl.find_opt t.domains domid
+let find_domain t ~domid = Tbl.find t.domains domid
+
+let domain t ~domid =
+  match Tbl.find t.domains domid with
+  | dom -> Some dom
+  | exception Not_found -> None
 
 let domains t =
   List.sort
     (fun a b -> compare (Domain.domid a) (Domain.domid b))
-    (Hashtbl.fold (fun _ d acc -> d :: acc) t.domains [])
+    (Tbl.fold (fun _ d acc -> d :: acc) t.domains [])
 
-let guest_count t = Hashtbl.length t.domains - 1
+let guest_count t = Tbl.length t.domains - 1
 
 let overhead_kb t ~mem_kb =
   t.costs.Params.domain_fixed_overhead_kb
@@ -120,42 +120,37 @@ let create_domain t ~name ~vcpus ~mem_mb =
       let core = guest_core t t.rr_next in
       t.rr_next <- t.rr_next + 1;
       let dom = Domain.make ~domid ~name ~vcpus ~max_mem_kb:mem_kb ~core in
-      Hashtbl.replace t.domains domid dom;
-      Hashtbl.replace t.pending_mem_kb domid mem_kb;
+      Tbl.replace t.domains domid dom;
       Devpage.setup t.devpage ~domid;
       Ok dom
 
-let with_domain t ~domid f =
-  match domain t ~domid with
-  | None -> Error ENOENT
-  | Some dom -> f dom
-
+(* The domain's RAM is the [mem_mb] it was created with; populating it
+   again allocates it again. *)
 let populate_memory t ~domid =
-  with_domain t ~domid (fun dom ->
-      let mem_kb =
-        match Hashtbl.find_opt t.pending_mem_kb domid with
-        | Some kb -> kb
-        | None -> Domain.max_mem_kb dom
-      in
+  match Tbl.find t.domains domid with
+  | exception Not_found -> Error ENOENT
+  | dom -> (
+      let mem_kb = Domain.max_mem_kb dom in
       let pages = mem_kb / t.costs.Params.page_size_kb in
       hypercall ~op:"populate_physmap" t
         ~cost:(float_of_int pages *. t.costs.Params.per_page_populate);
       match Frames.alloc t.frames ~owner:domid ~kb:mem_kb with
       | Error Frames.ENOMEM -> Error ENOMEM
-      | Ok () ->
-          Hashtbl.remove t.pending_mem_kb domid;
-          Hashtbl.replace t.ram_kb domid mem_kb;
-          Ok ())
+      | Ok () -> Ok ())
 
 let load_image t ~domid ~size_mb =
-  with_domain t ~domid (fun _dom ->
-      let pages = Params.pages_of_mb_f t.costs size_mb in
-      hypercall ~op:"load_image" t
-        ~cost:(float_of_int pages *. t.costs.Params.per_page_copy);
-      Ok ())
+  if not (Tbl.mem t.domains domid) then Error ENOENT
+  else begin
+    let pages = Params.pages_of_mb_f t.costs size_mb in
+    hypercall ~op:"load_image" t
+      ~cost:(float_of_int pages *. t.costs.Params.per_page_copy);
+    Ok ()
+  end
 
 let unpause t ~domid =
-  with_domain t ~domid (fun dom ->
+  match Tbl.find t.domains domid with
+  | exception Not_found -> Error ENOENT
+  | dom -> (
       hypercall ~op:"domctl_unpause" t ~cost:5.0e-6;
       match Domain.state dom with
       | Domain.Paused | Domain.Running ->
@@ -164,7 +159,9 @@ let unpause t ~domid =
       | Domain.Shutdown _ | Domain.Dying -> Error EINVAL)
 
 let pause t ~domid =
-  with_domain t ~domid (fun dom ->
+  match Tbl.find t.domains domid with
+  | exception Not_found -> Error ENOENT
+  | dom -> (
       hypercall ~op:"domctl_pause" t ~cost:5.0e-6;
       match Domain.state dom with
       | Domain.Running | Domain.Paused ->
@@ -173,34 +170,37 @@ let pause t ~domid =
       | Domain.Shutdown _ | Domain.Dying -> Error EINVAL)
 
 let shutdown t ~domid ~reason =
-  with_domain t ~domid (fun dom ->
+  match Tbl.find t.domains domid with
+  | exception Not_found -> Error ENOENT
+  | dom ->
       hypercall ~op:"sched_shutdown" t ~cost:10.0e-6;
       Domain.set_state dom (Domain.Shutdown reason);
-      Ok ())
+      Ok ()
 
 let destroy t ~domid =
   if domid = 0 then Error EINVAL
   else
-    with_domain t ~domid (fun dom ->
+    match Tbl.find t.domains domid with
+    | exception Not_found -> Error ENOENT
+    | dom ->
         Domain.set_state dom Domain.Dying;
         hypercall ~op:"domctl_destroy" t ~cost:t.costs.Params.domctl_destroy;
         ignore (Evtchn.close_all t.evtchn ~domid);
         (* Peer-side teardown, all covered by the one domctl_destroy
            charge: channels other domains had bound to (or reserved
-           for) this one, grant entries it owned, mappings it held. *)
+           for) this one, grant entries it owned, mappings it held.
+           Each table finds them through the domain's own index. *)
         ignore (Evtchn.close_peers_of t.evtchn ~domid);
         ignore (Gnttab.release_domain t.gnttab ~domid);
         Devpage.teardown t.devpage ~domid;
         ignore (Frames.free_all t.frames ~owner:domid);
-        Hashtbl.remove t.ram_kb domid;
-        Hashtbl.remove t.pending_mem_kb domid;
-        Hashtbl.remove t.domains domid;
-        Ok ())
+        Tbl.remove t.domains domid;
+        Ok ()
 
 let consume_guest t ~domid work =
-  match domain t ~domid with
-  | None -> invalid_arg "Xen.consume_guest: no such domain"
-  | Some dom -> Cpu.consume t.cpu ~core:(Domain.core dom) work
+  match Tbl.find t.domains domid with
+  | exception Not_found -> invalid_arg "Xen.consume_guest: no such domain"
+  | dom -> Cpu.consume t.cpu ~core:(Domain.core dom) work
 
 let consume_dom0 t work =
   let core =

@@ -71,6 +71,10 @@ val destroy : t -> domid:int -> (unit, error) result
 
 val domain : t -> domid:int -> Domain.t option
 
+val find_domain : t -> domid:int -> Domain.t
+(** {!domain} without the option.
+    @raise Not_found when the domain does not exist. *)
+
 val domains : t -> Domain.t list
 (** All live domains (including Dom0), by ascending domid. *)
 

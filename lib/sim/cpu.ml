@@ -15,7 +15,9 @@ type core = {
   mutable wakers : (unit -> unit) array;
   mutable n : int;
   acct : acct;
-  mutable event : Engine.token option;
+  mutable event : Engine.token;
+      (* the last completion timer armed; [Engine.no_token] before the
+         first *)
   mutable on_timer : (unit -> unit) option;
       (* the completion timer's callback, built at the first timer *)
 }
@@ -40,7 +42,7 @@ let create ?(speed = 1.0) ~ncores () =
             wakers = [||];
             n = 0;
             acct = { busy = 0.; last = 0. };
-            event = None;
+            event = Engine.no_token;
             on_timer = None;
           });
   }
@@ -100,11 +102,7 @@ let[@inline] min_remaining c =
 
 (* Retire the finished jobs and arm one timer for the next completion. *)
 let rec reschedule t c =
-  (match c.event with
-  | Some tok ->
-      Engine.cancel tok;
-      c.event <- None
-  | None -> ());
+  Engine.cancel c.event;
   retire c;
   if c.n > 0 then begin
     let min_rem = min_remaining c in
@@ -123,7 +121,7 @@ let rec reschedule t c =
       done;
       reschedule t c
     end
-    else c.event <- Some (Engine.after dt (on_timer t c))
+    else c.event <- Engine.after dt (on_timer t c)
   end
 
 and on_timer t c =

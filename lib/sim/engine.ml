@@ -29,7 +29,10 @@ type eng = {
   mutable outbox : out_msg list; (* reversed; merged at the barrier *)
 }
 
-type token = (unit -> unit) Heap.entry * eng
+(* A token is the timer's heap entry. Only the partition that armed a
+   timer cancels it, on its own heap; a run drains its heaps as it ends
+   (see [finish]), so a token a model keeps past its run is inert. *)
+type token = (unit -> unit) Heap.entry
 
 (* Process identity, for tracers: every [exec]'d process (the initial
    [main] and every [spawn]) gets a small integer id; callbacks run as
@@ -122,17 +125,21 @@ let schedule_at eng time thunk =
          time eng.clock);
   Heap.push eng.heap ~time thunk
 
-let at time thunk =
-  let eng = current_eng (dls ()) in
-  (schedule_at eng time thunk, eng)
+let at time thunk = schedule_at (current_eng (dls ())) time thunk
 
 let after delay thunk =
   let eng = current_eng (dls ()) in
   if not (delay >= 0.) then
     invalid_arg "Sim.Engine.after: negative or NaN delay";
-  (schedule_at eng (eng.clock +. delay) thunk, eng)
+  schedule_at eng (eng.clock +. delay) thunk
 
-let cancel (entry, eng) = Heap.cancel eng.heap entry
+let cancel entry = Heap.cancel (current_eng (dls ())).heap entry
+
+let no_token =
+  let h = Heap.create ignore in
+  let entry = Heap.push h ~time:0. ignore in
+  Heap.drain h;
+  entry
 
 type _ Effect.t +=
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
@@ -709,6 +716,12 @@ let check_partitioned_args ~lookahead =
 let max_clock ctx =
   Array.fold_left (fun acc e -> Float.max acc e.clock) 0. ctx.engs
 
+(* The events a run leaves behind die with it. Draining its heaps marks
+   them popped, so a token the model still holds (a core's completion
+   timer) is as inert in any later run as the token of a fired timer. A
+   capture harvests the heaps first. *)
+let finish ctx = Array.iter (fun e -> Heap.drain e.heap) ctx.engs
+
 (* Every run starts here, fresh (every partition [blank]) or resumed:
    the main process is pushed into partition 0 before that partition's
    image events. *)
@@ -720,7 +733,12 @@ let run_ctx ?jobs ~adaptive ~lookahead svs main =
   let e0 = ctx.engs.(0) in
   ignore (Heap.push e0.heap ~time:e0.clock (fun () -> exec [] "main" main));
   Array.iteri (fun i sv -> repush ctx.engs.(i) sv) svs;
-  drive_rounds ?jobs ~adaptive ctx;
+  (match drive_rounds ?jobs ~adaptive ctx with
+  | () -> ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      finish ctx;
+      Printexc.raise_with_backtrace e bt);
   ctx
 
 let run_partitioned_ctx ?jobs ~adaptive ~lookahead ~partitions main =
@@ -729,11 +747,18 @@ let run_partitioned_ctx ?jobs ~adaptive ~lookahead ~partitions main =
   run_ctx ?jobs ~adaptive ~lookahead (Array.make (partitions + 1) blank) main
 
 let capture_ctx ctx =
-  ( max_clock ctx,
-    { sv_lookahead = ctx.lookahead; sv_engs = Array.map harvest ctx.engs } )
+  let saved =
+    { sv_lookahead = ctx.lookahead; sv_engs = Array.map harvest ctx.engs }
+  in
+  finish ctx;
+  (max_clock ctx, saved)
+
+let clock_ctx ctx =
+  finish ctx;
+  max_clock ctx
 
 let run_partitioned ?jobs ?(adaptive = true) ~lookahead ~partitions main =
-  max_clock (run_partitioned_ctx ?jobs ~adaptive ~lookahead ~partitions main)
+  clock_ctx (run_partitioned_ctx ?jobs ~adaptive ~lookahead ~partitions main)
 
 let run_partitioned_capture ?jobs ?(adaptive = true) ~lookahead ~partitions
     main =
@@ -745,7 +770,7 @@ let run_capture main =
   run_partitioned_capture ~lookahead:infinity ~partitions:0 main
 
 let resume ?jobs ?(adaptive = true) sv main =
-  max_clock
+  clock_ctx
     (run_ctx ?jobs ~adaptive ~lookahead:sv.sv_lookahead sv.sv_engs main)
 
 let resume_capture ?jobs ?(adaptive = true) sv main =

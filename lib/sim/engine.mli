@@ -213,6 +213,14 @@ val at : float -> (unit -> unit) -> token
     time raises [Invalid_argument]). *)
 
 val cancel : token -> unit
+(** Cancel a pending callback. Call it from the partition that armed the
+    timer. Cancelling a callback that already ran, or one left pending
+    when its run ended, is a no-op. *)
+
+val no_token : token
+(** A token whose callback has already run: the starting value of a
+    holder of at most one pending timer, which cancels its last token
+    before it arms the next. *)
 
 val suspend : (('a -> unit) -> unit) -> 'a
 (** [suspend register] blocks the calling process and hands [register] a

@@ -249,3 +249,12 @@ let cancel t entry =
   end
 
 let cancelled entry = entry.state = state_cancelled
+
+let drain t =
+  for i = 0 to t.len - 1 do
+    let e = t.ents.(i) in
+    if e.state = state_live then e.state <- state_departed;
+    t.ents.(i) <- t.filler
+  done;
+  t.len <- 0;
+  t.live <- 0

@@ -69,3 +69,7 @@ val cancel : 'a t -> 'a entry -> unit
     cancelling an entry [pop] already returned is a no-op. *)
 
 val cancelled : 'a entry -> bool
+
+val drain : 'a t -> unit
+(** Empty the heap, marking every live entry as popped: cancelling one
+    afterwards is a no-op, on this heap or any other. *)

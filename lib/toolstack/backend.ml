@@ -168,10 +168,9 @@ let precreate_device t ~domid (dev : Device.config) =
       then begin
         Xen.consume_dom0 t.xen t.costs.Costs.backend_connect_work;
         Ctrl.set_back_state page Ctrl.Connected;
-        match Ctrl.front_port page with
-        | Some fport ->
-            ignore (Evtchn.notify (Xen.evtchn t.xen) ~domid ~port:fport)
-        | None -> ()
+        let fport = Ctrl.front_port page in
+        if fport <> 0 then
+          ignore (Evtchn.notify (Xen.evtchn t.xen) ~domid ~port:fport)
       end);
   (gref, port)
 

@@ -52,8 +52,9 @@ type created = {
   config : Vmconfig.t;
   guest : Lightvm_guest.Guest.t;
   devices : Lightvm_guest.Device.config list;
-  noxs_grants : (Lightvm_guest.Device.config * int) list;
-      (** control-page grant per device, noxs mode only *)
+  noxs_ids : int array;
+      (** noxs mode: device [i]'s control-page grant at [2i] and its
+          event-channel port at [2i + 1]; empty under XenStore *)
   create_time : float;  (** toolstack time for the on-path phases *)
   breakdown : breakdown;
 }

@@ -242,24 +242,43 @@ let parse text =
   with Parse_error (line, msg) ->
     Error (Printf.sprintf "line %d: %s" line msg)
 
+(* One buffer, written piece by piece: [%g] is the only format left, for
+   [memory], where it decides the bytes. *)
 let to_string cfg =
   let b = Buffer.create 256 in
-  let quoted_list items =
-    "[" ^ String.concat ", " (List.map (Printf.sprintf "'%s'") items) ^ "]"
+  let line key value =
+    Buffer.add_string b key;
+    Buffer.add_string b " = ";
+    Buffer.add_string b value;
+    Buffer.add_char b '\n'
   in
-  Buffer.add_string b (Printf.sprintf "name = \"%s\"\n" cfg.name);
-  Buffer.add_string b (Printf.sprintf "kernel = \"%s\"\n" cfg.kernel);
-  Buffer.add_string b (Printf.sprintf "memory = %g\n" cfg.memory_mb);
-  Buffer.add_string b (Printf.sprintf "vcpus = %d\n" cfg.vcpus);
-  if cfg.vifs <> [] then
-    Buffer.add_string b (Printf.sprintf "vif = %s\n" (quoted_list cfg.vifs));
-  if cfg.disks <> [] then
-    Buffer.add_string b
-      (Printf.sprintf "disk = %s\n" (quoted_list cfg.disks));
-  Buffer.add_string b (Printf.sprintf "on_crash = \"%s\"\n" cfg.on_crash);
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s = \"%s\"\n" k v))
-    cfg.extra;
+  let quoted_line key value =
+    Buffer.add_string b key;
+    Buffer.add_string b " = \"";
+    Buffer.add_string b value;
+    Buffer.add_string b "\"\n"
+  in
+  let list_line key = function
+    | [] -> ()
+    | first :: rest ->
+        Buffer.add_string b key;
+        Buffer.add_string b " = ['";
+        Buffer.add_string b first;
+        List.iter
+          (fun item ->
+            Buffer.add_string b "', '";
+            Buffer.add_string b item)
+          rest;
+        Buffer.add_string b "']\n"
+  in
+  quoted_line "name" cfg.name;
+  quoted_line "kernel" cfg.kernel;
+  line "memory" (Printf.sprintf "%g" cfg.memory_mb);
+  line "vcpus" (string_of_int cfg.vcpus);
+  list_line "vif" cfg.vifs;
+  list_line "disk" cfg.disks;
+  quoted_line "on_crash" cfg.on_crash;
+  List.iter (fun (k, v) -> quoted_line k v) cfg.extra;
   Buffer.contents b
 
 let devices cfg =

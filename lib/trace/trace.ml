@@ -162,6 +162,8 @@ let stack_for tid =
 module Span = struct
   type t = handle
 
+  let none = Disabled
+
   let begin_ ?(attrs = []) ~category name =
     if not state.enabled then Disabled
     else begin

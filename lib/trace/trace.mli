@@ -54,6 +54,10 @@ val evicted : unit -> int
 module Span : sig
   type t
 
+  val none : t
+  (** A span that was never opened, as {!begin_} returns with tracing
+      off: {!add_attr} and {!end_} ignore it. *)
+
   val begin_ : ?attrs:attr list -> category:string -> string -> t
 
   val add_attr : t -> string -> string -> unit

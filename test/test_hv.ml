@@ -386,6 +386,221 @@ let test_xen_destroy_dom0_rejected =
       Alcotest.(check bool) "dom0 protected" true
         (Xen.destroy xen ~domid:0 = Error Xen.EINVAL))
 
+(* ------------------------------------------------------------------ *)
+(* The per-domain index against the tables it replaced *)
+
+(* Event channels and grants keep each domain's entries in a per-domain
+   index, and a domain's death visits only its own entries and the peer
+   entries that name it ([Evtchn_reference] and [Gnttab_reference] fold
+   whole tables). Random sequences over dom0 and 2-5 guests of every
+   entry point, including the teardown [Xen.destroy] runs ([close_all],
+   [close_peers_of], [release_domain]), run on both models: every
+   result, each table's count, every domain's ports and every grant's
+   mapping count after each step, and the handlers notifications ran,
+   must match. *)
+
+type hv_op =
+  | Alloc_unbound of int * int
+  | Bind of int * int * int
+  | Set_handler of int * int
+  | Notify of int * int
+  | Close of int * int
+  | Grant of int * int
+  | Map of int * int * int
+  | Unmap of int * int * int
+  | End_access of int * int
+  | Destroy of int
+
+let max_port = 7
+let grefs = [ 8; 9; 10; 11; 12 ]
+
+module type HV_MODEL = sig
+  module E : sig
+    type t
+    type error
+
+    val create : unit -> t
+    val alloc_unbound : t -> domid:int -> remote:int -> int
+
+    val bind_interdomain :
+      t -> domid:int -> remote:int -> remote_port:int -> (int, error) result
+
+    val set_handler : t -> domid:int -> port:int -> (unit -> unit) -> unit
+    val notify : t -> domid:int -> port:int -> (unit, error) result
+    val close : t -> domid:int -> port:int -> (unit, error) result
+    val close_all : t -> domid:int -> int
+    val close_peers_of : t -> domid:int -> int
+    val ports_of : t -> domid:int -> int list
+    val count : t -> int
+  end
+
+  module G : sig
+    type t
+    type error
+
+    val create : unit -> t
+    val grant_access : t -> owner:int -> grantee:int -> frame:int -> int
+    val map : t -> grantee:int -> owner:int -> int -> (int, error) result
+    val unmap : t -> grantee:int -> owner:int -> int -> (unit, error) result
+    val end_access : t -> owner:int -> int -> (unit, error) result
+    val release_domain : t -> domid:int -> int
+    val mapped_count : t -> owner:int -> int -> int
+    val count : t -> int
+  end
+
+  val evtchn_error : E.error -> string
+  val gnttab_error : G.error -> string
+end
+
+module Hv_run (M : HV_MODEL) = struct
+  let log ndoms ops =
+    let out = ref [] in
+    let say s = out := s :: !out in
+    let result ok err = function
+      | Ok v -> "ok " ^ ok v
+      | Error e -> "error " ^ err e
+    in
+    ignore
+      (Engine.run (fun () ->
+           let e = M.E.create () and g = M.G.create () in
+           List.iteri
+             (fun step op ->
+               (match op with
+               | Alloc_unbound (d, r) ->
+                   say (string_of_int (M.E.alloc_unbound e ~domid:d ~remote:r))
+               | Bind (d, r, p) ->
+                   say
+                     (result string_of_int M.evtchn_error
+                        (M.E.bind_interdomain e ~domid:d ~remote:r
+                           ~remote_port:p))
+               | Set_handler (d, p) -> (
+                   match
+                     M.E.set_handler e ~domid:d ~port:p (fun () ->
+                         say (Printf.sprintf "handler %d of step %d" d step))
+                   with
+                   | () -> say "set"
+                   | exception Invalid_argument _ -> say "no such port")
+               | Notify (d, p) ->
+                   say
+                     (result (fun () -> "") M.evtchn_error
+                        (M.E.notify e ~domid:d ~port:p))
+               | Close (d, p) ->
+                   say
+                     (result (fun () -> "") M.evtchn_error
+                        (M.E.close e ~domid:d ~port:p))
+               | Grant (o, r) ->
+                   say
+                     (string_of_int
+                        (M.G.grant_access g ~owner:o ~grantee:r
+                           ~frame:(1000 + step)))
+               | Map (r, o, gref) ->
+                   say
+                     (result string_of_int M.gnttab_error
+                        (M.G.map g ~grantee:r ~owner:o gref))
+               | Unmap (r, o, gref) ->
+                   say
+                     (result (fun () -> "") M.gnttab_error
+                        (M.G.unmap g ~grantee:r ~owner:o gref))
+               | End_access (o, gref) ->
+                   say
+                     (result (fun () -> "") M.gnttab_error
+                        (M.G.end_access g ~owner:o gref))
+               | Destroy d ->
+                   let own = M.E.close_all e ~domid:d in
+                   let peers = M.E.close_peers_of e ~domid:d in
+                   let grants = M.G.release_domain g ~domid:d in
+                   say (Printf.sprintf "destroy %d %d %d" own peers grants));
+               (* Let the handlers a notification spawned run. *)
+               Engine.sleep 0.001;
+               say
+                 (Printf.sprintf "counts %d %d" (M.E.count e) (M.G.count g));
+               for d = 0 to ndoms - 1 do
+                 say
+                   (String.concat ","
+                      (List.map string_of_int (M.E.ports_of e ~domid:d)));
+                 List.iter
+                   (fun gref ->
+                     say (string_of_int (M.G.mapped_count g ~owner:d gref)))
+                   grefs
+               done)
+             ops));
+    List.rev !out
+end
+
+module New_hv = Hv_run (struct
+  module E = Evtchn
+  module G = Gnttab
+
+  let evtchn_error = function
+    | Evtchn.Invalid_port -> "invalid port"
+    | Evtchn.Wrong_domain -> "wrong domain"
+    | Evtchn.Already_bound -> "already bound"
+    | Evtchn.Not_bound -> "not bound"
+
+  let gnttab_error = function
+    | Gnttab.Invalid_ref -> "invalid ref"
+    | Gnttab.Wrong_domain -> "wrong domain"
+    | Gnttab.Still_mapped -> "still mapped"
+    | Gnttab.Not_mapped -> "not mapped"
+end)
+
+module Ref_hv = Hv_run (struct
+  module E = Evtchn_reference
+  module G = Gnttab_reference
+
+  let evtchn_error = function
+    | Evtchn_reference.Invalid_port -> "invalid port"
+    | Evtchn_reference.Wrong_domain -> "wrong domain"
+    | Evtchn_reference.Already_bound -> "already bound"
+    | Evtchn_reference.Not_bound -> "not bound"
+
+  let gnttab_error = function
+    | Gnttab_reference.Invalid_ref -> "invalid ref"
+    | Gnttab_reference.Wrong_domain -> "wrong domain"
+    | Gnttab_reference.Still_mapped -> "still mapped"
+    | Gnttab_reference.Not_mapped -> "not mapped"
+end)
+
+let gen_hv_case =
+  let open QCheck.Gen in
+  let* guests = int_range 2 5 in
+  let ndoms = guests + 1 in
+  (* Mostly guest <-> dom0 pairs, as split drivers make them; sometimes
+     two guests, or a domain and itself. *)
+  let dom = int_bound guests in
+  let pair =
+    frequency
+      [
+        (3, map (fun g -> (0, g)) (int_range 1 guests));
+        (3, map (fun g -> (g, 0)) (int_range 1 guests));
+        (2, pair dom dom);
+      ]
+  in
+  let port = int_range 1 max_port in
+  let gref = oneofl grefs in
+  let op =
+    frequency
+      [
+        (4, map (fun (d, r) -> Alloc_unbound (d, r)) pair);
+        (4, map2 (fun (d, r) p -> Bind (d, r, p)) pair port);
+        (2, map2 (fun d p -> Set_handler (d, p)) dom port);
+        (3, map2 (fun d p -> Notify (d, p)) dom port);
+        (2, map2 (fun d p -> Close (d, p)) dom port);
+        (3, map (fun (o, r) -> Grant (o, r)) pair);
+        (3, map2 (fun (r, o) g -> Map (r, o, g)) pair gref);
+        (2, map2 (fun (r, o) g -> Unmap (r, o, g)) pair gref);
+        (2, map2 (fun o g -> End_access (o, g)) dom gref);
+        (1, map (fun d -> Destroy d) dom);
+      ]
+  in
+  let* ops = list_size (int_range 1 60) op in
+  return (ndoms, ops)
+
+let prop_hv_index_matches_reference =
+  QCheck.Test.make ~name:"per-domain index = reference tables" ~count:300
+    (QCheck.make gen_hv_case)
+    (fun (ndoms, ops) -> New_hv.log ndoms ops = Ref_hv.log ndoms ops)
+
 let suites =
   [
     ( "hv.frames",
@@ -402,6 +617,7 @@ let suites =
         Alcotest.test_case "wrong domain" `Quick test_evtchn_wrong_domain;
         Alcotest.test_case "double bind" `Quick test_evtchn_double_bind;
         Alcotest.test_case "close all" `Quick test_evtchn_close_all;
+        QCheck_alcotest.to_alcotest prop_hv_index_matches_reference;
       ] );
     ( "hv.gnttab",
       [

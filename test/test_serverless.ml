@@ -12,6 +12,8 @@ module Quantiles = Lightvm_metrics.Quantiles
 module Vmm = Lightvm_cluster.Vmm
 module S = Lightvm_serverless.Serverless
 module A = Lightvm_serverless.Arrival
+module Create = Lightvm_toolstack.Create
+module Guest = Lightvm_guest.Guest
 
 let run_sim f =
   let result = ref None in
@@ -240,8 +242,63 @@ let test_warm_request_words () =
   let w1, r1 = warm_run 2000 in
   let w2, r2 = warm_run 4000 in
   let per_request = (w2 -. w1) /. float_of_int (r2 - r1) in
-  if per_request > 1750. then
-    Alcotest.failf "warm request: %.1f minor words, ceiling 1750" per_request
+  if per_request > 1150. then
+    Alcotest.failf "warm request: %.1f minor words, ceiling 1150" per_request
+
+(* The steps of one noxs lifecycle on an idle LightVM host, each timed
+   like the split toolstack's: a refill's [Create.prepare] with no
+   breakdown, then [Create.execute] into a breakdown, the boot, and
+   [Create.destroy]. Each is averaged over 500 lifecycles after 20 that
+   warm the host's tables up. *)
+let test_noxs_step_words () =
+  let steps = Array.make 3 0. in
+  let n = 500 in
+  run_sim (fun () ->
+      let host = Vmm.create () in
+      let env = Lightvm_toolstack.Toolstack.env (Vmm.toolstack host) in
+      let cfg =
+        Lightvm_toolstack.Vmconfig.for_image ~nics:0 ~disks:0 ~name:"fn"
+          Lightvm_guest.Image.minipython
+      in
+      let mem_mb = Create.effective_mem_mb env cfg in
+      for i = 1 to 20 + n do
+        let w0 = Gc.minor_words () in
+        let shell =
+          match Create.prepare env ~mem_mb ~vcpus:1 ~nics:0 ~disks:0 () with
+          | Ok shell -> shell
+          | Error reason -> Alcotest.fail reason
+        in
+        let w1 = Gc.minor_words () in
+        let created =
+          match
+            Create.execute env shell ~since:(Engine.now ()) cfg
+              ~breakdown:(Create.breakdown_create ()) ()
+          with
+          | Ok created -> created
+          | Error reason -> Alcotest.fail reason
+        in
+        let w2 = Gc.minor_words () in
+        Guest.wait_ready created.Create.guest;
+        let w3 = Gc.minor_words () in
+        Create.destroy env created;
+        let w4 = Gc.minor_words () in
+        if i > 20 then begin
+          steps.(0) <- steps.(0) +. (w1 -. w0);
+          steps.(1) <- steps.(1) +. (w2 -. w1);
+          steps.(2) <- steps.(2) +. (w4 -. w3)
+        end
+      done);
+  List.iteri
+    (fun i (name, ceiling) ->
+      let per_step = steps.(i) /. float_of_int n in
+      if per_step > ceiling then
+        Alcotest.failf "%s: %.1f minor words, ceiling %.0f" name per_step
+          ceiling)
+    [
+      ("Create.prepare", 195.);
+      ("Create.execute", 116.);
+      ("Create.destroy", 17.);
+    ]
 
 let suites =
   [
@@ -262,6 +319,8 @@ let suites =
           test_degenerate_flags_refused;
       ] );
     ( "serverless.cost",
-      [ Alcotest.test_case "warm request words" `Quick test_warm_request_words ]
-    );
+      [
+        Alcotest.test_case "warm request words" `Quick test_warm_request_words;
+        Alcotest.test_case "noxs create step words" `Quick test_noxs_step_words;
+      ] );
   ]

@@ -100,6 +100,37 @@ let prop_config_roundtrip =
       in
       Vmconfig.parse (Vmconfig.to_string cfg) = Ok cfg)
 
+(* [to_string] writes each line into one buffer piece by piece, with
+   [%g] only for [memory]: the bytes are those of a [Printf] per line,
+   and a daytime guest's config costs a few buffer blocks. *)
+let test_config_to_string_words () =
+  let cfg =
+    {
+      (Vmconfig.make ~memory_mb:3.6 ~vcpus:1
+         ~vifs:[ "bridge=xenbr0"; "bridge=br1" ]
+         ~disks:[ "ramdisk,xvda,w" ] ~name:"daytime-17" ~kernel:"daytime" ())
+      with
+      Vmconfig.extra = [ ("description", "x y") ];
+    }
+  in
+  Alcotest.(check string)
+    "bytes"
+    "name = \"daytime-17\"\nkernel = \"daytime\"\nmemory = 3.6\nvcpus = 1\n\
+     vif = ['bridge=xenbr0', 'bridge=br1']\ndisk = ['ramdisk,xvda,w']\n\
+     on_crash = \"destroy\"\ndescription = \"x y\"\n"
+    (Vmconfig.to_string cfg);
+  let daytime =
+    Vmconfig.for_image ~nics:1 ~disks:0 ~name:"daytime-17" Image.daytime
+  in
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Vmconfig.to_string daytime))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_call > 142. then
+    Alcotest.failf "Vmconfig.to_string: %.1f minor words, ceiling 142" per_call
+
 let test_config_comment_in_string () =
   match Vmconfig.parse "name = \"has#hash\"\nkernel = \"daytime\"\n" with
   | Ok cfg -> Alcotest.(check string) "hash kept" "has#hash" cfg.Vmconfig.name
@@ -470,6 +501,36 @@ let test_xenstore_live_set_flat =
         true
         (after_2000 - after_500 <= 1_000))
 
+(* The same for the paper's fast path: on one LightVM host (chaos, noxs
+   and the split toolstack's warm pool) a lifecycle leaves nothing in the
+   hypervisor's per-domain state either: no port, grant, device page or
+   frame count of a dead domain, and no entry of it in the index of the
+   ports and grants that name a domain. After 100 lifecycles and after
+   500, each followed by a simulated second in which the pool refills,
+   the words reachable from the host must be equal. The counts stay in
+   three digits, so names of equal length keep the reading exact. *)
+let test_lightvm_live_set_flat =
+  in_sim (fun () ->
+      let host = Vmm.create ~mode:Mode.lightvm () in
+      let lifecycles n =
+        for _ = 1 to n do
+          Vmm_boot.delete host ~domid:(Vmm_boot.boot host Image.daytime)
+        done;
+        Engine.sleep 1.
+      in
+      let host_words () =
+        Gc.compact ();
+        Obj.reachable_words (Obj.repr host)
+      in
+      lifecycles 100;
+      let after_100 = host_words () in
+      lifecycles 400;
+      let after_500 = host_words () in
+      Alcotest.(check int) "no VM left" 0 (Vmm.vm_count host);
+      Alcotest.(check int)
+        "words reachable from the host after 100 and 500 lifecycles"
+        after_100 after_500)
+
 (* A completed create, boot and delete releases everything it acquired,
    in every mode and device shape. A warm-up lifecycle runs first: the
    first creation on a fresh host materialises shared store directories
@@ -590,6 +651,7 @@ let suites =
         Alcotest.test_case "parse" `Quick test_config_parse;
         Alcotest.test_case "errors" `Quick test_config_errors;
         Alcotest.test_case "round trip" `Quick test_config_roundtrip;
+        Alcotest.test_case "to_string words" `Quick test_config_to_string_words;
         Alcotest.test_case "hash in string" `Quick
           test_config_comment_in_string;
         QCheck_alcotest.to_alcotest prop_config_roundtrip;
@@ -631,6 +693,8 @@ let suites =
       [
         Alcotest.test_case "XenStore live set flat over lifecycles" `Quick
           test_xenstore_live_set_flat;
+        Alcotest.test_case "LightVM live set flat over lifecycles" `Quick
+          test_lightvm_live_set_flat;
         Alcotest.test_case "lifecycle leak-free in every mode" `Quick
           test_lifecycle_leak_free;
       ] );
