@@ -120,109 +120,23 @@ let print_result (r : E.result) =
 
 (* ------------------------------------------------------------------ *)
 
-(* Every experiment dispatches through [E.plans]: one (id, scale,
-   paper-note) row per entry, rendered uniformly. [None] keeps the
-   experiment's own default scale. *)
-let experiments =
-  [
-    ("fig1", None, "~200 syscalls in 2002 growing to ~400 by 2017");
-    ("fig2", None, "linear, ~1 ms per MB (ramdisk-backed images)");
-    ( "fig4",
-      Some (pick ~quick:60 ~medium:400 ~full:1000),
-      "Debian 500ms create/1.5s boot; Tinyx 360/180ms; unikernel 80/3ms; \
-       Docker ~200ms; process 3.5ms" );
-    ( "fig5",
-      Some (pick ~quick:60 ~medium:400 ~full:1000),
-      "XenStore and device creation dominate; XenStore grows superlinearly"
-    );
-    ( "fig9",
-      Some (pick ~quick:80 ~medium:400 ~full:1000),
-      "xl 100ms->1s; chaos[XS] 15->80ms; +split max ~25ms; noxs 8-15ms; \
-       all: 4->4.1ms" );
-    ( "scale",
-      Some (pick ~quick:10_000 ~medium:10_000 ~full:10_000),
-      "beyond the paper: host stays near-linear to 10k guests; xl capped \
-       at 2000 (its modeled libxl protocol is Theta(N^2) round trips)" );
-    ( "reliability",
-      Some (pick ~quick:20 ~medium:100 ~full:200),
-      "success rates fall as fault rates rise; [NoXS] immune to xs.* \
-       points; no resource leaks after failed creations" );
-    ( "fig10",
-      Some (pick ~quick:300 ~medium:3000 ~full:8000),
-      "LightVM scales to 8000 guests; Docker ~150ms->1s and wedges ~3000"
-    );
-    ( "fig11",
-      Some (pick ~quick:60 ~medium:400 ~full:1000),
-      "unikernel ~4ms; Tinyx close to Docker (~150-250ms)" );
-    ( "fig12",
-      Some (pick ~quick:40 ~medium:200 ~full:1000),
-      "LightVM: save 30ms, restore 20ms, flat; xl: 128ms and 550ms" );
-    ( "fig13",
-      Some (pick ~quick:40 ~medium:200 ~full:1000),
-      "LightVM ~60ms regardless of load; xl grows into seconds" );
-    ( "fig14",
-      Some (pick ~quick:100 ~medium:400 ~full:1000),
-      "at 1000: Debian ~114GB, Tinyx ~27GB, Docker ~5GB, Minipython a \
-       bit above Docker" );
-    ( "fig15",
-      Some (pick ~quick:60 ~medium:200 ~full:1000),
-      "at 1000: Debian ~25%, Tinyx ~1%, unikernel/Docker near zero" );
-    ( "fig16a",
-      None,
-      "linear to 2.5Gbps @250 users; 4Gbps/4Mbps each @1000; RTT ~60ms" );
-    ( "fig16b",
-      Some (pick ~quick:60 ~medium:250 ~full:1000),
-      "median 13ms / p90 20ms at 25ms arrivals; long timeout tail at 10ms"
-    );
-    ( "fig16c",
-      None,
-      "bare metal and Tinyx saturate ~1.4 Kreq/s; unikernel ~1/5 (lwip)" );
-    ( "fig17",
-      Some (pick ~quick:100 ~medium:400 ~full:1000),
-      "overloaded host: XenStore path backs up more than noxs" );
-    ( "fig18",
-      Some (pick ~quick:100 ~medium:400 ~full:1000),
-      "concurrent VMs over time on the overloaded host" );
-    ( "ablation",
-      Some (pick ~quick:60 ~medium:300 ~full:1000),
-      "cxenstored much slower than oxenstored; disabling logging removes \
-       the spikes but not the growth" );
-    ( "cluster",
-      Some (pick ~quick:60 ~medium:300 ~full:500),
-      "beyond the paper: 3 placement policies on a multi-host cluster, \
-       plus drain/rebalance under injected migration corruption \
-       (leak-free accounting)" );
-    ( "cluster-scale",
-      Some (pick ~quick:1000 ~medium:10_000 ~full:10_000),
-      "beyond the paper: the event-core headline — 100 hosts x 10k \
-       guests scheduled, then drained and rebalanced, leak-free" );
-    ( "serverless",
-      Some (pick ~quick:600 ~medium:2000 ~full:4000),
-      "beyond the paper: open-loop invocations on one dom0-bottlenecked \
-       host; the split-toolstack warm pool moves create work off the \
-       request path, winning at the tail (p99/p999) while background \
-       refill cedes a little median" );
-    ( "serverless-day",
-      Some (pick ~quick:40_000 ~medium:7_000_000 ~full:7_000_000),
-      "beyond the paper: a full simulated day of open-loop traffic \
-       (~7M requests at the calibrated 80 req/s per host) through the \
-       warm fleet" );
-    ("wan-migration", None, "ClickOS guest in ~150 ms");
-    ("pause", None, "must match container freeze/thaw");
-    ("headline", None, "");
-    ("tinyx", None, "");
-  ]
-
+(* Every experiment of the registry, at the scale's size where it has
+   one (its own default otherwise), printed under its paper note. The
+   worker budget drives both the per-curve pool and, inside the
+   partitioned multi-host families, the per-partition windows. *)
 let planned =
-  (* [sim_jobs = jobs]: the worker budget drives both the per-curve
-     pool and, inside the partitioned multi-host families, the
-     per-partition windows. *)
   List.map
-    (fun (id, n, note) ->
-      match E.plan ?n ~partition ~sim_jobs:jobs id with
-      | Ok p -> (id, n, note, p)
+    (fun (d : E.experiment) ->
+      let n =
+        Option.map
+          (fun (quick, medium, full) -> pick ~quick ~medium ~full)
+          d.E.sizes
+      in
+      let args = { E.default_args with n; partition; sim_jobs = jobs } in
+      match E.plan args d.E.id with
+      | Ok p -> (d.E.id, n, d.E.paper, p)
       | Error msg -> failwith ("bench: " ^ msg))
-    experiments
+    E.experiments
 
 (* GC counter deltas around a region of the calling domain: allocation
    pressure (minor/promoted words) and how many major collections the
@@ -371,13 +285,13 @@ let snapshot_pair_rows =
     match
       List.find_opt
         (fun p -> String.equal p.E.prefix_key key)
-        (E.prefixes ~n ())
+        (E.prefixes { E.default_args with n = Some n })
     with
     | Some p -> p
     | None -> failwith ("snapshot bench: no prefix " ^ key)
   in
   let run origin =
-    match prefix.E.prefix_run ~n:extra origin with
+    match prefix.E.prefix_run { E.default_args with n = Some extra } origin with
     | Ok r -> r.E.series
     | Error m -> failwith ("snapshot bench: " ^ m)
   in
@@ -421,7 +335,7 @@ let serverless_slo_rows, serverless_slo =
   let g0 = gc_now () in
   let t0 = Unix.gettimeofday () in
   let cold_p99_us, warm_p99_us, pool_hit_rate =
-    E.serverless_bench_summary ~requests:2000 ()
+    E.serverless_bench_summary ~requests:2000
   in
   let dt = Unix.gettimeofday () -. t0 in
   let gc = gc_delta g0 (gc_now ()) in

@@ -101,7 +101,7 @@ let run_figure id n jobs partition trace_file spec_str fault_seed =
     | None, Some j -> max 1 j
     | None, None -> Pool.default_jobs ()
   in
-  match E.plan ?n ~partition ~sim_jobs:jobs ?spec ~fault_seed id with
+  match E.plan { E.n; partition; sim_jobs = jobs; spec; fault_seed } id with
   | Error msg ->
       Printf.eprintf "%s\n" msg;
       exit 1
@@ -124,7 +124,7 @@ let jobs_arg =
                  pool.")
 
 let partition_arg =
-  Arg.(value & opt string "host"
+  Arg.(value & opt string (E.partition_name E.default_args.E.partition)
        & info [ "partition" ] ~docv:"MODE"
            ~doc:"Partitioning of the multi-host simulations (scale's \
                  partitioned row, the cluster policy jobs and the \
@@ -154,11 +154,12 @@ let faults_arg =
                  string disables every point.")
 
 let seed_arg =
-  Arg.(value & opt int64 42L
+  Arg.(value & opt int64 E.default_args.E.fault_seed
        & info [ "fault-seed" ] ~docv:"SEED"
-           ~doc:"Seed of the per-point fault streams. One (spec, \
-                 seed) pair reproduces the exact same failures on \
-                 every run and for any --jobs value.")
+           ~doc:"Seed of the per-point fault streams and of the \
+                 experiments' random streams. One (spec, seed) pair \
+                 reproduces the exact same output on every run and for \
+                 any --jobs value.")
 
 let figure_cmd =
   let id =
@@ -168,13 +169,11 @@ let figure_cmd =
   in
   let doc =
     "Run one registry experiment: a paper figure or table, or a family \
-     beyond the paper. --faults and --fault-seed reach the families \
-     that inject faults: $(b,reliability) (default spec: the built-in \
-     mixed spec), the $(b,cluster) and $(b,cluster-scale) drains \
-     (default migrate.corrupt:0.6) and $(b,serverless)'s faults cell \
-     (default: the reliability spec); --fault-seed also seeds every \
-     $(b,serverless) cell's streams. Every other experiment ignores \
-     them. -n below 1 is refused."
+     beyond the paper. --faults reaches the experiments that inject \
+     faults (reliability, the cluster drains and serverless's faults \
+     cell) and --fault-seed also seeds the serverless and \
+     serverless-day streams; every other experiment ignores them. -n \
+     below 1 is refused."
   in
   Cmd.v (Cmd.info "figure" ~doc)
     Term.(
@@ -215,7 +214,8 @@ let duration_arg =
 let run_serverless arrival rate policy duration n spec_str fault_seed =
   let spec = Option.map parse_spec_or_exit spec_str in
   match
-    E.serverless_run ?n ?duration ?spec ~fault_seed ~arrival ~rate ~policy ()
+    E.serverless_run ?duration ~arrival ~rate ~policy
+      { E.default_args with n; spec; fault_seed }
   with
   | Ok r -> print_result r
   | Error msg ->
@@ -247,17 +247,16 @@ let run_snapshot key n partition sim_jobs out =
   let sim_jobs =
     match sim_jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
   in
+  let args = { E.default_args with n; partition; sim_jobs } in
   match key with
   | None ->
       (* No key: list what this scale would snapshot. *)
       List.iter
         (fun p ->
           Printf.printf "%-28s %s\n" p.E.prefix_key p.E.prefix_describe)
-        (E.prefixes ?n ~partition ~sim_jobs ())
+        (E.prefixes args)
   | Some key -> (
-      match
-        E.snapshot_to_file ?n ~partition ~sim_jobs ~key ~path:out ()
-      with
+      match E.snapshot_to_file args ~key ~path:out with
       | Ok description ->
           Printf.printf "snapshot %s: %s\n  -> %s\n" key description out
       | Error msg ->
@@ -265,7 +264,7 @@ let run_snapshot key n partition sim_jobs out =
           Printf.eprintf "known prefixes at this scale:\n";
           List.iter
             (fun p -> Printf.eprintf "  %s\n" p.E.prefix_key)
-            (E.prefixes ?n ~partition ~sim_jobs ());
+            (E.prefixes args);
           exit 1)
 
 let snapshot_cmd =
@@ -294,7 +293,9 @@ let snapshot_cmd =
 
 let run_resume path n spec_str fault_seed =
   let spec = Option.map parse_spec_or_exit spec_str in
-  match E.resume_from_file ?n ?spec ~fault_seed ~path () with
+  match
+    E.resume_from_file { E.default_args with n; spec; fault_seed } ~path
+  with
   | Ok r -> print_result r
   | Error msg ->
       Printf.eprintf "resume failed: %s\n" msg;
@@ -308,18 +309,12 @@ let resume_cmd =
   let doc =
     "Resume a snapshot and run the suffix of the family its stored key \
      names (the text before ':'), with every other parameter read off \
-     the image itself: $(b,scale) images are extended by -n more \
-     creations, $(b,scale-fleet) images run their second fan-out wave, \
-     $(b,reliability) images run an -n-attempt fault-injection cell, \
-     $(b,cluster) and $(b,cluster-scale) drain images drain host 0, \
-     $(b,serverless) warm-pool images serve an -n-request Poisson cell \
-     and $(b,serverless-day) fleet images run the -n-request day. \
-     --faults reaches the reliability, drain and serverless suffixes, \
-     --fault-seed seeds those and the serverless-day streams; -n below \
-     1 is refused. A resumed run renders \
-     bit-identically to the unbroken simulation; header mismatches \
-     (foreign file, other format version, other binary) are refused \
-     with the structured reason."
+     the image itself. -n, --faults and --fault-seed reach the suffix as \
+     they reach the family's $(b,figure) run (a $(b,scale) image is \
+     extended by -n more creations, a tenth of its guests by default); \
+     -n below 1 is refused. A resumed run renders bit-identically to the \
+     unbroken simulation; header mismatches (foreign file, other format \
+     version, other binary) are refused with the structured reason."
   in
   Cmd.v (Cmd.info "resume" ~doc)
     Term.(const run_resume $ path $ n_arg $ faults_arg $ seed_arg)

@@ -71,6 +71,23 @@ let partition_of_string = function
       Error
         (Printf.sprintf "unknown partition mode %S (expected host or none)" s)
 
+(* The settings every experiment, image and suffix reads, as a front
+   end passes them. The registry fills in an experiment's own default
+   -n; a fault family's built-in spec stands in for [spec = None]. *)
+type args = {
+  n : int option;
+  partition : partition;
+  sim_jobs : int;
+  spec : Fault.spec option;
+  fault_seed : int64;
+}
+
+let default_args =
+  { n = None; partition = `Host; sim_jobs = 1; spec = None; fault_seed = 42L }
+
+(* The scale of an experiment that declares a default -n. *)
+let n_of (a : args) = Option.get a.n
+
 let lookahead = Switch.default_latency
 
 (* Where a simulation runs: [`Host] gives each of [hosts] simulated
@@ -84,6 +101,9 @@ type layout = {
 }
 
 let single_heap = { partition = `None; sim_jobs = 1; hosts = 0 }
+
+let hosts_layout (a : args) hosts =
+  { partition = a.partition; sim_jobs = a.sim_jobs; hosts }
 
 (* The one way this module runs a simulation. [f] is the main process
    of a fresh simulation laid out by [layout] — or, with [from], of a
@@ -128,18 +148,19 @@ let capture layout f =
   let r, saved = run_main ~capture:true layout f in
   (Option.get saved, r)
 
-(* Fan out one process per host — host [h] in its own partition under
-   [`Host], all on partition 0 under [`None] — and block (in partition
-   0) until all complete. Dispatch and the completion notification each
-   model one switch hop, identical in both partition modes. *)
-let fan_out_hosts layout work =
-  let hosts = layout.hosts in
+(* Fan out one process per host — host [h] in its own partition when
+   the running simulation has host partitions, fresh or resumed, all on
+   partition 0 otherwise — and block (in partition 0) until all
+   complete. Dispatch and the completion notification each model one
+   switch hop, identical in both partition modes. *)
+let fan_out_hosts hosts work =
+  let partitioned = Engine.partition_count () > 0 in
   let all_done = Engine.Ivar.create () in
   let remaining = ref hosts in
   for h = 0 to hosts - 1 do
     Engine.spawn_in
       ~name:(Printf.sprintf "host-%d" h)
-      ~partition:(match layout.partition with `Host -> h + 1 | `None -> 0)
+      ~partition:(if partitioned then h + 1 else 0)
       ~delay:lookahead
       (fun () ->
         work h;
@@ -220,17 +241,23 @@ let piece_concat pieces =
 type job = string * (unit -> piece)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot images.
+(* Snapshot families.
 
    Every plan job runs its family unbroken, in one simulation. Seven
    families also name the state their suffix starts from as an image:
    the CLI's [snapshot] freezes it to a file and [resume] runs the
    family's suffix from that file in a later process ([prefixes] and
-   [resume_from_file] at the end of this file). An image is declared
-   next to its family's body: [img_prefix] runs inside a simulation
-   laid out by [img_layout] and returns the model root ['root] the
-   suffix continues from. The text of [img_key] before ':' names the
-   family. *)
+   [resume_from_file] at the end of this file). A family is declared
+   next to its body and listed by the experiment that owns it: its
+   [images], sized and laid out by the args, and one [suffix] that
+   rebuilds the rest of the run from an image's root and renders it.
+   [img_prefix] runs inside a simulation laid out by [img_layout] and
+   returns the model root ['root] the suffix continues from. The text
+   of [img_key] before ':' is the family's [name]. The one [suffix]
+   drives both ways to run it: unbroken (the prefix, then the suffix on
+   its root, in one simulation) and from bytes (thaw, then the suffix in
+   the resumed simulation), and the thaw decodes at the root type of
+   the family whose suffix consumes it. *)
 
 type 'root image = {
   img_key : string;
@@ -239,12 +266,27 @@ type 'root image = {
   img_prefix : unit -> 'root;
 }
 
+type family =
+  | Family : {
+      name : string;
+      images : args -> 'root image list;
+      suffix : args -> 'root -> piece;
+    }
+      -> family
+
 (* An image's prefix and then [suffix] on its root, in one simulation
    laid out by the image: the unbroken twin of a suffix resumed from
    the image's bytes. *)
 let unbroken img suffix =
-  sim ~layout:img.img_layout (fun () ->
-      suffix img.img_layout.partition (img.img_prefix ()))
+  sim ~layout:img.img_layout (fun () -> suffix (img.img_prefix ()))
+
+(* The job of an experiment whose run is its family's image and suffix,
+   with the job's own args: what [resume] runs from the image's bytes. *)
+let image_job label (Family f) a : job =
+  ( label,
+    fun () ->
+      piece_concat
+        (List.map (fun img -> unbroken img (f.suffix a)) (f.images a)) )
 
 (* ------------------------------------------------------------------ *)
 (* Fig 1 *)
@@ -339,7 +381,8 @@ let process_series ~n =
       done);
   { label = "Process Create"; series }
 
-let fig4_jobs ?(n = 200) () : job list =
+let fig4_jobs a : job list =
+  let n = n_of a in
   [
     ( "fig4/debian",
       fun () ->
@@ -383,7 +426,8 @@ let fig5_sample = 10
 
 (* One series per creation-time category, in [Vmm.vm_counters]'s
    canonical order. *)
-let fig5_breakdown ?(n = 200) () =
+let fig5_breakdown a () =
+  let n = n_of a in
   let series =
     List.map
       (fun cat ->
@@ -427,7 +471,8 @@ let fig9_mode ~n mode =
       done);
   { label; series }
 
-let fig9_jobs ?(n = 200) () : job list =
+let fig9_jobs a : job list =
+  let n = n_of a in
   List.map
     (fun mode ->
       ( "fig9/" ^ Mode.name mode,
@@ -456,10 +501,13 @@ let scale_default_counts = [ 2000; 5000; 10_000 ]
 let scale_xl_cap = 2000
 let scale_modes = [ Mode.xl; Mode.chaos_xs; Mode.chaos_noxs ]
 
-let scale_counts n =
-  match List.filter (fun c -> c <= n) scale_default_counts with
-  | [] -> [ n ] (* small-n runs (tests) still cover every mode *)
-  | counts -> counts
+(* The counts of a run to [n] guests; the default counts without -n. *)
+let scale_counts = function
+  | None -> scale_default_counts
+  | Some n -> (
+      match List.filter (fun c -> c <= n) scale_default_counts with
+      | [] -> [ n ] (* small-n runs (tests) still cover every mode *)
+      | counts -> counts)
 
 (* One simulation per mode records every count's curve in a single
    pass: the run to a smaller count is an exact event prefix of the run
@@ -539,32 +587,33 @@ let scale_mode_merged ~counts mode =
 let scale_partition_hosts = 8
 
 (* One wave: every host creates guests [from+1 .. upto] of its share,
-   concurrently, in its own partition when [`Host]. *)
-let fleet_wave layout nodes lat ~from ~upto =
-  fan_out_hosts layout (fun h ->
+   concurrently, in its own partition when the run has them. *)
+let fleet_wave nodes lat ~from ~upto =
+  fan_out_hosts (Array.length nodes) (fun h ->
       scale_create_range nodes.(h) lat.(h) ~from ~upto)
 
-(* Wave 1: [layout.hosts] hosts with the first half of their [per]
-   guests. The root is [(nodes, lat)], one latency row per host. *)
-let fleet_boot layout ~per () =
+(* Wave 1: [hosts] hosts with the first half of their [per] guests. The
+   root is [(nodes, lat)], one latency row per host. *)
+let fleet_boot ~hosts ~per () =
   let nodes =
-    Array.init layout.hosts (fun i ->
-        Vmm.create ~host_id:i ~mode:Mode.chaos_xs ())
+    Array.init hosts (fun i -> Vmm.create ~host_id:i ~mode:Mode.chaos_xs ())
   in
-  let lat = Array.make_matrix layout.hosts per nan in
-  fleet_wave layout nodes lat ~from:0 ~upto:(max 1 (per / 2));
+  let lat = Array.make_matrix hosts per nan in
+  fleet_wave nodes lat ~from:0 ~upto:(max 1 (per / 2));
   (nodes, lat)
 
-(* Wave 2 on a wave-1 root, laid out on [partition]: the latency rows,
-   complete. (The fan-out reads only the partition and the host count.) *)
-let fleet_finish partition (nodes, lat) =
-  let layout = { partition; sim_jobs = 1; hosts = Array.length nodes } in
+(* Wave 2 on a wave-1 root: the latency rows, complete. *)
+let fleet_finish (nodes, lat) =
   let per = Array.length lat.(0) in
-  fleet_wave layout nodes lat ~from:(max 1 (per / 2)) ~upto:per;
+  fleet_wave nodes lat ~from:(max 1 (per / 2)) ~upto:per;
   lat
 
-let fleet_image layout ~per =
-  let part = partition_name layout.partition in
+(* The fleet's wave-1 image for a run to [a]'s top count. *)
+let fleet_image (a : args) =
+  let layout = hosts_layout a scale_partition_hosts in
+  let top = List.fold_left max 1 (scale_counts a.n) in
+  let per = max 1 (top / scale_partition_hosts) in
+  let part = partition_name a.partition in
   {
     img_key = Printf.sprintf "scale-fleet:%s@%d" part (layout.hosts * per);
     img_describe =
@@ -574,7 +623,7 @@ let fleet_image layout ~per =
         (max 1 (per / 2))
         per part;
     img_layout = layout;
-    img_prefix = fleet_boot layout ~per;
+    img_prefix = fleet_boot ~hosts:layout.hosts ~per;
   }
 
 let fleet_row_render lat =
@@ -598,20 +647,13 @@ let fleet_row_render lat =
   done;
   { label; series }
 
-let fleet_layout ~partition ~sim_jobs =
-  { partition; sim_jobs; hosts = scale_partition_hosts }
-
-let fleet_per count = max 1 (count / scale_partition_hosts)
-
 let scale_mode_counts mode counts =
   if String.equal (Mode.name mode) "xl" then
     List.filter (fun c -> c <= scale_xl_cap) counts
   else counts
 
-let scale_jobs ?(n = 10_000) ?(partition = `Host) ?(sim_jobs = 1) () :
-    job list =
-  let counts = scale_counts n in
-  let top = List.fold_left max 1 counts in
+let scale_jobs a : job list =
+  let counts = scale_counts a.n in
   List.map
     (fun mode ->
       let counts = scale_mode_counts mode counts in
@@ -620,13 +662,62 @@ let scale_jobs ?(n = 10_000) ?(partition = `Host) ?(sim_jobs = 1) () :
         fun () -> piece ~series:(scale_mode_merged ~counts mode) () ))
     scale_modes
   @ [
-      ( Printf.sprintf "scale/partitioned/%d" top,
+      ( Printf.sprintf "scale/partitioned/%d" (List.fold_left max 1 counts),
         fun () ->
-          let img =
-            fleet_image (fleet_layout ~partition ~sim_jobs) ~per:(fleet_per top)
-          in
-          piece ~series:[ fleet_row_render (unbroken img fleet_finish) ] () );
+          piece
+            ~series:[ fleet_row_render (unbroken (fleet_image a) fleet_finish) ]
+            () );
     ]
+
+(* Resumed, a host image is extended by [n] more creations (default a
+   tenth of its count) and re-rendered; a fleet image runs wave 2. *)
+let scale_family =
+  Family
+    {
+      name = "scale";
+      images =
+        (fun a ->
+          List.concat_map
+            (fun mode ->
+              List.map (scale_image ~mode)
+                (scale_mode_counts mode (scale_counts a.n)))
+            scale_modes);
+      suffix =
+        (fun a ((host, prev) as root) ->
+          let mode = Vmm.mode host and count = Array.length prev in
+          let total = count + Option.value a.n ~default:(max 1 (count / 10)) in
+          let _, lat = scale_grow ~upto:total root in
+          piece
+            ~series:(scale_curve_rows ~mode ~counts:[ total ] lat)
+            ~notes:
+              [
+                Printf.sprintf "resumed %s host at %d guests, extended to %d"
+                  (Mode.name mode) count total;
+              ]
+            ());
+    }
+
+let fleet_family =
+  Family
+    {
+      name = "scale-fleet";
+      images = (fun a -> [ fleet_image a ]);
+      suffix =
+        (fun _ root ->
+          let lat = fleet_finish root in
+          let hosts = Array.length lat and per = Array.length lat.(0) in
+          piece
+            ~series:[ fleet_row_render lat ]
+            ~notes:
+              [
+                Printf.sprintf
+                  "resumed fleet wave 2: %d hosts, guests %d..%d of %d each"
+                  hosts
+                  (max 1 (per / 2) + 1)
+                  per per;
+              ]
+            ());
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Reliability (no paper figure): creation under fault injection.
@@ -691,8 +782,10 @@ let reliability_image mode =
   }
 
 (* A cell's suffix: [n] creation attempts on the warmed host under the
-   spec scaled to [level], rendered as the cell's piece. *)
-let reliability_suffix ~n ~spec ~seed ~level host =
+   spec (default [reliability_spec]) scaled to [level], rendered as the
+   cell's piece. *)
+let reliability_suffix (a : args) ~seed ~level host =
+  let n = n_of a and spec = Option.value a.spec ~default:reliability_spec in
   let mode = Vmm.mode host in
   let label = Printf.sprintf "%s x%g" (Mode.name mode) level in
   let injector = Fault.create ~seed (Fault.scale spec level) in
@@ -749,8 +842,7 @@ let reliability_suffix ~n ~spec ~seed ~level host =
     ~notes:(note :: List.rev !leaks)
     ()
 
-let reliability_jobs ?(n = 200) ?(spec = reliability_spec) ?(fault_seed = 42L)
-    () : job list =
+let reliability_jobs a : job list =
   List.concat
     (List.mapi
        (fun mi mode ->
@@ -758,12 +850,22 @@ let reliability_jobs ?(n = 200) ?(spec = reliability_spec) ?(fault_seed = 42L)
            (fun li level ->
              ( Printf.sprintf "reliability/%s/x%g" (Mode.name mode) level,
                fun () ->
-                 unbroken (reliability_image mode) (fun _ ->
-                     reliability_suffix ~n ~spec
-                       ~seed:(reliability_cell_seed ~fault_seed mi li)
-                       ~level) ))
+                 unbroken (reliability_image mode)
+                   (reliability_suffix a
+                      ~seed:
+                        (reliability_cell_seed ~fault_seed:a.fault_seed mi li)
+                      ~level) ))
            reliability_levels)
        reliability_modes)
+
+(* Resumed, a warmed host runs one cell at the unscaled spec. *)
+let reliability_family =
+  Family
+    {
+      name = "reliability";
+      images = (fun _ -> List.map reliability_image reliability_modes);
+      suffix = (fun a -> reliability_suffix a ~seed:a.fault_seed ~level:1.);
+    }
 
 (* Collapse the per-cell single-point success series into one series
    per mode (points arrive in job order, i.e. ascending fault level);
@@ -813,7 +915,8 @@ let fig10_lightvm ~vms =
       fill 1);
   { label = "LightVM"; series = lightvm_series }
 
-let fig10_jobs ?(n = 4000) () : job list =
+let fig10_jobs a : job list =
+  let n = n_of a in
   [
     ("fig10/lightvm", fun () -> piece ~series:[ fig10_lightvm ~vms:n ] ());
     ( "fig10/docker",
@@ -841,7 +944,8 @@ let fig11_total label parts =
   | _ -> ());
   { label; series = combined }
 
-let fig11_jobs ?(n = 200) () : job list =
+let fig11_jobs a : job list =
+  let n = n_of a in
   [
     ( "fig11/unikernel",
       fun () ->
@@ -937,7 +1041,8 @@ let fig12_mode ~n mode =
   ( { label; series = save_series },
     { label; series = restore_series } )
 
-let fig12_jobs ?(n = 200) () : job list =
+let fig12_jobs a : job list =
+  let n = n_of a in
   List.map
     (fun mode ->
       ( "fig12/" ^ Mode.name mode,
@@ -979,7 +1084,8 @@ let fig13_mode ~n mode =
       done);
   { label; series }
 
-let fig13_jobs ?(n = 200) () : job list =
+let fig13_jobs a : job list =
+  let n = n_of a in
   List.map
     (fun mode ->
       ( "fig13/" ^ Mode.name mode,
@@ -1032,7 +1138,8 @@ let fig14_process_memory ~n =
       done);
   { label = "Micropython Process"; series }
 
-let fig14_jobs ?(n = 400) () : job list =
+let fig14_jobs a : job list =
+  let n = n_of a in
   let vm label image =
     ( "fig14/" ^ label,
       fun () -> piece ~series:[ fig14_vm_memory ~n ~image ~label ] () )
@@ -1090,7 +1197,8 @@ let fig15_docker_usage ~n =
       done);
   { label = "Docker"; series }
 
-let fig15_jobs ?(n = 200) () : job list =
+let fig15_jobs a : job list =
+  let n = n_of a in
   let vm label image =
     ( "fig15/" ^ label,
       fun () -> piece ~series:[ fig15_vm_usage ~n ~image ~label ] () )
@@ -1136,7 +1244,8 @@ let fig16b_interval ~clients interval =
     (Lightvm_metrics.Cdf.points result.Jit.cdf);
   { label; series }
 
-let fig16b_jobs ?(clients = 250) () : job list =
+let fig16b_jobs a : job list =
+  let clients = n_of a in
   List.map
     (fun interval ->
       ( Printf.sprintf "fig16b/%.0fms" (interval *. 1e3),
@@ -1183,7 +1292,8 @@ let lambda_mode ~requests ~label mode =
 
 let lambda_runs = [ ("chaos [XS]", Mode.chaos_xs); ("LightVM", Mode.lightvm) ]
 
-let fig17_jobs ?(requests = 400) () : job list =
+let fig17_jobs a : job list =
+  let requests = n_of a in
   List.map
     (fun (label, mode) ->
       ( "fig17/" ^ label,
@@ -1192,7 +1302,8 @@ let fig17_jobs ?(requests = 400) () : job list =
           piece ~series:[ service ] () ))
     lambda_runs
 
-let fig18_jobs ?(requests = 400) () : job list =
+let fig18_jobs a : job list =
+  let requests = n_of a in
   List.map
     (fun (label, mode) ->
       ( "fig18/" ^ label,
@@ -1222,7 +1333,8 @@ let ablation_variant ~n label profile =
       done);
   { label; series }
 
-let ablation_jobs ?(n = 300) () : job list =
+let ablation_jobs a : job list =
+  let n = n_of a in
   [
     ( "ablation/oxenstored",
       fun () ->
@@ -1452,12 +1564,12 @@ let cluster_boot c (p : Cluster.placement) =
    host, in the host's own partition when [`Host]. Latencies land in a
    preallocated per-guest slot, so the merge is by global index and the
    series is identical whatever the partitioning or [sim_jobs]. *)
-let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
-    ~sim_jobs policy () =
+let cluster_policy_job ?hosts ?(summarize = false) a policy () =
+  let guests = n_of a in
   let hosts =
     match hosts with Some h -> h | None -> cluster_hosts ~guests
   in
-  let layout = { partition; sim_jobs; hosts } in
+  let layout = hosts_layout a hosts in
   let pname = Scheduler.policy_name policy in
   let latency = mk (Printf.sprintf "cluster boot latency %s" pname) "ms" in
   let sample = max 1 (guests / 50) in
@@ -1501,7 +1613,7 @@ let cluster_policy_job ?hosts ?(summarize = false) ~guests ~partition
           Cluster.announce c ~src:id ~dst:id "vm.create";
           per_host.(id) <- gi :: per_host.(id)
     done;
-    fan_out_hosts layout (fun h ->
+    fan_out_hosts hosts (fun h ->
         let host = Cluster.host c h in
         List.iter
           (fun gi ->
@@ -1587,9 +1699,10 @@ let drain_image ~name ~hosts ~guests =
   }
 
 (* The drain suffix: snapshot accounting, drain host 0 under the
-   injector, rebalance, leak check. *)
-let cluster_drain_suffix ~spec ~fault_seed c =
-  let injector = Fault.create ~seed:fault_seed spec in
+   injector (default spec [cluster_spec]), rebalance, leak check. *)
+let cluster_drain_suffix (a : args) c =
+  let spec = Option.value a.spec ~default:cluster_spec in
+  let injector = Fault.create ~seed:a.fault_seed spec in
   let before = Cluster.resources c in
   let drain =
     Fault.with_injector injector (fun () -> Cluster.drain c ~host:0)
@@ -1615,27 +1728,29 @@ let cluster_drain_suffix ~spec ~fault_seed c =
       ]
     ()
 
-(* The drain job of family [name]: the drain image's prefix, then the
-   drain suffix. It migrates guests between hosts — inherently
-   cross-partition state motion — so its image is single-heap. *)
-let drain_job ~name ~hosts ~guests ~spec ~fault_seed =
-  ( name ^ "/drain",
-    fun () ->
-      unbroken (drain_image ~name ~hosts ~guests) (fun _ ->
-          cluster_drain_suffix ~spec ~fault_seed) )
+(* The drain family [name], sized by -n guests on [hosts_for] hosts. The
+   drain migrates guests between hosts — inherently cross-partition
+   state motion — so its image is single-heap. *)
+let drain_family name hosts_for =
+  Family
+    {
+      name;
+      images =
+        (fun a ->
+          let guests = n_of a in
+          [ drain_image ~name ~hosts:(hosts_for ~guests) ~guests ]);
+      suffix = cluster_drain_suffix;
+    }
 
-let cluster_jobs ?(n = 500) ?(spec = cluster_spec) ?(fault_seed = 42L)
-    ?(partition = `Host) ?(sim_jobs = 1) () : job list =
-  let guests = n in
+let cluster_drain = drain_family "cluster" cluster_hosts
+
+let cluster_jobs a : job list =
   List.map
     (fun policy ->
       ( "cluster/" ^ Scheduler.policy_name policy,
-        cluster_policy_job ~guests ~partition ~sim_jobs policy ))
+        cluster_policy_job a policy ))
     Scheduler.policies
-  @ [
-      drain_job ~name:"cluster" ~hosts:(cluster_hosts ~guests) ~guests ~spec
-        ~fault_seed;
-    ]
+  @ [ image_job "cluster/drain" cluster_drain a ]
 
 (* ------------------------------------------------------------------ *)
 (* cluster-scale: ROADMAP item 1's end state — 100 hosts x 10k guests
@@ -1650,15 +1765,15 @@ let cluster_jobs ?(n = 500) ?(spec = cluster_spec) ?(fault_seed = 42L)
 
 let cluster_scale_hosts ~guests = max 4 (min 100 (guests / 100))
 
-let cluster_scale_jobs ?(n = 2000) ?(spec = cluster_spec) ?(fault_seed = 42L)
-    ?(partition = `Host) ?(sim_jobs = 1) () : job list =
-  let guests = n in
-  let hosts = cluster_scale_hosts ~guests in
+let cluster_scale_drain = drain_family "cluster-scale" cluster_scale_hosts
+
+let cluster_scale_jobs a : job list =
   [
     ( "cluster-scale/spread",
-      cluster_policy_job ~hosts ~summarize:true ~guests ~partition ~sim_jobs
-        Scheduler.Spread );
-    drain_job ~name:"cluster-scale" ~hosts ~guests ~spec ~fault_seed;
+      cluster_policy_job
+        ~hosts:(cluster_scale_hosts ~guests:(n_of a))
+        ~summarize:true a Scheduler.Spread );
+    image_job "cluster-scale/drain" cluster_scale_drain a;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1789,10 +1904,10 @@ let serverless_fleet_hosts = 4
    [node h] supplies host [h]'s (already warm, or freshly warmed) VMM,
    each host runs its own Poisson stream split from the cell seed by
    host index, and results land in disjoint slots. *)
-let serverless_fleet_cells layout ~requests ~seed ~node =
-  let per = max 1 (requests / layout.hosts) in
-  let slots = Array.make layout.hosts None in
-  fan_out_hosts layout (fun h ->
+let serverless_fleet_cells ~hosts ~requests ~seed ~node =
+  let per = max 1 (requests / hosts) in
+  let slots = Array.make hosts None in
+  fan_out_hosts hosts (fun h ->
       let host = node h in
       let cfg =
         serverless_config
@@ -1842,23 +1957,20 @@ let serverless_fleet_finish ~label slots =
   in
   { p with p_notes = p.p_notes @ host_notes }
 
-let serverless_fleet_layout ~partition ~sim_jobs =
-  { partition; sim_jobs; hosts = serverless_fleet_hosts }
-
-let serverless_fleet ~requests ~partition ~sim_jobs ~seed () =
-  let layout = serverless_fleet_layout ~partition ~sim_jobs in
+let serverless_fleet a () =
+  let hosts = serverless_fleet_hosts in
   let slots =
-    sim ~layout (fun () ->
-        serverless_fleet_cells layout ~requests ~seed ~node:(fun h ->
-            serverless_warm_host ~host_id:h ()))
+    sim ~layout:(hosts_layout a hosts) (fun () ->
+        serverless_fleet_cells ~hosts ~requests:(n_of a)
+          ~seed:(serverless_cell_seed ~seed:a.fault_seed 6)
+          ~node:(fun h -> serverless_warm_host ~host_id:h ()))
   in
   serverless_fleet_finish
-    ~label:(Printf.sprintf "fleet x%d warmpool/poisson" layout.hosts)
+    ~label:(Printf.sprintf "fleet x%d warmpool/poisson" hosts)
     slots
 
-let serverless_jobs ?(n = 2000) ?(spec = reliability_spec) ?(fault_seed = 42L)
-    ?(partition = `Host) ?(sim_jobs = 1) () : job list =
-  let requests = n in
+let serverless_jobs a : job list =
+  let requests = n_of a in
   let rate = serverless_rate in
   let poisson = Arrival.Poisson { rate } in
   let duration = float_of_int requests /. rate in
@@ -1874,7 +1986,7 @@ let serverless_jobs ?(n = 2000) ?(spec = reliability_spec) ?(fault_seed = 42L)
   in
   let cell i ?spec ~policy ~arrival () =
     serverless_cell ~requests ~policy ~arrival ?spec
-      ~seed:(serverless_cell_seed ~seed:fault_seed i) ()
+      ~seed:(serverless_cell_seed ~seed:a.fault_seed i) ()
   in
   [
     ( "serverless/coldboot",
@@ -1888,23 +2000,40 @@ let serverless_jobs ?(n = 2000) ?(spec = reliability_spec) ?(fault_seed = 42L)
     ( "serverless/warmpool-mmpp",
       fun () -> cell 4 ~policy:Serverless.Warm_pool ~arrival:mmpp () );
     ( "serverless/coldboot-faults",
-      fun () -> cell 5 ~spec ~policy:Serverless.Cold_boot ~arrival:poisson ()
-    );
-    ( Printf.sprintf "serverless/fleet/%d" serverless_fleet_hosts,
       fun () ->
-        serverless_fleet ~requests ~partition ~sim_jobs
-          ~seed:(serverless_cell_seed ~seed:fault_seed 6)
-          () );
+        cell 5
+          ~spec:(Option.value a.spec ~default:reliability_spec)
+          ~policy:Serverless.Cold_boot ~arrival:poisson () );
+    ( Printf.sprintf "serverless/fleet/%d" serverless_fleet_hosts,
+      serverless_fleet a );
   ]
+
+(* Resumed, a warm host serves the family's warm-pool Poisson cell,
+   under [spec] only when one is given. *)
+let serverless_family =
+  let policy = Serverless.Warm_pool
+  and arrival = Arrival.Poisson { rate = serverless_rate } in
+  Family
+    {
+      name = "serverless";
+      images = (fun _ -> [ serverless_image ]);
+      suffix =
+        (fun a host ->
+          serverless_render
+            ~label:(serverless_label ~policy ~arrival ~spec:a.spec)
+            (serverless_suffix ~requests:(n_of a) ~policy ~arrival ?spec:a.spec
+               ~seed:(serverless_cell_seed ~seed:a.fault_seed 1)
+               host));
+    }
 
 (* Bench hook: [(cold_p99_us, warm_p99_us, warm_hit_rate)] for the
    flagship Poisson pair, same seeds as the family jobs. The bench
    emits these as JSON fields and CI asserts warm < cold. *)
-let serverless_bench_summary ?(requests = 2000) () =
+let serverless_bench_summary ~requests =
   let poisson = Arrival.Poisson { rate = serverless_rate } in
   let stats i policy =
     serverless_cell_stats ~requests ~policy ~arrival:poisson
-      ~seed:(serverless_cell_seed ~seed:42L i) ()
+      ~seed:(serverless_cell_seed ~seed:default_args.fault_seed i) ()
   in
   let cold = stats 0 Serverless.Cold_boot in
   let warm = stats 1 Serverless.Warm_pool in
@@ -1921,58 +2050,57 @@ let serverless_bench_summary ?(requests = 2000) () =
    ~87,500 host-seconds of arrivals) pushed through the fleet cell in
    one simulation. The fleet prefix — the hosts created and their
    instance pools synchronously prefilled — is the family's snapshot
-   image. Prefilling parks no effect continuation, so the image
-   quiesces — the same argument as the single-host "serverless:warm@"
-   image. *)
+   image, and its one job is the family's image and suffix. Prefilling
+   parks no effect continuation, so the image quiesces — the same
+   argument as the single-host "serverless:warm@" image. *)
 
 (* The day's prefix: the fleet's hosts created and their instance pools
-   prefilled, one per partition under [`Host]. *)
-let serverless_day_boot layout () =
-  let nodes = Array.make layout.hosts None in
-  fan_out_hosts layout (fun h ->
+   prefilled, one per partition when the run has them. *)
+let serverless_day_boot ~hosts () =
+  let nodes = Array.make hosts None in
+  fan_out_hosts hosts (fun h ->
       nodes.(h) <- Some (serverless_warm_host ~host_id:h ()));
   Array.map Option.get nodes
 
-let serverless_day_image layout =
-  let part = partition_name layout.partition in
-  {
-    img_key = Printf.sprintf "serverless-day:%s@%d" part layout.hosts;
-    img_describe =
-      Printf.sprintf
-        "%d LightVM hosts, function-instance pools prefilled to %d each \
-         (serverless-day fleet prefix, partition %s)"
-        layout.hosts serverless_pool_target part;
-    img_layout = layout;
-    img_prefix = serverless_day_boot layout;
-  }
-
-(* The day itself, laid out on [partition]: every host's stream on its
-   prefilled node, merged. (The fan-out reads only the partition and
-   the host count.) *)
-let serverless_day_suffix ~requests ~seed partition nodes =
+(* The day itself: every host's stream on its prefilled node, merged. *)
+let serverless_day_suffix a nodes =
   let hosts = Array.length nodes in
   serverless_fleet_finish
     ~label:(Printf.sprintf "day fleet x%d warmpool/poisson" hosts)
-    (serverless_fleet_cells
-       { partition; sim_jobs = 1; hosts }
-       ~requests ~seed ~node:(Array.get nodes))
+    (serverless_fleet_cells ~hosts ~requests:(n_of a)
+       ~seed:(serverless_cell_seed ~seed:a.fault_seed 7)
+       ~node:(Array.get nodes))
 
-let serverless_day_jobs ?(n = 8000) ?(partition = `Host) ?(sim_jobs = 1) () :
-    job list =
-  [
-    ( "serverless-day/fleet",
-      fun () ->
-        unbroken
-          (serverless_day_image (serverless_fleet_layout ~partition ~sim_jobs))
-          (serverless_day_suffix ~requests:n
-             ~seed:(serverless_cell_seed ~seed:42L 7)) );
-  ]
+let serverless_day =
+  Family
+    {
+      name = "serverless-day";
+      images =
+        (fun a ->
+          let layout = hosts_layout a serverless_fleet_hosts in
+          let part = partition_name layout.partition in
+          [
+            {
+              img_key = Printf.sprintf "serverless-day:%s@%d" part layout.hosts;
+              img_describe =
+                Printf.sprintf
+                  "%d LightVM hosts, function-instance pools prefilled to %d \
+                   each (serverless-day fleet prefix, partition %s)"
+                  layout.hosts serverless_pool_target part;
+              img_layout = layout;
+              img_prefix = serverless_day_boot ~hosts:layout.hosts;
+            };
+          ]);
+      suffix = serverless_day_suffix;
+    }
 
 (* ------------------------------------------------------------------ *)
-(* Results and plans: the one way to run an experiment. A plan is the
-   experiment's job list plus the (order-preserving) merge of the
-   resulting pieces into the record every front end (CLI, bench, tests)
-   renders generically. *)
+(* The registry: one declaration per experiment. A declaration is the
+   experiment's id and figure, the paper's statement (the bench prints
+   it), its default -n and the bench's sizes, its jobs and the
+   (order-preserving) merge of their pieces, and the snapshot families
+   it owns. Plans, names, snapshot keys, resume and the bench all read
+   [experiments]. *)
 
 type result = {
   name : string;
@@ -1992,65 +2120,192 @@ type plan = {
   plan_finish : piece list -> result;
 }
 
-(* A registry entry: the experiment's name and its plan. *)
-let mk_plan ?(finish = piece_concat) ~figure name jobs =
-  ( name,
-    {
-      plan_jobs = jobs;
-      plan_finish =
-        (fun pieces -> result_of_piece ~name ~figure (finish pieces));
-    } )
+type experiment = {
+  id : string;
+  figure : string;
+  paper : string;
+  default_n : int option;
+  sizes : (int * int * int) option;
+  jobs : args -> job list;
+  finish : piece list -> piece;
+  families : family list;
+}
 
-let single ~figure name f = mk_plan ~figure name [ (name, f) ]
-
-let plans ?n ?partition ?sim_jobs ?spec ?fault_seed () : (string * plan) list =
+let experiments =
   [
-    single ~figure:"Fig 1" "fig1" fig1_syscall_growth;
-    single ~figure:"Fig 2" "fig2" fig2_boot_vs_image_size;
-    mk_plan ~figure:"Fig 4" "fig4" (fig4_jobs ?n ());
-    single ~figure:"Fig 5" "fig5" (fig5_breakdown ?n);
-    mk_plan ~figure:"Fig 9" "fig9" (fig9_jobs ?n ());
-    mk_plan ~figure:"Fig 9 at 10k" "scale"
-      (scale_jobs ?n ?partition ?sim_jobs ());
-    mk_plan ~figure:"Failure model" "reliability" ~finish:reliability_finish
-      (reliability_jobs ?n ?spec ?fault_seed ());
-    mk_plan ~figure:"Fig 10" "fig10" (fig10_jobs ?n ());
-    mk_plan ~figure:"Fig 11" "fig11" (fig11_jobs ?n ());
-    (* Sequential rendering lists every mode's save series first, then
-       every restore: reassemble that order from the per-mode pieces
-       ([save; restore] each). *)
-    mk_plan ~figure:"Fig 12" "fig12" (fig12_jobs ?n ()) ~finish:(fun pieces ->
-        let save = List.map (fun p -> List.nth p.p_series 0) pieces in
-        let restore = List.map (fun p -> List.nth p.p_series 1) pieces in
-        piece
-          ~series:
-            (List.map (relabel "save") save
-            @ List.map (relabel "restore") restore)
-          ());
-    mk_plan ~figure:"Fig 13" "fig13" (fig13_jobs ?n ());
-    mk_plan ~figure:"Fig 14" "fig14" (fig14_jobs ?n ());
-    mk_plan ~figure:"Fig 15" "fig15" (fig15_jobs ?n ());
-    single ~figure:"Fig 16a" "fig16a" fig16a_firewall;
-    mk_plan ~figure:"Fig 16b" "fig16b" (fig16b_jobs ?clients:n ());
-    mk_plan ~figure:"Fig 16c" "fig16c" fig16c_jobs;
-    mk_plan ~figure:"Fig 17" "fig17" (fig17_jobs ?requests:n ());
-    mk_plan ~figure:"Fig 18" "fig18" (fig18_jobs ?requests:n ());
-    mk_plan ~figure:"Sec 4.2 ablation" "ablation" (ablation_jobs ?n ());
-    single ~figure:"Sec 2" "pause" pause_unpause;
-    single ~figure:"Sec 7.1" "wan-migration" wan_migration;
-    single ~figure:"Abstract" "headline" headline_numbers;
-    single ~figure:"Sec 3.2" "tinyx" tinyx_table;
-    mk_plan ~figure:"Cluster" "cluster"
-      (cluster_jobs ?n ?spec ?fault_seed ?partition ?sim_jobs ());
-    mk_plan ~figure:"Cluster at scale" "cluster-scale"
-      (cluster_scale_jobs ?n ?spec ?fault_seed ?partition ?sim_jobs ());
-    mk_plan ~figure:"Open-loop serverless" "serverless"
-      (serverless_jobs ?n ?spec ?fault_seed ?partition ?sim_jobs ());
-    mk_plan ~figure:"Serverless day" "serverless-day"
-      (serverless_day_jobs ?n ?partition ?sim_jobs ());
+    { id = "fig1"; figure = "Fig 1"; default_n = None; sizes = None;
+      paper = "~200 syscalls in 2002 growing to ~400 by 2017";
+      jobs = (fun _ -> [ ("fig1", fig1_syscall_growth) ]);
+      finish = piece_concat; families = [] };
+    { id = "fig2"; figure = "Fig 2"; default_n = None; sizes = None;
+      paper = "linear, ~1 ms per MB (ramdisk-backed images)";
+      jobs = (fun _ -> [ ("fig2", fig2_boot_vs_image_size) ]);
+      finish = piece_concat; families = [] };
+    { id = "fig4"; figure = "Fig 4"; default_n = Some 200;
+      sizes = Some (60, 400, 1000);
+      paper =
+        "Debian 500ms create/1.5s boot; Tinyx 360/180ms; unikernel 80/3ms; \
+         Docker ~200ms; process 3.5ms";
+      jobs = fig4_jobs; finish = piece_concat; families = [] };
+    { id = "fig5"; figure = "Fig 5"; default_n = Some 200;
+      sizes = Some (60, 400, 1000);
+      paper =
+        "XenStore and device creation dominate; XenStore grows superlinearly";
+      jobs = (fun a -> [ ("fig5", fig5_breakdown a) ]);
+      finish = piece_concat; families = [] };
+    { id = "fig9"; figure = "Fig 9"; default_n = Some 200;
+      sizes = Some (80, 400, 1000);
+      paper =
+        "xl 100ms->1s; chaos[XS] 15->80ms; +split max ~25ms; noxs 8-15ms; \
+         all: 4->4.1ms";
+      jobs = fig9_jobs; finish = piece_concat; families = [] };
+    (* No single default -n: without one, the default counts. *)
+    { id = "scale"; figure = "Fig 9 at 10k"; default_n = None;
+      sizes = Some (10_000, 10_000, 10_000);
+      paper =
+        "beyond the paper: host stays near-linear to 10k guests; xl capped \
+         at 2000 (its modeled libxl protocol is Theta(N^2) round trips)";
+      jobs = scale_jobs; finish = piece_concat;
+      families = [ scale_family; fleet_family ] };
+    { id = "reliability"; figure = "Failure model"; default_n = Some 200;
+      sizes = Some (20, 100, 200);
+      paper =
+        "success rates fall as fault rates rise; [NoXS] immune to xs.* \
+         points; no resource leaks after failed creations";
+      jobs = reliability_jobs; finish = reliability_finish;
+      families = [ reliability_family ] };
+    { id = "fig10"; figure = "Fig 10"; default_n = Some 4000;
+      sizes = Some (300, 3000, 8000);
+      paper =
+        "LightVM scales to 8000 guests; Docker ~150ms->1s and wedges ~3000";
+      jobs = fig10_jobs; finish = piece_concat; families = [] };
+    { id = "fig11"; figure = "Fig 11"; default_n = Some 200;
+      sizes = Some (60, 400, 1000);
+      paper = "unikernel ~4ms; Tinyx close to Docker (~150-250ms)";
+      jobs = fig11_jobs; finish = piece_concat; families = [] };
+    { id = "fig12"; figure = "Fig 12"; default_n = Some 200;
+      sizes = Some (40, 200, 1000);
+      paper = "LightVM: save 30ms, restore 20ms, flat; xl: 128ms and 550ms";
+      jobs = fig12_jobs;
+      (* Sequential rendering lists every mode's save series first, then
+         every restore: reassemble that order from the per-mode pieces
+         ([save; restore] each). *)
+      finish =
+        (fun pieces ->
+          let nth i = List.map (fun p -> List.nth p.p_series i) pieces in
+          piece
+            ~series:
+              (List.map (relabel "save") (nth 0)
+              @ List.map (relabel "restore") (nth 1))
+            ());
+      families = [] };
+    { id = "fig13"; figure = "Fig 13"; default_n = Some 200;
+      sizes = Some (40, 200, 1000);
+      paper = "LightVM ~60ms regardless of load; xl grows into seconds";
+      jobs = fig13_jobs; finish = piece_concat; families = [] };
+    { id = "fig14"; figure = "Fig 14"; default_n = Some 400;
+      sizes = Some (100, 400, 1000);
+      paper =
+        "at 1000: Debian ~114GB, Tinyx ~27GB, Docker ~5GB, Minipython a bit \
+         above Docker";
+      jobs = fig14_jobs; finish = piece_concat; families = [] };
+    { id = "fig15"; figure = "Fig 15"; default_n = Some 200;
+      sizes = Some (60, 200, 1000);
+      paper = "at 1000: Debian ~25%, Tinyx ~1%, unikernel/Docker near zero";
+      jobs = fig15_jobs; finish = piece_concat; families = [] };
+    { id = "fig16a"; figure = "Fig 16a"; default_n = None; sizes = None;
+      paper = "linear to 2.5Gbps @250 users; 4Gbps/4Mbps each @1000; RTT ~60ms";
+      jobs = (fun _ -> [ ("fig16a", fig16a_firewall) ]);
+      finish = piece_concat; families = [] };
+    { id = "fig16b"; figure = "Fig 16b"; default_n = Some 250;
+      sizes = Some (60, 250, 1000);
+      paper =
+        "median 13ms / p90 20ms at 25ms arrivals; long timeout tail at 10ms";
+      jobs = fig16b_jobs; finish = piece_concat; families = [] };
+    { id = "fig16c"; figure = "Fig 16c"; default_n = None; sizes = None;
+      paper =
+        "bare metal and Tinyx saturate ~1.4 Kreq/s; unikernel ~1/5 (lwip)";
+      jobs = (fun _ -> fig16c_jobs); finish = piece_concat; families = [] };
+    { id = "fig17"; figure = "Fig 17"; default_n = Some 400;
+      sizes = Some (100, 400, 1000);
+      paper = "overloaded host: XenStore path backs up more than noxs";
+      jobs = fig17_jobs; finish = piece_concat; families = [] };
+    { id = "fig18"; figure = "Fig 18"; default_n = Some 400;
+      sizes = Some (100, 400, 1000);
+      paper = "concurrent VMs over time on the overloaded host";
+      jobs = fig18_jobs; finish = piece_concat; families = [] };
+    { id = "ablation"; figure = "Sec 4.2 ablation"; default_n = Some 300;
+      sizes = Some (60, 300, 1000);
+      paper =
+        "cxenstored much slower than oxenstored; disabling logging removes \
+         the spikes but not the growth";
+      jobs = ablation_jobs; finish = piece_concat; families = [] };
+    { id = "pause"; figure = "Sec 2"; default_n = None; sizes = None;
+      paper = "must match container freeze/thaw";
+      jobs = (fun _ -> [ ("pause", pause_unpause) ]);
+      finish = piece_concat; families = [] };
+    { id = "wan-migration"; figure = "Sec 7.1"; default_n = None; sizes = None;
+      paper = "ClickOS guest in ~150 ms";
+      jobs = (fun _ -> [ ("wan-migration", wan_migration) ]);
+      finish = piece_concat; families = [] };
+    { id = "headline"; figure = "Abstract"; default_n = None; sizes = None;
+      paper = ""; jobs = (fun _ -> [ ("headline", headline_numbers) ]);
+      finish = piece_concat; families = [] };
+    { id = "tinyx"; figure = "Sec 3.2"; default_n = None; sizes = None;
+      paper = ""; jobs = (fun _ -> [ ("tinyx", tinyx_table) ]);
+      finish = piece_concat; families = [] };
+    { id = "cluster"; figure = "Cluster"; default_n = Some 500;
+      sizes = Some (60, 300, 500);
+      paper =
+        "beyond the paper: 3 placement policies on a multi-host cluster, \
+         plus drain/rebalance under injected migration corruption \
+         (leak-free accounting)";
+      jobs = cluster_jobs; finish = piece_concat;
+      families = [ cluster_drain ] };
+    { id = "cluster-scale"; figure = "Cluster at scale"; default_n = Some 2000;
+      sizes = Some (1000, 10_000, 10_000);
+      paper =
+        "beyond the paper: the event-core headline — 100 hosts x 10k guests \
+         scheduled, then drained and rebalanced, leak-free";
+      jobs = cluster_scale_jobs; finish = piece_concat;
+      families = [ cluster_scale_drain ] };
+    { id = "serverless"; figure = "Open-loop serverless"; default_n = Some 2000;
+      sizes = Some (600, 2000, 4000);
+      paper =
+        "beyond the paper: open-loop invocations on one dom0-bottlenecked \
+         host; the split-toolstack warm pool moves create work off the \
+         request path, winning at the tail (p99/p999) while background \
+         refill cedes a little median";
+      jobs = serverless_jobs; finish = piece_concat;
+      families = [ serverless_family ] };
+    { id = "serverless-day"; figure = "Serverless day"; default_n = Some 8000;
+      sizes = Some (40_000, 7_000_000, 7_000_000);
+      paper =
+        "beyond the paper: a full simulated day of open-loop traffic (~7M \
+         requests at the calibrated 80 req/s per host) through the warm \
+         fleet";
+      jobs = (fun a -> [ image_job "serverless-day/fleet" serverless_day a ]);
+      finish = piece_concat; families = [ serverless_day ] };
   ]
 
-let names = List.map fst (plans ())
+let names = List.map (fun d -> d.id) experiments
+
+let find name = List.find_opt (fun d -> String.equal d.id name) experiments
+
+(* An experiment's args: its own default -n unless one was given. *)
+let resolve d (a : args) =
+  if Option.is_some a.n then a else { a with n = d.default_n }
+
+let plan_of d a =
+  let a = resolve d a in
+  {
+    plan_jobs = d.jobs a;
+    plan_finish =
+      (fun pieces ->
+        result_of_piece ~name:d.id ~figure:d.figure (d.finish pieces));
+  }
+
+let plans a = List.map (fun d -> (d.id, plan_of d a)) experiments
 
 (* The one check of a user-supplied scale, shared by [plan] and the
    resume and serverless entry points. *)
@@ -2058,15 +2313,13 @@ let check_n = function
   | Some v when v < 1 -> Error (Printf.sprintf "-n must be >= 1 (got %d)" v)
   | _ -> Ok ()
 
-let plan ?n ?partition ?sim_jobs ?spec ?fault_seed name =
-  match
-    List.assoc_opt name (plans ?n ?partition ?sim_jobs ?spec ?fault_seed ())
-  with
+let plan a name =
+  match find name with
   | None ->
       Error
         (Printf.sprintf "unknown experiment %S; try: %s" name
            (String.concat " " names))
-  | Some p -> Result.map (fun () -> p) (check_n n)
+  | Some d -> Result.map (fun () -> plan_of d a) (check_n a.n)
 
 let run_plan ?(jobs = 1) p =
   let thunks = List.map snd p.plan_jobs in
@@ -2081,142 +2334,15 @@ let run_plan ?(jobs = 1) p =
    one, write it to disk ([snapshot]) and later run the family's suffix
    from the file ([resume]) — across process invocations, as long as it
    is the same binary ({!Lightvm_sim.Checkpoint} refuses anything
-   else). The key doubles as the snapshot's stored config string.
+   else). The key doubles as the snapshot's stored config string. A
+   suffix reads the mode, the guest and host counts and the host
+   partitions off the image's root and engine; the caller's args give
+   only -n, the spec and the fault seed, with the owning experiment's
+   defaults, as they do for its plan. *)
 
-   A family is its listed images plus [make], which rebuilds the suffix
-   from the root alone — mode, guest and host counts and partitioning
-   are read off the root and the image; only [n], [spec] and
-   [fault_seed] come from the caller — and renders it. The one [make]
-   drives both ways to run a suffix: unbroken (the image's prefix, then
-   [make] on its root, in one simulation) and from bytes (thaw, then
-   [make] in the resumed simulation). The thaw decodes at the root type
-   of the family whose [make] consumes it. *)
-
-type family =
-  | Family : {
-      images : 'root image list;
-      make :
-        n:int option ->
-        spec:Fault.spec option ->
-        fault_seed:int64 ->
-        partition ->
-        'root ->
-        piece;
-    }
-      -> family
-
-(* The families by name — the text of their keys before ':' — with the
-   images sized by [n] and laid out by [partition] and [sim_jobs]. *)
-let families ?n ~partition ~sim_jobs () =
-  let counts = scale_counts (Option.value n ~default:10_000) in
-  let top = List.fold_left max 1 counts in
-  let poisson = Arrival.Poisson { rate = serverless_rate } in
-  let drain name ~default hosts_for =
-    let guests = Option.value n ~default in
-    ( name,
-      Family
-        {
-          images = [ drain_image ~name ~hosts:(hosts_for ~guests) ~guests ];
-          make =
-            (fun ~n:_ ~spec ~fault_seed _ ->
-              cluster_drain_suffix
-                ~spec:(Option.value spec ~default:cluster_spec)
-                ~fault_seed);
-        } )
-  in
-  [
-    ( "scale",
-      Family
-        {
-          images =
-            List.concat_map
-              (fun mode ->
-                List.map (scale_image ~mode) (scale_mode_counts mode counts))
-              scale_modes;
-          make =
-            (fun ~n ~spec:_ ~fault_seed:_ _ ((host, prev) as root) ->
-              let mode = Vmm.mode host and count = Array.length prev in
-              let extra = Option.value n ~default:(max 1 (count / 10)) in
-              let total = count + extra in
-              let _, lat = scale_grow ~upto:total root in
-              piece
-                ~series:(scale_curve_rows ~mode ~counts:[ total ] lat)
-                ~notes:
-                  [
-                    Printf.sprintf
-                      "resumed %s host at %d guests, extended to %d"
-                      (Mode.name mode) count total;
-                  ]
-                ());
-        } );
-    ( "scale-fleet",
-      Family
-        {
-          images =
-            [
-              fleet_image
-                (fleet_layout ~partition ~sim_jobs)
-                ~per:(fleet_per top);
-            ];
-          make =
-            (fun ~n:_ ~spec:_ ~fault_seed:_ partition root ->
-              let lat = fleet_finish partition root in
-              let hosts = Array.length lat and per = Array.length lat.(0) in
-              piece
-                ~series:[ fleet_row_render lat ]
-                ~notes:
-                  [
-                    Printf.sprintf
-                      "resumed fleet wave 2: %d hosts, guests %d..%d of %d each"
-                      hosts
-                      (max 1 (per / 2) + 1)
-                      per per;
-                  ]
-                ());
-        } );
-    ( "reliability",
-      Family
-        {
-          images = List.map reliability_image reliability_modes;
-          make =
-            (fun ~n ~spec ~fault_seed _ host ->
-              reliability_suffix
-                ~n:(Option.value n ~default:200)
-                ~spec:(Option.value spec ~default:reliability_spec)
-                ~seed:fault_seed ~level:1. host);
-        } );
-    drain "cluster" ~default:500 cluster_hosts;
-    drain "cluster-scale" ~default:2000 cluster_scale_hosts;
-    ( "serverless",
-      Family
-        {
-          images = [ serverless_image ];
-          make =
-            (fun ~n ~spec ~fault_seed _ host ->
-              let policy = Serverless.Warm_pool in
-              serverless_render
-                ~label:(serverless_label ~policy ~arrival:poisson ~spec)
-                (serverless_suffix
-                   ~requests:(Option.value n ~default:2000)
-                   ~policy ~arrival:poisson ?spec
-                   ~seed:(serverless_cell_seed ~seed:fault_seed 1)
-                   host));
-        } );
-    ( "serverless-day",
-      Family
-        {
-          images =
-            [
-              serverless_day_image
-                (serverless_fleet_layout ~partition ~sim_jobs);
-            ];
-          make =
-            (fun ~n ~spec:_ ~fault_seed ->
-              serverless_day_suffix
-                ~requests:(Option.value n ~default:8000)
-                ~seed:(serverless_cell_seed ~seed:fault_seed 7));
-        } );
-  ]
+(* Every family, with the experiment that owns it, in registry order. *)
+let owned =
+  List.concat_map (fun d -> List.map (fun f -> (d, f)) d.families) experiments
 
 (* Frozen image bytes, or the reason the prefix cannot be frozen (a bug
    in the image's choice of quiesce point, not a user error). *)
@@ -2226,16 +2352,13 @@ let freeze img =
   | Ok bytes -> bytes
   | Error e -> failwith (img.img_key ^ ": " ^ Snap.error_to_string e)
 
-(* Thaw [bytes] and run [make]'s suffix in the resumed simulation, on
-   the image's own partitioning with one worker. *)
-let resume make bytes =
+(* Thaw [bytes] and run [suffix] in the resumed simulation, on the
+   image's own partitioning with one worker. *)
+let resume suffix bytes =
   match Snap.thaw bytes with
   | Error e -> Error (Snap.error_to_string e)
   | Ok ((saved : Engine.saved), root) ->
-      let partition =
-        if Engine.saved_partitions saved = 0 then `None else `Host
-      in
-      Ok (sim ~from:saved (fun () -> make partition root))
+      Ok (sim ~from:saved (fun () -> suffix root))
 
 let resumed = Result.map (result_of_piece ~name:"resume" ~figure:"snapshot")
 
@@ -2244,35 +2367,31 @@ type prefix = {
   prefix_describe : string;
   prefix_build : unit -> string;
   prefix_run :
-    ?n:int ->
-    ?spec:Fault.spec ->
-    ?fault_seed:int64 ->
-    [ `Unbroken | `Image of string ] ->
-    (result, string) Stdlib.result;
+    args -> [ `Unbroken | `Image of string ] -> (result, string) Stdlib.result;
 }
 
-let listed make img =
+let listed d suffix img =
   {
     prefix_key = img.img_key;
     prefix_describe = img.img_describe;
     prefix_build = (fun () -> freeze img);
     prefix_run =
-      (fun ?n ?spec ?(fault_seed = 42L) origin ->
-        let make = make ~n ~spec ~fault_seed in
+      (fun a origin ->
+        let a = resolve d a in
         resumed
-          (Result.bind (check_n n) (fun () ->
+          (Result.bind (check_n a.n) (fun () ->
                match origin with
-               | `Unbroken -> Ok (unbroken img make)
-               | `Image bytes -> resume make bytes)));
+               | `Unbroken -> Ok (unbroken img (suffix a))
+               | `Image bytes -> resume (suffix a) bytes)));
   }
 
-let prefixes ?n ?(partition = `Host) ?(sim_jobs = 1) () : prefix list =
+let prefixes a =
   List.concat_map
-    (fun (_, Family f) -> List.map (listed f.make) f.images)
-    (families ?n ~partition ~sim_jobs ())
+    (fun (d, Family f) -> List.map (listed d f.suffix) (f.images (resolve d a)))
+    owned
 
-let snapshot_to_file ?n ?partition ?sim_jobs ~key ~path () =
-  let avail = prefixes ?n ?partition ?sim_jobs () in
+let snapshot_to_file a ~key ~path =
+  let avail = prefixes a in
   match List.find_opt (fun p -> String.equal p.prefix_key key) avail with
   | None ->
       Error
@@ -2286,8 +2405,8 @@ let snapshot_to_file ?n ?partition ?sim_jobs ~key ~path () =
           | Ok () -> Ok p.prefix_describe
           | Error e -> Error (Snap.error_to_string e)))
 
-let resume_from_file ?n ?spec ?(fault_seed = 42L) ~path () =
-  match (check_n n, Snap.load_bytes ~path ()) with
+let resume_from_file a ~path =
+  match (check_n a.n, Snap.load_bytes ~path ()) with
   | Error m, _ -> Error m
   | _, Error e -> Error (Snap.error_to_string e)
   | Ok (), Ok (key, bytes) -> (
@@ -2297,36 +2416,38 @@ let resume_from_file ?n ?spec ?(fault_seed = 42L) ~path () =
         | None -> key
       in
       match
-        List.assoc_opt name (families ~partition:`Host ~sim_jobs:1 ())
+        List.find_opt (fun (_, Family f) -> String.equal f.name name) owned
       with
       | None -> Error (Printf.sprintf "unrecognised snapshot key %S" key)
-      | Some (Family f) -> resumed (resume (f.make ~n ~spec ~fault_seed) bytes))
+      | Some (d, Family f) -> resumed (resume (f.suffix (resolve d a)) bytes))
 
 (* ------------------------------------------------------------------ *)
 (* The CLI's `serverless` subcommand: one configurable cell from flag
-   values. [duration] wins over [n] when both are given (requests
-   follow from rate * duration); otherwise [n] is the request budget
-   and the duration follows from the mean rate. *)
+   values. [duration] wins over -n when both are given (requests
+   follow from rate * duration); otherwise -n, by default the serverless
+   family's, is the request budget and the duration follows from the
+   mean rate. *)
 
-let serverless_run ?n ?duration ?spec ?(fault_seed = 42L) ~arrival ~rate
-    ~policy () =
+let serverless_run ?duration ~arrival ~rate ~policy (a : args) =
+  let d = Option.get (find "serverless") in
   let requests, period =
-    match (duration, n) with
-    | Some d, _ -> (max 1 (int_of_float (rate *. d)), d)
-    | None, Some v -> (v, float_of_int v /. rate)
-    | None, None -> (2000, 2000. /. rate)
+    match duration with
+    | Some t -> (max 1 (int_of_float (rate *. t)), t)
+    | None ->
+        let v = n_of (resolve d a) in
+        (v, float_of_int v /. rate)
   in
   match
-    ( check_n n,
+    ( check_n a.n,
       Arrival.of_flag ~rate ~period arrival,
       Serverless.policy_of_string policy )
   with
   | Error m, _, _ | _, Error m, _ | _, _, Error m -> Error m
   | Ok (), Ok arrival, Ok policy ->
       Ok
-        (result_of_piece ~name:"serverless" ~figure:"Open-loop serverless"
-           (serverless_cell ~requests ~policy ~arrival ?spec ~seed:fault_seed
-              ()))
+        (result_of_piece ~name:d.id ~figure:d.figure
+           (serverless_cell ~requests ~policy ~arrival ?spec:a.spec
+              ~seed:a.fault_seed ()))
 
 (* ------------------------------------------------------------------ *)
 (* XenStore dump *)

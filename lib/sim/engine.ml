@@ -450,8 +450,6 @@ let harvest eng =
     sv_events = Heap.entries eng.heap;
   }
 
-let saved_partitions s = Array.length s.sv_engs - 1
-
 (* The window bounds are set by each window that runs the engine. *)
 let restore_eng sv =
   {

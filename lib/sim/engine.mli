@@ -119,10 +119,6 @@ val resume_capture :
 (** {!resume} that captures again at exit — the chaining primitive for
     incremental prefixes (boot to N, snapshot, extend to M, snapshot). *)
 
-val saved_partitions : saved -> int
-(** The number of host partitions of the captured run, not counting
-    partition 0: 0 for a capture of {!run}. *)
-
 val current_partition : unit -> int
 (** The partition the calling process/callback runs in; always 0 in a
     single-heap {!run}. *)

@@ -46,7 +46,7 @@ let xenstore_key = Printf.sprintf "xenstore-dump@%d" xenstore_count
 let render_plan plan = render (E.run_plan ~jobs:1 plan)
 
 let render_pin (id, n) =
-  match E.plan ~n id with
+  match E.plan { E.default_args with n = Some n } id with
   | Ok plan -> render_plan plan
   | Error msg -> invalid_arg ("Digest_manifest: " ^ msg)
 
@@ -64,14 +64,15 @@ let render_resume key =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      ignore (ok_or_fail (E.snapshot_to_file ~n:resume_n ~key ~path ()));
-      render (ok_or_fail (E.resume_from_file ~path ())))
+      let args = { E.default_args with n = Some resume_n } in
+      ignore (ok_or_fail (E.snapshot_to_file args ~key ~path));
+      render (ok_or_fail (E.resume_from_file E.default_args ~path)))
 
 let entries () =
   List.map
     (fun (id, plan) ->
       (render_key id sweep_n, fun () -> digest (render_plan plan)))
-    (E.plans ~n:sweep_n ())
+    (E.plans { E.default_args with n = Some sweep_n })
   @ List.map
       (fun ((id, n) as pin) ->
         (render_key id n, fun () -> digest (render_pin pin)))
@@ -84,7 +85,7 @@ let entries () =
       (fun (p : E.prefix) ->
         let key = p.E.prefix_key in
         (resume_key key, fun () -> digest (render_resume key)))
-      (E.prefixes ~n:resume_n ())
+      (E.prefixes { E.default_args with n = Some resume_n })
 
 let header =
   "# Result digests, checked by dune runtest (test/test_parallel.ml;\n\

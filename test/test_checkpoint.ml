@@ -25,7 +25,7 @@ let prefix ?n key =
   match
     List.find_opt
       (fun (p : E.prefix) -> String.equal p.E.prefix_key key)
-      (E.prefixes ?n ())
+      (E.prefixes (Plan_run.args ?n ()))
   with
   | Some p -> p
   | None -> Alcotest.failf "no prefix %s" key
@@ -57,7 +57,7 @@ let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
 let test_every_key_resumes () =
   let path = tmp "lvm_test_every_key.lvmsnap" in
   let manifest = Manifest.load () in
-  let lines = E.prefixes ~n:Manifest.resume_n () in
+  let lines = E.prefixes (Plan_run.args ~n:Manifest.resume_n ()) in
   List.iter
     (fun (partition, sim_jobs, cfg) ->
       List.iter2
@@ -65,18 +65,21 @@ let test_every_key_resumes () =
           let key = p.E.prefix_key in
           let name = Printf.sprintf "%s (%s)" key cfg in
           (match
-             E.snapshot_to_file ~n:Manifest.resume_n ~partition ~sim_jobs ~key
-               ~path ()
+             E.snapshot_to_file
+               (Plan_run.args ~n:Manifest.resume_n ~partition ~sim_jobs ())
+               ~key ~path
            with
           | Ok _ -> ()
           | Error msg -> Alcotest.failf "snapshot %s: %s" name msg);
-          let resumed () = ok name (E.resume_from_file ~path ()) in
+          let resumed () =
+            ok name (E.resume_from_file E.default_args ~path)
+          in
           let first = resumed () in
           Alcotest.(check string) (name ^ " resumes identically") first
             (resumed ());
           Alcotest.(check string)
             (name ^ " resume = unbroken")
-            (ok name (p.E.prefix_run `Unbroken))
+            (ok name (p.E.prefix_run E.default_args `Unbroken))
             first;
           let line_key = Manifest.resume_key line.E.prefix_key in
           match List.assoc_opt line_key manifest with
@@ -86,7 +89,8 @@ let test_every_key_resumes () =
                 (Printf.sprintf "%s = test/digests.txt line %s" name line_key)
                 expected first)
         lines
-        (E.prefixes ~n:Manifest.resume_n ~partition ~sim_jobs ()))
+        (E.prefixes
+           (Plan_run.args ~n:Manifest.resume_n ~partition ~sim_jobs ())))
     [ (`Host, 1, "host/j1"); (`Host, 4, "host/j4"); (`None, 1, "none/j1") ];
   Sys.remove path
 
@@ -110,7 +114,9 @@ let prop_drain_snapshot =
       let spec = Fault.scale (parse_spec E.cluster_fault_spec) mult in
       let key = Printf.sprintf "cluster:drain@%d" guests in
       let p = prefix ~n:guests key in
-      let run origin = ok key (p.E.prefix_run ~spec ~fault_seed origin) in
+      let run origin =
+        ok key (p.E.prefix_run (Plan_run.args ~spec ~fault_seed ()) origin)
+      in
       String.equal (run `Unbroken) (run (`Image (p.E.prefix_build ()))))
 
 (* The fork-many contract: different suffixes thawed from the SAME
@@ -127,7 +133,10 @@ let test_reliability_snapshot_equal () =
         (fun (seed, level) ->
           let spec = Fault.scale spec level in
           let run origin =
-            ok key (p.E.prefix_run ~n:60 ~spec ~fault_seed:seed origin)
+            ok key
+              (p.E.prefix_run
+                 (Plan_run.args ~n:60 ~spec ~fault_seed:seed ())
+                 origin)
           in
           Alcotest.(check string)
             (Printf.sprintf "%s seed=%Ld x%g" slug seed level)
@@ -146,12 +155,45 @@ let test_reliability_snapshot_equal () =
 let test_restore_twice () =
   let p = prefix ~n:150 "scale:chaos-xs@150" in
   let image = p.E.prefix_build () in
-  let once () = ok "scale" (p.E.prefix_run ~n:15 (`Image image)) in
+  let once () =
+    ok "scale" (p.E.prefix_run (Plan_run.args ~n:15 ()) (`Image image))
+  in
   let first = once () in
   Alcotest.(check string) "second run identical" first (once ());
   Alcotest.(check string) "image = unbroken"
-    (ok "scale" (p.E.prefix_run ~n:15 `Unbroken))
+    (ok "scale" (p.E.prefix_run (Plan_run.args ~n:15 ()) `Unbroken))
     first
+
+(* A job that starts from a family's image runs the family's suffix
+   with the args resume passes. Under a fault seed other than the
+   default, each such plan job renders as its prefix's unbroken run and
+   as its run from the image's bytes. *)
+let test_image_jobs_are_suffixes () =
+  List.iter
+    (fun (id, job, key) ->
+      let args = Plan_run.args ~n:24 ~fault_seed:7L () in
+      let plan = Plan_run.plan ~n:24 ~fault_seed:7L id in
+      let piece = (List.assoc job plan.E.plan_jobs) () in
+      let p = prefix ~n:24 key in
+      let job_render =
+        render
+          {
+            E.name = "resume";
+            figure = "snapshot";
+            series = piece.E.p_series;
+            tables = piece.E.p_tables;
+            notes = piece.E.p_notes;
+          }
+      in
+      Alcotest.(check string) (job ^ " = unbroken suffix") job_render
+        (ok key (p.E.prefix_run args `Unbroken));
+      Alcotest.(check string) (job ^ " = suffix from the image") job_render
+        (ok key (p.E.prefix_run args (`Image (p.E.prefix_build ())))))
+    [
+      ("cluster", "cluster/drain", "cluster:drain@24");
+      ("cluster-scale", "cluster-scale/drain", "cluster-scale:drain@24");
+      ("serverless-day", "serverless-day/fleet", "serverless-day:host@4");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Format hygiene. The header is checked magic-first, then version,
@@ -282,7 +324,9 @@ let test_payload_flips_refused () =
     ~start:(String.length valid - String.length frozen)
     valid
     (fun () -> Result.is_error (Checkpoint.load_bytes ~path ()));
-  (match E.snapshot_to_file ~n:24 ~key:"scale:chaos-xs@24" ~path () with
+  (match
+     E.snapshot_to_file (Plan_run.args ~n:24 ()) ~key:"scale:chaos-xs@24" ~path
+   with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg);
   let image = read_raw path in
@@ -300,7 +344,7 @@ let test_payload_flips_refused () =
     let b = Bytes.of_string image in
     Bytes.set b i (Char.chr (Char.code image.[i] lxor 0x55));
     write_raw path (Bytes.to_string b);
-    match E.resume_from_file ~path () with
+    match E.resume_from_file E.default_args ~path with
     | Ok _ ->
         Alcotest.failf "image flip at payload byte %d accepted" (i - start)
     | Error msg ->
@@ -375,15 +419,20 @@ let test_objects_per_guest () =
    unbroken: -n reaches the suffix on both paths. *)
 let test_snapshot_file_roundtrip () =
   let path = tmp "lvm_test_scale.lvmsnap" in
-  (match E.snapshot_to_file ~n:150 ~key:"scale:chaos-xs@150" ~path () with
+  (match
+     E.snapshot_to_file (Plan_run.args ~n:150 ()) ~key:"scale:chaos-xs@150"
+       ~path
+   with
   | Ok _description -> ()
   | Error msg -> Alcotest.fail msg);
-  let resumed () = ok "resume" (E.resume_from_file ~n:15 ~path ()) in
+  let resumed () =
+    ok "resume" (E.resume_from_file (Plan_run.args ~n:15 ()) ~path)
+  in
   let first = resumed () in
   Alcotest.(check string) "resume twice identical" first (resumed ());
   let p = prefix ~n:150 "scale:chaos-xs@150" in
   Alcotest.(check string) "resume = unbroken"
-    (ok "unbroken" (p.E.prefix_run ~n:15 `Unbroken))
+    (ok "unbroken" (p.E.prefix_run (Plan_run.args ~n:15 ()) `Unbroken))
     first;
   Sys.remove path
 
@@ -392,15 +441,17 @@ let test_resume_bad_n () =
   let path = tmp "lvm_test_bad_n.lvmsnap" in
   List.iter
     (fun key ->
-      (match E.snapshot_to_file ~n:24 ~key ~path () with
+      (match E.snapshot_to_file (Plan_run.args ~n:24 ()) ~key ~path with
       | Ok _ -> ()
       | Error msg -> Alcotest.fail msg);
       List.iter
         (fun n ->
-          (match E.resume_from_file ~n ~path () with
+          (match E.resume_from_file (Plan_run.args ~n ()) ~path with
           | Ok _ -> Alcotest.failf "%s: -n %d accepted" key n
           | Error _ -> ());
-          match (prefix ~n:24 key).E.prefix_run ~n `Unbroken with
+          match
+            (prefix ~n:24 key).E.prefix_run (Plan_run.args ~n ()) `Unbroken
+          with
           | Ok _ -> Alcotest.failf "%s: unbroken -n %d accepted" key n
           | Error _ -> ())
         [ 0; -1; -5 ])
@@ -411,11 +462,13 @@ let test_resume_bad_n () =
    reaches it. *)
 let test_serverless_resume_faults () =
   let path = tmp "lvm_test_serverless.lvmsnap" in
-  (match E.snapshot_to_file ~key:"serverless:warm@4" ~path () with
+  (match
+     E.snapshot_to_file E.default_args ~key:"serverless:warm@4" ~path
+   with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg);
   let notes ?spec () =
-    match E.resume_from_file ~n:100 ?spec ~path () with
+    match E.resume_from_file (Plan_run.args ~n:100 ?spec ()) ~path with
     | Ok r -> String.concat "\n" r.E.notes
     | Error msg -> Alcotest.fail msg
   in
@@ -426,8 +479,8 @@ let test_serverless_resume_faults () =
 
 let test_snapshot_unknown_key () =
   match
-    E.snapshot_to_file ~n:100 ~key:"scale:chaos-xs@99999"
-      ~path:(tmp "lvm_test_unknown.lvmsnap") ()
+    E.snapshot_to_file (Plan_run.args ~n:100 ()) ~key:"scale:chaos-xs@99999"
+      ~path:(tmp "lvm_test_unknown.lvmsnap")
   with
   | Ok _ -> Alcotest.fail "unknown prefix key accepted"
   | Error _ -> ()
@@ -441,6 +494,8 @@ let suites =
           test_reliability_snapshot_equal;
         Alcotest.test_case "restore twice from one image" `Quick
           test_restore_twice;
+        Alcotest.test_case "image jobs run their family's suffix" `Quick
+          test_image_jobs_are_suffixes;
       ] );
     ( "checkpoint.format",
       [

@@ -85,7 +85,7 @@ let determinism_cases =
            (List.length plan.E.plan_jobs))
         `Slow
         (test_plan_deterministic name plan))
-    (E.plans ~n:Manifest.sweep_n ())
+    (E.plans (Plan_run.args ~n:Manifest.sweep_n ()))
 
 (* ------------------------------------------------------------------ *)
 (* Regression pins: renders at larger scales, and the store dump.

@@ -49,7 +49,8 @@ let result_digest (r : E.result) =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: the fleet cell across the jobs x partition matrix. *)
+(* Determinism: the fleet cell across the jobs x partition matrix, run
+   as the registry's serverless/fleet/4 job. *)
 
 let fleet_arb =
   QCheck.make
@@ -62,8 +63,11 @@ let prop_fleet_matrix =
     ~name:"serverless fleet digests identical across partition and sim_jobs"
     ~count:5 fleet_arb (fun (requests, seed) ->
       let digest partition sim_jobs =
-        piece_digest
-          (E.serverless_fleet ~requests ~partition ~sim_jobs ~seed ())
+        let plan =
+          Plan_run.plan ~n:requests ~partition ~sim_jobs ~fault_seed:seed
+            "serverless"
+        in
+        piece_digest ((List.assoc "serverless/fleet/4" plan.E.plan_jobs) ())
       in
       let reference = digest `Host 1 in
       String.equal reference (digest `Host 4)
@@ -206,7 +210,7 @@ let test_degenerate_flags_refused () =
   (match A.of_flag ~rate:2000. ~period:1. "mmpp" with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg);
-  match E.plan ~n:0 "serverless" with
+  match E.plan (Plan_run.args ~n:0 ()) "serverless" with
   | Ok _ -> Alcotest.fail "plan ~n:0 \"serverless\" accepted"
   | Error _ -> ()
 
