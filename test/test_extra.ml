@@ -266,20 +266,10 @@ let suites =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Small modules: Time, Mode, Hotplug estimates *)
+(* Small modules: Mode, Hotplug estimates *)
 
-module Time = Lightvm_sim.Time
 module Hotplug = Lightvm_toolstack.Hotplug
 module Device = Lightvm_guest.Device
-
-let test_time_units () =
-  Alcotest.(check (float 1e-12)) "us" 2.5e-6 (Time.us 2.5);
-  Alcotest.(check (float 1e-12)) "ms" 2.5e-3 (Time.ms 2.5);
-  Alcotest.(check (float 1e-12)) "s" 2.5 (Time.s 2.5);
-  Alcotest.(check (float 1e-9)) "to_ms" 1500. (Time.to_ms 1.5);
-  Alcotest.(check (float 1e-6)) "to_us" 1.5e6 (Time.to_us 1.5);
-  Alcotest.(check string) "pp" "2.312ms"
-    (Format.asprintf "%a" Time.pp_ms 0.0023124)
 
 let test_mode_names () =
   Alcotest.(check (list string))
@@ -324,7 +314,6 @@ let prop_ps_fairness =
 let small_modules_suite =
   ( "extra.small-modules",
     [
-      Alcotest.test_case "time units" `Quick test_time_units;
       Alcotest.test_case "mode names" `Quick test_mode_names;
       Alcotest.test_case "hotplug estimates" `Quick test_hotplug_estimates;
       QCheck_alcotest.to_alcotest prop_ps_fairness;
