@@ -129,24 +129,32 @@ let run config =
                      boot_vm i pending)
              | _ -> ());
 
-         (* Idle reaper: destroy VMs quiet for [idle_teardown]. *)
+         (* Idle reaper: destroy VMs quiet for [idle_teardown], in
+            client order. The quiet set is taken before the first
+            teardown, which takes simulated time. *)
          let reaper_live = ref true in
          Engine.spawn ~name:"jit-reaper" (fun () ->
              while !reaper_live do
                Engine.sleep 0.5;
                let now = Engine.now () in
-               Hashtbl.iter
-                 (fun i last ->
-                   if now -. last > config.idle_teardown then
-                     match Hashtbl.find_opt vms i with
-                     | Some (Ready domid) ->
-                         Hashtbl.remove vms i;
-                         Hashtbl.remove last_activity i;
-                         Switch.detach sw ~port:(service_addr i);
-                         ignore (Vmm.vm_delete host ~domid);
-                         incr torn_down
-                     | Some (Booting _) | None -> ())
-                 (Hashtbl.copy last_activity)
+               let quiet = ref [] in
+               for i = config.clients - 1 downto 0 do
+                 match Hashtbl.find_opt last_activity i with
+                 | Some last when now -. last > config.idle_teardown ->
+                     quiet := i :: !quiet
+                 | Some _ | None -> ()
+               done;
+               List.iter
+                 (fun i ->
+                   match Hashtbl.find_opt vms i with
+                   | Some (Ready domid) ->
+                       Hashtbl.remove vms i;
+                       Hashtbl.remove last_activity i;
+                       Switch.detach sw ~port:(service_addr i);
+                       ignore (Vmm.vm_delete host ~domid);
+                       incr torn_down
+                   | Some (Booting _) | None -> ())
+                 !quiet
              done);
 
          (* Clients, multiplexed behind the uplink port. *)
