@@ -390,7 +390,7 @@ let xs_transaction () =
   let store = Lightvm_xenstore.Xs_store.create () in
   let path = Lightvm_xenstore.Xs_path.of_string "/t/a" in
   Staged.stage (fun () ->
-      let tx = Lightvm_xenstore.Xs_transaction.start store ~id:1 in
+      let tx = Lightvm_xenstore.Xs_transaction.start store in
       ignore (Lightvm_xenstore.Xs_transaction.write tx ~caller:0 path "v");
       ignore (Lightvm_xenstore.Xs_transaction.commit tx ~into:store))
 

@@ -27,7 +27,6 @@ let host t i =
 
 let hosts t = Array.to_list t.nodes
 
-let policy t = Scheduler.policy t.sched
 let switch t = t.net
 
 let vm_count t =

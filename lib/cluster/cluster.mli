@@ -64,15 +64,10 @@ val host : t -> int -> Vmm.t
 val hosts : t -> Vmm.t list
 (** All endpoints, by ascending host id. *)
 
-val policy : t -> Scheduler.policy
-
 val switch : t -> Lightvm_net.Switch.t
 (** The modeled top-of-rack switch (control-plane traffic statistics
     live here). Shared state: in a partitioned run, send only from
     partition 0 (see {!Lightvm_net.Switch.send}). *)
-
-val vm_count : t -> int
-(** Live VMs across all hosts. *)
 
 val views : t -> Scheduler.host_view array
 (** The scheduler's current picture of the cluster, indexed by host id:

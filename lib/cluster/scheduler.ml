@@ -18,7 +18,6 @@ type t = { pol : policy; mutable cursor : int }
 
 let make pol = { pol; cursor = 0 }
 
-let policy t = t.pol
 
 (* The feasible view that [better] ranks first, in one pass. Every
    ranking ends on the id, so the choice never depends on the order of

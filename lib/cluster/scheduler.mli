@@ -43,8 +43,6 @@ type t
 
 val make : policy -> t
 
-val policy : t -> policy
-
 val place : t -> hosts:host_view array -> mem_kb:int -> (int, string) result
 (** Pick the host for a VM needing [mem_kb] of free memory. [Ok id] is
     the chosen host's [hv_id]; [Error _] means no host has that much

@@ -68,7 +68,6 @@ type vm_counters = {
   vc_breakdown : (string * float) list;
 }
 
-type ping = { pg_version : string; pg_host_id : int; pg_vm_count : int }
 
 (* One live VM. [created] is the pipeline handle; [awaited]
    distinguishes a VM whose guest has been waited for (so a resume
@@ -245,10 +244,6 @@ let pool_stats t image ~nics ~disks =
 
 (* ------------------------------------------------------------------ *)
 (* The lifecycle API *)
-
-let ping t =
-  { pg_version = api_version; pg_host_id = t.host_id;
-    pg_vm_count = vm_count t }
 
 let guest_mem_kb t = Xen.guest_mem_kb t.xen
 

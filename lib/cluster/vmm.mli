@@ -2,7 +2,7 @@
 
     One [Vmm.t] is the management endpoint of one simulated host —
     hypervisor, XenStore daemon, Dom0 backends and toolstack — exposed
-    through a cloud-hypervisor-shaped surface: [ping], [vm_create],
+    through a cloud-hypervisor-shaped surface: [vm_create],
     [vm_boot], [vm_pause]/[vm_resume], [vm_delete], [vm_info],
     [vm_counters], [vm_list], plus [vm_snapshot]/[vm_restore] and
     [vm_migrate] (the [vm.send-migration] analogue). Every operation
@@ -30,8 +30,8 @@ type t
 (** A host's management endpoint. *)
 
 val api_version : string
-(** Reported by {!ping}, in the style of cloud-hypervisor's
-    [VmmPingResponse]. *)
+(** The API's version, as cloud-hypervisor's [VmmPingResponse] reports
+    it. *)
 
 val create :
   ?host_id:int ->
@@ -126,16 +126,7 @@ type vm_counters = {
           categories), as [(category, seconds)] in canonical order *)
 }
 
-type ping = {
-  pg_version : string;
-  pg_host_id : int;
-  pg_vm_count : int;
-}
-
 (** {1 The lifecycle API} *)
-
-val ping : t -> ping
-(** Liveness probe; free (charges no simulated time). *)
 
 val vm_create : t -> vm_create_request -> (vm_info, error) result
 (** Run the full creation pipeline for the request (in split mode,

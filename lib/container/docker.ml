@@ -75,8 +75,6 @@ let create machine =
   | Error Frames.ENOMEM -> () (* wedge on first reservation instead *));
   t
 
-let machine t = t.machine
-
 let running t =
   Hashtbl.fold
     (fun _ c acc -> if c.alive then acc + 1 else acc)

@@ -19,8 +19,6 @@ type error =
 
 val create : Machine.t -> t
 
-val machine : t -> Machine.t
-
 val run :
   t ->
   ?rss_kb:int ->

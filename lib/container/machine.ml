@@ -25,15 +25,9 @@ let create ?(platform = Params.xeon_e5_1630) () =
     mem;
   }
 
-let platform t = t.platform
 let cpu t = t.cpu
 let mem t = t.mem
-
-let consume t ~core work = Cpu.consume t.cpu ~core work
 
 let consume_any t work =
   let core = Cpu.least_loaded t.cpu ~first:0 ~count:t.platform.Params.cores in
   Cpu.consume t.cpu ~core work
-
-let free_mem_kb t = Frames.free_kb t.mem
-let used_mem_kb t = Frames.used_kb t.mem

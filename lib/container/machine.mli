@@ -7,17 +7,9 @@ type t
 val create : ?platform:Lightvm_hv.Params.platform -> unit -> t
 (** Reserves the kernel's own memory slice. *)
 
-val platform : t -> Lightvm_hv.Params.platform
-
 val cpu : t -> Lightvm_sim.Cpu.t
 
 val mem : t -> Lightvm_hv.Frames.t
 
-val consume : t -> core:int -> float -> unit
-
 val consume_any : t -> float -> unit
 (** Run work on the least-loaded core. *)
-
-val free_mem_kb : t -> int
-
-val used_mem_kb : t -> int

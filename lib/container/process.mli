@@ -4,15 +4,10 @@
 
 type t
 
-type proc
-
 val create : Machine.t -> rng:Lightvm_sim.Rng.t -> t
 
-val fork_exec : t -> ?rss_kb:int -> unit -> proc
+val fork_exec : t -> ?rss_kb:int -> unit -> unit
 (** Blocks for the fork+exec duration (randomised, heavy-tailed). *)
 
-val kill : t -> proc -> unit
-
-val running : t -> int
-
 val rss_kb : t -> int
+(** Memory of every process forked so far. *)

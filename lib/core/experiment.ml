@@ -375,7 +375,7 @@ let process_series ~n =
       let procs = Process.create machine ~rng:(Rng.create 7L) in
       for i = 1 to n do
         let t0 = Engine.now () in
-        ignore (Process.fork_exec procs ());
+        Process.fork_exec procs ();
         Series.add series ~x:(float_of_int i)
           ~y:(ms (Engine.now () -. t0))
       done);
@@ -1131,7 +1131,7 @@ let fig14_process_memory ~n =
       let machine = Machine.create () in
       let procs = Process.create machine ~rng:(Rng.create 5L) in
       for i = 1 to n do
-        ignore (Process.fork_exec procs ~rss_kb:1_600 ());
+        Process.fork_exec procs ~rss_kb:1_600 ();
         if i mod fig14_sample = 0 || i = 1 then
           Series.add series ~x:(float_of_int i)
             ~y:(float_of_int (Process.rss_kb procs) /. 1024.)
@@ -1239,9 +1239,11 @@ let fig16b_interval ~clients interval =
       { Jit.default_config with Jit.arrival_interval = interval; clients }
   in
   let series = mk ("fig16b " ^ label) "cdf" in
+  let rtts = Quantiles.create () in
+  List.iter (Quantiles.add rtts) result.Jit.rtts;
   List.iter
     (fun (rtt, frac) -> Series.add series ~x:(ms rtt) ~y:frac)
-    (Lightvm_metrics.Cdf.points result.Jit.cdf);
+    (Quantiles.sorted_points rtts ~every:1);
   { label; series }
 
 let fig16b_jobs a : job list =

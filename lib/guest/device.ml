@@ -40,9 +40,3 @@ let backend_domain_dir ~domid c =
 
 let backend_dir ~domid c =
   Xs_path.concat (backend_domain_dir ~domid c) (string_of_int c.devid)
-
-let equal a b = a = b
-
-let pp fmt c =
-  Format.fprintf fmt "%s%d(be=%d,%s)" (kind_to_string c.kind) c.devid
-    c.backend_domid c.detail

@@ -34,7 +34,3 @@ val backend_domain_dir : domid:int -> config -> Lightvm_xenstore.Xs_path.t
     [/local/domain/0/backend/vif/5]. Created implicitly by the first
     write under it; rollback removes this whole level so a failed
     creation leaves no empty parent behind. *)
-
-val equal : config -> config -> bool
-
-val pp : Format.formatter -> config -> unit

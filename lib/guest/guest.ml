@@ -16,13 +16,8 @@ type t = {
   started_at : float;
   mutable ready_at : float; (* meaningful once [ready] is full *)
   mutable up : bool;
-  (* Bumped on every shutdown/resume so a stale idle loop (asleep
-     across a suspend/resume cycle) exits instead of doubling the
-     background load. *)
-  mutable idle_gen : int;
 }
 
-let domid t = t.domid
 let image t = t.image
 let devices t = t.devices
 let booted t = Engine.Ivar.is_full t.ready
@@ -41,18 +36,18 @@ let suspend_work_noxs = 0.15e-3
 (* Idle background load: Tinyx and Debian run periodic kernel/service
    work even when idle; unikernels do not (Image.idle_tick_period =
    infinity). *)
-let rec idle_loop t gen =
-  if t.up && t.idle_gen = gen then begin
+let rec idle_loop t =
+  if t.up then begin
     let period = t.image.Image.idle_tick_period in
     if period <> infinity then begin
       Engine.sleep period;
-      if t.up && t.idle_gen = gen then begin
+      if t.up then begin
         (match Xen.find_domain t.xen ~domid:t.domid with
         | dom when Domain.is_running dom ->
             Xen.consume_guest t.xen ~domid:t.domid
               t.image.Image.idle_tick_work
         | _ | (exception Not_found) -> ());
-        idle_loop t gen
+        idle_loop t
       end
     end
   end
@@ -84,7 +79,7 @@ let boot_process t () =
   t.ready_at <- Engine.now ();
   t.up <- true;
   Engine.Ivar.fill t.ready ();
-  idle_loop t t.idle_gen
+  idle_loop t
 
 let start ~xen ~registry ~domid ~image ~devices () =
   let t =
@@ -98,7 +93,6 @@ let start ~xen ~registry ~domid ~image ~devices () =
       started_at = Engine.now ();
       ready_at = nan;
       up = false;
-      idle_gen = 0;
     }
   in
   Engine.spawn ~name:("guest-" ^ string_of_int domid) (boot_process t);
@@ -107,7 +101,6 @@ let start ~xen ~registry ~domid ~image ~devices () =
 let shutdown t =
   if t.up then begin
     t.up <- false;
-    t.idle_gen <- t.idle_gen + 1;
     (* Guest-side quiesce: save internal state, unbind event channels
        and device pages. *)
     let work =
@@ -119,13 +112,4 @@ let shutdown t =
     | dom when Domain.is_running dom ->
         Xen.consume_guest t.xen ~domid:t.domid work
     | _ | (exception Not_found) -> ()
-  end
-
-let resume t =
-  if not t.up then begin
-    t.up <- true;
-    t.idle_gen <- t.idle_gen + 1;
-    let gen = t.idle_gen in
-    Engine.spawn ~name:("guest-" ^ string_of_int t.domid ^ "-idle") (fun () ->
-        idle_loop t gen)
   end

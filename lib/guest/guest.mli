@@ -32,15 +32,11 @@ val boot_time : t -> float
 (** Seconds from [start] to ready. Raises [Invalid_argument] before
     boot completes. *)
 
-val domid : t -> int
-
 val image : t -> Image.t
 
 val devices : t -> Device.config list
 
 val shutdown : t -> unit
 (** Stop the idle load and mark the guest down (guest-side part of
-    shutdown/suspend; charges the guest's save work). *)
-
-val resume : t -> unit
-(** Restart idle load after a restore. *)
+    shutdown/suspend; charges the guest's save work). A restore starts
+    a new guest. *)

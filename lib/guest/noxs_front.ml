@@ -72,14 +72,3 @@ let connect ~xen ~ctrl ~domid (dev : Device.config) =
   ignore (Evtchn.notify (Xen.evtchn xen) ~domid ~port);
   Ctrl.await_connected page;
   Ctrl.set_front_state page Ctrl.Connected
-
-let disconnect ~xen ~ctrl ~domid (dev : Device.config) =
-  match find_entry ~xen ~domid dev with
-  | entry -> (
-      match
-        Ctrl.find ctrl ~backend_domid:entry.Devpage.backend_domid
-          ~grant_ref:entry.Devpage.grant_ref
-      with
-      | page -> Ctrl.set_front_state page Ctrl.Closed
-      | exception Not_found -> ())
-  | exception Connect_failed _ -> ()

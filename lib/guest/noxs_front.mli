@@ -19,6 +19,3 @@ val connect :
   unit
 (** Bring up one frontend; blocks until the backend control-page state
     is Connected. *)
-
-val disconnect :
-  xen:Lightvm_hv.Xen.t -> ctrl:Ctrl.t -> domid:int -> Device.config -> unit

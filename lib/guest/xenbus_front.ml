@@ -95,8 +95,3 @@ let connect ~xs ~xen ~domid (dev : Device.config) =
   ignore (Xs_client.read_opt xs (Xs_path.concat be "mac"));
   Xs_client.write xs fe_state (state_to_wire Connected);
   Xen.consume_guest xen ~domid (0.5 *. guest_side_work)
-
-let disconnect ~xs ~domid dev =
-  Xs_client.write xs
-    (Xs_path.concat (Device.frontend_dir ~domid dev) "state")
-    (state_to_wire Closed)

@@ -33,7 +33,3 @@ val connect :
 (** Bring up one frontend; blocks until the backend reports Connected.
     [xs] must be the guest's own XenStore connection (so permissions
     and protocol costs are attributed to the guest). *)
-
-val disconnect :
-  xs:Lightvm_xenstore.Xs_client.t -> domid:int -> Device.config -> unit
-(** Flip the frontend to Closed (used on suspend). *)

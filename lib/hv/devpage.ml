@@ -56,18 +56,6 @@ let write_entry t ~caller ~domid entry =
           Ok ()
         end
 
-let remove_entry t ~caller ~domid ~kind ~devid =
-  if caller <> 0 then Error Access_denied
-  else
-    match Tbl.find t.pages domid with
-    | exception Not_found -> Error No_page
-    | page ->
-        if has_slot ~kind ~devid page then begin
-          Tbl.replace t.pages domid (without ~kind ~devid page);
-          Ok ()
-        end
-        else Error No_entry
-
 let read t ~caller ~domid =
   if caller <> 0 && caller <> domid then Error Access_denied
   else
@@ -86,8 +74,3 @@ let find t ~caller ~domid ~kind ~devid =
     match Tbl.find t.pages domid with
     | exception Not_found -> Error No_page
     | page -> find_slot ~kind ~devid page
-
-let kind_to_string = function
-  | Vif -> "vif"
-  | Vbd -> "vbd"
-  | Sysctl -> "sysctl"

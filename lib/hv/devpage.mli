@@ -31,16 +31,9 @@ val write_entry :
   t -> caller:int -> domid:int -> entry -> (unit, error) result
 (** Dom0 only. Replaces an existing entry with the same kind+devid. *)
 
-val remove_entry :
-  t -> caller:int -> domid:int -> kind:kind -> devid:int ->
-  (unit, error) result
-(** Dom0 only. *)
-
 val read : t -> caller:int -> domid:int -> (entry list, error) result
 (** The guest itself or Dom0; read-only mapping semantics. *)
 
 val find :
   t -> caller:int -> domid:int -> kind:kind -> devid:int ->
   (entry, error) result
-
-val kind_to_string : kind -> string

@@ -10,8 +10,7 @@ type state =
 
 type t
 
-val make :
-  domid:int -> name:string -> vcpus:int -> max_mem_kb:int -> core:int -> t
+val make : domid:int -> name:string -> max_mem_kb:int -> core:int -> t
 
 val domid : t -> int
 
@@ -22,8 +21,6 @@ val set_name : t -> string -> unit
 val state : t -> state
 
 val set_state : t -> state -> unit
-
-val vcpus : t -> int
 
 val max_mem_kb : t -> int
 

@@ -51,8 +51,9 @@ let hypercall ?(op = "hypercall") t ~cost =
   end
   else Engine.sleep (t.costs.Params.hypercall_base +. cost)
 
-let boot ?(platform = Params.xeon_e5_1630) ?(costs = Params.default_costs)
-    ?(dom0_mem_mb = 4096) () =
+let dom0_mem_mb = 4096
+
+let boot ?(platform = Params.xeon_e5_1630) ?(costs = Params.default_costs) () =
   let frames = Frames.create ~total_kb:(platform.Params.ram_mb * 1024) in
   (match Frames.alloc frames ~owner:xen_owner ~kb:xen_own_mem_kb with
   | Ok () -> ()
@@ -65,9 +66,8 @@ let boot ?(platform = Params.xeon_e5_1630) ?(costs = Params.default_costs)
   in
   let domains = Tbl.create 64 in
   let dom0 =
-    Domain.make ~domid:0 ~name:"Domain-0"
-      ~vcpus:platform.Params.dom0_cores
-      ~max_mem_kb:(dom0_mem_mb * 1024) ~core:0
+    Domain.make ~domid:0 ~name:"Domain-0" ~max_mem_kb:(dom0_mem_mb * 1024)
+      ~core:0
   in
   Domain.set_state dom0 Domain.Running;
   Tbl.replace domains 0 dom0;
@@ -119,7 +119,7 @@ let create_domain t ~name ~vcpus ~mem_mb =
       t.next_domid <- t.next_domid + 1;
       let core = guest_core t t.rr_next in
       t.rr_next <- t.rr_next + 1;
-      let dom = Domain.make ~domid ~name ~vcpus ~max_mem_kb:mem_kb ~core in
+      let dom = Domain.make ~domid ~name ~max_mem_kb:mem_kb ~core in
       Tbl.replace t.domains domid dom;
       Devpage.setup t.devpage ~domid;
       Ok dom

@@ -13,14 +13,9 @@ type error =
   | ENOENT  (** no such domain *)
   | EINVAL
 
-val boot :
-  ?platform:Params.platform ->
-  ?costs:Params.costs ->
-  ?dom0_mem_mb:int ->
-  unit ->
-  t
+val boot : ?platform:Params.platform -> ?costs:Params.costs -> unit -> t
 (** Boot the host (must run inside a simulation). Creates Dom0 pinned to
-    the platform's reserved cores and accounts its memory. Default
+    the platform's reserved cores and accounts its 4,096 MB. Default
     platform: the paper's 4-core Xeon. *)
 
 val platform : t -> Params.platform

@@ -39,18 +39,10 @@ let quantile t q =
   if q < 0. || q > 1. then invalid_arg "Quantiles.quantile: q outside [0,1]";
   let a = sorted t in
   let rank =
-    Stdlib.min (t.len - 1)
+    min (t.len - 1)
       (int_of_float (Float.round (q *. float_of_int (t.len - 1))))
   in
   a.(rank)
-
-let min t =
-  if t.len = 0 then invalid_arg "Quantiles.min: empty";
-  (sorted t).(0)
-
-let max t =
-  if t.len = 0 then invalid_arg "Quantiles.max: empty";
-  (sorted t).(t.len - 1)
 
 let merge_into t ~src =
   for i = 0 to src.len - 1 do
@@ -61,7 +53,7 @@ let sorted_points t ~every =
   if t.len = 0 then []
   else begin
     let a = sorted t in
-    let every = Stdlib.max 1 every in
+    let every = max 1 every in
     let out = ref [] in
     for i = t.len - 1 downto 0 do
       if i = 0 || i = t.len - 1 || i mod every = 0 then

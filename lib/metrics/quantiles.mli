@@ -23,12 +23,6 @@ val quantile : t -> float -> float
     samples. @raise Invalid_argument when empty or [q] outside
     [0, 1]. *)
 
-val min : t -> float
-(** @raise Invalid_argument when empty. *)
-
-val max : t -> float
-(** @raise Invalid_argument when empty. *)
-
 val merge_into : t -> src:t -> unit
 (** Append every sample of [src] (in insertion order) to [t]. *)
 

@@ -31,14 +31,3 @@ let y_at t ~x =
   List.find_map
     (fun (px, py) -> if px = x then Some py else None)
     (points t)
-
-let sample t ~every =
-  if every <= 0 then invalid_arg "Series.sample: every <= 0";
-  let pts = points t in
-  let n = List.length pts in
-  List.filteri (fun i _ -> i mod every = 0 || i = n - 1) pts
-
-let pp fmt t =
-  Format.fprintf fmt "# %s%s@\n" t.name
-    (if t.unit_label = "" then "" else " [" ^ t.unit_label ^ "]");
-  List.iter (fun (x, y) -> Format.fprintf fmt "%g %g@\n" x y) (points t)

@@ -24,9 +24,3 @@ val min_y : t -> float
 
 val y_at : t -> x:float -> float option
 (** Exact-x lookup (first match). *)
-
-val sample : t -> every:int -> (float * float) list
-(** Every [n]th point, always including the last. *)
-
-val pp : Format.formatter -> t -> unit
-(** Two-column dump: [x y] per line under a header. *)

@@ -6,14 +6,10 @@ type t = {
 
 let create ~title ~columns = { title; columns; rev_rows = [] }
 
-let title t = t.title
-
 let add_row t row =
   if List.length row <> List.length t.columns then
     invalid_arg "Table.add_row: wrong number of cells";
   t.rev_rows <- row :: t.rev_rows
-
-let add_rowf t row = add_row t (List.map (Printf.sprintf "%g") row)
 
 let rows t = List.rev t.rev_rows
 

@@ -4,13 +4,8 @@ type t
 
 val create : title:string -> columns:string list -> t
 
-val title : t -> string
-
 val add_row : t -> string list -> unit
 (** Must match the column count. *)
-
-val add_rowf : t -> float list -> unit
-(** Formats each value with [%g]. *)
 
 val rows : t -> string list list
 

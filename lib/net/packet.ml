@@ -24,16 +24,3 @@ let default_size = function
 let make ~src ~dst ~kind ?(payload = "") ~seq () =
   { src; dst; kind; size_b = default_size kind + String.length payload; seq;
     payload }
-
-let kind_to_string = function
-  | Arp_request -> "arp-request"
-  | Arp_reply -> "arp-reply"
-  | Icmp_echo -> "icmp-echo"
-  | Icmp_reply -> "icmp-reply"
-  | Udp -> "udp"
-  | Tcp -> "tcp"
-
-let pp fmt t =
-  Format.fprintf fmt "%s %d->%s seq=%d" (kind_to_string t.kind) t.src
-    (match t.dst with Addr a -> string_of_int a | Broadcast -> "*")
-    t.seq

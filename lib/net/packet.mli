@@ -18,14 +18,10 @@ type t = {
   kind : kind;
   size_b : int;
   seq : int;  (** correlates requests with replies *)
-  payload : string;  (** application data, e.g. a daytime string *)
+  payload : string;  (** application data, e.g. a control-plane message *)
 }
 
 val make :
   src:int -> dst:addr -> kind:kind -> ?payload:string -> seq:int -> unit -> t
 (** Sizes: 64 B for ARP/ICMP, 1500 B otherwise, plus the payload
     length. *)
-
-val kind_to_string : kind -> string
-
-val pp : Format.formatter -> t -> unit

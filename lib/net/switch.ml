@@ -3,7 +3,6 @@ module Ports = Set.Make (Int)
 
 type t = {
   capacity_pps : float;
-  queue_slots : int;
   handlers : (int, Packet.t -> unit) Hashtbl.t;
   mutable attached : Ports.t; (* floods go in port order *)
   partitions : (int, int) Hashtbl.t; (* port -> partition, when declared *)
@@ -16,11 +15,11 @@ type t = {
 }
 
 let default_latency = 30.0e-6
+let queue_slots = 2048
 
-let create ?(capacity_pps = 300_000.) ?(queue_slots = 2048) () =
+let create ?(capacity_pps = 300_000.) () =
   {
     capacity_pps;
-    queue_slots;
     handlers = Hashtbl.create 64;
     attached = Ports.empty;
     partitions = Hashtbl.create 64;
@@ -51,7 +50,7 @@ let refill t =
   if elapsed > 0. then begin
     t.tokens <-
       Float.min
-        (float_of_int t.queue_slots)
+        (float_of_int queue_slots)
         (t.tokens +. (elapsed *. t.capacity_pps));
     t.last_refill <- now
   end
@@ -94,7 +93,7 @@ let send t (pkt : Packet.t) =
     | Packet.Addr _ -> (1., false)
   in
   let threshold =
-    if is_bcast then 0.25 *. float_of_int t.queue_slots else 0.
+    if is_bcast then 0.25 *. float_of_int queue_slots else 0.
   in
   if t.tokens -. cost < threshold then begin
     t.dropped <- t.dropped + 1;
@@ -112,7 +111,6 @@ let send t (pkt : Packet.t) =
   end
 
 let learned t = Hashtbl.length t.fdb
-let ports t = Hashtbl.length t.handlers
 let forwarded t = t.forwarded
 let dropped t = t.dropped
 let dropped_broadcast t = t.dropped_broadcast

@@ -17,10 +17,9 @@ val default_latency : float
     message legally crosses partitions (see
     {!Lightvm_sim.Engine.run_partitioned}). *)
 
-val create :
-  ?capacity_pps:float -> ?queue_slots:int -> unit -> t
-(** Defaults: 300k pps and 2048 burst slots. Every switch forwards
-    after {!default_latency}. *)
+val create : ?capacity_pps:float -> unit -> t
+(** Default: 300k pps. The bucket holds a burst of 2,048 packets.
+    Every switch forwards after {!default_latency}. *)
 
 val attach :
   ?partition:int -> t -> port:int -> handler:(Packet.t -> unit) -> unit
@@ -44,8 +43,6 @@ val send : t -> Packet.t -> unit
 
 val learned : t -> int
 (** Size of the forwarding database. *)
-
-val ports : t -> int
 
 val forwarded : t -> int
 

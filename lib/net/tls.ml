@@ -12,14 +12,6 @@ let rsa_1024 =
   { cipher_name = "RSA-1024"; server_private_key_cpu = 7.6e-3;
     symmetric_per_kb = 9.0e-6 }
 
-let rsa_2048 =
-  { cipher_name = "RSA-2048"; server_private_key_cpu = 28.0e-3;
-    symmetric_per_kb = 9.0e-6 }
-
-let ecdhe =
-  { cipher_name = "ECDHE-RSA"; server_private_key_cpu = 2.4e-3;
-    symmetric_per_kb = 9.0e-6 }
-
 type message =
   | Client_hello
   | Server_hello
@@ -36,9 +28,6 @@ let handshake_messages =
 type state = { remaining : message list }
 
 let initial = { remaining = handshake_messages }
-
-let expected_next state =
-  match state.remaining with [] -> None | m :: _ -> Some m
 
 let message_name = function
   | Client_hello -> "ClientHello"

@@ -13,10 +13,6 @@ type cipher = {
 
 val rsa_1024 : cipher
 
-val rsa_2048 : cipher
-
-val ecdhe : cipher
-
 (** Handshake message types, in protocol order. *)
 type message =
   | Client_hello
@@ -30,9 +26,6 @@ type message =
 type state
 
 val initial : state
-
-val expected_next : state -> message option
-(** [None] once the handshake is complete. *)
 
 val step : state -> message -> (state, string) result
 (** Advance the state machine; errors on out-of-order messages. *)

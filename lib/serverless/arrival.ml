@@ -15,15 +15,6 @@ let name = function
   | Diurnal _ -> "diurnal"
   | Mmpp _ -> "mmpp"
 
-let describe = function
-  | Poisson { rate } -> Printf.sprintf "poisson @ %g req/s" rate
-  | Diurnal { base; amplitude; period } ->
-      Printf.sprintf "diurnal @ %g req/s +/-%g%% over %gs" base
-        (100. *. amplitude) period
-  | Mmpp { calm_rate; burst_rate; mean_calm; mean_burst } ->
-      Printf.sprintf "mmpp calm %g req/s (%gs) / burst %g req/s (%gs)"
-        calm_rate mean_calm burst_rate mean_burst
-
 (* A rate or period that is zero, negative, infinite or nan would make
    the generator spin without advancing: a zero diurnal period never
    accepts a thinning candidate, a non-positive MMPP sojourn mean never

@@ -29,9 +29,6 @@ type process =
 val name : process -> string
 (** ["poisson"], ["diurnal"] or ["mmpp"]. *)
 
-val describe : process -> string
-(** One-line summary with the numeric parameters. *)
-
 val of_flag :
   rate:float -> period:float -> string -> (process, string) result
 (** Parse a [--arrival] flag value (["poisson"], ["diurnal"],

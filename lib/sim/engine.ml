@@ -125,8 +125,6 @@ let schedule_at eng time thunk =
          time eng.clock);
   Heap.push eng.heap ~time thunk
 
-let at time thunk = schedule_at (current_eng (dls ())) time thunk
-
 let after delay thunk =
   let eng = current_eng (dls ()) in
   if not (delay >= 0.) then
@@ -801,9 +799,5 @@ module Ivar = struct
             | Full v -> resume v
             | Empty waiters -> t.state <- Empty (resume :: waiters))
 
-  let peek t = match t.state with Full v -> Some v | Empty _ -> None
-
   let is_full t = match t.state with Full _ -> true | Empty _ -> false
 end
-
-let wait_all ivars = List.iter Ivar.read ivars

@@ -180,7 +180,7 @@ val spawn : ?name:string -> (unit -> unit) -> unit
 val self_pid : unit -> int
 (** Small integer id of the calling simulation process; pids are
     allocated in spawn order starting from 1 ([main] is 1) and reset on
-    each {!run}. Returns 0 from non-process callbacks ({!after}/{!at}
+    each {!run}. Returns 0 from non-process callbacks ({!after}
     thunks) and outside any simulation. *)
 
 (** Lifecycle callbacks for an external tracer: [on_spawn] fires when a
@@ -203,10 +203,6 @@ val after : float -> (unit -> unit) -> token
 (** Run a callback (not a blocking process) after a delay. The callback
     must not block; to start blocking work from a callback, [spawn]. A
     negative or NaN delay raises [Invalid_argument]. *)
-
-val at : float -> (unit -> unit) -> token
-(** Like {!after} with an absolute timestamp (>= now; an earlier or NaN
-    time raises [Invalid_argument]). *)
 
 val cancel : token -> unit
 (** Cancel a pending callback. Call it from the partition that armed the
@@ -256,10 +252,5 @@ module Ivar : sig
   val read : 'a t -> 'a
   (** Blocks the calling process until filled. *)
 
-  val peek : 'a t -> 'a option
-
   val is_full : 'a t -> bool
 end
-
-val wait_all : unit Ivar.t list -> unit
-(** Block until every ivar in the list is filled. *)

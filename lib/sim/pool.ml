@@ -166,4 +166,3 @@ let run ?jobs thunks =
       outcomes
   end
 
-let map ?jobs f items = run ?jobs (List.map (fun x () -> f x) items)

@@ -39,9 +39,6 @@ val run : ?jobs:int -> (unit -> 'a) list -> 'a list
     other job still runs to completion, then the first failure (in
     submission order) is re-raised with its original backtrace. *)
 
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f items = run ~jobs (List.map (fun x () -> f x) items)]. *)
-
 (** {1 Lower-level interface} *)
 
 type promise

@@ -8,20 +8,11 @@ let create capacity =
   if capacity < 1 then invalid_arg "Sim.Resource.create: capacity < 1";
   { cap = capacity; avail = capacity; waiters = Queue.create () }
 
-let capacity t = t.cap
 let available t = t.avail
-let waiting t = Queue.length t.waiters
 
 let acquire t =
   if t.avail > 0 then t.avail <- t.avail - 1
   else Engine.suspend (fun resume -> Queue.add resume t.waiters)
-
-let try_acquire t =
-  if t.avail > 0 then begin
-    t.avail <- t.avail - 1;
-    true
-  end
-  else false
 
 let release t =
   match Queue.take_opt t.waiters with

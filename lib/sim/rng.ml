@@ -38,8 +38,6 @@ let[@inline] unit_float t =
 
 let float t x = unit_float t *. x
 
-let uniform t ~lo ~hi = lo +. float t (hi -. lo)
-
 let exponential t ~mean =
   let u = unit_float t *. 1.0 in
   (* Guard against log 0. *)
@@ -55,7 +53,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t = function
-  | [] -> invalid_arg "Rng.pick: empty list"
-  | l -> List.nth l (int t (List.length l))

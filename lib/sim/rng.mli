@@ -18,14 +18,9 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 
-val uniform : t -> lo:float -> hi:float -> float
-
 val exponential : t -> mean:float -> float
 
 val bool : t -> float -> bool
 (** [bool t p] is [true] with probability [p]. *)
 
 val shuffle : t -> 'a array -> unit
-
-val pick : t -> 'a list -> 'a
-(** Uniform choice. Requires a non-empty list. *)

@@ -23,9 +23,6 @@ val disable : config -> string -> config
 
 val is_enabled : config -> string -> bool
 
-val enabled : config -> string list
-(** Sorted. *)
-
 val image_kb : config -> int
 (** Kernel image size for this configuration. *)
 

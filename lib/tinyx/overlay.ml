@@ -44,5 +44,3 @@ let stripped_kb t = t.stripped_kb
 
 let distribution_kb t =
   List.fold_left (fun acc l -> acc + l.files_kb) 0 t.merged
-
-let layers t = t.merged

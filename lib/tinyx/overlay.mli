@@ -30,6 +30,3 @@ val stripped_kb : t -> int
 
 val distribution_kb : t -> int
 (** Final merged distribution size (what ships in the image). *)
-
-val layers : t -> layer list
-(** [busybox_underlay] then the cleaned overlay then the init glue. *)

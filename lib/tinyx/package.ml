@@ -16,8 +16,6 @@ let repo_of_list packages =
 
 let find repo name = Hashtbl.find_opt repo.by_name name
 
-let all repo = repo.order
-
 let providers_of_lib repo lib =
   List.filter (fun p -> List.mem lib p.libs) repo.order
 

@@ -20,8 +20,6 @@ val repo_of_list : t list -> repo
 
 val find : repo -> string -> t option
 
-val all : repo -> t list
-
 val providers_of_lib : repo -> string -> t list
 (** Packages providing a shared library (objdump resolution). *)
 

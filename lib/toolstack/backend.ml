@@ -26,7 +26,6 @@ exception Alloc_failed of string
 let create ~xen ~xs ~ctrl ~costs =
   { xen; xs; ctrl; costs; mac_counter = 0; next_ctrl_frame = 0x1000 }
 
-let ctrl t = t.ctrl
 
 (* Write [byte] as two lowercase hex digits at [pos]. *)
 let put_hex b pos byte =

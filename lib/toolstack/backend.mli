@@ -29,8 +29,6 @@ val create :
   costs:Costs.t ->
   t
 
-val ctrl : t -> Lightvm_guest.Ctrl.t
-
 val fresh_mac : t -> string
 (** Xen-prefixed MAC (00:16:3e:...), sequential. *)
 

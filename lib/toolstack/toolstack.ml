@@ -5,11 +5,7 @@ module Ctrl = Lightvm_guest.Ctrl
 type t = Create.env
 
 let make ~xen ~mode ?xs_profile ?(costs = Costs.default) () =
-  let xs_server =
-    match xs_profile with
-    | Some profile -> Xs_server.create ~profile ()
-    | None -> Xs_server.create ()
-  in
+  let xs_server = Xs_server.create ?profile:xs_profile () in
   let xs = Xs_client.connect xs_server ~domid:0 in
   let ctrl = Ctrl.create () in
   let backend =
@@ -20,7 +16,6 @@ let make ~xen ~mode ?xs_profile ?(costs = Costs.default) () =
   { Create.xen; xs_server; xs; ctrl; backend; mode; costs; shells = ref 0 }
 
 let env t = t
-let xen t = t.Create.xen
 let mode t = t.Create.mode
 let costs t = t.Create.costs
 let xs_server t = t.Create.xs_server

@@ -19,8 +19,6 @@ val make :
 val env : t -> Create.env
 (** What the creation pipeline, {!Checkpoint} and {!Migrate} run on. *)
 
-val xen : t -> Lightvm_hv.Xen.t
-
 val mode : t -> Mode.t
 
 val costs : t -> Costs.t

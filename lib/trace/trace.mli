@@ -39,9 +39,6 @@ val enable : ?capacity:int -> unit -> unit
 val disable : unit -> unit
 (** Turn tracing off; recorded spans and counters remain readable. *)
 
-val reset : unit -> unit
-(** Clear spans, counters and charge totals without toggling [enabled]. *)
-
 val spans : unit -> span list
 (** Retained spans, oldest first. *)
 

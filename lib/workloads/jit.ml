@@ -1,5 +1,4 @@
 module Engine = Lightvm_sim.Engine
-module Cdf = Lightvm_metrics.Cdf
 module Xen = Lightvm_hv.Xen
 module Image = Lightvm_guest.Image
 module Mode = Lightvm_toolstack.Mode
@@ -30,7 +29,6 @@ let default_config =
 
 type result = {
   rtts : float list;
-  cdf : Cdf.t;
   timeouts : int;
   arp_drops : int;
   vms_booted : int;
@@ -214,12 +212,8 @@ let run config =
            (float_of_int (config.max_retries + 1) *. config.arp_timeout);
          arp_drops := Switch.dropped_broadcast sw;
          reaper_live := false));
-  let rtt_list =
-    Array.to_list rtts |> List.filter (fun r -> not (Float.is_nan r))
-  in
   {
-    rtts = rtt_list;
-    cdf = Cdf.of_samples rtt_list;
+    rtts = Array.to_list rtts |> List.filter (fun r -> not (Float.is_nan r));
     timeouts =
       Array.fold_left (fun acc r -> if r then acc + 1 else acc) 0 retried;
     arp_drops = !arp_drops;

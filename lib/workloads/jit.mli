@@ -21,7 +21,6 @@ val default_config : config
 
 type result = {
   rtts : float list;  (** one measured RTT per client, arrival order *)
-  cdf : Lightvm_metrics.Cdf.t;
   timeouts : int;  (** clients that needed at least one retry *)
   arp_drops : int;
   vms_booted : int;

@@ -22,18 +22,6 @@ let data =
     { year = 2018; version = "4.17"; syscalls = 397 };
   ]
 
-let series () =
-  let s =
-    Lightvm_metrics.Series.create ~unit_label:"syscalls"
-      ~name:"linux-syscall-growth" ()
-  in
-  List.iter
-    (fun p ->
-      Lightvm_metrics.Series.add s ~x:(float_of_int p.year)
-        ~y:(float_of_int p.syscalls))
-    data;
-  s
-
 let growth_per_year () =
   let n = float_of_int (List.length data) in
   let sx, sy, sxy, sxx =
@@ -44,8 +32,3 @@ let growth_per_year () =
       (0., 0., 0., 0.) data
   in
   ((n *. sxy) -. (sx *. sy)) /. ((n *. sxx) -. (sx *. sx))
-
-let count_in year =
-  List.fold_left
-    (fun acc p -> if p.year <= year then Some p.syscalls else acc)
-    None data

@@ -12,11 +12,5 @@ type point = {
 val data : point list
 (** Chronological. *)
 
-val series : unit -> Lightvm_metrics.Series.t
-(** x = year, y = syscall count. *)
-
 val growth_per_year : unit -> float
 (** Least-squares slope (syscalls added per year). *)
-
-val count_in : int -> int option
-(** Count for the latest release at or before the given year. *)

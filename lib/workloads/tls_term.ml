@@ -1,5 +1,4 @@
 module Params = Lightvm_hv.Params
-module Cpu = Lightvm_sim.Cpu
 module Tls = Lightvm_net.Tls
 module Stack = Lightvm_net.Stack
 
@@ -46,31 +45,3 @@ let throughput ?(platform = Params.xeon_e5_2690) backend ~instances =
 let sweep ?platform backend ~instances =
   List.map (fun n -> (n, throughput ?platform backend ~instances:n))
     instances
-
-type memory_point = {
-  mem_backend : backend;
-  instance_mem_mb : float;
-  boot_ms : float;
-}
-
-let footprint = function
-  | Bare_metal ->
-      { mem_backend = Bare_metal; instance_mem_mb = 2.5; boot_ms = 4. }
-  | Tinyx_vm ->
-      { mem_backend = Tinyx_vm; instance_mem_mb = 40.; boot_ms = 190. }
-  | Unikernel ->
-      { mem_backend = Unikernel; instance_mem_mb = 16.; boot_ms = 6. }
-
-let serve_one cpu ~core backend =
-  (* Drive the protocol state machine for real, then charge the
-     backend's cost for the whole exchange. *)
-  let final =
-    List.fold_left
-      (fun state msg ->
-        match Tls.step state msg with
-        | Ok s -> s
-        | Error e -> invalid_arg ("TLS handshake broke: " ^ e))
-      Tls.initial Tls.handshake_messages
-  in
-  assert (Tls.is_complete final);
-  Cpu.consume cpu ~core (per_request_cpu backend)

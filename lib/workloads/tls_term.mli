@@ -26,19 +26,3 @@ val sweep :
   backend ->
   instances:int list ->
   (int * float) list
-
-type memory_point = {
-  mem_backend : backend;
-  instance_mem_mb : float;
-  boot_ms : float;
-}
-
-val footprint : backend -> memory_point
-(** Paper numbers: unikernel 16 MB / ~6 ms boot; Tinyx 40 MB /
-    ~190 ms. *)
-
-val serve_one :
-  Lightvm_sim.Cpu.t -> core:int -> backend -> unit
-(** Serve one full handshake+request on a core of the simulated CPU —
-    runs the real TLS state machine and charges its cost (used by the
-    example program and tests). *)

@@ -2,9 +2,6 @@ type t = { server : Xs_server.t; domid : int }
 
 let connect server ~domid = { server; domid }
 
-let domid t = t.domid
-let server t = t.server
-
 let fail e = raise (Xs_error.Error e)
 
 let unexpected () = fail Xs_error.EINVAL
@@ -63,7 +60,6 @@ let get_domain_path t domid =
   | Xs_server.Err e -> fail e
   | _ -> unexpected ()
 
-let introduce t domid = expect_unit (op t (Xs_server.Introduce domid))
 let release t domid = expect_unit (op t (Xs_server.Release domid))
 
 let write_many t ?tx pairs = List.iter (fun (p, v) -> write t ?tx p v) pairs

@@ -20,10 +20,6 @@ val connect : Xs_server.t -> domid:int -> t
     daemons, the guest's own domid for frontends). Permissions and
     quotas are enforced against this identity. *)
 
-val domid : t -> int
-
-val server : t -> Xs_server.t
-
 val read : t -> ?tx:int -> Xs_path.t -> string
 (** @raise Xs_error.Error [ENOENT] when the node does not exist,
     [EACCES] when it is not readable by this connection's domid. *)
@@ -81,10 +77,6 @@ val with_transaction : t -> (int -> unit) -> unit
 
 val get_domain_path : t -> int -> string
 (** The daemon's [/local/domain/<domid>] answer; never raises. *)
-
-val introduce : t -> int -> unit
-(** Announce a domain to the daemon (fires the [@introduceDomain]
-    special watch). Never raises. *)
 
 val release : t -> int -> unit
 (** Forget a domain: drops its watch registrations, aborts its open

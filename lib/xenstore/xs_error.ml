@@ -20,18 +20,6 @@ let to_string = function
   | EBUSY -> "EBUSY"
   | EISDIR -> "EISDIR"
 
-let of_string = function
-  | "ENOENT" -> Some ENOENT
-  | "EACCES" -> Some EACCES
-  | "EEXIST" -> Some EEXIST
-  | "EINVAL" -> Some EINVAL
-  | "EAGAIN" -> Some EAGAIN
-  | "EQUOTA" -> Some EQUOTA
-  | "ENOSPC" -> Some ENOSPC
-  | "EBUSY" -> Some EBUSY
-  | "EISDIR" -> Some EISDIR
-  | _ -> None
-
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 exception Error of t

@@ -14,8 +14,6 @@ type t =
 
 val to_string : t -> string
 
-val of_string : string -> t option
-
 val pp : Format.formatter -> t -> unit
 
 exception Error of t

@@ -1,5 +1,4 @@
 type t = {
-  rotate_lines : int;
   on : bool;
   mutable current : int;
   mutable total : int;
@@ -7,19 +6,16 @@ type t = {
 }
 
 let files = 20
+let rotate_lines = 13_215
 
-let create ?(rotate_lines = 13_215) ~enabled () =
-  if rotate_lines < 1 then invalid_arg "Xs_logging.create: rotate_lines < 1";
-  { rotate_lines; on = enabled; current = 0; total = 0; rotations = 0 }
-
-let enabled t = t.on
+let create ~enabled = { on = enabled; current = 0; total = 0; rotations = 0 }
 
 let log_access t ~lines =
   if not t.on then false
   else begin
     t.current <- t.current + lines;
     t.total <- t.total + lines;
-    if t.current >= t.rotate_lines then begin
+    if t.current >= rotate_lines then begin
       t.current <- 0;
       t.rotations <- t.rotations + 1;
       true

@@ -11,10 +11,8 @@ val files : int
 (** Size of the rotation ring, 20 files as in the paper; rotation cost
     scales with it. *)
 
-val create : ?rotate_lines:int -> enabled:bool -> unit -> t
-(** The default follows the paper: 13,215 lines per file. *)
-
-val enabled : t -> bool
+val create : enabled:bool -> t
+(** A file holds 13,215 lines, as in the paper. *)
 
 val log_access : t -> lines:int -> bool
 (** Record [lines] of log output; [true] iff a rotation was triggered

@@ -147,7 +147,6 @@ let is_prefix p ~of_ =
 let compare a b =
   if a == b then 0 else String.compare (to_string a) (to_string b)
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let local_domain = of_string "/local/domain"
 

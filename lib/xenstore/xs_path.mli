@@ -9,7 +9,7 @@
     XenStore spec defines paths by. {!concat} therefore allocates one
     4-word node at any depth, and paths built from one directory share
     it. {!length} is a field read. The canonical string is built only
-    by {!to_string} (and {!compare}, {!pp}): for the wire, dumps and
+    by {!to_string} (and {!compare}): for the wire, dumps and
     the paths a caller stores as values. {!segments}, {!val-parent},
     {!depth} and {!of_string} allocate too; the store, the watch
     registry and the daemon walk the chain instead. The type is
@@ -78,8 +78,6 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 (** The order of the canonical strings. *)
-
-val pp : Format.formatter -> t -> unit
 
 val domain_path : int -> t
 (** [/local/domain/<domid>] *)

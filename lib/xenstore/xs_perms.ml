@@ -5,7 +5,6 @@ type t = { owner : int; default : role; acl : (int * role) list }
 let make ~owner ?(default = None_) ?(acl = []) () = { owner; default; acl }
 
 let owner t = t.owner
-let acl t = t.acl
 
 let owned_default owner = { owner; default = None_; acl = [] }
 
@@ -90,4 +89,3 @@ let of_string s =
 
 let equal a b = a = b
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -15,8 +15,6 @@ val make : owner:int -> ?default:role -> ?acl:(int * role) list -> unit -> t
 
 val owner : t -> int
 
-val acl : t -> (int * role) list
-
 val owned_default : int -> t
 (** Owner-only access, the default for freshly created nodes. *)
 
@@ -38,5 +36,3 @@ val wire_length : t -> int
 val of_string : string -> t option
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

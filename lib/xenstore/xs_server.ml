@@ -57,24 +57,24 @@ type t = {
   mutex : Resource.t;
   txs : (int, int * Xs_transaction.t) Hashtbl.t; (* txid -> caller, tx *)
   mutable next_txid : int;
-  quota_nodes : int;
   counters : counters;
   busy : busy;
   mutable name_idx : (string * Xs_perms.t) option NMap.t;
   mutable name_idx_gen : int; (* store generation it mirrors; -1 = stale *)
 }
 
-let create ?(profile = Xs_costs.oxenstored) ?(quota_nodes = 1000) () =
+let quota_nodes = 1000
+
+let create ?(profile = Xs_costs.oxenstored) () =
   {
     profile;
     store = Xs_store.create ();
     watches = Xs_watch.create ();
     log =
-      Xs_logging.create ~enabled:profile.Xs_costs.logging_enabled ();
+      Xs_logging.create ~enabled:profile.Xs_costs.logging_enabled;
     mutex = Resource.create 1;
     txs = Hashtbl.create 16;
     next_txid = 1;
-    quota_nodes;
     counters =
       {
         ops = 0;
@@ -89,7 +89,6 @@ let create ?(profile = Xs_costs.oxenstored) ?(quota_nodes = 1000) () =
     name_idx_gen = -1;
   }
 
-let profile t = t.profile
 let store t = t.store
 let counters t =
   t.counters.busy_time <- t.busy.seconds;
@@ -281,14 +280,14 @@ let equota_point = Fault.point "xs.equota"
 (* A guest may create a node while it owns fewer than [quota_nodes] in
    [store]: the live store, or an open transaction's view, which holds
    the nodes the transaction created. *)
-let guest_quota t store ~caller path =
+let guest_quota store ~caller path =
   if
     Xs_store.exists store path
-    || Xs_store.owned_count store ~domid:caller < t.quota_nodes
+    || Xs_store.owned_count store ~domid:caller < quota_nodes
   then Ok ()
   else Error Xs_error.EQUOTA
 
-let check_quota t store ~caller path =
+let check_quota store ~caller path =
   (* Fault point: a spurious EQUOTA on a node-creating request, as a
      real oxenstored returns when another domain's allocations race the
      caller past its quota. Injected only for Dom0 clients — the
@@ -298,7 +297,7 @@ let check_quota t store ~caller path =
      schedule depends only on the request sequence, not on contents. *)
   if caller = 0 then
     if Fault.fire equota_point then Error Xs_error.EQUOTA else Ok ()
-  else guest_quota t store ~caller path
+  else guest_quota store ~caller path
 
 let lift = function Ok () -> Ok_unit | Error e -> Err e
 
@@ -321,7 +320,7 @@ let do_plain t ~caller req =
       | Ok perms -> Ok_perms perms
       | Error e -> Err e)
   | Write (path, value) -> (
-      match check_quota t t.store ~caller path with
+      match check_quota t.store ~caller path with
       | Error e -> Err e
       | Ok () -> (
           let unique =
@@ -337,7 +336,7 @@ let do_plain t ~caller req =
                   Ok_unit
               | Error e -> Err e)))
   | Mkdir path -> (
-      match check_quota t t.store ~caller path with
+      match check_quota t.store ~caller path with
       | Error e -> Err e
       | Ok () -> (
           match Xs_store.mkdir t.store ~caller path with
@@ -361,7 +360,7 @@ let do_plain t ~caller req =
   | Get_domain_path _ | Introduce _ | Release _ ->
       Err Xs_error.EINVAL
 
-let do_in_tx t ~caller tx req =
+let do_in_tx ~caller tx req =
   match req with
   | Read path -> (
       match Xs_transaction.read tx ~caller path with
@@ -372,7 +371,7 @@ let do_in_tx t ~caller tx req =
       | Ok entries -> Ok_list entries
       | Error e -> Err e)
   | Write (path, value) -> (
-      match check_quota t (Xs_transaction.view tx) ~caller path with
+      match check_quota (Xs_transaction.view tx) ~caller path with
       | Error e -> Err e
       | Ok () -> lift (Xs_transaction.write tx ~caller path value))
   | Mkdir path -> (
@@ -380,7 +379,7 @@ let do_in_tx t ~caller tx req =
          fires on its transactional writes only. *)
       match
         if caller = 0 then Ok ()
-        else guest_quota t (Xs_transaction.view tx) ~caller path
+        else guest_quota (Xs_transaction.view tx) ~caller path
       with
       | Error e -> Err e
       | Ok () -> lift (Xs_transaction.mkdir tx ~caller path))
@@ -439,7 +438,7 @@ let dispatch t ~caller ~tx req =
       if Hashtbl.length t.txs > 256 then Err Xs_error.EBUSY
       else begin
         Hashtbl.replace t.txs txid
-          (caller, Xs_transaction.start t.store ~id:txid);
+          (caller, Xs_transaction.start t.store);
         Ok_txid txid
       end
   | Transaction_end commit -> (
@@ -484,7 +483,7 @@ let dispatch t ~caller ~tx req =
           | None -> Err Xs_error.EINVAL
           | Some (owner, transaction) ->
               if owner <> caller then Err Xs_error.EACCES
-              else do_in_tx t ~caller transaction plain))
+              else do_in_tx ~caller transaction plain))
 
 (* The daemon entry: every request holds the mutex from [enter] until
    its caller releases it, on return and on exception. These are plain

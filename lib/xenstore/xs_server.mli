@@ -49,14 +49,9 @@ type counters = {
   mutable busy_time : float;  (** simulated seconds inside the daemon *)
 }
 
-val create :
-  ?profile:Xs_costs.profile ->
-  ?quota_nodes:int ->
-  unit ->
-  t
-(** Defaults: {!Xs_costs.oxenstored}, 1000-node per-domain quota. *)
-
-val profile : t -> Xs_costs.profile
+val create : ?profile:Xs_costs.profile -> unit -> t
+(** The default profile is {!Xs_costs.oxenstored}. A guest domain may
+    own at most 1,000 nodes. *)
 
 val store : t -> Xs_store.t
 
@@ -80,7 +75,7 @@ val op : t -> caller:int -> ?tx:int -> request -> response
 
     Node quota: a [Write] or [Mkdir] by a guest ([caller <> 0]) that
     would create a node fails with [EQUOTA] once the guest owns
-    [quota_nodes] nodes. Inside a transaction both are checked against
+    1,000 nodes. Inside a transaction both are checked against
     the transaction's view, which counts the nodes the transaction has
     created. Dom0 has no quota: only [xs.equota] can fail its plain
     writes and mkdirs and its transactional writes. *)

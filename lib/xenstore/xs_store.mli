@@ -27,9 +27,6 @@ module Node : sig
 
   val perms : t -> Xs_perms.t
 
-  val children : t -> (string * t) list
-  (** Sorted by name. *)
-
   val subtree_size : t -> int
   (** Number of nodes including [t]. *)
 end

@@ -12,23 +12,20 @@ type op_result =
   | Unit of (unit, Xs_error.t) result
 
 type t = {
-  tx_id : int;
   base_generation : int;
   view : Xs_store.t;
   mutable journal : journal_entry list; (* reversed *)
   mutable aborted : bool;
 }
 
-let start store ~id =
+let start store =
   {
-    tx_id = id;
     base_generation = Xs_store.generation store;
     view = Xs_store.of_snapshot (Xs_store.snapshot store);
     journal = [];
     aborted = false;
   }
 
-let id t = t.tx_id
 let view t = t.view
 
 let record t e = t.journal <- e :: t.journal

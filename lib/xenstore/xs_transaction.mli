@@ -15,9 +15,7 @@ type op_result =
   | Listing of (string list, Xs_error.t) result
   | Unit of (unit, Xs_error.t) result
 
-val start : Xs_store.t -> id:int -> t
-
-val id : t -> int
+val start : Xs_store.t -> t
 
 val view : t -> Xs_store.t
 (** The private view; callers run ordinary {!Xs_store} operations on it

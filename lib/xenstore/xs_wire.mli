@@ -65,6 +65,3 @@ val unpack_header : bytes -> header
 
 val unpack : bytes -> header * string list
 (** Full decode; splits the payload on NULs. *)
-
-val payload_bytes : string list -> int
-(** Encoded payload size, for cost accounting without packing. *)

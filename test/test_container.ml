@@ -119,13 +119,13 @@ let test_process_create_times =
       let times =
         List.init 300 (fun _ ->
             let t0 = Engine.now () in
-            ignore (Process.fork_exec procs ());
+            Process.fork_exec procs ();
             Engine.now () -. t0)
       in
       let mean =
         List.fold_left ( +. ) 0. times /. float_of_int (List.length times)
       in
-      let p90 = Lightvm_metrics.Stats.percentile times 90. in
+      let p90 = Percentile.linear times 90. in
       (* Paper: 3.5 ms average, 9 ms at the 90th percentile. *)
       Alcotest.(check bool)
         (Printf.sprintf "mean ~3.5ms (%.2fms)" (mean *. 1e3))
@@ -134,18 +134,8 @@ let test_process_create_times =
       Alcotest.(check bool)
         (Printf.sprintf "p90 heavy tail (%.2fms)" (p90 *. 1e3))
         true
-        (p90 > mean && p90 < 0.015))
-
-let test_process_kill =
-  in_sim (fun () ->
-      let machine = Machine.create () in
-      let procs = Process.create machine ~rng:(Rng.create 1L) in
-      let p = Process.fork_exec procs () in
-      Alcotest.(check int) "running" 1 (Process.running procs);
-      Alcotest.(check bool) "rss accounted" true (Process.rss_kb procs > 0);
-      Process.kill procs p;
-      Alcotest.(check int) "gone" 0 (Process.running procs);
-      Alcotest.(check int) "rss freed" 0 (Process.rss_kb procs))
+        (p90 > mean && p90 < 0.015);
+      Alcotest.(check int) "rss accounted" (300 * 1_400) (Process.rss_kb procs))
 
 let suites =
   [
@@ -167,6 +157,5 @@ let suites =
       [
         Alcotest.test_case "create times" `Quick
           test_process_create_times;
-        Alcotest.test_case "kill" `Quick test_process_kill;
       ] );
   ]

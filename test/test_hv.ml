@@ -202,12 +202,9 @@ let test_devpage_replace_and_remove () =
   (match Devpage.read d ~caller:0 ~domid:4 with
   | Ok [ e ] -> Alcotest.(check int) "replaced" 99 e.Devpage.grant_ref
   | _ -> Alcotest.fail "replace created duplicate");
-  Alcotest.(check bool) "remove" true
-    (Devpage.remove_entry d ~caller:0 ~domid:4 ~kind:Devpage.Vif ~devid:0
-    = Ok ());
-  Alcotest.(check bool) "remove again" true
-    (Devpage.remove_entry d ~caller:0 ~domid:4 ~kind:Devpage.Vif ~devid:0
-    = Error Devpage.No_entry)
+  Devpage.teardown d ~domid:4;
+  Alcotest.(check bool) "teardown removes the page" true
+    (Devpage.read d ~caller:0 ~domid:4 = Error Devpage.No_page)
 
 let test_devpage_no_page () =
   let d = Devpage.create () in
@@ -330,9 +327,9 @@ let test_xen_guest_mem_kb =
 
 let test_xen_out_of_memory =
   in_sim (fun () ->
-      (* Tiny host: 1 GB total, Dom0 512 MB, Xen 128 MB. *)
-      let platform = { Params.xeon_e5_1630 with Params.ram_mb = 1024 } in
-      let xen = Xen.boot ~platform ~dom0_mem_mb:512 () in
+      (* Tiny host: 4.5 GB total, Dom0 4 GB, Xen 128 MB. *)
+      let platform = { Params.xeon_e5_1630 with Params.ram_mb = 4608 } in
+      let xen = Xen.boot ~platform () in
       let rec fill n =
         match Xen.create_domain xen ~name:(Printf.sprintf "f%d" n) ~vcpus:1
                 ~mem_mb:64. with

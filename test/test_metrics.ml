@@ -1,62 +1,10 @@
-(* Tests for the metrics library: stats, series, tables, CDFs. *)
+(* Tests for the metrics library: series, tables, quantiles. *)
 
-module Stats = Lightvm_metrics.Stats
 module Series = Lightvm_metrics.Series
 module Table = Lightvm_metrics.Table
-module Cdf = Lightvm_metrics.Cdf
+module Quantiles = Lightvm_metrics.Quantiles
 
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
-
-(* ------------------------------------------------------------------ *)
-(* Stats *)
-
-let test_stats_streaming () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
-  Alcotest.(check int) "count" 8 (Stats.count s);
-  Alcotest.(check (float 1e-9)) "mean" 5. (Stats.mean s);
-  (* Sample variance of this classic dataset: 32/7. *)
-  Alcotest.(check (float 1e-9)) "variance" (32. /. 7.) (Stats.variance s);
-  Alcotest.(check (float 1e-9)) "min" 2. (Stats.min_value s);
-  Alcotest.(check (float 1e-9)) "max" 9. (Stats.max_value s);
-  Alcotest.(check (float 1e-9)) "sum" 40. (Stats.sum s)
-
-let test_stats_empty () =
-  let s = Stats.create () in
-  Alcotest.(check (float 0.)) "mean of empty" 0. (Stats.mean s);
-  Alcotest.(check (float 0.)) "variance of empty" 0. (Stats.variance s)
-
-let test_percentiles () =
-  let samples = [ 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8.; 9.; 10. ] in
-  Alcotest.(check (float 1e-9)) "median" 5.5 (Stats.median samples);
-  Alcotest.(check (float 1e-9)) "p0" 1. (Stats.percentile samples 0.);
-  Alcotest.(check (float 1e-9)) "p100" 10. (Stats.percentile samples 100.);
-  Alcotest.(check (float 1e-9)) "p90 interpolates" 9.1
-    (Stats.percentile samples 90.);
-  Alcotest.(check (float 1e-9)) "singleton" 42.
-    (Stats.percentile [ 42. ] 75.);
-  Alcotest.check_raises "empty rejected"
-    (Invalid_argument "Stats.percentile: empty sample list") (fun () ->
-      ignore (Stats.percentile [] 50.));
-  Alcotest.check_raises "bad p rejected"
-    (Invalid_argument "Stats.percentile: p outside [0, 100]") (fun () ->
-      ignore (Stats.percentile [ 1. ] 150.))
-
-let prop_welford_matches_naive =
-  QCheck.Test.make ~name:"welford mean/variance match the naive formulas"
-    ~count:100
-    QCheck.(list_of_size Gen.(int_range 2 50) (float_bound_exclusive 100.))
-    (fun xs ->
-      let s = Stats.create () in
-      List.iter (Stats.add s) xs;
-      let n = float_of_int (List.length xs) in
-      let mean = List.fold_left ( +. ) 0. xs /. n in
-      let var =
-        List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.)) 0. xs
-        /. (n -. 1.)
-      in
-      feq ~eps:1e-6 (Stats.mean s) mean
-      && feq ~eps:1e-6 (Stats.variance s) var)
 
 (* ------------------------------------------------------------------ *)
 (* Series *)
@@ -77,23 +25,13 @@ let test_series_basics () =
   Alcotest.(check (option (float 1e-9))) "y_at miss" None
     (Series.y_at s ~x:9.)
 
-let test_series_sample () =
-  let s = Series.create ~name:"s" () in
-  for i = 1 to 10 do
-    Series.add s ~x:(float_of_int i) ~y:0.
-  done;
-  let sampled = Series.sample s ~every:3 in
-  Alcotest.(check (list (float 1e-9)))
-    "every 3rd plus last" [ 1.; 4.; 7.; 10. ]
-    (List.map fst sampled)
-
 (* ------------------------------------------------------------------ *)
 (* Table *)
 
 let test_table () =
   let t = Table.create ~title:"T" ~columns:[ "a"; "bb" ] in
   Table.add_row t [ "x"; "y" ];
-  Table.add_rowf t [ 1.5; 2. ];
+  Table.add_row t [ "1.5"; "2" ];
   Alcotest.(check int) "rows" 2 (List.length (Table.rows t));
   let rendered = Table.to_string t in
   Alcotest.(check bool) "contains title" true
@@ -106,24 +44,15 @@ let test_table () =
       Table.add_row t [ "only-one" ])
 
 (* ------------------------------------------------------------------ *)
-(* Cdf *)
-
-let test_cdf () =
-  let cdf = Cdf.of_samples [ 3.; 1.; 2.; 4. ] in
-  Alcotest.(check int) "count" 4 (Cdf.count cdf);
-  Alcotest.(check (float 1e-9)) "at below" 0. (Cdf.at cdf 0.5);
-  Alcotest.(check (float 1e-9)) "at mid" 0.5 (Cdf.at cdf 2.);
-  Alcotest.(check (float 1e-9)) "at top" 1. (Cdf.at cdf 10.);
-  Alcotest.(check (float 1e-9)) "quantile 0" 1. (Cdf.quantile cdf 0.);
-  Alcotest.(check (float 1e-9)) "quantile 1" 4. (Cdf.quantile cdf 1.);
-  Alcotest.(check int) "points" 4 (List.length (Cdf.points cdf))
+(* CDF points (fig16b renders every point) *)
 
 let prop_cdf_monotone =
   QCheck.Test.make ~name:"cdf is monotone and ends at 1" ~count:100
     QCheck.(list_of_size Gen.(int_range 1 40) (float_bound_exclusive 10.))
     (fun xs ->
-      let cdf = Cdf.of_samples xs in
-      let pts = Cdf.points cdf in
+      let q = Quantiles.create () in
+      List.iter (Quantiles.add q) xs;
+      let pts = Quantiles.sorted_points q ~every:1 in
       let rec monotone = function
         | (x1, f1) :: ((x2, f2) :: _ as rest) ->
             x1 <= x2 && f1 <= f2 && monotone rest
@@ -134,22 +63,8 @@ let prop_cdf_monotone =
 
 let suites =
   [
-    ( "metrics.stats",
-      [
-        Alcotest.test_case "streaming" `Quick test_stats_streaming;
-        Alcotest.test_case "empty" `Quick test_stats_empty;
-        Alcotest.test_case "percentiles" `Quick test_percentiles;
-        QCheck_alcotest.to_alcotest prop_welford_matches_naive;
-      ] );
     ( "metrics.series",
-      [
-        Alcotest.test_case "basics" `Quick test_series_basics;
-        Alcotest.test_case "sample" `Quick test_series_sample;
-      ] );
+      [ Alcotest.test_case "basics" `Quick test_series_basics ] );
     ( "metrics.table", [ Alcotest.test_case "render" `Quick test_table ] );
-    ( "metrics.cdf",
-      [
-        Alcotest.test_case "basics" `Quick test_cdf;
-        QCheck_alcotest.to_alcotest prop_cdf_monotone;
-      ] );
+    ( "metrics.cdf", [ QCheck_alcotest.to_alcotest prop_cdf_monotone ] );
   ]

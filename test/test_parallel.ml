@@ -13,7 +13,7 @@ let test_pool_order () =
   Alcotest.(check (list int))
     "results in submission order"
     (List.map (fun x -> x * x) items)
-    (Pool.map ~jobs:4 (fun x -> x * x) items)
+    (Pool.run ~jobs:4 (List.map (fun x () -> x * x) items))
 
 let test_pool_single_job_inline () =
   (* jobs = 1 must not spawn domains: the thunk runs on this domain. *)
@@ -261,7 +261,7 @@ let suites =
   [
     ( "sim.pool",
       [
-        Alcotest.test_case "map preserves order" `Quick test_pool_order;
+        Alcotest.test_case "run preserves order" `Quick test_pool_order;
         Alcotest.test_case "jobs=1 runs inline" `Quick
           test_pool_single_job_inline;
         Alcotest.test_case "workers are domains" `Quick

@@ -571,7 +571,7 @@ let prop_store_node_count =
 
 let test_tx_commit_applies () =
   let s = Xs_store.create () in
-  let tx = Xs_transaction.start s ~id:1 in
+  let tx = Xs_transaction.start s in
   Alcotest.check (store_res Alcotest.unit) "tx write" (Ok ())
     (Xs_transaction.write tx ~caller:0 (p "/t/a") "1");
   Alcotest.(check bool) "not yet visible" false (Xs_store.exists s (p "/t/a"));
@@ -583,7 +583,7 @@ let test_tx_commit_applies () =
 
 let test_tx_reads_own_writes () =
   let s = Xs_store.create () in
-  let tx = Xs_transaction.start s ~id:1 in
+  let tx = Xs_transaction.start s in
   ignore (Xs_transaction.write tx ~caller:0 (p "/t/x") "inner");
   Alcotest.check (store_res Alcotest.string) "tx sees own write"
     (Ok "inner")
@@ -592,7 +592,7 @@ let test_tx_reads_own_writes () =
 let test_tx_conflict_detected () =
   let s = Xs_store.create () in
   ignore (Xs_store.write s ~caller:0 (p "/c") "0");
-  let tx = Xs_transaction.start s ~id:1 in
+  let tx = Xs_transaction.start s in
   (* The transaction reads /c, then someone else changes it. *)
   ignore (Xs_transaction.read tx ~caller:0 (p "/c"));
   ignore (Xs_transaction.write tx ~caller:0 (p "/c2") "derived");
@@ -607,7 +607,7 @@ let test_tx_conflict_detected () =
 let test_tx_unrelated_interference_ok () =
   let s = Xs_store.create () in
   ignore (Xs_store.write s ~caller:0 (p "/c") "0");
-  let tx = Xs_transaction.start s ~id:1 in
+  let tx = Xs_transaction.start s in
   ignore (Xs_transaction.read tx ~caller:0 (p "/c"));
   ignore (Xs_transaction.write tx ~caller:0 (p "/c2") "derived");
   (* Unrelated write elsewhere must not break serialisability. *)
@@ -622,7 +622,7 @@ let test_tx_unrelated_interference_ok () =
 let test_tx_write_write_conflict () =
   let s = Xs_store.create () in
   ignore (Xs_store.write s ~caller:0 (p "/ww") "0");
-  let tx = Xs_transaction.start s ~id:1 in
+  let tx = Xs_transaction.start s in
   (* Read-modify-write inside the transaction. *)
   ignore (Xs_transaction.read tx ~caller:0 (p "/ww"));
   ignore (Xs_transaction.write tx ~caller:0 (p "/ww") "tx");
@@ -634,7 +634,7 @@ let test_tx_write_write_conflict () =
 
 let test_tx_writes_listed () =
   let s = Xs_store.create () in
-  let tx = Xs_transaction.start s ~id:9 in
+  let tx = Xs_transaction.start s in
   ignore (Xs_transaction.write tx ~caller:0 (p "/w/one") "1");
   ignore (Xs_transaction.mkdir tx ~caller:0 (p "/w/two"));
   Alcotest.(check (list string))
@@ -831,7 +831,7 @@ let prop_commit_matches_replay =
       let interleaved = Option.value interleaved ~default:[] in
       let adopted =
         let s = fresh () in
-        let tx = Xs_transaction.start s ~id:1 in
+        let tx = Xs_transaction.start s in
         List.iter
           (apply ~read:(Xs_transaction.read tx)
              ~directory:(Xs_transaction.directory tx)
@@ -1086,7 +1086,7 @@ let prop_store_matches_reference =
               if Option.is_none txs.(j) then
                 txs.(j) <-
                   Some
-                    ( Xs_transaction.start impl.(0) ~id:j,
+                    ( Xs_transaction.start impl.(0),
                       {
                         base = R.generation refs.(0);
                         rview = R.of_snapshot (R.snapshot refs.(0));
@@ -1454,20 +1454,21 @@ let prop_wire_roundtrip =
 (* ------------------------------------------------------------------ *)
 (* Logging *)
 
+(* A file holds 13,215 lines: five 2,643-line accesses fill one. *)
 let test_logging_rotation () =
-  let log = Xs_logging.create ~rotate_lines:10 ~enabled:true () in
+  let log = Xs_logging.create ~enabled:true in
   let rotations = ref 0 in
   for _ = 1 to 25 do
-    if Xs_logging.log_access log ~lines:2 then incr rotations
+    if Xs_logging.log_access log ~lines:2_643 then incr rotations
   done;
   Alcotest.(check int) "rotations" 5 !rotations;
-  Alcotest.(check int) "totals" 50 (Xs_logging.total_lines log);
+  Alcotest.(check int) "totals" 66_075 (Xs_logging.total_lines log);
   Alcotest.(check int) "counter matches" 5 (Xs_logging.rotations log)
 
 let test_logging_disabled () =
-  let log = Xs_logging.create ~rotate_lines:1 ~enabled:false () in
+  let log = Xs_logging.create ~enabled:false in
   Alcotest.(check bool) "no rotation when disabled" false
-    (Xs_logging.log_access log ~lines:100);
+    (Xs_logging.log_access log ~lines:13_215);
   Alcotest.(check int) "nothing recorded" 0 (Xs_logging.total_lines log)
 
 (* ------------------------------------------------------------------ *)
@@ -1541,7 +1542,7 @@ let test_server_transaction_helper =
 
 let test_server_quota =
   in_sim (fun () ->
-      let srv = Xs_server.create ~quota_nodes:3 () in
+      let srv = Xs_server.create () in
       (* Give domain 9 a writable area. *)
       ignore (Xs_server.op srv ~caller:0 (Xs_server.Mkdir (p "/g")));
       ignore
@@ -1551,14 +1552,13 @@ let test_server_quota =
         Xs_server.op srv ~caller:9
           (Xs_server.Write (p ("/g/n" ^ string_of_int i), "v"))
       in
-      (match write 1 with
-      | Xs_server.Ok_unit -> ()
-      | _ -> Alcotest.fail "first write");
-      (match write 2 with
-      | Xs_server.Ok_unit -> ()
-      | _ -> Alcotest.fail "second write");
-      (* Domain 9 now owns /g + 2 nodes = 3 = quota. *)
-      match write 3 with
+      for i = 1 to 999 do
+        match write i with
+        | Xs_server.Ok_unit -> ()
+        | _ -> Alcotest.failf "write %d" i
+      done;
+      (* Domain 9 now owns /g + 999 nodes = 1,000 = quota. *)
+      match write 1000 with
       | Xs_server.Err Xs_error.EQUOTA -> ()
       | _ -> Alcotest.fail "quota not enforced")
 
@@ -1567,11 +1567,17 @@ let test_server_quota =
    transaction itself created, and a mkdir is checked like a write. *)
 let test_server_tx_quota =
   in_sim (fun () ->
-      let srv = Xs_server.create ~quota_nodes:3 () in
+      let srv = Xs_server.create () in
       ignore (Xs_server.op srv ~caller:0 (Xs_server.Mkdir (p "/g")));
       ignore
         (Xs_server.op srv ~caller:0
            (Xs_server.Set_perms (p "/g", Xs_perms.owned_default 9)));
+      (* Domain 9 owns /g and 997 more nodes: two short of the quota. *)
+      for i = 1 to 997 do
+        ignore
+          (Xs_server.op srv ~caller:9
+             (Xs_server.Write (p ("/g/f" ^ string_of_int i), "v")))
+      done;
       let show = function
         | Xs_server.Ok_unit -> "ok"
         | Xs_server.Err e -> Xs_error.to_string e
@@ -1591,7 +1597,7 @@ let test_server_tx_quota =
         "two creates fit, four exceed the quota"
         (Ok [ "ok"; "ok"; "EQUOTA"; "EQUOTA"; "EQUOTA"; "EQUOTA" ])
         replies;
-      Alcotest.(check int) "domain 9 owns its quota" 3
+      Alcotest.(check int) "domain 9 owns its quota" 1000
         (Xs_store.owned_count (Xs_server.store srv) ~domid:9))
 
 (* A request that fails by raising still leaves the daemon's mutex
